@@ -15,6 +15,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -60,8 +61,6 @@ def _write_csv(path: Path, command: str, cfg: ExperimentConfig, seed: int,
     ]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
 
     manifest = {
         "tool": "mdighz",
@@ -74,8 +73,13 @@ def _write_csv(path: Path, command: str, cfg: ExperimentConfig, seed: int,
         "output": str(path),
         "config": config_text,
     }
-    path.with_suffix(path.suffix + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("\n".join(lines) + "\n")
+        path.with_suffix(path.suffix + ".manifest.json").write_text(
+            json.dumps(manifest, indent=2) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from None
 
 
 def _diag_cell(diags) -> str:
@@ -84,9 +88,34 @@ def _diag_cell(diags) -> str:
 
 def _load_config(path: str) -> ExperimentConfig:
     try:
-        return parse_config(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    return parse_config(text)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
+    return value
+
+
+def _search_box(text: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(v) for v in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}") from None
+    if not 0.0 < lo <= hi < math.inf:
+        raise argparse.ArgumentTypeError(f"need 0 < lo <= hi < inf, got {text!r}")
+    return lo, hi
 
 
 def _curve_rows(curve: keyrates.KeyRateCurve, extra_cols: list[str]):
@@ -101,8 +130,6 @@ def _curve_rows(curve: keyrates.KeyRateCurve, extra_cols: list[str]):
 
 def cmd_qcc(args) -> int:
     cfg = _load_config(args.config)
-    if cfg.source.kind != "wcs":
-        raise ConfigError("conferencing runs use weak coherent sources", key="source.kind")
     distances = cfg.sweep.distances()
     if args.quick:
         distances = distances[:: max(1, int(5 / max(cfg.sweep.l_step, 1e-9)))]
@@ -122,9 +149,7 @@ def cmd_qss(args) -> int:
     if args.method is not None and args.method != method:
         raise ConfigError(f"--method {args.method} conflicts with source.kind "
                           f"{cfg.source.kind!r} (implies {method})", key="source.kind")
-    variant = {"pps": "qss_pps", "heralded": "qss_heralded", "qnd": "qss_qnd"}[method]
-    if variant == "qss_pps" and cfg.phase is None:
-        raise ConfigError("phase post-selection needs phase.K", key="phase.K")
+    variant = f"qss_{method}"
     distances = cfg.sweep.distances()
     if args.quick:
         distances = distances[:: max(1, int(5 / max(cfg.sweep.l_step, 1e-9)))]
@@ -165,13 +190,9 @@ def cmd_mermin(args) -> int:
 
 def cmd_optimize(args) -> int:
     cfg = _load_config(args.config)
-    variant = {"pps": "qss_pps", "heralded": "qss_heralded",
-               "qnd": "qss_qnd"}.get(cfg.method, "qss_pps")
-    if args.variant == "qcc":
-        variant = "qcc"
-    lo, hi = (float(v) for v in args.box.split(":"))
+    variant = "qcc" if args.variant == "qcc" else f"qss_{cfg.method}"
     best_mu, best_rate = keyrates.optimize_intensities(
-        variant, cfg, args.at, (lo, hi), points=args.points, rounds=args.rounds)
+        variant, cfg, args.at, args.box, points=args.points, rounds=args.rounds)
     header = ["variant", "distance_km", "best_mu", "best_rate"]
     _write_csv(Path(args.out), "optimize", cfg, args.seed, header,
                [[variant, args.at, best_mu, best_rate]])
@@ -274,7 +295,8 @@ def _validate_brackets(cfg: ExperimentConfig, rows: list) -> bool:
         params = cfg.system.at_distance(length)
         grid = decoy.build_gain_grid(
             lambda a, b, c: gains.wcs_gain_set(a, b, c, params), cfg.decoy)
-        bounds = decoy.wcs_bounds(grid, grid, cfg.decoy)
+        bounds = decoy.single_photon_bounds(grid, decoy.poisson_level(cfg.decoy.mu2),
+                                            decoy.poisson_level(cfg.decoy.mu1))
         exact = fock.exact_single_photon_stats_for(params)
         good = bounds.y111_zl <= exact.y111_z + 1e-12
         if bounds.e111_bxu is not None and exact.e111_bx is not None:
@@ -335,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", default=None, help="optional report CSV path")
         p.add_argument("--quick", action="store_true",
                        help="coarser grid / fewer samples")
-        p.add_argument("--seed", type=int, default=1, help="RNG seed (u64)")
-        p.add_argument("--workers", type=int, default=1,
+        p.add_argument("--seed", type=_seed, default=1, help="RNG seed (u64)")
+        p.add_argument("--workers", type=_positive_int, default=1,
                        help="thread workers for sweep points")
 
     p = sub.add_parser("qcc", help="conferencing key-rate curve")
@@ -361,8 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--variant", choices=("qcc", "qss"), default="qcc")
     p.add_argument("--at", type=float, default=100.0, help="distance (km)")
-    p.add_argument("--box", default="0.05:1.0", help="search box lo:hi")
-    p.add_argument("--points", type=int, default=9)
+    p.add_argument("--box", type=_search_box, default="0.05:1.0",
+                   help="search box lo:hi")
+    p.add_argument("--points", type=_positive_int, default=9)
     p.add_argument("--rounds", type=int, default=3)
     p.set_defaults(fn=cmd_optimize)
     return parser

@@ -1,14 +1,16 @@
 """Two-decoy analytic bounds on single-photon yields and error rates.
 
-The estimators invert the photon-number mixture of the observed gains: an
-inclusion-exclusion "gadget" over the vacuum-substituted intensity patterns
-isolates the all-users-nonvacuum sector, and a weighted difference of the two
-decoy levels pins the one-photon-each term from below (the neglected
-higher-order terms enter with provably nonpositive coefficients).
+One estimator serves every source and the Mermin bound.  It inverts the
+photon-number mixture of the observed gains: an inclusion-exclusion "gadget"
+over the vacuum-substituted intensity patterns isolates the
+all-users-nonvacuum sector, and a weighted difference of the two decoy levels
+pins the one-photon-each term from below (the neglected higher-order terms
+enter with provably nonpositive coefficients).  Sources differ only in how a
+level is described (`poisson_level`, `distribution_level`).
 
 Bounds are floored at 0, error bounds capped at 1/2, and every clamp leaves a
 diagnostic; a vanishing yield bound makes the error bound undefined and is
-reported as an explicit marker instead of a number.
+reported as an explicit marker instead of a number, as are degenerate levels.
 """
 
 from __future__ import annotations
@@ -18,19 +20,20 @@ from math import exp
 
 import numpy as np
 
-from .gains import GainSet
 from .params import DecoyPlan, DetectorModel
 
 __all__ = [
     "LEVEL_PATTERNS",
     "GainGrid",
+    "DecoyLevel",
     "SinglePhotonBounds",
     "HeraldedStats",
     "MerminYieldBounds",
     "build_gain_grid",
-    "wcs_bounds",
+    "poisson_level",
+    "distribution_level",
+    "single_photon_bounds",
     "heralded_stats",
-    "heralded_bounds",
     "mermin_yield_bounds",
 ]
 
@@ -43,14 +46,15 @@ VACUUM = (0, 0, 0)
 
 @dataclass(frozen=True)
 class GainGrid:
-    """Gain sets for the 15 intensity patterns of a two-decoy plan.
+    """Gains for the 15 intensity patterns of a two-decoy plan.
 
     Keys are (level, pattern) with level "signal" | "decoy" and pattern a
     0/1-triple saying which users are at the level (0 = vacuum); the shared
-    all-vacuum entry appears under both levels.
+    all-vacuum entry appears under both levels.  Entries are GainSets, or
+    (all-"+", all-"-") gain pairs for the Mermin estimate.
     """
 
-    entries: dict[tuple[str, tuple[int, int, int]], GainSet]
+    entries: dict[tuple[str, tuple[int, int, int]], object]
 
     def __post_init__(self):
         want = {(lev, pat) for lev in ("signal", "decoy")
@@ -61,12 +65,12 @@ class GainGrid:
             extra = sorted(have - want)
             raise ValueError(f"incomplete gain grid: missing {missing}, extra {extra}")
 
-    def gain(self, level, pattern) -> GainSet:
+    def gain(self, level, pattern):
         return self.entries[(level, pattern)]
 
 
 def build_gain_grid(gain_fn, plan: DecoyPlan) -> GainGrid:
-    """Evaluate `gain_fn(mu_a, mu_b, mu_c) -> GainSet` over the 15 patterns."""
+    """Evaluate `gain_fn(mu_a, mu_b, mu_c)` over the 15 patterns."""
     entries = {}
     vacuum_set = gain_fn(0.0, 0.0, 0.0)
     for level, mu in (("signal", plan.mu2), ("decoy", plan.mu1)):
@@ -74,6 +78,75 @@ def build_gain_grid(gain_fn, plan: DecoyPlan) -> GainGrid:
             entries[(level, pat)] = gain_fn(*(mu * p for p in pat))
         entries[(level, VACUUM)] = vacuum_set
     return GainGrid(entries)
+
+
+@dataclass(frozen=True)
+class DecoyLevel:
+    """One intensity level as the estimator sees it: weights[k] = P0^(3-k)
+    multiplies the patterns with k users at the level, supplying the vacuum
+    factors of the other users; c1, c2 are P1, P2.  Scaling a level (weights
+    by s^3, c1 and c2 by s) changes no bound."""
+
+    weights: tuple[float, float, float, float]
+    c1: float
+    c2: float
+
+
+def poisson_level(mu: float) -> DecoyLevel:
+    """Level of a Poisson (phase-randomized coherent) source, scaled by
+    e^(3 mu) so that c1 = mu and c2 = mu^2/2 carry no rounded exponential."""
+    return DecoyLevel(tuple(exp(k * mu) for k in range(4)), mu, mu * mu / 2.0)
+
+
+def distribution_level(p_n) -> DecoyLevel:
+    """Level of a source with photon-number distribution p_n."""
+    p0, p1, p2 = (float(p_n[k]) for k in range(3))
+    return DecoyLevel(tuple(p0 ** (3 - k) for k in range(4)), p1, p2)
+
+
+DEGENERATE = "degenerate decoy levels (estimator denominator is 0)"
+
+
+def _gadget(grid: GainGrid, name: str, level: DecoyLevel, extract) -> float:
+    """Inclusion-exclusion over vacuum substitutions.
+
+    Sign (-1)^(3-k) on the patterns with k users at the level removes every
+    contribution with at least one vacuum user.
+    """
+    v = {pat: extract(grid.gain(name, pat)) for pat in LEVEL_PATTERNS + (VACUUM,)}
+    w = level.weights
+    total = w[3] * v[(1, 1, 1)]
+    total -= w[2] * (v[(1, 1, 0)] + v[(1, 0, 1)] + v[(0, 1, 1)])
+    total += w[1] * (v[(1, 0, 0)] + v[(0, 1, 0)] + v[(0, 0, 1)])
+    total -= w[0] * v[VACUUM]
+    return total
+
+
+def _denominator(signal: DecoyLevel, decoy: DecoyLevel) -> float:
+    return signal.c1 ** 2 * decoy.c1 ** 2 * (signal.c2 * decoy.c1 - decoy.c2 * signal.c1)
+
+
+def _floored(raw: float, label: str, diags: list[str]) -> float:
+    if raw < 0.0:
+        diags.append(f"{label} floored at 0 (raw {raw:.3e})")
+        return 0.0
+    return raw
+
+
+def _lower_yield(grid, signal, decoy, extract, label, diags) -> float:
+    """One-photon-per-user yield from below: the two gadgets are weighted so
+    their two-photon terms cancel and every higher term enters with a
+    nonpositive coefficient."""
+    raw = (signal.c1 ** 2 * signal.c2 * _gadget(grid, "decoy", decoy, extract)
+           - decoy.c1 ** 2 * decoy.c2 * _gadget(grid, "signal", signal, extract)
+           ) / _denominator(signal, decoy)
+    return _floored(raw, label, diags)
+
+
+def _upper_yield(grid, decoy, extract) -> float:
+    """One-photon-per-user quantity from above: every term of the decoy-level
+    gadget is nonnegative."""
+    return _gadget(grid, "decoy", decoy, extract) / decoy.c1 ** 3
 
 
 @dataclass(frozen=True)
@@ -92,70 +165,29 @@ class SinglePhotonBounds:
     diagnostics: tuple[str, ...] = ()
 
 
-def _gadget(values: dict[tuple[int, int, int], float], weights) -> float:
-    """Inclusion-exclusion over vacuum substitutions.
-
-    weights[k] multiplies the patterns with k users at the level; sign
-    (-1)^(3-k) removes every contribution with at least one vacuum user.
-    """
-    total = weights[3] * values[(1, 1, 1)]
-    total -= weights[2] * (values[(1, 1, 0)] + values[(1, 0, 1)] + values[(0, 1, 1)])
-    total += weights[1] * (values[(1, 0, 0)] + values[(0, 1, 0)] + values[(0, 0, 1)])
-    total -= weights[0] * values[VACUUM]
-    return total
-
-
-def _poisson_weights(mu: float):
-    # e^{k mu} compensates the Poisson vacuum factors of k nonvacuum users
-    return {k: exp(k * mu) for k in range(4)}
-
-
-def _collect(grid: GainGrid, level: str, extract) -> dict:
-    return {pat: extract(grid.gain(level, pat))
-            for pat in LEVEL_PATTERNS + (VACUUM,)}
-
-
-def _clamp_error(raw: float, label: str, diags: list[str]) -> float:
-    val = raw
-    if val < 0.0:
-        diags.append(f"{label} floored at 0 (raw {raw:.3e})")
-        val = 0.0
-    if val > 0.5:
-        diags.append(f"{label} capped at 1/2 (raw {raw:.3e})")
-        val = 0.5
-    return val
-
-
-def wcs_bounds(grid_z: GainGrid, grid_x: GainGrid, plan: DecoyPlan) -> SinglePhotonBounds:
-    """Two-decoy bounds for phase-randomized weak coherent sources."""
-    mu2, mu1 = plan.mu2, plan.mu1
-    w1 = _poisson_weights(mu1)
-    w2 = _poisson_weights(mu2)
-    den = mu2 ** 3 * mu1 ** 3 * (mu2 - mu1)
+def single_photon_bounds(grid: GainGrid, signal: DecoyLevel,
+                         decoy: DecoyLevel) -> SinglePhotonBounds:
+    """Two-decoy bounds on the single-photon yields and error rates of both
+    bases.  Each error bound divides its basis' error gadget by the same
+    basis' yield bound."""
+    if _denominator(signal, decoy) == 0.0:
+        return SinglePhotonBounds(0.0, 0.0, None, None, (DEGENERATE,))
     diags: list[str] = []
+    y_zl = _lower_yield(grid, signal, decoy, lambda g: g.q_z, "Y111_zl", diags)
+    y_xl = _lower_yield(grid, signal, decoy, lambda g: g.q_x, "Y111_xl", diags)
 
-    def lower_yield(grid, label):
-        q1 = _collect(grid, "decoy", lambda g: g.q_z if label == "Y111_zl" else g.q_x)
-        q2 = _collect(grid, "signal", lambda g: g.q_z if label == "Y111_zl" else g.q_x)
-        raw = (mu2 ** 4 * _gadget(q1, w1) - mu1 ** 4 * _gadget(q2, w2)) / den
-        if raw < 0.0:
-            diags.append(f"{label} floored at 0 (raw {raw:.3e})")
-            return 0.0
-        return raw
-
-    y_zl = lower_yield(grid_z, "Y111_zl")
-    y_xl = lower_yield(grid_x, "Y111_xl")
-
-    def upper_error(grid, y_low, eq_extract, label):
+    def upper_error(y_low, extract, label):
         if y_low <= 0.0:
             diags.append(f"{label} unbounded (single-photon yield bound is 0)")
             return None
-        eq1 = _collect(grid, "decoy", eq_extract)
-        raw = _gadget(eq1, w1) / (mu1 ** 3 * y_low)
-        return _clamp_error(raw, label, diags)
+        raw = _upper_yield(grid, decoy, extract) / y_low
+        if raw > 0.5:
+            diags.append(f"{label} capped at 1/2 (raw {raw:.3e})")
+            return 0.5
+        return _floored(raw, label, diags)
 
-    e_bxu = upper_error(grid_x, y_xl, lambda g: g.eq_x, "e111_bxu")
-    e_bzu = upper_error(grid_z, y_zl, lambda g: g.eq_z, "e111_bzu")
+    e_bxu = upper_error(y_xl, lambda g: g.eq_x, "e111_bxu")
+    e_bzu = upper_error(y_zl, lambda g: g.eq_z, "e111_bzu")
     return SinglePhotonBounds(y_zl, y_xl, e_bxu, e_bzu, tuple(diags))
 
 
@@ -208,47 +240,6 @@ def vacuum_stats(n_max: int = 12) -> HeraldedStats:
     return HeraldedStats(mu=0.0, p_c=1.0, p_n=p_n, tail=0.0)
 
 
-def heralded_bounds(grid_z: GainGrid, grid_x: GainGrid, stats_signal: HeraldedStats,
-                    stats_decoy: HeraldedStats) -> SinglePhotonBounds:
-    """Two-decoy bounds for triggered pair sources.
-
-    Same structure as the weak-coherent estimators with the Poisson factors
-    replaced by the triggered distribution values P0, P1, P2 of each level.
-    The error bound divides by the rectilinear-basis yield bound, matching its
-    rectilinear-basis numerator.
-    """
-    p0s, p1s, p2s = (float(stats_signal.p_n[k]) for k in range(3))
-    p0d, p1d, p2d = (float(stats_decoy.p_n[k]) for k in range(3))
-    wk_d = {k: p0d ** (3 - k) for k in range(4)}
-    wk_s = {k: p0s ** (3 - k) for k in range(4)}
-    den = p1s ** 2 * p1d ** 2 * (p2s * p1d - p2d * p1s)
-    diags: list[str] = []
-    if den == 0.0:
-        diags.append("degenerate heralded levels (estimator denominator is 0)")
-        return SinglePhotonBounds(0.0, 0.0, None, None, tuple(diags))
-
-    def lower_yield(grid, extract, label):
-        qd = _collect(grid, "decoy", extract)
-        qs = _collect(grid, "signal", extract)
-        raw = (p1s ** 2 * p2s * _gadget(qd, wk_d) - p1d ** 2 * p2d * _gadget(qs, wk_s)) / den
-        if raw < 0.0:
-            diags.append(f"{label} floored at 0 (raw {raw:.3e})")
-            return 0.0
-        return raw
-
-    y_xl = lower_yield(grid_x, lambda g: g.q_x, "Y111_xl")
-    y_zl = lower_yield(grid_z, lambda g: g.q_z, "Y111_zl")
-
-    if y_zl <= 0.0:
-        diags.append("e111_bzu unbounded (single-photon yield bound is 0)")
-        e_bzu = None
-    else:
-        eqd = _collect(grid_z, "decoy", lambda g: g.eq_z)
-        raw = _gadget(eqd, wk_d) / (p1d ** 3 * y_zl)
-        e_bzu = _clamp_error(raw, "e111_bzu", diags)
-    return SinglePhotonBounds(y_zl, y_xl, None, e_bzu, tuple(diags))
-
-
 # ---------------------------------------------------------------------------
 # Outcome-resolved bounds for the Mermin estimate
 # ---------------------------------------------------------------------------
@@ -264,34 +255,15 @@ class MerminYieldBounds:
     diagnostics: tuple[str, ...] = ()
 
 
-def mermin_yield_bounds(grid_ppp: dict, grid_mmm: dict,
-                        plan: DecoyPlan) -> MerminYieldBounds:
-    """grid_ppp / grid_mmm map (level, pattern) -> announced-outcome gain for
-    the respective sign triple (level "signal" | "decoy", patterns as in
-    GainGrid)."""
-    mu2, mu1 = plan.mu2, plan.mu1
-    w1 = _poisson_weights(mu1)
-    w2 = _poisson_weights(mu2)
+def mermin_yield_bounds(grid: GainGrid, signal: DecoyLevel,
+                        decoy: DecoyLevel) -> MerminYieldBounds:
+    """Bounds from a grid whose entries are (all-"+", all-"-") announced
+    correct-outcome gain pairs."""
+    if _denominator(signal, decoy) == 0.0:
+        return MerminYieldBounds(0.0, 0.0, 0.0, (DEGENERATE,))
     diags: list[str] = []
-
-    def level_values(grid, level):
-        vals = {pat: grid[(level, pat)] for pat in LEVEL_PATTERNS}
-        vals[VACUUM] = grid[(level, VACUUM)]
-        return vals
-
-    def floored(raw, label):
-        if raw < 0.0:
-            diags.append(f"{label} floored at 0 (raw {raw:.3e})")
-            return 0.0
-        return raw
-
-    den = mu2 ** 3 * mu1 ** 3 * (mu2 - mu1)
-    ppp_d = level_values(grid_ppp, "decoy")
-    ppp_s = level_values(grid_ppp, "signal")
-    mmm_d = level_values(grid_mmm, "decoy")
-
-    y_ppp_l = floored((mu2 ** 4 * _gadget(ppp_d, w1) - mu1 ** 4 * _gadget(ppp_s, w2)) / den,
-                      "Y+++_lower")
-    y_ppp_u = floored(_gadget(ppp_d, w1) / mu1 ** 3, "Y+++_upper")
-    y_mmm_u = floored(_gadget(mmm_d, w1) / mu1 ** 3, "Y---_upper")
+    ppp, mmm = (lambda g: g[0]), (lambda g: g[1])
+    y_ppp_l = _lower_yield(grid, signal, decoy, ppp, "Y+++_lower", diags)
+    y_ppp_u = _floored(_upper_yield(grid, decoy, ppp), "Y+++_upper", diags)
+    y_mmm_u = _floored(_upper_yield(grid, decoy, mmm), "Y---_upper", diags)
     return MerminYieldBounds(y_ppp_l, y_ppp_u, y_mmm_u, tuple(diags))

@@ -17,8 +17,8 @@ from math import exp
 import numpy as np
 
 from . import decoy, fock, gains
-from .params import (DecoyPlan, ExperimentConfig, SystemParams, binary_entropy,
-                     overall_efficiency, transmission_efficiency)
+from .params import (ConfigError, DecoyPlan, ExperimentConfig, SystemParams,
+                     binary_entropy, overall_efficiency, transmission_efficiency)
 
 __all__ = [
     "VARIANTS",
@@ -32,7 +32,9 @@ __all__ = [
     "optimize_intensities",
 ]
 
-VARIANTS = ("qcc", "qss_pps", "qss_heralded", "qss_qnd")
+# variant -> the source kind it runs on
+VARIANTS = {"qcc": "wcs", "qss_pps": "wcs", "qss_heralded": "heralded",
+            "qss_qnd": "wcs_qnd"}
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,8 @@ def _wcs_point(cfg: ExperimentConfig, length_km: float, protocol: str) -> RatePo
     plan = cfg.decoy
     grid = decoy.build_gain_grid(
         lambda a, b, c: gains.wcs_gain_set(a, b, c, params), plan)
-    bounds = decoy.wcs_bounds(grid, grid, plan)
+    bounds = decoy.single_photon_bounds(grid, decoy.poisson_level(plan.mu2),
+                                        decoy.poisson_level(plan.mu1))
     exact = fock.exact_single_photon_stats_for(params)
     signal = grid.gain("signal", (1, 1, 1))
     p111 = _poisson_p111(plan.mu2, plan.mu2, plan.mu2)
@@ -172,6 +175,20 @@ def _wcs_point(cfg: ExperimentConfig, length_km: float, protocol: str) -> RatePo
                      tuple(bounds.diagnostics) + d1)
 
 
+def _qss_point(length_km, f, grid, bounds, exact, p_alice_vacuum, p111) -> RatePoint:
+    """Secret-sharing point on diagonal-basis data (heralded / filtered sources)."""
+    signal = grid.gain("signal", (1, 1, 1))
+    q_vac = grid.gain("signal", (0, 1, 1)).q_x
+    rate, raw, d1 = qss_rate(f, signal, q_vac, p_alice_vacuum, p111,
+                             bounds.y111_xl, bounds.e111_bzu)
+    rate_inf, _, _ = qss_rate(f, signal, q_vac, p_alice_vacuum, p111,
+                              exact.y111_x, exact.e111_bz)
+    cols = {"e111_bzu": bounds.e111_bzu, "Y111_xl": bounds.y111_xl,
+            "Q_x": signal.q_x, "E_x": signal.e_x}
+    return RatePoint(length_km, rate, rate_inf, raw, cols,
+                     tuple(bounds.diagnostics) + d1)
+
+
 def _heralded_point(cfg: ExperimentConfig, length_km: float) -> RatePoint:
     params = cfg.system.at_distance(length_km)
     plan = cfg.decoy
@@ -186,69 +203,56 @@ def _heralded_point(cfg: ExperimentConfig, length_km: float) -> RatePoint:
                                     eta, p_d, params.e_d)
 
     grid = decoy.build_gain_grid(gain_fn, plan)
-    bounds = decoy.heralded_bounds(grid, grid, stats[plan.mu2], stats[plan.mu1])
-    exact = fock.exact_single_photon_stats_for(params)
-    signal = grid.gain("signal", (1, 1, 1))
-    vac = grid.gain("signal", (0, 1, 1))
-    p1 = float(stats[plan.mu2].p_n[1])
-    p0 = float(stats[plan.mu2].p_n[0])
-    rate, raw, d1 = qss_rate(params.f, signal, vac.q_x, p0, p1 ** 3,
-                             bounds.y111_xl, bounds.e111_bzu)
-    rate_inf, _, _ = qss_rate(params.f, signal, vac.q_x, p0, p1 ** 3,
-                              exact.y111_x, exact.e111_bz)
-    cols = {"e111_bzu": bounds.e111_bzu, "Y111_xl": bounds.y111_xl,
-            "Q_x": signal.q_x, "E_x": signal.e_x}
-    return RatePoint(length_km, rate, rate_inf, raw, cols,
-                     tuple(bounds.diagnostics) + d1)
+    signal = stats[plan.mu2].p_n
+    bounds = decoy.single_photon_bounds(grid, decoy.distribution_level(signal),
+                                        decoy.distribution_level(stats[plan.mu1].p_n))
+    return _qss_point(length_km, params.f, grid, bounds,
+                      fock.exact_single_photon_stats_for(params),
+                      float(signal[0]), float(signal[1]) ** 3)
 
 
 def _qnd_point(cfg: ExperimentConfig, length_km: float) -> RatePoint:
     """Photon-number-filtered variant.
 
     The channel is a Poisson photon-number channel with arrival intensities
-    lambda = mu * eta_t, so the two-decoy estimators run on the arrival
-    intensities and recover the filtered single-photon yield at the bare
-    detector efficiency.
+    lambda = mu * eta_t, so the two-decoy estimator runs on Poisson levels at
+    the arrival intensities and recovers the filtered single-photon yield at
+    the bare detector efficiency.
     """
     params = cfg.system.at_distance(length_km)
     plan = cfg.decoy
     eta_t = transmission_efficiency(params.channel)
     det = params.detector
+    grid = decoy.build_gain_grid(
+        lambda a, b, c: gains.gains_qnd(a, b, c, eta_t, det, params.e_d), plan)
+    lam = plan.mu2 * eta_t
+    bounds = decoy.single_photon_bounds(grid, decoy.poisson_level(lam),
+                                        decoy.poisson_level(plan.mu1 * eta_t))
+    return _qss_point(length_km, params.f, grid, bounds,
+                      fock.exact_single_photon_stats(det.eta_d, det.p_d, params.e_d),
+                      exp(-plan.mu2), _poisson_p111(lam, lam, lam))
 
-    def gain_fn(a, b, c):
-        # arguments arrive pre-thinned (see lam_plan below)
-        return gains.gains_qnd(a, b, c, 1.0, det, params.e_d)
 
-    lam_plan = DecoyPlan(mu2=plan.mu2 * eta_t, mu1=plan.mu1 * eta_t)
-    grid = decoy.build_gain_grid(gain_fn, lam_plan)
-    bounds = decoy.wcs_bounds(grid, grid, lam_plan)
-    exact = fock.exact_single_photon_stats(det.eta_d, det.p_d, params.e_d)
-    signal = grid.gain("signal", (1, 1, 1))
-    vac = grid.gain("signal", (0, 1, 1))
-    lam = lam_plan.mu2
-    p111 = _poisson_p111(lam, lam, lam)
-    rate, raw, d1 = qss_rate(params.f, signal, vac.q_x, exp(-plan.mu2), p111,
-                             bounds.y111_xl, bounds.e111_bzu)
-    rate_inf, _, _ = qss_rate(params.f, signal, vac.q_x, exp(-plan.mu2), p111,
-                              exact.y111_x, exact.e111_bz)
-    cols = {"e111_bzu": bounds.e111_bzu, "Y111_xl": bounds.y111_xl,
-            "Q_x": signal.q_x, "E_x": signal.e_x}
-    return RatePoint(length_km, rate, rate_inf, raw, cols,
-                     tuple(bounds.diagnostics) + d1)
+def _check_variant(variant: str, cfg: ExperimentConfig) -> None:
+    """Raise ConfigError unless the config's source can run the variant."""
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}")
+    kind = VARIANTS[variant]
+    if cfg.source.kind != kind:
+        raise ConfigError(f"variant {variant} needs source.kind = {kind}, "
+                          f"not {cfg.source.kind!r}", key="source.kind")
+    if variant == "qss_pps" and cfg.phase is None:
+        raise ConfigError("phase post-selection needs phase.K in the config",
+                          key="phase.K")
 
 
 def rate_point(variant: str, cfg: ExperimentConfig, length_km: float) -> RatePoint:
-    if variant == "qcc":
-        return _wcs_point(cfg, length_km, "qcc")
-    if variant == "qss_pps":
-        if cfg.phase is None:
-            raise ValueError("phase post-selection needs phase.K in the config")
-        return _wcs_point(cfg, length_km, "qss_pps")
+    _check_variant(variant, cfg)
     if variant == "qss_heralded":
         return _heralded_point(cfg, length_km)
     if variant == "qss_qnd":
         return _qnd_point(cfg, length_km)
-    raise ValueError(f"unknown variant {variant!r}")
+    return _wcs_point(cfg, length_km, variant)
 
 
 def sweep(variant: str, cfg: ExperimentConfig, distances=None,
@@ -259,6 +263,7 @@ def sweep(variant: str, cfg: ExperimentConfig, distances=None,
     pool and merged back in grid order, so the result does not depend on the
     worker count.
     """
+    _check_variant(variant, cfg)
     if distances is None:
         distances = cfg.sweep.distances()
     distances = list(distances)
@@ -278,6 +283,7 @@ def optimize_intensities(variant: str, cfg: ExperimentConfig, length_km: float,
     Returns (best_mu, best_rate); a box with no positive rate reports the
     best-effort argmax with rate 0.
     """
+    _check_variant(variant, cfg)
     lo, hi = box
     if not (0.0 < lo <= hi):
         raise ValueError("search box must satisfy 0 < lo <= hi")

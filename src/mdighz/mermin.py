@@ -31,20 +31,16 @@ class MerminEstimate:
     diagnostics: tuple[str, ...] = ()
 
 
-def _outcome_grids(params: SystemParams, plan: DecoyPlan):
-    """Announced-correct-outcome gains of the all-"+" and all-"-" sign triples
-    over the 15 decoy intensity patterns."""
+def _outcome_grid(params: SystemParams, plan: DecoyPlan) -> decoy.GainGrid:
+    """(all-"+", all-"-") announced-correct-outcome gains over the 15 decoy
+    intensity patterns."""
     eta = overall_efficiency(params.channel, params.detector)
-    p_d = params.detector.p_d
-    grids = {(1, 1, 1): {}, (-1, -1, -1): {}}
-    patterns = decoy.LEVEL_PATTERNS + (decoy.VACUUM,)
-    for level, mu in (("signal", plan.mu2), ("decoy", plan.mu1)):
-        for pat in patterns:
-            intensities = tuple(mu * p for p in pat)
-            for signs in grids:
-                q_plus, _ = gains.mermin_outcome_gains(signs, *intensities, eta, p_d)
-                grids[signs][(level, pat)] = q_plus
-    return grids[(1, 1, 1)], grids[(-1, -1, -1)]
+
+    def gain_fn(*mus):
+        return tuple(gains.mermin_outcome_gains(signs, *mus, eta, params.detector.p_d)[0]
+                     for signs in ((1, 1, 1), (-1, -1, -1)))
+
+    return decoy.build_gain_grid(gain_fn, plan)
 
 
 def mermin_lower_bound(params: SystemParams, plan: DecoyPlan) -> MerminEstimate:
@@ -54,8 +50,9 @@ def mermin_lower_bound(params: SystemParams, plan: DecoyPlan) -> MerminEstimate:
     single-photon correct-outcome yields; a vanishing denominator is a
     no-signal condition reported with M = 0.
     """
-    grid_ppp, grid_mmm = _outcome_grids(params, plan)
-    yb = decoy.mermin_yield_bounds(grid_ppp, grid_mmm, plan)
+    yb = decoy.mermin_yield_bounds(_outcome_grid(params, plan),
+                                   decoy.poisson_level(plan.mu2),
+                                   decoy.poisson_level(plan.mu1))
     diags = list(yb.diagnostics)
     den = yb.y_ppp_upper + yb.y_mmm_upper
     if den <= 0.0:

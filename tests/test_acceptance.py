@@ -107,7 +107,8 @@ class TestCriterion5DecoySoundness:
                 params = cfg.system.at_distance(length)
                 grid = decoy.build_gain_grid(
                     lambda a, b, c: gains.wcs_gain_set(a, b, c, params), plan)
-                bounds = decoy.wcs_bounds(grid, grid, plan)
+                bounds = decoy.single_photon_bounds(grid, decoy.poisson_level(plan.mu2),
+                                                    decoy.poisson_level(plan.mu1))
                 exact = fock.exact_single_photon_stats_for(params)
                 ok &= bounds.y111_zl <= exact.y111_z + 1e-12
                 ok &= bounds.e111_bxu >= exact.e111_bx - 1e-12

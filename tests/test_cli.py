@@ -172,3 +172,64 @@ class TestOptimizeCommand:
         assert variant == "qcc"
         assert 0.3 <= float(mu) <= 0.5
         assert float(rate) > 0
+
+
+class TestExitCodeContract:
+    """Malformed flags, configs and paths end in a documented exit code
+    (0/2/3/4) with a message, never an uncaught exception."""
+
+    CASES = [
+        ("qcc", ["--workers", "0"]),
+        ("qcc", ["--workers", "-3"]),
+        ("qcc", ["--seed", "-1"]),
+        ("qcc", ["--seed", "x"]),
+        ("qcc", ["--config", "HERALDED"]),
+        ("qcc", ["--config", "MISSING"]),
+        ("qcc", ["--config", "DIR"]),
+        ("qcc", ["--config", "BINARY"]),
+        ("qcc", ["--out", "DIR"]),
+        ("qcc", ["--bogus"]),
+        ("qss", ["--workers", "0"]),
+        ("qss", ["--method", "qnd"]),
+        ("qss", ["--config", "BINARY"]),
+        ("mermin", ["--config", "HERALDED"]),
+        ("mermin", ["--out", "DIR"]),
+        ("validate", ["--workers", "0"]),
+        ("validate", ["--seed", "-1"]),
+        ("validate", ["--config", "DIR"]),
+        ("optimize", ["--variant", "qss"]),
+        ("optimize", ["--config", "HERALDED"]),
+        ("optimize", ["--box", "0.8:0.2"]),
+        ("optimize", ["--box", "abc"]),
+        ("optimize", ["--box", "0:1"]),
+        ("optimize", ["--box", "0.1:inf"]),
+        ("optimize", ["--points", "-1"]),
+        ("optimize", ["--workers", "0"]),
+        ("optimize", ["--at", "-5"]),
+    ]
+
+    @pytest.mark.parametrize("command, extra", CASES)
+    def test_malformed_input_exits_2(self, command, extra, tmp_path, capsys):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "binary.cfg").write_bytes(b"channel.beta = 0.2\n\xff\xfe\n")
+        paths = {"HERALDED": str(CONFIG_DIR / "qss_heralded_eta40.cfg"),
+                 "MISSING": str(tmp_path / "nope.cfg"),
+                 "DIR": str(tmp_path / "dir"),
+                 "BINARY": str(tmp_path / "binary.cfg")}
+        argv = {"--config": str(small_qcc(tmp_path)),
+                "--out": str(tmp_path / "out.csv")}
+        if command == "optimize":
+            argv.update({"--points": "2", "--rounds": "1"})
+        for flag, value in zip(extra[::2], extra[1::2]):
+            argv[flag] = paths.get(value, value)
+        args = [command] + [item for pair in argv.items() for item in pair]
+        if len(extra) % 2:
+            args.append(extra[-1])
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.strip()

@@ -6,10 +6,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdighz import decoy, fock, gains
-from mdighz.decoy import (GainGrid, LEVEL_PATTERNS, VACUUM, build_gain_grid,
-                          heralded_bounds, heralded_stats, mermin_yield_bounds,
-                          vacuum_stats, wcs_bounds)
-from mdighz.params import ChannelModel, DecoyPlan, DetectorModel, SystemParams
+from mdighz.decoy import (DEGENERATE, GainGrid, build_gain_grid,
+                          distribution_level, heralded_stats, mermin_yield_bounds,
+                          poisson_level, single_photon_bounds, vacuum_stats)
+from mdighz.params import (ChannelModel, DecoyPlan, DetectorModel, SystemParams,
+                           overall_efficiency)
+
+
+def poisson_pmf(mu, n_max=12):
+    return np.array([math.exp(-mu) * mu ** n / math.factorial(n)
+                     for n in range(n_max + 1)])
+
+
+# the two level constructors; a Poisson source must give the same bounds
+# through either of them
+LEVELS = {"poisson": poisson_level,
+          "distribution": lambda mu: distribution_level(poisson_pmf(mu))}
+
+
+def level_bounds(grid, plan, level=poisson_level):
+    return single_photon_bounds(grid, level(plan.mu2), level(plan.mu1))
 
 
 def stub_gain_set(q_z=0.0, eq_z=0.0, q_x=0.0, eq_x=0.0):
@@ -62,9 +78,10 @@ class TestGainGrid:
 
 
 class TestWcsBounds:
+    @pytest.mark.parametrize("level", LEVELS)
     @given(st.integers(0, 2 ** 24 - 1), st.floats(0.3, 0.7), st.floats(0.05, 0.2))
     @settings(max_examples=30)
-    def test_exact_for_truncated_source(self, bits, mu2, mu1):
+    def test_exact_for_truncated_source(self, level, bits, mu2, mu1):
         # levels kept well-conditioned: the cancellation amplification of the
         # estimator is ~1/mu1^3, so extreme level ratios only probe float noise
         # a source with no components above three photons makes the estimator
@@ -77,7 +94,7 @@ class TestWcsBounds:
             errors[key] = float(rng.uniform(0.0, 0.5))
         plan = DecoyPlan(mu2=mu2, mu1=mu1)
         grid = synthetic_grid(yields, errors, plan)
-        bounds = wcs_bounds(grid, grid, plan)
+        bounds = level_bounds(grid, plan, LEVELS[level])
         y_true = yields[(1, 1, 1)]
         e_true = errors[(1, 1, 1)]
         assert bounds.y111_zl == pytest.approx(y_true, rel=1e-10, abs=1e-10)
@@ -87,7 +104,7 @@ class TestWcsBounds:
     def test_all_zero_grid_reports_unbounded(self):
         plan = DecoyPlan(0.4, 0.005)
         grid = build_gain_grid(lambda a, b, c: stub_gain_set(), plan)
-        bounds = wcs_bounds(grid, grid, plan)
+        bounds = level_bounds(grid, plan)
         assert bounds.y111_zl == 0.0
         assert bounds.y111_xl == 0.0
         assert bounds.e111_bxu is None
@@ -101,7 +118,7 @@ class TestWcsBounds:
             params = SystemParams(ChannelModel(0.2, length), det, 0.0, 1.16)
             grid = build_gain_grid(
                 lambda a, b, c: gains.wcs_gain_set(a, b, c, params), plan)
-            bounds = wcs_bounds(grid, grid, plan)
+            bounds = level_bounds(grid, plan)
             exact = fock.exact_single_photon_stats_for(params)
             assert bounds.y111_zl <= exact.y111_z + 1e-12
             assert bounds.y111_xl <= exact.y111_x + 1e-12
@@ -115,8 +132,45 @@ class TestWcsBounds:
             params = SystemParams(ChannelModel(0.2, 80.0), det, 0.0, 1.16)
             grid = build_gain_grid(
                 lambda a, b, c: gains.wcs_gain_set(a, b, c, params), plan)
-            return wcs_bounds(grid, grid, plan).e111_bxu
+            return level_bounds(grid, plan).e111_bxu
         assert at_darks(5e-7) >= at_darks(1e-7) - 1e-12
+
+
+class TestLevelConstructors:
+    @pytest.mark.parametrize("length", (0.0, 50.0, 150.0))
+    def test_distribution_levels_match_poisson_levels(self, length):
+        plan = DecoyPlan(0.4, 0.005)
+        params = SystemParams(ChannelModel(0.2, length), DetectorModel(0.4, 1e-7),
+                              0.015, 1.16)
+        grid = build_gain_grid(
+            lambda a, b, c: gains.wcs_gain_set(a, b, c, params), plan)
+        poisson = level_bounds(grid, plan, LEVELS["poisson"])
+        dist = level_bounds(grid, plan, LEVELS["distribution"])
+        for name in ("y111_zl", "y111_xl", "e111_bxu", "e111_bzu"):
+            want = getattr(poisson, name)
+            assert want > 0.0
+            assert getattr(dist, name) == pytest.approx(want, rel=1e-12, abs=0.0), name
+
+    def test_poisson_level_form(self):
+        level = poisson_level(0.3)
+        assert level.weights == tuple(math.exp(k * 0.3) for k in range(4))
+        assert (level.c1, level.c2) == (0.3, 0.045)
+
+    @pytest.mark.parametrize("signal, decoy_", [
+        (poisson_level(0.4), poisson_level(0.0)),
+        (distribution_level([1.0, 0.0, 0.0]), distribution_level(poisson_pmf(0.1))),
+    ])
+    def test_degenerate_levels_give_zero_bounds(self, signal, decoy_):
+        plan = DecoyPlan(0.4, 0.005)
+        grid = build_gain_grid(lambda a, b, c: stub_gain_set(1e-3, 1e-5, 1e-3, 1e-5),
+                               plan)
+        b = single_photon_bounds(grid, signal, decoy_)
+        assert (b.y111_zl, b.y111_xl, b.e111_bxu, b.e111_bzu) == (0.0, 0.0, None, None)
+        assert b.diagnostics == (DEGENERATE,)
+        pairs = build_gain_grid(lambda a, b, c: (1e-3, 1e-5), plan)
+        m = mermin_yield_bounds(pairs, signal, decoy_)
+        assert (m.y_ppp_lower, m.y_ppp_upper, m.y_mmm_upper) == (0.0, 0.0, 0.0)
+        assert m.diagnostics == (DEGENERATE,)
 
 
 class TestHeraldedStats:
@@ -152,10 +206,10 @@ class TestHeraldedBounds:
         plan = DecoyPlan(5e-3, 5e-4)
         grid = build_gain_grid(lambda a, b, c: stub_gain_set(), plan)
         trig = DetectorModel(0.4, 1e-7)
-        b = heralded_bounds(grid, grid, heralded_stats(5e-3, trig),
-                            heralded_stats(5e-4, trig))
+        b = single_photon_bounds(grid, distribution_level(heralded_stats(5e-3, trig).p_n),
+                                 distribution_level(heralded_stats(5e-4, trig).p_n))
         assert b.y111_zl == 0.0 and b.y111_xl == 0.0
-        assert b.e111_bzu is None
+        assert b.e111_bxu is None and b.e111_bzu is None
 
     def test_short_distance_bracketing(self):
         trig = DetectorModel(0.4, 1e-7)
@@ -170,40 +224,36 @@ class TestHeraldedBounds:
                 lambda a, b, c: gains.gains_heralded(
                     stats[a].p_n, stats[b].p_n, stats[c].p_n, eta, det.p_d,
                     params.e_d), plan)
-            bounds = heralded_bounds(grid, grid, stats[plan.mu2], stats[plan.mu1])
+            bounds = single_photon_bounds(grid, distribution_level(stats[plan.mu2].p_n),
+                                          distribution_level(stats[plan.mu1].p_n))
             exact = fock.exact_single_photon_stats_for(params)
             assert bounds.y111_xl <= exact.y111_x + 1e-12
             assert bounds.y111_zl <= exact.y111_z + 1e-12
+            assert bounds.e111_bxu >= exact.e111_bx - 1e-12
             assert bounds.e111_bzu >= exact.e111_bz - 1e-12
 
 
 class TestMerminYieldBounds:
-    def grid_at(self, params, plan):
-        from mdighz.params import overall_efficiency
+    def bounds_at(self, params, plan):
         eta = overall_efficiency(params.channel, params.detector)
-        grids = {}
-        for signs in ((1, 1, 1), (-1, -1, -1)):
-            grids[signs] = {}
-            for level, mu in (("signal", plan.mu2), ("decoy", plan.mu1)):
-                for pat in LEVEL_PATTERNS + (VACUUM,):
-                    q, _ = gains.mermin_outcome_gains(
-                        signs, *(mu * p for p in pat), eta, params.detector.p_d)
-                    grids[signs][(level, pat)] = q
-        return grids[(1, 1, 1)], grids[(-1, -1, -1)]
+        grid = build_gain_grid(
+            lambda *mus: tuple(gains.mermin_outcome_gains(
+                signs, *mus, eta, params.detector.p_d)[0]
+                for signs in ((1, 1, 1), (-1, -1, -1))), plan)
+        return mermin_yield_bounds(grid, poisson_level(plan.mu2),
+                                   poisson_level(plan.mu1))
 
     def test_all_zero_grid(self):
         plan = DecoyPlan(0.4, 0.005)
-        zeros = {(lvl, pat): 0.0 for lvl in ("signal", "decoy")
-                 for pat in LEVEL_PATTERNS + (VACUUM,)}
-        b = mermin_yield_bounds(zeros, zeros, plan)
+        zeros = build_gain_grid(lambda a, b, c: (0.0, 0.0), plan)
+        b = mermin_yield_bounds(zeros, poisson_level(plan.mu2), poisson_level(plan.mu1))
         assert (b.y_ppp_lower, b.y_ppp_upper, b.y_mmm_upper) == (0.0, 0.0, 0.0)
 
     def test_ideal_short_distance_suppresses_false_outcome(self):
         plan = DecoyPlan(0.4, 0.005)
         params = SystemParams(ChannelModel(0.2, 0.0), DetectorModel(1.0, 0.0),
                               0.0, 1.16)
-        ppp, mmm = self.grid_at(params, plan)
-        b = mermin_yield_bounds(ppp, mmm, plan)
+        b = self.bounds_at(params, plan)
         exact = fock.exact_single_photon_stats(1.0, 0.0, 0.0)
         assert exact.y_mmm_phi_plus == 0.0
         # the false-outcome upper bound keeps the decoy-level multiphoton
@@ -218,8 +268,7 @@ class TestMerminYieldBounds:
         plan = DecoyPlan(0.4, 0.005)
         params = SystemParams(ChannelModel(0.2, 100.0), DetectorModel(0.4, 1e-7),
                               0.015, 1.16)
-        ppp, mmm = self.grid_at(params, plan)
-        b = mermin_yield_bounds(ppp, mmm, plan)
+        b = self.bounds_at(params, plan)
         assert b.y_ppp_lower <= b.y_ppp_upper
         exact = fock.exact_single_photon_stats_for(params)
         assert b.y_ppp_lower <= exact.y_ppp_phi_plus / 8 + 1e-12

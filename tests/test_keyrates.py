@@ -1,12 +1,15 @@
 import math
+from pathlib import Path
 
 import pytest
 
-from mdighz import fock, gains, keyrates
-from mdighz.params import (ChannelModel, DetectorModel, SystemParams,
+from mdighz import decoy, fock, gains, keyrates, mermin
+from mdighz.params import (ChannelModel, ConfigError, DetectorModel, SystemParams,
                            parse_config)
 
 from conftest import qcc_config
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 PPS_CONFIG = """
 channel.beta = 0.2
@@ -189,6 +192,33 @@ class TestHeraldedAndQnd:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
             keyrates.rate_point("qss_teleport", qcc_config(), 10.0)
+
+    def test_variant_refuses_other_sources(self):
+        heralded = parse_config(HERALDED_CONFIG.format(eta_d=0.4))
+        with pytest.raises(ConfigError, match="source.kind"):
+            keyrates.rate_point("qcc", heralded, 10.0)
+        with pytest.raises(ConfigError, match="source.kind"):
+            keyrates.sweep("qss_qnd", qcc_config(), [])
+        with pytest.raises(ConfigError, match="source.kind"):
+            # the box lies below the decoy level, so no rate point is evaluated
+            keyrates.optimize_intensities("qcc", heralded, 10.0, (1e-4, 4e-4))
+
+
+class TestExtremeDistance:
+    @pytest.mark.parametrize("length", (3000.0, 17000.0))
+    @pytest.mark.parametrize("variant", [*keyrates.VARIANTS, "mermin"])
+    def test_zero_rate_without_crash(self, variant, length):
+        cfg = parse_config((CONFIG_DIR / f"{variant}_eta40.cfg").read_text())
+        if variant == "mermin":
+            est = mermin.mermin_lower_bound(cfg.system.at_distance(length), cfg.decoy)
+            assert math.isfinite(est.m_lower) and est.m_lower < 2.0
+            return
+        pt = keyrates.rate_point(variant, cfg, length)
+        assert pt.rate == 0.0 and pt.rate_infinite == 0.0
+        assert math.isfinite(pt.raw_rate)
+        if variant == "qss_qnd":
+            # the thinned levels underflow: no estimate, explicitly flagged
+            assert decoy.DEGENERATE in pt.diagnostics
 
 
 class TestOptimize:
