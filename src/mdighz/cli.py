@@ -309,6 +309,9 @@ def _validate_brackets(cfg: ExperimentConfig, rows: list) -> bool:
 
 def cmd_validate(args) -> int:
     cfg = _load_config(args.config)
+    if cfg.source.kind != "wcs":
+        raise ConfigError(f"validate checks cover only the weak-coherent gain paths, "
+                          f"not source.kind = {cfg.source.kind!r}", key="source.kind")
     samples = _QUICK_SAMPLES if args.quick else _FULL_SAMPLES
     rows: list[list] = []
     ok = True
@@ -386,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", type=_search_box, default="0.05:1.0",
                    help="search box lo:hi")
     p.add_argument("--points", type=_positive_int, default=9)
-    p.add_argument("--rounds", type=int, default=3)
+    p.add_argument("--rounds", type=_positive_int, default=3)
     p.set_defaults(fn=cmd_optimize)
     return parser
 

@@ -37,6 +37,7 @@ __all__ = [
     "propagate_parties",
     "click_probability",
     "click_probability_set",
+    "outcome_pattern_sums",
     "ghz_outcome_yields",
     "outcome_yield_polys",
     "eval_yield_poly",
@@ -246,6 +247,19 @@ def click_probability_set(occupation, detector: DetectorModel) -> np.ndarray:
     return 1.0 - (1.0 - detector.p_d) * (1.0 - detector.eta_d) ** occ
 
 
+def outcome_pattern_sums(click, silent):
+    """Probabilities of the two announced outcomes from per-detector click and
+    silence probabilities (`click[j]`, `silent[j]`; arrays broadcast).
+
+    Every pattern clicks exactly one detector of each pair (0,1), (2,3), (4,5)
+    and leaves its partner silent, so each term is the product of three
+    factors click[j] * silent[j ^ 1].  Returns (phi_plus, phi_minus).
+    """
+    f = [click[j] * silent[j ^ 1] for j in range(6)]
+    return tuple(sum(f[a] * f[b] * f[c] for a, b, c in patterns)
+                 for patterns in (PHI_PLUS_PATTERNS, PHI_MINUS_PATTERNS))
+
+
 def ghz_outcome_yields(dist: FockOutcomeDistribution, eta: float,
                        p_d: float) -> tuple[float, float]:
     """Announcement probabilities (both outcome classes) for one preparation.
@@ -261,17 +275,13 @@ def ghz_outcome_yields(dist: FockOutcomeDistribution, eta: float,
         survive = np.exp(occ * np.log1p(-eta))
         # 1 - (1-p_d)(1-eta)^k, kept accurate when the click probability is tiny
         g = -np.expm1(occ * np.log1p(-eta)) + p_d * survive
-    ng = (1.0 - p_d) * survive  # silent-detector factor, exact at both ends
-    out = []
-    for patterns in (PHI_PLUS_PATTERNS, PHI_MINUS_PATTERNS):
-        total = 0.0
-        for pat in patterns:
-            term = dist.probabilities.copy()
-            for j in range(6):
-                term *= g[:, j] if j in pat else ng[:, j]
-            total += term.sum()
-        out.append(float(total))
-    return out[0], out[1]
+    # silent-detector factor, exact at both ends; in place, so the peak memory
+    # of the pattern products below stays at three arrays of this size
+    ng = survive
+    ng *= 1.0 - p_d
+    plus, minus = outcome_pattern_sums(g.T, ng.T)
+    p = dist.probabilities
+    return float((p * plus).sum()), float((p * minus).sum())
 
 
 _SUBSETS = np.array(list(itertools.product((0, 1), repeat=3)), dtype=np.int64)

@@ -2,9 +2,11 @@
 
 Weak coherent pulses get closed forms in the rectilinear basis (dark-count
 suppressed classes carry modified-Bessel factors from the phase average) and
-tensor Gauss-Legendre quadrature in the diagonal basis, where the overall
-phases survive into detector-level interference.  Heralded and
-photon-number-filtered variants reuse the exact Fock yields.
+quadrature in the diagonal basis, where the overall phases survive into
+detector-level interference: the periodic trapezoid rule over the full phase
+circle, and Gauss-Legendre over the hexagon of phase differences for the
+phase-sliced gains.  Heralded and photon-number-filtered variants reuse the
+exact Fock yields.
 
 Conventions: a "gain" Q is the per-pulse-triple probability of one announced
 outcome class and includes the 1/8 preparation probability of the specific
@@ -43,10 +45,9 @@ __all__ = [
     "gains_qnd",
 ]
 
-# Quadrature defaults: nodes per axis, one refinement doubling certifies this
+# Quadrature default: nodes per axis, one refinement doubling certifies this
 # relative stability for every returned integral.
-QUAD_NODES_2D = 64
-QUAD_NODES_3D = 32
+QUAD_NODES = 16
 QUAD_RTOL = 1e-8
 
 A_CONSISTENCY_RTOL = 1e-12
@@ -260,12 +261,6 @@ def z_gain_components(mu: float, nu: float, omega: float, eta: float,
 # Weak coherent pulses, diagonal basis (quadrature)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def _gl_nodes(n: int, half_width: float):
-    t, w = np.polynomial.legendre.leggauss(n)
-    return half_width * (t + 1.0), half_width * w
-
-
 def _mode_intensities(ia, ib, ic, signs, phi_ab, phi_bc, phi_ac):
     """Mean photon numbers at the six detectors for diagonal-basis coherent
     inputs with sign triple `signs` (+1 -> "+", -1 -> "-")."""
@@ -292,30 +287,12 @@ def _pattern_sums(mean_n, p_d):
     survive = [np.exp(-n) for n in mean_n]
     clicks = [-np.expm1(-n) + p_d * s for n, s in zip(mean_n, survive)]
     silents = [(1.0 - p_d) * s for s in survive]
-    out = []
-    for patterns in (fock.PHI_PLUS_PATTERNS, fock.PHI_MINUS_PATTERNS):
-        total = 0.0
-        for pat in patterns:
-            term = 1.0
-            for j in range(6):
-                term = term * (clicks[j] if j in pat else silents[j])
-            total = total + term
-        out.append(total)
-    return out
+    return fock.outcome_pattern_sums(clicks, silents)
 
 
-def _x_outcome_quad(signs, ia, ib, ic, p_d, nodes):
-    phi, wts = _gl_nodes(nodes, np.pi)  # map [0, 2pi]
-    pab, pac = np.meshgrid(phi, phi, indexing="ij")
-    weight = np.outer(wts, wts) / (2.0 * np.pi) ** 2
-    mean_n = _mode_intensities(ia, ib, ic, signs, pab, pac - pab, pac)
-    plus, minus = _pattern_sums(mean_n, p_d)
-    return float((plus * weight).sum()) / 8.0, float((minus * weight).sum()) / 8.0
-
-
-def _certified(fn, nodes, what):
-    coarse = np.asarray(fn(nodes), dtype=float)
-    fine = np.asarray(fn(2 * nodes), dtype=float)
+def _certified(coarse, fine, what):
+    coarse = np.asarray(coarse, dtype=float)
+    fine = np.asarray(fine, dtype=float)
     scale = np.maximum(np.abs(fine), 1e-300)
     if np.any(np.abs(fine - coarse) > QUAD_RTOL * np.maximum(scale, np.max(scale) * 1e-6)):
         raise NumericsError(f"{what}: quadrature did not stabilize to {QUAD_RTOL} "
@@ -323,44 +300,84 @@ def _certified(fn, nodes, what):
     return fine
 
 
+def _x_outcome_quad(signs, ia, ib, ic, p_d, nodes):
+    """Both outcome gains by the nodes^2 and the (2 nodes)^2 trapezoid rule.
+
+    The integrand is periodic and analytic in both phases, so the equispaced
+    trapezoid rule converges geometrically on it; the coarse rule is the
+    even-indexed subgrid of the fine one, so one evaluation serves both.
+    """
+    phi = np.arange(2 * nodes) * (np.pi / nodes)
+    pab = phi[:, None]
+    pac = phi[None, :]
+    sums = _pattern_sums(_mode_intensities(ia, ib, ic, signs, pab, pac - pab, pac), p_d)
+    # mean() sums pairwise, which keeps the rounding small enough for the
+    # decoy differences that amplify it at long distance
+    return ([s[::2, ::2].mean() / 8.0 for s in sums], [s.mean() / 8.0 for s in sums])
+
+
 def mermin_outcome_gains(signs: tuple[int, int, int], mu: float, nu: float,
                          omega: float, eta: float, p_d: float,
-                         nodes: int = QUAD_NODES_2D) -> tuple[float, float]:
+                         nodes: int = QUAD_NODES) -> tuple[float, float]:
     """Gains of the two announced outcomes for one diagonal-basis sign triple,
-    phase-averaged over the full circle (two-angle quadrature).
+    phase-averaged over the full circle (two-angle periodic trapezoid rule).
 
     Any subset of the intensities may be zero; the vanishing cross terms make
     those cases exact.  Returns (correct-class gain, other-class gain) with
     the correct class being the one a (+,+,+) triple feeds.
     """
     ia, ib, ic = mu * eta, nu * eta, omega * eta
-    pair = _certified(lambda n: _x_outcome_quad(signs, ia, ib, ic, p_d, n),
-                      nodes, "diagonal-basis gain")
+    pair = _certified(*_x_outcome_quad(signs, ia, ib, ic, p_d, nodes),
+                      "diagonal-basis gain")
     return float(pair[0]), float(pair[1])
 
 
 def x_gain_components(mu: float, nu: float, omega: float, eta: float,
-                      p_d: float, nodes: int = QUAD_NODES_2D) -> XGainComponents:
+                      p_d: float, nodes: int = QUAD_NODES) -> XGainComponents:
     """Diagonal-basis gains for the reference (+,+,+) preparation."""
     e, f = mermin_outcome_gains((1, 1, 1), mu, nu, omega, eta, p_d, nodes)
     return XGainComponents(e=e, f=f)
 
 
+# The phase-difference domain is the hexagon with vertices h * (1, 0), (1, 1),
+# (0, 1), (-1, 0), (-1, -1), (0, -1).  Outer corners of its first three
+# triangles at the origin; the other three are their negatives.
+_TRIANGLES = (((1, 0), (1, 1)), ((1, 1), (0, 1)), ((0, 1), (-1, 0)))
+
+
+@lru_cache(maxsize=8)
+def _hexagon_rule(n):
+    """Phase differences (a, b) / h and weights of an n x n Gauss-Legendre
+    product rule on each triangle of the hexagon.
+
+    The weight h - range(0, a, b) of (a, b) is linear on each triangle
+    (origin, v1, v2); with (a, b) = h s (v1 + t (v2 - v1)) it is h (1 - s)
+    and the Jacobian is h^2 s.  The integrand is even in (a, b), so the three
+    triangles opposite these are folded onto them (factor 2).
+    """
+    x, wx = np.polynomial.legendre.leggauss(n)
+    u, wu = (x + 1.0) / 2.0, wx / 2.0  # map to [0, 1]
+    s, t = (g.ravel() for g in np.meshgrid(u, u, indexing="ij"))
+    a = np.concatenate([s * (x1 + t * (x2 - x1)) for (x1, _), (x2, _) in _TRIANGLES])
+    b = np.concatenate([s * (y1 + t * (y2 - y1)) for (_, y1), (_, y2) in _TRIANGLES])
+    weight = np.outer(2.0 * wu * u * (1.0 - u), wu).ravel()
+    return a, b, np.tile(weight, len(_TRIANGLES))
+
+
 def _sliced_quad(ia, ib, ic, p_d, k, nodes):
-    phi, wts = _gl_nodes(nodes, np.pi / (2.0 * k))  # map [0, pi/K]
-    pa = phi[:, None, None]
-    pb = phi[None, :, None]
-    pc = phi[None, None, :]
-    weight = wts[:, None, None] * wts[None, :, None] * wts[None, None, :]
-    mean_n = _mode_intensities(ia, ib, ic, (1, 1, 1), pa - pb, pb - pc, pa - pc)
-    plus, minus = _pattern_sums(mean_n, p_d)
-    norm = k / np.pi ** 3
-    return float((plus * weight).sum()) * norm, float((minus * weight).sum()) * norm
+    # Over [0, h]^3, h = pi/K, the integrand depends on the phases only
+    # through a = phi_A - phi_B and b = phi_C - phi_B; the third phase
+    # integrates out exactly into the hexagon weight.
+    a, b, weight = _hexagon_rule(nodes)
+    h = np.pi / k
+    sums = _pattern_sums(_mode_intensities(ia, ib, ic, (1, 1, 1), h * a, -h * b,
+                                           h * (a - b)), p_d)
+    return [(s * weight).sum() / (k * k) for s in sums]
 
 
 def phase_sliced_gains(mu: float, nu: float, omega: float, eta: float,
                        p_d: float, k: int,
-                       nodes: int = QUAD_NODES_3D) -> SlicedGains:
+                       nodes: int = QUAD_NODES) -> SlicedGains:
     """Diagonal-basis gains of matched-phase-region events, K regions.
 
     The returned gains are per emitted pulse triple: they contain the 1/K^2
@@ -369,8 +386,8 @@ def phase_sliced_gains(mu: float, nu: float, omega: float, eta: float,
     integrated).  At K = 1 this reduces exactly to the full phase average.
     """
     ia, ib, ic = mu * eta, nu * eta, omega * eta
-    pair = _certified(lambda n: _sliced_quad(ia, ib, ic, p_d, k, n),
-                      nodes, "phase-sliced gain")
+    pair = _certified(_sliced_quad(ia, ib, ic, p_d, k, nodes),
+                      _sliced_quad(ia, ib, ic, p_d, k, 2 * nodes), "phase-sliced gain")
     return SlicedGains(q_c=float(pair[0]), q_e=float(pair[1]), k=k)
 
 

@@ -284,9 +284,12 @@ def optimize_intensities(variant: str, cfg: ExperimentConfig, length_km: float,
     best-effort argmax with rate 0.
     """
     _check_variant(variant, cfg)
+    cfg.system.at_distance(length_km)  # ConfigError for a negative or non-finite distance
     lo, hi = box
     if not (0.0 < lo <= hi):
         raise ValueError("search box must satisfy 0 < lo <= hi")
+    if rounds < 1:
+        raise ValueError(f"need rounds >= 1, got {rounds}")
 
     def rate_at(mu: float) -> float:
         if mu <= cfg.decoy.mu1:

@@ -64,8 +64,8 @@ class ChannelModel:
     def __post_init__(self):
         if self.beta < 0:
             raise ConfigError("channel loss coefficient must be >= 0", key="channel.beta")
-        if self.length_km < 0:
-            raise ConfigError("distance must be >= 0", key="channel.L")
+        if not 0 <= self.length_km < math.inf:
+            raise ConfigError("distance must be a finite number >= 0", key="channel.L")
         if not self.symmetric:
             raise ConfigError(
                 "asymmetric user-node distances are not supported", key="channel.symmetric"
@@ -174,6 +174,11 @@ class SweepGrid:
     l_step: float = 1.0
 
     def __post_init__(self):
+        # a NaN or infinite bound or step would never end the distance loop
+        for key, value in (("sweep.L_min", self.l_min), ("sweep.L_max", self.l_max),
+                           ("sweep.L_step", self.l_step)):
+            if not math.isfinite(value):
+                raise ConfigError("sweep bounds and step must be finite", key=key)
         if self.l_step <= 0:
             raise ConfigError("sweep step must be > 0", key="sweep.L_step")
         if self.l_min < 0:

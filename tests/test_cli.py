@@ -206,16 +206,24 @@ class TestExitCodeContract:
         ("optimize", ["--points", "-1"]),
         ("optimize", ["--workers", "0"]),
         ("optimize", ["--at", "-5"]),
+        ("optimize", ["--at", "nan"]),
+        ("optimize", ["--at", "inf"]),
+        ("optimize", ["--config", "NAN_DISTANCE"]),
+        ("optimize", ["--rounds", "0", "--box", "0.2:0.8"]),
+        ("validate", ["--config", "HERALDED"]),
     ]
 
     @pytest.mark.parametrize("command, extra", CASES)
     def test_malformed_input_exits_2(self, command, extra, tmp_path, capsys):
         (tmp_path / "dir").mkdir()
         (tmp_path / "binary.cfg").write_bytes(b"channel.beta = 0.2\n\xff\xfe\n")
+        (tmp_path / "nan.cfg").write_text(small_qcc(tmp_path).read_text()
+                                          + "channel.L = nan\n")
         paths = {"HERALDED": str(CONFIG_DIR / "qss_heralded_eta40.cfg"),
                  "MISSING": str(tmp_path / "nope.cfg"),
                  "DIR": str(tmp_path / "dir"),
-                 "BINARY": str(tmp_path / "binary.cfg")}
+                 "BINARY": str(tmp_path / "binary.cfg"),
+                 "NAN_DISTANCE": str(tmp_path / "nan.cfg")}
         argv = {"--config": str(small_qcc(tmp_path)),
                 "--out": str(tmp_path / "out.csv")}
         if command == "optimize":

@@ -167,6 +167,33 @@ class TestOutcomeYields:
         assert yp == pytest.approx(0.5, abs=1e-12)
         assert ym == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("pols, numbers", [("+++", (2, 1, 3)), ("HHV", (1, 2, 0)),
+                                               ("+-V", (1, 2, 1)), ("VHH", (0, 0, 0))])
+    @pytest.mark.parametrize("eta, p_d", [(0.9, 0.0), (0.3, 1e-3), (1e-4, 1e-7),
+                                          (1.0, 0.02)])
+    def test_factored_pattern_product_matches_loop(self, pols, numbers, eta, p_d):
+        # reference: every pattern as a product over all six detectors
+        dist = propagate_parties(pols, numbers)
+        occ = dist.occupations
+        survive = (1.0 - eta) ** occ
+        silent = (1.0 - p_d) * survive
+        if eta < 1.0:  # 1 - (1-p_d)(1-eta)^k without cancellation at small eta
+            click = -np.expm1(occ * np.log1p(-eta)) + p_d * survive
+        else:
+            click = 1.0 - silent
+        want = []
+        for patterns in (fock.PHI_PLUS_PATTERNS, fock.PHI_MINUS_PATTERNS):
+            total = 0.0
+            for pat in patterns:
+                term = dist.probabilities.copy()
+                for j in range(6):
+                    term *= click[:, j] if j in pat else silent[:, j]
+                total += term.sum()
+            want.append(total)
+        got = ghz_outcome_yields(dist, eta, p_d)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-13, abs=1e-300)
+
     @given(st.floats(0.05, 1.0), st.floats(0.0, 0.05))
     def test_yield_polys_match_direct(self, eta, p_d):
         dist = propagate_parties("+-V", (1, 2, 1))

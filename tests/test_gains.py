@@ -21,6 +21,53 @@ def mc_check(pols, intensities, eta, p_d, analytic_pair, samples=400_000,
         assert abs(est.z_score(scale * q)) < 3.0, (est, scale * q)
 
 
+def reference_outcome_sums(signs, ia, ib, ic, p_d, phi_ab, phi_bc, phi_ac):
+    """Both announced-outcome probabilities at the given phase differences:
+    the six detector intensities, then every click pattern as a product over
+    all six detectors."""
+    sa, sb, sc = signs
+    mean_n = []
+    for s, x, y, phi in ((sa, ia, ib, phi_ab), (sb, ib, ic, phi_bc),
+                         (sc, ia, ic, phi_ac)):
+        cross = s * 0.5 * math.sqrt(x * y) * np.cos(phi)
+        mean_n += [(x + y) / 4.0 + cross, (x + y) / 4.0 - cross]
+    click = [-np.expm1(-n) + p_d * np.exp(-n) for n in mean_n]
+    silent = [(1.0 - p_d) * np.exp(-n) for n in mean_n]
+    out = []
+    for patterns in (fock.PHI_PLUS_PATTERNS, fock.PHI_MINUS_PATTERNS):
+        total = 0.0
+        for pat in patterns:
+            term = 1.0
+            for j in range(6):
+                term = term * (click[j] if j in pat else silent[j])
+            total = total + term
+        out.append(total)
+    return out
+
+
+def gauss_legendre(n, length):
+    t, w = np.polynomial.legendre.leggauss(n)
+    return length / 2.0 * (t + 1.0), length / 2.0 * w
+
+
+def reference_full_circle(signs, ia, ib, ic, p_d, n=128):
+    """Tensor Gauss-Legendre over both phases on [0, 2 pi]^2."""
+    phi, w = gauss_legendre(n, 2.0 * np.pi)
+    pab, pac = phi[:, None], phi[None, :]
+    weight = np.outer(w, w) / (2.0 * np.pi) ** 2 / 8.0
+    sums = reference_outcome_sums(signs, ia, ib, ic, p_d, pab, pac - pab, pac)
+    return [float((s * weight).sum()) for s in sums]
+
+
+def reference_sliced(ia, ib, ic, p_d, k, n=64):
+    """Tensor Gauss-Legendre over all three phases on [0, pi/K]^3."""
+    phi, w = gauss_legendre(n, np.pi / k)
+    pa, pb, pc = phi[:, None, None], phi[None, :, None], phi[None, None, :]
+    weight = w[:, None, None] * w[None, :, None] * w[None, None, :] * k / np.pi ** 3
+    sums = reference_outcome_sums((1, 1, 1), ia, ib, ic, p_d, pa - pb, pb - pc, pa - pc)
+    return [float((s * weight).sum()) for s in sums]
+
+
 class TestRectilinearClosedForms:
     def test_dark_free_no_light(self):
         z = gains.z_gain_components(0, 0, 0, 0.4, 0.0)
@@ -101,6 +148,22 @@ class TestDiagonalQuadrature:
         assert coarse.e == pytest.approx(fine.e, rel=1e-8)
         assert coarse.f == pytest.approx(fine.f, rel=1e-8)
 
+    @pytest.mark.parametrize("signs, intensities, eta, p_d", [
+        ((1, 1, 1), (0.4, 0.4, 0.4), 0.04, 1e-7),
+        ((1, -1, 1), (2.0, 1.0, 0.5), 0.93, 1e-3),
+        ((-1, -1, -1), (0.6, 0.6, 0.0), 0.5, 1e-3),
+        ((1, 1, -1), (0.005, 0.4, 0.4), 4e-5, 1e-7),
+    ])
+    def test_trapezoid_matches_gauss_legendre(self, signs, intensities, eta, p_d):
+        got = gains.mermin_outcome_gains(signs, *intensities, eta, p_d)
+        want = reference_full_circle(signs, *(x * eta for x in intensities), p_d)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-12, abs=0.0)
+
+    def test_certification_refuses_too_few_nodes(self):
+        with pytest.raises(NumericsError, match="diagonal-basis"):
+            gains.mermin_outcome_gains((1, 1, 1), 3.0, 3.0, 3.0, 0.9, 0.0, nodes=2)
+
     @given(st.floats(0, 0.8), st.floats(1e-3, 1.0), st.floats(0, 0.02))
     def test_in_range_and_monotone_in_darks(self, mu, eta, p_d):
         lo = gains.x_gain_components(mu, mu, mu, eta, p_d)
@@ -164,6 +227,18 @@ class TestSlicedGains:
         tight = gains.phase_sliced_gains(0.2, 0.2, 0.2, eta, 1e-7, 64)
         assert tight.error_rate(0.0) < wide.error_rate(0.0) / 10
         assert tight.error_rate(0.0) < 1e-3
+
+    @pytest.mark.parametrize("k", [1, 8, 64])
+    @pytest.mark.parametrize("mu, eta, p_d", [(0.5, 0.3, 1e-4), (0.11, 4e-5, 1e-7)])
+    def test_hexagon_rule_matches_3d_gauss_legendre(self, k, mu, eta, p_d):
+        sliced = gains.phase_sliced_gains(mu, 0.8 * mu, 1.2 * mu, eta, p_d, k)
+        want = reference_sliced(mu * eta, 0.8 * mu * eta, 1.2 * mu * eta, p_d, k)
+        assert sliced.q_c == pytest.approx(want[0], rel=1e-12, abs=0.0)
+        assert sliced.q_e == pytest.approx(want[1], rel=1e-12, abs=0.0)
+
+    def test_certification_refuses_too_few_nodes(self):
+        with pytest.raises(NumericsError, match="phase-sliced"):
+            gains.phase_sliced_gains(3.0, 3.0, 3.0, 0.9, 0.0, 1, nodes=2)
 
     def test_against_monte_carlo(self):
         eta, p_d, k = 0.3, 1e-4, 4

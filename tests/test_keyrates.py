@@ -235,6 +235,15 @@ class TestOptimize:
                                                  points=7, rounds=2)
         assert rate >= fixed
 
+    def test_bad_rounds_and_distance_rejected(self):
+        cfg = qcc_config()
+        with pytest.raises(ValueError, match="rounds"):
+            keyrates.optimize_intensities("qcc", cfg, 50.0, (0.2, 0.8), rounds=0)
+        # the box lies below the decoy level, so no rate point is evaluated
+        for length in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="channel.L"):
+                keyrates.optimize_intensities("qcc", cfg, length, (1e-4, 4e-4))
+
     def test_hopeless_box_reports_zero(self):
         cfg = qcc_config()
         mu, rate = keyrates.optimize_intensities("qcc", cfg, 249.0,

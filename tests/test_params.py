@@ -76,6 +76,11 @@ class TestInvariants:
         with pytest.raises(ConfigError):
             ChannelModel(beta=0.2, length_km=10, symmetric=False)
 
+    @pytest.mark.parametrize("length", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_distance_must_be_finite_and_nonnegative(self, length):
+        with pytest.raises(ConfigError, match="channel.L"):
+            ChannelModel(beta=0.2, length_km=length)
+
     def test_phase_plan(self):
         with pytest.raises(ConfigError):
             PhasePlan(k=0)
@@ -86,6 +91,12 @@ class TestInvariants:
         assert SweepGrid(10, 5, 1).distances() == []
         # step accumulates without drift
         assert len(SweepGrid(0, 250, 1).distances()) == 251
+
+    @pytest.mark.parametrize("bounds", [(0, float("nan"), 1), (0, float("inf"), 1),
+                                        (0, 10, float("nan")), (float("nan"), 10, 1)])
+    def test_sweep_grid_rejects_non_finite(self, bounds):
+        with pytest.raises(ConfigError, match="finite"):
+            SweepGrid(*bounds)
 
 
 class TestParseConfig:
