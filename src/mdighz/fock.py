@@ -6,47 +6,45 @@ one per spatial group, with the other three detectors silent; the click
 pattern decides which of the two identified GHZ outcomes was projected.
 
 Propagation works on creation-operator polynomials with exact Gaussian-integer
-coefficients (every unitary entry and polarization amplitude is an integer
-multiple of a power of 1/sqrt(2)), converted to floating point only in the
-final probabilities.  This keeps signed interference sums exact and free of
-cancellation error up to the photon-number cutoff.
+amplitudes (every unitary entry and polarization amplitude is an integer
+multiple of a power of 1/sqrt(2)) held in int64 numpy arrays.  Up to the
+photon-number cutoff every numerator and denominator of an output probability
+stays below 2^53, so the one float division at the end is correctly rounded:
+signed interference sums are exact and free of cancellation error.
+
+For many inputs at once, `yield_table` packs the output distributions of a
+set of (preparation, photon-number triple) inputs into one flat table, and
+`YieldTable.yields` evaluates all their announcement probabilities at one
+detection efficiency and dark-count probability in a single pass.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
-from .params import DetectorModel, SystemParams, overall_efficiency
+from .params import SystemParams, overall_efficiency
 
 __all__ = [
     "N_MAX",
-    "MODE_LABELS",
     "PHI_PLUS_PATTERNS",
     "PHI_MINUS_PATTERNS",
     "FockOutcomeDistribution",
+    "YieldTable",
     "SinglePhotonStats",
     "analyzer_unitary",
-    "unitary_csv",
-    "propagate_fock",
     "propagate_parties",
-    "click_probability",
-    "click_probability_set",
+    "yield_table",
     "outcome_pattern_sums",
     "ghz_outcome_yields",
-    "outcome_yield_polys",
-    "eval_yield_poly",
     "exact_single_photon_stats",
 ]
 
-N_MAX = 12  # default total-photon cutoff
-
-MODE_LABELS = ("1H", "1V", "2H", "2V", "3H", "3V")
+N_MAX = 12  # total-photon cutoff
 
 # Input ports: Alice = spatial 1, Bob = 2, Charlie = 3; order H,V per port.
 # Routing (output <- input), all couplings 1/sqrt(2):
@@ -64,7 +62,7 @@ _ROUTES = {
     5: ((4, 1), (5, -1)),
 }
 
-# Click patterns (detector indices into MODE_LABELS) per announced outcome.
+# Click patterns (detector indices 1H, 1V, 2H, 2V, 3H, 3V) per announced outcome.
 PHI_PLUS_PATTERNS = ((0, 2, 4), (0, 3, 5), (1, 2, 5), (1, 3, 4))
 PHI_MINUS_PATTERNS = ((0, 2, 5), (0, 3, 4), (1, 2, 4), (1, 3, 5))
 
@@ -79,6 +77,15 @@ _POLS = {
     "R": (((0, (1, 0)), (1, (0, 1))), 1),
     "L": (((0, (1, 0)), (1, (0, -1))), 1),
 }
+
+# An output configuration packs into one integer key, one base-_BASE digit per
+# detector with detector 0 most significant, so sorted keys are sorted
+# occupation tuples.
+_BASE = N_MAX + 1
+_PLACES = tuple(_BASE ** (5 - j) for j in range(6))
+_FACTORIALS = np.array([factorial(k) for k in range(_BASE)], dtype=np.int64)
+_EXACT_LIMIT = 2 ** 53  # integers below this convert to float exactly
+_BLOCK = 1 << 14  # configurations per block of the yield evaluation
 
 
 def _gmul(a, b):
@@ -99,20 +106,6 @@ def analyzer_unitary() -> np.ndarray:
     return u
 
 
-def unitary_csv() -> str:
-    """Debug dump of the analyzer unitary as (re, im) pairs, CSV."""
-    u = analyzer_unitary()
-    head = "in_mode," + ",".join(f"{m}_re,{m}_im" for m in MODE_LABELS)
-    rows = [head]
-    for j, label in enumerate(MODE_LABELS):
-        cells = []
-        for i in range(6):
-            cells.append(repr(float(u[i, j])))
-            cells.append(repr(0.0))
-        rows.append(label + "," + ",".join(cells))
-    return "\n".join(rows) + "\n"
-
-
 @dataclass(frozen=True)
 class FockOutcomeDistribution:
     """Output Fock configurations of the analyzer for one input preparation."""
@@ -120,10 +113,6 @@ class FockOutcomeDistribution:
     input_label: str
     occupations: np.ndarray  # (n_cfg, 6) int
     probabilities: np.ndarray  # (n_cfg,) float
-
-    @property
-    def total_photons(self) -> int:
-        return int(self.occupations[0].sum()) if len(self.occupations) else 0
 
 
 def _party_output_vector(party: int, pol: str):
@@ -140,61 +129,77 @@ def _party_output_vector(party: int, pol: str):
     return vec, extra + 1
 
 
-def _expand_beams(beams):
-    """Expand prod_i (sum_j v_ij a_j)^{n_i} |0> into output configurations.
-
-    beams: list of (vec, half_power, n).  Returns {occupation: Fraction prob}.
-    """
-    total_half = 0
-    denom = 1
-    polys = []
-    for vec, half, n in beams:
-        total_half += half * n
-        denom *= factorial(n)
-        modes = sorted(vec)
-        terms: dict[tuple[int, ...], tuple[int, int]] = {}
-        for ks in itertools.product(range(n + 1), repeat=len(modes)):
-            if sum(ks) != n:
-                continue
-            coeff = factorial(n)
-            g = (1, 0)
-            for mode, k in zip(modes, ks):
-                coeff //= factorial(k)
-                for _ in range(k):
-                    g = _gmul(g, vec[mode])
-            occ = [0] * 6
-            for mode, k in zip(modes, ks):
-                occ[mode] = k
-            key = tuple(occ)
-            terms[key] = _gadd(terms.get(key, (0, 0)), (coeff * g[0], coeff * g[1]))
-        polys.append(terms)
-
-    acc = {(0, 0, 0, 0, 0, 0): (1, 0)}
-    for terms in polys:
-        nxt: dict[tuple[int, ...], tuple[int, int]] = {}
-        for occ1, g1 in acc.items():
-            for occ2, g2 in terms.items():
-                occ = tuple(a + b for a, b in zip(occ1, occ2))
-                nxt[occ] = _gadd(nxt.get(occ, (0, 0)), _gmul(g1, g2))
-        acc = nxt
-
-    probs = {}
-    scale = 2 ** total_half
-    for occ, g in acc.items():
-        norm2 = g[0] * g[0] + g[1] * g[1]
-        if norm2 == 0:
+@lru_cache(maxsize=None)
+def _party_terms(party: int, pol: str, n: int):
+    """Expansion of (sum_j v_j a_j)^n for `n` photons of one party: packed
+    output keys and the Gaussian-integer amplitudes (multinomial coefficient
+    times the product of the v_j), as read-only int64 arrays."""
+    vec, _ = _party_output_vector(party, pol)
+    modes = sorted(vec)
+    keys, re, im = [], [], []
+    for ks in itertools.product(range(n + 1), repeat=len(modes)):
+        if sum(ks) != n:
             continue
-        num = norm2
-        for e in occ:
-            num *= factorial(e)
-        probs[occ] = Fraction(num, scale * denom)
-    return probs
+        coeff = factorial(n)
+        g = (1, 0)
+        key = 0
+        for mode, k in zip(modes, ks):
+            coeff //= factorial(k)
+            for _ in range(k):
+                g = _gmul(g, vec[mode])
+            key += k * _PLACES[mode]
+        keys.append(key)
+        re.append(coeff * g[0])
+        im.append(coeff * g[1])
+    arrays = tuple(np.array(x, dtype=np.int64) for x in (keys, re, im))
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
-def _distribution_from(label, probs) -> FockOutcomeDistribution:
-    occs = np.array(sorted(probs), dtype=np.int64).reshape(-1, 6)
-    pvals = np.array([float(probs[tuple(o)]) for o in occs])
-    return FockOutcomeDistribution(label, occs, pvals)
+def _exact_distribution(pols: str, numbers) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted packed keys and probabilities of the output configurations.
+
+    The parties' expansions multiply by outer sums of their keys; equal keys
+    are merged with exact integer amplitude sums after each party.  A
+    configuration's probability is |amplitude|^2 prod(k!) over
+    2^half_power prod(n!), divided once in floating point.
+    """
+    keys = np.zeros(1, dtype=np.int64)
+    re = np.ones(1, dtype=np.int64)
+    im = np.zeros(1, dtype=np.int64)
+    half = 0
+    denom = 1
+    for party, (pol, n) in enumerate(zip(pols, numbers)):
+        if not n:
+            continue
+        k2, r2, i2 = _party_terms(party, pol, n)
+        half += (_POLS[pol][1] + 1) * n
+        denom *= factorial(n)
+        keys, inverse = np.unique((keys[:, None] + k2).ravel(), return_inverse=True)
+        parts = ((re[:, None] * r2 - im[:, None] * i2).ravel(),
+                 (re[:, None] * i2 + im[:, None] * r2).ravel())
+        re, im = (np.zeros(len(keys), dtype=np.int64) for _ in range(2))
+        np.add.at(re, inverse, parts[0])
+        np.add.at(im, inverse, parts[1])
+    denom <<= half
+    if denom >= _EXACT_LIMIT:
+        raise ValueError(f"{pols}{tuple(numbers)} is beyond exact float conversion")
+    norm2 = re * re + im * im
+    keep = norm2 != 0
+    keys = keys[keep]
+    num = norm2[keep]
+    for place in _PLACES:
+        num = num * _FACTORIALS[keys // place % _BASE]
+    return keys, num / denom
+
+
+def _check_input(pols: str, numbers, cutoff: int) -> None:
+    if len(pols) != 3 or any(p not in _POLS for p in pols):
+        raise ValueError(f"bad polarization string {pols!r}")
+    if sum(numbers) > min(cutoff, N_MAX):
+        raise ValueError(f"total photon number {sum(numbers)} exceeds cutoff "
+                         f"{min(cutoff, N_MAX)}")
 
 
 @lru_cache(maxsize=None)
@@ -202,49 +207,33 @@ def propagate_parties(pols: str, numbers: tuple[int, int, int],
                       cutoff: int = N_MAX) -> FockOutcomeDistribution:
     """Exact output distribution for Alice/Bob/Charlie sending `numbers`
     photons in polarizations `pols` (e.g. pols="HHV", numbers=(1, 1, 2))."""
-    if len(pols) != 3 or any(p not in _POLS for p in pols):
-        raise ValueError(f"bad polarization string {pols!r}")
-    if sum(numbers) > cutoff:
-        raise ValueError(f"total photon number {sum(numbers)} exceeds cutoff {cutoff}")
-    beams = []
-    for party, (pol, n) in enumerate(zip(pols, numbers)):
-        if n:
-            vec, half = _party_output_vector(party, pol)
-            beams.append((vec, half, n))
-    if not beams:
-        probs = {(0, 0, 0, 0, 0, 0): Fraction(1)}
+    _check_input(pols, numbers, cutoff)
+    keys, probs = _exact_distribution(pols, numbers)
+    occupations = keys[:, None] // np.array(_PLACES) % _BASE
+    return FockOutcomeDistribution(f"{pols}{tuple(numbers)}", occupations, probs)
+
+
+def _click_silent(occ, eta: float, p_d: float):
+    """Click and silence probabilities of threshold detectors seeing `occ`
+    photons: 1 - (1-p_d)(1-eta)^k and (1-p_d)(1-eta)^k, both exact at the
+    ends (kept accurate when the click probability is tiny)."""
+    if eta >= 1.0:
+        survive = np.where(occ == 0, 1.0, 0.0)  # (1-eta)^k at eta = 1
+        click = 1.0 - (1.0 - p_d) * survive
     else:
-        probs = _expand_beams(beams)
-    return _distribution_from(f"{pols}{numbers}", probs)
+        survive = np.exp(occ * np.log1p(-eta))
+        click = -np.expm1(occ * np.log1p(-eta)) + p_d * survive
+    # in place, so the peak memory of the pattern products stays at three
+    # arrays of this size
+    silent = survive
+    silent *= 1.0 - p_d
+    return click, silent
 
 
-def propagate_fock(occupation, cutoff: int = N_MAX) -> FockOutcomeDistribution:
-    """Exact output distribution for a product Fock input over the six input
-    modes, ordered (Alice H, Alice V, Bob H, Bob V, Charlie H, Charlie V)."""
-    occupation = tuple(int(k) for k in occupation)
-    if len(occupation) != 6 or any(k < 0 for k in occupation):
-        raise ValueError("occupation must be six nonnegative integers")
-    if sum(occupation) > cutoff:
-        raise ValueError(f"total photon number {sum(occupation)} exceeds cutoff {cutoff}")
-    beams = []
-    for mode, n in enumerate(occupation):
-        if n:
-            party, offset = divmod(mode, 2)
-            vec, half = _party_output_vector(party, "H" if offset == 0 else "V")
-            beams.append((vec, half, n))
-    probs = _expand_beams(beams) if beams else {(0, 0, 0, 0, 0, 0): Fraction(1)}
-    return _distribution_from(f"fock{occupation}", probs)
-
-
-def click_probability(k: int, eta: float, p_d: float) -> float:
-    """Threshold detector seeing k photons: P(click) = 1 - (1-p_d)(1-eta)^k."""
-    return 1.0 - (1.0 - p_d) * (1.0 - eta) ** k
-
-
-def click_probability_set(occupation, detector: DetectorModel) -> np.ndarray:
-    """Per-detector click probabilities for one output configuration."""
-    occ = np.asarray(occupation)
-    return 1.0 - (1.0 - detector.p_d) * (1.0 - detector.eta_d) ** occ
+def _class_sums(f):
+    """(phi_plus, phi_minus) from the six click-and-partner-silent factors."""
+    return tuple(sum(f[a] * f[b] * f[c] for a, b, c in patterns)
+                 for patterns in (PHI_PLUS_PATTERNS, PHI_MINUS_PATTERNS))
 
 
 def outcome_pattern_sums(click, silent):
@@ -255,9 +244,7 @@ def outcome_pattern_sums(click, silent):
     and leaves its partner silent, so each term is the product of three
     factors click[j] * silent[j ^ 1].  Returns (phi_plus, phi_minus).
     """
-    f = [click[j] * silent[j ^ 1] for j in range(6)]
-    return tuple(sum(f[a] * f[b] * f[c] for a, b, c in patterns)
-                 for patterns in (PHI_PLUS_PATTERNS, PHI_MINUS_PATTERNS))
+    return _class_sums([click[j] * silent[j ^ 1] for j in range(6)])
 
 
 def ghz_outcome_yields(dist: FockOutcomeDistribution, eta: float,
@@ -267,54 +254,77 @@ def ghz_outcome_yields(dist: FockOutcomeDistribution, eta: float,
     Sums, over output configurations, the product of three required clicks and
     three required non-clicks per pattern, weighted by configuration probability.
     """
-    occ = dist.occupations
-    if eta >= 1.0:
-        survive = np.where(occ == 0, 1.0, 0.0)  # (1-eta)^k at eta = 1
-        g = 1.0 - (1.0 - p_d) * survive
-    else:
-        survive = np.exp(occ * np.log1p(-eta))
-        # 1 - (1-p_d)(1-eta)^k, kept accurate when the click probability is tiny
-        g = -np.expm1(occ * np.log1p(-eta)) + p_d * survive
-    # silent-detector factor, exact at both ends; in place, so the peak memory
-    # of the pattern products below stays at three arrays of this size
-    ng = survive
-    ng *= 1.0 - p_d
-    plus, minus = outcome_pattern_sums(g.T, ng.T)
+    click, silent = _click_silent(dist.occupations, eta, p_d)
+    plus, minus = outcome_pattern_sums(click.T, silent.T)
     p = dist.probabilities
     return float((p * plus).sum()), float((p * minus).sum())
 
 
-_SUBSETS = np.array(list(itertools.product((0, 1), repeat=3)), dtype=np.int64)
-_SUBSET_SIZE = _SUBSETS.sum(axis=1)
+@dataclass(frozen=True)
+class YieldTable:
+    """Output distributions of every (preparation, photon-number triple)
+    input of a set, in one flat table that no detector parameter enters.
 
-
-def outcome_yield_polys(dist: FockOutcomeDistribution,
-                        p_d: float) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse a distribution to polynomials in z = 1 - eta.
-
-    For fixed p_d, the outcome yield is sum_d c_d z^d with degree <= total
-    photon number; sweeping eta then costs O(N) per point.  Returns the
-    coefficient vectors for the two outcome classes.
+    Per output configuration it keeps the occupation index a * (N_MAX + 1) + b
+    of each detector group (its two detectors see a and b photons) and the
+    probability.  The configurations of input (preps[i], triples[t]) form
+    segment i * len(triples) + t, which starts at `starts` of that index.
     """
-    n_tot = dist.total_photons
-    w = 1.0 - p_d
-    coeffs = [np.zeros(n_tot + 1), np.zeros(n_tot + 1)]
-    for cls, patterns in enumerate((PHI_PLUS_PATTERNS, PHI_MINUS_PATTERNS)):
-        for pat in patterns:
-            silent = [j for j in range(6) if j not in pat]
-            e_click = dist.occupations[:, pat]  # (n_cfg, 3)
-            d_silent = dist.occupations[:, silent].sum(axis=1)  # (n_cfg,)
-            degs = d_silent[:, None] + e_click @ _SUBSETS.T  # (n_cfg, 8)
-            vals = (dist.probabilities[:, None]
-                    * ((-1.0) ** _SUBSET_SIZE) * w ** (3 + _SUBSET_SIZE))
-            np.add.at(coeffs[cls], degs.ravel(), vals.ravel())
-    return coeffs[0], coeffs[1]
+
+    preps: tuple[str, ...]
+    triples: tuple[tuple[int, int, int], ...]
+    groups: np.ndarray  # (3, n_cfg) int16
+    probabilities: np.ndarray  # (n_cfg,) float
+    starts: np.ndarray  # (len(preps) * len(triples),) int
+
+    def yields(self, eta: float, p_d: float) -> np.ndarray:
+        """Y[prep, outcome, triple]: the two announcement probabilities of
+        every input (phi_plus, phi_minus), as ghz_outcome_yields gives them.
+
+        Each pattern factor click(a) * silent(b) of a group comes from one of
+        two (N_MAX + 1)^2 tables, gathered in blocks of whole segments.
+        """
+        click, silent = _click_silent(np.arange(_BASE), eta, p_d)
+        first = np.outer(click, silent).ravel()  # group's first detector clicks
+        second = np.outer(silent, click).ravel()  # its second detector clicks
+        starts = self.starts
+        bounds = list(starts) + [len(self.probabilities)]
+        y = np.empty((2, len(starts)))
+        seg = 0
+        while seg < len(starts):
+            stop = max(seg + 1, int(np.searchsorted(starts, starts[seg] + _BLOCK)))
+            lo, hi = bounds[seg], bounds[stop]
+            f = []
+            for g in self.groups[:, lo:hi]:
+                f += [first[g], second[g]]
+            weighted = np.array(_class_sums(f))
+            weighted *= self.probabilities[lo:hi]
+            y[:, seg:stop] = np.add.reduceat(weighted, starts[seg:stop] - lo, axis=1)
+            seg = stop
+        return y.reshape(2, len(self.preps), len(self.triples)).transpose(1, 0, 2)
 
 
-def eval_yield_poly(coeffs: np.ndarray, eta) -> np.ndarray:
-    """Evaluate a yield polynomial at z = 1 - eta (eta may be an array)."""
-    z = 1.0 - np.asarray(eta, dtype=float)
-    return np.polynomial.polynomial.polyval(z, coeffs)
+@lru_cache(maxsize=4)
+def yield_table(preps: tuple[str, ...],
+                triples: tuple[tuple[int, int, int], ...]) -> YieldTable:
+    """The YieldTable of every preparation in `preps` (polarization strings
+    as for propagate_parties) with every photon-number triple in `triples`."""
+    groups, probs = [], []
+    for pols in preps:
+        for numbers in triples:
+            _check_input(pols, numbers, N_MAX)
+            keys, p = _exact_distribution(pols, numbers)
+            groups.append(np.array([keys // (_BASE ** (4 - 2 * i)) % _BASE ** 2
+                                    for i in range(3)], dtype=np.int16))
+            probs.append(p)
+    sizes = [len(p) for p in probs]
+    table = YieldTable(preps=preps, triples=triples,
+                       groups=np.concatenate(groups, axis=1),
+                       probabilities=np.concatenate(probs),
+                       starts=np.cumsum([0] + sizes[:-1]))
+    for a in (table.groups, table.probabilities, table.starts):
+        a.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)

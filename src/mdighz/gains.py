@@ -41,7 +41,9 @@ __all__ = [
     "phase_sliced_gains",
     "assemble_gain_set",
     "wcs_gain_set",
-    "gains_heralded",
+    "FockYields",
+    "fock_yields",
+    "gains_from_number_distributions",
     "gains_qnd",
 ]
 
@@ -293,6 +295,8 @@ def _pattern_sums(mean_n, p_d):
 def _certified(coarse, fine, what):
     coarse = np.asarray(coarse, dtype=float)
     fine = np.asarray(fine, dtype=float)
+    if not (np.isfinite(coarse).all() and np.isfinite(fine).all()):
+        raise NumericsError(f"{what}: quadrature gave a non-finite value")
     scale = np.maximum(np.abs(fine), 1e-300)
     if np.any(np.abs(fine - coarse) > QUAD_RTOL * np.maximum(scale, np.max(scale) * 1e-6)):
         raise NumericsError(f"{what}: quadrature did not stabilize to {QUAD_RTOL} "
@@ -451,78 +455,100 @@ def wcs_gain_set(mu: float, nu: float, omega: float, params: SystemParams,
 # Fock-backed sources: heralded pair sources and the photon-number filter
 # ---------------------------------------------------------------------------
 
-_CLASS_POLS = {"a": "HHH", "b": "HHV", "c": "VHH", "d": "HVH", "x": "+++"}
+# Preparations of the gain classes a, b, c, d (rectilinear) and x (all "+").
+_CLASS_POLS = ("HHH", "HHV", "VHH", "HVH", "+++")
+_QND_TRIPLES = tuple(itertools.product((0, 1), repeat=3))
 
 
-def _components_nml(numbers, eta, p_d):
+@lru_cache(maxsize=8)
+def _class_components(triples, eta, p_d):
     """Per-photon-number analogs of the six gain-class components (incl. the
-    1/8 preparation probability and the equal-outcome-class averaging).
+    1/8 preparation probability and the equal-outcome-class averaging), one
+    column per triple: rows a, b, c, d, then e, f of the diagonal basis.
 
-    Evaluated directly from the cached output distributions; direct products
-    keep full relative precision at long distances, where collapsing to
-    polynomials in the survival probability would cancel catastrophically.
+    Evaluated directly from the exact yields; direct products keep full
+    relative precision at long distances, where collapsing to polynomials in
+    the survival probability would cancel catastrophically.
     """
-    vals = {}
-    for cls in ("a", "b", "c", "d"):
-        dist = fock.propagate_parties(_CLASS_POLS[cls], numbers)
-        yp, ym = fock.ghz_outcome_yields(dist, eta, p_d)
-        vals[cls] = (yp + ym) / 16.0
-    yp, ym = fock.ghz_outcome_yields(fock.propagate_parties("+++", numbers), eta, p_d)
-    return (ZGainComponents(vals["a"], vals["b"], vals["c"], vals["d"]),
-            XGainComponents(yp / 8.0, ym / 8.0))
+    y = fock.yield_table(_CLASS_POLS, triples).yields(eta, p_d)
+    comps = np.concatenate([(y[:4, 0] + y[:4, 1]) / 16.0, y[4] / 8.0])
+    comps.setflags(write=False)
+    return comps
+
+
+def _contract(comps, weights, e_d) -> GainSet:
+    """GainSet of a mixture of photon-number triples: the weighted sum of
+    their class components."""
+    c = (comps * weights).sum(axis=1)
+    return assemble_gain_set(ZGainComponents(*c[:4]), XGainComponents(*c[4:]), e_d)
+
+
+def _triple_weights(dists, floor):
+    """Joint weights p_a[n] p_b[m] p_c[l] and the mask of the triples kept: at
+    least `floor`, nonzero, and within the photon-number cutoff."""
+    d = [np.asarray(x, dtype=float)[:fock.N_MAX + 1] for x in dists]
+    w = (d[0][:, None] * d[1][None, :])[:, :, None] * d[2][None, None, :]
+    n, m, l = np.indices(w.shape)
+    return w, (w >= floor) & (w > 0.0) & (n + m + l <= fock.N_MAX)
+
+
+@dataclass(frozen=True)
+class FockYields:
+    """Class components of every photon-number triple that users drawing
+    their distributions from a fixed set of levels can need, at one (eta, p_d).
+
+    Built once by `fock_yields`; each gain set is then a weighted sum over
+    its kept triples (`gain_set`).
+    """
+
+    columns: np.ndarray  # (N_MAX + 1,)*3 -> column of comps, -1 if absent
+    comps: np.ndarray  # (6, n_triples)
+    tail_budget: float
+
+    def gain_set(self, dists, e_d: float) -> GainSet:
+        """GainSet for independent per-user photon-number distributions.
+
+        Sums over all (n, m, l) whose joint weight clears the floor
+        tail_budget / 4096; the neglected probability mass (bounded by yields
+        <= 1) must stay inside the budget or the truncation is refused.
+        """
+        w, keep = _triple_weights(dists, self.tail_budget / 4096.0)
+        tail = 1.0 - sum(w[keep].tolist())
+        if tail > self.tail_budget:
+            raise NumericsError(
+                f"photon-number truncation tail {tail:.3e} exceeds budget "
+                f"{self.tail_budget:.1e}; raise the cutoff or lower the source intensity"
+            )
+        cols = self.columns[:w.shape[0], :w.shape[1], :w.shape[2]][keep]
+        if np.any(cols < 0):
+            raise ValueError("distributions need photon-number triples outside the "
+                             "levels these yields were built for")
+        return _contract(self.comps[:, cols], w[keep], e_d)
+
+
+def fock_yields(levels, eta: float, p_d: float,
+                tail_budget: float = 1e-12) -> FockYields:
+    """FockYields for users whose photon-number distributions are among
+    `levels`.  A triple kept for any combination of levels is kept for their
+    elementwise maximum, so that maximum selects the triples evaluated."""
+    size = fock.N_MAX + 1
+    top = np.zeros(size)
+    for level in levels:
+        level = np.asarray(level, dtype=float)[:size]
+        top[:len(level)] = np.maximum(top[:len(level)], level)
+    _, keep = _triple_weights((top, top, top), tail_budget / 4096.0)
+    triples = tuple(tuple(int(k) for k in t) for t in np.argwhere(keep))
+    columns = np.full(keep.shape, -1)
+    columns[keep] = np.arange(len(triples))
+    return FockYields(columns, _class_components(triples, eta, p_d), tail_budget)
 
 
 def gains_from_number_distributions(dists: tuple[np.ndarray, np.ndarray, np.ndarray],
                                     eta: float, p_d: float, e_d: float,
                                     tail_budget: float = 1e-12) -> GainSet:
-    """GainSet for independent per-user photon-number distributions.
-
-    Sums Fock yields over all (n, m, l) whose joint weight clears a floor;
-    the neglected probability mass (bounded by yields <= 1) must stay inside
-    `tail_budget` or the truncation is refused.
-    """
-    weight_floor = tail_budget / 4096.0
-    za = xa = None
-    comps_z = [0.0, 0.0, 0.0, 0.0]
-    comps_x = [0.0, 0.0]
-    included = 0.0
-    for n, wn in enumerate(dists[0]):
-        if wn == 0.0:
-            continue
-        for m, wm in enumerate(dists[1]):
-            wnm = wn * wm
-            if wnm == 0.0:
-                continue
-            for l, wl in enumerate(dists[2]):
-                w = wnm * wl
-                if w < weight_floor:
-                    continue
-                if n + m + l > fock.N_MAX:
-                    continue
-                included += w
-                z, x = _components_nml((n, m, l), eta, p_d)
-                comps_z[0] += w * z.a
-                comps_z[1] += w * z.b
-                comps_z[2] += w * z.c
-                comps_z[3] += w * z.d
-                comps_x[0] += w * x.e
-                comps_x[1] += w * x.f
-    tail = 1.0 - included
-    if tail > tail_budget:
-        raise NumericsError(
-            f"photon-number truncation tail {tail:.3e} exceeds budget {tail_budget:.1e}; "
-            f"raise the cutoff or lower the source intensity"
-        )
-    za = ZGainComponents(*comps_z)
-    xa = XGainComponents(*comps_x)
-    return assemble_gain_set(za, xa, e_d)
-
-
-def gains_heralded(dist_a: np.ndarray, dist_b: np.ndarray, dist_c: np.ndarray,
-                   eta: float, p_d: float, e_d: float) -> GainSet:
-    """GainSet for triggered pair sources with the given per-user triggered
-    photon-number distributions (see decoy.heralded_stats)."""
-    return gains_from_number_distributions((dist_a, dist_b, dist_c), eta, p_d, e_d)
+    """GainSet for independent per-user photon-number distributions (see
+    FockYields.gain_set)."""
+    return fock_yields(dists, eta, p_d, tail_budget).gain_set(dists, e_d)
 
 
 def gains_qnd(mu: float, nu: float, omega: float, eta_t: float,
@@ -531,23 +557,13 @@ def gains_qnd(mu: float, nu: float, omega: float, eta_t: float,
     filter per arm.
 
     Transmission eta_t thins the Poisson inputs before the filter; only the
-    detector efficiency acts afterwards.  Events with two or more photons in
-    any arm are discarded (the Poisson weights are deliberately not
-    renormalized).
+    detector efficiency acts afterwards, so the yields do not depend on the
+    distance.  Events with two or more photons in any arm are discarded (the
+    Poisson weights are deliberately not renormalized).
     """
     lams = (mu * eta_t, nu * eta_t, omega * eta_t)
-    comps_z = [0.0, 0.0, 0.0, 0.0]
-    comps_x = [0.0, 0.0]
     pref = exp(-sum(lams))
-    for n, m, l in itertools.product((0, 1), repeat=3):
-        w = pref * lams[0] ** n * lams[1] ** m * lams[2] ** l
-        if w == 0.0:
-            continue
-        z, x = _components_nml((n, m, l), detector.eta_d, detector.p_d)
-        comps_z[0] += w * z.a
-        comps_z[1] += w * z.b
-        comps_z[2] += w * z.c
-        comps_z[3] += w * z.d
-        comps_x[0] += w * x.e
-        comps_x[1] += w * x.f
-    return assemble_gain_set(ZGainComponents(*comps_z), XGainComponents(*comps_x), e_d)
+    weights = np.array([pref * lams[0] ** n * lams[1] ** m * lams[2] ** l
+                        for n, m, l in _QND_TRIPLES])
+    comps = _class_components(_QND_TRIPLES, detector.eta_d, detector.p_d)
+    return _contract(comps, weights, e_d)

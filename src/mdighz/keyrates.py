@@ -197,12 +197,10 @@ def _heralded_point(cfg: ExperimentConfig, length_km: float) -> RatePoint:
     stats = {0.0: decoy.vacuum_stats(),
              plan.mu1: decoy.heralded_stats(plan.mu1, cfg.source.trigger),
              plan.mu2: decoy.heralded_stats(plan.mu2, cfg.source.trigger)}
-
-    def gain_fn(a, b, c):
-        return gains.gains_heralded(stats[a].p_n, stats[b].p_n, stats[c].p_n,
-                                    eta, p_d, params.e_d)
-
-    grid = decoy.build_gain_grid(gain_fn, plan)
+    yields = gains.fock_yields([s.p_n for s in stats.values()], eta, p_d)
+    grid = decoy.build_gain_grid(
+        lambda a, b, c: yields.gain_set((stats[a].p_n, stats[b].p_n, stats[c].p_n),
+                                        params.e_d), plan)
     signal = stats[plan.mu2].p_n
     bounds = decoy.single_photon_bounds(grid, decoy.distribution_level(signal),
                                         decoy.distribution_level(stats[plan.mu1].p_n))

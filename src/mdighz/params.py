@@ -289,11 +289,15 @@ def _parse_value(key: str, raw: str, line_no: int):
             return _BOOL_WORDS[word]
         if kind is int:
             return int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
+        if kind is not float:
+            return raw
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"cannot parse value {raw!r}", key=key, line=line_no) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"value must be a finite number, got {raw!r}", key=key,
+                          line=line_no)
+    return value
 
 
 def parse_config(text: str) -> ExperimentConfig:

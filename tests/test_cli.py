@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from mdighz import cli
+from mdighz import cli, fock, gains
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -64,6 +64,22 @@ class TestQccCommand:
                              "--seed", "7", "--workers", workers]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+        text = (CONFIG_DIR / "qss_heralded_eta40.cfg").read_text()
+        text = text.replace("sweep.L_max = 200", "sweep.L_max = 30")
+        text = text.replace("sweep.L_step = 1", "sweep.L_step = 10")
+        her = tmp_path / "her.cfg"
+        her.write_text(text)
+        outs = []
+        for tag, workers in (("h1", "1"), ("h2", "2")):
+            # cold caches, so that two workers build the yield table at once
+            fock.yield_table.cache_clear()
+            gains._class_components.cache_clear()
+            out = tmp_path / f"{tag}.csv"
+            assert cli.main(["qss", "--config", str(her), "--out", str(out),
+                             "--seed", "7", "--workers", workers]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestQssCommand:
@@ -211,6 +227,9 @@ class TestExitCodeContract:
         ("optimize", ["--config", "NAN_DISTANCE"]),
         ("optimize", ["--rounds", "0", "--box", "0.2:0.8"]),
         ("validate", ["--config", "HERALDED"]),
+        ("qcc", ["--config", "NAN_MU"]),
+        ("qcc", ["--config", "NAN_F"]),
+        ("qcc", ["--config", "INF_DARK"]),
     ]
 
     @pytest.mark.parametrize("command, extra", CASES)
@@ -219,11 +238,20 @@ class TestExitCodeContract:
         (tmp_path / "binary.cfg").write_bytes(b"channel.beta = 0.2\n\xff\xfe\n")
         (tmp_path / "nan.cfg").write_text(small_qcc(tmp_path).read_text()
                                           + "channel.L = nan\n")
+        for name, line, value in (("nan_mu", "source.mu = 0.4", "nan"),
+                                  ("nan_f", "system.f = 1.16", "nan"),
+                                  ("inf_dark", "detector.p_d = 1e-7", "inf")):
+            key = line.split(" = ")[0]
+            (tmp_path / f"{name}.cfg").write_text(
+                small_qcc(tmp_path).read_text().replace(line, f"{key} = {value}"))
         paths = {"HERALDED": str(CONFIG_DIR / "qss_heralded_eta40.cfg"),
                  "MISSING": str(tmp_path / "nope.cfg"),
                  "DIR": str(tmp_path / "dir"),
                  "BINARY": str(tmp_path / "binary.cfg"),
-                 "NAN_DISTANCE": str(tmp_path / "nan.cfg")}
+                 "NAN_DISTANCE": str(tmp_path / "nan.cfg"),
+                 "NAN_MU": str(tmp_path / "nan_mu.cfg"),
+                 "NAN_F": str(tmp_path / "nan_f.cfg"),
+                 "INF_DARK": str(tmp_path / "inf_dark.cfg")}
         argv = {"--config": str(small_qcc(tmp_path)),
                 "--out": str(tmp_path / "out.csv")}
         if command == "optimize":

@@ -221,8 +221,8 @@ class TestHeraldedBounds:
             params = SystemParams(ChannelModel(0.2, length), det, 0.015, 1.16)
             eta = det.eta_d * 10 ** (-0.2 * length / 10)
             grid = build_gain_grid(
-                lambda a, b, c: gains.gains_heralded(
-                    stats[a].p_n, stats[b].p_n, stats[c].p_n, eta, det.p_d,
+                lambda a, b, c: gains.gains_from_number_distributions(
+                    (stats[a].p_n, stats[b].p_n, stats[c].p_n), eta, det.p_d,
                     params.e_d), plan)
             bounds = single_photon_bounds(grid, distribution_level(stats[plan.mu2].p_n),
                                           distribution_level(stats[plan.mu1].p_n))

@@ -1,14 +1,81 @@
 import itertools
+from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from mdighz import fock
-from mdighz.fock import (analyzer_unitary, click_probability, propagate_fock,
-                         propagate_parties, ghz_outcome_yields,
-                         exact_single_photon_stats, unitary_csv)
-from mdighz.params import DetectorModel
+from mdighz.fock import (analyzer_unitary, propagate_parties, ghz_outcome_yields,
+                         exact_single_photon_stats)
+
+TOKENS = "HV+-RL"
+
+
+def expand_beams(beams):
+    """Reference expansion with exact rationals: prod_i (sum_j v_ij a_j)^{n_i}
+    |0> as {occupation: Fraction probability}, over Python-integer
+    Gaussian amplitudes.  beams: list of (vec, half_power, n)."""
+    total_half = 0
+    denom = 1
+    polys = []
+    for vec, half, n in beams:
+        total_half += half * n
+        denom *= factorial(n)
+        modes = sorted(vec)
+        terms = {}
+        for ks in itertools.product(range(n + 1), repeat=len(modes)):
+            if sum(ks) != n:
+                continue
+            coeff = factorial(n)
+            g = (1, 0)
+            for mode, k in zip(modes, ks):
+                coeff //= factorial(k)
+                for _ in range(k):
+                    g = fock._gmul(g, vec[mode])
+            occ = [0] * 6
+            for mode, k in zip(modes, ks):
+                occ[mode] = k
+            key = tuple(occ)
+            terms[key] = fock._gadd(terms.get(key, (0, 0)), (coeff * g[0], coeff * g[1]))
+        polys.append(terms)
+
+    acc = {(0, 0, 0, 0, 0, 0): (1, 0)}
+    for terms in polys:
+        nxt = {}
+        for occ1, g1 in acc.items():
+            for occ2, g2 in terms.items():
+                occ = tuple(a + b for a, b in zip(occ1, occ2))
+                nxt[occ] = fock._gadd(nxt.get(occ, (0, 0)), fock._gmul(g1, g2))
+        acc = nxt
+
+    probs = {}
+    scale = 2 ** total_half
+    for occ, g in acc.items():
+        norm2 = g[0] * g[0] + g[1] * g[1]
+        if norm2 == 0:
+            continue
+        num = norm2
+        for e in occ:
+            num *= factorial(e)
+        probs[occ] = Fraction(num, scale * denom)
+    return probs
+
+
+def fraction_reference(pols, numbers):
+    """(occupations, probabilities) of the Fraction expansion, sorted by
+    occupation, each probability rounded once from its exact value."""
+    beams = [fock._party_output_vector(party, pol) + (n,)
+             for party, (pol, n) in enumerate(zip(pols, numbers)) if n]
+    probs = expand_beams(beams) if beams else {(0,) * 6: Fraction(1)}
+    occs = sorted(probs)
+    return (np.array(occs, dtype=np.int64).reshape(-1, 6),
+            np.array([float(probs[o]) for o in occs]))
+
+
+def triples_up_to(total):
+    return [(n, m, t - n - m) for t in range(total + 1)
+            for n in range(t + 1) for m in range(t + 1 - n)]
 
 
 def dense_expansion_oracle(pols, numbers):
@@ -63,28 +130,26 @@ class TestUnitary:
     def test_bob_h_splits_into_group_one(self):
         u = analyzer_unitary()
         col = u[:, 2]
-        assert col[0] == pytest.approx(1 / np.sqrt(2))
-        assert col[1] == pytest.approx(1 / np.sqrt(2))
+        assert col[0] == pytest.approx(1 / np.sqrt(2), rel=1e-12, abs=0.0)
+        assert col[1] == pytest.approx(1 / np.sqrt(2), rel=1e-12, abs=0.0)
         assert np.abs(col[2:]).max() == 0
 
     def test_charlie_v_interferes_in_group_three(self):
         u = analyzer_unitary()
         col = u[:, 5]
-        assert col[4] == pytest.approx(1 / np.sqrt(2))
-        assert col[5] == pytest.approx(-1 / np.sqrt(2))
+        assert col[4] == pytest.approx(1 / np.sqrt(2), rel=1e-12, abs=0.0)
+        assert col[5] == pytest.approx(-1 / np.sqrt(2), rel=1e-12, abs=0.0)
         assert np.abs(col[:4]).max() == 0
-
-    def test_csv_dump(self):
-        text = unitary_csv()
-        assert text.count("\n") == 7
-        assert "1H_re" in text.splitlines()[0]
 
 
 class TestPropagation:
+    # six-mode input occupations (Alice H, V, Bob H, V, Charlie H, V) with each
+    # party's photons in one polarization
     @pytest.mark.parametrize("occ", [(1, 0, 1, 0, 0, 1), (2, 0, 1, 0, 0, 3),
-                                     (0, 2, 0, 2, 2, 0), (1, 1, 1, 1, 1, 1)])
+                                     (0, 2, 0, 2, 2, 0), (0, 3, 3, 0, 0, 3)])
     def test_normalization_and_conservation(self, occ):
-        dist = propagate_fock(occ)
+        pols = "".join("V" if occ[2 * i + 1] else "H" for i in range(3))
+        dist = propagate_parties(pols, tuple(occ[2 * i] + occ[2 * i + 1] for i in range(3)))
         assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-10)
         assert (dist.occupations.sum(axis=1) == sum(occ)).all()
 
@@ -104,13 +169,13 @@ class TestPropagation:
         # multiplying one party's photon amplitude by i must not move probabilities
         vec, half = fock._party_output_vector(1, "+")
         rotated = {k: fock._gmul(g, (0, 1)) for k, g in vec.items()}
-        base = fock._expand_beams([(vec, half, 2)])
-        turned = fock._expand_beams([(rotated, half, 2)])
+        base = expand_beams([(vec, half, 2)])
+        turned = expand_beams([(rotated, half, 2)])
         assert base == turned
 
     def test_cutoff_enforced(self):
         with pytest.raises(ValueError, match="cutoff"):
-            propagate_fock((13, 0, 0, 0, 0, 0))
+            propagate_parties("HHH", (13, 0, 0))
 
     def test_circular_pols_differ_from_diagonal(self):
         d1 = propagate_parties("R++", (1, 1, 1))
@@ -119,35 +184,18 @@ class TestPropagation:
             not np.array_equal(d1.occupations, d2.occupations)
 
 
-class TestClickModel:
-    def test_no_light_no_darks(self):
-        assert click_probability(0, 0.5, 0.0) == 0.0
-
-    def test_unit_efficiency(self):
-        assert click_probability(1, 1.0, 0.0) == 1.0
-
-    def test_two_photons_partial(self):
-        assert click_probability(2, 0.4, 1e-7) == pytest.approx(0.640000036, rel=1e-12)
-
-    def test_set_variant(self):
-        det = DetectorModel(0.4, 1e-7)
-        vals = fock.click_probability_set((0, 1, 2, 0, 0, 0), det)
-        assert vals[0] == pytest.approx(1e-7)
-        assert vals[2] == pytest.approx(0.640000036, rel=1e-12)
-
-
 class TestOutcomeYields:
     def test_vacuum_dark_free(self):
-        dist = propagate_fock((0,) * 6)
+        dist = propagate_parties("HHH", (0, 0, 0))
         assert ghz_outcome_yields(dist, 0.5, 0.0) == (0.0, 0.0)
 
     def test_vacuum_darks_only(self):
         p_d = 1e-3
-        dist = propagate_fock((0,) * 6)
+        dist = propagate_parties("HHH", (0, 0, 0))
         expect = 4 * p_d ** 3 * (1 - p_d) ** 3
         yp, ym = ghz_outcome_yields(dist, 0.5, p_d)
-        assert yp == pytest.approx(expect, rel=1e-12)
-        assert ym == pytest.approx(expect, rel=1e-12)
+        assert yp == pytest.approx(expect, rel=1e-12, abs=0.0)
+        assert ym == pytest.approx(expect, rel=1e-12, abs=0.0)
 
     def test_ideal_hhh_single_photons(self):
         # brute-force oracle value: the all-H triple splits evenly over both
@@ -194,14 +242,6 @@ class TestOutcomeYields:
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-13, abs=1e-300)
 
-    @given(st.floats(0.05, 1.0), st.floats(0.0, 0.05))
-    def test_yield_polys_match_direct(self, eta, p_d):
-        dist = propagate_parties("+-V", (1, 2, 1))
-        cp, cm = fock.outcome_yield_polys(dist, p_d)
-        direct = ghz_outcome_yields(dist, eta, p_d)
-        assert fock.eval_yield_poly(cp, eta) == pytest.approx(direct[0], rel=1e-10, abs=1e-18)
-        assert fock.eval_yield_poly(cm, eta) == pytest.approx(direct[1], rel=1e-10, abs=1e-18)
-
 
 class TestSinglePhotonStats:
     def test_ideal_analyzer_is_error_free(self):
@@ -220,14 +260,74 @@ class TestSinglePhotonStats:
     def test_regression_hundred_km_93(self):
         # frozen from the first verified run (eta = 0.93 * 1e-2, paper darks)
         s = exact_single_photon_stats(0.0093, 1e-7, 0.0)
-        assert s.y111_z == pytest.approx(2.0112786995242447e-07, rel=1e-9)
-        assert s.y111_x == pytest.approx(2.0112786995242441e-07, rel=1e-9)
-        assert s.e111_bx == pytest.approx(9.61584269796235e-05, rel=1e-9)
-        assert s.e111_bz == pytest.approx(0.0001284116556049079, rel=1e-9)
+        assert s.y111_z == pytest.approx(2.0112786995242447e-07, rel=1e-9, abs=0.0)
+        assert s.y111_x == pytest.approx(2.0112786995242441e-07, rel=1e-9, abs=0.0)
+        assert s.e111_bx == pytest.approx(9.61584269796235e-05, rel=1e-9, abs=0.0)
+        assert s.e111_bz == pytest.approx(0.0001284116556049079, rel=1e-9, abs=0.0)
 
     def test_z_symmetry_of_outcome_classes(self):
         # product rectilinear inputs feed both announced classes equally
         for pols in ("HHH", "HVH", "VVH"):
             dist = propagate_parties(pols, (1, 1, 1))
             yp, ym = ghz_outcome_yields(dist, 0.37, 1e-4)
-            assert yp == pytest.approx(ym, rel=1e-12)
+            assert yp == pytest.approx(ym, rel=1e-12, abs=0.0)
+
+
+class TestExactBuild:
+    """The integer build equals the exact-rational expansion bit for bit."""
+
+    # every token at every party: the six cyclic shifts of H V + - R L, and the
+    # preparations of the gain classes
+    PREPARATIONS = [TOKENS[k] + TOKENS[(k + 1) % 6] + TOKENS[(k + 2) % 6]
+                    for k in range(6)] + ["HHH", "HHV", "VHH", "HVH"]
+
+    @pytest.mark.parametrize("pols", PREPARATIONS)
+    def test_matches_fraction_reference(self, pols):
+        for numbers in triples_up_to(6):
+            dist = propagate_parties.__wrapped__(pols, numbers)
+            occs, probs = fraction_reference(pols, numbers)
+            assert np.array_equal(dist.occupations, occs), numbers
+            assert np.array_equal(dist.probabilities, probs), numbers
+
+    def test_diagonal_up_to_ten_photons(self):
+        for numbers in triples_up_to(10):
+            dist = propagate_parties.__wrapped__("+++", numbers)
+            occs, probs = fraction_reference("+++", numbers)
+            assert np.array_equal(dist.occupations, occs), numbers
+            assert np.array_equal(dist.probabilities, probs), numbers
+
+
+class TestYieldTable:
+    PREPS = ("HHH", "HHV", "VHH", "HVH", "+++", "R-L")
+    TRIPLES = tuple(triples_up_to(5)) + ((4, 3, 5), (0, 0, 12), (6, 6, 0))
+
+    @pytest.mark.parametrize("eta", [1.0, 0.4, 4e-5])
+    @pytest.mark.parametrize("p_d", [0.0, 1e-7])
+    def test_matches_per_distribution_yields(self, eta, p_d):
+        table = fock.yield_table(self.PREPS, self.TRIPLES)
+        y = table.yields(eta, p_d)
+        assert y.shape == (len(self.PREPS), 2, len(self.TRIPLES))
+        for i, pols in enumerate(self.PREPS):
+            for t, numbers in enumerate(self.TRIPLES):
+                want = ghz_outcome_yields(propagate_parties(pols, numbers), eta, p_d)
+                for k in range(2):
+                    assert y[i, k, t] == pytest.approx(want[k], rel=1e-14, abs=0.0), \
+                        (pols, numbers, k)
+
+    def test_segments_cover_each_distribution(self):
+        table = fock.yield_table(self.PREPS, self.TRIPLES)
+        ends = list(table.starts[1:]) + [len(table.probabilities)]
+        for s, (start, end) in enumerate(zip(table.starts, ends)):
+            pols = self.PREPS[s // len(self.TRIPLES)]
+            numbers = self.TRIPLES[s % len(self.TRIPLES)]
+            dist = propagate_parties(pols, numbers)
+            assert np.array_equal(table.probabilities[start:end], dist.probabilities)
+            occ = dist.occupations
+            for i in range(3):
+                assert np.array_equal(table.groups[i, start:end],
+                                      occ[:, 2 * i] * (fock.N_MAX + 1) + occ[:, 2 * i + 1])
+
+    def test_nothing_writable(self):
+        table = fock.yield_table(("HHH",), ((1, 1, 1),))
+        with pytest.raises(ValueError):
+            table.probabilities[0] = 0.0

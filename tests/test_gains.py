@@ -160,6 +160,13 @@ class TestDiagonalQuadrature:
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-12, abs=0.0)
 
+    def test_certification_refuses_non_finite(self):
+        nan = float("nan")
+        for coarse, fine in (([nan, 0.1], [nan, 0.1]), ([0.2, 0.1], [0.2, nan]),
+                             ([0.2, 0.1], [float("inf"), 0.1])):
+            with pytest.raises(NumericsError, match="non-finite"):
+                gains._certified(coarse, fine, "diagonal-basis gain")
+
     def test_certification_refuses_too_few_nodes(self):
         with pytest.raises(NumericsError, match="diagonal-basis"):
             gains.mermin_outcome_gains((1, 1, 1), 3.0, 3.0, 3.0, 0.9, 0.0, nodes=2)
@@ -282,19 +289,20 @@ class TestAssembly:
 class TestHeraldedGains:
     def test_vacuum_levels_give_dark_gains(self):
         vac = decoy.vacuum_stats()
-        gs = gains.gains_heralded(vac.p_n, vac.p_n, vac.p_n, 0.4, 1e-3, 0.0)
+        gs = gains.gains_from_number_distributions((vac.p_n,) * 3, 0.4, 1e-3, 0.0)
         z = gains.z_gain_components(0, 0, 0, 0.4, 1e-3)
-        assert gs.q_cz == pytest.approx(4 * z.a, rel=1e-12)
-        assert gs.q_ez == pytest.approx(4 * (z.b + z.c + z.d), rel=1e-12)
+        assert gs.q_cz == pytest.approx(4 * z.a, rel=1e-12, abs=0.0)
+        assert gs.q_ez == pytest.approx(4 * (z.b + z.c + z.d), rel=1e-12, abs=0.0)
 
     def test_high_photon_terms_negligible_at_small_mu(self):
         # term-by-term audit: everything above three total photons is < 1%
         trig = DetectorModel(0.4, 1e-7)
         stats = decoy.heralded_stats(1e-3, trig)
         eta, p_d = 0.04, 0.0
-        full = gains.gains_heralded(stats.p_n, stats.p_n, stats.p_n, eta, p_d, 0.0)
+        full = gains.gains_from_number_distributions((stats.p_n,) * 3, eta, p_d, 0.0)
         def high_order_fraction(st):
-            total = gains.gains_heralded(st.p_n, st.p_n, st.p_n, eta, p_d, 0.0).q_x
+            total = gains.gains_from_number_distributions((st.p_n,) * 3, eta, p_d,
+                                                           0.0).q_x
             low_orders = 0.0
             for n, m, l in itertools.product(range(4), repeat=3):
                 if n + m + l > 3:
@@ -322,10 +330,51 @@ class TestHeraldedGains:
                                                    0.0, tail_budget=1e-9)
         z = gains.z_gain_components(mu, mu, mu, eta, p_d)
         x = gains.x_gain_components(mu, mu, mu, eta, p_d)
-        assert gs.q_cz == pytest.approx(4 * z.a, rel=1e-8)
-        assert gs.q_ez == pytest.approx(4 * (z.b + z.c + z.d), rel=1e-7)
-        assert gs.q_cx == pytest.approx(8 * x.e, rel=1e-8)
-        assert gs.q_ex == pytest.approx(8 * x.f, rel=1e-7)
+        assert gs.q_cz == pytest.approx(4 * z.a, rel=1e-8, abs=0.0)
+        assert gs.q_ez == pytest.approx(4 * (z.b + z.c + z.d), rel=1e-7, abs=0.0)
+        assert gs.q_cx == pytest.approx(8 * x.e, rel=1e-8, abs=0.0)
+        assert gs.q_ex == pytest.approx(8 * x.f, rel=1e-7, abs=0.0)
+
+    @pytest.mark.parametrize("eta, p_d", [(0.04, 1e-7), (4e-5, 1e-7), (1.0, 0.0)])
+    def test_matches_per_triple_sum(self, eta, p_d):
+        # reference: the yields of every kept triple from its own distribution
+        trig = DetectorModel(0.4, 1e-7)
+        p_n = decoy.heralded_stats(5e-3, trig).p_n
+        vac = decoy.vacuum_stats().p_n
+        for dists in ((p_n, p_n, p_n), (p_n, vac, p_n)):
+            comps = np.zeros(6)
+            for n, m, l in itertools.product(range(13), repeat=3):
+                w = dists[0][n] * dists[1][m] * dists[2][l]
+                if w == 0.0 or w < 1e-12 / 4096 or n + m + l > fock.N_MAX:
+                    continue
+                ys = [fock.ghz_outcome_yields(fock.propagate_parties(pols, (n, m, l)),
+                                              eta, p_d)
+                      for pols in ("HHH", "HHV", "VHH", "HVH", "+++")]
+                comps += w * np.array([(y[0] + y[1]) / 16.0 for y in ys[:4]]
+                                      + [ys[4][0] / 8.0, ys[4][1] / 8.0])
+            want = gains.assemble_gain_set(gains.ZGainComponents(*comps[:4]),
+                                           gains.XGainComponents(*comps[4:]), 0.0)
+            got = gains.gains_from_number_distributions(dists, eta, p_d, 0.0)
+            for field in ("q_cz", "q_ez", "q_czab", "q_czac", "q_cx", "q_ex"):
+                assert getattr(got, field) == pytest.approx(
+                    getattr(want, field), rel=1e-13, abs=0.0), field
+
+    def test_shared_yields_give_identical_gain_sets(self):
+        trig = DetectorModel(0.4, 1e-7)
+        levels = [decoy.vacuum_stats().p_n, decoy.heralded_stats(5e-4, trig).p_n,
+                  decoy.heralded_stats(5e-3, trig).p_n]
+        yields = gains.fock_yields(levels, 0.004, 1e-7)
+        for combo in itertools.product(range(3), repeat=3):
+            dists = tuple(levels[k] for k in combo)
+            assert yields.gain_set(dists, 0.015) == gains.gains_from_number_distributions(
+                dists, 0.004, 1e-7, 0.015)
+
+    def test_distributions_outside_the_levels_rejected(self):
+        trig = DetectorModel(0.4, 1e-7)
+        vac = decoy.vacuum_stats().p_n
+        p_n = decoy.heralded_stats(5e-3, trig).p_n
+        with pytest.raises(ValueError, match="levels"):
+            gains.fock_yields([vac], 0.04, 1e-7).gain_set((p_n, p_n, p_n), 0.0)
 
     def test_truncation_budget_enforced(self):
         ns = np.arange(13)
@@ -351,11 +400,11 @@ class TestQndGains:
             y = fock.ghz_outcome_yields(
                 fock.propagate_parties("HHH", (n, m, l)), det.eta_d, det.p_d)
             total += w * (y[0] + y[1]) / 4.0  # both outcomes, two same-pol triples / 8
-        assert gs.q_cz == pytest.approx(total, rel=1e-12)
+        assert gs.q_cz == pytest.approx(total, rel=1e-12, abs=0.0)
 
     def test_regression_paper_point_100km(self):
         gs = gains.gains_qnd(0.4, 0.4, 0.4, 10 ** (-0.2 * 100 / 10),
                              DetectorModel(0.4, 1e-7), 0.015)
-        assert gs.q_z == pytest.approx(1.0129269183031263e-09, rel=1e-9)
-        assert gs.q_x == pytest.approx(1.012926918303126e-09, rel=1e-9)
-        assert gs.e_x == pytest.approx(0.015546699970181883, rel=1e-9)
+        assert gs.q_z == pytest.approx(1.0129269183031263e-09, rel=1e-9, abs=0.0)
+        assert gs.q_x == pytest.approx(1.012926918303126e-09, rel=1e-9, abs=0.0)
+        assert gs.e_x == pytest.approx(0.015546699970181883, rel=1e-9, abs=0.0)

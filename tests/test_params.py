@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from mdighz import params
 from mdighz.params import (ChannelModel, ConfigError, DetectorModel, PhasePlan,
                            SweepGrid, binary_entropy, overall_efficiency,
                            parse_config, serialize_config, transmission_efficiency)
@@ -150,6 +151,17 @@ class TestParseConfig:
         cfg2 = parse_config(text.replace("= wcs", "= heralded")
                             + "source.trigger_eta_d = 0.8\n")
         assert cfg2.source.trigger.eta_d == 0.8
+
+    @pytest.mark.parametrize("key", sorted(k for k, kind in params._KNOWN_KEYS.items()
+                                           if kind is float))
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected(self, key, value):
+        text = QCC_CONFIG.format(eta_d=0.4, e_d=0.0, l_min=0, l_max=1, l_step=1)
+        text = text.replace("= wcs", "= heralded")  # accepts the trigger keys
+        lines = [line for line in text.splitlines() if not line.startswith(key + " ")]
+        with pytest.raises(ConfigError, match="finite") as err:
+            parse_config("\n".join(lines + [f"{key} = {value}"]))
+        assert err.value.key == key
 
     def test_roundtrip_identity(self):
         for kind, extra in (("wcs", "phase.K = 8\n"), ("heralded", ""), ("wcs_qnd", "")):
