@@ -2,8 +2,7 @@
 """Regenerate every rate and Mermin curve from the bundled configs.
 
 Writes CSVs (plus JSON manifests) under out/ and prints the cutoff distances.
-Use --quick for a coarse pass (~5 km steps), --workers N to parallelize sweep
-points.
+Use --quick for a coarse pass (~5 km steps).
 """
 
 import argparse
@@ -31,7 +30,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="out")
     parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     root = Path(__file__).resolve().parent.parent
@@ -40,8 +38,7 @@ def main() -> int:
     for command, name in RUNS:
         cfg = root / "configs" / f"{name}.cfg"
         out = outdir / f"{name}.csv"
-        argv = [command, "--config", str(cfg), "--out", str(out),
-                "--workers", str(args.workers)]
+        argv = [command, "--config", str(cfg), "--out", str(out)]
         if args.quick:
             argv.append("--quick")
         start = time.monotonic()

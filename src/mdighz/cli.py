@@ -17,8 +17,9 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-
+from typing import Callable
 
 from . import __version__, decoy, fock, gains, keyrates, mermin, montecarlo
 from .params import (ConfigError, ExperimentConfig, NumericsError, parse_config,
@@ -118,73 +119,74 @@ def _search_box(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _curve_rows(curve: keyrates.KeyRateCurve, extra_cols: list[str]):
-    rows = []
-    for p in curve.points:
-        row = [p.distance_km, p.rate, p.rate_infinite, p.raw_rate]
-        row += [p.columns.get(c) for c in extra_cols]
-        row.append(_diag_cell(p.diagnostics))
-        rows.append(row)
-    return rows
+@dataclass(frozen=True)
+class Curve:
+    """One curve: its CSV command label, the columns between distance_km and
+    diagnostics, and the builder of its rows over a distance grid.
+
+    The run summary reports as cutoff_km the largest distance whose first
+    column exceeds `floor`: a positive key rate, or a Mermin bound above the
+    local-realism value.
+    """
+
+    label: str
+    columns: tuple[str, ...]
+    rows: Callable[[ExperimentConfig, list[float]], list[list]]
+    floor: float = 0.0
 
 
-def cmd_qcc(args) -> int:
-    cfg = _load_config(args.config)
-    distances = cfg.sweep.distances()
-    if args.quick:
-        distances = distances[:: max(1, int(5 / max(cfg.sweep.l_step, 1e-9)))]
-    curve = keyrates.sweep("qcc", cfg, distances, workers=args.workers)
-    header = ["distance_km", "rate_two_decoy", "rate_infinite_decoy", "raw_rate",
-              "e111_bxu", "Y111_zl", "diagnostics"]
-    _write_csv(Path(args.out), "qcc", cfg, args.seed, header,
-               _curve_rows(curve, ["e111_bxu", "Y111_zl"]))
-    cut = curve.cutoff_km
-    print(f"qcc: {len(curve.points)} points, cutoff_km={_fmt(cut)} -> {args.out}")
-    return EXIT_OK
+def _rate_curve(variant: str, label: str, *extra: str) -> Curve:
+    def rows(cfg, distances):
+        return [[p.distance_km, p.rate, p.rate_infinite, p.raw_rate]
+                + [p.columns.get(c) for c in extra] + [_diag_cell(p.diagnostics)]
+                for p in keyrates.sweep(variant, cfg, distances).points]
+    return Curve(label, ("rate_two_decoy", "rate_infinite_decoy", "raw_rate") + extra,
+                 rows)
 
 
-def cmd_qss(args) -> int:
-    cfg = _load_config(args.config)
-    method = cfg.method
-    if args.method is not None and args.method != method:
-        raise ConfigError(f"--method {args.method} conflicts with source.kind "
-                          f"{cfg.source.kind!r} (implies {method})", key="source.kind")
-    variant = f"qss_{method}"
-    distances = cfg.sweep.distances()
-    if args.quick:
-        distances = distances[:: max(1, int(5 / max(cfg.sweep.l_step, 1e-9)))]
-    curve = keyrates.sweep(variant, cfg, distances, workers=args.workers)
-    if method == "pps":
-        extra = ["e111_bzu", "Y111_xl", "Q_x_sliced", "E_x_sliced"]
-    else:
-        extra = ["e111_bzu", "Y111_xl", "Q_x", "E_x"]
-    header = (["distance_km", "rate_two_decoy", "rate_infinite_decoy", "raw_rate"]
-              + extra + ["diagnostics"])
-    _write_csv(Path(args.out), f"qss-{method}", cfg, args.seed, header,
-               _curve_rows(curve, extra))
-    print(f"qss ({method}): {len(curve.points)} points, "
-          f"cutoff_km={_fmt(curve.cutoff_km)} -> {args.out}")
-    return EXIT_OK
-
-
-def cmd_mermin(args) -> int:
-    cfg = _load_config(args.config)
+def _mermin_rows(cfg: ExperimentConfig, distances: list[float]) -> list[list]:
     if cfg.source.kind != "wcs":
         raise ConfigError("the Mermin estimate uses weak coherent sources",
                           key="source.kind")
+    return [[length, est.m_lower, mermin.LOCAL_REALISM_BOUND,
+             est.bounds.y_ppp_lower, est.bounds.y_ppp_upper,
+             est.bounds.y_mmm_upper, _diag_cell(est.diagnostics)]
+            for length, est in mermin.mermin_curve(cfg, distances)]
+
+
+_QSS_COLUMNS = ("e111_bzu", "Y111_xl", "Q_x", "E_x")
+
+CURVES = {
+    "qcc": _rate_curve("qcc", "qcc", "e111_bxu", "Y111_zl"),
+    "qss_pps": _rate_curve("qss_pps", "qss-pps",
+                           "e111_bzu", "Y111_xl", "Q_x_sliced", "E_x_sliced"),
+    "qss_heralded": _rate_curve("qss_heralded", "qss-heralded", *_QSS_COLUMNS),
+    "qss_qnd": _rate_curve("qss_qnd", "qss-qnd", *_QSS_COLUMNS),
+    "mermin": Curve("mermin", ("mermin_lower", "local_realism_bound", "y_ppp_lower",
+                               "y_ppp_upper", "y_mmm_upper"),
+                    _mermin_rows, floor=mermin.LOCAL_REALISM_BOUND),
+}
+
+
+def cmd_curve(args) -> int:
+    """`qcc`, `qss` and `mermin`: one curve of CURVES over the sweep grid."""
+    cfg = _load_config(args.config)
+    name = args.command
+    if name == "qss":
+        if args.method is not None and args.method != cfg.method:
+            raise ConfigError(f"--method {args.method} conflicts with source.kind "
+                              f"{cfg.source.kind!r} (implies {cfg.method})",
+                              key="source.kind")
+        name = f"qss_{cfg.method}"
+    curve = CURVES[name]
     distances = cfg.sweep.distances()
     if args.quick:
         distances = distances[:: max(1, int(5 / max(cfg.sweep.l_step, 1e-9)))]
-    points = mermin.mermin_curve(cfg, distances)
-    header = ["distance_km", "mermin_lower", "local_realism_bound",
-              "y_ppp_lower", "y_ppp_upper", "y_mmm_upper", "diagnostics"]
-    rows = []
-    for length, est in points:
-        rows.append([length, est.m_lower, mermin.LOCAL_REALISM_BOUND,
-                     est.bounds.y_ppp_lower, est.bounds.y_ppp_upper,
-                     est.bounds.y_mmm_upper, _diag_cell(est.diagnostics)])
-    _write_csv(Path(args.out), "mermin", cfg, args.seed, header, rows)
-    print(f"mermin: {len(rows)} points -> {args.out}")
+    rows = curve.rows(cfg, distances)
+    _write_csv(Path(args.out), curve.label, cfg, args.seed,
+               ["distance_km", *curve.columns, "diagnostics"], rows)
+    cut = max((row[0] for row in rows if row[1] > curve.floor), default=None)
+    print(f"{curve.label}: {len(rows)} points, cutoff_km={_fmt(cut)} -> {args.out}")
     return EXIT_OK
 
 
@@ -361,22 +363,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quick", action="store_true",
                        help="coarser grid / fewer samples")
         p.add_argument("--seed", type=_seed, default=1, help="RNG seed (u64)")
-        p.add_argument("--workers", type=_positive_int, default=1,
-                       help="thread workers for sweep points")
 
     p = sub.add_parser("qcc", help="conferencing key-rate curve")
     common(p)
-    p.set_defaults(fn=cmd_qcc)
+    p.set_defaults(fn=cmd_curve)
 
     p = sub.add_parser("qss", help="secret-sharing key-rate curve")
     common(p)
     p.add_argument("--method", choices=("pps", "heralded", "qnd"), default=None,
                    help="must match the config's source.kind")
-    p.set_defaults(fn=cmd_qss)
+    p.set_defaults(fn=cmd_curve)
 
     p = sub.add_parser("mermin", help="Mermin-value lower-bound curve")
     common(p)
-    p.set_defaults(fn=cmd_mermin)
+    p.set_defaults(fn=cmd_curve)
 
     p = sub.add_parser("validate", help="Monte Carlo + symmetry + bracket suite")
     common(p, needs_out=False)

@@ -110,7 +110,6 @@ def analyzer_unitary() -> np.ndarray:
 class FockOutcomeDistribution:
     """Output Fock configurations of the analyzer for one input preparation."""
 
-    input_label: str
     occupations: np.ndarray  # (n_cfg, 6) int
     probabilities: np.ndarray  # (n_cfg,) float
 
@@ -210,7 +209,7 @@ def propagate_parties(pols: str, numbers: tuple[int, int, int],
     _check_input(pols, numbers, cutoff)
     keys, probs = _exact_distribution(pols, numbers)
     occupations = keys[:, None] // np.array(_PLACES) % _BASE
-    return FockOutcomeDistribution(f"{pols}{tuple(numbers)}", occupations, probs)
+    return FockOutcomeDistribution(occupations, probs)
 
 
 def _click_silent(occ, eta: float, p_d: float):

@@ -18,7 +18,6 @@ as NaN.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import exp, expm1, sqrt
@@ -43,7 +42,6 @@ __all__ = [
     "wcs_gain_set",
     "FockYields",
     "fock_yields",
-    "gains_from_number_distributions",
     "gains_qnd",
 ]
 
@@ -53,8 +51,6 @@ QUAD_NODES = 16
 QUAD_RTOL = 1e-8
 
 A_CONSISTENCY_RTOL = 1e-12
-
-_FAULT_ENV = "MDIGHZ_FAULT_INJECT"  # test hook: "zgain-sign" flips a gain sign
 
 
 @dataclass(frozen=True)
@@ -126,7 +122,6 @@ class GainSet:
     e_x: float | None
     # misalignment used for the error compositions (kept for the EQ products)
     e_d: float = 0.0
-    sliced: SlicedGains | None = None
 
     @property
     def eq_z(self) -> float:
@@ -254,8 +249,6 @@ def z_gain_components(mu: float, nu: float, omega: float, eta: float,
     b = _mixed(ib, ia, ic)  # Bob solo, Alice-Charlie interfere
     c = _mixed(ic, ia, ib)  # Charlie solo, Alice-Bob interfere
     d = _mixed(ia, ib, ic)  # Alice solo, Bob-Charlie interfere
-    if os.environ.get(_FAULT_ENV) == "zgain-sign":
-        b = -b  # validation-suite fault-injection hook
     return ZGainComponents(a=a_closed, b=b, c=c, d=d)
 
 
@@ -399,8 +392,7 @@ def phase_sliced_gains(mu: float, nu: float, omega: float, eta: float,
 # Gain-set assembly (shared by every source model)
 # ---------------------------------------------------------------------------
 
-def assemble_gain_set(z: ZGainComponents, x: XGainComponents, e_d: float,
-                      sliced: SlicedGains | None = None) -> GainSet:
+def assemble_gain_set(z: ZGainComponents, x: XGainComponents, e_d: float) -> GainSet:
     """Combine class gains into totals, pairwise splits, and error rates.
 
     Correct/false bookkeeping per class: the same-polarization class is the
@@ -433,22 +425,16 @@ def assemble_gain_set(z: ZGainComponents, x: XGainComponents, e_d: float,
         e_zac=rate(q_czac, q_ezac, q_z),
         e_x=rate(q_cx, q_ex, q_x),
         e_d=e_d,
-        sliced=sliced,
     )
 
 
-def wcs_gain_set(mu: float, nu: float, omega: float, params: SystemParams,
-                 phase_k: int | None = None) -> GainSet:
-    """Full weak-coherent GainSet at the params' distance; optionally also the
-    phase-sliced diagonal gains for K regions."""
+def wcs_gain_set(mu: float, nu: float, omega: float, params: SystemParams) -> GainSet:
+    """Full weak-coherent GainSet at the params' distance."""
     eta = overall_efficiency(params.channel, params.detector)
     p_d = params.detector.p_d
     z = z_gain_components(mu, nu, omega, eta, p_d)
     x = x_gain_components(mu, nu, omega, eta, p_d)
-    sliced = None
-    if phase_k is not None:
-        sliced = phase_sliced_gains(mu, nu, omega, eta, p_d, phase_k)
-    return assemble_gain_set(z, x, params.e_d, sliced)
+    return assemble_gain_set(z, x, params.e_d)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +478,20 @@ def _triple_weights(dists, floor):
     return w, (w >= floor) & (w > 0.0) & (n + m + l <= fock.N_MAX)
 
 
+def _budgeted_weights(dists, tail_budget):
+    """`_triple_weights` at the floor tail_budget / 4096, refusing the
+    truncation when the neglected probability mass (bounded by yields <= 1)
+    exceeds the budget."""
+    w, keep = _triple_weights(dists, tail_budget / 4096.0)
+    tail = 1.0 - sum(w[keep].tolist())
+    if tail > tail_budget:
+        raise NumericsError(
+            f"photon-number truncation tail {tail:.3e} exceeds budget "
+            f"{tail_budget:.1e}; raise the cutoff or lower the source intensity"
+        )
+    return w, keep
+
+
 @dataclass(frozen=True)
 class FockYields:
     """Class components of every photon-number triple that users drawing
@@ -512,13 +512,7 @@ class FockYields:
         tail_budget / 4096; the neglected probability mass (bounded by yields
         <= 1) must stay inside the budget or the truncation is refused.
         """
-        w, keep = _triple_weights(dists, self.tail_budget / 4096.0)
-        tail = 1.0 - sum(w[keep].tolist())
-        if tail > self.tail_budget:
-            raise NumericsError(
-                f"photon-number truncation tail {tail:.3e} exceeds budget "
-                f"{self.tail_budget:.1e}; raise the cutoff or lower the source intensity"
-            )
+        w, keep = _budgeted_weights(dists, self.tail_budget)
         cols = self.columns[:w.shape[0], :w.shape[1], :w.shape[2]][keep]
         if np.any(cols < 0):
             raise ValueError("distributions need photon-number triples outside the "
@@ -530,10 +524,15 @@ def fock_yields(levels, eta: float, p_d: float,
                 tail_budget: float = 1e-12) -> FockYields:
     """FockYields for users whose photon-number distributions are among
     `levels`.  A triple kept for any combination of levels is kept for their
-    elementwise maximum, so that maximum selects the triples evaluated."""
+    elementwise maximum, so that maximum selects the triples evaluated.
+
+    A level whose all-users combination breaks the truncation budget is
+    refused before any yield is built.
+    """
     size = fock.N_MAX + 1
     top = np.zeros(size)
     for level in levels:
+        _budgeted_weights((level, level, level), tail_budget)
         level = np.asarray(level, dtype=float)[:size]
         top[:len(level)] = np.maximum(top[:len(level)], level)
     _, keep = _triple_weights((top, top, top), tail_budget / 4096.0)
@@ -541,14 +540,6 @@ def fock_yields(levels, eta: float, p_d: float,
     columns = np.full(keep.shape, -1)
     columns[keep] = np.arange(len(triples))
     return FockYields(columns, _class_components(triples, eta, p_d), tail_budget)
-
-
-def gains_from_number_distributions(dists: tuple[np.ndarray, np.ndarray, np.ndarray],
-                                    eta: float, p_d: float, e_d: float,
-                                    tail_budget: float = 1e-12) -> GainSet:
-    """GainSet for independent per-user photon-number distributions (see
-    FockYields.gain_set)."""
-    return fock_yields(dists, eta, p_d, tail_budget).gain_set(dists, e_d)
 
 
 def gains_qnd(mu: float, nu: float, omega: float, eta_t: float,

@@ -10,8 +10,7 @@ other, so only bit-error bounds appear below.
 
 from __future__ import annotations
 
-import concurrent.futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import exp
 
 import numpy as np
@@ -253,23 +252,12 @@ def rate_point(variant: str, cfg: ExperimentConfig, length_km: float) -> RatePoi
     return _wcs_point(cfg, length_km, variant)
 
 
-def sweep(variant: str, cfg: ExperimentConfig, distances=None,
-          workers: int = 1) -> KeyRateCurve:
-    """Evaluate the full pipeline over the distance grid.
-
-    Points are independent; with workers > 1 they are evaluated in a thread
-    pool and merged back in grid order, so the result does not depend on the
-    worker count.
-    """
+def sweep(variant: str, cfg: ExperimentConfig, distances=None) -> KeyRateCurve:
+    """Evaluate the full pipeline at each distance of the grid, in grid order."""
     _check_variant(variant, cfg)
     if distances is None:
         distances = cfg.sweep.distances()
-    distances = list(distances)
-    if workers > 1 and len(distances) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(lambda d: rate_point(variant, cfg, d), distances))
-    else:
-        points = [rate_point(variant, cfg, d) for d in distances]
+    points = [rate_point(variant, cfg, d) for d in distances]
     return KeyRateCurve(variant=variant, points=tuple(points))
 
 
@@ -292,13 +280,8 @@ def optimize_intensities(variant: str, cfg: ExperimentConfig, length_km: float,
     def rate_at(mu: float) -> float:
         if mu <= cfg.decoy.mu1:
             return 0.0
-        trial = ExperimentConfig(
-            system=cfg.system,
-            source=type(cfg.source)(kind=cfg.source.kind, mu=mu, nu=mu, omega=mu,
-                                    trigger=cfg.source.trigger),
-            decoy=DecoyPlan(mu2=mu, mu1=cfg.decoy.mu1),
-            sweep=cfg.sweep, phase=cfg.phase,
-        )
+        trial = replace(cfg, source=replace(cfg.source, mu=mu),
+                        decoy=DecoyPlan(mu2=mu, mu1=cfg.decoy.mu1))
         return rate_point(variant, trial, length_km).rate
 
     best_mu, best_rate = lo, rate_at(lo)

@@ -26,7 +26,6 @@ class MerminEstimate:
     """Lower bound on the Mermin value with its yield-bound components."""
 
     m_lower: float
-    xxx_lower: float
     bounds: decoy.MerminYieldBounds
     diagnostics: tuple[str, ...] = ()
 
@@ -57,9 +56,9 @@ def mermin_lower_bound(params: SystemParams, plan: DecoyPlan) -> MerminEstimate:
     den = yb.y_ppp_upper + yb.y_mmm_upper
     if den <= 0.0:
         diags.append("no-signal: vanishing single-photon yield bounds")
-        return MerminEstimate(0.0, 0.0, yb, tuple(diags))
+        return MerminEstimate(0.0, yb, tuple(diags))
     xxx = (1.0 - 2.0 * params.e_d) * (yb.y_ppp_lower - yb.y_mmm_upper) / den
-    return MerminEstimate(QUANTUM_MAXIMUM * xxx, xxx, yb, tuple(diags))
+    return MerminEstimate(QUANTUM_MAXIMUM * xxx, yb, tuple(diags))
 
 
 def mermin_curve(cfg: ExperimentConfig, distances=None) -> list[tuple[float, MerminEstimate]]:

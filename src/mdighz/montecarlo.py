@@ -12,7 +12,6 @@ and sample count only, never on how chunks are batched onto workers.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -38,13 +37,10 @@ _POL_VECTORS = {
 class McConfig:
     samples: int
     seed: int = 1
-    shards: int = 1
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -143,7 +139,6 @@ class ClosedFormReport:
     max_total_photons: int
     cases: int
     max_deviation: float
-    runtime_s: float
 
 
 def _closed_form_hhv(n: int, m: int, l: int) -> dict:
@@ -170,7 +165,6 @@ def fock_closed_form_check(max_total_photons: int) -> ClosedFormReport:
     probabilities of the H,H,V class for every (n, m, l) up to the total."""
     if max_total_photons > fock.N_MAX:
         raise ValueError(f"total photon number exceeds cutoff {fock.N_MAX}")
-    start = time.monotonic()
     worst = 0.0
     cases = 0
     for n in range(max_total_photons + 1):
@@ -184,5 +178,4 @@ def fock_closed_form_check(max_total_photons: int) -> ClosedFormReport:
                 for key in set(reference) | set(general):
                     dev = abs(general.get(key, 0.0) - float(reference.get(key, 0)))
                     worst = max(worst, dev)
-    return ClosedFormReport(max_total_photons, cases, worst,
-                            time.monotonic() - start)
+    return ClosedFormReport(max_total_photons, cases, worst)

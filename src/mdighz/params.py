@@ -59,17 +59,12 @@ class ChannelModel:
 
     beta: float  # fiber loss coefficient, dB/km
     length_km: float
-    symmetric: bool = True
 
     def __post_init__(self):
         if self.beta < 0:
             raise ConfigError("channel loss coefficient must be >= 0", key="channel.beta")
         if not 0 <= self.length_km < math.inf:
             raise ConfigError("distance must be a finite number >= 0", key="channel.L")
-        if not self.symmetric:
-            raise ConfigError(
-                "asymmetric user-node distances are not supported", key="channel.symmetric"
-            )
 
 
 @dataclass(frozen=True)
@@ -110,17 +105,15 @@ SOURCE_KINDS = ("wcs", "heralded", "wcs_qnd")
 class SourceSpec:
     """Light source for all three users.
 
-    kind "wcs": phase-randomized weak coherent pulses of intensity mu/nu/omega.
+    kind "wcs": phase-randomized weak coherent pulses of intensity mu.
     kind "heralded": triggered down-conversion pair source with mean pair
-    number mu/nu/omega and a trigger detector.
+    number mu and a trigger detector.
     kind "wcs_qnd": weak coherent pulses filtered by a nondestructive
     photon-number check (<= 1 photon per arm) at the middle node.
     """
 
     kind: str
     mu: float
-    nu: float
-    omega: float
     trigger: DetectorModel | None = None
 
     def __post_init__(self):
@@ -129,15 +122,10 @@ class SourceSpec:
                 f"unknown source kind {self.kind!r}; expected one of {SOURCE_KINDS}",
                 key="source.kind",
             )
-        for name, value in (("mu", self.mu), ("nu", self.nu), ("omega", self.omega)):
-            if value < 0:
-                raise ConfigError("intensities must be >= 0", key=f"source.{name}")
+        if self.mu < 0:
+            raise ConfigError("intensity must be >= 0", key="source.mu")
         if self.kind == "heralded" and self.trigger is None:
             raise ConfigError("heralded source needs a trigger detector", key="source.kind")
-
-    @property
-    def intensities(self) -> tuple[float, float, float]:
-        return (self.mu, self.nu, self.omega)
 
 
 @dataclass(frozen=True)
@@ -241,21 +229,16 @@ def binary_entropy(x: float) -> float:
 # Config document:  lines of "section.key = value", "#" comments.
 # ---------------------------------------------------------------------------
 
-_BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False}
-
 # key -> (type tag, required-ness handled separately)
 _KNOWN_KEYS = {
     "channel.beta": float,
     "channel.L": float,
-    "channel.symmetric": bool,
     "detector.eta_d": float,
     "detector.p_d": float,
     "system.e_d": float,
     "system.f": float,
     "source.kind": str,
     "source.mu": float,
-    "source.nu": float,
-    "source.omega": float,
     "source.trigger_eta_d": float,
     "source.trigger_p_d": float,
     "decoy.mu2": float,
@@ -282,11 +265,6 @@ def _parse_value(key: str, raw: str, line_no: int):
     kind = _KNOWN_KEYS[key]
     raw = raw.strip()
     try:
-        if kind is bool:
-            word = raw.lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError
-            return _BOOL_WORDS[word]
         if kind is int:
             return int(raw)
         if kind is not float:
@@ -341,9 +319,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise
 
     channel = wrap(lambda: ChannelModel(
-        beta=get("channel.beta"),
-        length_km=get("channel.L", 0.0),
-        symmetric=get("channel.symmetric", True),
+        beta=get("channel.beta"), length_km=get("channel.L", 0.0)
     ))
     detector = wrap(lambda: DetectorModel(
         eta_d=get("detector.eta_d"), p_d=get("detector.p_d")
@@ -364,11 +340,7 @@ def parse_config(text: str) -> ExperimentConfig:
     elif "source.trigger_eta_d" in values or "source.trigger_p_d" in values:
         raise ConfigError("trigger keys only apply to heralded sources",
                           key="source.trigger_eta_d")
-    mu = get("source.mu")
-    source = wrap(lambda: SourceSpec(
-        kind=kind, mu=mu, nu=get("source.nu", mu), omega=get("source.omega", mu),
-        trigger=trigger,
-    ))
+    source = wrap(lambda: SourceSpec(kind=kind, mu=get("source.mu"), trigger=trigger))
 
     decoy = wrap(lambda: DecoyPlan(
         mu2=get("decoy.mu2", source.mu), mu1=get("decoy.mu1")
@@ -397,15 +369,12 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     out = [
         f"channel.beta = {sysp.channel.beta!r}",
         f"channel.L = {sysp.channel.length_km!r}",
-        f"channel.symmetric = {'true' if sysp.channel.symmetric else 'false'}",
         f"detector.eta_d = {sysp.detector.eta_d!r}",
         f"detector.p_d = {sysp.detector.p_d!r}",
         f"system.e_d = {sysp.e_d!r}",
         f"system.f = {sysp.f!r}",
         f"source.kind = {src.kind}",
         f"source.mu = {src.mu!r}",
-        f"source.nu = {src.nu!r}",
-        f"source.omega = {src.omega!r}",
     ]
     if src.trigger is not None:
         out.append(f"source.trigger_eta_d = {src.trigger.eta_d!r}")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -58,10 +59,10 @@ class TestQccCommand:
     def test_byte_identical_reruns_and_workers(self, tmp_path):
         cfg = small_qcc(tmp_path)
         outs = []
-        for tag, workers in (("a", "1"), ("b", "1"), ("c", "4")):
+        for tag in ("a", "b", "c"):
             out = tmp_path / f"{tag}.csv"
             assert cli.main(["qcc", "--config", str(cfg), "--out", str(out),
-                             "--seed", "7", "--workers", workers]) == 0
+                             "--seed", "7"]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
@@ -71,13 +72,13 @@ class TestQccCommand:
         her = tmp_path / "her.cfg"
         her.write_text(text)
         outs = []
-        for tag, workers in (("h1", "1"), ("h2", "2")):
-            # cold caches, so that two workers build the yield table at once
+        for tag in ("h1", "h2"):
+            # cold caches, so that each run builds the yield table afresh
             fock.yield_table.cache_clear()
             gains._class_components.cache_clear()
             out = tmp_path / f"{tag}.csv"
             assert cli.main(["qss", "--config", str(her), "--out", str(out),
-                             "--seed", "7", "--workers", workers]) == 0
+                             "--seed", "7"]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
@@ -168,7 +169,13 @@ class TestValidateCommand:
         assert elapsed < 10.0
 
     def test_fault_injection_fails_validation(self, monkeypatch, capsys):
-        monkeypatch.setenv("MDIGHZ_FAULT_INJECT", "zgain-sign")
+        exact = gains.z_gain_components
+
+        def flipped(*args):
+            z = exact(*args)
+            return dataclasses.replace(z, b=-z.b)
+
+        monkeypatch.setattr(gains, "z_gain_components", flipped)
         code = cli.main(["validate", "--config", str(CONFIG_DIR / "validate.cfg"),
                          "--quick", "--seed", "12"])
         assert code != 0
@@ -194,6 +201,7 @@ class TestExitCodeContract:
     """Malformed flags, configs and paths end in a documented exit code
     (0/2/3/4) with a message, never an uncaught exception."""
 
+    # the --workers cases stay: argparse refuses the removed flag
     CASES = [
         ("qcc", ["--workers", "0"]),
         ("qcc", ["--workers", "-3"]),
@@ -230,6 +238,8 @@ class TestExitCodeContract:
         ("qcc", ["--config", "NAN_MU"]),
         ("qcc", ["--config", "NAN_F"]),
         ("qcc", ["--config", "INF_DARK"]),
+        ("qcc", ["--config", "NU"]),
+        ("qcc", ["--config", "OMEGA"]),
     ]
 
     @pytest.mark.parametrize("command, extra", CASES)
@@ -244,6 +254,10 @@ class TestExitCodeContract:
             key = line.split(" = ")[0]
             (tmp_path / f"{name}.cfg").write_text(
                 small_qcc(tmp_path).read_text().replace(line, f"{key} = {value}"))
+        # per-user intensities are not modeled: the keys are unknown
+        for name, line in (("nu", "source.nu = 0.05"), ("omega", "source.omega = 0.9")):
+            (tmp_path / f"{name}.cfg").write_text(small_qcc(tmp_path).read_text()
+                                                  + line + "\n")
         paths = {"HERALDED": str(CONFIG_DIR / "qss_heralded_eta40.cfg"),
                  "MISSING": str(tmp_path / "nope.cfg"),
                  "DIR": str(tmp_path / "dir"),
@@ -251,7 +265,9 @@ class TestExitCodeContract:
                  "NAN_DISTANCE": str(tmp_path / "nan.cfg"),
                  "NAN_MU": str(tmp_path / "nan_mu.cfg"),
                  "NAN_F": str(tmp_path / "nan_f.cfg"),
-                 "INF_DARK": str(tmp_path / "inf_dark.cfg")}
+                 "INF_DARK": str(tmp_path / "inf_dark.cfg"),
+                 "NU": str(tmp_path / "nu.cfg"),
+                 "OMEGA": str(tmp_path / "omega.cfg")}
         argv = {"--config": str(small_qcc(tmp_path)),
                 "--out": str(tmp_path / "out.csv")}
         if command == "optimize":

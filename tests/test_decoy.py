@@ -220,10 +220,12 @@ class TestHeraldedBounds:
         for length in (0.0, 50.0):
             params = SystemParams(ChannelModel(0.2, length), det, 0.015, 1.16)
             eta = det.eta_d * 10 ** (-0.2 * length / 10)
-            grid = build_gain_grid(
-                lambda a, b, c: gains.gains_from_number_distributions(
-                    (stats[a].p_n, stats[b].p_n, stats[c].p_n), eta, det.p_d,
-                    params.e_d), plan)
+
+            def gain_set(a, b, c):
+                dists = (stats[a].p_n, stats[b].p_n, stats[c].p_n)
+                return gains.fock_yields(dists, eta, det.p_d).gain_set(dists, params.e_d)
+
+            grid = build_gain_grid(gain_set, plan)
             bounds = single_photon_bounds(grid, distribution_level(stats[plan.mu2].p_n),
                                           distribution_level(stats[plan.mu1].p_n))
             exact = fock.exact_single_photon_stats_for(params)

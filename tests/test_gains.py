@@ -117,11 +117,6 @@ class TestRectilinearClosedForms:
                     for pols in ("HHH", "VVV") for outcome in ("plus", "minus")]
             assert max(vals) - min(vals) <= 1e-10 * max(vals)
 
-    def test_fault_injection_hook(self, monkeypatch):
-        monkeypatch.setenv("MDIGHZ_FAULT_INJECT", "zgain-sign")
-        z = gains.z_gain_components(0.4, 0.4, 0.4, 0.04, 1e-7)
-        assert z.b < 0.0
-
 
 class TestDiagonalQuadrature:
     def test_no_light_dark_free(self):
@@ -289,7 +284,8 @@ class TestAssembly:
 class TestHeraldedGains:
     def test_vacuum_levels_give_dark_gains(self):
         vac = decoy.vacuum_stats()
-        gs = gains.gains_from_number_distributions((vac.p_n,) * 3, 0.4, 1e-3, 0.0)
+        dists = (vac.p_n,) * 3
+        gs = gains.fock_yields(dists, 0.4, 1e-3).gain_set(dists, 0.0)
         z = gains.z_gain_components(0, 0, 0, 0.4, 1e-3)
         assert gs.q_cz == pytest.approx(4 * z.a, rel=1e-12, abs=0.0)
         assert gs.q_ez == pytest.approx(4 * (z.b + z.c + z.d), rel=1e-12, abs=0.0)
@@ -299,10 +295,11 @@ class TestHeraldedGains:
         trig = DetectorModel(0.4, 1e-7)
         stats = decoy.heralded_stats(1e-3, trig)
         eta, p_d = 0.04, 0.0
-        full = gains.gains_from_number_distributions((stats.p_n,) * 3, eta, p_d, 0.0)
+        dists = (stats.p_n,) * 3
+        full = gains.fock_yields(dists, eta, p_d).gain_set(dists, 0.0)
         def high_order_fraction(st):
-            total = gains.gains_from_number_distributions((st.p_n,) * 3, eta, p_d,
-                                                           0.0).q_x
+            dists = (st.p_n,) * 3
+            total = gains.fock_yields(dists, eta, p_d).gain_set(dists, 0.0).q_x
             low_orders = 0.0
             for n, m, l in itertools.product(range(4), repeat=3):
                 if n + m + l > 3:
@@ -326,8 +323,8 @@ class TestHeraldedGains:
         mu, eta, p_d = 0.15, 0.3, 1e-4
         ns = np.arange(13)
         pois = np.exp(-mu) * mu ** ns / np.vectorize(math.factorial)(ns)
-        gs = gains.gains_from_number_distributions((pois, pois, pois), eta, p_d,
-                                                   0.0, tail_budget=1e-9)
+        dists = (pois, pois, pois)
+        gs = gains.fock_yields(dists, eta, p_d, tail_budget=1e-9).gain_set(dists, 0.0)
         z = gains.z_gain_components(mu, mu, mu, eta, p_d)
         x = gains.x_gain_components(mu, mu, mu, eta, p_d)
         assert gs.q_cz == pytest.approx(4 * z.a, rel=1e-8, abs=0.0)
@@ -354,7 +351,7 @@ class TestHeraldedGains:
                                       + [ys[4][0] / 8.0, ys[4][1] / 8.0])
             want = gains.assemble_gain_set(gains.ZGainComponents(*comps[:4]),
                                            gains.XGainComponents(*comps[4:]), 0.0)
-            got = gains.gains_from_number_distributions(dists, eta, p_d, 0.0)
+            got = gains.fock_yields(dists, eta, p_d).gain_set(dists, 0.0)
             for field in ("q_cz", "q_ez", "q_czab", "q_czac", "q_cx", "q_ex"):
                 assert getattr(got, field) == pytest.approx(
                     getattr(want, field), rel=1e-13, abs=0.0), field
@@ -366,8 +363,8 @@ class TestHeraldedGains:
         yields = gains.fock_yields(levels, 0.004, 1e-7)
         for combo in itertools.product(range(3), repeat=3):
             dists = tuple(levels[k] for k in combo)
-            assert yields.gain_set(dists, 0.015) == gains.gains_from_number_distributions(
-                dists, 0.004, 1e-7, 0.015)
+            assert yields.gain_set(dists, 0.015) == gains.fock_yields(
+                dists, 0.004, 1e-7).gain_set(dists, 0.015)
 
     def test_distributions_outside_the_levels_rejected(self):
         trig = DetectorModel(0.4, 1e-7)
@@ -376,12 +373,19 @@ class TestHeraldedGains:
         with pytest.raises(ValueError, match="levels"):
             gains.fock_yields([vac], 0.04, 1e-7).gain_set((p_n, p_n, p_n), 0.0)
 
-    def test_truncation_budget_enforced(self):
+    def test_truncation_budget_enforced(self, monkeypatch):
         ns = np.arange(13)
         mu = 3.0  # far too bright for the cutoff
         pois = np.exp(-mu) * mu ** ns / np.vectorize(math.factorial)(ns)
+
+        def no_table(*args):
+            pytest.fail("the yield table was built for a refused source")
+
+        # the budget is checked before any yield is built
+        monkeypatch.setattr(fock, "yield_table", no_table)
+        dists = (pois, pois, pois)
         with pytest.raises(NumericsError, match="truncation"):
-            gains.gains_from_number_distributions((pois, pois, pois), 0.5, 0.0, 0.0)
+            gains.fock_yields(dists, 0.5, 0.0).gain_set(dists, 0.0)
 
 
 class TestQndGains:

@@ -2,8 +2,10 @@
 committed curve under tests/golden/.
 
 Numeric cells agree to 1e-10 relative, `nan` cells (undefined bounds) stay
-`nan`, and the diagnostics column is identical, empty cells included.  The
-`#` header lines (version, manifest digest) are not compared.  Regenerate the
+`nan`, and the diagnostics column is identical, empty cells included.  Of the
+`#` header lines only the first (`# mdighz <version> <command label>`) is
+compared, so that no curve is written under another's label; the manifest
+digest and the rest are not.  Regenerate the
 goldens only from a commit whose curves are known to be right:
 
     PYTHONPATH=src python -m mdighz.cli qcc --config configs/qcc_eta40.cfg \
@@ -40,6 +42,8 @@ def test_quick_curve_matches_golden(name, tmp_path):
     code = cli.main([command, "--config", str(ROOT / "configs" / f"{name}.cfg"),
                      "--out", str(out), "--quick"])
     assert code == 0
+    first_line = (GOLDEN_DIR / f"{name}.csv").read_text().splitlines()[0]
+    assert out.read_text().splitlines()[0] == first_line
     want, got = table(GOLDEN_DIR / f"{name}.csv"), table(out)
     assert got[0] == want[0]  # header
     assert got[0][-1] == "diagnostics"

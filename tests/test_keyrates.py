@@ -142,12 +142,6 @@ class TestSweeps:
             r93 = keyrates.rate_point("qcc", c93, length).rate
             assert r93 >= r40
 
-    def test_worker_count_does_not_change_results(self):
-        cfg = qcc_config(l_min=0, l_max=40, l_step=20)
-        one = keyrates.sweep("qcc", cfg, workers=1)
-        four = keyrates.sweep("qcc", cfg, workers=4)
-        assert one == four
-
 
 class TestPps:
     def test_naive_wcs_error_kills_unsliced_rate(self):

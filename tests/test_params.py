@@ -74,8 +74,11 @@ class TestInvariants:
             DetectorModel(eta_d=0.5, p_d=1.0)
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(ConfigError):
-            ChannelModel(beta=0.2, length_km=10, symmetric=False)
+        # links are symmetric by construction; the old switch is an unknown key
+        with pytest.raises(ConfigError, match="unknown key") as err:
+            parse_config(QCC_CONFIG.format(eta_d=0.4, e_d=0.0, l_min=0, l_max=1, l_step=1)
+                         + "channel.symmetric = false\n")
+        assert err.value.key == "channel.symmetric"
 
     @pytest.mark.parametrize("length", [float("nan"), float("inf"), -float("inf"), -1.0])
     def test_distance_must_be_finite_and_nonnegative(self, length):
