@@ -1,4 +1,4 @@
-"""Exact photon-number propagation through the GHZ analyzer.
+"""Exact photon-number propagation through the GHZ analyzer, and its yields.
 
 The analyzer is one fixed 6x6 mode unitary feeding six threshold detectors
 (1H, 1V, 2H, 2V, 3H, 3V).  A successful event is three simultaneous clicks,
@@ -12,10 +12,14 @@ photon-number cutoff every numerator and denominator of an output probability
 stays below 2^53, so the one float division at the end is correctly rounded:
 signed interference sums are exact and free of cancellation error.
 
-For many inputs at once, `yield_table` packs the output distributions of a
-set of (preparation, photon-number triple) inputs into one flat table, and
-`YieldTable.yields` evaluates all their announcement probabilities at one
-detection efficiency and dark-count probability in a single pass.
+Yields at detection efficiency eta come by binomial thinning: uniform loss
+commutes with the passive analyzer, so (n, m, l) photons seen with efficiency
+eta act as binomially thinned inputs seen by ideal detectors with the same
+dark counts (the per-photon loss model of Ma et al., PRA 72, 012326 (2005)).
+`ideal_detector_table` holds the distance-free masses C_d that announced
+patterns fit with d pairs lit only by a dark count, so that Y(.; 1, p_d) =
+(1-p_d)^3 sum_d C_d p_d^d (`ideal_yields`); `thinning_matrix` holds the
+binomial weights.  Every term is nonnegative, so nothing cancels.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -34,13 +38,13 @@ __all__ = [
     "PHI_PLUS_PATTERNS",
     "PHI_MINUS_PATTERNS",
     "FockOutcomeDistribution",
-    "YieldTable",
     "SinglePhotonStats",
     "analyzer_unitary",
     "propagate_parties",
-    "yield_table",
     "outcome_pattern_sums",
-    "ghz_outcome_yields",
+    "ideal_detector_table",
+    "ideal_yields",
+    "thinning_matrix",
     "exact_single_photon_stats",
 ]
 
@@ -85,7 +89,18 @@ _BASE = N_MAX + 1
 _PLACES = tuple(_BASE ** (5 - j) for j in range(6))
 _FACTORIALS = np.array([factorial(k) for k in range(_BASE)], dtype=np.int64)
 _EXACT_LIMIT = 2 ** 53  # integers below this convert to float exactly
-_BLOCK = 1 << 14  # configurations per block of the yield evaluation
+_BINOMIALS = np.array([[comb(n, k) for k in range(_BASE)] for n in range(_BASE)],
+                      dtype=float)
+_LOST = np.subtract.outer(np.arange(_BASE), np.arange(_BASE)).clip(0)  # n - k
+# Detector group state by its occupation pair a * _BASE + b: 0 both empty,
+# 1 first lit, 2 second lit, 3 both lit.
+_GROUP_STATE = (np.arange(_BASE ** 2) >= _BASE) + 2 * (np.arange(_BASE ** 2) % _BASE > 0)
+# Three group states packed base 4 -> 2 d + parity for a configuration that
+# announced patterns fit (d empty pairs, parity of the lit second detectors),
+# 8 for one they cannot fit (a pair with both detectors lit).
+_STATES = np.array(list(itertools.product(range(4), repeat=3)))
+_FIT_CATEGORY = np.where((_STATES == 3).any(axis=1), 8,
+                         2 * (_STATES == 0).sum(axis=1) + (_STATES == 2).sum(axis=1) % 2)
 
 
 def _gmul(a, b):
@@ -156,13 +171,14 @@ def _party_terms(party: int, pol: str, n: int):
     return arrays
 
 
-def _exact_distribution(pols: str, numbers) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted packed keys and probabilities of the output configurations.
+def _exact_distribution(pols: str, numbers) -> tuple[np.ndarray, np.ndarray, int]:
+    """Sorted packed keys of the output configurations, the integer numerators
+    of their probabilities and the common denominator.
 
     The parties' expansions multiply by outer sums of their keys; equal keys
     are merged with exact integer amplitude sums after each party.  A
     configuration's probability is |amplitude|^2 prod(k!) over
-    2^half_power prod(n!), divided once in floating point.
+    2^half_power prod(n!); the numerators sum to the denominator.
     """
     keys = np.zeros(1, dtype=np.int64)
     re = np.ones(1, dtype=np.int64)
@@ -190,7 +206,7 @@ def _exact_distribution(pols: str, numbers) -> tuple[np.ndarray, np.ndarray]:
     num = norm2[keep]
     for place in _PLACES:
         num = num * _FACTORIALS[keys // place % _BASE]
-    return keys, num / denom
+    return keys, num, denom
 
 
 def _check_input(pols: str, numbers, cutoff: int) -> None:
@@ -207,32 +223,9 @@ def propagate_parties(pols: str, numbers: tuple[int, int, int],
     """Exact output distribution for Alice/Bob/Charlie sending `numbers`
     photons in polarizations `pols` (e.g. pols="HHV", numbers=(1, 1, 2))."""
     _check_input(pols, numbers, cutoff)
-    keys, probs = _exact_distribution(pols, numbers)
+    keys, num, denom = _exact_distribution(pols, numbers)
     occupations = keys[:, None] // np.array(_PLACES) % _BASE
-    return FockOutcomeDistribution(occupations, probs)
-
-
-def _click_silent(occ, eta: float, p_d: float):
-    """Click and silence probabilities of threshold detectors seeing `occ`
-    photons: 1 - (1-p_d)(1-eta)^k and (1-p_d)(1-eta)^k, both exact at the
-    ends (kept accurate when the click probability is tiny)."""
-    if eta >= 1.0:
-        survive = np.where(occ == 0, 1.0, 0.0)  # (1-eta)^k at eta = 1
-        click = 1.0 - (1.0 - p_d) * survive
-    else:
-        survive = np.exp(occ * np.log1p(-eta))
-        click = -np.expm1(occ * np.log1p(-eta)) + p_d * survive
-    # in place, so the peak memory of the pattern products stays at three
-    # arrays of this size
-    silent = survive
-    silent *= 1.0 - p_d
-    return click, silent
-
-
-def _class_sums(f):
-    """(phi_plus, phi_minus) from the six click-and-partner-silent factors."""
-    return tuple(sum(f[a] * f[b] * f[c] for a, b, c in patterns)
-                 for patterns in (PHI_PLUS_PATTERNS, PHI_MINUS_PATTERNS))
+    return FockOutcomeDistribution(occupations, num / denom)
 
 
 def outcome_pattern_sums(click, silent):
@@ -243,87 +236,63 @@ def outcome_pattern_sums(click, silent):
     and leaves its partner silent, so each term is the product of three
     factors click[j] * silent[j ^ 1].  Returns (phi_plus, phi_minus).
     """
-    return _class_sums([click[j] * silent[j ^ 1] for j in range(6)])
+    f = [click[j] * silent[j ^ 1] for j in range(6)]
+    return tuple(sum(f[a] * f[b] * f[c] for a, b, c in patterns)
+                 for patterns in (PHI_PLUS_PATTERNS, PHI_MINUS_PATTERNS))
 
 
-def ghz_outcome_yields(dist: FockOutcomeDistribution, eta: float,
-                       p_d: float) -> tuple[float, float]:
-    """Announcement probabilities (both outcome classes) for one preparation.
+def ideal_detector_table(preps: tuple[str, ...], mask: np.ndarray) -> np.ndarray:
+    """C[prep, outcome, d, n, m, l], zero where the boolean `mask` is False:
+    the probability mass of the configurations that `preps[prep]` with
+    (n, m, l) photons leaves at ideal detectors and that patterns of `outcome`
+    (phi_plus, phi_minus) fit with d pairs lit only by a dark count.
 
-    Sums, over output configurations, the product of three required clicks and
-    three required non-clicks per pattern, weighted by configuration probability.
+    A pattern fits when each of its detectors' partners is empty; its product
+    is then (1-p_d)^3 p_d^d.  With d >= 1 empty pairs, 2^(d-1) patterns of each
+    outcome fit; with none, the one of the lit second detectors' parity.  The
+    masses are exact integer sums below 2^53, divided once: correctly rounded.
     """
-    click, silent = _click_silent(dist.occupations, eta, p_d)
-    plus, minus = outcome_pattern_sums(click.T, silent.T)
-    p = dist.probabilities
-    return float((p * plus).sum()), float((p * minus).sum())
-
-
-@dataclass(frozen=True)
-class YieldTable:
-    """Output distributions of every (preparation, photon-number triple)
-    input of a set, in one flat table that no detector parameter enters.
-
-    Per output configuration it keeps the occupation index a * (N_MAX + 1) + b
-    of each detector group (its two detectors see a and b photons) and the
-    probability.  The configurations of input (preps[i], triples[t]) form
-    segment i * len(triples) + t, which starts at `starts` of that index.
-    """
-
-    preps: tuple[str, ...]
-    triples: tuple[tuple[int, int, int], ...]
-    groups: np.ndarray  # (3, n_cfg) int16
-    probabilities: np.ndarray  # (n_cfg,) float
-    starts: np.ndarray  # (len(preps) * len(triples),) int
-
-    def yields(self, eta: float, p_d: float) -> np.ndarray:
-        """Y[prep, outcome, triple]: the two announcement probabilities of
-        every input (phi_plus, phi_minus), as ghz_outcome_yields gives them.
-
-        Each pattern factor click(a) * silent(b) of a group comes from one of
-        two (N_MAX + 1)^2 tables, gathered in blocks of whole segments.
-        """
-        click, silent = _click_silent(np.arange(_BASE), eta, p_d)
-        first = np.outer(click, silent).ravel()  # group's first detector clicks
-        second = np.outer(silent, click).ravel()  # its second detector clicks
-        starts = self.starts
-        bounds = list(starts) + [len(self.probabilities)]
-        y = np.empty((2, len(starts)))
-        seg = 0
-        while seg < len(starts):
-            stop = max(seg + 1, int(np.searchsorted(starts, starts[seg] + _BLOCK)))
-            lo, hi = bounds[seg], bounds[stop]
-            f = []
-            for g in self.groups[:, lo:hi]:
-                f += [first[g], second[g]]
-            weighted = np.array(_class_sums(f))
-            weighted *= self.probabilities[lo:hi]
-            y[:, seg:stop] = np.add.reduceat(weighted, starts[seg:stop] - lo, axis=1)
-            seg = stop
-        return y.reshape(2, len(self.preps), len(self.triples)).transpose(1, 0, 2)
-
-
-@lru_cache(maxsize=4)
-def yield_table(preps: tuple[str, ...],
-                triples: tuple[tuple[int, int, int], ...]) -> YieldTable:
-    """The YieldTable of every preparation in `preps` (polarization strings
-    as for propagate_parties) with every photon-number triple in `triples`."""
-    groups, probs = [], []
+    triples = [tuple(t) for t in np.argwhere(mask).tolist()]
     for pols in preps:
-        for numbers in triples:
-            _check_input(pols, numbers, N_MAX)
-            keys, p = _exact_distribution(pols, numbers)
-            groups.append(np.array([keys // (_BASE ** (4 - 2 * i)) % _BASE ** 2
-                                    for i in range(3)], dtype=np.int16))
-            probs.append(p)
-    sizes = [len(p) for p in probs]
-    table = YieldTable(preps=preps, triples=triples,
-                       groups=np.concatenate(groups, axis=1),
-                       probabilities=np.concatenate(probs),
-                       starts=np.cumsum([0] + sizes[:-1]))
-    for a in (table.groups, table.probabilities, table.starts):
-        a.setflags(write=False)
-    return table
+        _check_input(pols, max(triples, key=sum), N_MAX)
+    # a user sending no photons leaves no trace of its polarization
+    inputs = [("".join(p if k else "H" for p, k in zip(pols, numbers)), numbers)
+              for pols in preps for numbers in triples]
+    row = {x: i for i, x in enumerate(dict.fromkeys(inputs))}
+    masses, denoms = [], []
+    for x in row:  # one input at a time, so no table of all configurations forms
+        keys, num, denom = _exact_distribution(*x)
+        groups = _GROUP_STATE[keys // np.array([[_BASE ** 4], [_BASE ** 2], [1]]) % _BASE ** 2]
+        category = _FIT_CATEGORY[groups[0] * 16 + groups[1] * 4 + groups[2]]
+        masses.append(np.bincount(category, num.astype(float), minlength=9)[:8])
+        denoms.append(denom)
+    mass = np.array(masses).reshape(len(row), 4, 2)
+    table = (mass.sum(axis=2) * (0.0, 1.0, 2.0, 4.0))[:, None, :] \
+        + mass[:, 0, :, None] * (1.0, 0.0, 0.0, 0.0)
+    table /= np.array(denoms, dtype=float)[:, None, None]
+    out = np.zeros((len(preps), 2, 4) + mask.shape)
+    out[..., mask] = table[[row[x] for x in inputs]].reshape(
+        len(preps), len(triples), 2, 4).transpose(0, 2, 3, 1)
+    return out
+
+
+def ideal_yields(table: np.ndarray, p_d: float) -> np.ndarray:
+    """Yields at unit detector efficiency, (1-p_d)^3 sum_d C_d p_d^d, from a
+    table whose dark-pair axis d comes just before the three photon-number
+    axes (as in `ideal_detector_table`)."""
+    y = table[..., 3, :, :, :]
+    for d in (2, 1, 0):
+        y = y * p_d + table[..., d, :, :, :]
+    return y * (1.0 - p_d) ** 3
+
+
+def thinning_matrix(eta: float) -> np.ndarray:
+    """M[n, k] = C(n, k) eta^k (1-eta)^(n-k), the probability that k of n
+    photons survive efficiency eta; (1-eta)^j is taken as exp(j log1p(-eta)),
+    accurate for tiny eta, and exactly 0 (j > 0) at eta = 1."""
+    k = np.arange(_BASE)
+    lost = np.exp(k * np.log1p(-eta)) if eta < 1.0 else (k == 0).astype(float)
+    return _BINOMIALS * eta ** k * lost[_LOST]
 
 
 @dataclass(frozen=True)
@@ -342,13 +311,25 @@ _Z_TRIPLES = tuple("".join(t) for t in itertools.product("HV", repeat=3))
 _X_TRIPLES = tuple("".join(t) for t in itertools.product("+-", repeat=3))
 
 
+@lru_cache(maxsize=1)
+def _single_photon_table() -> np.ndarray:
+    """The ideal-detector table of the 16 single-photon preparations over the
+    triples up to (1, 1, 1)."""
+    table = ideal_detector_table(_Z_TRIPLES + _X_TRIPLES, np.ones((2, 2, 2), dtype=bool))
+    table.setflags(write=False)
+    return table
+
+
 def exact_single_photon_stats(eta: float, p_d: float, e_d: float) -> SinglePhotonStats:
     """Averages the analyzer yields over the uniform single-photon ensembles in
-    both bases and composes error rates with the misalignment probability."""
-    y_z = {t: ghz_outcome_yields(propagate_parties(t, (1, 1, 1)), eta, p_d)
-           for t in _Z_TRIPLES}
-    y_x = {t: ghz_outcome_yields(propagate_parties(t, (1, 1, 1)), eta, p_d)
-           for t in _X_TRIPLES}
+    both bases and composes error rates with the misalignment probability.
+
+    Each user's photon is lost or survives ([1-eta, eta]), thinned against the
+    ideal-detector yields of the triples up to (1, 1, 1)."""
+    one = thinning_matrix(eta)[1, :2]
+    y = (ideal_yields(_single_photon_table(), p_d) @ one @ one @ one).tolist()
+    y_z = dict(zip(_Z_TRIPLES, y[:8]))
+    y_x = dict(zip(_X_TRIPLES, y[8:]))
 
     y111_z = sum(a + b for a, b in y_z.values()) / 8.0
     y_cz = sum(sum(y_z[t]) for t in ("HHH", "VVV")) / 8.0

@@ -5,8 +5,12 @@ suppressed classes carry modified-Bessel factors from the phase average) and
 quadrature in the diagonal basis, where the overall phases survive into
 detector-level interference: the periodic trapezoid rule over the full phase
 circle, and Gauss-Legendre over the hexagon of phase differences for the
-phase-sliced gains.  Heralded and photon-number-filtered variants reuse the
-exact Fock yields.
+phase-sliced gains.  Heralded and photon-number-filtered variants take their
+gains from the exact Fock engine by binomial thinning: each user's
+photon-number distribution is thinned by the detector efficiency, and the
+joint thinned weights are contracted against the ideal-detector class
+components of a fixed set of photon-number triples, built once and free of
+any distance.
 
 Conventions: a "gain" Q is the per-pulse-triple probability of one announced
 outcome class and includes the 1/8 preparation probability of the specific
@@ -17,7 +21,6 @@ as NaN.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import exp, expm1, sqrt
@@ -443,30 +446,43 @@ def wcs_gain_set(mu: float, nu: float, omega: float, params: SystemParams) -> Ga
 
 # Preparations of the gain classes a, b, c, d (rectilinear) and x (all "+").
 _CLASS_POLS = ("HHH", "HHV", "VHH", "HVH", "+++")
-_QND_TRIPLES = tuple(itertools.product((0, 1), repeat=3))
+_QND_TRIPLES = np.ones((2, 2, 2), dtype=bool)  # at most one photon per arm
+_WITHIN_CUTOFF = np.indices((fock.N_MAX + 1,) * 3).sum(axis=0) <= fock.N_MAX
 
 
 @lru_cache(maxsize=8)
-def _class_components(triples, eta, p_d):
-    """Per-photon-number analogs of the six gain-class components (incl. the
-    1/8 preparation probability and the equal-outcome-class averaging), one
-    column per triple: rows a, b, c, d, then e, f of the diagonal basis.
-
-    Evaluated directly from the exact yields; direct products keep full
-    relative precision at long distances, where collapsing to polynomials in
-    the survival probability would cancel catastrophically.
-    """
-    y = fock.yield_table(_CLASS_POLS, triples).yields(eta, p_d)
-    comps = np.concatenate([(y[:4, 0] + y[:4, 1]) / 16.0, y[4] / 8.0])
-    comps.setflags(write=False)
-    return comps
+def _class_table(shape, triples: bytes) -> np.ndarray:
+    """Ideal-detector tables (dark-pair axis, then n, m, l) of the gain-class
+    components a, b, c, d, e, f, incl. the 1/8 preparation probability and
+    the outcome averaging, over the triples of a boolean mask (its bytes)."""
+    mask = np.frombuffer(triples, dtype=bool).reshape(shape)
+    c = fock.ideal_detector_table(_CLASS_POLS, mask)
+    rows = np.concatenate([(c[:4, 0] + c[:4, 1]) / 16.0, c[4] / 8.0])
+    rows.setflags(write=False)
+    return rows
 
 
-def _contract(comps, weights, e_d) -> GainSet:
-    """GainSet of a mixture of photon-number triples: the weighted sum of
-    their class components."""
-    c = (comps * weights).sum(axis=1)
-    return assemble_gain_set(ZGainComponents(*c[:4]), XGainComponents(*c[4:]), e_d)
+@lru_cache(maxsize=8)
+def _class_yields(shape, triples: bytes, p_d: float) -> np.ndarray:
+    """(6, *shape): the class components of each triple at ideal detectors
+    with dark-count probability p_d."""
+    y = fock.ideal_yields(_class_table(shape, triples), p_d)
+    y.setflags(write=False)
+    return y
+
+
+def _thinned_gain_set(comps, dists, thinning, e_d) -> GainSet:
+    """GainSet of independent users with photon-number distributions `dists`:
+    each distribution is thinned by the detector efficiency, and the joint
+    thinned weights are contracted against the ideal-detector class
+    components (6, k, k, k).  Every term is nonnegative, so the sums keep
+    full relative precision."""
+    a, b, c = (np.asarray(d, dtype=float)[:len(thinning)] for d in dists)
+    k = comps.shape[-1]
+    a, b, c = (x @ thinning[:len(x), :k] for x in (a, b, c))
+    w = (a[:, None] * b[None, :])[:, :, None] * c[None, None, :]
+    q = comps.reshape(len(comps), -1) @ w.ravel()
+    return assemble_gain_set(ZGainComponents(*q[:4]), XGainComponents(*q[4:]), e_d)
 
 
 def _triple_weights(dists, floor):
@@ -474,14 +490,14 @@ def _triple_weights(dists, floor):
     least `floor`, nonzero, and within the photon-number cutoff."""
     d = [np.asarray(x, dtype=float)[:fock.N_MAX + 1] for x in dists]
     w = (d[0][:, None] * d[1][None, :])[:, :, None] * d[2][None, None, :]
-    n, m, l = np.indices(w.shape)
-    return w, (w >= floor) & (w > 0.0) & (n + m + l <= fock.N_MAX)
+    within = _WITHIN_CUTOFF[:w.shape[0], :w.shape[1], :w.shape[2]]
+    return w, (w >= floor) & (w > 0.0) & within
 
 
 def _budgeted_weights(dists, tail_budget):
-    """`_triple_weights` at the floor tail_budget / 4096, refusing the
-    truncation when the neglected probability mass (bounded by yields <= 1)
-    exceeds the budget."""
+    """The kept triples of `_triple_weights` at the floor tail_budget / 4096,
+    refusing the truncation when the neglected probability mass (bounded by
+    yields <= 1) exceeds the budget."""
     w, keep = _triple_weights(dists, tail_budget / 4096.0)
     tail = 1.0 - sum(w[keep].tolist())
     if tail > tail_budget:
@@ -489,45 +505,49 @@ def _budgeted_weights(dists, tail_budget):
             f"photon-number truncation tail {tail:.3e} exceeds budget "
             f"{tail_budget:.1e}; raise the cutoff or lower the source intensity"
         )
-    return w, keep
+    return keep
 
 
 @dataclass(frozen=True)
 class FockYields:
-    """Class components of every photon-number triple that users drawing
-    their distributions from a fixed set of levels can need, at one (eta, p_d).
+    """Ideal-detector class components of every photon-number triple that
+    users drawing their distributions from a fixed set of levels can need, at
+    one dark-count probability, and the thinning matrix of one efficiency.
 
-    Built once by `fock_yields`; each gain set is then a weighted sum over
-    its kept triples (`gain_set`).
+    Built once per distance by `fock_yields`; each gain set is then a thinned
+    contraction (`gain_set`).
     """
 
-    columns: np.ndarray  # (N_MAX + 1,)*3 -> column of comps, -1 if absent
-    comps: np.ndarray  # (6, n_triples)
+    triples: np.ndarray  # (N_MAX + 1,)*3 bool, downward closed
+    comps: np.ndarray  # (6, N_MAX + 1, N_MAX + 1, N_MAX + 1), zero outside triples
+    thinning: np.ndarray  # (N_MAX + 1, N_MAX + 1)
     tail_budget: float
 
     def gain_set(self, dists, e_d: float) -> GainSet:
         """GainSet for independent per-user photon-number distributions.
 
-        Sums over all (n, m, l) whose joint weight clears the floor
-        tail_budget / 4096; the neglected probability mass (bounded by yields
-        <= 1) must stay inside the budget or the truncation is refused.
+        Every (n, m, l) whose joint weight clears the floor
+        tail_budget / 4096 must be among the triples; the neglected
+        probability mass (bounded by yields <= 1) must stay inside the budget
+        or the truncation is refused.
         """
-        w, keep = _budgeted_weights(dists, self.tail_budget)
-        cols = self.columns[:w.shape[0], :w.shape[1], :w.shape[2]][keep]
-        if np.any(cols < 0):
+        keep = _budgeted_weights(dists, self.tail_budget)
+        if np.any(keep & ~self.triples[:keep.shape[0], :keep.shape[1], :keep.shape[2]]):
             raise ValueError("distributions need photon-number triples outside the "
                              "levels these yields were built for")
-        return _contract(self.comps[:, cols], w[keep], e_d)
+        return _thinned_gain_set(self.comps, dists, self.thinning, e_d)
 
 
 def fock_yields(levels, eta: float, p_d: float,
                 tail_budget: float = 1e-12) -> FockYields:
     """FockYields for users whose photon-number distributions are among
     `levels`.  A triple kept for any combination of levels is kept for their
-    elementwise maximum, so that maximum selects the triples evaluated.
+    elementwise maximum, made nonincreasing in the photon number so that the
+    triples it keeps are downward closed: each holds every triple its photons
+    thin into.
 
     A level whose all-users combination breaks the truncation budget is
-    refused before any yield is built.
+    refused before any table is built.
     """
     size = fock.N_MAX + 1
     top = np.zeros(size)
@@ -535,11 +555,10 @@ def fock_yields(levels, eta: float, p_d: float,
         _budgeted_weights((level, level, level), tail_budget)
         level = np.asarray(level, dtype=float)[:size]
         top[:len(level)] = np.maximum(top[:len(level)], level)
-    _, keep = _triple_weights((top, top, top), tail_budget / 4096.0)
-    triples = tuple(tuple(int(k) for k in t) for t in np.argwhere(keep))
-    columns = np.full(keep.shape, -1)
-    columns[keep] = np.arange(len(triples))
-    return FockYields(columns, _class_components(triples, eta, p_d), tail_budget)
+    top = np.maximum.accumulate(top[::-1])[::-1]
+    _, triples = _triple_weights((top, top, top), tail_budget / 4096.0)
+    return FockYields(triples, _class_yields(triples.shape, triples.tobytes(), p_d),
+                      fock.thinning_matrix(eta), tail_budget)
 
 
 def gains_qnd(mu: float, nu: float, omega: float, eta_t: float,
@@ -548,13 +567,10 @@ def gains_qnd(mu: float, nu: float, omega: float, eta_t: float,
     filter per arm.
 
     Transmission eta_t thins the Poisson inputs before the filter; only the
-    detector efficiency acts afterwards, so the yields do not depend on the
-    distance.  Events with two or more photons in any arm are discarded (the
+    detector efficiency thins the filtered photon numbers, so the yields do
+    not depend on the distance.  Events with two or more photons in any arm are discarded (the
     Poisson weights are deliberately not renormalized).
     """
-    lams = (mu * eta_t, nu * eta_t, omega * eta_t)
-    pref = exp(-sum(lams))
-    weights = np.array([pref * lams[0] ** n * lams[1] ** m * lams[2] ** l
-                        for n, m, l in _QND_TRIPLES])
-    comps = _class_components(_QND_TRIPLES, detector.eta_d, detector.p_d)
-    return _contract(comps, weights, e_d)
+    dists = [(exp(-lam), lam * exp(-lam)) for lam in (mu * eta_t, nu * eta_t, omega * eta_t)]
+    comps = _class_yields(_QND_TRIPLES.shape, _QND_TRIPLES.tobytes(), detector.p_d)
+    return _thinned_gain_set(comps, dists, fock.thinning_matrix(detector.eta_d), e_d)

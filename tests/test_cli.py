@@ -73,9 +73,10 @@ class TestQccCommand:
         her.write_text(text)
         outs = []
         for tag in ("h1", "h2"):
-            # cold caches, so that each run builds the yield table afresh
-            fock.yield_table.cache_clear()
-            gains._class_components.cache_clear()
+            # cold caches, so that each run builds the yield tables afresh
+            fock._single_photon_table.cache_clear()
+            gains._class_table.cache_clear()
+            gains._class_yields.cache_clear()
             out = tmp_path / f"{tag}.csv"
             assert cli.main(["qss", "--config", str(her), "--out", str(out),
                              "--seed", "7"]) == 0
@@ -285,3 +286,18 @@ class TestExitCodeContract:
         assert code == 2
         assert "Traceback" not in err
         assert err.strip()
+
+    def test_too_bright_source_exits_4(self, tmp_path, capsys):
+        # a heralded source far too bright for the photon-number cutoff is a
+        # numerics refusal: exit 4 with the truncation message, no traceback
+        text = (CONFIG_DIR / "qss_heralded_eta40.cfg").read_text()
+        text = text.replace("source.mu = 5e-3", "source.mu = 0.5")
+        text = text.replace("decoy.mu1 = 5e-4", "decoy.mu1 = 0.05")
+        text = text.replace("sweep.L_max = 200", "sweep.L_max = 0")
+        cfg = tmp_path / "bright.cfg"
+        cfg.write_text(text)
+        code = cli.main(["qss", "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "photon-number truncation tail" in err
+        assert "Traceback" not in err

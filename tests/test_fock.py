@@ -5,9 +5,9 @@ from math import factorial
 import numpy as np
 import pytest
 
-from mdighz import fock
-from mdighz.fock import (analyzer_unitary, propagate_parties, ghz_outcome_yields,
-                         exact_single_photon_stats)
+from mdighz import fock, gains
+from mdighz.fock import analyzer_unitary, propagate_parties, exact_single_photon_stats
+from yield_reference import ghz_outcome_yields
 
 TOKENS = "HV+-RL"
 
@@ -76,6 +76,21 @@ def fraction_reference(pols, numbers):
 def triples_up_to(total):
     return [(n, m, t - n - m) for t in range(total + 1)
             for n in range(t + 1) for m in range(t + 1 - n)]
+
+
+def thinned(table, eta, p_d):
+    """Yields at efficiency eta of every triple of an ideal-detector table:
+    the binomial thinning of each photon-number axis."""
+    m = fock.thinning_matrix(eta)
+    a, b, c = table.shape[-3:]
+    return np.einsum("...abc,na,mb,lc->...nml", fock.ideal_yields(table, p_d),
+                     m[:a, :a], m[:b, :b], m[:c, :c], optimize=True)
+
+
+def thinned_yields(pols, numbers, eta, p_d):
+    """(phi_plus, phi_minus) of one input from the package's engine."""
+    table = fock.ideal_detector_table((pols,), np.ones([k + 1 for k in numbers], dtype=bool))
+    return tuple(thinned(table, eta, p_d)[(0, slice(None)) + tuple(numbers)].tolist())
 
 
 def dense_expansion_oracle(pols, numbers):
@@ -186,22 +201,29 @@ class TestPropagation:
 
 class TestOutcomeYields:
     def test_vacuum_dark_free(self):
-        dist = propagate_parties("HHH", (0, 0, 0))
-        assert ghz_outcome_yields(dist, 0.5, 0.0) == (0.0, 0.0)
+        assert thinned_yields("HHH", (0, 0, 0), 0.5, 0.0) == (0.0, 0.0)
 
     def test_vacuum_darks_only(self):
         p_d = 1e-3
-        dist = propagate_parties("HHH", (0, 0, 0))
         expect = 4 * p_d ** 3 * (1 - p_d) ** 3
-        yp, ym = ghz_outcome_yields(dist, 0.5, p_d)
+        yp, ym = thinned_yields("HHH", (0, 0, 0), 0.5, p_d)
         assert yp == pytest.approx(expect, rel=1e-12, abs=0.0)
         assert ym == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+    def test_unit_efficiency_darks_exact(self):
+        # an empty detector clicks with exactly p_d at eta = 1; forming the
+        # click as 1 - (1 - p_d) there lost 1.6e-9 relative
+        p_d = 1e-7
+        expect = 4 * p_d ** 3 * (1 - p_d) ** 3
+        for got in (thinned_yields("HHH", (0, 0, 0), 1.0, p_d),
+                    ghz_outcome_yields(propagate_parties("HHH", (0, 0, 0)), 1.0, p_d)):
+            assert got[0] == pytest.approx(expect, rel=1e-14, abs=0.0)
+            assert got[1] == pytest.approx(expect, rel=1e-14, abs=0.0)
 
     def test_ideal_hhh_single_photons(self):
         # brute-force oracle value: the all-H triple splits evenly over both
         # announced classes and is always announced at unit efficiency
-        dist = propagate_parties("HHH", (1, 1, 1))
-        yp, ym = ghz_outcome_yields(dist, 1.0, 0.0)
+        yp, ym = thinned_yields("HHH", (1, 1, 1), 1.0, 0.0)
         oracle = dense_expansion_oracle("HHH", (1, 1, 1))
         def click_class(patterns):
             total = 0.0
@@ -220,7 +242,7 @@ class TestOutcomeYields:
     @pytest.mark.parametrize("eta, p_d", [(0.9, 0.0), (0.3, 1e-3), (1e-4, 1e-7),
                                           (1.0, 0.02)])
     def test_factored_pattern_product_matches_loop(self, pols, numbers, eta, p_d):
-        # reference: every pattern as a product over all six detectors
+        # reference: every pattern as a product over all six detectors at eta
         dist = propagate_parties(pols, numbers)
         occ = dist.occupations
         survive = (1.0 - eta) ** occ
@@ -228,7 +250,7 @@ class TestOutcomeYields:
         if eta < 1.0:  # 1 - (1-p_d)(1-eta)^k without cancellation at small eta
             click = -np.expm1(occ * np.log1p(-eta)) + p_d * survive
         else:
-            click = 1.0 - silent
+            click = np.where(occ == 0, p_d, 1.0)
         want = []
         for patterns in (fock.PHI_PLUS_PATTERNS, fock.PHI_MINUS_PATTERNS):
             total = 0.0
@@ -238,9 +260,36 @@ class TestOutcomeYields:
                     term *= click[:, j] if j in pat else silent[:, j]
                 total += term.sum()
             want.append(total)
-        got = ghz_outcome_yields(dist, eta, p_d)
-        for g, w in zip(got, want):
-            assert g == pytest.approx(w, rel=1e-13, abs=1e-300)
+        for got in (thinned_yields(pols, numbers, eta, p_d),
+                    ghz_outcome_yields(dist, eta, p_d)):
+            for g, w in zip(got, want):
+                assert g == pytest.approx(w, rel=1e-13, abs=1e-300)
+
+
+class TestThinning:
+    """Loss commutes with the analyzer: yields at efficiency eta are the
+    binomially thinned ideal-detector yields."""
+
+    PREPS = ("HHH", "HHV", "VHH", "HVH", "+++")  # the gain classes
+    BOX = (6, 4, 5)  # every triple up to (5, 3, 4)
+
+    @pytest.mark.parametrize("eta", [0.9, 0.4, 4e-5, 1e-9])
+    @pytest.mark.parametrize("p_d", [0.0, 1e-7, 1e-2])
+    def test_matches_direct_product(self, eta, p_d):
+        table = fock.ideal_detector_table(self.PREPS, np.ones(self.BOX, dtype=bool))
+        y = thinned(table, eta, p_d)
+        for i, pols in enumerate(self.PREPS):
+            for numbers in itertools.product(*map(range, self.BOX)):
+                want = ghz_outcome_yields(propagate_parties(pols, numbers), eta, p_d)
+                for k in range(2):
+                    assert y[(i, k) + numbers] == pytest.approx(want[k], rel=1e-13, abs=0.0), \
+                        (pols, numbers, k)
+
+    def test_thinning_rows_are_binomial(self):
+        m = fock.thinning_matrix(0.3)
+        assert np.allclose(m.sum(axis=1), 1.0, rtol=1e-15, atol=0.0)
+        assert np.array_equal(fock.thinning_matrix(1.0), np.eye(fock.N_MAX + 1))
+        assert np.array_equal(fock.thinning_matrix(0.0)[:, 0], np.ones(fock.N_MAX + 1))
 
 
 class TestSinglePhotonStats:
@@ -268,9 +317,23 @@ class TestSinglePhotonStats:
     def test_z_symmetry_of_outcome_classes(self):
         # product rectilinear inputs feed both announced classes equally
         for pols in ("HHH", "HVH", "VVH"):
-            dist = propagate_parties(pols, (1, 1, 1))
-            yp, ym = ghz_outcome_yields(dist, 0.37, 1e-4)
+            yp, ym = thinned_yields(pols, (1, 1, 1), 0.37, 1e-4)
             assert yp == pytest.approx(ym, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("eta, p_d", [(0.0093, 1e-7), (1.0, 1e-7), (4e-6, 1e-2)])
+    def test_matches_direct_product(self, eta, p_d):
+        # the 16 single-photon preparations, thinned, against their direct yields
+        s = exact_single_photon_stats(eta, p_d, 0.015)
+        y = {pols: ghz_outcome_yields(propagate_parties(pols, (1, 1, 1)), eta, p_d)
+             for pols in map("".join, itertools.chain(itertools.product("HV", repeat=3),
+                                                       itertools.product("+-", repeat=3)))}
+        y111_z = sum(sum(y[p]) for p in map("".join, itertools.product("HV", repeat=3))) / 8
+        y_cz = (sum(y["HHH"]) + sum(y["VVV"])) / 8
+        assert s.y111_z == pytest.approx(y111_z, rel=1e-13, abs=0.0)
+        assert s.e111_bz == pytest.approx(
+            (0.015 * y_cz + 0.985 * (y111_z - y_cz)) / y111_z, rel=1e-13, abs=0.0)
+        assert s.y_ppp_phi_plus == pytest.approx(y["+++"][0], rel=1e-13, abs=0.0)
+        assert s.y_mmm_phi_plus == pytest.approx(y["---"][0], rel=1e-13, abs=0.0)
 
 
 class TestExactBuild:
@@ -298,36 +361,37 @@ class TestExactBuild:
 
 
 class TestYieldTable:
+    """The ideal-detector table, thinned, gives every yield of a downward-closed
+    triple set."""
+
     PREPS = ("HHH", "HHV", "VHH", "HVH", "+++", "R-L")
     TRIPLES = tuple(triples_up_to(5)) + ((4, 3, 5), (0, 0, 12), (6, 6, 0))
 
     @pytest.mark.parametrize("eta", [1.0, 0.4, 4e-5])
     @pytest.mark.parametrize("p_d", [0.0, 1e-7])
     def test_matches_per_distribution_yields(self, eta, p_d):
-        table = fock.yield_table(self.PREPS, self.TRIPLES)
-        y = table.yields(eta, p_d)
-        assert y.shape == (len(self.PREPS), 2, len(self.TRIPLES))
+        mask = np.zeros((fock.N_MAX + 1,) * 3, dtype=bool)
+        for n, m, l in self.TRIPLES:
+            mask[:n + 1, :m + 1, :l + 1] = True
+        y = thinned(fock.ideal_detector_table(self.PREPS, mask), eta, p_d)
+        assert y.shape == (len(self.PREPS), 2) + mask.shape
         for i, pols in enumerate(self.PREPS):
-            for t, numbers in enumerate(self.TRIPLES):
+            for numbers in self.TRIPLES:
                 want = ghz_outcome_yields(propagate_parties(pols, numbers), eta, p_d)
                 for k in range(2):
-                    assert y[i, k, t] == pytest.approx(want[k], rel=1e-14, abs=0.0), \
+                    assert y[(i, k) + numbers] == pytest.approx(want[k], rel=1e-14, abs=0.0), \
                         (pols, numbers, k)
 
-    def test_segments_cover_each_distribution(self):
-        table = fock.yield_table(self.PREPS, self.TRIPLES)
-        ends = list(table.starts[1:]) + [len(table.probabilities)]
-        for s, (start, end) in enumerate(zip(table.starts, ends)):
-            pols = self.PREPS[s // len(self.TRIPLES)]
-            numbers = self.TRIPLES[s % len(self.TRIPLES)]
-            dist = propagate_parties(pols, numbers)
-            assert np.array_equal(table.probabilities[start:end], dist.probabilities)
-            occ = dist.occupations
-            for i in range(3):
-                assert np.array_equal(table.groups[i, start:end],
-                                      occ[:, 2 * i] * (fock.N_MAX + 1) + occ[:, 2 * i + 1])
+    def test_zero_outside_the_mask(self):
+        mask = np.zeros((3, 2, 2), dtype=bool)
+        mask[:2, :1, :2] = True
+        table = fock.ideal_detector_table(("+++",), mask)
+        assert not table[..., ~mask].any()
+        assert table[..., mask].any()
 
     def test_nothing_writable(self):
-        table = fock.yield_table(("HHH",), ((1, 1, 1),))
-        with pytest.raises(ValueError):
-            table.probabilities[0] = 0.0
+        mask = np.ones((2, 2, 2), dtype=bool)
+        for table in (fock._single_photon_table(),
+                      gains._class_table(mask.shape, mask.tobytes())):
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 0.0

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from mdighz import decoy, fock, gains, montecarlo
 from mdighz.params import DetectorModel, NumericsError
+from yield_reference import ghz_outcome_yields
 
 LN2 = math.log(2.0)
 
@@ -305,7 +306,7 @@ class TestHeraldedGains:
                 if n + m + l > 3:
                     continue
                 w = st.p_n[n] * st.p_n[m] * st.p_n[l]
-                yp, ym = fock.ghz_outcome_yields(
+                yp, ym = ghz_outcome_yields(
                     fock.propagate_parties("+++", (n, m, l)), eta, p_d)
                 low_orders += w * (yp + ym)
             return abs(total - low_orders) / total
@@ -334,7 +335,10 @@ class TestHeraldedGains:
 
     @pytest.mark.parametrize("eta, p_d", [(0.04, 1e-7), (4e-5, 1e-7), (1.0, 0.0)])
     def test_matches_per_triple_sum(self, eta, p_d):
-        # reference: the yields of every kept triple from its own distribution
+        # reference: the yields of every triple within the cutoff from its own
+        # distribution.  The thinned sum also carries the triples below the
+        # truncation floor (they thin into the table's triples), which reach
+        # 7e-13 of q_ex here, so the reference keeps them too.
         trig = DetectorModel(0.4, 1e-7)
         p_n = decoy.heralded_stats(5e-3, trig).p_n
         vac = decoy.vacuum_stats().p_n
@@ -342,10 +346,10 @@ class TestHeraldedGains:
             comps = np.zeros(6)
             for n, m, l in itertools.product(range(13), repeat=3):
                 w = dists[0][n] * dists[1][m] * dists[2][l]
-                if w == 0.0 or w < 1e-12 / 4096 or n + m + l > fock.N_MAX:
+                if w == 0.0 or n + m + l > fock.N_MAX:
                     continue
-                ys = [fock.ghz_outcome_yields(fock.propagate_parties(pols, (n, m, l)),
-                                              eta, p_d)
+                ys = [ghz_outcome_yields(fock.propagate_parties(pols, (n, m, l)),
+                                         eta, p_d)
                       for pols in ("HHH", "HHV", "VHH", "HVH", "+++")]
                 comps += w * np.array([(y[0] + y[1]) / 16.0 for y in ys[:4]]
                                       + [ys[4][0] / 8.0, ys[4][1] / 8.0])
@@ -381,8 +385,9 @@ class TestHeraldedGains:
         def no_table(*args):
             pytest.fail("the yield table was built for a refused source")
 
-        # the budget is checked before any yield is built
-        monkeypatch.setattr(fock, "yield_table", no_table)
+        # the budget is checked before any table is built or looked up
+        monkeypatch.setattr(gains, "_class_table", no_table)
+        monkeypatch.setattr(fock, "ideal_detector_table", no_table)
         dists = (pois, pois, pois)
         with pytest.raises(NumericsError, match="truncation"):
             gains.fock_yields(dists, 0.5, 0.0).gain_set(dists, 0.0)
@@ -401,10 +406,30 @@ class TestQndGains:
         total = 0.0
         for n, m, l in itertools.product((0, 1), repeat=3):
             w = math.exp(-3 * lam) * lam ** (n + m + l)
-            y = fock.ghz_outcome_yields(
+            y = ghz_outcome_yields(
                 fock.propagate_parties("HHH", (n, m, l)), det.eta_d, det.p_d)
             total += w * (y[0] + y[1]) / 4.0  # both outcomes, two same-pol triples / 8
         assert gs.q_cz == pytest.approx(total, rel=1e-12, abs=0.0)
+
+    def test_unit_detector_efficiency_equals_restricted_fock_sum(self):
+        # at eta_d = 1 an empty detector clicks with exactly p_d; the mixed
+        # classes need a dark count, so they see any loss of precision there
+        mu, eta_t = 0.4, 1e-4
+        det = DetectorModel(1.0, 1e-7)
+        gs = gains.gains_qnd(mu, mu, mu, eta_t, det, 0.0)
+        lam = mu * eta_t
+        comps = np.zeros(6)
+        for n, m, l in itertools.product((0, 1), repeat=3):
+            w = math.exp(-3 * lam) * lam ** (n + m + l)
+            ys = [ghz_outcome_yields(fock.propagate_parties(pols, (n, m, l)), 1.0, det.p_d)
+                  for pols in ("HHH", "HHV", "VHH", "HVH", "+++")]
+            comps += w * np.array([(y[0] + y[1]) / 16.0 for y in ys[:4]]
+                                  + [ys[4][0] / 8.0, ys[4][1] / 8.0])
+        want = gains.assemble_gain_set(gains.ZGainComponents(*comps[:4]),
+                                       gains.XGainComponents(*comps[4:]), 0.0)
+        for field in ("q_cz", "q_ez", "q_czab", "q_ezab", "q_czac", "q_ezac", "q_cx", "q_ex"):
+            assert getattr(gs, field) == pytest.approx(
+                getattr(want, field), rel=1e-13, abs=0.0), field
 
     def test_regression_paper_point_100km(self):
         gs = gains.gains_qnd(0.4, 0.4, 0.4, 10 ** (-0.2 * 100 / 10),

@@ -4,6 +4,7 @@ import pytest
 
 from mdighz import fock, mermin
 from mdighz.params import ChannelModel, DecoyPlan, DetectorModel, SystemParams
+from yield_reference import ghz_outcome_yields
 
 
 def system(length_km, eta_d=0.40, p_d=1e-7, e_d=0.015):
@@ -74,7 +75,7 @@ class TestCorrelatorSymmetry:
             for signs in itertools.product((1, -1), repeat=3):
                 pols = "".join(tokens[(b, s)] for b, s in zip(bases, signs))
                 dist = fock.propagate_parties(pols, (1, 1, 1))
-                y_plus, _ = fock.ghz_outcome_yields(dist, 1.0, 0.0)
+                y_plus, _ = ghz_outcome_yields(dist, 1.0, 0.0)
                 parity = signs[0] * signs[1] * signs[2]
                 num += parity * y_plus
                 den += y_plus
