@@ -296,7 +296,7 @@ def _validate_brackets(cfg: ExperimentConfig, rows: list) -> bool:
     for length in (0.0, 50.0, 100.0, 150.0):
         params = cfg.system.at_distance(length)
         grid = decoy.build_gain_grid(
-            lambda a, b, c: gains.wcs_gain_set(a, b, c, params), cfg.decoy)
+            lambda triples: gains.wcs_gain_sets(triples, params), cfg.decoy)
         bounds = decoy.single_photon_bounds(grid, decoy.poisson_level(cfg.decoy.mu2),
                                             decoy.poisson_level(cfg.decoy.mu1))
         exact = fock.exact_single_photon_stats_for(params)

@@ -69,14 +69,15 @@ class GainGrid:
         return self.entries[(level, pattern)]
 
 
-def build_gain_grid(gain_fn, plan: DecoyPlan) -> GainGrid:
-    """Evaluate `gain_fn(mu_a, mu_b, mu_c)` over the 15 patterns."""
-    entries = {}
-    vacuum_set = gain_fn(0.0, 0.0, 0.0)
-    for level, mu in (("signal", plan.mu2), ("decoy", plan.mu1)):
-        for pat in LEVEL_PATTERNS:
-            entries[(level, pat)] = gain_fn(*(mu * p for p in pat))
-        entries[(level, VACUUM)] = vacuum_set
+def build_gain_grid(gains_fn, plan: DecoyPlan) -> GainGrid:
+    """Evaluate `gains_fn(triples)` once: it maps the 15 intensity triples
+    (mu_a, mu_b, mu_c) of the patterns, shared vacuum first, to their gains."""
+    keys = [(level, pat) for level in ("signal", "decoy") for pat in LEVEL_PATTERNS]
+    mus = {"signal": plan.mu2, "decoy": plan.mu1}
+    vacuum, *values = gains_fn(((0.0, 0.0, 0.0),) + tuple(
+        tuple(mus[level] * p for p in pat) for level, pat in keys))
+    entries = dict(zip(keys, values, strict=True))
+    entries[("signal", VACUUM)] = entries[("decoy", VACUUM)] = vacuum
     return GainGrid(entries)
 
 

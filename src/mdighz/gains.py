@@ -5,12 +5,13 @@ suppressed classes carry modified-Bessel factors from the phase average) and
 quadrature in the diagonal basis, where the overall phases survive into
 detector-level interference: the periodic trapezoid rule over the full phase
 circle, and Gauss-Legendre over the hexagon of phase differences for the
-phase-sliced gains.  Heralded and photon-number-filtered variants take their
-gains from the exact Fock engine by binomial thinning: each user's
-photon-number distribution is thinned by the detector efficiency, and the
-joint thinned weights are contracted against the ideal-detector class
-components of a fixed set of photon-number triples, built once and free of
-any distance.
+phase-sliced gains.  The full-circle rule stacks all intensity triples of a
+decoy grid into one evaluation, each triple summed and certified on its own.
+Heralded and photon-number-filtered variants take their gains from the exact
+Fock engine by binomial thinning: each user's photon-number distribution is
+thinned by the detector efficiency, and the joint thinned weights are
+contracted against the ideal-detector class components of a fixed set of
+photon-number triples, built once and free of any distance.
 
 Conventions: a "gain" Q is the per-pulse-triple probability of one announced
 outcome class and includes the 1/8 preparation probability of the specific
@@ -42,7 +43,7 @@ __all__ = [
     "mermin_outcome_gains",
     "phase_sliced_gains",
     "assemble_gain_set",
-    "wcs_gain_set",
+    "wcs_gain_sets",
     "FockYields",
     "fock_yields",
     "gains_qnd",
@@ -263,9 +264,9 @@ def _mode_intensities(ia, ib, ic, signs, phi_ab, phi_bc, phi_ac):
     """Mean photon numbers at the six detectors for diagonal-basis coherent
     inputs with sign triple `signs` (+1 -> "+", -1 -> "-")."""
     sa, sb, sc = signs
-    r_ab = 0.5 * sqrt(ia * ib)
-    r_bc = 0.5 * sqrt(ib * ic)
-    r_ac = 0.5 * sqrt(ia * ic)
+    r_ab = 0.5 * np.sqrt(ia * ib)
+    r_bc = 0.5 * np.sqrt(ib * ic)
+    r_ac = 0.5 * np.sqrt(ia * ic)
     base1 = (ia + ib) / 4.0
     base2 = (ib + ic) / 4.0
     base3 = (ia + ic) / 4.0
@@ -293,43 +294,49 @@ def _certified(coarse, fine, what):
     fine = np.asarray(fine, dtype=float)
     if not (np.isfinite(coarse).all() and np.isfinite(fine).all()):
         raise NumericsError(f"{what}: quadrature gave a non-finite value")
+    # axis 0 is the outcome: each intensity triple floors its own scale
     scale = np.maximum(np.abs(fine), 1e-300)
-    if np.any(np.abs(fine - coarse) > QUAD_RTOL * np.maximum(scale, np.max(scale) * 1e-6)):
+    if np.any(np.abs(fine - coarse) > QUAD_RTOL * np.maximum(scale, scale.max(axis=0) * 1e-6)):
         raise NumericsError(f"{what}: quadrature did not stabilize to {QUAD_RTOL} "
                             f"relative after one node doubling")
     return fine
 
 
 def _x_outcome_quad(signs, ia, ib, ic, p_d, nodes):
-    """Both outcome gains by the nodes^2 and the (2 nodes)^2 trapezoid rule.
+    """Both outcome gains by the nodes^2 and the (2 nodes)^2 trapezoid rule,
+    as (2, P) arrays for P arriving-intensity triples (arrays of length P).
 
     The integrand is periodic and analytic in both phases, so the equispaced
     trapezoid rule converges geometrically on it; the coarse rule is the
     even-indexed subgrid of the fine one, so one evaluation serves both.
     """
     phi = np.arange(2 * nodes) * (np.pi / nodes)
-    pab = phi[:, None]
-    pac = phi[None, :]
+    pab, pac = phi[:, None], phi[None, :]
+    ia, ib, ic = (np.reshape(v, (-1, 1, 1)) for v in (ia, ib, ic))
     sums = _pattern_sums(_mode_intensities(ia, ib, ic, signs, pab, pac - pab, pac), p_d)
-    # mean() sums pairwise, which keeps the rounding small enough for the
-    # decoy differences that amplify it at long distance
-    return ([s[::2, ::2].mean() / 8.0 for s in sums], [s.mean() / 8.0 for s in sums])
+    # mean() sums each triple's contiguous row (the subgrid is copied into
+    # one) pairwise, which keeps the rounding small enough for the decoy
+    # differences that amplify it at long distance
+    rows = len(sums[0])
+    return (np.array([s[:, ::2, ::2].reshape(rows, -1).mean(axis=-1) / 8.0 for s in sums]),
+            np.array([s.reshape(rows, -1).mean(axis=-1) / 8.0 for s in sums]))
 
 
-def mermin_outcome_gains(signs: tuple[int, int, int], mu: float, nu: float,
-                         omega: float, eta: float, p_d: float,
-                         nodes: int = QUAD_NODES) -> tuple[float, float]:
+def mermin_outcome_gains(signs: tuple[int, int, int], mu, nu, omega, eta: float,
+                         p_d: float, nodes: int = QUAD_NODES):
     """Gains of the two announced outcomes for one diagonal-basis sign triple,
     phase-averaged over the full circle (two-angle periodic trapezoid rule).
 
     Any subset of the intensities may be zero; the vanishing cross terms make
     those cases exact.  Returns (correct-class gain, other-class gain) with
-    the correct class being the one a (+,+,+) triple feeds.
+    the correct class being the one a (+,+,+) triple feeds.  Given sequences
+    of intensities, one evaluation returns a list of each gain, one entry per
+    triple, and every triple is certified on its own.
     """
-    ia, ib, ic = mu * eta, nu * eta, omega * eta
-    pair = _certified(*_x_outcome_quad(signs, ia, ib, ic, p_d, nodes),
-                      "diagonal-basis gain")
-    return float(pair[0]), float(pair[1])
+    ia, ib, ic = (np.multiply(m, eta) for m in (mu, nu, omega))
+    correct, other = _certified(*_x_outcome_quad(signs, ia, ib, ic, p_d, nodes),
+                                "diagonal-basis gain").tolist()
+    return (correct[0], other[0]) if np.ndim(mu) == 0 else (correct, other)
 
 
 def x_gain_components(mu: float, nu: float, omega: float, eta: float,
@@ -431,13 +438,14 @@ def assemble_gain_set(z: ZGainComponents, x: XGainComponents, e_d: float) -> Gai
     )
 
 
-def wcs_gain_set(mu: float, nu: float, omega: float, params: SystemParams) -> GainSet:
-    """Full weak-coherent GainSet at the params' distance."""
+def wcs_gain_sets(triples, params: SystemParams) -> list[GainSet]:
+    """Full weak-coherent GainSets at the params' distance, one per intensity
+    triple (mu, nu, omega), with one stacked quadrature for every triple."""
     eta = overall_efficiency(params.channel, params.detector)
     p_d = params.detector.p_d
-    z = z_gain_components(mu, nu, omega, eta, p_d)
-    x = x_gain_components(mu, nu, omega, eta, p_d)
-    return assemble_gain_set(z, x, params.e_d)
+    x = zip(*mermin_outcome_gains((1, 1, 1), *zip(*triples), eta, p_d))
+    return [assemble_gain_set(z_gain_components(*t, eta, p_d), XGainComponents(*xt),
+                              params.e_d) for t, xt in zip(triples, x)]
 
 
 # ---------------------------------------------------------------------------

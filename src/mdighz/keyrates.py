@@ -144,8 +144,7 @@ def _poisson_p111(mu, nu, omega) -> float:
 def _wcs_point(cfg: ExperimentConfig, length_km: float, protocol: str) -> RatePoint:
     params = cfg.system.at_distance(length_km)
     plan = cfg.decoy
-    grid = decoy.build_gain_grid(
-        lambda a, b, c: gains.wcs_gain_set(a, b, c, params), plan)
+    grid = decoy.build_gain_grid(lambda triples: gains.wcs_gain_sets(triples, params), plan)
     bounds = decoy.single_photon_bounds(grid, decoy.poisson_level(plan.mu2),
                                         decoy.poisson_level(plan.mu1))
     exact = fock.exact_single_photon_stats_for(params)
@@ -198,8 +197,8 @@ def _heralded_point(cfg: ExperimentConfig, length_km: float) -> RatePoint:
              plan.mu2: decoy.heralded_stats(plan.mu2, cfg.source.trigger)}
     yields = gains.fock_yields([s.p_n for s in stats.values()], eta, p_d)
     grid = decoy.build_gain_grid(
-        lambda a, b, c: yields.gain_set((stats[a].p_n, stats[b].p_n, stats[c].p_n),
-                                        params.e_d), plan)
+        lambda triples: [yields.gain_set((stats[a].p_n, stats[b].p_n, stats[c].p_n),
+                                         params.e_d) for a, b, c in triples], plan)
     signal = stats[plan.mu2].p_n
     bounds = decoy.single_photon_bounds(grid, decoy.distribution_level(signal),
                                         decoy.distribution_level(stats[plan.mu1].p_n))
@@ -221,7 +220,7 @@ def _qnd_point(cfg: ExperimentConfig, length_km: float) -> RatePoint:
     eta_t = transmission_efficiency(params.channel)
     det = params.detector
     grid = decoy.build_gain_grid(
-        lambda a, b, c: gains.gains_qnd(a, b, c, eta_t, det, params.e_d), plan)
+        lambda triples: [gains.gains_qnd(*t, eta_t, det, params.e_d) for t in triples], plan)
     lam = plan.mu2 * eta_t
     bounds = decoy.single_photon_bounds(grid, decoy.poisson_level(lam),
                                         decoy.poisson_level(plan.mu1 * eta_t))

@@ -33,13 +33,14 @@ class MerminEstimate:
 def _outcome_grid(params: SystemParams, plan: DecoyPlan) -> decoy.GainGrid:
     """(all-"+", all-"-") announced-correct-outcome gains over the 15 decoy
     intensity patterns."""
-    eta = overall_efficiency(params.channel, params.detector)
+    eta, p_d = overall_efficiency(params.channel, params.detector), params.detector.p_d
 
-    def gain_fn(*mus):
-        return tuple(gains.mermin_outcome_gains(signs, *mus, eta, params.detector.p_d)[0]
-                     for signs in ((1, 1, 1), (-1, -1, -1)))
+    def gains_fn(triples):
+        ppp, mmm = (gains.mermin_outcome_gains(signs, *zip(*triples), eta, p_d)[0]
+                    for signs in ((1, 1, 1), (-1, -1, -1)))
+        return list(zip(ppp, mmm))
 
-    return decoy.build_gain_grid(gain_fn, plan)
+    return decoy.build_gain_grid(gains_fn, plan)
 
 
 def mermin_lower_bound(params: SystemParams, plan: DecoyPlan) -> MerminEstimate:

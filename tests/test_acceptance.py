@@ -106,7 +106,7 @@ class TestCriterion5DecoySoundness:
             for length in np.arange(0.0, 151.0, 15.0):
                 params = cfg.system.at_distance(length)
                 grid = decoy.build_gain_grid(
-                    lambda a, b, c: gains.wcs_gain_set(a, b, c, params), plan)
+                    lambda triples: gains.wcs_gain_sets(triples, params), plan)
                 bounds = decoy.single_photon_bounds(grid, decoy.poisson_level(plan.mu2),
                                                     decoy.poisson_level(plan.mu1))
                 exact = fock.exact_single_photon_stats_for(params)

@@ -54,13 +54,14 @@ def synthetic_grid(yields, errors, plan, n_cut=3):
             q_x += w * y
             eq_x += w * e * y
         return stub_gain_set(q_z, eq_z, q_x, eq_x)
-    return build_gain_grid(gain_fn, plan)
+    return build_gain_grid(lambda triples: [gain_fn(*t) for t in triples], plan)
 
 
 class TestGainGrid:
     def test_requires_all_fifteen_patterns(self):
         plan = DecoyPlan(0.4, 0.005)
-        grid = build_gain_grid(lambda a, b, c: stub_gain_set(a + b + c), plan)
+        grid = build_gain_grid(
+            lambda triples: [stub_gain_set(a + b + c) for a, b, c in triples], plan)
         assert len(grid.entries) == 16  # 2 x 7 + shared vacuum under both levels
         with pytest.raises(ValueError, match="incomplete"):
             entries = dict(grid.entries)
@@ -70,11 +71,17 @@ class TestGainGrid:
     def test_vacuum_shared(self):
         plan = DecoyPlan(0.4, 0.005)
         calls = []
-        def gain_fn(a, b, c):
-            calls.append((a, b, c))
-            return stub_gain_set()
-        build_gain_grid(gain_fn, plan)
-        assert calls.count((0.0, 0.0, 0.0)) == 1
+        def gains_fn(triples):
+            calls.append(triples)
+            return [stub_gain_set(a + b + c) for a, b, c in triples]
+        grid = build_gain_grid(gains_fn, plan)
+        assert len(calls) == 1  # one evaluation for the whole grid
+        triples = calls[0]
+        assert len(triples) == 15
+        assert triples.count((0.0, 0.0, 0.0)) == 1
+        assert grid.gain("signal", (0, 0, 0)) is grid.gain("decoy", (0, 0, 0))
+        assert grid.gain("signal", (1, 0, 1)).q_z == 0.8
+        assert grid.gain("decoy", (0, 1, 1)).q_z == 0.01
 
 
 class TestWcsBounds:
@@ -103,7 +110,7 @@ class TestWcsBounds:
 
     def test_all_zero_grid_reports_unbounded(self):
         plan = DecoyPlan(0.4, 0.005)
-        grid = build_gain_grid(lambda a, b, c: stub_gain_set(), plan)
+        grid = build_gain_grid(lambda triples: [stub_gain_set() for _ in triples], plan)
         bounds = level_bounds(grid, plan)
         assert bounds.y111_zl == 0.0
         assert bounds.y111_xl == 0.0
@@ -117,7 +124,7 @@ class TestWcsBounds:
         for length in (0.0, 40.0, 90.0, 150.0):
             params = SystemParams(ChannelModel(0.2, length), det, 0.0, 1.16)
             grid = build_gain_grid(
-                lambda a, b, c: gains.wcs_gain_set(a, b, c, params), plan)
+                lambda triples: gains.wcs_gain_sets(triples, params), plan)
             bounds = level_bounds(grid, plan)
             exact = fock.exact_single_photon_stats_for(params)
             assert bounds.y111_zl <= exact.y111_z + 1e-12
@@ -131,7 +138,7 @@ class TestWcsBounds:
             det = DetectorModel(0.4, p_d)
             params = SystemParams(ChannelModel(0.2, 80.0), det, 0.0, 1.16)
             grid = build_gain_grid(
-                lambda a, b, c: gains.wcs_gain_set(a, b, c, params), plan)
+                lambda triples: gains.wcs_gain_sets(triples, params), plan)
             return level_bounds(grid, plan).e111_bxu
         assert at_darks(5e-7) >= at_darks(1e-7) - 1e-12
 
@@ -143,7 +150,7 @@ class TestLevelConstructors:
         params = SystemParams(ChannelModel(0.2, length), DetectorModel(0.4, 1e-7),
                               0.015, 1.16)
         grid = build_gain_grid(
-            lambda a, b, c: gains.wcs_gain_set(a, b, c, params), plan)
+            lambda triples: gains.wcs_gain_sets(triples, params), plan)
         poisson = level_bounds(grid, plan, LEVELS["poisson"])
         dist = level_bounds(grid, plan, LEVELS["distribution"])
         for name in ("y111_zl", "y111_xl", "e111_bxu", "e111_bzu"):
@@ -162,12 +169,12 @@ class TestLevelConstructors:
     ])
     def test_degenerate_levels_give_zero_bounds(self, signal, decoy_):
         plan = DecoyPlan(0.4, 0.005)
-        grid = build_gain_grid(lambda a, b, c: stub_gain_set(1e-3, 1e-5, 1e-3, 1e-5),
-                               plan)
+        grid = build_gain_grid(
+            lambda triples: [stub_gain_set(1e-3, 1e-5, 1e-3, 1e-5) for _ in triples], plan)
         b = single_photon_bounds(grid, signal, decoy_)
         assert (b.y111_zl, b.y111_xl, b.e111_bxu, b.e111_bzu) == (0.0, 0.0, None, None)
         assert b.diagnostics == (DEGENERATE,)
-        pairs = build_gain_grid(lambda a, b, c: (1e-3, 1e-5), plan)
+        pairs = build_gain_grid(lambda triples: [(1e-3, 1e-5) for _ in triples], plan)
         m = mermin_yield_bounds(pairs, signal, decoy_)
         assert (m.y_ppp_lower, m.y_ppp_upper, m.y_mmm_upper) == (0.0, 0.0, 0.0)
         assert m.diagnostics == (DEGENERATE,)
@@ -204,7 +211,7 @@ class TestHeraldedStats:
 class TestHeraldedBounds:
     def test_degenerate_grid(self):
         plan = DecoyPlan(5e-3, 5e-4)
-        grid = build_gain_grid(lambda a, b, c: stub_gain_set(), plan)
+        grid = build_gain_grid(lambda triples: [stub_gain_set() for _ in triples], plan)
         trig = DetectorModel(0.4, 1e-7)
         b = single_photon_bounds(grid, distribution_level(heralded_stats(5e-3, trig).p_n),
                                  distribution_level(heralded_stats(5e-4, trig).p_n))
@@ -225,7 +232,7 @@ class TestHeraldedBounds:
                 dists = (stats[a].p_n, stats[b].p_n, stats[c].p_n)
                 return gains.fock_yields(dists, eta, det.p_d).gain_set(dists, params.e_d)
 
-            grid = build_gain_grid(gain_set, plan)
+            grid = build_gain_grid(lambda triples: [gain_set(*t) for t in triples], plan)
             bounds = single_photon_bounds(grid, distribution_level(stats[plan.mu2].p_n),
                                           distribution_level(stats[plan.mu1].p_n))
             exact = fock.exact_single_photon_stats_for(params)
@@ -239,15 +246,15 @@ class TestMerminYieldBounds:
     def bounds_at(self, params, plan):
         eta = overall_efficiency(params.channel, params.detector)
         grid = build_gain_grid(
-            lambda *mus: tuple(gains.mermin_outcome_gains(
+            lambda triples: [tuple(gains.mermin_outcome_gains(
                 signs, *mus, eta, params.detector.p_d)[0]
-                for signs in ((1, 1, 1), (-1, -1, -1))), plan)
+                for signs in ((1, 1, 1), (-1, -1, -1))) for mus in triples], plan)
         return mermin_yield_bounds(grid, poisson_level(plan.mu2),
                                    poisson_level(plan.mu1))
 
     def test_all_zero_grid(self):
         plan = DecoyPlan(0.4, 0.005)
-        zeros = build_gain_grid(lambda a, b, c: (0.0, 0.0), plan)
+        zeros = build_gain_grid(lambda triples: [(0.0, 0.0) for _ in triples], plan)
         b = mermin_yield_bounds(zeros, poisson_level(plan.mu2), poisson_level(plan.mu1))
         assert (b.y_ppp_lower, b.y_ppp_upper, b.y_mmm_upper) == (0.0, 0.0, 0.0)
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdighz import decoy, fock, gains, montecarlo
-from mdighz.params import DetectorModel, NumericsError
+from mdighz.params import (ChannelModel, DecoyPlan, DetectorModel, NumericsError,
+                           SystemParams, overall_efficiency)
 from yield_reference import ghz_outcome_yields
 
 LN2 = math.log(2.0)
@@ -44,6 +45,18 @@ def reference_outcome_sums(signs, ia, ib, ic, p_d, phi_ab, phi_bc, phi_ac):
             total = total + term
         out.append(total)
     return out
+
+
+def plan_triples(plan):
+    """The intensity triples, vacuum first, that a decoy grid evaluates."""
+    seen = []
+
+    def gains_fn(triples):
+        seen.extend(triples)
+        return triples
+
+    decoy.build_gain_grid(gains_fn, plan)
+    return seen
 
 
 def gauss_legendre(n, length):
@@ -128,8 +141,8 @@ class TestDiagonalQuadrature:
         p_d = 1e-3
         x = gains.x_gain_components(0, 0, 0, 0.4, p_d)
         expect = p_d ** 3 * (1 - p_d) ** 3 / 2.0
-        assert x.e == pytest.approx(expect, rel=1e-10)
-        assert x.f == pytest.approx(expect, rel=1e-10)
+        assert x.e == pytest.approx(expect, rel=1e-10, abs=0.0)
+        assert x.f == pytest.approx(expect, rel=1e-10, abs=0.0)
 
     def test_paper_point_against_monte_carlo(self):
         eta, p_d = 0.04, 1e-7
@@ -141,8 +154,8 @@ class TestDiagonalQuadrature:
     def test_quadrature_stable_under_doubling(self):
         coarse = gains.x_gain_components(0.5, 0.5, 0.5, 0.3, 1e-5, nodes=64)
         fine = gains.x_gain_components(0.5, 0.5, 0.5, 0.3, 1e-5, nodes=128)
-        assert coarse.e == pytest.approx(fine.e, rel=1e-8)
-        assert coarse.f == pytest.approx(fine.f, rel=1e-8)
+        assert coarse.e == pytest.approx(fine.e, rel=1e-8, abs=0.0)
+        assert coarse.f == pytest.approx(fine.f, rel=1e-8, abs=0.0)
 
     @pytest.mark.parametrize("signs, intensities, eta, p_d", [
         ((1, 1, 1), (0.4, 0.4, 0.4), 0.04, 1e-7),
@@ -167,6 +180,36 @@ class TestDiagonalQuadrature:
         with pytest.raises(NumericsError, match="diagonal-basis"):
             gains.mermin_outcome_gains((1, 1, 1), 3.0, 3.0, 3.0, 0.9, 0.0, nodes=2)
 
+    def test_certification_floor_is_per_triple(self):
+        # triple 0 bright and stable; triple 1 near 1e-9 with a 1e-6 relative
+        # coarse/fine gap, which only a floor set by triple 0 would forgive
+        fine = np.array([[1.0, 1e-9], [0.5, 2e-9]])
+        coarse = fine * np.array([[1.0, 1.0 + 1e-6], [1.0, 1.0]])
+        with pytest.raises(NumericsError, match="did not stabilize"):
+            gains._certified(coarse, fine, "diagonal-basis gain")
+        gains._certified(fine, fine, "diagonal-basis gain")
+
+    def test_stacked_certification_refuses_one_unstable_triple(self):
+        # the dim triples alone pass at two nodes; beside them the bright one,
+        # which two nodes cannot resolve, must still be refused
+        dim = ([0.0, 1e-3], [1e-3, 0.0], [0.0, 0.0])
+        gains.mermin_outcome_gains((1, 1, 1), *dim, 0.9, 0.0, nodes=2)
+        with pytest.raises(NumericsError, match="diagonal-basis"):
+            gains.mermin_outcome_gains((1, 1, 1), *([3.0] + d for d in dim), 0.9, 0.0,
+                                       nodes=2)
+
+    @pytest.mark.parametrize("eta, p_d", [(0.04, 1e-7), (4e-5, 1e-7), (0.9, 0.0),
+                                          (0.5, 1e-3)])
+    @pytest.mark.parametrize("signs", [(1, 1, 1), (-1, -1, -1)])
+    def test_stacked_equals_per_triple_calls(self, signs, eta, p_d):
+        # every triple of a decoy plan: the stacked gains are bit-identical to
+        # the scalar calls, because each triple keeps its own pairwise sum
+        triples = plan_triples(DecoyPlan(0.4, 0.005))
+        assert len(triples) == 15
+        q_c, q_e = gains.mermin_outcome_gains(signs, *zip(*triples), eta, p_d)
+        for t, c, e in zip(triples, q_c, q_e, strict=True):
+            assert (c, e) == gains.mermin_outcome_gains(signs, *t, eta, p_d), t
+
     @given(st.floats(0, 0.8), st.floats(1e-3, 1.0), st.floats(0, 0.02))
     def test_in_range_and_monotone_in_darks(self, mu, eta, p_d):
         lo = gains.x_gain_components(mu, mu, mu, eta, p_d)
@@ -179,7 +222,7 @@ class TestSignPatternGains:
     def test_even_flip_leaves_gain(self):
         q1 = gains.mermin_outcome_gains((1, 1, 1), 0.3, 0.3, 0.3, 0.2, 1e-5)
         q2 = gains.mermin_outcome_gains((1, -1, -1), 0.3, 0.3, 0.3, 0.2, 1e-5)
-        assert q1[0] == pytest.approx(q2[0], rel=1e-10)
+        assert q1[0] == pytest.approx(q2[0], rel=1e-10, abs=0.0)
 
     def test_eight_pattern_classes(self):
         correct, false = [], []
@@ -202,7 +245,7 @@ class TestSignPatternGains:
                  seed=41, samples=2_000_000)
         # vacuum third arm: the sign of the dark user cannot matter
         q2 = gains.mermin_outcome_gains((1, 1, -1), 0.6, 0.6, 0.0, eta, p_d)
-        assert q[0] == pytest.approx(q2[0], rel=1e-10)
+        assert q[0] == pytest.approx(q2[0], rel=1e-10, abs=0.0)
 
 
 class TestSlicedGains:
@@ -215,8 +258,8 @@ class TestSlicedGains:
         eta, p_d = 0.1, 1e-5
         sliced = gains.phase_sliced_gains(0.3, 0.3, 0.3, eta, p_d, 1)
         x = gains.x_gain_components(0.3, 0.3, 0.3, eta, p_d)
-        assert sliced.q_c == pytest.approx(8 * x.e, rel=1e-8)
-        assert sliced.q_e == pytest.approx(8 * x.f, rel=1e-8)
+        assert sliced.q_c == pytest.approx(8 * x.e, rel=1e-8, abs=0.0)
+        assert sliced.q_e == pytest.approx(8 * x.f, rel=1e-8, abs=0.0)
 
     def test_paper_point_error_well_below_plateau(self):
         eta = 0.04
@@ -280,6 +323,16 @@ class TestAssembly:
         gs = gains.assemble_gain_set(z, x, 0.015)
         assert gs.e_z * gs.q_z == pytest.approx(
             0.015 * gs.q_cz + 0.985 * gs.q_ez, rel=1e-12)
+
+    def test_wcs_gain_sets_equal_per_triple_assembly(self):
+        params = SystemParams(ChannelModel(0.2, 120.0), DetectorModel(0.4, 1e-7),
+                              0.015, 1.16)
+        eta = overall_efficiency(params.channel, params.detector)
+        triples = plan_triples(DecoyPlan(0.4, 0.005))
+        for t, gs in zip(triples, gains.wcs_gain_sets(triples, params), strict=True):
+            want = gains.assemble_gain_set(gains.z_gain_components(*t, eta, 1e-7),
+                                           gains.x_gain_components(*t, eta, 1e-7), 0.015)
+            assert gs == want, t
 
 
 class TestHeraldedGains:
