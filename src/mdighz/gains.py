@@ -27,7 +27,6 @@ from functools import lru_cache
 from math import exp, expm1, sqrt
 
 import numpy as np
-from scipy.special import i0 as bessel_i0
 
 from . import fock
 from .params import DetectorModel, NumericsError, SystemParams, overall_efficiency
@@ -157,9 +156,7 @@ def _group_click(intensity: float, p_d: float) -> float:
 
 
 def _i0_minus_1(z: float) -> float:
-    """I0(z) - 1 without the subtraction loss at small arguments."""
-    if z >= 0.5:
-        return float(bessel_i0(z)) - 1.0
+    """I0(z) - 1 by its power series, whose positive terms never cancel; inf past z ~ 713."""
     q = z * z / 4.0
     term = q
     total = q

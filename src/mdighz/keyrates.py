@@ -11,6 +11,7 @@ other, so only bit-error bounds appear below.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from math import exp
 
 import numpy as np
@@ -276,6 +277,7 @@ def optimize_intensities(variant: str, cfg: ExperimentConfig, length_km: float,
     if rounds < 1:
         raise ValueError(f"need rounds >= 1, got {rounds}")
 
+    @lru_cache(maxsize=None)  # keyed by the exact mu: refined grids repeat earlier ones
     def rate_at(mu: float) -> float:
         if mu <= cfg.decoy.mu1:
             return 0.0

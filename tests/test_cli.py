@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -18,6 +21,34 @@ def small_qcc(tmp_path, l_max=20, l_step=10, eta_d=0.4):
     path = tmp_path / "qcc.cfg"
     path.write_text(text)
     return path
+
+
+NO_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"{name} refused by the import guard")
+
+sys.meta_path.insert(0, RefuseScipy())
+import mdighz.cli
+from mdighz import gains
+
+z = gains.z_gain_components(2.0, 2.0, 2.0, 0.9, 1e-7)  # I0 argument 1.8 > 0.5
+assert not [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+print(repr((z.a, z.b, z.c, z.d)))
+"""
+
+
+class TestImports:
+    def test_runs_without_scipy(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(gains.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        z = gains.z_gain_components(2.0, 2.0, 2.0, 0.9, 1e-7)
+        assert done.stdout.strip() == repr((z.a, z.b, z.c, z.d))
 
 
 class TestQccCommand:

@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mdighz import decoy, fock, gains, keyrates, mermin
-from mdighz.params import (ChannelModel, ConfigError, DetectorModel, SystemParams,
-                           parse_config)
+from mdighz.params import (ChannelModel, ConfigError, DecoyPlan, DetectorModel,
+                           SystemParams, parse_config)
 
 from conftest import qcc_config
 
@@ -215,7 +217,47 @@ class TestExtremeDistance:
             assert decoy.DEGENERATE in pt.diagnostics
 
 
+def unmemoized_optimize(variant, cfg, length_km, box, points=9, rounds=3):
+    # reference: the same search without a memo, so every grid point, and the
+    # box's lower end before the first grid, calls rate_point afresh
+    def rate_at(mu):
+        if mu <= cfg.decoy.mu1:
+            return 0.0
+        trial = replace(cfg, source=replace(cfg.source, mu=mu),
+                        decoy=DecoyPlan(mu2=mu, mu1=cfg.decoy.mu1))
+        return keyrates.rate_point(variant, trial, length_km).rate
+
+    lo, hi = box
+    best_mu, best_rate = lo, rate_at(lo)
+    for _ in range(rounds):
+        grid = np.linspace(lo, hi, points) if hi > lo else np.array([lo])
+        for mu in grid:
+            r = rate_at(float(mu))
+            if r > best_rate or (r == best_rate and mu < best_mu):
+                best_mu, best_rate = float(mu), r
+        span = (hi - lo) / max(points - 1, 1)
+        lo = max(box[0], best_mu - span)
+        hi = min(box[1], best_mu + span)
+    return best_mu, best_rate
+
+
 class TestOptimize:
+    def test_each_trial_intensity_evaluated_once(self, monkeypatch):
+        cfg = parse_config((CONFIG_DIR / "qcc_eta40.cfg").read_text())
+        expected = unmemoized_optimize("qcc", cfg, 100.0, (0.2, 0.8))
+        trials = []
+        rate_point = keyrates.rate_point
+
+        def counting(variant, trial, length_km):
+            trials.append(trial.source.mu)
+            return rate_point(variant, trial, length_km)
+
+        monkeypatch.setattr(keyrates, "rate_point", counting)
+        assert keyrates.optimize_intensities("qcc", cfg, 100.0, (0.2, 0.8)) == expected
+        # 1 + 3 rounds x 9 points = 28 trials without the memo, 5 of them repeats
+        assert len(trials) == 23
+        assert len(set(trials)) == 23
+
     def test_degenerate_box_returns_point(self):
         cfg = qcc_config()
         mu, rate = keyrates.optimize_intensities("qcc", cfg, 50.0, (0.4, 0.4))
