@@ -206,6 +206,12 @@ def cmd_optimize(args) -> int:
 # Validation suite
 # ---------------------------------------------------------------------------
 
+def _check(rows: list, name: str, analytic, estimate, stderr, deviation, good) -> bool:
+    """Append one report row and return whether the check passed."""
+    rows.append([name, analytic, estimate, stderr, deviation, "pass" if good else "FAIL"])
+    return good
+
+
 def _validate_mc(cfg: ExperimentConfig, seed: int, samples: int, rows: list) -> bool:
     """Monte Carlo vs analytic for the six gain classes and the sliced gains."""
     params = cfg.system
@@ -237,10 +243,8 @@ def _validate_mc(cfg: ExperimentConfig, seed: int, samples: int, rows: list) -> 
         for label, analytic, which in wanted:
             est = ests[which]
             z_score = est.z_score(analytic)
-            good = abs(z_score) < 3.0
-            ok &= good
-            rows.append(["mc:" + label, analytic, est.mean, est.stderr, z_score,
-                         "pass" if good else "FAIL"])
+            ok &= _check(rows, "mc:" + label, analytic, est.mean, est.stderr, z_score,
+                         abs(z_score) < 3.0)
     return ok
 
 
@@ -257,10 +261,8 @@ def _validate_symmetries(cfg: ExperimentConfig, rows: list) -> bool:
         vals = [gains.z_pattern_outcome_gain(pols, mu, mu, mu, eta, p_d, outcome)
                 for pols in ("HHH", "VVV") for outcome in ("plus", "minus")]
         spread = (max(vals) - min(vals)) / max(max(vals), 1e-300)
-        good = spread < 1e-10
-        ok &= good
-        rows.append([f"sym:samepol(mu={mu},eta={eta:.3g})", vals[0], vals[-1],
-                     "", spread, "pass" if good else "FAIL"])
+        ok &= _check(rows, f"sym:samepol(mu={mu},eta={eta:.3g})", vals[0], vals[-1],
+                     "", spread, spread < 1e-10)
 
         # mixed classes: closed forms vs the independent pattern-product path
         z = gains.z_gain_components(mu, mu / 2, mu / 3, eta, p_d)
@@ -269,10 +271,8 @@ def _validate_symmetries(cfg: ExperimentConfig, rows: list) -> bool:
             product = gains.z_pattern_outcome_gain(pols, mu, mu / 2, mu / 3,
                                                    eta, p_d)
             worst = max(worst, abs(product - closed) / max(abs(product), 1e-300))
-        good = worst < 1e-10
-        ok &= good
-        rows.append([f"sym:mixedclass(mu={mu},eta={eta:.3g})", z.b, z.c,
-                     "", worst, "pass" if good else "FAIL"])
+        ok &= _check(rows, f"sym:mixedclass(mu={mu},eta={eta:.3g})", z.b, z.c,
+                     "", worst, worst < 1e-10)
 
         correct, false = [], []
         for signs in [(sa, sb, sc) for sa in (1, -1) for sb in (1, -1) for sc in (1, -1)]:
@@ -283,10 +283,8 @@ def _validate_symmetries(cfg: ExperimentConfig, rows: list) -> bool:
         worst = 0.0
         for group in (correct, false):
             worst = max(worst, (max(group) - min(group)) / max(max(group), 1e-300))
-        good = worst < 1e-10
-        ok &= good
-        rows.append([f"sym:signclasses(mu={mu},eta={eta:.3g})", correct[0], false[0],
-                     "", worst, "pass" if good else "FAIL"])
+        ok &= _check(rows, f"sym:signclasses(mu={mu},eta={eta:.3g})", correct[0],
+                     false[0], "", worst, worst < 1e-10)
     return ok
 
 
@@ -303,9 +301,8 @@ def _validate_brackets(cfg: ExperimentConfig, rows: list) -> bool:
         good = bounds.y111_zl <= exact.y111_z + 1e-12
         if bounds.e111_bxu is not None and exact.e111_bx is not None:
             good &= bounds.e111_bxu >= exact.e111_bx - 1e-12
-        ok &= good
-        rows.append([f"bracket:L={length}", bounds.y111_zl, exact.y111_z, "",
-                     bounds.y111_zl - exact.y111_z, "pass" if good else "FAIL"])
+        ok &= _check(rows, f"bracket:L={length}", bounds.y111_zl, exact.y111_z, "",
+                     bounds.y111_zl - exact.y111_z, good)
     return ok
 
 
@@ -316,15 +313,12 @@ def cmd_validate(args) -> int:
                           f"not source.kind = {cfg.source.kind!r}", key="source.kind")
     samples = _QUICK_SAMPLES if args.quick else _FULL_SAMPLES
     rows: list[list] = []
-    ok = True
-    ok &= _validate_mc(cfg, args.seed, samples, rows)
+    ok = _validate_mc(cfg, args.seed, samples, rows)
     ok &= _validate_symmetries(cfg, rows)
     ok &= _validate_brackets(cfg, rows)
     report = montecarlo.fock_closed_form_check(4 if args.quick else 6)
-    good = report.max_deviation < 1e-12
-    ok &= good
-    rows.append(["fock:closed-form", 0.0, report.max_deviation, "",
-                 report.max_deviation, "pass" if good else "FAIL"])
+    ok &= _check(rows, "fock:closed-form", 0.0, report.max_deviation, "",
+                 report.max_deviation, report.max_deviation < 1e-12)
 
     header = ["check", "analytic", "estimate", "stderr", "deviation", "status"]
     widths = [34, 14, 14, 12, 12, 6]

@@ -272,8 +272,8 @@ def optimize_intensities(variant: str, cfg: ExperimentConfig, length_km: float,
     _check_variant(variant, cfg)
     cfg.system.at_distance(length_km)  # ConfigError for a negative or non-finite distance
     lo, hi = box
-    if not (0.0 < lo <= hi):
-        raise ValueError("search box must satisfy 0 < lo <= hi")
+    if not 0.0 < lo <= hi < float("inf"):
+        raise ValueError(f"search box must satisfy 0 < lo <= hi < inf, got {box!r}")
     if rounds < 1:
         raise ValueError(f"need rounds >= 1, got {rounds}")
 

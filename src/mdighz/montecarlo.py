@@ -1,17 +1,26 @@
 """Stochastic oracle for every closed-form and quadrature gain.
 
-Coherent field amplitudes are propagated through the analyzer unitary sample
-by sample (never through the analytic click formulas, Bessel factors, or
-quadratures), detector clicks are drawn from the threshold model, and the
-click patterns are classified exactly like the analytic code classifies them.
+The analyzer unitary U and the H/V/+/- polarization vectors are real, so with
+W[:, p] = sqrt(I_p eta) (U[:, 2p] v_H,p + U[:, 2p+1] v_V,p) output i carries
+the field sum_p W[i, p] exp(i phi_p), whose exact squared modulus is
 
-Determinism: Philox counter-based streams, one substream per fixed-size
-sample chunk (substream index = chunk index), so estimates depend on the seed
-and sample count only, never on how chunks are batched onto workers.
+    n_i = sum_p W[i, p]^2 + sum_{p<q} 2 W[i, p] W[i, q] cos(phi_p - phi_q).
+
+Each sample draws the phases, takes a cosine only for party pairs sharing an
+output (none for HHH), draws threshold clicks from the n_i and classifies them
+by the announced patterns of `fock`.  Working at field level in the per-photon
+loss picture of Ma et al., PRA 72, 012326 (2005), the oracle never uses
+`gains`, a Bessel factor, a quadrature or a closed-form gain: it checks them.
+
+Determinism: one Philox substream per fixed-size chunk (substream index =
+chunk index), so counts depend on the seed and sample count only.  A chunk of
+n samples draws random((n, 3)) phases, integers(0, 2, (n, 3)) half-circle
+copies when the phases are sliced, then random((n, 6)) click uniforms.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -32,6 +41,11 @@ _POL_VECTORS = {
     "-": (1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)),
 }
 
+# click code (bit j: detector j clicked) -> 0 phi+, 1 phi-, 2 not announced
+_CODE_CLASS = np.full(64, 2, dtype=np.intp)
+for _cls, _patterns in enumerate((fock.PHI_PLUS_PATTERNS, fock.PHI_MINUS_PATTERNS)):
+    _CODE_CLASS[[sum(1 << j for j in pat) for pat in _patterns]] = _cls
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -39,8 +53,8 @@ class McConfig:
     seed: int = 1
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        if not isinstance(self.samples, int) or self.samples < 1:
+            raise ValueError(f"samples must be an int >= 1, got {self.samples!r}")
 
 
 @dataclass(frozen=True)
@@ -63,34 +77,28 @@ class McEstimate:
         return (self.mean - reference) / self.stderr
 
 
-def _chunk_counts(pols: str, intensities, eta: float, p_d: float,
-                  unitary: np.ndarray, rng, n: int, slice_k: int | None):
+def _chunk_counts(w: np.ndarray, p_d: float, slice_k, seed: int, index: int, n: int):
+    """(phi+, phi-) counts of chunk `index`, n samples, amplitude matrix w."""
+    rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
+    phases = rng.random((n, 3))
     if slice_k:
         # matched-region phases: first region, both half-circle copies
-        phases = rng.random((n, 3)) * (np.pi / slice_k) \
-            + np.pi * rng.integers(0, 2, (n, 3))
+        phases = phases * (np.pi / slice_k) + np.pi * rng.integers(0, 2, (n, 3))
     else:
-        phases = rng.random((n, 3)) * (2.0 * np.pi)
-    amp_in = np.zeros((n, 6), dtype=complex)
-    for party, (intensity, pol) in enumerate(zip(intensities, pols)):
-        if intensity == 0.0:
-            continue
-        a = np.sqrt(intensity * eta) * np.exp(1j * phases[:, party])
-        vh, vv = _POL_VECTORS[pol]
-        amp_in[:, 2 * party] += a * vh
-        amp_in[:, 2 * party + 1] += a * vv
-    amp_out = amp_in @ unitary.T
-    mean_photons = np.abs(amp_out) ** 2
-    p_click = 1.0 - (1.0 - p_d) * np.exp(-mean_photons)
-    clicks = rng.random((n, 6)) < p_click
-    codes = clicks @ (1 << np.arange(6))
-    counts = np.zeros(2, dtype=np.int64)
-    for cls, patterns in enumerate((fock.PHI_PLUS_PATTERNS, fock.PHI_MINUS_PATTERNS)):
-        match = np.zeros(n, dtype=bool)
-        for pat in patterns:
-            match |= codes == sum(1 << j for j in pat)
-        counts[cls] = int(match.sum())
-    return counts
+        phases *= 2.0 * np.pi
+    # per output a constant mean photon number, or one contiguous row of n
+    means = list((w * w).sum(axis=1))
+    for p, q in itertools.combinations(range(3), 2):
+        weight = 2.0 * w[:, p] * w[:, q]
+        if weight.any():
+            cos = np.cos(phases[:, p] - phases[:, q])
+            for i in np.flatnonzero(weight):
+                means[i] = means[i] + weight[i] * cos
+    uniforms = rng.random((n, 6))
+    codes = np.zeros(n, dtype=np.uint8)
+    for i, mean in enumerate(means):
+        codes |= (uniforms[:, i] < 1.0 - (1.0 - p_d) * np.exp(-mean)).view(np.uint8) << i
+    return np.bincount(_CODE_CLASS[codes], minlength=3)[:2]
 
 
 def mc_coherent_gains(pols: str, intensities, eta: float, p_d: float,
@@ -99,7 +107,7 @@ def mc_coherent_gains(pols: str, intensities, eta: float, p_d: float,
     """Sample the two announced-outcome probabilities for one preparation.
 
     pols: three tokens from H/V/+/- (the sign triple for diagonal-basis runs);
-    intensities: per-user source intensities (any subset may be zero);
+    intensities: the three users' source intensities (any subset may be zero);
     slice_k: restrict all three phases to the first of K matched regions.
 
     Returns conditional probabilities (no preparation-probability factor): a
@@ -108,25 +116,27 @@ def mc_coherent_gains(pols: str, intensities, eta: float, p_d: float,
     """
     if len(pols) != 3 or any(p not in _POL_VECTORS for p in pols):
         raise ValueError(f"bad polarization triple {pols!r}")
+    if len(intensities) != 3 or not all(0.0 <= x < np.inf for x in intensities):
+        raise ValueError(f"need 3 finite intensities >= 0, got {intensities!r}")
+    for name, value in (("eta", eta), ("p_d", p_d)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    if slice_k is not None and (not isinstance(slice_k, int) or slice_k < 1):
+        raise ValueError(f"slice_k must be None or an int >= 1, got {slice_k!r}")
     unitary = fock.analyzer_unitary()
-    total = np.zeros(2, dtype=np.int64)
-    done = 0
-    chunk_index = 0
-    while done < cfg.samples:
-        n = min(CHUNK_SAMPLES, cfg.samples - done)
-        rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(chunk_index))
-        total += _chunk_counts(pols, tuple(intensities), eta, p_d, unitary,
-                               rng, n, slice_k)
-        done += n
-        chunk_index += 1
+    vectors = np.array([_POL_VECTORS[pol] for pol in pols])  # (party, H/V)
+    assert np.isrealobj(unitary) and np.isrealobj(vectors)
+    w = np.einsum("ipk,pk->ip", unitary.reshape(6, 3, 2), vectors) \
+        * np.sqrt(np.multiply(intensities, eta))
+    total = sum(_chunk_counts(w, p_d, slice_k, cfg.seed, index,
+                              min(CHUNK_SAMPLES, cfg.samples - start))
+                for index, start in enumerate(range(0, cfg.samples, CHUNK_SAMPLES)))
 
     out = []
     for count in total:
         mean = count / cfg.samples
-        var = mean * (1.0 - mean)
-        stderr = np.sqrt(max(var, 1.0 / cfg.samples) / cfg.samples)
-        out.append(McEstimate(mean=float(mean), stderr=float(stderr),
-                              samples=cfg.samples, count=int(count), seed=cfg.seed))
+        stderr = np.sqrt(max(mean * (1.0 - mean), 1.0 / cfg.samples) / cfg.samples)
+        out.append(McEstimate(float(mean), float(stderr), cfg.samples, int(count), cfg.seed))
     return out[0], out[1]
 
 
@@ -165,17 +175,13 @@ def fock_closed_form_check(max_total_photons: int) -> ClosedFormReport:
     probabilities of the H,H,V class for every (n, m, l) up to the total."""
     if max_total_photons > fock.N_MAX:
         raise ValueError(f"total photon number exceeds cutoff {fock.N_MAX}")
+    triples = [t for t in itertools.product(range(max_total_photons + 1), repeat=3)
+               if sum(t) <= max_total_photons]
     worst = 0.0
-    cases = 0
-    for n in range(max_total_photons + 1):
-        for m in range(max_total_photons + 1 - n):
-            for l in range(max_total_photons + 1 - n - m):
-                cases += 1
-                dist = fock.propagate_parties("HHV", (n, m, l))
-                reference = _closed_form_hhv(n, m, l)
-                general = {tuple(occ): p for occ, p in
-                           zip(map(tuple, dist.occupations), dist.probabilities)}
-                for key in set(reference) | set(general):
-                    dev = abs(general.get(key, 0.0) - float(reference.get(key, 0)))
-                    worst = max(worst, dev)
-    return ClosedFormReport(max_total_photons, cases, worst)
+    for n, m, l in triples:
+        dist = fock.propagate_parties("HHV", (n, m, l))
+        reference = _closed_form_hhv(n, m, l)
+        general = dict(zip(map(tuple, dist.occupations), dist.probabilities))
+        for key in set(reference) | set(general):
+            worst = max(worst, abs(general.get(key, 0.0) - float(reference.get(key, 0))))
+    return ClosedFormReport(max_total_photons, len(triples), worst)

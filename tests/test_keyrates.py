@@ -280,6 +280,12 @@ class TestOptimize:
             with pytest.raises(ConfigError, match="channel.L"):
                 keyrates.optimize_intensities("qcc", cfg, length, (1e-4, 4e-4))
 
+    @pytest.mark.parametrize("box", [(0.2, float("inf")), (float("nan"), 0.8),
+                                     (0.0, 0.8), (0.8, 0.2)])
+    def test_bad_box_rejected(self, box):
+        with pytest.raises(ValueError, match="search box"):
+            keyrates.optimize_intensities("qcc", qcc_config(), 100.0, box)
+
     def test_hopeless_box_reports_zero(self):
         cfg = qcc_config()
         mu, rate = keyrates.optimize_intensities("qcc", cfg, 249.0,

@@ -22,6 +22,30 @@ class TestDeterminism:
                                    McConfig(samples=n, seed=5))
         assert est.samples == n
 
+    # The bright point of perfbench/validate_bright.cfg: mu = 0.8, 5 km of
+    # 0.2 dB/km fiber at 90% detectors, p_d = 0.01.  The counts were taken
+    # from a sampler that propagated complex fields through the 6x6 unitary
+    # with the same draws; the real-amplitude identity must reproduce them.
+    BRIGHT_ETA = 0.9 * 10 ** (-0.1)
+
+    @pytest.mark.parametrize("pols, slice_k, seed, counts", [
+        ("HHH", None, 1, [2774, 2833]), ("HHH", None, 7, [2783, 2745]),
+        ("HHV", None, 1, [204, 198]), ("HHV", None, 7, [226, 226]),
+        ("VHH", None, 1, [203, 237]), ("VHH", None, 7, [214, 221]),
+        ("HVH", None, 1, [229, 227]), ("HVH", None, 7, [213, 206]),
+        ("+++", None, 1, [4542, 2564]), ("+++", None, 7, [4473, 2525]),
+        ("+++", 8, 1, [8119, 437]), ("+++", 8, 7, [8105, 422]),
+    ])
+    def test_bright_counts_pinned(self, pols, slice_k, seed, counts):
+        ests = mc_coherent_gains(pols, (0.8, 0.8, 0.8), self.BRIGHT_ETA, 0.01,
+                                 McConfig(samples=100_000, seed=seed), slice_k=slice_k)
+        assert [e.count for e in ests] == counts
+
+    def test_chunk_stitching_counts_pinned(self):
+        ests = mc_coherent_gains("+++", (0.8, 0.8, 0.8), self.BRIGHT_ETA, 0.01,
+                                 McConfig(samples=montecarlo.CHUNK_SAMPLES + 17, seed=5))
+        assert [e.count for e in ests] == [23621, 12789]
+
     def test_seed_changes_estimates(self):
         a, _ = mc_coherent_gains("HHH", (0.6, 0.6, 0.6), 0.5, 1e-2,
                                  McConfig(samples=50_000, seed=1))
@@ -59,6 +83,31 @@ class TestStatistics:
         with pytest.raises(ValueError):
             mc_coherent_gains("HHQ", (0.1, 0.1, 0.1), 0.5, 0.0,
                               McConfig(samples=10, seed=1))
+
+    @pytest.mark.parametrize("intensities, eta, p_d, slice_k", [
+        ((0.1, 0.1), 0.5, 0.0, None),  # two parties only
+        ((0.1, 0.1, 0.1, 0.1), 0.5, 0.0, None),
+        ((0.1, -0.1, 0.1), 0.5, 0.0, None),
+        ((0.1, float("nan"), 0.1), 0.5, 0.0, None),
+        ((0.1, float("inf"), 0.1), 0.5, 0.0, None),
+        ((0.1, 0.1, 0.1), float("nan"), 0.0, None),
+        ((0.1, 0.1, 0.1), 1.5, 0.0, None),
+        ((0.1, 0.1, 0.1), -0.1, 0.0, None),
+        ((0.1, 0.1, 0.1), 0.5, 1.5, None),
+        ((0.1, 0.1, 0.1), 0.5, float("nan"), None),
+        ((0.1, 0.1, 0.1), 0.5, 0.0, 0),
+        ((0.1, 0.1, 0.1), 0.5, 0.0, -2),
+        ((0.1, 0.1, 0.1), 0.5, 0.0, 2.5),
+    ])
+    def test_bad_inputs_rejected(self, intensities, eta, p_d, slice_k):
+        with pytest.raises(ValueError):
+            mc_coherent_gains("HHH", intensities, eta, p_d,
+                              McConfig(samples=10, seed=1), slice_k=slice_k)
+
+    @pytest.mark.parametrize("samples", [0, -5, 2.5, 1e5])
+    def test_bad_sample_count_rejected(self, samples):
+        with pytest.raises(ValueError):
+            McConfig(samples=samples)
 
 
 class TestClosedFormCheck:
