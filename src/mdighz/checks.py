@@ -1,0 +1,134 @@
+"""Cross-checks of the gain formulas, one report row per check.
+
+Each family compares the closed forms and quadratures with an independent
+path: the Monte Carlo oracle, the symmetry identities of the analyzer, the
+exact Fock engine, the printed amplitudes.  `mdighz validate` composes them at
+a config's parameters and the acceptance tests at their own.  A row passes
+only if its deviation is finite and within the family's bound.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from typing import NamedTuple
+
+from . import decoy, fock, gains, montecarlo
+from .params import DecoyPlan, SystemParams
+
+__all__ = ["Row", "monte_carlo", "symmetries", "brackets", "fock_closed_form"]
+
+MC_SIGMAS = 3.0  # |z| bound of a Monte Carlo estimate
+SYMMETRY_RTOL = 1e-10  # relative spread of values that should be equal
+BRACKET_SLACK = 1e-12  # roundoff allowed to a decoy bound against the exact value
+CLOSED_FORM_TOL = 1e-12  # absolute, on the output probabilities
+
+
+class Row(NamedTuple):
+    check: str
+    analytic: float
+    estimate: float
+    stderr: float | None  # Monte Carlo rows only
+    deviation: float
+    passed: bool
+
+
+def _row(check, analytic, estimate, stderr, deviation, within) -> Row:
+    return Row(check, analytic, estimate, stderr, deviation,
+               bool(within) and math.isfinite(deviation))
+
+
+def _worst(values) -> float:
+    """Largest value, or NaN if any is NaN (the builtin max can skip a NaN)."""
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
+
+
+def _spread(values) -> float:
+    """Relative spread of values that should be equal."""
+    hi = _worst(values)
+    return (hi - min(values)) / max(hi, 1e-300)
+
+
+def monte_carlo(mu: float, eta: float, p_d: float, samples: int, seed: int,
+                sliced: tuple[float, int] | None = None) -> list[Row]:
+    """The oracle against the four rectilinear classes and the two diagonal
+    outcomes, every user at intensity mu; with sliced = (mu_s, K) also against
+    the two K-sliced gains at mu_s.  The deviation is the z-score."""
+    z = gains.z_gain_components(mu, mu, mu, eta, p_d)
+    x = gains.x_gain_components(mu, mu, mu, eta, p_d)
+    # one run per preparation; both announced outcomes come out of it
+    runs = [("HHH", mu, None, (("A", 8.0 * z.a),)), ("HHV", mu, None, (("B", 8.0 * z.b),)),
+            ("VHH", mu, None, (("C", 8.0 * z.c),)), ("HVH", mu, None, (("D", 8.0 * z.d),)),
+            ("+++", mu, None, (("E", 8.0 * x.e), ("F", 8.0 * x.f)))]
+    if sliced is not None:
+        mu_s, k = sliced
+        q = gains.phase_sliced_gains(mu_s, mu_s, mu_s, eta, p_d, k)
+        runs.append(("+++", mu_s, k, (("Q~CX", k * k * q.q_c), ("Q~EX", k * k * q.q_e))))
+    rows = []
+    for pols, level, slice_k, wanted in runs:
+        ests = montecarlo.mc_coherent_gains(pols, (level,) * 3, eta, p_d,
+                                            montecarlo.McConfig(samples, seed), slice_k)
+        for (label, analytic), est in zip(wanted, ests):
+            score = est.z_score(analytic)
+            rows.append(_row("mc:" + label, analytic, est.mean, est.stderr, score,
+                             abs(score) < MC_SIGMAS))
+    return rows
+
+
+def symmetries(points) -> list[Row]:
+    """At each (mu, eta, p_d): the four same-polarization outcome gains agree,
+    the mixed-class closed forms match the pattern-product path, and the
+    Mermin sign triples fall into one correct and one false class."""
+    rows = []
+    for mu, eta, p_d in points:
+        tag = f"(mu={mu},eta={eta:.3g})"
+        same = [gains.z_pattern_outcome_gain(pols, mu, mu, mu, eta, p_d, outcome)
+                for pols in ("HHH", "VVV") for outcome in ("plus", "minus")]
+        spread = _spread(same)
+        rows.append(_row("sym:samepol" + tag, same[0], same[-1], None, spread,
+                         spread < SYMMETRY_RTOL))
+
+        z = gains.z_gain_components(mu, mu / 2, mu / 3, eta, p_d)
+        devs = []
+        for pols, closed in (("HHV", z.b), ("VHH", z.c), ("HVH", z.d)):
+            product = gains.z_pattern_outcome_gain(pols, mu, mu / 2, mu / 3, eta, p_d)
+            devs.append(abs(product - closed) / max(abs(product), 1e-300))
+        worst = _worst(devs)
+        rows.append(_row("sym:mixedclass" + tag, z.b, z.c, None, worst,
+                         worst < SYMMETRY_RTOL))
+
+        correct, false = [], []
+        for signs in itertools.product((1, -1), repeat=3):
+            q_plus, q_minus = gains.mermin_outcome_gains(signs, mu, mu, mu, eta, p_d)
+            parity = signs[0] * signs[1] * signs[2]
+            (correct if parity == 1 else false).append(q_plus)
+            (false if parity == 1 else correct).append(q_minus)
+        worst = _worst([_spread(correct), _spread(false)])
+        rows.append(_row("sym:signclasses" + tag, correct[0], false[0], None, worst,
+                         worst < SYMMETRY_RTOL))
+    return rows
+
+
+def brackets(system: SystemParams, plan: DecoyPlan, distances) -> list[Row]:
+    """Weak-coherent two-decoy bounds against the exact engine at each
+    distance: Y111_zl must not exceed Y111_z, nor e111_bxu (where both are
+    defined) fall below e111_bx.  The deviation is Y111_zl - Y111_z."""
+    rows = []
+    for length in distances:
+        params = system.at_distance(length)
+        grid = decoy.build_gain_grid(lambda triples: gains.wcs_gain_sets(triples, params), plan)
+        bounds = decoy.single_photon_bounds(grid, decoy.poisson_level(plan.mu2),
+                                            decoy.poisson_level(plan.mu1))
+        exact = fock.exact_single_photon_stats_for(params)
+        good = bounds.y111_zl <= exact.y111_z + BRACKET_SLACK
+        if bounds.e111_bxu is not None and exact.e111_bx is not None:
+            good &= bounds.e111_bxu >= exact.e111_bx - BRACKET_SLACK
+        rows.append(_row(f"bracket:L={length}", bounds.y111_zl, exact.y111_z, None,
+                         bounds.y111_zl - exact.y111_z, good))
+    return rows
+
+
+def fock_closed_form(max_total_photons: int) -> list[Row]:
+    """The exact propagator against the printed H,H,V output probabilities."""
+    worst = montecarlo.fock_closed_form_check(max_total_photons)
+    return [_row("fock:closed-form", 0.0, worst, None, worst, worst < CLOSED_FORM_TOL)]

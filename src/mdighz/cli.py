@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from . import __version__, decoy, fock, gains, keyrates, mermin, montecarlo
+from . import __version__, checks, keyrates, mermin, montecarlo
 from .params import (ConfigError, ExperimentConfig, NumericsError, parse_config,
                      serialize_config, overall_efficiency)
 
@@ -139,7 +139,7 @@ def _rate_curve(variant: str, label: str, *extra: str) -> Curve:
     def rows(cfg, distances):
         return [[p.distance_km, p.rate, p.rate_infinite, p.raw_rate]
                 + [p.columns.get(c) for c in extra] + [_diag_cell(p.diagnostics)]
-                for p in keyrates.sweep(variant, cfg, distances).points]
+                for p in keyrates.sweep(variant, cfg, distances)]
     return Curve(label, ("rate_two_decoy", "rate_infinite_decoy", "raw_rate") + extra,
                  rows)
 
@@ -202,130 +202,30 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# Validation suite
-# ---------------------------------------------------------------------------
-
-def _check(rows: list, name: str, analytic, estimate, stderr, deviation, good) -> bool:
-    """Append one report row and return whether the check passed."""
-    rows.append([name, analytic, estimate, stderr, deviation, "pass" if good else "FAIL"])
-    return good
-
-
-def _validate_mc(cfg: ExperimentConfig, seed: int, samples: int, rows: list) -> bool:
-    """Monte Carlo vs analytic for the six gain classes and the sliced gains."""
-    params = cfg.system
-    eta = overall_efficiency(params.channel, params.detector)
-    p_d = params.detector.p_d
-    mu = cfg.decoy.mu2
-    ok = True
-    mc_cfg = montecarlo.McConfig(samples=samples, seed=seed)
-
-    z = gains.z_gain_components(mu, mu, mu, eta, p_d)
-    x = gains.x_gain_components(mu, mu, mu, eta, p_d)
-    # one MC run per preparation; both announced classes come out of it
-    runs = [
-        ("HHH", None, (("A", 8.0 * z.a, 0),)),
-        ("HHV", None, (("B", 8.0 * z.b, 0),)),
-        ("VHH", None, (("C", 8.0 * z.c, 0),)),
-        ("HVH", None, (("D", 8.0 * z.d, 0),)),
-        ("+++", None, (("E", 8.0 * x.e, 0), ("F", 8.0 * x.f, 1))),
-    ]
-    if cfg.phase is not None and cfg.phase.k > 1:
-        k = cfg.phase.k
-        sliced = gains.phase_sliced_gains(mu, mu, mu, eta, p_d, k)
-        runs.append(("+++", k, (("Q~CX", k * k * sliced.q_c, 0),
-                                ("Q~EX", k * k * sliced.q_e, 1))))
-
-    for pols, slice_k, wanted in runs:
-        ests = montecarlo.mc_coherent_gains(pols, (mu, mu, mu), eta, p_d,
-                                            mc_cfg, slice_k=slice_k)
-        for label, analytic, which in wanted:
-            est = ests[which]
-            z_score = est.z_score(analytic)
-            ok &= _check(rows, "mc:" + label, analytic, est.mean, est.stderr, z_score,
-                         abs(z_score) < 3.0)
-    return ok
-
-
-def _validate_symmetries(cfg: ExperimentConfig, rows: list) -> bool:
-    """Outcome/polarization equalities of the gain formulas, to 1e-10 relative."""
-    params = cfg.system
-    p_d = params.detector.p_d
-    ok = True
-    grid = [(cfg.decoy.mu2, overall_efficiency(params.channel, params.detector)),
-            (cfg.decoy.mu1, overall_efficiency(params.channel, params.detector)),
-            (cfg.decoy.mu2, params.detector.eta_d),
-            (0.8, 0.25), (0.05, 0.9)]
-    for mu, eta in grid:
-        vals = [gains.z_pattern_outcome_gain(pols, mu, mu, mu, eta, p_d, outcome)
-                for pols in ("HHH", "VVV") for outcome in ("plus", "minus")]
-        spread = (max(vals) - min(vals)) / max(max(vals), 1e-300)
-        ok &= _check(rows, f"sym:samepol(mu={mu},eta={eta:.3g})", vals[0], vals[-1],
-                     "", spread, spread < 1e-10)
-
-        # mixed classes: closed forms vs the independent pattern-product path
-        z = gains.z_gain_components(mu, mu / 2, mu / 3, eta, p_d)
-        worst = 0.0
-        for pols, closed in (("HHV", z.b), ("VHH", z.c), ("HVH", z.d)):
-            product = gains.z_pattern_outcome_gain(pols, mu, mu / 2, mu / 3,
-                                                   eta, p_d)
-            worst = max(worst, abs(product - closed) / max(abs(product), 1e-300))
-        ok &= _check(rows, f"sym:mixedclass(mu={mu},eta={eta:.3g})", z.b, z.c,
-                     "", worst, worst < 1e-10)
-
-        correct, false = [], []
-        for signs in [(sa, sb, sc) for sa in (1, -1) for sb in (1, -1) for sc in (1, -1)]:
-            q_plus, q_minus = gains.mermin_outcome_gains(signs, mu, mu, mu, eta, p_d)
-            parity = signs[0] * signs[1] * signs[2]
-            (correct if parity == 1 else false).append(q_plus)
-            (false if parity == 1 else correct).append(q_minus)
-        worst = 0.0
-        for group in (correct, false):
-            worst = max(worst, (max(group) - min(group)) / max(max(group), 1e-300))
-        ok &= _check(rows, f"sym:signclasses(mu={mu},eta={eta:.3g})", correct[0],
-                     false[0], "", worst, worst < 1e-10)
-    return ok
-
-
-def _validate_brackets(cfg: ExperimentConfig, rows: list) -> bool:
-    """Two-decoy bounds must bracket the exact single-photon quantities."""
-    ok = True
-    for length in (0.0, 50.0, 100.0, 150.0):
-        params = cfg.system.at_distance(length)
-        grid = decoy.build_gain_grid(
-            lambda triples: gains.wcs_gain_sets(triples, params), cfg.decoy)
-        bounds = decoy.single_photon_bounds(grid, decoy.poisson_level(cfg.decoy.mu2),
-                                            decoy.poisson_level(cfg.decoy.mu1))
-        exact = fock.exact_single_photon_stats_for(params)
-        good = bounds.y111_zl <= exact.y111_z + 1e-12
-        if bounds.e111_bxu is not None and exact.e111_bx is not None:
-            good &= bounds.e111_bxu >= exact.e111_bx - 1e-12
-        ok &= _check(rows, f"bracket:L={length}", bounds.y111_zl, exact.y111_z, "",
-                     bounds.y111_zl - exact.y111_z, good)
-    return ok
-
-
 def cmd_validate(args) -> int:
     cfg = _load_config(args.config)
     if cfg.source.kind != "wcs":
         raise ConfigError(f"validate checks cover only the weak-coherent gain paths, "
                           f"not source.kind = {cfg.source.kind!r}", key="source.kind")
     samples = _QUICK_SAMPLES if args.quick else _FULL_SAMPLES
-    rows: list[list] = []
-    ok = _validate_mc(cfg, args.seed, samples, rows)
-    ok &= _validate_symmetries(cfg, rows)
-    ok &= _validate_brackets(cfg, rows)
-    report = montecarlo.fock_closed_form_check(4 if args.quick else 6)
-    ok &= _check(rows, "fock:closed-form", 0.0, report.max_deviation, "",
-                 report.max_deviation, report.max_deviation < 1e-12)
+    system, plan = cfg.system, cfg.decoy
+    eta = overall_efficiency(system.channel, system.detector)
+    p_d = system.detector.p_d
+    sliced = (plan.mu2, cfg.phase.k) if cfg.phase is not None and cfg.phase.k > 1 else None
+    report = (checks.monte_carlo(plan.mu2, eta, p_d, samples, args.seed, sliced)
+              + checks.symmetries([(plan.mu2, eta, p_d), (plan.mu1, eta, p_d),
+                                   (plan.mu2, system.detector.eta_d, p_d),
+                                   (0.8, 0.25, p_d), (0.05, 0.9, p_d)])
+              + checks.brackets(system, plan, (0.0, 50.0, 100.0, 150.0))
+              + checks.fock_closed_form(4 if args.quick else 6))
+    ok = all(row.passed for row in report)
+    rows = [[r.check, r.analytic, r.estimate, "" if r.stderr is None else r.stderr,
+             r.deviation, "pass" if r.passed else "FAIL"] for r in report]
 
     header = ["check", "analytic", "estimate", "stderr", "deviation", "status"]
     widths = [34, 14, 14, 12, 12, 6]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        cells = [str(row[0])] + [f"{v:.6g}" if isinstance(v, float) else str(v)
-                                 for v in row[1:]]
+    for row in [header] + rows:
+        cells = [f"{v:.6g}" if isinstance(v, float) else str(v) for v in row]
         print("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
     if args.out:
         _write_csv(Path(args.out), "validate", cfg, args.seed, header, rows)

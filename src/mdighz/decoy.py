@@ -20,6 +20,7 @@ from math import exp
 
 import numpy as np
 
+from .fock import N_MAX
 from .params import DecoyPlan, DetectorModel
 
 __all__ = [
@@ -27,7 +28,6 @@ __all__ = [
     "GainGrid",
     "DecoyLevel",
     "SinglePhotonBounds",
-    "HeraldedStats",
     "MerminYieldBounds",
     "build_gain_grid",
     "poisson_level",
@@ -196,49 +196,30 @@ def single_photon_bounds(grid: GainGrid, signal: DecoyLevel,
 # Heralded pair sources
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HeraldedStats:
-    """Triggered photon-number statistics of one pair source.
-
-    p_c is the trigger (post-selection) probability; p_n[n] the triggered
-    photon-number distribution, truncated with `tail` mass unaccounted.
-    """
-
-    mu: float
-    p_c: float
-    p_n: np.ndarray
-    tail: float
-
-
-def heralded_stats(mu: float, trigger: DetectorModel, n_max: int = 12) -> HeraldedStats:
-    """Thermal pair-number statistics P(n) = mu^n/(1+mu)^(n+1), conditioned on
-    a trigger click of the threshold detector watching the partner mode."""
+def heralded_stats(mu: float, trigger: DetectorModel) -> np.ndarray:
+    """Triggered photon-number distribution p_n, n = 0..N_MAX, of a thermal
+    pair source P(n) = mu^n/(1+mu)^(n+1) conditioned on a click of the
+    threshold trigger detector watching the partner mode."""
     if mu < 0:
         raise ValueError("mean pair number must be >= 0")
     eta, p_d = trigger.eta_d, trigger.p_d
-    p_c = (mu * eta + p_d) / (1.0 + mu * eta)
-    ns = np.arange(n_max + 1)
+    p_c = (mu * eta + p_d) / (1.0 + mu * eta)  # trigger probability
+    if p_c == 0.0:
+        # source never triggers; conditional distribution degenerates to vacuum
+        return vacuum_stats()
+    ns = np.arange(N_MAX + 1)
     if eta >= 1.0:
         trigger_click = np.where(ns == 0, p_d, 1.0)
     else:
         # 1 - (1-p_d)(1-eta)^n, exact at n = 0 and for tiny eta
         survive = np.exp(ns * np.log1p(-eta))
         trigger_click = -np.expm1(ns * np.log1p(-eta)) + p_d * survive
-    raw = mu ** ns / (1.0 + mu) ** (ns + 1.0) * trigger_click
-    if p_c == 0.0:
-        # source never triggers; conditional distribution degenerates to vacuum
-        p_n = np.zeros(n_max + 1)
-        p_n[0] = 1.0
-        return HeraldedStats(mu=mu, p_c=0.0, p_n=p_n, tail=0.0)
-    p_n = raw / p_c
-    tail = max(0.0, 1.0 - float(p_n.sum()))
-    return HeraldedStats(mu=mu, p_c=p_c, p_n=p_n, tail=tail)
+    return mu ** ns / (1.0 + mu) ** (ns + 1.0) * trigger_click / p_c
 
 
-def vacuum_stats(n_max: int = 12) -> HeraldedStats:
-    p_n = np.zeros(n_max + 1)
-    p_n[0] = 1.0
-    return HeraldedStats(mu=0.0, p_c=1.0, p_n=p_n, tail=0.0)
+def vacuum_stats() -> np.ndarray:
+    """Photon-number distribution of a source that never emits."""
+    return np.eye(1, N_MAX + 1)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -209,20 +209,18 @@ def _exact_distribution(pols: str, numbers) -> tuple[np.ndarray, np.ndarray, int
     return keys, num, denom
 
 
-def _check_input(pols: str, numbers, cutoff: int) -> None:
+def _check_input(pols: str, numbers) -> None:
     if len(pols) != 3 or any(p not in _POLS for p in pols):
         raise ValueError(f"bad polarization string {pols!r}")
-    if sum(numbers) > min(cutoff, N_MAX):
-        raise ValueError(f"total photon number {sum(numbers)} exceeds cutoff "
-                         f"{min(cutoff, N_MAX)}")
+    if sum(numbers) > N_MAX:
+        raise ValueError(f"total photon number {sum(numbers)} exceeds cutoff {N_MAX}")
 
 
 @lru_cache(maxsize=None)
-def propagate_parties(pols: str, numbers: tuple[int, int, int],
-                      cutoff: int = N_MAX) -> FockOutcomeDistribution:
+def propagate_parties(pols: str, numbers: tuple[int, int, int]) -> FockOutcomeDistribution:
     """Exact output distribution for Alice/Bob/Charlie sending `numbers`
     photons in polarizations `pols` (e.g. pols="HHV", numbers=(1, 1, 2))."""
-    _check_input(pols, numbers, cutoff)
+    _check_input(pols, numbers)
     keys, num, denom = _exact_distribution(pols, numbers)
     occupations = keys[:, None] // np.array(_PLACES) % _BASE
     return FockOutcomeDistribution(occupations, num / denom)
@@ -254,7 +252,7 @@ def ideal_detector_table(preps: tuple[str, ...], mask: np.ndarray) -> np.ndarray
     """
     triples = [tuple(t) for t in np.argwhere(mask).tolist()]
     for pols in preps:
-        _check_input(pols, max(triples, key=sum), N_MAX)
+        _check_input(pols, max(triples, key=sum))
     # a user sending no photons leaves no trace of its polarization
     inputs = [("".join(p if k else "H" for p, k in zip(pols, numbers)), numbers)
               for pols in preps for numbers in triples]

@@ -23,7 +23,6 @@ from .params import (ConfigError, DecoyPlan, ExperimentConfig, SystemParams,
 __all__ = [
     "VARIANTS",
     "RatePoint",
-    "KeyRateCurve",
     "qcc_rate",
     "qss_rate",
     "qss_pps_rate",
@@ -48,21 +47,6 @@ class RatePoint:
     raw_rate: float
     columns: dict = field(default_factory=dict)
     diagnostics: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class KeyRateCurve:
-    variant: str
-    points: tuple[RatePoint, ...]
-
-    @property
-    def cutoff_km(self) -> float | None:
-        """Largest grid distance with a strictly positive (two-decoy) rate."""
-        cut = None
-        for p in self.points:
-            if p.rate > 0.0:
-                cut = p.distance_km
-        return cut
 
 
 def _rate_core(f: float, q_vacuum: float, q111: float, e_phase: float | None,
@@ -193,16 +177,16 @@ def _heralded_point(cfg: ExperimentConfig, length_km: float) -> RatePoint:
     plan = cfg.decoy
     eta = overall_efficiency(params.channel, params.detector)
     p_d = params.detector.p_d
-    stats = {0.0: decoy.vacuum_stats(),
-             plan.mu1: decoy.heralded_stats(plan.mu1, cfg.source.trigger),
-             plan.mu2: decoy.heralded_stats(plan.mu2, cfg.source.trigger)}
-    yields = gains.fock_yields([s.p_n for s in stats.values()], eta, p_d)
+    p_n = {0.0: decoy.vacuum_stats(),
+           plan.mu1: decoy.heralded_stats(plan.mu1, cfg.source.trigger),
+           plan.mu2: decoy.heralded_stats(plan.mu2, cfg.source.trigger)}
+    yields = gains.fock_yields(list(p_n.values()), eta, p_d)
     grid = decoy.build_gain_grid(
-        lambda triples: [yields.gain_set((stats[a].p_n, stats[b].p_n, stats[c].p_n),
-                                         params.e_d) for a, b, c in triples], plan)
-    signal = stats[plan.mu2].p_n
+        lambda triples: [yields.gain_set((p_n[a], p_n[b], p_n[c]), params.e_d)
+                         for a, b, c in triples], plan)
+    signal = p_n[plan.mu2]
     bounds = decoy.single_photon_bounds(grid, decoy.distribution_level(signal),
-                                        decoy.distribution_level(stats[plan.mu1].p_n))
+                                        decoy.distribution_level(p_n[plan.mu1]))
     return _qss_point(length_km, params.f, grid, bounds,
                       fock.exact_single_photon_stats_for(params),
                       float(signal[0]), float(signal[1]) ** 3)
@@ -252,13 +236,12 @@ def rate_point(variant: str, cfg: ExperimentConfig, length_km: float) -> RatePoi
     return _wcs_point(cfg, length_km, variant)
 
 
-def sweep(variant: str, cfg: ExperimentConfig, distances=None) -> KeyRateCurve:
+def sweep(variant: str, cfg: ExperimentConfig, distances=None) -> tuple[RatePoint, ...]:
     """Evaluate the full pipeline at each distance of the grid, in grid order."""
     _check_variant(variant, cfg)
     if distances is None:
         distances = cfg.sweep.distances()
-    points = [rate_point(variant, cfg, d) for d in distances]
-    return KeyRateCurve(variant=variant, points=tuple(points))
+    return tuple(rate_point(variant, cfg, d) for d in distances)
 
 
 def optimize_intensities(variant: str, cfg: ExperimentConfig, length_km: float,

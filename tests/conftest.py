@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import hypothesis
 import pytest
 
@@ -26,6 +28,24 @@ sweep.L_step = {l_step}
 def qcc_config(eta_d=0.40, e_d=0.0, l_min=0, l_max=250, l_step=1):
     return parse_config(QCC_CONFIG.format(eta_d=eta_d, e_d=e_d, l_min=l_min,
                                           l_max=l_max, l_step=l_step))
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def config_copy(tmp_path, name, *edits):
+    """configs/<name>.cfg with each (old, new) text replaced, saved in tmp_path."""
+    text = (CONFIG_DIR / f"{name}.cfg").read_text()
+    for old, new in edits:
+        text = text.replace(old, new)
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(text)
+    return path
+
+
+def cutoff_km(points):
+    """Largest distance with a positive two-decoy rate, as `mdighz qcc` reports."""
+    return max((p.distance_km for p in points if p.rate > 0.0), default=None)
 
 
 @pytest.fixture

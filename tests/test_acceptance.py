@@ -4,20 +4,16 @@ Run with `pytest -v -rA tests/test_acceptance.py` to see the PASS/FAIL lines
 of passing criteria too (pytest captures stdout otherwise).
 """
 
-import itertools
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mdighz import cli, decoy, fock, gains, keyrates, mermin, montecarlo
+from mdighz import checks, cli, fock, keyrates, mermin
 from mdighz.params import DecoyPlan, parse_config
 
-from conftest import qcc_config
+from conftest import config_copy, cutoff_km, qcc_config
 from test_keyrates import pps_config, HERALDED_CONFIG, QND_CONFIG
-
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def report(number, description, ok, detail=""):
@@ -30,13 +26,11 @@ def report(number, description, ok, detail=""):
 def find_cutoff(variant, cfg, lo, hi, coarse=4.0):
     """Cutoff by coarse scan plus 1 km refinement around the sign change."""
     grid = list(np.arange(lo, hi + coarse / 2, coarse))
-    curve = keyrates.sweep(variant, cfg, grid)
-    rough = curve.cutoff_km
+    rough = cutoff_km(keyrates.sweep(variant, cfg, grid))
     if rough is None:
         return None
     fine = [rough + k for k in np.arange(-coarse, coarse + 0.5, 1.0) if lo <= rough + k <= hi]
-    refined = keyrates.sweep(variant, cfg, fine)
-    return refined.cutoff_km
+    return cutoff_km(keyrates.sweep(variant, cfg, fine))
 
 
 class TestCriterion1QccCutoffs:
@@ -46,9 +40,9 @@ class TestCriterion1QccCutoffs:
         for eta_d in (0.40, 0.93):
             cfg = qcc_config(eta_d=eta_d)
             start = time.monotonic()
-            curve = keyrates.sweep("qcc", cfg)  # full 0..250 km at 1 km steps
+            points = keyrates.sweep("qcc", cfg)  # full 0..250 km at 1 km steps
             runtimes[eta_d] = time.monotonic() - start
-            cutoffs[eta_d] = curve.cutoff_km
+            cutoffs[eta_d] = cutoff_km(points)
         ok = (180 <= cutoffs[0.40] <= 200 and 200 <= cutoffs[0.93] <= 220
               and all(t < 120.0 for t in runtimes.values()))
         report(1, "conferencing cutoffs 190/210 +-10 km, sweeps under 2 min", ok,
@@ -102,17 +96,11 @@ class TestCriterion5DecoySoundness:
         detail = []
         for eta_d in (0.40, 0.93):
             cfg = qcc_config(eta_d=eta_d)
-            plan = cfg.decoy
-            for length in np.arange(0.0, 151.0, 15.0):
-                params = cfg.system.at_distance(length)
-                grid = decoy.build_gain_grid(
-                    lambda triples: gains.wcs_gain_sets(triples, params), plan)
-                bounds = decoy.single_photon_bounds(grid, decoy.poisson_level(plan.mu2),
-                                                    decoy.poisson_level(plan.mu1))
-                exact = fock.exact_single_photon_stats_for(params)
-                ok &= bounds.y111_zl <= exact.y111_z + 1e-12
-                ok &= bounds.e111_bxu >= exact.e111_bx - 1e-12
+            distances = np.arange(0.0, 151.0, 15.0)
+            ok &= all(row.passed for row in checks.brackets(cfg.system, cfg.decoy, distances))
+            for length in distances:
                 pt = keyrates.rate_point("qcc", cfg, float(length))
+                ok &= pt.columns["e111_bxu"] is not None  # so its bracket was checked
                 ok &= pt.rate <= pt.rate_infinite * (1 + 1e-9) + 1e-300
             pt100 = keyrates.rate_point("qcc", cfg, 100.0)
             ratio = pt100.rate / pt100.rate_infinite
@@ -125,65 +113,33 @@ class TestCriterion5DecoySoundness:
 class TestCriterion6OracleEquivalence:
     def test_monte_carlo_matches_analytic(self):
         start = time.monotonic()
-        samples = 10_000_000
-        eta, p_d = 0.04, 1e-7  # 50 km of fiber at 40% detectors
-        ok = True
-        worst_z = 0.0
-
-        mu = 0.4
-        z = gains.z_gain_components(mu, mu, mu, eta, p_d)
-        x = gains.x_gain_components(mu, mu, mu, eta, p_d)
-        runs = [("HHH", None, ((8 * z.a, 0),)), ("HHV", None, ((8 * z.b, 0),)),
-                ("VHH", None, ((8 * z.c, 0),)), ("HVH", None, ((8 * z.d, 0),)),
-                ("+++", None, ((8 * x.e, 0), (8 * x.f, 1)))]
-        sliced = gains.phase_sliced_gains(0.11, 0.11, 0.11, eta, p_d, 8)
-        runs.append(("+++sliced", 8, ((64 * sliced.q_c, 0), (64 * sliced.q_e, 1))))
-
-        for label, slice_k, wanted in runs:
-            pols = label[:3]
-            intensities = (mu, mu, mu) if slice_k is None else (0.11, 0.11, 0.11)
-            ests = montecarlo.mc_coherent_gains(
-                pols, intensities, eta, p_d,
-                montecarlo.McConfig(samples=samples, seed=20), slice_k=slice_k)
-            for analytic, which in wanted:
-                score = ests[which].z_score(analytic)
-                worst_z = max(worst_z, abs(score))
-                ok &= abs(score) < 3.0
+        # 50 km of fiber at 40% detectors: eta = 0.04, p_d = 1e-7
+        rows = checks.monte_carlo(0.4, 0.04, 1e-7, samples=10_000_000, seed=20,
+                                  sliced=(0.11, 8))
         elapsed = time.monotonic() - start
-        ok &= elapsed < 180.0
+        worst_z = max(abs(row.deviation) for row in rows)
+        ok = all(row.passed for row in rows) and elapsed < 180.0
         report(6, "1e7-sample Monte Carlo within 3 sigma of analytic gains",
                ok, f"worst |z| = {worst_z:.2f}, {elapsed:.0f} s")
 
 
 class TestCriterion7FockFidelity:
     def test_closed_form_and_unitarity(self):
-        rep = montecarlo.fock_closed_form_check(6)
+        (row,) = checks.fock_closed_form(6)
         u = fock.analyzer_unitary()
         unitarity = float(np.abs(u.T.conj() @ u - np.eye(6)).max())
-        ok = rep.max_deviation < 1e-12 and unitarity < 1e-12
+        ok = row.passed and unitarity < 1e-12
         report(7, "exact propagator matches printed amplitudes to 1e-12",
-               ok, f"max dev {rep.max_deviation:.1e}, unitarity {unitarity:.1e}")
+               ok, f"max dev {row.deviation:.1e}, unitarity {unitarity:.1e}")
 
 
 class TestCriterion8SymmetrySuites:
     def test_equalities_on_parameter_grid(self):
-        grid = [(0.4, 0.04, 1e-7), (0.005, 0.04, 1e-7), (0.11, 0.4, 1e-7),
-                (0.4, 0.372, 1e-6), (0.8, 0.1, 1e-4)]
-        worst = 0.0
-        for mu, eta, p_d in grid:
-            same = [gains.z_pattern_outcome_gain(p, mu, mu, mu, eta, p_d, o)
-                    for p in ("HHH", "VVV") for o in ("plus", "minus")]
-            worst = max(worst, (max(same) - min(same)) / max(max(same), 1e-300))
-            correct, false = [], []
-            for signs in itertools.product((1, -1), repeat=3):
-                qp, qm = gains.mermin_outcome_gains(signs, mu, mu, mu, eta, p_d)
-                parity = signs[0] * signs[1] * signs[2]
-                (correct if parity == 1 else false).append(qp)
-                (false if parity == 1 else correct).append(qm)
-            for group in (correct, false):
-                worst = max(worst, (max(group) - min(group)) / max(max(group), 1e-300))
+        rows = checks.symmetries([(0.4, 0.04, 1e-7), (0.005, 0.04, 1e-7), (0.11, 0.4, 1e-7),
+                                  (0.4, 0.372, 1e-6), (0.8, 0.1, 1e-4)])
+        worst = max(row.deviation for row in rows)
         report(8, "outcome/polarization equalities hold to 1e-10 on 5-point grid",
-               worst < 1e-10, f"worst relative spread {worst:.1e}")
+               all(row.passed for row in rows), f"worst relative spread {worst:.1e}")
 
 
 class TestCriterion9HeraldedAndQnd:
@@ -195,13 +151,13 @@ class TestCriterion9HeraldedAndQnd:
             for eta_d in (0.40, 0.93):
                 cfg = parse_config(config_text.format(eta_d=eta_d))
                 grid = [0.0, 25.0, 50.0, 75.0, 100.0, 125.0, 150.0]
-                curve = keyrates.sweep(variant, cfg, grid)
-                rates = [p.rate for p in curve.points]
+                points = keyrates.sweep(variant, cfg, grid)
+                rates = [p.rate for p in points]
                 r50 = rates[grid.index(50.0)]
                 ok &= r50 > 0.0
                 peak = rates.index(max(rates))
                 ok &= all(a >= b for a, b in zip(rates[peak:], rates[peak + 1:]))
-                for p in curve.points:
+                for p in points:
                     ok &= p.rate <= p.rate_infinite * (1 + 1e-6) + 1e-300
                 details.append(f"{kind}@{eta_d:.0%}: R(50km)={r50:.1e}")
         report(9, "heralded/filtered variants positive at 50 km, ordered curves",
@@ -210,11 +166,8 @@ class TestCriterion9HeraldedAndQnd:
 
 class TestCriterion10Determinism:
     def test_byte_identical_outputs(self, tmp_path):
-        base = (CONFIG_DIR / "qcc_eta40.cfg").read_text()
-        base = base.replace("sweep.L_max = 250", "sweep.L_max = 30")
-        base = base.replace("sweep.L_step = 1", "sweep.L_step = 10")
-        cfg = tmp_path / "det.cfg"
-        cfg.write_text(base)
+        cfg = config_copy(tmp_path, "qcc_eta40", ("sweep.L_max = 250", "sweep.L_max = 30"),
+                          ("sweep.L_step = 1", "sweep.L_step = 10"))
         blobs = []
         for tag in ("r1", "r2", "r3"):
             out = tmp_path / f"{tag}.csv"

@@ -1,0 +1,69 @@
+"""A perturbed input turns the rows of its check family, and only those, to FAIL."""
+
+import math
+from dataclasses import replace
+
+import pytest
+
+from mdighz import checks, cli, fock, gains
+
+from conftest import CONFIG_DIR, qcc_config
+
+MIXED = ("HHV", "VHH", "HVH")
+GRID = [(0.4, 0.04, 1e-7), (0.05, 0.9, 1e-4), (0.8, 0.25, 1e-2)]
+FAMILIES = {"mc": lambda: checks.monte_carlo(0.8, 0.7, 0.01, 100_000, 1, sliced=(0.8, 8)),
+            "sym": lambda: checks.symmetries(GRID),
+            "bracket": lambda: checks.brackets(qcc_config().system, qcc_config().decoy,
+                                               (0.0, 50.0)),
+            "fock": lambda: checks.fock_closed_form(3)}
+
+
+def perturb(monkeypatch, module, name, change, when=None):
+    """module.name returns change(result), for all arguments or where when(*args)."""
+    exact = getattr(module, name)
+
+    def patched(*args, **kwargs):
+        value = exact(*args, **kwargs)
+        return change(value) if when is None or when(*args) else value
+
+    monkeypatch.setattr(module, name, patched)
+
+
+def test_nan_mixed_class_fails_validate(monkeypatch, tmp_path):
+    perturb(monkeypatch, gains, "z_pattern_outcome_gain", lambda q: math.nan,
+            lambda pols, *args: pols in MIXED)
+    out = tmp_path / "validate.csv"
+    code = cli.main(["validate", "--config", str(CONFIG_DIR / "validate.cfg"), "--quick",
+                     "--out", str(out)])
+    rows = [line.split(",")[-2:] for line in out.read_text().splitlines()
+            if line.startswith("sym:mixedclass")]
+    assert rows == [["nan", "FAIL"]] * 5
+    assert code == cli.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("module, name, change, when, family, failing", [
+    (gains, "z_gain_components", lambda z: replace(z, b=2.0 * z.b), None, "mc", ["mc:B"]),
+    (gains, "z_pattern_outcome_gain", lambda q: q * (1 + 1e-6),
+     lambda pols, *a: pols == "VVV", "sym", ["sym:samepol"] * len(GRID)),
+    (gains, "z_pattern_outcome_gain", lambda q: q * (1 + 1e-6),
+     lambda pols, *a: pols in MIXED, "sym", ["sym:mixedclass"] * len(GRID)),
+    (gains, "z_pattern_outcome_gain", lambda q: math.nan,  # a NaN that max() would skip
+     lambda pols, *a: pols == "VHH", "sym", ["sym:mixedclass"] * len(GRID)),
+    (gains, "mermin_outcome_gains", lambda q: (q[0] * (1 + 1e-6), q[1]),
+     lambda signs, *a: signs == (1, 1, 1), "sym", ["sym:signclasses"] * len(GRID)),
+    (fock, "exact_single_photon_stats_for", lambda s: replace(s, y111_z=0.5 * s.y111_z),
+     None, "bracket", ["bracket:L=0.0", "bracket:L=50.0"]),
+    (fock, "exact_single_photon_stats_for", lambda s: replace(s, y111_z=math.inf),
+     None, "bracket", ["bracket:L=0.0", "bracket:L=50.0"]),  # deviation -inf
+    (fock, "propagate_parties", lambda d: replace(d, probabilities=d.probabilities * 1.001),
+     None, "fock", ["fock:closed-form"]),
+    (fock, "propagate_parties", lambda d: replace(d, probabilities=d.probabilities * math.nan),
+     None, "fock", ["fock:closed-form"]),
+], ids=["mc", "samepol", "mixedclass", "mixedclass-nan", "signclasses", "bracket",
+        "bracket-inf", "closed-form", "closed-form-nan"])
+def test_perturbed_input_fails_its_rows(monkeypatch, module, name, change, when, family,
+                                        failing):
+    assert all(row.passed for row in FAMILIES[family]())
+    perturb(monkeypatch, module, name, change, when)
+    rows = FAMILIES[family]()
+    assert [row.check.partition("(")[0] for row in rows if not row.passed] == failing

@@ -10,17 +10,13 @@ import pytest
 
 from mdighz import cli, fock, gains
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+from conftest import CONFIG_DIR, config_copy
 
 
 def small_qcc(tmp_path, l_max=20, l_step=10, eta_d=0.4):
-    text = (CONFIG_DIR / "qcc_eta40.cfg").read_text()
-    text = text.replace("sweep.L_max = 250", f"sweep.L_max = {l_max}")
-    text = text.replace("sweep.L_step = 1", f"sweep.L_step = {l_step}")
-    text = text.replace("detector.eta_d = 0.40", f"detector.eta_d = {eta_d}")
-    path = tmp_path / "qcc.cfg"
-    path.write_text(text)
-    return path
+    return config_copy(tmp_path, "qcc_eta40", ("sweep.L_max = 250", f"sweep.L_max = {l_max}"),
+                       ("sweep.L_step = 1", f"sweep.L_step = {l_step}"),
+                       ("detector.eta_d = 0.40", f"detector.eta_d = {eta_d}"))
 
 
 NO_SCIPY = """
@@ -52,10 +48,11 @@ class TestImports:
 
 
 class TestQccCommand:
-    def test_writes_csv_with_manifest(self, tmp_path):
+    def test_writes_csv_with_manifest(self, tmp_path, capsys):
         cfg = small_qcc(tmp_path)
         out = tmp_path / "curve.csv"
         assert cli.main(["qcc", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "qcc: 3 points, cutoff_km=20.0 ->" in capsys.readouterr().out
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# mdighz")
         assert lines[1].startswith("# manifest_digest=sha256:")
@@ -66,15 +63,14 @@ class TestQccCommand:
         assert manifest["manifest_digest"] in lines[1]
         assert "created_utc" in manifest
 
-    def test_empty_sweep_header_only(self, tmp_path):
-        cfg_text = small_qcc(tmp_path).read_text().replace(
-            "sweep.L_min = 0", "sweep.L_min = 30")
-        cfg = tmp_path / "empty.cfg"
-        cfg.write_text(cfg_text)
+    def test_empty_sweep_header_only(self, tmp_path, capsys):
+        cfg = config_copy(tmp_path, "qcc_eta40", ("sweep.L_min = 0", "sweep.L_min = 30"),
+                          ("sweep.L_max = 250", "sweep.L_max = 20"))
         out = tmp_path / "empty.csv"
         assert cli.main(["qcc", "--config", str(cfg), "--out", str(out)]) == 0
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(rows) == 1  # header only
+        assert "qcc: 0 points, cutoff_km=nan ->" in capsys.readouterr().out
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -97,11 +93,8 @@ class TestQccCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
-        text = (CONFIG_DIR / "qss_heralded_eta40.cfg").read_text()
-        text = text.replace("sweep.L_max = 200", "sweep.L_max = 30")
-        text = text.replace("sweep.L_step = 1", "sweep.L_step = 10")
-        her = tmp_path / "her.cfg"
-        her.write_text(text)
+        her = config_copy(tmp_path, "qss_heralded_eta40", ("sweep.L_max = 200", "sweep.L_max = 30"),
+                          ("sweep.L_step = 1", "sweep.L_step = 10"))
         outs = []
         for tag in ("h1", "h2"):
             # cold caches, so that each run builds the yield tables afresh
@@ -117,11 +110,8 @@ class TestQccCommand:
 
 class TestQssCommand:
     def test_pps_quick(self, tmp_path):
-        text = (CONFIG_DIR / "qss_pps_eta40.cfg").read_text()
-        text = text.replace("sweep.L_max = 200", "sweep.L_max = 20")
-        text = text.replace("sweep.L_step = 1", "sweep.L_step = 10")
-        cfg = tmp_path / "pps.cfg"
-        cfg.write_text(text)
+        cfg = config_copy(tmp_path, "qss_pps_eta40", ("sweep.L_max = 200", "sweep.L_max = 20"),
+                          ("sweep.L_step = 1", "sweep.L_step = 10"))
         out = tmp_path / "pps.csv"
         assert cli.main(["qss", "--config", str(cfg), "--out", str(out)]) == 0
         header = next(l for l in out.read_text().splitlines()
@@ -143,17 +133,12 @@ class TestQssCommand:
         assert err.value.code == 2
 
     def test_wcs_without_phase_plan_is_config_error(self, tmp_path):
-        text = small_qcc(tmp_path).read_text()
-        cfg = tmp_path / "nok.cfg"
-        cfg.write_text(text)
+        cfg = small_qcc(tmp_path)  # a qcc config: no phase.K
         out = tmp_path / "x.csv"
         assert cli.main(["qss", "--config", str(cfg), "--out", str(out)]) == 2
 
     def test_heralded_quick(self, tmp_path):
-        text = (CONFIG_DIR / "qss_heralded_eta40.cfg").read_text()
-        text = text.replace("sweep.L_max = 200", "sweep.L_max = 10")
-        cfg = tmp_path / "her.cfg"
-        cfg.write_text(text)
+        cfg = config_copy(tmp_path, "qss_heralded_eta40", ("sweep.L_max = 200", "sweep.L_max = 10"))
         out = tmp_path / "her.csv"
         assert cli.main(["qss", "--config", str(cfg), "--out", str(out),
                          "--quick"]) == 0
@@ -163,11 +148,8 @@ class TestQssCommand:
 
 class TestMerminCommand:
     def test_constant_two_column(self, tmp_path):
-        text = (CONFIG_DIR / "mermin_eta40.cfg").read_text()
-        text = text.replace("sweep.L_max = 180", "sweep.L_max = 20")
-        text = text.replace("sweep.L_step = 1", "sweep.L_step = 10")
-        cfg = tmp_path / "mermin.cfg"
-        cfg.write_text(text)
+        cfg = config_copy(tmp_path, "mermin_eta40", ("sweep.L_max = 180", "sweep.L_max = 20"),
+                          ("sweep.L_step = 1", "sweep.L_step = 10"))
         out = tmp_path / "mermin.csv"
         assert cli.main(["mermin", "--config", str(cfg), "--out", str(out)]) == 0
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
@@ -176,12 +158,9 @@ class TestMerminCommand:
             assert row.split(",")[2] == "2.0"
 
     def test_full_misalignment_zeroes_column(self, tmp_path):
-        text = (CONFIG_DIR / "mermin_eta40.cfg").read_text()
-        text = text.replace("system.e_d = 0.015", "system.e_d = 0.5")
-        text = text.replace("sweep.L_max = 180", "sweep.L_max = 10")
-        text = text.replace("sweep.L_step = 1", "sweep.L_step = 10")
-        cfg = tmp_path / "m.cfg"
-        cfg.write_text(text)
+        cfg = config_copy(tmp_path, "mermin_eta40", ("system.e_d = 0.015", "system.e_d = 0.5"),
+                          ("sweep.L_max = 180", "sweep.L_max = 10"),
+                          ("sweep.L_step = 1", "sweep.L_step = 10"))
         out = tmp_path / "m.csv"
         assert cli.main(["mermin", "--config", str(cfg), "--out", str(out)]) == 0
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
@@ -321,12 +300,9 @@ class TestExitCodeContract:
     def test_too_bright_source_exits_4(self, tmp_path, capsys):
         # a heralded source far too bright for the photon-number cutoff is a
         # numerics refusal: exit 4 with the truncation message, no traceback
-        text = (CONFIG_DIR / "qss_heralded_eta40.cfg").read_text()
-        text = text.replace("source.mu = 5e-3", "source.mu = 0.5")
-        text = text.replace("decoy.mu1 = 5e-4", "decoy.mu1 = 0.05")
-        text = text.replace("sweep.L_max = 200", "sweep.L_max = 0")
-        cfg = tmp_path / "bright.cfg"
-        cfg.write_text(text)
+        cfg = config_copy(tmp_path, "qss_heralded_eta40", ("source.mu = 5e-3", "source.mu = 0.5"),
+                          ("decoy.mu1 = 5e-4", "decoy.mu1 = 0.05"),
+                          ("sweep.L_max = 200", "sweep.L_max = 0"))
         code = cli.main(["qss", "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
         err = capsys.readouterr().err
         assert code == 4

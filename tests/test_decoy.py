@@ -182,30 +182,31 @@ class TestLevelConstructors:
 
 class TestHeraldedStats:
     def test_vacuum_source(self):
-        s = heralded_stats(0.0, DetectorModel(0.4, 1e-6))
-        assert s.p_c == pytest.approx(1e-6)
-        assert s.p_n[0] == 1.0
-        assert s.p_n[1:].sum() == 0.0
+        p_n = heralded_stats(0.0, DetectorModel(0.4, 1e-6))
+        assert p_n[0] == 1.0
+        assert p_n[1:].sum() == 0.0
 
     def test_perfect_trigger_never_passes_vacuum(self):
-        s = heralded_stats(0.01, DetectorModel(1.0, 0.0))
-        assert s.p_n[0] == 0.0
+        assert heralded_stats(0.01, DetectorModel(1.0, 0.0))[0] == 0.0
 
     def test_normalization_and_tail(self):
-        s = heralded_stats(5e-3, DetectorModel(0.4, 1e-7))
-        assert s.p_n.sum() == pytest.approx(1.0, abs=1e-12)
-        assert s.tail < 1e-12
+        p_n = heralded_stats(5e-3, DetectorModel(0.4, 1e-7))
+        assert p_n.sum() == pytest.approx(1.0, abs=1e-12)
+        assert 1.0 - p_n.sum() < 1e-12  # mass beyond the cutoff
 
     def test_trigger_probability_formula(self):
         mu, eta, p_d = 0.02, 0.35, 1e-5
-        s = heralded_stats(mu, DetectorModel(eta, p_d))
-        assert s.p_c == pytest.approx((mu * eta + p_d) / (1 + mu * eta), rel=1e-12)
+        n = np.arange(13)
+        click = 1 - (1 - eta) ** n + p_d * (1 - eta) ** n  # 1 - (1-p_d)(1-eta)^n
+        p_c = (mu * eta + p_d) / (1 + mu * eta)
+        assert heralded_stats(mu, DetectorModel(eta, p_d)) == pytest.approx(
+            mu ** n / (1 + mu) ** (n + 1) * click / p_c, rel=1e-12, abs=0.0)
 
     @given(st.floats(1e-5, 0.1), st.floats(0.05, 1.0), st.floats(0.0, 1e-3))
     def test_distribution_is_normalized(self, mu, eta, p_d):
-        s = heralded_stats(mu, DetectorModel(eta, p_d))
-        assert s.p_n.sum() + s.tail == pytest.approx(1.0, abs=1e-9)
-        assert (s.p_n >= 0).all()
+        p_n = heralded_stats(mu, DetectorModel(eta, p_d))
+        assert p_n.sum() == pytest.approx(1.0, abs=1e-9)
+        assert (p_n >= 0).all()
 
 
 class TestHeraldedBounds:
@@ -213,8 +214,8 @@ class TestHeraldedBounds:
         plan = DecoyPlan(5e-3, 5e-4)
         grid = build_gain_grid(lambda triples: [stub_gain_set() for _ in triples], plan)
         trig = DetectorModel(0.4, 1e-7)
-        b = single_photon_bounds(grid, distribution_level(heralded_stats(5e-3, trig).p_n),
-                                 distribution_level(heralded_stats(5e-4, trig).p_n))
+        b = single_photon_bounds(grid, distribution_level(heralded_stats(5e-3, trig)),
+                                 distribution_level(heralded_stats(5e-4, trig)))
         assert b.y111_zl == 0.0 and b.y111_xl == 0.0
         assert b.e111_bxu is None and b.e111_bzu is None
 
@@ -229,12 +230,12 @@ class TestHeraldedBounds:
             eta = det.eta_d * 10 ** (-0.2 * length / 10)
 
             def gain_set(a, b, c):
-                dists = (stats[a].p_n, stats[b].p_n, stats[c].p_n)
+                dists = (stats[a], stats[b], stats[c])
                 return gains.fock_yields(dists, eta, det.p_d).gain_set(dists, params.e_d)
 
             grid = build_gain_grid(lambda triples: [gain_set(*t) for t in triples], plan)
-            bounds = single_photon_bounds(grid, distribution_level(stats[plan.mu2].p_n),
-                                          distribution_level(stats[plan.mu1].p_n))
+            bounds = single_photon_bounds(grid, distribution_level(stats[plan.mu2]),
+                                          distribution_level(stats[plan.mu1]))
             exact = fock.exact_single_photon_stats_for(params)
             assert bounds.y111_xl <= exact.y111_x + 1e-12
             assert bounds.y111_zl <= exact.y111_z + 1e-12

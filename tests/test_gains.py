@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mdighz import decoy, fock, gains, montecarlo
+from mdighz import checks, decoy, fock, gains, montecarlo
 from mdighz.params import (ChannelModel, DecoyPlan, DetectorModel, NumericsError,
                            SystemParams, overall_efficiency)
 from yield_reference import ghz_outcome_yields
@@ -151,10 +151,8 @@ class TestRectilinearClosedForms:
             assert v_hi >= v_lo - 1e-15
 
     def test_four_way_outcome_equality(self):
-        for mu, eta, p_d in [(0.4, 0.04, 1e-7), (0.05, 0.9, 1e-4), (0.8, 0.25, 1e-2)]:
-            vals = [gains.z_pattern_outcome_gain(pols, mu, mu, mu, eta, p_d, outcome)
-                    for pols in ("HHH", "VVV") for outcome in ("plus", "minus")]
-            assert max(vals) - min(vals) <= 1e-10 * max(vals)
+        grid = [(0.4, 0.04, 1e-7), (0.05, 0.9, 1e-4), (0.8, 0.25, 1e-2)]
+        assert all(row.passed for row in checks.symmetries(grid))  # samepol, to 1e-10
 
 
 class TestDiagonalQuadrature:
@@ -250,14 +248,7 @@ class TestSignPatternGains:
         assert q1[0] == pytest.approx(q2[0], rel=1e-10, abs=0.0)
 
     def test_eight_pattern_classes(self):
-        correct, false = [], []
-        for signs in itertools.product((1, -1), repeat=3):
-            qp, qm = gains.mermin_outcome_gains(signs, 0.4, 0.4, 0.4, 0.1, 1e-6)
-            parity = signs[0] * signs[1] * signs[2]
-            (correct if parity == 1 else false).append(qp)
-            (false if parity == 1 else correct).append(qm)
-        for group in (correct, false):
-            assert max(group) - min(group) <= 1e-10 * max(group)
+        assert all(row.passed for row in checks.symmetries([(0.4, 0.1, 1e-6)]))  # signclasses
 
     def test_no_light(self):
         assert gains.mermin_outcome_gains((1, -1, 1), 0, 0, 0, 0.3, 0.0) == (0.0, 0.0)
@@ -362,8 +353,7 @@ class TestAssembly:
 
 class TestHeraldedGains:
     def test_vacuum_levels_give_dark_gains(self):
-        vac = decoy.vacuum_stats()
-        dists = (vac.p_n,) * 3
+        dists = (decoy.vacuum_stats(),) * 3
         gs = gains.fock_yields(dists, 0.4, 1e-3).gain_set(dists, 0.0)
         z = gains.z_gain_components(0, 0, 0, 0.4, 1e-3)
         assert gs.q_cz == pytest.approx(4 * z.a, rel=1e-12, abs=0.0)
@@ -372,18 +362,18 @@ class TestHeraldedGains:
     def test_high_photon_terms_negligible_at_small_mu(self):
         # term-by-term audit: everything above three total photons is < 1%
         trig = DetectorModel(0.4, 1e-7)
-        stats = decoy.heralded_stats(1e-3, trig)
+        p_n = decoy.heralded_stats(1e-3, trig)
         eta, p_d = 0.04, 0.0
-        dists = (stats.p_n,) * 3
+        dists = (p_n,) * 3
         full = gains.fock_yields(dists, eta, p_d).gain_set(dists, 0.0)
         def high_order_fraction(st):
-            dists = (st.p_n,) * 3
+            dists = (st,) * 3
             total = gains.fock_yields(dists, eta, p_d).gain_set(dists, 0.0).q_x
             low_orders = 0.0
             for n, m, l in itertools.product(range(4), repeat=3):
                 if n + m + l > 3:
                     continue
-                w = st.p_n[n] * st.p_n[m] * st.p_n[l]
+                w = st[n] * st[m] * st[l]
                 yp, ym = ghz_outcome_yields(
                     fock.propagate_parties("+++", (n, m, l)), eta, p_d)
                 low_orders += w * (yp + ym)
@@ -392,7 +382,7 @@ class TestHeraldedGains:
         # the four-photon sector carries a ~4x yield enhancement, so the
         # measured high-order share at mu = 1e-3 is ~1.9%; it falls below 1%
         # one intensity octave lower
-        assert high_order_fraction(stats) < 0.02
+        assert high_order_fraction(p_n) < 0.02
         assert high_order_fraction(decoy.heralded_stats(5e-4, trig)) < 0.01
         assert full.q_x > 0
 
@@ -418,8 +408,8 @@ class TestHeraldedGains:
         # truncation floor (they thin into the table's triples), which reach
         # 7e-13 of q_ex here, so the reference keeps them too.
         trig = DetectorModel(0.4, 1e-7)
-        p_n = decoy.heralded_stats(5e-3, trig).p_n
-        vac = decoy.vacuum_stats().p_n
+        p_n = decoy.heralded_stats(5e-3, trig)
+        vac = decoy.vacuum_stats()
         for dists in ((p_n, p_n, p_n), (p_n, vac, p_n)):
             comps = np.zeros(6)
             for n, m, l in itertools.product(range(13), repeat=3):
@@ -440,8 +430,8 @@ class TestHeraldedGains:
 
     def test_shared_yields_give_identical_gain_sets(self):
         trig = DetectorModel(0.4, 1e-7)
-        levels = [decoy.vacuum_stats().p_n, decoy.heralded_stats(5e-4, trig).p_n,
-                  decoy.heralded_stats(5e-3, trig).p_n]
+        levels = [decoy.vacuum_stats(), decoy.heralded_stats(5e-4, trig),
+                  decoy.heralded_stats(5e-3, trig)]
         yields = gains.fock_yields(levels, 0.004, 1e-7)
         for combo in itertools.product(range(3), repeat=3):
             dists = tuple(levels[k] for k in combo)
@@ -450,8 +440,8 @@ class TestHeraldedGains:
 
     def test_distributions_outside_the_levels_rejected(self):
         trig = DetectorModel(0.4, 1e-7)
-        vac = decoy.vacuum_stats().p_n
-        p_n = decoy.heralded_stats(5e-3, trig).p_n
+        vac = decoy.vacuum_stats()
+        p_n = decoy.heralded_stats(5e-3, trig)
         with pytest.raises(ValueError, match="levels"):
             gains.fock_yields([vac], 0.04, 1e-7).gain_set((p_n, p_n, p_n), 0.0)
 

@@ -109,23 +109,24 @@ class TestStatistics:
         with pytest.raises(ValueError):
             McConfig(samples=samples)
 
+    @pytest.mark.parametrize("seed", [1.5, -1, 2 ** 64])
+    def test_bad_seed_rejected(self, seed):
+        # numpy would truncate 1.5 and run the seed-1 stream under the name 1.5
+        with pytest.raises(ValueError, match="seed"):
+            McConfig(samples=10, seed=seed)
+
 
 class TestClosedFormCheck:
     def test_empty_input_vacuous_pass(self):
-        report = fock_closed_form_check(0)
-        assert report.cases == 1
-        assert report.max_deviation == 0.0
+        assert fock_closed_form_check(0) == 0.0
 
     def test_three_photons_exact(self):
-        report = fock_closed_form_check(3)
-        assert report.max_deviation < 1e-12
+        assert fock_closed_form_check(3) < 1e-12
 
     def test_six_photons_exact_and_fast(self):
         start = time.monotonic()
-        report = fock_closed_form_check(6)
-        elapsed = time.monotonic() - start
-        assert report.max_deviation < 1e-12
-        assert elapsed < 30.0
+        assert fock_closed_form_check(6) < 1e-12
+        assert time.monotonic() - start < 30.0
 
     def test_cutoff_guard(self):
         with pytest.raises(ValueError):

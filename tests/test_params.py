@@ -10,6 +10,8 @@ from mdighz.params import (ChannelModel, ConfigError, DetectorModel, PhasePlan,
 
 from conftest import QCC_CONFIG
 
+TEXT = QCC_CONFIG.format(eta_d=0.4, e_d=0.0, l_min=0, l_max=1, l_step=1)
+
 
 class TestEfficiency:
     def test_zero_length_fiber(self):
@@ -76,8 +78,7 @@ class TestInvariants:
     def test_asymmetric_rejected(self):
         # links are symmetric by construction; the old switch is an unknown key
         with pytest.raises(ConfigError, match="unknown key") as err:
-            parse_config(QCC_CONFIG.format(eta_d=0.4, e_d=0.0, l_min=0, l_max=1, l_step=1)
-                         + "channel.symmetric = false\n")
+            parse_config(TEXT + "channel.symmetric = false\n")
         assert err.value.key == "channel.symmetric"
 
     @pytest.mark.parametrize("length", [float("nan"), float("inf"), -float("inf"), -1.0])
@@ -113,8 +114,7 @@ class TestParseConfig:
         assert cfg.system.f == 1.16
 
     def test_swapped_decoy_levels_rejected(self):
-        text = QCC_CONFIG.format(eta_d=0.4, e_d=0.0, l_min=0, l_max=1, l_step=1)
-        text = text.replace("source.mu = 0.4", "source.mu = 0.005")
+        text = TEXT.replace("source.mu = 0.4", "source.mu = 0.005")
         text = text.replace("decoy.mu1 = 0.005", "decoy.mu1 = 0.4\ndecoy.mu2 = 0.005")
         with pytest.raises(ConfigError, match="mu2 must exceed mu1"):
             parse_config(text)
@@ -125,8 +125,7 @@ class TestParseConfig:
             parse_config(text)
 
     def test_unknown_key_rejected_with_line(self):
-        text = "junk.key = 1\n" + QCC_CONFIG.format(eta_d=0.4, e_d=0.0, l_min=0,
-                                                    l_max=1, l_step=1)
+        text = "junk.key = 1\n" + TEXT
         with pytest.raises(ConfigError, match="line 1"):
             parse_config(text)
 
@@ -138,29 +137,23 @@ class TestParseConfig:
                          "decoy.mu2 = 0.4\n")
 
     def test_unknown_source_kind(self):
-        text = QCC_CONFIG.format(eta_d=0.4, e_d=0.0, l_min=0, l_max=1, l_step=1)
         with pytest.raises(ConfigError, match="source.kind"):
-            parse_config(text.replace("= wcs", "= laser"))
+            parse_config(TEXT.replace("= wcs", "= laser"))
 
     def test_comments_and_blanks_ignored(self):
-        text = "# a comment\n\n" + QCC_CONFIG.format(eta_d=0.4, e_d=0.0, l_min=0,
-                                                     l_max=1, l_step=1)
-        parse_config(text)
+        parse_config("# a comment\n\n" + TEXT)
 
     def test_heralded_trigger_defaults(self):
-        text = QCC_CONFIG.format(eta_d=0.4, e_d=0.0, l_min=0, l_max=1, l_step=1)
-        cfg = parse_config(text.replace("= wcs", "= heralded"))
-        assert cfg.source.trigger == DetectorModel(0.4, 1e-7)
-        cfg2 = parse_config(text.replace("= wcs", "= heralded")
-                            + "source.trigger_eta_d = 0.8\n")
+        text = TEXT.replace("= wcs", "= heralded")
+        assert parse_config(text).source.trigger == DetectorModel(0.4, 1e-7)
+        cfg2 = parse_config(text + "source.trigger_eta_d = 0.8\n")
         assert cfg2.source.trigger.eta_d == 0.8
 
     @pytest.mark.parametrize("key", sorted(k for k, kind in params._KNOWN_KEYS.items()
                                            if kind is float))
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_float_rejected(self, key, value):
-        text = QCC_CONFIG.format(eta_d=0.4, e_d=0.0, l_min=0, l_max=1, l_step=1)
-        text = text.replace("= wcs", "= heralded")  # accepts the trigger keys
+        text = TEXT.replace("= wcs", "= heralded")  # accepts the trigger keys
         lines = [line for line in text.splitlines() if not line.startswith(key + " ")]
         with pytest.raises(ConfigError, match="finite") as err:
             parse_config("\n".join(lines + [f"{key} = {value}"]))
