@@ -172,11 +172,7 @@ def cmd_curve(args) -> int:
     """`qcc`, `qss` and `mermin`: one curve of CURVES over the sweep grid."""
     cfg = _load_config(args.config)
     name = args.command
-    if name == "qss":
-        if args.method is not None and args.method != cfg.method:
-            raise ConfigError(f"--method {args.method} conflicts with source.kind "
-                              f"{cfg.source.kind!r} (implies {cfg.method})",
-                              key="source.kind")
+    if name == "qss":  # the variant follows source.kind
         name = f"qss_{cfg.method}"
     curve = CURVES[name]
     distances = cfg.sweep.distances()
@@ -262,10 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_curve)
 
-    p = sub.add_parser("qss", help="secret-sharing key-rate curve")
+    p = sub.add_parser("qss", help="secret-sharing key-rate curve (variant from "
+                                   "source.kind)")
     common(p)
-    p.add_argument("--method", choices=("pps", "heralded", "qnd"), default=None,
-                   help="must match the config's source.kind")
     p.set_defaults(fn=cmd_curve)
 
     p = sub.add_parser("mermin", help="Mermin-value lower-bound curve")

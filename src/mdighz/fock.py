@@ -37,10 +37,8 @@ __all__ = [
     "N_MAX",
     "PHI_PLUS_PATTERNS",
     "PHI_MINUS_PATTERNS",
-    "FockOutcomeDistribution",
     "SinglePhotonStats",
     "analyzer_unitary",
-    "propagate_parties",
     "outcome_pattern_sums",
     "ideal_detector_table",
     "ideal_yields",
@@ -119,14 +117,6 @@ def analyzer_unitary() -> np.ndarray:
         for i, sign in routes:
             u[i, j] = sign * s
     return u
-
-
-@dataclass(frozen=True)
-class FockOutcomeDistribution:
-    """Output Fock configurations of the analyzer for one input preparation."""
-
-    occupations: np.ndarray  # (n_cfg, 6) int
-    probabilities: np.ndarray  # (n_cfg,) float
 
 
 def _party_output_vector(party: int, pol: str):
@@ -216,16 +206,6 @@ def _check_input(pols: str, numbers) -> None:
         raise ValueError(f"total photon number {sum(numbers)} exceeds cutoff {N_MAX}")
 
 
-@lru_cache(maxsize=None)
-def propagate_parties(pols: str, numbers: tuple[int, int, int]) -> FockOutcomeDistribution:
-    """Exact output distribution for Alice/Bob/Charlie sending `numbers`
-    photons in polarizations `pols` (e.g. pols="HHV", numbers=(1, 1, 2))."""
-    _check_input(pols, numbers)
-    keys, num, denom = _exact_distribution(pols, numbers)
-    occupations = keys[:, None] // np.array(_PLACES) % _BASE
-    return FockOutcomeDistribution(occupations, num / denom)
-
-
 def outcome_pattern_sums(click, silent):
     """Probabilities of the two announced outcomes from per-detector click and
     silence probabilities (`click[j]`, `silent[j]`; arrays broadcast).
@@ -301,8 +281,6 @@ class SinglePhotonStats:
     y111_x: float
     e111_bz: float | None
     e111_bx: float | None
-    y_ppp_phi_plus: float  # yield of the correct announced outcome, all-"+" input
-    y_mmm_phi_plus: float  # same outcome class, all-"-" input (ideally zero)
 
 
 _Z_TRIPLES = tuple("".join(t) for t in itertools.product("HV", repeat=3))
@@ -340,14 +318,7 @@ def exact_single_photon_stats(eta: float, p_d: float, e_d: float) -> SinglePhoto
     y_ex = y111_x - y_cx
     e111_bx = None if y111_x == 0 else (e_d * y_cx + (1 - e_d) * y_ex) / y111_x
 
-    return SinglePhotonStats(
-        y111_z=y111_z,
-        y111_x=y111_x,
-        e111_bz=e111_bz,
-        e111_bx=e111_bx,
-        y_ppp_phi_plus=y_x["+++"][0],
-        y_mmm_phi_plus=y_x["---"][0],
-    )
+    return SinglePhotonStats(y111_z, y111_x, e111_bz, e111_bx)
 
 
 def exact_single_photon_stats_for(params: SystemParams) -> SinglePhotonStats:

@@ -48,8 +48,8 @@ __all__ = [
     "gains_qnd",
 ]
 
-# Quadrature default: nodes per axis, one refinement doubling certifies this
-# relative stability for every returned integral.
+# Quadrature nodes per axis (read at call time); one refinement doubling
+# certifies this relative stability for every returned integral.
 QUAD_NODES = 16
 QUAD_RTOL = 1e-8
 
@@ -92,7 +92,6 @@ class SlicedGains:
 
     q_c: float
     q_e: float
-    k: int
 
     @property
     def q_total(self) -> float:
@@ -119,9 +118,6 @@ class GainSet:
     q_x: float
     q_cx: float
     q_ex: float
-    e_z: float | None
-    e_zab: float | None
-    e_zac: float | None
     e_x: float | None
     # misalignment used for the error compositions (kept for the EQ products)
     e_d: float = 0.0
@@ -169,10 +165,9 @@ def _i0_minus_1(z: float) -> float:
 
 
 def z_pattern_outcome_gain(pols: str, mu: float, nu: float, omega: float,
-                           eta: float, p_d: float,
-                           outcome: str = "plus") -> float:
-    """Gain of one polarization triple and one announced outcome, from the
-    generic four-pattern detector product (no closed form).
+                           eta: float, p_d: float) -> float:
+    """Gain of one polarization triple and either announced outcome, from the
+    generic detector product (no closed form).
 
     Valid for any of the eight rectilinear triples; used for symmetry checks
     and as the building block the closed forms are asserted against.
@@ -201,15 +196,9 @@ def z_pattern_outcome_gain(pols: str, mu: float, nu: float, omega: float,
             # (1-p_d) e^{-w/2} [ (I0(z)-1) + (1-e^{-w/2}) + p_d e^{-w/2} ]
             clicked_silent[grp] = (1.0 - p_d) * exp(-w_tot / 2.0) * (
                 _i0_minus_1(z) - expm1(-w_tot / 2.0) + p_d * exp(-w_tot / 2.0))
-    patterns = {"plus": ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)),
-                "minus": ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1))}[outcome]
-    total = 0.0
-    for _pat in patterns:
-        term = 1.0
-        for grp in (1, 2, 3):
-            term *= clicked_silent[grp]
-        total += term
-    return total / 8.0
+    # each outcome has four patterns, all with the same group product: the
+    # 1/8 preparation probability times 4
+    return clicked_silent[1] * clicked_silent[2] * clicked_silent[3] / 2.0
 
 
 def z_gain_components(mu: float, nu: float, omega: float, eta: float,
@@ -226,7 +215,7 @@ def z_gain_components(mu: float, nu: float, omega: float, eta: float,
 
     a_closed = 0.5 * w ** 3 * exp(-x / 2.0) * (
         _group_click(ia, p_d) * _group_click(ib, p_d) * _group_click(ic, p_d))
-    a_product = z_pattern_outcome_gain("HHH", mu, nu, omega, eta, p_d, "plus")
+    a_product = z_pattern_outcome_gain("HHH", mu, nu, omega, eta, p_d)
     scale = max(abs(a_closed), abs(a_product), 1e-300)
     if abs(a_closed - a_product) > A_CONSISTENCY_RTOL * scale:
         raise NumericsError(
@@ -299,15 +288,16 @@ def _certified(coarse, fine, what):
     return fine
 
 
-def _x_outcome_quad(signs, ia, ib, ic, p_d, nodes):
-    """Both outcome gains by the nodes^2 and the (2 nodes)^2 trapezoid rule,
-    as (2, P) arrays for P arriving-intensity triples (arrays of length P).
+def _x_outcome_quad(signs, ia, ib, ic, p_d):
+    """Both outcome gains by the trapezoid rule on QUAD_NODES^2 and on
+    (2 QUAD_NODES)^2 phase points, as (2, P) arrays for P arriving-intensity
+    triples (arrays of length P).
 
     The integrand is periodic and analytic in both phases, so the equispaced
     trapezoid rule converges geometrically on it; the coarse rule is the
     even-indexed subgrid of the fine one, so one evaluation serves both.
     """
-    phi = np.arange(2 * nodes) * (np.pi / nodes)
+    phi = np.arange(2 * QUAD_NODES) * (np.pi / QUAD_NODES)
     pab, pac = phi[:, None], phi[None, :]
     ia, ib, ic = (np.reshape(v, (-1, 1, 1)) for v in (ia, ib, ic))
     sums = _pattern_sums(_mode_intensities(ia, ib, ic, signs, pab, pac - pab, pac), p_d)
@@ -320,7 +310,7 @@ def _x_outcome_quad(signs, ia, ib, ic, p_d, nodes):
 
 
 def mermin_outcome_gains(signs: tuple[int, int, int], mu, nu, omega, eta: float,
-                         p_d: float, nodes: int = QUAD_NODES):
+                         p_d: float):
     """Gains of the two announced outcomes for one diagonal-basis sign triple,
     phase-averaged over the full circle (two-angle periodic trapezoid rule).
 
@@ -331,15 +321,15 @@ def mermin_outcome_gains(signs: tuple[int, int, int], mu, nu, omega, eta: float,
     triple, and every triple is certified on its own.
     """
     ia, ib, ic = (np.multiply(m, eta) for m in (mu, nu, omega))
-    correct, other = _certified(*_x_outcome_quad(signs, ia, ib, ic, p_d, nodes),
+    correct, other = _certified(*_x_outcome_quad(signs, ia, ib, ic, p_d),
                                 "diagonal-basis gain").tolist()
     return (correct[0], other[0]) if np.ndim(mu) == 0 else (correct, other)
 
 
 def x_gain_components(mu: float, nu: float, omega: float, eta: float,
-                      p_d: float, nodes: int = QUAD_NODES) -> XGainComponents:
+                      p_d: float) -> XGainComponents:
     """Diagonal-basis gains for the reference (+,+,+) preparation."""
-    e, f = mermin_outcome_gains((1, 1, 1), mu, nu, omega, eta, p_d, nodes)
+    e, f = mermin_outcome_gains((1, 1, 1), mu, nu, omega, eta, p_d)
     return XGainComponents(e=e, f=f)
 
 
@@ -380,8 +370,7 @@ def _sliced_quad(ia, ib, ic, p_d, k, nodes):
 
 
 def phase_sliced_gains(mu: float, nu: float, omega: float, eta: float,
-                       p_d: float, k: int,
-                       nodes: int = QUAD_NODES) -> SlicedGains:
+                       p_d: float, k: int) -> SlicedGains:
     """Diagonal-basis gains of matched-phase-region events, K regions.
 
     The returned gains are per emitted pulse triple: they contain the 1/K^2
@@ -390,9 +379,9 @@ def phase_sliced_gains(mu: float, nu: float, omega: float, eta: float,
     integrated).  At K = 1 this reduces exactly to the full phase average.
     """
     ia, ib, ic = mu * eta, nu * eta, omega * eta
-    pair = _certified(_sliced_quad(ia, ib, ic, p_d, k, nodes),
-                      _sliced_quad(ia, ib, ic, p_d, k, 2 * nodes), "phase-sliced gain")
-    return SlicedGains(q_c=float(pair[0]), q_e=float(pair[1]), k=k)
+    pair = _certified(_sliced_quad(ia, ib, ic, p_d, k, QUAD_NODES),
+                      _sliced_quad(ia, ib, ic, p_d, k, 2 * QUAD_NODES), "phase-sliced gain")
+    return SlicedGains(q_c=float(pair[0]), q_e=float(pair[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -418,19 +407,11 @@ def assemble_gain_set(z: ZGainComponents, x: XGainComponents, e_d: float) -> Gai
     q_ex = 8.0 * x.f
     q_x = q_cx + q_ex
 
-    def rate(correct, false, total):
-        if total == 0.0:
-            return None
-        return (e_d * correct + (1.0 - e_d) * false) / total
-
     return GainSet(
         q_z=q_z, q_cz=q_cz, q_ez=q_ez,
         q_czab=q_czab, q_ezab=q_ezab, q_czac=q_czac, q_ezac=q_ezac,
         q_x=q_x, q_cx=q_cx, q_ex=q_ex,
-        e_z=rate(q_cz, q_ez, q_z),
-        e_zab=rate(q_czab, q_ezab, q_z),
-        e_zac=rate(q_czac, q_ezac, q_z),
-        e_x=rate(q_cx, q_ex, q_x),
+        e_x=None if q_x == 0.0 else (e_d * q_cx + (1.0 - e_d) * q_ex) / q_x,
         e_d=e_d,
     )
 
@@ -486,7 +467,7 @@ def _thinned_gain_set(comps, dists, thinning, e_d) -> GainSet:
     k = comps.shape[-1]
     a, b, c = (x @ thinning[:len(x), :k] for x in (a, b, c))
     w = (a[:, None] * b[None, :])[:, :, None] * c[None, None, :]
-    q = comps.reshape(len(comps), -1) @ w.ravel()
+    q = (comps.reshape(len(comps), -1) @ w.ravel()).tolist()
     return assemble_gain_set(ZGainComponents(*q[:4]), XGainComponents(*q[4:]), e_d)
 
 

@@ -17,8 +17,8 @@ from math import exp
 import numpy as np
 
 from . import decoy, fock, gains
-from .params import (ConfigError, DecoyPlan, ExperimentConfig, SystemParams,
-                     binary_entropy, overall_efficiency, transmission_efficiency)
+from .params import (ConfigError, DecoyPlan, ExperimentConfig, binary_entropy,
+                     overall_efficiency, transmission_efficiency)
 
 __all__ = [
     "VARIANTS",
@@ -26,7 +26,6 @@ __all__ = [
     "qcc_rate",
     "qss_rate",
     "qss_pps_rate",
-    "naive_qss_error",
     "sweep",
     "optimize_intensities",
 ]
@@ -106,16 +105,6 @@ def qss_pps_rate(f: float, k: int, sliced: gains.SlicedGains, e_d: float,
     q111 = p111 * y111_xl / (k * k)
     e_tilde = sliced.error_rate(e_d)
     return _rate_core(f, 0.0, q111, e111_bzu, e_tilde, sliced.q_total)
-
-
-def naive_qss_error(params: SystemParams, mu: float, nu: float,
-                    omega: float) -> float | None:
-    """Full-phase-average diagonal-basis error rate of plain weak coherent
-    pulses (the plateau that kills unsliced secret sharing)."""
-    eta = overall_efficiency(params.channel, params.detector)
-    x = gains.x_gain_components(mu, nu, omega, eta, params.detector.p_d)
-    z = gains.z_gain_components(mu, nu, omega, eta, params.detector.p_d)
-    return gains.assemble_gain_set(z, x, params.e_d).e_x
 
 
 # ---------------------------------------------------------------------------

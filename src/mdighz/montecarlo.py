@@ -61,22 +61,10 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Sample mean and standard error of one conditional outcome probability.
+    """Events of one announced outcome among the samples drawn."""
 
-    stderr is the sample standard deviation over sqrt(n), floored at the
-    one-event resolution 1/n: deviations below a single expected count are
-    indistinguishable from zero by the sampler.
-    """
-
-    mean: float
-    stderr: float
-    samples: int
     count: int
-    seed: int
-    algorithm: str = RNG_ALGORITHM
-
-    def z_score(self, reference: float) -> float:
-        return (self.mean - reference) / self.stderr
+    samples: int
 
 
 def _chunk_counts(w: np.ndarray, p_d: float, slice_k, seed: int, index: int, n: int):
@@ -112,9 +100,10 @@ def mc_coherent_gains(pols: str, intensities, eta: float, p_d: float,
     intensities: the three users' source intensities (any subset may be zero);
     slice_k: restrict all three phases to the first of K matched regions.
 
-    Returns conditional probabilities (no preparation-probability factor): a
-    rectilinear class gain Q corresponds to mean/8, a K-sliced gain to
-    mean/(8 K^2) after the same-class summation.
+    Returns the (phi+, phi-) event counts.  A count over the samples is a
+    conditional probability (no preparation-probability factor): a
+    rectilinear class gain Q corresponds to it over 8, a K-sliced gain to it
+    over 8 K^2 after the same-class summation.
     """
     if len(pols) != 3 or any(p not in _POL_VECTORS for p in pols):
         raise ValueError(f"bad polarization triple {pols!r}")
@@ -133,13 +122,7 @@ def mc_coherent_gains(pols: str, intensities, eta: float, p_d: float,
     total = sum(_chunk_counts(w, p_d, slice_k, cfg.seed, index,
                               min(CHUNK_SAMPLES, cfg.samples - start))
                 for index, start in enumerate(range(0, cfg.samples, CHUNK_SAMPLES)))
-
-    out = []
-    for count in total:
-        mean = count / cfg.samples
-        stderr = np.sqrt(max(mean * (1.0 - mean), 1.0 / cfg.samples) / cfg.samples)
-        out.append(McEstimate(float(mean), float(stderr), cfg.samples, int(count), cfg.seed))
-    return out[0], out[1]
+    return tuple(McEstimate(int(count), cfg.samples) for count in total)
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +158,10 @@ def fock_closed_form_check(max_total_photons: int) -> float:
                if sum(t) <= max_total_photons]
     deviations = [0.0]
     for n, m, l in triples:
-        dist = fock.propagate_parties("HHV", (n, m, l))
-        reference = _closed_form_hhv(n, m, l)
-        general = dict(zip(map(tuple, dist.occupations), dist.probabilities))
+        keys, num, denom = fock._exact_distribution("HHV", (n, m, l))
+        reference = {sum(k * place for k, place in zip(occ, fock._PLACES)): p
+                     for occ, p in _closed_form_hhv(n, m, l).items()}
+        general = dict(zip(keys.tolist(), (num / denom).tolist()))
         deviations += [abs(general.get(key, 0.0) - float(reference.get(key, 0)))
                        for key in set(reference) | set(general)]
     return float(np.max(deviations))  # np.max, unlike max, propagates a NaN

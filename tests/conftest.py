@@ -3,8 +3,9 @@ from pathlib import Path
 import hypothesis
 import pytest
 
+from mdighz import gains
 from mdighz.params import (ChannelModel, DetectorModel, SystemParams,
-                           DecoyPlan, parse_config)
+                           DecoyPlan, overall_efficiency, parse_config)
 
 hypothesis.settings.register_profile("ci", max_examples=60, deadline=None,
                                       derandomize=True)
@@ -41,6 +42,15 @@ def config_copy(tmp_path, name, *edits):
     path = tmp_path / f"{name}.cfg"
     path.write_text(text)
     return path
+
+
+def naive_qss_error(params, mu, nu, omega):
+    """Full-phase-average diagonal-basis error rate of plain weak coherent
+    pulses (the plateau that kills unsliced secret sharing)."""
+    eta = overall_efficiency(params.channel, params.detector)
+    x = gains.x_gain_components(mu, nu, omega, eta, params.detector.p_d)
+    z = gains.z_gain_components(mu, nu, omega, eta, params.detector.p_d)
+    return gains.assemble_gain_set(z, x, params.e_d).e_x
 
 
 def cutoff_km(points):

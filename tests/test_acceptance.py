@@ -12,7 +12,7 @@ import pytest
 from mdighz import checks, cli, fock, keyrates, mermin
 from mdighz.params import DecoyPlan, parse_config
 
-from conftest import config_copy, cutoff_km, qcc_config
+from conftest import config_copy, cutoff_km, naive_qss_error, qcc_config
 from test_keyrates import pps_config, HERALDED_CONFIG, QND_CONFIG
 
 
@@ -66,7 +66,7 @@ class TestCriterion3NaiveErrorPlateau:
         worst = 0.0
         for length in (50.0, 75.0, 100.0, 125.0, 150.0):
             params = cfg.system.at_distance(length)
-            err = keyrates.naive_qss_error(params, 0.11, 0.11, 0.11)
+            err = naive_qss_error(params, 0.11, 0.11, 0.11)
             worst = max(worst, abs(err - 0.375))
         report(3, "plain diagonal-basis error within 37.5% +-1pp on 50-150 km",
                worst <= 0.01, f"max deviation {worst:.4f}")

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from mdighz import checks, cli, fock, gains
+from mdighz import checks, cli, decoy, fock, gains
 
 from conftest import CONFIG_DIR, qcc_config
 
@@ -55,12 +55,15 @@ def test_nan_mixed_class_fails_validate(monkeypatch, tmp_path):
      None, "bracket", ["bracket:L=0.0", "bracket:L=50.0"]),
     (fock, "exact_single_photon_stats_for", lambda s: replace(s, y111_z=math.inf),
      None, "bracket", ["bracket:L=0.0", "bracket:L=50.0"]),  # deviation -inf
-    (fock, "propagate_parties", lambda d: replace(d, probabilities=d.probabilities * 1.001),
+    (decoy, "single_photon_bounds", lambda b: replace(b, e111_bxu=None),  # no bound
+     None, "bracket", ["bracket:L=0.0", "bracket:L=50.0"]),
+    # (keys, integer numerators, denominator) of the exact output distribution
+    (fock, "_exact_distribution", lambda d: (d[0], d[1] * 1.001, d[2]),
      None, "fock", ["fock:closed-form"]),
-    (fock, "propagate_parties", lambda d: replace(d, probabilities=d.probabilities * math.nan),
+    (fock, "_exact_distribution", lambda d: (d[0], d[1] * math.nan, d[2]),
      None, "fock", ["fock:closed-form"]),
 ], ids=["mc", "samepol", "mixedclass", "mixedclass-nan", "signclasses", "bracket",
-        "bracket-inf", "closed-form", "closed-form-nan"])
+        "bracket-inf", "bracket-missing-bound", "closed-form", "closed-form-nan"])
 def test_perturbed_input_fails_its_rows(monkeypatch, module, name, change, when, family,
                                         failing):
     assert all(row.passed for row in FAMILIES[family]())

@@ -51,16 +51,19 @@ class TestQccCommand:
     def test_writes_csv_with_manifest(self, tmp_path, capsys):
         cfg = small_qcc(tmp_path)
         out = tmp_path / "curve.csv"
-        assert cli.main(["qcc", "--config", str(cfg), "--out", str(out)]) == 0
+        assert cli.main(["qcc", "--config", str(cfg), "--out", str(out),
+                         "--seed", "42"]) == 0
         assert "qcc: 3 points, cutoff_km=20.0 ->" in capsys.readouterr().out
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# mdighz")
         assert lines[1].startswith("# manifest_digest=sha256:")
+        assert lines[2:4] == ["# seed=42", "# rng=philox4x64"]  # the oracle's stream
         header = next(l for l in lines if not l.startswith("#"))
         assert header == ("distance_km,rate_two_decoy,rate_infinite_decoy,"
                           "raw_rate,e111_bxu,Y111_zl,diagnostics")
         manifest = json.loads(out.with_suffix(".csv.manifest.json").read_text())
         assert manifest["manifest_digest"] in lines[1]
+        assert (manifest["seed"], manifest["rng"]) == (42, "philox4x64")
         assert "created_utc" in manifest
 
     def test_empty_sweep_header_only(self, tmp_path, capsys):
@@ -119,11 +122,16 @@ class TestQssCommand:
         assert "Q_x_sliced" in header
 
     def test_method_mismatch_is_usage_error(self, tmp_path):
+        # the variant follows source.kind, so argparse refuses --method with
+        # any value, also the one the config implies
         cfg = small_qcc(tmp_path)
         out = tmp_path / "x.csv"
-        code = cli.main(["qss", "--method", "heralded", "--config", str(cfg),
-                         "--out", str(out)])
-        assert code == 2
+        for method in ("heralded", "pps"):
+            with pytest.raises(SystemExit) as err:
+                cli.main(["qss", "--method", method, "--config", str(cfg),
+                          "--out", str(out)])
+            assert err.value.code == 2
+        assert not out.exists()
 
     def test_unknown_method_rejected_by_parser(self, tmp_path):
         cfg = small_qcc(tmp_path)
@@ -206,6 +214,17 @@ class TestOptimizeCommand:
         assert variant == "qcc"
         assert 0.3 <= float(mu) <= 0.5
         assert float(rate) > 0
+
+    @pytest.mark.parametrize("name", ["qss_heralded_eta40", "qss_qnd_eta40"])
+    def test_fock_backed_rate_prints_as_float(self, name, tmp_path, capsys):
+        # the heralded and QND gains come out of numpy; none of it may leak
+        # into the printed summary as np.float64(...)
+        code = cli.main(["optimize", "--config", str(CONFIG_DIR / f"{name}.cfg"),
+                         "--out", str(tmp_path / "opt.csv"), "--variant", "qss",
+                         "--box", "0.001:0.01", "--points", "3", "--rounds", "1"])
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert " rate=" in printed and "np.float64" not in printed
 
 
 class TestExitCodeContract:

@@ -11,6 +11,7 @@ from mdighz.decoy import (DEGENERATE, GainGrid, build_gain_grid,
                           poisson_level, single_photon_bounds, vacuum_stats)
 from mdighz.params import (ChannelModel, DecoyPlan, DetectorModel, SystemParams,
                            overall_efficiency)
+from yield_reference import single_photon_phi_plus
 
 
 def poisson_pmf(mu, n_max=12):
@@ -35,7 +36,7 @@ def stub_gain_set(q_z=0.0, eq_z=0.0, q_x=0.0, eq_x=0.0):
         q_z=q_z, q_cz=q_z - eq_z, q_ez=eq_z,
         q_czab=0, q_ezab=0, q_czac=0, q_ezac=0,
         q_x=q_x, q_cx=q_x - eq_x, q_ex=eq_x,
-        e_z=None, e_zab=None, e_zac=None, e_x=None, e_d=0.0)
+        e_x=None, e_d=0.0)
 
 
 def synthetic_grid(yields, errors, plan, n_cut=3):
@@ -264,15 +265,15 @@ class TestMerminYieldBounds:
         params = SystemParams(ChannelModel(0.2, 0.0), DetectorModel(1.0, 0.0),
                               0.0, 1.16)
         b = self.bounds_at(params, plan)
-        exact = fock.exact_single_photon_stats(1.0, 0.0, 0.0)
-        assert exact.y_mmm_phi_plus == 0.0
+        y_ppp, y_mmm = (single_photon_phi_plus(pols, 1.0, 0.0) for pols in ("+++", "---"))
+        assert y_mmm == 0.0
         # the false-outcome upper bound keeps the decoy-level multiphoton
         # slack (~3 mu1/2 times the four-photon yields), so "suppressed" means
         # small against the correct class, not zero
         assert b.y_mmm_upper < 5e-3 * b.y_ppp_upper
         # gains carry the 1/8 preparation probability, yields do not
-        assert b.y_ppp_lower <= exact.y_ppp_phi_plus / 8 + 1e-12
-        assert b.y_ppp_upper >= exact.y_ppp_phi_plus / 8 - 1e-12
+        assert b.y_ppp_lower <= y_ppp / 8 + 1e-12
+        assert b.y_ppp_upper >= y_ppp / 8 - 1e-12
 
     def test_bound_ordering_at_paper_point(self):
         plan = DecoyPlan(0.4, 0.005)
@@ -280,7 +281,9 @@ class TestMerminYieldBounds:
                               0.015, 1.16)
         b = self.bounds_at(params, plan)
         assert b.y_ppp_lower <= b.y_ppp_upper
-        exact = fock.exact_single_photon_stats_for(params)
-        assert b.y_ppp_lower <= exact.y_ppp_phi_plus / 8 + 1e-12
-        assert b.y_ppp_upper >= exact.y_ppp_phi_plus / 8 - 1e-12
-        assert b.y_mmm_upper >= exact.y_mmm_phi_plus / 8 - 1e-12
+        eta = overall_efficiency(params.channel, params.detector)
+        y_ppp, y_mmm = (single_photon_phi_plus(pols, eta, params.detector.p_d)
+                        for pols in ("+++", "---"))
+        assert b.y_ppp_lower <= y_ppp / 8 + 1e-12
+        assert b.y_ppp_upper >= y_ppp / 8 - 1e-12
+        assert b.y_mmm_upper >= y_mmm / 8 - 1e-12

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from mdighz import fock, gains
-from mdighz.fock import analyzer_unitary, propagate_parties, exact_single_photon_stats
-from yield_reference import ghz_outcome_yields
+from mdighz.fock import analyzer_unitary, exact_single_photon_stats
+from yield_reference import ghz_outcome_yields, propagate_parties
 
 TOKENS = "HV+-RL"
 
@@ -298,8 +298,9 @@ class TestSinglePhotonStats:
         assert s.e111_bx == 0.0
         assert s.e111_bz == 0.0
         assert s.y111_z == pytest.approx(0.25, abs=1e-12)
-        assert s.y_ppp_phi_plus == pytest.approx(0.25, abs=1e-12)
-        assert s.y_mmm_phi_plus == 0.0
+        # the all-"+" input feeds only the correct outcome, the all-"-" none of it
+        assert thinned_yields("+++", (1, 1, 1), 1.0, 0.0)[0] == pytest.approx(0.25, abs=1e-12)
+        assert thinned_yields("---", (1, 1, 1), 1.0, 0.0)[0] == 0.0
 
     def test_full_misalignment_symmetrizes(self):
         s = exact_single_photon_stats(0.3, 1e-6, 0.5)
@@ -332,8 +333,12 @@ class TestSinglePhotonStats:
         assert s.y111_z == pytest.approx(y111_z, rel=1e-13, abs=0.0)
         assert s.e111_bz == pytest.approx(
             (0.015 * y_cz + 0.985 * (y111_z - y_cz)) / y111_z, rel=1e-13, abs=0.0)
-        assert s.y_ppp_phi_plus == pytest.approx(y["+++"][0], rel=1e-13, abs=0.0)
-        assert s.y_mmm_phi_plus == pytest.approx(y["---"][0], rel=1e-13, abs=0.0)
+        x_preps = list(map("".join, itertools.product("+-", repeat=3)))
+        y111_x = sum(sum(y[p]) for p in x_preps) / 8
+        y_cx = sum(y[p][p.count("-") % 2] for p in x_preps) / 8  # the correct outcome
+        assert s.y111_x == pytest.approx(y111_x, rel=1e-13, abs=0.0)
+        assert s.e111_bx == pytest.approx(
+            (0.015 * y_cx + 0.985 * (y111_x - y_cx)) / y111_x, rel=1e-13, abs=0.0)
 
 
 class TestExactBuild:

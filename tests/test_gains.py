@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from mdighz import checks, decoy, fock, gains, montecarlo
 from mdighz.params import (ChannelModel, DecoyPlan, DetectorModel, NumericsError,
                            SystemParams, overall_efficiency)
-from yield_reference import ghz_outcome_yields
+from yield_reference import ghz_outcome_yields, propagate_parties
 
 LN2 = math.log(2.0)
 
@@ -21,7 +21,7 @@ def mc_check(pols, intensities, eta, p_d, analytic_pair, samples=400_000,
         pols, intensities, eta, p_d, montecarlo.McConfig(samples=samples, seed=seed),
         slice_k=slice_k)
     for est, q in ((est_p, analytic_pair[0]), (est_m, analytic_pair[1])):
-        assert abs(est.z_score(scale * q)) < 3.0, (est, scale * q)
+        assert abs(checks._mc_row("", scale * q, est).deviation) < 3.0, (est, scale * q)
 
 
 def reference_outcome_sums(signs, ia, ib, ic, p_d, phi_ab, phi_bc, phi_ac):
@@ -174,9 +174,11 @@ class TestDiagonalQuadrature:
         mc_check("+++", (0.4, 0.4, 0.4), eta, p_d, (x.e, x.f), seed=7,
                  samples=2_000_000)
 
-    def test_quadrature_stable_under_doubling(self):
-        coarse = gains.x_gain_components(0.5, 0.5, 0.5, 0.3, 1e-5, nodes=64)
-        fine = gains.x_gain_components(0.5, 0.5, 0.5, 0.3, 1e-5, nodes=128)
+    def test_quadrature_stable_under_doubling(self, monkeypatch):
+        monkeypatch.setattr(gains, "QUAD_NODES", 64)
+        coarse = gains.x_gain_components(0.5, 0.5, 0.5, 0.3, 1e-5)
+        monkeypatch.setattr(gains, "QUAD_NODES", 128)
+        fine = gains.x_gain_components(0.5, 0.5, 0.5, 0.3, 1e-5)
         assert coarse.e == pytest.approx(fine.e, rel=1e-8, abs=0.0)
         assert coarse.f == pytest.approx(fine.f, rel=1e-8, abs=0.0)
 
@@ -199,9 +201,10 @@ class TestDiagonalQuadrature:
             with pytest.raises(NumericsError, match="non-finite"):
                 gains._certified(coarse, fine, "diagonal-basis gain")
 
-    def test_certification_refuses_too_few_nodes(self):
+    def test_certification_refuses_too_few_nodes(self, monkeypatch):
+        monkeypatch.setattr(gains, "QUAD_NODES", 2)
         with pytest.raises(NumericsError, match="diagonal-basis"):
-            gains.mermin_outcome_gains((1, 1, 1), 3.0, 3.0, 3.0, 0.9, 0.0, nodes=2)
+            gains.mermin_outcome_gains((1, 1, 1), 3.0, 3.0, 3.0, 0.9, 0.0)
 
     def test_certification_floor_is_per_triple(self):
         # triple 0 bright and stable; triple 1 near 1e-9 with a 1e-6 relative
@@ -212,14 +215,14 @@ class TestDiagonalQuadrature:
             gains._certified(coarse, fine, "diagonal-basis gain")
         gains._certified(fine, fine, "diagonal-basis gain")
 
-    def test_stacked_certification_refuses_one_unstable_triple(self):
+    def test_stacked_certification_refuses_one_unstable_triple(self, monkeypatch):
         # the dim triples alone pass at two nodes; beside them the bright one,
         # which two nodes cannot resolve, must still be refused
+        monkeypatch.setattr(gains, "QUAD_NODES", 2)
         dim = ([0.0, 1e-3], [1e-3, 0.0], [0.0, 0.0])
-        gains.mermin_outcome_gains((1, 1, 1), *dim, 0.9, 0.0, nodes=2)
+        gains.mermin_outcome_gains((1, 1, 1), *dim, 0.9, 0.0)
         with pytest.raises(NumericsError, match="diagonal-basis"):
-            gains.mermin_outcome_gains((1, 1, 1), *([3.0] + d for d in dim), 0.9, 0.0,
-                                       nodes=2)
+            gains.mermin_outcome_gains((1, 1, 1), *([3.0] + d for d in dim), 0.9, 0.0)
 
     @pytest.mark.parametrize("eta, p_d", [(0.04, 1e-7), (4e-5, 1e-7), (0.9, 0.0),
                                           (0.5, 1e-3)])
@@ -298,9 +301,10 @@ class TestSlicedGains:
         assert sliced.q_c == pytest.approx(want[0], rel=1e-12, abs=0.0)
         assert sliced.q_e == pytest.approx(want[1], rel=1e-12, abs=0.0)
 
-    def test_certification_refuses_too_few_nodes(self):
+    def test_certification_refuses_too_few_nodes(self, monkeypatch):
+        monkeypatch.setattr(gains, "QUAD_NODES", 2)
         with pytest.raises(NumericsError, match="phase-sliced"):
-            gains.phase_sliced_gains(3.0, 3.0, 3.0, 0.9, 0.0, 1, nodes=2)
+            gains.phase_sliced_gains(3.0, 3.0, 3.0, 0.9, 0.0, 1)
 
     def test_against_monte_carlo(self):
         eta, p_d, k = 0.3, 1e-4, 4
@@ -314,13 +318,14 @@ class TestAssembly:
         z = gains.ZGainComponents(1e-4, 2e-5, 3e-5, 4e-5)
         x = gains.XGainComponents(1e-4, 5e-5)
         gs = gains.assemble_gain_set(z, x, 0.0)
-        assert gs.e_z == pytest.approx(gs.q_ez / gs.q_z, rel=1e-15)
+        assert gs.eq_z / gs.q_z == pytest.approx(gs.q_ez / gs.q_z, rel=1e-15)
+        assert gs.e_x == pytest.approx(gs.q_ex / gs.q_x, rel=1e-15)
 
     def test_only_correct_class_gives_e_d(self):
         z = gains.ZGainComponents(1e-3, 0.0, 0.0, 0.0)
         gs = gains.assemble_gain_set(z, gains.XGainComponents(0, 0), 0.037)
-        assert gs.e_z == pytest.approx(0.037)
-        assert gs.e_zab == pytest.approx(0.037)
+        assert gs.eq_z / gs.q_z == pytest.approx(0.037)
+        assert gs.eq_zab / gs.q_z == pytest.approx(0.037)
 
     def test_pairwise_split_identity(self):
         z = gains.z_gain_components(0.4, 0.4, 0.4, 0.04, 1e-7)
@@ -331,14 +336,16 @@ class TestAssembly:
     def test_no_signal_is_none_not_nan(self):
         gs = gains.assemble_gain_set(gains.ZGainComponents(0, 0, 0, 0),
                                      gains.XGainComponents(0, 0), 0.1)
-        assert gs.e_z is None and gs.e_x is None
+        assert gs.e_x is None
+        assert (gs.eq_z, gs.eq_zab, gs.eq_zac, gs.eq_x) == (0.0, 0.0, 0.0, 0.0)
 
     def test_error_composition_identity(self):
         z = gains.z_gain_components(0.5, 0.4, 0.3, 0.2, 1e-4)
         x = gains.x_gain_components(0.5, 0.4, 0.3, 0.2, 1e-4)
         gs = gains.assemble_gain_set(z, x, 0.015)
-        assert gs.e_z * gs.q_z == pytest.approx(
-            0.015 * gs.q_cz + 0.985 * gs.q_ez, rel=1e-12)
+        assert gs.eq_z == pytest.approx(0.015 * gs.q_cz + 0.985 * gs.q_ez, rel=1e-12)
+        assert gs.e_x * gs.q_x == pytest.approx(
+            0.015 * gs.q_cx + 0.985 * gs.q_ex, rel=1e-12)
 
     def test_wcs_gain_sets_equal_per_triple_assembly(self):
         params = SystemParams(ChannelModel(0.2, 120.0), DetectorModel(0.4, 1e-7),
@@ -375,7 +382,7 @@ class TestHeraldedGains:
                     continue
                 w = st[n] * st[m] * st[l]
                 yp, ym = ghz_outcome_yields(
-                    fock.propagate_parties("+++", (n, m, l)), eta, p_d)
+                    propagate_parties("+++", (n, m, l)), eta, p_d)
                 low_orders += w * (yp + ym)
             return abs(total - low_orders) / total
 
@@ -416,7 +423,7 @@ class TestHeraldedGains:
                 w = dists[0][n] * dists[1][m] * dists[2][l]
                 if w == 0.0 or n + m + l > fock.N_MAX:
                     continue
-                ys = [ghz_outcome_yields(fock.propagate_parties(pols, (n, m, l)),
+                ys = [ghz_outcome_yields(propagate_parties(pols, (n, m, l)),
                                          eta, p_d)
                       for pols in ("HHH", "HHV", "VHH", "HVH", "+++")]
                 comps += w * np.array([(y[0] + y[1]) / 16.0 for y in ys[:4]]
@@ -475,7 +482,7 @@ class TestQndGains:
         for n, m, l in itertools.product((0, 1), repeat=3):
             w = math.exp(-3 * lam) * lam ** (n + m + l)
             y = ghz_outcome_yields(
-                fock.propagate_parties("HHH", (n, m, l)), det.eta_d, det.p_d)
+                propagate_parties("HHH", (n, m, l)), det.eta_d, det.p_d)
             total += w * (y[0] + y[1]) / 4.0  # both outcomes, two same-pol triples / 8
         assert gs.q_cz == pytest.approx(total, rel=1e-12, abs=0.0)
 
@@ -489,7 +496,7 @@ class TestQndGains:
         comps = np.zeros(6)
         for n, m, l in itertools.product((0, 1), repeat=3):
             w = math.exp(-3 * lam) * lam ** (n + m + l)
-            ys = [ghz_outcome_yields(fock.propagate_parties(pols, (n, m, l)), 1.0, det.p_d)
+            ys = [ghz_outcome_yields(propagate_parties(pols, (n, m, l)), 1.0, det.p_d)
                   for pols in ("HHH", "HHV", "VHH", "HVH", "+++")]
             comps += w * np.array([(y[0] + y[1]) / 16.0 for y in ys[:4]]
                                   + [ys[4][0] / 8.0, ys[4][1] / 8.0])

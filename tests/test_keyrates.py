@@ -8,7 +8,7 @@ from mdighz import decoy, fock, gains, keyrates, mermin
 from mdighz.params import (ChannelModel, ConfigError, DecoyPlan, DetectorModel,
                            SystemParams, parse_config)
 
-from conftest import CONFIG_DIR, qcc_config
+from conftest import CONFIG_DIR, naive_qss_error, qcc_config
 
 PPS_CONFIG = """
 channel.beta = 0.2
@@ -97,7 +97,7 @@ class TestRateFormulas:
 class TestNaiveQssError:
     def test_plateau_at_paper_point(self, paper_system):
         params = paper_system.at_distance(100.0)
-        err = keyrates.naive_qss_error(params, 0.11, 0.11, 0.11)
+        err = naive_qss_error(params, 0.11, 0.11, 0.11)
         assert err == pytest.approx(0.375, abs=0.01)
 
     def test_single_photon_synthetic_residual(self):
@@ -108,7 +108,7 @@ class TestNaiveQssError:
     def test_no_signal_marker(self):
         params = SystemParams(ChannelModel(0.2, 10.0), DetectorModel(0.4, 0.0),
                               0.0, 1.16)
-        assert keyrates.naive_qss_error(params, 0.0, 0.0, 0.0) is None
+        assert naive_qss_error(params, 0.0, 0.0, 0.0) is None
 
 
 class TestSweeps:
@@ -178,6 +178,14 @@ class TestHeraldedAndQnd:
             assert pt.rate > 0.0
             # the filtered channel makes two-decoy and infinite-decoy coincide
             assert pt.rate == pytest.approx(pt.rate_infinite, rel=1e-6)
+
+    @pytest.mark.parametrize("variant, template", [("qss_heralded", HERALDED_CONFIG),
+                                                   ("qss_qnd", QND_CONFIG)],
+                             ids=["heralded", "qnd"])
+    def test_rates_are_plain_floats(self, variant, template):
+        pt = keyrates.rate_point(variant, parse_config(template.format(eta_d=0.4)), 50.0)
+        for value in (pt.rate, pt.rate_infinite, pt.raw_rate, *pt.columns.values()):
+            assert type(value) is float, value
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):

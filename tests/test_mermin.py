@@ -2,9 +2,10 @@ import itertools
 
 import pytest
 
-from mdighz import fock, mermin
-from mdighz.params import ChannelModel, DecoyPlan, DetectorModel, SystemParams
-from yield_reference import ghz_outcome_yields
+from mdighz import mermin
+from mdighz.params import (ChannelModel, DecoyPlan, DetectorModel, SystemParams,
+                           overall_efficiency)
+from yield_reference import ghz_outcome_yields, propagate_parties, single_photon_phi_plus
 
 
 def system(length_km, eta_d=0.40, p_d=1e-7, e_d=0.015):
@@ -45,18 +46,17 @@ class TestMerminLowerBound:
 
     def test_exact_yields_recover_maximum(self):
         # bypass the decoy machinery: ideal single-photon yields give M = 4
-        stats = fock.exact_single_photon_stats(1.0, 0.0, 0.0)
-        y_plus, y_minus = stats.y_ppp_phi_plus, stats.y_mmm_phi_plus
+        y_plus, y_minus = (single_photon_phi_plus(pols, 1.0, 0.0) for pols in ("+++", "---"))
         m = 4.0 * (y_plus - y_minus) / (y_plus + y_minus)
         assert m == pytest.approx(4.0, abs=1e-12)
 
     def test_bounds_are_conservative_against_exact(self):
         params = system(100.0)
         est = mermin.mermin_lower_bound(params, PLAN)
-        stats = fock.exact_single_photon_stats_for(params)
-        exact_xxx = (1 - 2 * params.e_d) * (
-            (stats.y_ppp_phi_plus - stats.y_mmm_phi_plus)
-            / (stats.y_ppp_phi_plus + stats.y_mmm_phi_plus))
+        eta = overall_efficiency(params.channel, params.detector)
+        y_ppp, y_mmm = (single_photon_phi_plus(pols, eta, params.detector.p_d)
+                        for pols in ("+++", "---"))
+        exact_xxx = (1 - 2 * params.e_d) * ((y_ppp - y_mmm) / (y_ppp + y_mmm))
         assert est.m_lower <= 4 * exact_xxx + 1e-9
 
     def test_no_signal_marker(self):
@@ -74,7 +74,7 @@ class TestCorrelatorSymmetry:
             num = den = 0.0
             for signs in itertools.product((1, -1), repeat=3):
                 pols = "".join(tokens[(b, s)] for b, s in zip(bases, signs))
-                dist = fock.propagate_parties(pols, (1, 1, 1))
+                dist = propagate_parties(pols, (1, 1, 1))
                 y_plus, _ = ghz_outcome_yields(dist, 1.0, 0.0)
                 parity = signs[0] * signs[1] * signs[2]
                 num += parity * y_plus

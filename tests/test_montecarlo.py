@@ -1,10 +1,11 @@
+import math
 import time
 
 import numpy as np
 import pytest
 
-from mdighz import montecarlo
-from mdighz.montecarlo import McConfig, fock_closed_form_check, mc_coherent_gains
+from mdighz import checks, montecarlo
+from mdighz.montecarlo import McConfig, McEstimate, fock_closed_form_check, mc_coherent_gains
 
 
 class TestDeterminism:
@@ -63,21 +64,23 @@ class TestStatistics:
     def test_stderr_floor_is_one_event(self):
         p, _ = mc_coherent_gains("HHH", (0.0, 0.0, 0.0), 0.5, 0.0,
                                  McConfig(samples=10_000, seed=1))
-        assert p.stderr == pytest.approx(1.0 / 10_000)
-        assert abs(p.z_score(5e-9)) < 1.0  # sub-resolution reference passes
+        row = checks._mc_row("A", 5e-9, p)
+        assert row.stderr == pytest.approx(1.0 / 10_000)
+        assert abs(row.deviation) < 1.0 and row.passed  # sub-resolution reference passes
 
     def test_root_n_convergence(self):
-        base = mc_coherent_gains("HHH", (0.6, 0.6, 0.6), 0.5, 1e-2,
-                                 McConfig(samples=100_000, seed=7))[0]
-        quad = mc_coherent_gains("HHH", (0.6, 0.6, 0.6), 0.5, 1e-2,
-                                 McConfig(samples=400_000, seed=7))[0]
+        base, quad = (checks._mc_row("A", 0.0, mc_coherent_gains(
+            "HHH", (0.6, 0.6, 0.6), 0.5, 1e-2, McConfig(samples=n, seed=7))[0])
+            for n in (100_000, 400_000))
         assert quad.stderr == pytest.approx(base.stderr / 2, rel=0.2)
 
-    def test_rng_identity_recorded(self):
-        est, _ = mc_coherent_gains("HHH", (0.1, 0.1, 0.1), 0.5, 0.0,
-                                   McConfig(samples=1_000, seed=42))
-        assert est.algorithm == "philox4x64"
-        assert est.seed == 42
+    def test_row_statistics(self):
+        # mean count/n, stderr sqrt(p (1 - p) / n), deviation the z-score
+        row = checks._mc_row("B", 0.3, McEstimate(count=2_500, samples=10_000))
+        assert row.check == "mc:B" and row.estimate == 0.25
+        assert row.stderr == pytest.approx(math.sqrt(0.25 * 0.75 / 10_000), rel=1e-15)
+        assert row.deviation == pytest.approx(-0.05 / row.stderr, rel=1e-15)
+        assert not row.passed
 
     def test_bad_polarization_rejected(self):
         with pytest.raises(ValueError):

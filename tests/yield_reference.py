@@ -5,9 +5,31 @@ The package computes yields by thinning ideal-detector tables; this direct
 sum over the exact output distribution is what those yields must equal.
 """
 
+from dataclasses import dataclass
+from functools import lru_cache
+
 import numpy as np
 
 from mdighz import fock
+
+
+@dataclass(frozen=True)
+class FockOutcomeDistribution:
+    """Output Fock configurations of the analyzer for one input preparation."""
+
+    occupations: np.ndarray  # (n_cfg, 6) int
+    probabilities: np.ndarray  # (n_cfg,) float
+
+
+@lru_cache(maxsize=None)
+def propagate_parties(pols, numbers):
+    """Exact output distribution for Alice/Bob/Charlie sending `numbers`
+    photons in polarizations `pols` (e.g. pols="HHV", numbers=(1, 1, 2)):
+    the package's integer build, unpacked into occupation rows."""
+    fock._check_input(pols, numbers)
+    keys, num, denom = fock._exact_distribution(pols, numbers)
+    occupations = keys[:, None] // np.array(fock._PLACES) % fock._BASE
+    return FockOutcomeDistribution(occupations, num / denom)
 
 
 def click_silent(occ, eta, p_d):
@@ -31,3 +53,8 @@ def ghz_outcome_yields(dist, eta, p_d):
     plus, minus = fock.outcome_pattern_sums(click.T, silent.T)
     p = dist.probabilities
     return float((p * plus).sum()), float((p * minus).sum())
+
+
+def single_photon_phi_plus(pols, eta, p_d):
+    """Yield of the phi_plus outcome for one photon per user in `pols`."""
+    return ghz_outcome_yields(propagate_parties(pols, (1, 1, 1)), eta, p_d)[0]
