@@ -20,6 +20,13 @@ dark counts (the per-photon loss model of Ma et al., PRA 72, 012326 (2005)).
 patterns fit with d pairs lit only by a dark count, so that Y(.; 1, p_d) =
 (1-p_d)^3 sum_d C_d p_d^d (`ideal_yields`); `thinning_matrix` holds the
 binomial weights.  Every term is nonnegative, so nothing cancels.
+
+The analyzer is invariant under the party cycle A -> B -> C -> A with detector
+j -> j+2 mod 6, which maps each announced pattern set onto itself, so an
+input's table entry is that of its least cyclic rotation (taken after an
+empty user is written as H).  Each orbit is built once; its entries are
+bitwise equal, since a mass is an exact integer sum below 2^53, in any order,
+divided once by the same denominator.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -135,9 +142,9 @@ def _party_output_vector(party: int, pol: str):
 
 @lru_cache(maxsize=None)
 def _party_terms(party: int, pol: str, n: int):
-    """Expansion of (sum_j v_j a_j)^n for `n` photons of one party: packed
-    output keys and the Gaussian-integer amplitudes (multinomial coefficient
-    times the product of the v_j), as read-only int64 arrays."""
+    """Expansion of (sum_j v_j a_j)^n for one party's `n` photons: distinct
+    packed output keys, increasing, and their Gaussian-integer amplitudes
+    (multinomial times the product of the v_j), as read-only int64 arrays."""
     vec, _ = _party_output_vector(party, pol)
     modes = sorted(vec)
     keys, re, im = [], [], []
@@ -165,22 +172,19 @@ def _exact_distribution(pols: str, numbers) -> tuple[np.ndarray, np.ndarray, int
     """Sorted packed keys of the output configurations, the integer numerators
     of their probabilities and the common denominator.
 
-    The parties' expansions multiply by outer sums of their keys; equal keys
-    are merged with exact integer amplitude sums after each party.  A
+    The first lit party's expansion is taken as it is (its keys are already
+    distinct and sorted); each further one multiplies in by outer sums of the
+    keys, and equal keys are merged with exact integer amplitude sums.  A
     configuration's probability is |amplitude|^2 prod(k!) over
     2^half_power prod(n!); the numerators sum to the denominator.
     """
-    keys = np.zeros(1, dtype=np.int64)
-    re = np.ones(1, dtype=np.int64)
-    im = np.zeros(1, dtype=np.int64)
-    half = 0
-    denom = 1
-    for party, (pol, n) in enumerate(zip(pols, numbers)):
-        if not n:
-            continue
+    # with no photons at all, the expansion of none: key 0 with amplitude 1
+    lit = [(p, pol, n) for p, (pol, n) in enumerate(zip(pols, numbers)) if n] or [(0, "H", 0)]
+    half = sum((_POLS[pol][1] + 1) * n for _, pol, n in lit)
+    denom = prod(factorial(n) for _, _, n in lit)
+    keys, re, im = _party_terms(*lit[0])
+    for party, pol, n in lit[1:]:
         k2, r2, i2 = _party_terms(party, pol, n)
-        half += (_POLS[pol][1] + 1) * n
-        denom *= factorial(n)
         keys, inverse = np.unique((keys[:, None] + k2).ravel(), return_inverse=True)
         parts = ((re[:, None] * r2 - im[:, None] * i2).ravel(),
                  (re[:, None] * i2 + im[:, None] * r2).ravel())
@@ -219,6 +223,11 @@ def outcome_pattern_sums(click, silent):
                  for patterns in (PHI_PLUS_PATTERNS, PHI_MINUS_PATTERNS))
 
 
+def _least_rotation(pols: str, numbers: tuple) -> tuple[str, tuple]:
+    """The least of the three cyclic rotations of an input (pols, numbers)."""
+    return min((pols[r:] + pols[:r], numbers[r:] + numbers[:r]) for r in range(3))
+
+
 def ideal_detector_table(preps: tuple[str, ...], mask: np.ndarray) -> np.ndarray:
     """C[prep, outcome, d, n, m, l], zero where the boolean `mask` is False:
     the probability mass of the configurations that `preps[prep]` with
@@ -233,8 +242,9 @@ def ideal_detector_table(preps: tuple[str, ...], mask: np.ndarray) -> np.ndarray
     triples = [tuple(t) for t in np.argwhere(mask).tolist()]
     for pols in preps:
         _check_input(pols, max(triples, key=sum))
-    # a user sending no photons leaves no trace of its polarization
-    inputs = [("".join(p if k else "H" for p, k in zip(pols, numbers)), numbers)
+    # a user sending no photons leaves no trace of its polarization, and the
+    # party cycle leaves every entry as it is: one build per cyclic orbit
+    inputs = [_least_rotation("".join(p if k else "H" for p, k in zip(pols, numbers)), numbers)
               for pols in preps for numbers in triples]
     row = {x: i for i, x in enumerate(dict.fromkeys(inputs))}
     masses, denoms = [], []

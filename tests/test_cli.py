@@ -226,6 +226,18 @@ class TestOptimizeCommand:
         printed = capsys.readouterr().out
         assert " rate=" in printed and "np.float64" not in printed
 
+    def test_heralded_default_box_exits_4(self, tmp_path, capsys):
+        # the default box 0.05:1.0 holds trial intensities whose photon-number
+        # tail breaks the truncation budget; the first refused trial ends the
+        # search with exit 4 and the truncation message (README: pass a box
+        # such as 0.001:0.01 for a heralded source)
+        code = cli.main(["optimize", "--config", str(CONFIG_DIR / "qss_heralded_eta40.cfg"),
+                         "--out", str(tmp_path / "opt.csv"), "--variant", "qss"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "photon-number truncation tail" in err and "exceeds budget" in err
+        assert "Traceback" not in err
+
 
 class TestExitCodeContract:
     """Malformed flags, configs and paths end in a documented exit code

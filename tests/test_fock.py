@@ -5,9 +5,12 @@ from math import factorial
 import numpy as np
 import pytest
 
-from mdighz import fock, gains
+from conftest import CONFIG_DIR
+from mdighz import decoy, fock, gains
 from mdighz.fock import analyzer_unitary, exact_single_photon_stats
-from yield_reference import ghz_outcome_yields, propagate_parties
+from mdighz.params import parse_config
+from yield_reference import (ghz_outcome_yields, ideal_detector_table_reference,
+                             propagate_parties)
 
 TOKENS = "HV+-RL"
 
@@ -191,6 +194,12 @@ class TestPropagation:
     def test_cutoff_enforced(self):
         with pytest.raises(ValueError, match="cutoff"):
             propagate_parties("HHH", (13, 0, 0))
+
+    def test_party_keys_distinct_and_sorted(self):
+        # the first lit party's expansion enters a distribution unmerged
+        for party, pol, n in itertools.product(range(3), TOKENS, range(fock.N_MAX + 1)):
+            keys = fock._party_terms(party, pol, n)[0]
+            assert (np.diff(keys) > 0).all(), (party, pol, n)
 
     def test_circular_pols_differ_from_diagonal(self):
         d1 = propagate_parties("R++", (1, 1, 1))
@@ -400,3 +409,70 @@ class TestYieldTable:
                       gains._class_table(mask.shape, mask.tobytes())):
             with pytest.raises(ValueError):
                 table[(0,) * table.ndim] = 0.0
+
+
+def heralded_mask(name):
+    """The triples the heralded curve of configs/<name>.cfg builds its table on."""
+    cfg = parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
+    levels = [decoy.vacuum_stats()] + [decoy.heralded_stats(mu, cfg.source.trigger)
+                                       for mu in (cfg.decoy.mu1, cfg.decoy.mu2)]
+    return gains.fock_yields(levels, 0.5, 1e-7).triples
+
+
+def cyclic_orbits(preps, mask):
+    """Distinct inputs of a table up to the party cycle, after the rewrite of
+    an empty user's polarization to H."""
+    orbits = set()
+    for pols in preps:
+        for numbers in map(tuple, np.argwhere(mask).tolist()):
+            seen = "".join(p if k else "H" for p, k in zip(pols, numbers))
+            orbits.add(frozenset((seen[r:] + seen[:r], numbers[r:] + numbers[:r])
+                                 for r in range(3)))
+    return len(orbits)
+
+
+class TestCyclicSymmetry:
+    """The analyzer is invariant under the party cycle A -> B -> C -> A with
+    detector j -> j + 2 mod 6, so one build per cyclic orbit fills the table
+    bit for bit as one build per (preparation, triple) does."""
+
+    ALL_PREPS = tuple(map("".join, itertools.product(TOKENS, repeat=3)))
+    SINGLE_PHOTON = (fock._Z_TRIPLES + fock._X_TRIPLES, np.ones((2, 2, 2), dtype=bool))
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The inputs of every exact build while the test runs."""
+        calls = []
+        build = fock._exact_distribution
+        monkeypatch.setattr(fock, "_exact_distribution",
+                            lambda *x: calls.append(x) or build(*x))
+        return calls
+
+    @pytest.mark.parametrize("preps, mask", [
+        (gains._CLASS_POLS, gains._WITHIN_CUTOFF),
+        (ALL_PREPS, np.indices((7, 7, 7)).sum(axis=0) <= 6),
+    ], ids=["classes_to_12_photons", "216_preparations_to_6_photons"])
+    def test_equals_reference_build(self, preps, mask):
+        assert np.array_equal(fock.ideal_detector_table(preps, mask),
+                              ideal_detector_table_reference(preps, mask))
+
+    @pytest.mark.parametrize("name", ["qss_heralded_eta40", "qss_heralded_eta93"])
+    def test_heralded_mask_equals_reference_build(self, name):
+        mask = heralded_mask(name)
+        assert np.array_equal(fock.ideal_detector_table(gains._CLASS_POLS, mask),
+                              ideal_detector_table_reference(gains._CLASS_POLS, mask))
+
+    def test_single_photon_table_equals_reference_build(self):
+        assert np.array_equal(fock._single_photon_table(),
+                              ideal_detector_table_reference(*self.SINGLE_PHOTON))
+
+    def test_single_photon_table_builds_each_orbit_once(self, builds):
+        fock._single_photon_table.__wrapped__()
+        assert len(builds) == cyclic_orbits(*self.SINGLE_PHOTON) == 21
+
+    @pytest.mark.parametrize("name", ["box", "qss_heralded_eta40"])
+    def test_one_exact_build_per_orbit(self, builds, name):
+        mask = np.ones((6, 4, 5), dtype=bool) if name == "box" else heralded_mask(name)
+        builds.clear()
+        fock.ideal_detector_table(gains._CLASS_POLS, mask)
+        assert len(builds) == len(set(builds)) == cyclic_orbits(gains._CLASS_POLS, mask)

@@ -2,7 +2,10 @@
 output configuration, evaluated directly at the detection efficiency.
 
 The package computes yields by thinning ideal-detector tables; this direct
-sum over the exact output distribution is what those yields must equal.
+sum over the exact output distribution is what those yields must equal.  The
+package builds each table entry once per cyclic orbit of inputs;
+`ideal_detector_table_reference` builds every (preparation, triple) entry from
+its own input, and the two must agree bit for bit.
 """
 
 from dataclasses import dataclass
@@ -58,3 +61,31 @@ def ghz_outcome_yields(dist, eta, p_d):
 def single_photon_phi_plus(pols, eta, p_d):
     """Yield of the phi_plus outcome for one photon per user in `pols`."""
     return ghz_outcome_yields(propagate_parties(pols, (1, 1, 1)), eta, p_d)[0]
+
+
+def ideal_detector_table_reference(preps, mask):
+    """`fock.ideal_detector_table` with one exact build per distinct
+    (preparation, triple) input, no inputs shared across the party cycle."""
+    triples = [tuple(t) for t in np.argwhere(mask).tolist()]
+    for pols in preps:
+        fock._check_input(pols, max(triples, key=sum))
+    # a user sending no photons leaves no trace of its polarization
+    inputs = [("".join(p if k else "H" for p, k in zip(pols, numbers)), numbers)
+              for pols in preps for numbers in triples]
+    row = {x: i for i, x in enumerate(dict.fromkeys(inputs))}
+    masses, denoms = [], []
+    for x in row:
+        keys, num, denom = fock._exact_distribution(*x)
+        groups = fock._GROUP_STATE[keys // np.array([[fock._BASE ** 4], [fock._BASE ** 2], [1]])
+                                   % fock._BASE ** 2]
+        category = fock._FIT_CATEGORY[groups[0] * 16 + groups[1] * 4 + groups[2]]
+        masses.append(np.bincount(category, num.astype(float), minlength=9)[:8])
+        denoms.append(denom)
+    mass = np.array(masses).reshape(len(row), 4, 2)
+    table = (mass.sum(axis=2) * (0.0, 1.0, 2.0, 4.0))[:, None, :] \
+        + mass[:, 0, :, None] * (1.0, 0.0, 0.0, 0.0)
+    table /= np.array(denoms, dtype=float)[:, None, None]
+    out = np.zeros((len(preps), 2, 4) + mask.shape)
+    out[..., mask] = table[[row[x] for x in inputs]].reshape(
+        len(preps), len(triples), 2, 4).transpose(0, 2, 3, 1)
+    return out
