@@ -46,7 +46,6 @@ __all__ = [
     "PHI_MINUS_PATTERNS",
     "SinglePhotonStats",
     "analyzer_unitary",
-    "outcome_pattern_sums",
     "ideal_detector_table",
     "ideal_yields",
     "thinning_matrix",
@@ -208,19 +207,6 @@ def _check_input(pols: str, numbers) -> None:
         raise ValueError(f"bad polarization string {pols!r}")
     if sum(numbers) > N_MAX:
         raise ValueError(f"total photon number {sum(numbers)} exceeds cutoff {N_MAX}")
-
-
-def outcome_pattern_sums(click, silent):
-    """Probabilities of the two announced outcomes from per-detector click and
-    silence probabilities (`click[j]`, `silent[j]`; arrays broadcast).
-
-    Every pattern clicks exactly one detector of each pair (0,1), (2,3), (4,5)
-    and leaves its partner silent, so each term is the product of three
-    factors click[j] * silent[j ^ 1].  Returns (phi_plus, phi_minus).
-    """
-    f = [click[j] * silent[j ^ 1] for j in range(6)]
-    return tuple(sum(f[a] * f[b] * f[c] for a, b, c in patterns)
-                 for patterns in (PHI_PLUS_PATTERNS, PHI_MINUS_PATTERNS))
 
 
 def _least_rotation(pols: str, numbers: tuple) -> tuple[str, tuple]:

@@ -7,6 +7,14 @@ detector-level interference: the periodic trapezoid rule over the full phase
 circle, and Gauss-Legendre over the hexagon of phase differences for the
 phase-sliced gains.  The full-circle rule stacks all intensity triples of a
 decoy grid into one evaluation, each triple summed and certified on its own.
+Negating every sign of a diagonal-basis triple swaps the two detectors of
+each pair exactly, so one evaluation also gives the negated triple's gains
+(the Mermin witness needs (+,+,+) and (-,-,-)): its outcome sums are the
+other outcome's pattern products added in reverse order.  Both rules write
+every step into one float64 workspace per thread, grown to the largest grid
+seen and then reused.  Grid-sized temporaries freed after every call let
+the C allocator hand their memory back to the system, and the next call
+faulted it in again: about 330 page faults per stacked decoy-grid call.
 Heralded and photon-number-filtered variants take their gains from the exact
 Fock engine by binomial thinning: each user's photon-number distribution is
 thinned by the detector efficiency, and the joint thinned weights are
@@ -22,9 +30,10 @@ as NaN.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, expm1, sqrt
+from math import exp, expm1, prod, sqrt
 
 import numpy as np
 
@@ -246,33 +255,91 @@ def z_gain_components(mu: float, nu: float, omega: float, eta: float,
 # Weak coherent pulses, diagonal basis (quadrature)
 # ---------------------------------------------------------------------------
 
-def _mode_intensities(ia, ib, ic, signs, phi_ab, phi_bc, phi_ac):
-    """Mean photon numbers at the six detectors for diagonal-basis coherent
-    inputs with sign triple `signs` (+1 -> "+", -1 -> "-")."""
-    sa, sb, sc = signs
-    r_ab = 0.5 * np.sqrt(ia * ib)
-    r_bc = 0.5 * np.sqrt(ib * ic)
-    r_ac = 0.5 * np.sqrt(ia * ic)
-    base1 = (ia + ib) / 4.0
-    base2 = (ib + ic) / 4.0
-    base3 = (ia + ic) / 4.0
-    c1 = np.cos(phi_ab)
-    c2 = np.cos(phi_bc)
-    c3 = np.cos(phi_ac)
-    return (
-        base1 + sa * r_ab * c1, base1 - sa * r_ab * c1,
-        base2 + sb * r_bc * c2, base2 - sb * r_bc * c2,
-        base3 + sc * r_ac * c3, base3 - sc * r_ac * c3,
-    )
+_workspace = threading.local()
 
 
-def _pattern_sums(mean_n, p_d):
-    # click = 1 - (1-p_d) e^{-n} via expm1; silent = (1-p_d) e^{-n} directly,
-    # so both stay exact for vanishing and for saturating intensities
-    survive = [np.exp(-n) for n in mean_n]
-    clicks = [-np.expm1(-n) + p_d * s for n, s in zip(mean_n, survive)]
-    silents = [(1.0 - p_d) * s for s in survive]
-    return fock.outcome_pattern_sums(clicks, silents)
+def _workspace_views(shapes):
+    """Consecutive views of this thread's float64 workspace, one per shape.
+
+    The workspace grows to the largest request seen and is then reused, so
+    the quadrature's steps create no temporary arrays.
+    """
+    sizes = [prod(shape) for shape in shapes]
+    buf = getattr(_workspace, "buf", None)
+    if buf is None or len(buf) < sum(sizes):
+        buf = _workspace.buf = np.empty(sum(sizes))
+    views, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(buf[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _pair_factors(amplitude, base, cosine, p_d, work):
+    """click[j] * silent[j ^ 1] of the two detectors of one group, whose mean
+    photon numbers are base +/- amplitude * cosine.  All five views of `work`
+    are overwritten; the factors are left in work[4] and work[1]."""
+    n0, n1, s0, s1, t = work
+    np.multiply(amplitude, cosine, out=n1)
+    np.add(base, n1, out=n0)
+    np.subtract(base, n1, out=n1)
+    for n, s in ((n0, s0), (n1, s1)):
+        # click = 1 - (1-p_d) e^{-n} via expm1; silent = (1-p_d) e^{-n}
+        # directly, so both stay exact for vanishing and for saturating n
+        np.negative(n, out=n)
+        np.exp(n, out=s)
+        np.expm1(n, out=n)
+        np.multiply(p_d, s, out=t)
+        np.subtract(t, n, out=n)
+        np.multiply(1.0 - p_d, s, out=s)
+    return np.multiply(n0, s1, out=t), np.multiply(n1, s0, out=n1)
+
+
+def _outcome_sums(ia, ib, ic, signs, cosines, p_d, negated=False):
+    """Yields the probabilities of the two announced outcomes (phi_plus,
+    phi_minus) for diagonal-basis coherent inputs of arriving intensities
+    ia, ib, ic and sign triple `signs` (+1 -> "+", -1 -> "-"), at the phase
+    points whose A-B, B-C and A-C phase-difference cosines are `cosines`;
+    with `negated`, then the two of the negated sign triple.  Each comes
+    with a free view of its shape; both are views of the workspace that the
+    next step overwrites.
+
+    Negating every sign swaps the mean photon numbers of each detector pair
+    (j <-> j ^ 1) exactly, so phi_plus(-s) is the sum of the phi_minus(s)
+    pattern products in reverse order, and phi_minus(-s) that of the
+    phi_plus(s) ones.
+    """
+    pairs = ((ia, ib), (ib, ic), (ia, ic))
+    amplitudes = [s * (0.5 * np.sqrt(x * y)) for s, (x, y) in zip(signs, pairs)]
+    shapes = [np.broadcast_shapes(np.shape(a), np.shape(c))
+              for a, c in zip(amplitudes, cosines)]
+    # the Bob-Charlie group spans the whole grid: once its factors are
+    # formed, its spent views hold the pair products and each term
+    grid = np.broadcast_shapes(*shapes)
+    work = _workspace_views([shapes[0]] * 5 + [grid] * 6 + [shapes[2]] * 5)
+    groups, total = (work[:5], work[5:10], work[11:]), work[10]
+    f = []
+    for (x, y), amplitude, cosine, views in zip(pairs, amplitudes, cosines, groups):
+        f += _pair_factors(amplitude, (x + y) / 4.0, cosine, p_d, views)
+    # f[a] * f[b] * f[c] multiplies left to right, so each pair product
+    # f[a] * f[b] is formed once for one term of either outcome
+    spent = groups[1]
+    product = {(0, 2): np.multiply(f[0], f[2], out=spent[0]),
+               (0, 3): np.multiply(f[0], f[3], out=spent[2]),
+               (1, 2): np.multiply(f[1], f[2], out=spent[3]),
+               (1, 3): np.multiply(f[1], f[3], out=f[3])}
+    term = f[2]
+    orders = [fock.PHI_PLUS_PATTERNS, fock.PHI_MINUS_PATTERNS]
+    if negated:
+        orders += [fock.PHI_MINUS_PATTERNS[::-1], fock.PHI_PLUS_PATTERNS[::-1]]
+    for patterns in orders:
+        # ((t0 + t1) + t2) + t3: the order of sum(), less its 0 + t0, which
+        # could only turn a -0.0 into 0.0
+        for i, (a, b, c) in enumerate(patterns):
+            np.multiply(product[a, b], f[c], out=term if i else total)
+            if i:
+                np.add(total, term, out=total)
+        yield total, term
 
 
 def _certified(coarse, fine, what):
@@ -288,29 +355,44 @@ def _certified(coarse, fine, what):
     return fine
 
 
-def _x_outcome_quad(signs, ia, ib, ic, p_d):
-    """Both outcome gains by the trapezoid rule on QUAD_NODES^2 and on
+@lru_cache(maxsize=8)
+def _circle_cosines(nodes):
+    """Cosines of the A-B, B-C and A-C phase differences on the (2 nodes)^2
+    grid of (phi_AB, phi_AC), shaped (2 nodes, 1), (2 nodes, 2 nodes) and
+    (1, 2 nodes)."""
+    phi = np.arange(2 * nodes) * (np.pi / nodes)
+    pab, pac = phi[:, None], phi[None, :]
+    cosines = (np.cos(pab), np.cos(pac - pab), np.cos(pac))
+    for c in cosines:
+        c.setflags(write=False)
+    return cosines
+
+
+def _x_outcome_quad(signs, ia, ib, ic, p_d, negated):
+    """The outcome gains by the trapezoid rule on QUAD_NODES^2 and on
     (2 QUAD_NODES)^2 phase points, as (2, P) arrays for P arriving-intensity
-    triples (arrays of length P).
+    triples (arrays of length P); (4, P) with the negated sign triple's.
 
     The integrand is periodic and analytic in both phases, so the equispaced
     trapezoid rule converges geometrically on it; the coarse rule is the
     even-indexed subgrid of the fine one, so one evaluation serves both.
     """
-    phi = np.arange(2 * QUAD_NODES) * (np.pi / QUAD_NODES)
-    pab, pac = phi[:, None], phi[None, :]
     ia, ib, ic = (np.reshape(v, (-1, 1, 1)) for v in (ia, ib, ic))
-    sums = _pattern_sums(_mode_intensities(ia, ib, ic, signs, pab, pac - pab, pac), p_d)
     # mean() sums each triple's contiguous row (the subgrid is copied into
     # one) pairwise, which keeps the rounding small enough for the decoy
     # differences that amplify it at long distance
-    rows = len(sums[0])
-    return (np.array([s[:, ::2, ::2].reshape(rows, -1).mean(axis=-1) / 8.0 for s in sums]),
-            np.array([s.reshape(rows, -1).mean(axis=-1) / 8.0 for s in sums]))
+    rows = len(ia)
+    coarse, fine = [], []
+    for s, free in _outcome_sums(ia, ib, ic, signs, _circle_cosines(QUAD_NODES), p_d, negated):
+        subgrid = free.reshape(-1)[:free.size // 4].reshape(rows, QUAD_NODES, QUAD_NODES)
+        np.copyto(subgrid, s[:, ::2, ::2])
+        coarse.append(subgrid.reshape(rows, -1).mean(axis=-1) / 8.0)
+        fine.append(s.reshape(rows, -1).mean(axis=-1) / 8.0)
+    return np.array(coarse), np.array(fine)
 
 
 def mermin_outcome_gains(signs: tuple[int, int, int], mu, nu, omega, eta: float,
-                         p_d: float):
+                         p_d: float, negated: bool = False):
     """Gains of the two announced outcomes for one diagonal-basis sign triple,
     phase-averaged over the full circle (two-angle periodic trapezoid rule).
 
@@ -318,12 +400,16 @@ def mermin_outcome_gains(signs: tuple[int, int, int], mu, nu, omega, eta: float,
     those cases exact.  Returns (correct-class gain, other-class gain) with
     the correct class being the one a (+,+,+) triple feeds.  Given sequences
     of intensities, one evaluation returns a list of each gain, one entry per
-    triple, and every triple is certified on its own.
+    triple, and every triple is certified on its own.  With `negated`, the
+    same evaluation also returns the two gains of the negated sign triple,
+    after those of `signs`, equal to its own call's.
     """
     ia, ib, ic = (np.multiply(m, eta) for m in (mu, nu, omega))
-    correct, other = _certified(*_x_outcome_quad(signs, ia, ib, ic, p_d),
-                                "diagonal-basis gain").tolist()
-    return (correct[0], other[0]) if np.ndim(mu) == 0 else (correct, other)
+    coarse, fine = _x_outcome_quad(signs, ia, ib, ic, p_d, negated)
+    # each sign triple's outcome pair is certified as its own call would be
+    q = [g for k in range(0, len(fine), 2)
+         for g in _certified(coarse[k:k + 2], fine[k:k + 2], "diagonal-basis gain").tolist()]
+    return tuple(g[0] for g in q) if np.ndim(mu) == 0 else tuple(q)
 
 
 def x_gain_components(mu: float, nu: float, omega: float, eta: float,
@@ -340,9 +426,10 @@ _TRIANGLES = (((1, 0), (1, 1)), ((1, 1), (0, 1)), ((0, 1), (-1, 0)))
 
 
 @lru_cache(maxsize=8)
-def _hexagon_rule(n):
-    """Phase differences (a, b) / h and weights of an n x n Gauss-Legendre
-    product rule on each triangle of the hexagon.
+def _hexagon_rule(n, k):
+    """An n x n Gauss-Legendre product rule on each triangle of the hexagon,
+    h = pi/K: the cosines of the A-B, B-C and A-C phase differences
+    (a, -b, a - b) at its nodes (a, b), and its weights.
 
     The weight h - range(0, a, b) of (a, b) is linear on each triangle
     (origin, v1, v2); with (a, b) = h s (v1 + t (v2 - v1)) it is h (1 - s)
@@ -354,19 +441,21 @@ def _hexagon_rule(n):
     s, t = (g.ravel() for g in np.meshgrid(u, u, indexing="ij"))
     a = np.concatenate([s * (x1 + t * (x2 - x1)) for (x1, _), (x2, _) in _TRIANGLES])
     b = np.concatenate([s * (y1 + t * (y2 - y1)) for (_, y1), (_, y2) in _TRIANGLES])
-    weight = np.outer(2.0 * wu * u * (1.0 - u), wu).ravel()
-    return a, b, np.tile(weight, len(_TRIANGLES))
+    h = np.pi / k
+    cosines = (np.cos(h * a), np.cos(-h * b), np.cos(h * (a - b)))
+    weight = np.tile(np.outer(2.0 * wu * u * (1.0 - u), wu).ravel(), len(_TRIANGLES))
+    for v in (*cosines, weight):
+        v.setflags(write=False)
+    return cosines, weight
 
 
 def _sliced_quad(ia, ib, ic, p_d, k, nodes):
     # Over [0, h]^3, h = pi/K, the integrand depends on the phases only
     # through a = phi_A - phi_B and b = phi_C - phi_B; the third phase
     # integrates out exactly into the hexagon weight.
-    a, b, weight = _hexagon_rule(nodes)
-    h = np.pi / k
-    sums = _pattern_sums(_mode_intensities(ia, ib, ic, (1, 1, 1), h * a, -h * b,
-                                           h * (a - b)), p_d)
-    return [(s * weight).sum() / (k * k) for s in sums]
+    cosines, weight = _hexagon_rule(nodes, k)
+    return [np.multiply(s, weight, out=s).sum() / (k * k)
+            for s, _ in _outcome_sums(ia, ib, ic, (1, 1, 1), cosines, p_d)]
 
 
 def phase_sliced_gains(mu: float, nu: float, omega: float, eta: float,

@@ -36,8 +36,8 @@ def _outcome_grid(params: SystemParams, plan: DecoyPlan) -> decoy.GainGrid:
     eta, p_d = overall_efficiency(params.channel, params.detector), params.detector.p_d
 
     def gains_fn(triples):
-        ppp, mmm = (gains.mermin_outcome_gains(signs, *zip(*triples), eta, p_d)[0]
-                    for signs in ((1, 1, 1), (-1, -1, -1)))
+        ppp, _, mmm, _ = gains.mermin_outcome_gains((1, 1, 1), *zip(*triples), eta, p_d,
+                                                    negated=True)
         return list(zip(ppp, mmm))
 
     return decoy.build_gain_grid(gains_fn, plan)

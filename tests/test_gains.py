@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, strategies as st
 from mdighz import checks, decoy, fock, gains, montecarlo
 from mdighz.params import (ChannelModel, DecoyPlan, DetectorModel, NumericsError,
                            SystemParams, overall_efficiency)
-from yield_reference import ghz_outcome_yields, propagate_parties
+from yield_reference import ghz_outcome_yields, outcome_pattern_sums, propagate_parties
 
 LN2 = math.log(2.0)
 
@@ -46,6 +48,32 @@ def reference_outcome_sums(signs, ia, ib, ic, p_d, phi_ab, phi_bc, phi_ac):
             total = total + term
         out.append(total)
     return out
+
+
+def plain_outcome_sums(ia, ib, ic, signs, cosines, p_d):
+    """The diagonal-basis outcome sums in the float operations of the plain
+    path: the six mean photon numbers, whole click and silent arrays, then the
+    generator sum over the patterns.  The workspace kernel must equal it bit
+    for bit."""
+    mean_n = []
+    for s, (x, y), c in zip(signs, ((ia, ib), (ib, ic), (ia, ic)), cosines):
+        base, cross = (x + y) / 4.0, s * (0.5 * np.sqrt(x * y)) * c
+        mean_n += [base + cross, base - cross]
+    survive = [np.exp(-n) for n in mean_n]
+    click = [-np.expm1(-n) + p_d * s for n, s in zip(mean_n, survive)]
+    silent = [(1.0 - p_d) * s for s in survive]
+    return outcome_pattern_sums(click, silent)
+
+
+def plain_full_circle(signs, mu, nu, omega, eta, p_d, nodes):
+    """Both outcome gains of each triple on the (2 nodes)^2 trapezoid grid,
+    from `plain_outcome_sums`, as `mermin_outcome_gains` returns them."""
+    phi = np.arange(2 * nodes) * (np.pi / nodes)
+    pab, pac = phi[:, None], phi[None, :]
+    ia, ib, ic = (np.reshape(np.multiply(m, eta), (-1, 1, 1)) for m in (mu, nu, omega))
+    sums = plain_outcome_sums(ia, ib, ic, signs, (np.cos(pab), np.cos(pac - pab), np.cos(pac)),
+                              p_d)
+    return tuple((s.reshape(len(ia), -1).mean(axis=-1) / 8.0).tolist() for s in sums)
 
 
 def plan_triples(plan):
@@ -236,12 +264,129 @@ class TestDiagonalQuadrature:
         for t, c, e in zip(triples, q_c, q_e, strict=True):
             assert (c, e) == gains.mermin_outcome_gains(signs, *t, eta, p_d), t
 
+    @pytest.mark.parametrize("eta, p_d", [(0.04, 1e-7), (4e-5, 1e-7), (0.9, 0.0),
+                                          (0.5, 1e-3)])
+    @pytest.mark.parametrize("signs", [(1, 1, 1), (1, -1, 1)])
+    def test_negated_pair_equals_two_calls(self, signs, eta, p_d):
+        # one evaluation for s and -s, the path of every Mermin point, gives
+        # exactly the gains of the two separate calls
+        triples = plan_triples(DecoyPlan(0.4, 0.005))
+        both = gains.mermin_outcome_gains(signs, *zip(*triples), eta, p_d, negated=True)
+        negated = tuple(-s for s in signs)
+        assert both == (gains.mermin_outcome_gains(signs, *zip(*triples), eta, p_d)
+                        + gains.mermin_outcome_gains(negated, *zip(*triples), eta, p_d))
+        scalar = gains.mermin_outcome_gains(signs, *triples[5], eta, p_d, negated=True)
+        assert scalar == tuple(g[5] for g in both)
+
+    def test_negated_pair_refuses_one_unstable_triple(self, monkeypatch):
+        monkeypatch.setattr(gains, "QUAD_NODES", 2)
+        dim = ([0.0, 1e-3], [1e-3, 0.0], [0.0, 0.0])
+        gains.mermin_outcome_gains((1, 1, 1), *dim, 0.9, 0.0, negated=True)
+        with pytest.raises(NumericsError, match="diagonal-basis"):
+            gains.mermin_outcome_gains((1, 1, 1), *([3.0] + d for d in dim), 0.9, 0.0,
+                                       negated=True)
+
     @given(st.floats(0, 0.8), st.floats(1e-3, 1.0), st.floats(0, 0.02))
     def test_in_range_and_monotone_in_darks(self, mu, eta, p_d):
         lo = gains.x_gain_components(mu, mu, mu, eta, p_d)
         hi = gains.x_gain_components(mu, mu, mu, eta, min(2 * p_d, 0.05))
         assert 0.0 <= lo.e <= 1.0 and 0.0 <= lo.f <= 1.0
         assert hi.e >= lo.e - 1e-14 and hi.f >= lo.f - 1e-14
+
+
+def kernel_layouts(rng, rows, nodes):
+    """Random inputs of the full-circle layout: intensities (rows, 1, 1) and
+    cosines (2 nodes, 1), (2 nodes, 2 nodes), (1, 2 nodes)."""
+    intensities = [rng.uniform(0.0, 3.0, (rows, 1, 1)) * rng.integers(0, 2, (rows, 1, 1))
+                   for _ in range(3)]
+    cosines = [rng.uniform(-1.0, 1.0, shape)
+               for shape in ((2 * nodes, 1), (2 * nodes, 2 * nodes), (1, 2 * nodes))]
+    return intensities, cosines
+
+
+def hexagon_layout(rng, points):
+    """Random inputs of the phase-sliced layout: scalar intensities, cosines
+    (points,)."""
+    return [float(x) for x in rng.uniform(0.0, 3.0, 3)], [rng.uniform(-1.0, 1.0, points)
+                                                          for _ in range(3)]
+
+
+class TestOutcomeKernel:
+    """The workspace kernel against the plain generator sum, bit for bit."""
+
+    def test_equals_plain_sum_in_every_layout(self):
+        rng = np.random.default_rng(20261018)
+        # interleaved so that a reused view cannot carry one call's state
+        # into the next one of another shape
+        cases = [kernel_layouts(rng, 15, 16), hexagon_layout(rng, 3072),
+                 kernel_layouts(rng, 1, 16), hexagon_layout(rng, 768),
+                 kernel_layouts(rng, 15, 4), kernel_layouts(rng, 15, 16),
+                 hexagon_layout(rng, 768), kernel_layouts(rng, 1, 16)]
+        for (ia, ib, ic), cosines in cases:
+            signs = tuple(int(x) for x in rng.choice((-1, 1), 3))
+            p_d = float(rng.choice((0.0, 1e-7, rng.uniform(0.0, 0.05))))
+            want = (plain_outcome_sums(ia, ib, ic, signs, cosines, p_d)
+                    + plain_outcome_sums(ia, ib, ic, tuple(-x for x in signs), cosines, p_d))
+            for negated in (False, True):
+                sums = [s.copy() for s, _ in gains._outcome_sums(ia, ib, ic, signs, cosines,
+                                                                  p_d, negated)]
+                assert len(sums) == (4 if negated else 2)
+                for got, expect in zip(sums, want[:len(sums)], strict=True):
+                    assert got.shape == expect.shape
+                    assert np.array_equal(got, expect)
+
+    def test_gains_equal_plain_path_across_node_changes(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        mu, nu, omega = (rng.uniform(0.0, 1.0, 15) for _ in range(3))
+        for nodes in (16, 8, 32, 16):
+            monkeypatch.setattr(gains, "QUAD_NODES", nodes)
+            got = gains.mermin_outcome_gains((1, -1, 1), mu, nu, omega, 0.04, 1e-6,
+                                             negated=True)
+            want = (plain_full_circle((1, -1, 1), mu, nu, omega, 0.04, 1e-6, nodes)
+                    + plain_full_circle((-1, 1, -1), mu, nu, omega, 0.04, 1e-6, nodes))
+            assert got == want, nodes
+            one = gains.mermin_outcome_gains((1, -1, 1), mu[3], nu[3], omega[3], 0.04, 1e-6)
+            assert one == (want[0][3], want[1][3])
+
+    def test_pattern_order_of_the_negated_triple(self):
+        # the identity the negated pair relies on: swapping the detectors of
+        # every pair maps the phi_plus patterns onto the phi_minus ones reversed
+        swapped = [tuple(j ^ 1 for j in p) for p in fock.PHI_PLUS_PATTERNS]
+        assert swapped == list(fock.PHI_MINUS_PATTERNS[::-1])
+
+    def test_workspace_is_per_thread(self):
+        # two threads at once, each alternating a 15-row and a 1-row stacked
+        # call; a shared workspace would mix their grids
+        triples = plan_triples(DecoyPlan(0.4, 0.005))
+        calls = [((1, 1, 1), *zip(*triples), 0.04, 1e-7),
+                 ((1, -1, 1), *triples[7], 0.5, 1e-3)]
+        want = [gains.mermin_outcome_gains(*c, negated=True) for c in calls]
+        results, errors = [[], []], []
+
+        def run(k):
+            try:
+                for i in range(20):
+                    c = calls[(i + k) % 2]
+                    results[k].append((c, gains.mermin_outcome_gains(*c, negated=True)))
+            except Exception as exc:  # reported below, the thread must not hide it
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for k in range(2):
+            assert len(results[k]) == 20
+            for c, got in results[k]:
+                assert got == want[calls.index(c)]
 
 
 class TestSignPatternGains:

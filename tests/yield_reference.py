@@ -5,7 +5,10 @@ The package computes yields by thinning ideal-detector tables; this direct
 sum over the exact output distribution is what those yields must equal.  The
 package builds each table entry once per cyclic orbit of inputs;
 `ideal_detector_table_reference` builds every (preparation, triple) entry from
-its own input, and the two must agree bit for bit.
+its own input, and the two must agree bit for bit.  The diagonal-basis
+quadrature forms its outcome probabilities in one workspace kernel with shared
+pair products; `outcome_pattern_sums`, the plain sum over the click patterns,
+is what that kernel must equal bit for bit.
 """
 
 from dataclasses import dataclass
@@ -48,12 +51,26 @@ def click_silent(occ, eta, p_d):
     return click, (1.0 - p_d) * survive
 
 
+def outcome_pattern_sums(click, silent):
+    """Probabilities of the two announced outcomes from per-detector click and
+    silence probabilities (`click[j]`, `silent[j]`; arrays broadcast), as
+    plain generator sums over the patterns.
+
+    Every pattern clicks exactly one detector of each pair (0,1), (2,3), (4,5)
+    and leaves its partner silent, so each term is the product of three
+    factors click[j] * silent[j ^ 1].  Returns (phi_plus, phi_minus).
+    """
+    f = [click[j] * silent[j ^ 1] for j in range(6)]
+    return tuple(sum(f[a] * f[b] * f[c] for a, b, c in patterns)
+                 for patterns in (fock.PHI_PLUS_PATTERNS, fock.PHI_MINUS_PATTERNS))
+
+
 def ghz_outcome_yields(dist, eta, p_d):
     """Announcement probabilities (phi_plus, phi_minus) of one preparation:
     per configuration, three required clicks and three required non-clicks
     per pattern, weighted by the configuration probability."""
     click, silent = click_silent(dist.occupations, eta, p_d)
-    plus, minus = fock.outcome_pattern_sums(click.T, silent.T)
+    plus, minus = outcome_pattern_sums(click.T, silent.T)
     p = dist.probabilities
     return float((p * plus).sum()), float((p * minus).sum())
 
