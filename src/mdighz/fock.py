@@ -96,15 +96,33 @@ _EXACT_LIMIT = 2 ** 53  # integers below this convert to float exactly
 _BINOMIALS = np.array([[comb(n, k) for k in range(_BASE)] for n in range(_BASE)],
                       dtype=float)
 _LOST = np.subtract.outer(np.arange(_BASE), np.arange(_BASE)).clip(0)  # n - k
-# Detector group state by its occupation pair a * _BASE + b: 0 both empty,
-# 1 first lit, 2 second lit, 3 both lit.
-_GROUP_STATE = (np.arange(_BASE ** 2) >= _BASE) + 2 * (np.arange(_BASE ** 2) % _BASE > 0)
-# Three group states packed base 4 -> 2 d + parity for a configuration that
-# announced patterns fit (d empty pairs, parity of the lit second detectors),
-# 8 for one they cannot fit (a pair with both detectors lit).
+# Three detector group states packed base 4 -> 2 d + parity for a
+# configuration that announced patterns fit (d empty pairs, parity of the lit
+# second detectors), 8 for one they cannot fit (a pair with both detectors
+# lit).  A group's state is 0 both empty, 1 first lit, 2 second lit, 3 both.
 _STATES = np.array(list(itertools.product(range(4), repeat=3)))
 _FIT_CATEGORY = np.where((_STATES == 3).any(axis=1), 8,
                          2 * (_STATES == 0).sum(axis=1) + (_STATES == 2).sum(axis=1) % 2)
+# A key splits as hi * _HALF + lo into detectors 0-2 and 3-5.  Over the
+# half-keys, _HALF_FACTORIALS holds the product of their three digit factorials,
+# and _HIGH_FIT[hi] + _LOW_FIT[lo] = 16 g0 + 4 g1 + g2 indexes _FIT_CATEGORY,
+# with g0 = lit(0) + 2 lit(1), g1 = lit(2) + 2 lit(3), g2 = lit(4) + 2 lit(5).
+_HALF = _BASE ** 3
+
+
+def _half_key_tables():
+    # int64 broadcasts over the digits d0, d1, d2: the int8 and masked-ufunc
+    # forms measured about 200 KB more resident memory from import onwards
+    d0, d1, d2 = (np.arange(_BASE).reshape(shape) for shape in ((-1, 1, 1), (-1, 1), -1))
+    within = d0 + d1 + d2 <= N_MAX
+    # 1 beyond the cutoff, where no key's half lies and int64 would overflow
+    factorials = np.where(within, _FACTORIALS[d0] * _FACTORIALS[d1]
+                          * _FACTORIALS[np.where(within, d2, 0)], 1)
+    return (factorials.ravel(), (16 * (d0 > 0) + 32 * (d1 > 0) + 4 * (d2 > 0)).ravel(),
+            (8 * (d0 > 0) + (d1 > 0) + 2 * (d2 > 0)).ravel())
+
+
+_HALF_FACTORIALS, _HIGH_FIT, _LOW_FIT = _half_key_tables()
 
 
 def _gmul(a, b):
@@ -139,6 +157,17 @@ def _party_output_vector(party: int, pol: str):
     return vec, extra + 1
 
 
+def _compositions(n: int, parts: int):
+    """Every tuple of `parts` nonnegative integers summing to n, in
+    lexicographic order."""
+    if parts == 1:
+        yield (n,)
+        return
+    for k in range(n + 1):
+        for rest in _compositions(n - k, parts - 1):
+            yield (k,) + rest
+
+
 @lru_cache(maxsize=None)
 def _party_terms(party: int, pol: str, n: int):
     """Expansion of (sum_j v_j a_j)^n for one party's `n` photons: distinct
@@ -147,9 +176,7 @@ def _party_terms(party: int, pol: str, n: int):
     vec, _ = _party_output_vector(party, pol)
     modes = sorted(vec)
     keys, re, im = [], [], []
-    for ks in itertools.product(range(n + 1), repeat=len(modes)):
-        if sum(ks) != n:
-            continue
+    for ks in _compositions(n, len(modes)):
         coeff = factorial(n)
         g = (1, 0)
         key = 0
@@ -167,15 +194,15 @@ def _party_terms(party: int, pol: str, n: int):
     return arrays
 
 
-def _exact_distribution(pols: str, numbers) -> tuple[np.ndarray, np.ndarray, int]:
-    """Sorted packed keys of the output configurations, the integer numerators
-    of their probabilities and the common denominator.
+def _exact_norms(pols: str, numbers) -> tuple[np.ndarray, np.ndarray, int]:
+    """Sorted packed keys of the output configurations, their integer
+    |amplitude|^2 and the common denominator of their probabilities.
 
     The first lit party's expansion is taken as it is (its keys are already
     distinct and sorted); each further one multiplies in by outer sums of the
     keys, and equal keys are merged with exact integer amplitude sums.  A
     configuration's probability is |amplitude|^2 prod(k!) over
-    2^half_power prod(n!); the numerators sum to the denominator.
+    2^half_power prod(n!).
     """
     # with no photons at all, the expansion of none: key 0 with amplitude 1
     lit = [(p, pol, n) for p, (pol, n) in enumerate(zip(pols, numbers)) if n] or [(0, "H", 0)]
@@ -195,11 +222,16 @@ def _exact_distribution(pols: str, numbers) -> tuple[np.ndarray, np.ndarray, int
         raise ValueError(f"{pols}{tuple(numbers)} is beyond exact float conversion")
     norm2 = re * re + im * im
     keep = norm2 != 0
-    keys = keys[keep]
-    num = norm2[keep]
-    for place in _PLACES:
-        num = num * _FACTORIALS[keys // place % _BASE]
-    return keys, num, denom
+    return keys[keep], norm2[keep], denom
+
+
+def _exact_distribution(pols: str, numbers) -> tuple[np.ndarray, np.ndarray, int]:
+    """Sorted packed keys of the output configurations, the integer numerators
+    of their probabilities and the common denominator; the numerators sum to
+    the denominator."""
+    keys, norm2, denom = _exact_norms(pols, numbers)
+    hi, lo = divmod(keys, _HALF)
+    return keys, norm2 * _HALF_FACTORIALS[hi] * _HALF_FACTORIALS[lo], denom
 
 
 def _check_input(pols: str, numbers) -> None:
@@ -235,9 +267,12 @@ def ideal_detector_table(preps: tuple[str, ...], mask: np.ndarray) -> np.ndarray
     row = {x: i for i, x in enumerate(dict.fromkeys(inputs))}
     masses, denoms = [], []
     for x in row:  # one input at a time, so no table of all configurations forms
-        keys, num, denom = _exact_distribution(*x)
-        groups = _GROUP_STATE[keys // np.array([[_BASE ** 4], [_BASE ** 2], [1]]) % _BASE ** 2]
-        category = _FIT_CATEGORY[groups[0] * 16 + groups[1] * 4 + groups[2]]
+        keys, num, denom = _exact_norms(*x)
+        hi, lo = divmod(keys, _HALF)
+        # in place: two fewer temporaries of the largest builds' size
+        num *= _HALF_FACTORIALS[hi]
+        num *= _HALF_FACTORIALS[lo]
+        category = _FIT_CATEGORY[_HIGH_FIT[hi] + _LOW_FIT[lo]]
         masses.append(np.bincount(category, num.astype(float), minlength=9)[:8])
         denoms.append(denom)
     mass = np.array(masses).reshape(len(row), 4, 2)

@@ -19,7 +19,11 @@ Heralded and photon-number-filtered variants take their gains from the exact
 Fock engine by binomial thinning: each user's photon-number distribution is
 thinned by the detector efficiency, and the joint thinned weights are
 contracted against the ideal-detector class components of a fixed set of
-photon-number triples, built once and free of any distance.
+photon-number triples, built once and free of any distance.  Like the
+weak-coherent path they take one call per decoy grid, which thins each
+distinct distribution once.  The truncation certificate of a distribution
+triple holds no distance either, so it is checked once per process and
+cached on the distributions' bytes.
 
 Conventions: a "gain" Q is the per-pulse-triple probability of one announced
 outcome class and includes the 1/8 preparation probability of the specific
@@ -546,18 +550,36 @@ def _class_yields(shape, triples: bytes, p_d: float) -> np.ndarray:
     return y
 
 
-def _thinned_gain_set(comps, dists, thinning, e_d) -> GainSet:
-    """GainSet of independent users with photon-number distributions `dists`:
-    each distribution is thinned by the detector efficiency, and the joint
-    thinned weights are contracted against the ideal-detector class
-    components (6, k, k, k).  Every term is nonnegative, so the sums keep
-    full relative precision."""
-    a, b, c = (np.asarray(d, dtype=float)[:len(thinning)] for d in dists)
+def _thin(dist: np.ndarray, thinning: np.ndarray, k: int) -> np.ndarray:
+    """The first k photon-number probabilities of `dist` after the losses of
+    the thinning matrix."""
+    return dist @ thinning[:len(dist), :k]
+
+
+def _thinned_gain_sets(comps, dist_triples, thinning, e_d) -> list[GainSet]:
+    """GainSets of independent users, one per triple of photon-number
+    distributions: each distinct distribution is thinned by the detector
+    efficiency once, and each triple's joint thinned weights are contracted
+    against the ideal-detector class components (6, k, k, k).  Every term is
+    nonnegative, so the sums keep full relative precision."""
     k = comps.shape[-1]
-    a, b, c = (x @ thinning[:len(x), :k] for x in (a, b, c))
-    w = (a[:, None] * b[None, :])[:, :, None] * c[None, None, :]
-    q = (comps.reshape(len(comps), -1) @ w.ravel()).tolist()
-    return assemble_gain_set(ZGainComponents(*q[:4]), XGainComponents(*q[4:]), e_d)
+    flat = comps.reshape(len(comps), -1)
+    thinned = {}
+
+    def thin(dist):
+        x = np.asarray(dist, dtype=float)[:len(thinning)]
+        key = x.tobytes()
+        if key not in thinned:
+            thinned[key] = _thin(x, thinning, k)
+        return thinned[key]
+
+    sets = []
+    for dists in dist_triples:
+        a, b, c = map(thin, dists)
+        w = (a[:, None] * b[None, :])[:, :, None] * c[None, None, :]
+        q = (flat @ w.ravel()).tolist()
+        sets.append(assemble_gain_set(ZGainComponents(*q[:4]), XGainComponents(*q[4:]), e_d))
+    return sets
 
 
 def _triple_weights(dists, floor):
@@ -569,18 +591,46 @@ def _triple_weights(dists, floor):
     return w, (w >= floor) & (w > 0.0) & within
 
 
-def _budgeted_weights(dists, tail_budget):
-    """The kept triples of `_triple_weights` at the floor tail_budget / 4096,
-    refusing the truncation when the neglected probability mass (bounded by
-    yields <= 1) exceeds the budget."""
-    w, keep = _triple_weights(dists, tail_budget / 4096.0)
+def _dist_bytes(dist) -> bytes:
+    """The key of a photon-number distribution in the certificate caches."""
+    return np.asarray(dist, dtype=float)[:fock.N_MAX + 1].tobytes()
+
+
+@lru_cache(maxsize=128)
+def _certificate(dists: tuple[bytes, bytes, bytes], tail_budget: float, shape,
+                 triples: bytes) -> None:
+    """Certifies the truncation for users with the distributions whose bytes
+    are `dists`: the triples whose joint weight clears the floor
+    tail_budget / 4096 must be among `triples` (a boolean mask's bytes), and
+    the neglected probability mass (bounded by yields <= 1) must stay inside
+    the budget.  Neither depends on the distance.  A refusal raises, and
+    lru_cache keeps no raised call, so a refused triple is refused every time.
+    """
+    w, keep = _triple_weights([np.frombuffer(d) for d in dists], tail_budget / 4096.0)
     tail = 1.0 - sum(w[keep].tolist())
     if tail > tail_budget:
         raise NumericsError(
             f"photon-number truncation tail {tail:.3e} exceeds budget "
             f"{tail_budget:.1e}; raise the cutoff or lower the source intensity"
         )
-    return keep
+    mask = np.frombuffer(triples, dtype=bool).reshape(shape)
+    if np.any(keep & ~mask[:keep.shape[0], :keep.shape[1], :keep.shape[2]]):
+        raise ValueError("distributions need photon-number triples outside the "
+                         "levels these yields were built for")
+
+
+@lru_cache(maxsize=8)
+def _level_triples(levels: tuple[bytes, ...], tail_budget: float) -> np.ndarray:
+    """The downward-closed mask of the triples kept for users whose
+    distributions are among `levels` (their bytes)."""
+    size = fock.N_MAX + 1
+    top = np.zeros(size)
+    for level in map(np.frombuffer, levels):
+        top[:len(level)] = np.maximum(top[:len(level)], level)
+    top = np.maximum.accumulate(top[::-1])[::-1]
+    _, triples = _triple_weights((top, top, top), tail_budget / 4096.0)
+    triples.setflags(write=False)
+    return triples
 
 
 @dataclass(frozen=True)
@@ -589,8 +639,8 @@ class FockYields:
     users drawing their distributions from a fixed set of levels can need, at
     one dark-count probability, and the thinning matrix of one efficiency.
 
-    Built once per distance by `fock_yields`; each gain set is then a thinned
-    contraction (`gain_set`).
+    `fock_yields` builds one per distance from distance-free parts cached
+    across distances; `gain_sets` then gives a decoy grid's gains in one call.
     """
 
     triples: np.ndarray  # (N_MAX + 1,)*3 bool, downward closed
@@ -598,19 +648,18 @@ class FockYields:
     thinning: np.ndarray  # (N_MAX + 1, N_MAX + 1)
     tail_budget: float
 
-    def gain_set(self, dists, e_d: float) -> GainSet:
-        """GainSet for independent per-user photon-number distributions.
+    def gain_sets(self, dist_triples, e_d: float) -> list[GainSet]:
+        """GainSets for a sequence of triples of independent per-user
+        photon-number distributions, one per triple.
 
-        Every (n, m, l) whose joint weight clears the floor
-        tail_budget / 4096 must be among the triples; the neglected
-        probability mass (bounded by yields <= 1) must stay inside the budget
-        or the truncation is refused.
+        Every triple's truncation is certified (`_certificate`, once per
+        distinct triple in a process) before any gain is formed.
         """
-        keep = _budgeted_weights(dists, self.tail_budget)
-        if np.any(keep & ~self.triples[:keep.shape[0], :keep.shape[1], :keep.shape[2]]):
-            raise ValueError("distributions need photon-number triples outside the "
-                             "levels these yields were built for")
-        return _thinned_gain_set(self.comps, dists, self.thinning, e_d)
+        mask = self.triples.tobytes()
+        for dists in dist_triples:
+            _certificate(tuple(map(_dist_bytes, dists)), self.tail_budget,
+                         self.triples.shape, mask)
+        return _thinned_gain_sets(self.comps, dist_triples, self.thinning, e_d)
 
 
 def fock_yields(levels, eta: float, p_d: float,
@@ -624,28 +673,26 @@ def fock_yields(levels, eta: float, p_d: float,
     A level whose all-users combination breaks the truncation budget is
     refused before any table is built.
     """
-    size = fock.N_MAX + 1
-    top = np.zeros(size)
+    levels = tuple(map(_dist_bytes, levels))
+    triples = _level_triples(levels, tail_budget)
+    mask = triples.tobytes()
     for level in levels:
-        _budgeted_weights((level, level, level), tail_budget)
-        level = np.asarray(level, dtype=float)[:size]
-        top[:len(level)] = np.maximum(top[:len(level)], level)
-    top = np.maximum.accumulate(top[::-1])[::-1]
-    _, triples = _triple_weights((top, top, top), tail_budget / 4096.0)
-    return FockYields(triples, _class_yields(triples.shape, triples.tobytes(), p_d),
+        _certificate((level,) * 3, tail_budget, triples.shape, mask)
+    return FockYields(triples, _class_yields(triples.shape, mask, p_d),
                       fock.thinning_matrix(eta), tail_budget)
 
 
-def gains_qnd(mu: float, nu: float, omega: float, eta_t: float,
-              detector: DetectorModel, e_d: float) -> GainSet:
-    """GainSet for weak coherent pulses behind a nondestructive <=1-photon
-    filter per arm.
+def gains_qnd(triples, eta_t: float, detector: DetectorModel, e_d: float) -> list[GainSet]:
+    """GainSets for weak coherent pulses behind a nondestructive <=1-photon
+    filter per arm, one per intensity triple (mu, nu, omega).
 
     Transmission eta_t thins the Poisson inputs before the filter; only the
     detector efficiency thins the filtered photon numbers, so the yields do
     not depend on the distance.  Events with two or more photons in any arm are discarded (the
     Poisson weights are deliberately not renormalized).
     """
-    dists = [(exp(-lam), lam * exp(-lam)) for lam in (mu * eta_t, nu * eta_t, omega * eta_t)]
+    dist_triples = [[(exp(-lam), lam * exp(-lam))
+                     for lam in (mu * eta_t, nu * eta_t, omega * eta_t)]
+                    for mu, nu, omega in triples]
     comps = _class_yields(_QND_TRIPLES.shape, _QND_TRIPLES.tobytes(), detector.p_d)
-    return _thinned_gain_set(comps, dists, fock.thinning_matrix(detector.eta_d), e_d)
+    return _thinned_gain_sets(comps, dist_triples, fock.thinning_matrix(detector.eta_d), e_d)

@@ -104,6 +104,8 @@ class TestQccCommand:
             fock._single_photon_table.cache_clear()
             gains._class_table.cache_clear()
             gains._class_yields.cache_clear()
+            gains._level_triples.cache_clear()
+            gains._certificate.cache_clear()
             out = tmp_path / f"{tag}.csv"
             assert cli.main(["qss", "--config", str(her), "--out", str(out),
                              "--seed", "7"]) == 0
@@ -112,6 +114,21 @@ class TestQccCommand:
 
 
 class TestQssCommand:
+    def test_one_process_repeats_a_fresh_one(self, tmp_path):
+        # the distance-free caches are shared by every curve of a process
+        for cache in (fock._party_terms, fock._single_photon_table, gains._class_table,
+                      gains._class_yields, gains._level_triples, gains._certificate):
+            cache.cache_clear()
+        outs = []
+        for tag, name in (("first", "qss_heralded_eta40"), ("qnd", "qss_qnd_eta40"),
+                          ("eta93", "qss_heralded_eta93"), ("again", "qss_heralded_eta40")):
+            out = tmp_path / f"{tag}.csv"
+            assert cli.main(["qss", "--config", str(CONFIG_DIR / f"{name}.cfg"),
+                             "--out", str(out), "--quick"]) == 0
+            outs.append([l for l in out.read_bytes().splitlines() if not l.startswith(b"#")])
+        assert outs[-1] == outs[0]
+        assert len(outs[0]) == 42
+
     def test_pps_quick(self, tmp_path):
         cfg = config_copy(tmp_path, "qss_pps_eta40", ("sweep.L_max = 200", "sweep.L_max = 20"),
                           ("sweep.L_step = 1", "sweep.L_step = 10"))

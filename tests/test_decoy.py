@@ -232,7 +232,7 @@ class TestHeraldedBounds:
 
             def gain_set(a, b, c):
                 dists = (stats[a], stats[b], stats[c])
-                return gains.fock_yields(dists, eta, det.p_d).gain_set(dists, params.e_d)
+                return gains.fock_yields(dists, eta, det.p_d).gain_sets([dists], params.e_d)[0]
 
             grid = build_gain_grid(lambda triples: [gain_set(*t) for t in triples], plan)
             bounds = single_photon_bounds(grid, distribution_level(stats[plan.mu2]),

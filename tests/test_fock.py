@@ -10,7 +10,7 @@ from mdighz import decoy, fock, gains
 from mdighz.fock import analyzer_unitary, exact_single_photon_stats
 from mdighz.params import parse_config
 from yield_reference import (ghz_outcome_yields, ideal_detector_table_reference,
-                             propagate_parties)
+                             party_terms_reference, propagate_parties)
 
 TOKENS = "HV+-RL"
 
@@ -194,6 +194,12 @@ class TestPropagation:
     def test_cutoff_enforced(self):
         with pytest.raises(ValueError, match="cutoff"):
             propagate_parties("HHH", (13, 0, 0))
+
+    def test_party_terms_equal_product_filter(self):
+        for party, pol, n in itertools.product(range(3), TOKENS, range(fock.N_MAX + 1)):
+            for got, want in zip(fock._party_terms(party, pol, n),
+                                 party_terms_reference(party, pol, n), strict=True):
+                assert np.array_equal(got, want), (party, pol, n)
 
     def test_party_keys_distinct_and_sorted(self):
         # the first lit party's expansion enters a distribution unmerged
@@ -443,9 +449,8 @@ class TestCyclicSymmetry:
     def builds(self, monkeypatch):
         """The inputs of every exact build while the test runs."""
         calls = []
-        build = fock._exact_distribution
-        monkeypatch.setattr(fock, "_exact_distribution",
-                            lambda *x: calls.append(x) or build(*x))
+        build = fock._exact_norms
+        monkeypatch.setattr(fock, "_exact_norms", lambda *x: calls.append(x) or build(*x))
         return calls
 
     @pytest.mark.parametrize("preps, mask", [

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mdighz import checks, decoy, fock, gains, montecarlo
+from conftest import CONFIG_DIR
+from mdighz import checks, decoy, fock, gains, keyrates, montecarlo
 from mdighz.params import (ChannelModel, DecoyPlan, DetectorModel, NumericsError,
-                           SystemParams, overall_efficiency)
-from yield_reference import ghz_outcome_yields, outcome_pattern_sums, propagate_parties
+                           SystemParams, overall_efficiency, parse_config,
+                           transmission_efficiency)
+from yield_reference import (gain_set_reference, gains_qnd_reference, ghz_outcome_yields,
+                             outcome_pattern_sums, propagate_parties)
 
 LN2 = math.log(2.0)
 
@@ -506,7 +509,7 @@ class TestAssembly:
 class TestHeraldedGains:
     def test_vacuum_levels_give_dark_gains(self):
         dists = (decoy.vacuum_stats(),) * 3
-        gs = gains.fock_yields(dists, 0.4, 1e-3).gain_set(dists, 0.0)
+        gs = gains.fock_yields(dists, 0.4, 1e-3).gain_sets([dists], 0.0)[0]
         z = gains.z_gain_components(0, 0, 0, 0.4, 1e-3)
         assert gs.q_cz == pytest.approx(4 * z.a, rel=1e-12, abs=0.0)
         assert gs.q_ez == pytest.approx(4 * (z.b + z.c + z.d), rel=1e-12, abs=0.0)
@@ -517,10 +520,10 @@ class TestHeraldedGains:
         p_n = decoy.heralded_stats(1e-3, trig)
         eta, p_d = 0.04, 0.0
         dists = (p_n,) * 3
-        full = gains.fock_yields(dists, eta, p_d).gain_set(dists, 0.0)
+        full = gains.fock_yields(dists, eta, p_d).gain_sets([dists], 0.0)[0]
         def high_order_fraction(st):
             dists = (st,) * 3
-            total = gains.fock_yields(dists, eta, p_d).gain_set(dists, 0.0).q_x
+            total = gains.fock_yields(dists, eta, p_d).gain_sets([dists], 0.0)[0].q_x
             low_orders = 0.0
             for n, m, l in itertools.product(range(4), repeat=3):
                 if n + m + l > 3:
@@ -545,7 +548,7 @@ class TestHeraldedGains:
         ns = np.arange(13)
         pois = np.exp(-mu) * mu ** ns / np.vectorize(math.factorial)(ns)
         dists = (pois, pois, pois)
-        gs = gains.fock_yields(dists, eta, p_d, tail_budget=1e-9).gain_set(dists, 0.0)
+        gs = gains.fock_yields(dists, eta, p_d, tail_budget=1e-9).gain_sets([dists], 0.0)[0]
         z = gains.z_gain_components(mu, mu, mu, eta, p_d)
         x = gains.x_gain_components(mu, mu, mu, eta, p_d)
         assert gs.q_cz == pytest.approx(4 * z.a, rel=1e-8, abs=0.0)
@@ -575,7 +578,7 @@ class TestHeraldedGains:
                                       + [ys[4][0] / 8.0, ys[4][1] / 8.0])
             want = gains.assemble_gain_set(gains.ZGainComponents(*comps[:4]),
                                            gains.XGainComponents(*comps[4:]), 0.0)
-            got = gains.fock_yields(dists, eta, p_d).gain_set(dists, 0.0)
+            got = gains.fock_yields(dists, eta, p_d).gain_sets([dists], 0.0)[0]
             for field in ("q_cz", "q_ez", "q_czab", "q_czac", "q_cx", "q_ex"):
                 assert getattr(got, field) == pytest.approx(
                     getattr(want, field), rel=1e-13, abs=0.0), field
@@ -587,15 +590,15 @@ class TestHeraldedGains:
         yields = gains.fock_yields(levels, 0.004, 1e-7)
         for combo in itertools.product(range(3), repeat=3):
             dists = tuple(levels[k] for k in combo)
-            assert yields.gain_set(dists, 0.015) == gains.fock_yields(
-                dists, 0.004, 1e-7).gain_set(dists, 0.015)
+            assert yields.gain_sets([dists], 0.015)[0] == gains.fock_yields(
+                dists, 0.004, 1e-7).gain_sets([dists], 0.015)[0]
 
     def test_distributions_outside_the_levels_rejected(self):
         trig = DetectorModel(0.4, 1e-7)
         vac = decoy.vacuum_stats()
         p_n = decoy.heralded_stats(5e-3, trig)
         with pytest.raises(ValueError, match="levels"):
-            gains.fock_yields([vac], 0.04, 1e-7).gain_set((p_n, p_n, p_n), 0.0)
+            gains.fock_yields([vac], 0.04, 1e-7).gain_sets([(p_n, p_n, p_n)], 0.0)
 
     def test_truncation_budget_enforced(self, monkeypatch):
         ns = np.arange(13)
@@ -610,18 +613,18 @@ class TestHeraldedGains:
         monkeypatch.setattr(fock, "ideal_detector_table", no_table)
         dists = (pois, pois, pois)
         with pytest.raises(NumericsError, match="truncation"):
-            gains.fock_yields(dists, 0.5, 0.0).gain_set(dists, 0.0)
+            gains.fock_yields(dists, 0.5, 0.0).gain_sets([dists], 0.0)
 
 
 class TestQndGains:
     def test_no_light(self):
-        gs = gains.gains_qnd(0, 0, 0, 0.5, DetectorModel(0.4, 0.0), 0.0)
+        [gs] = gains.gains_qnd([(0, 0, 0)], 0.5, DetectorModel(0.4, 0.0), 0.0)
         assert gs.q_z == 0.0 and gs.q_x == 0.0
 
     def test_equals_restricted_fock_sum(self):
         mu, eta_t = 0.4, 0.1
         det = DetectorModel(0.4, 1e-7)
-        gs = gains.gains_qnd(mu, mu, mu, eta_t, det, 0.0)
+        [gs] = gains.gains_qnd([(mu, mu, mu)], eta_t, det, 0.0)
         lam = mu * eta_t
         total = 0.0
         for n, m, l in itertools.product((0, 1), repeat=3):
@@ -636,7 +639,7 @@ class TestQndGains:
         # classes need a dark count, so they see any loss of precision there
         mu, eta_t = 0.4, 1e-4
         det = DetectorModel(1.0, 1e-7)
-        gs = gains.gains_qnd(mu, mu, mu, eta_t, det, 0.0)
+        [gs] = gains.gains_qnd([(mu, mu, mu)], eta_t, det, 0.0)
         lam = mu * eta_t
         comps = np.zeros(6)
         for n, m, l in itertools.product((0, 1), repeat=3):
@@ -652,8 +655,128 @@ class TestQndGains:
                 getattr(want, field), rel=1e-13, abs=0.0), field
 
     def test_regression_paper_point_100km(self):
-        gs = gains.gains_qnd(0.4, 0.4, 0.4, 10 ** (-0.2 * 100 / 10),
-                             DetectorModel(0.4, 1e-7), 0.015)
+        [gs] = gains.gains_qnd([(0.4, 0.4, 0.4)], 10 ** (-0.2 * 100 / 10),
+                               DetectorModel(0.4, 1e-7), 0.015)
         assert gs.q_z == pytest.approx(1.0129269183031263e-09, rel=1e-9, abs=0.0)
         assert gs.q_x == pytest.approx(1.012926918303126e-09, rel=1e-9, abs=0.0)
         assert gs.e_x == pytest.approx(0.015546699970181883, rel=1e-9, abs=0.0)
+
+
+def plan_triples(plan):
+    """The 15 intensity triples a decoy grid of `plan` asks its gains for."""
+    seen = []
+    decoy.build_gain_grid(lambda triples: seen.extend(triples) or [None] * len(triples), plan)
+    return seen
+
+
+def fock_config(name):
+    return parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
+
+
+def heralded_levels(cfg):
+    return {0.0: decoy.vacuum_stats(),
+            cfg.decoy.mu1: decoy.heralded_stats(cfg.decoy.mu1, cfg.source.trigger),
+            cfg.decoy.mu2: decoy.heralded_stats(cfg.decoy.mu2, cfg.source.trigger)}
+
+
+@pytest.fixture
+def cold_certificates():
+    """Empty the distance-free truncation caches before and after the test."""
+    gains._certificate.cache_clear()
+    gains._level_triples.cache_clear()
+    yield
+    gains._certificate.cache_clear()
+    gains._level_triples.cache_clear()
+
+
+def count_calls(monkeypatch, module, name):
+    """The arguments of every call of module.name while the test runs."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or original(*a))
+    return calls
+
+
+class TestFockGridCalls:
+    """One call per decoy grid gives the gains of one call per triple, bit
+    for bit: the two-decoy estimator amplifies last-ulp changes of the gains
+    about 1e6 times at long distance."""
+
+    @pytest.mark.parametrize("name", ["qss_heralded_eta40", "qss_heralded_eta93"])
+    @pytest.mark.parametrize("length", [0.0, 50.0, 100.0, 200.0, 250.0])
+    def test_heralded_grid_equals_per_triple(self, name, length):
+        cfg = fock_config(name)
+        params = cfg.system.at_distance(length)
+        p_n = heralded_levels(cfg)
+        yields = gains.fock_yields(list(p_n.values()),
+                                   overall_efficiency(params.channel, params.detector),
+                                   params.detector.p_d)
+        dist_triples = [tuple(p_n[mu] for mu in t) for t in plan_triples(cfg.decoy)]
+        assert len(dist_triples) == 15
+        assert yields.gain_sets(dist_triples, params.e_d) == [
+            gain_set_reference(yields, dists, params.e_d) for dists in dist_triples]
+
+    @pytest.mark.parametrize("name", ["qss_qnd_eta40", "qss_qnd_eta93"])
+    @pytest.mark.parametrize("length", [0.0, 50.0, 100.0, 200.0, 250.0])
+    def test_qnd_grid_equals_per_triple(self, name, length):
+        cfg = fock_config(name)
+        params = cfg.system.at_distance(length)
+        eta_t = transmission_efficiency(params.channel)
+        triples = plan_triples(cfg.decoy)
+        assert len(triples) == 15
+        assert gains.gains_qnd(triples, eta_t, params.detector, params.e_d) == [
+            gains_qnd_reference(*t, eta_t, params.detector, params.e_d) for t in triples]
+
+    @pytest.mark.parametrize("variant, name", [("qss_heralded", "qss_heralded_eta40"),
+                                               ("qss_qnd", "qss_qnd_eta40")])
+    def test_each_level_thinned_once_per_grid(self, monkeypatch, variant, name):
+        thinned = count_calls(monkeypatch, gains, "_thin")
+        distances = (0.0, 50.0, 100.0)
+        keyrates.sweep(variant, fock_config(name), distances)
+        # vacuum, decoy and signal: three distinct distributions per grid
+        assert len(thinned) == 3 * len(distances)
+
+
+class TestTruncationCertificate:
+    """The truncation certificate is distance-free, so it is cached on the
+    distributions' bytes; the cache must never hide a refusal."""
+
+    def test_refusal_repeats(self, cold_certificates):
+        ns = np.arange(13)
+        pois = np.exp(-3.0) * 3.0 ** ns / np.vectorize(math.factorial)(ns)
+        dists = (pois, pois, pois)
+        for _ in range(2):
+            with pytest.raises(NumericsError, match="truncation"):
+                gains.fock_yields(dists, 0.5, 0.0)
+        vac = decoy.vacuum_stats()
+        p_n = decoy.heralded_stats(5e-3, DetectorModel(0.4, 1e-7))
+        yields = gains.fock_yields([vac], 0.04, 1e-7)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="levels"):
+                yields.gain_sets([(p_n, p_n, p_n)], 0.0)
+
+    def test_next_float_certified_afresh(self, monkeypatch, cold_certificates):
+        trig = DetectorModel(0.4, 1e-7)
+        p_n = decoy.heralded_stats(5e-3, trig)
+        yields = gains.fock_yields([decoy.vacuum_stats(), p_n], 0.04, 1e-7)
+        weights = count_calls(monkeypatch, gains, "_triple_weights")
+        yields.gain_sets([(p_n, p_n, p_n)], 0.0)
+        assert weights == []  # certified by fock_yields as its level
+        near = p_n.copy()
+        near[2] = np.nextafter(near[2], 1.0)
+        yields.gain_sets([(p_n, near, p_n), (p_n, near, p_n)], 0.0)
+        assert len(weights) == 1
+        yields.gain_sets([(p_n, p_n, near)], 0.0)
+        assert len(weights) == 2
+
+    def test_once_per_distinct_triple_in_a_sweep(self, monkeypatch, cold_certificates):
+        cfg = fock_config("qss_heralded_eta40")
+        weights = count_calls(monkeypatch, gains, "_triple_weights")
+        points = keyrates.sweep("qss_heralded", cfg, cfg.sweep.distances()[::5])
+        assert len(points) == 41
+        p_n = heralded_levels(cfg)
+        want = {tuple(gains._dist_bytes(p_n[mu]) for mu in t) for t in plan_triples(cfg.decoy)}
+        got = [tuple(gains._dist_bytes(d) for d in dists) for dists, _ in weights]
+        # the 15 grid triples and the levels' downward-closed envelope
+        assert len(got) == len(set(got)) == len(want) + 1 == 16
+        assert want < set(got)

@@ -8,15 +8,22 @@ package builds each table entry once per cyclic orbit of inputs;
 its own input, and the two must agree bit for bit.  The diagonal-basis
 quadrature forms its outcome probabilities in one workspace kernel with shared
 pair products; `outcome_pattern_sums`, the plain sum over the click patterns,
-is what that kernel must equal bit for bit.
+is what that kernel must equal bit for bit.  `party_terms_reference` expands a
+party's photons by filtering every digit tuple; the package enumerates the
+compositions directly.  `gain_set_reference` and `gains_qnd_reference` form
+one GainSet per call, certifying and thinning each triple on its own; the
+package's one call per decoy grid must equal them bit for bit.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import exp, factorial
 
 import numpy as np
 
-from mdighz import fock
+from mdighz import fock, gains
+from mdighz.params import NumericsError
 
 
 @dataclass(frozen=True)
@@ -80,6 +87,12 @@ def single_photon_phi_plus(pols, eta, p_d):
     return ghz_outcome_yields(propagate_parties(pols, (1, 1, 1)), eta, p_d)[0]
 
 
+# Detector group state by its occupation pair a * _BASE + b: 0 both empty,
+# 1 first lit, 2 second lit, 3 both lit.
+GROUP_STATE = ((np.arange(fock._BASE ** 2) >= fock._BASE)
+               + 2 * (np.arange(fock._BASE ** 2) % fock._BASE > 0))
+
+
 def ideal_detector_table_reference(preps, mask):
     """`fock.ideal_detector_table` with one exact build per distinct
     (preparation, triple) input, no inputs shared across the party cycle."""
@@ -93,8 +106,8 @@ def ideal_detector_table_reference(preps, mask):
     masses, denoms = [], []
     for x in row:
         keys, num, denom = fock._exact_distribution(*x)
-        groups = fock._GROUP_STATE[keys // np.array([[fock._BASE ** 4], [fock._BASE ** 2], [1]])
-                                   % fock._BASE ** 2]
+        groups = GROUP_STATE[keys // np.array([[fock._BASE ** 4], [fock._BASE ** 2], [1]])
+                             % fock._BASE ** 2]
         category = fock._FIT_CATEGORY[groups[0] * 16 + groups[1] * 4 + groups[2]]
         masses.append(np.bincount(category, num.astype(float), minlength=9)[:8])
         denoms.append(denom)
@@ -106,3 +119,65 @@ def ideal_detector_table_reference(preps, mask):
     out[..., mask] = table[[row[x] for x in inputs]].reshape(
         len(preps), len(triples), 2, 4).transpose(0, 2, 3, 1)
     return out
+
+
+def party_terms_reference(party, pol, n):
+    """`fock._party_terms` by filtering the (n+1)^k digit tuples of the
+    party's k output modes down to those summing to n."""
+    vec, _ = fock._party_output_vector(party, pol)
+    modes = sorted(vec)
+    keys, re, im = [], [], []
+    for ks in itertools.product(range(n + 1), repeat=len(modes)):
+        if sum(ks) != n:
+            continue
+        coeff = factorial(n)
+        g = (1, 0)
+        key = 0
+        for mode, k in zip(modes, ks):
+            coeff //= factorial(k)
+            for _ in range(k):
+                g = fock._gmul(g, vec[mode])
+            key += k * fock._PLACES[mode]
+        keys.append(key)
+        re.append(coeff * g[0])
+        im.append(coeff * g[1])
+    return tuple(np.array(x, dtype=np.int64) for x in (keys, re, im))
+
+
+def _thinned_gain_set(comps, dists, thinning, e_d):
+    a, b, c = (np.asarray(d, dtype=float)[:len(thinning)] for d in dists)
+    k = comps.shape[-1]
+    a, b, c = (x @ thinning[:len(x), :k] for x in (a, b, c))
+    w = (a[:, None] * b[None, :])[:, :, None] * c[None, None, :]
+    q = (comps.reshape(len(comps), -1) @ w.ravel()).tolist()
+    return gains.assemble_gain_set(gains.ZGainComponents(*q[:4]),
+                                   gains.XGainComponents(*q[4:]), e_d)
+
+
+def _budgeted_weights(dists, tail_budget):
+    w, keep = gains._triple_weights(dists, tail_budget / 4096.0)
+    tail = 1.0 - sum(w[keep].tolist())
+    if tail > tail_budget:
+        raise NumericsError(
+            f"photon-number truncation tail {tail:.3e} exceeds budget "
+            f"{tail_budget:.1e}; raise the cutoff or lower the source intensity"
+        )
+    return keep
+
+
+def gain_set_reference(yields, dists, e_d):
+    """The GainSet of one distribution triple from `yields` (a
+    `gains.FockYields`), certified and thinned on its own."""
+    keep = _budgeted_weights(dists, yields.tail_budget)
+    if np.any(keep & ~yields.triples[:keep.shape[0], :keep.shape[1], :keep.shape[2]]):
+        raise ValueError("distributions need photon-number triples outside the "
+                         "levels these yields were built for")
+    return _thinned_gain_set(yields.comps, dists, yields.thinning, e_d)
+
+
+def gains_qnd_reference(mu, nu, omega, eta_t, detector, e_d):
+    """The GainSet of one intensity triple behind the <=1-photon filter."""
+    dists = [(exp(-lam), lam * exp(-lam)) for lam in (mu * eta_t, nu * eta_t, omega * eta_t)]
+    comps = gains._class_yields(gains._QND_TRIPLES.shape, gains._QND_TRIPLES.tobytes(),
+                                detector.p_d)
+    return _thinned_gain_set(comps, dists, fock.thinning_matrix(detector.eta_d), e_d)
