@@ -56,20 +56,28 @@ def monte_carlo(mu: float, eta: float, p_d: float, samples: int, seed: int,
     the two K-sliced gains at mu_s.  The deviation is the z-score."""
     z = gains.z_gain_components(mu, mu, mu, eta, p_d)
     x = gains.x_gain_components(mu, mu, mu, eta, p_d)
-    # one run per preparation; both announced outcomes come out of it
-    runs = [("HHH", mu, None, (("A", 8.0 * z.a),)), ("HHV", mu, None, (("B", 8.0 * z.b),)),
-            ("VHH", mu, None, (("C", 8.0 * z.c),)), ("HVH", mu, None, (("D", 8.0 * z.d),)),
-            ("+++", mu, None, (("E", 8.0 * x.e), ("F", 8.0 * x.f)))]
+    cfg = montecarlo.McConfig(samples, seed)
+    # every preparation of a call shares its draws; both announced outcomes
+    # come out of each preparation
+    rows = _mc_rows((("HHH", (("A", 8.0 * z.a),)), ("HHV", (("B", 8.0 * z.b),)),
+                     ("VHH", (("C", 8.0 * z.c),)), ("HVH", (("D", 8.0 * z.d),)),
+                     ("+++", (("E", 8.0 * x.e), ("F", 8.0 * x.f)))), mu, eta, p_d, cfg)
     if sliced is not None:
         mu_s, k = sliced
         q = gains.phase_sliced_gains(mu_s, mu_s, mu_s, eta, p_d, k)
-        runs.append(("+++", mu_s, k, (("Q~CX", k * k * q.q_c), ("Q~EX", k * k * q.q_e))))
-    rows = []
-    for pols, level, slice_k, wanted in runs:
-        ests = montecarlo.mc_coherent_gains(pols, (level,) * 3, eta, p_d,
-                                            montecarlo.McConfig(samples, seed), slice_k)
-        rows += [_mc_row(label, analytic, est) for (label, analytic), est in zip(wanted, ests)]
+        rows += _mc_rows((("+++", (("Q~CX", k * k * q.q_c), ("Q~EX", k * k * q.q_e))),),
+                         mu_s, eta, p_d, cfg, k)
     return rows
+
+
+def _mc_rows(runs, level: float, eta: float, p_d: float, cfg, slice_k=None) -> list[Row]:
+    """One oracle call for every (preparation, wanted rows) of runs, every
+    user at intensity level; a preparation's rows take its phi+, then phi-."""
+    ests = montecarlo.mc_coherent_gains([pols for pols, _ in runs], (level,) * 3,
+                                        eta, p_d, cfg, slice_k)
+    return [_mc_row(label, analytic, est)
+            for k, (_, wanted) in enumerate(runs)
+            for (label, analytic), est in zip(wanted, ests[2 * k:2 * k + 2])]
 
 
 def _mc_row(label: str, analytic: float, est: montecarlo.McEstimate) -> Row:

@@ -15,7 +15,11 @@ loss picture of Ma et al., PRA 72, 012326 (2005), the oracle never uses
 Determinism: one Philox substream per fixed-size chunk (substream index =
 chunk index), so counts depend on the seed and sample count only.  A chunk of
 n samples draws random((n, 3)) phases, integers(0, 2, (n, 3)) half-circle
-copies when the phases are sliced, then random((n, 6)) click uniforms.
+copies when the phases are sliced, then random((n, 6)) click uniforms.  These
+draws depend only on the seed, chunk index, chunk size and slicing, never on
+the preparation, so one call draws each chunk once and evaluates every
+preparation on it: its preparations see common random numbers, and their
+counts are correlated, not independent samples.
 """
 
 from __future__ import annotations
@@ -41,10 +45,10 @@ _POL_VECTORS = {
     "-": (1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)),
 }
 
-# click code (bit j: detector j clicked) -> 0 phi+, 1 phi-, 2 not announced
-_CODE_CLASS = np.full(64, 2, dtype=np.intp)
-for _cls, _patterns in enumerate((fock.PHI_PLUS_PATTERNS, fock.PHI_MINUS_PATTERNS)):
-    _CODE_CLASS[[sum(1 << j for j in pat) for pat in _patterns]] = _cls
+_PAIRS = tuple(itertools.combinations(range(3), 2))
+# click codes (bit j: detector j clicked) of the phi+ and of the phi- patterns
+_CLASS_CODES = tuple(np.array([sum(1 << j for j in pat) for pat in patterns])
+                     for patterns in (fock.PHI_PLUS_PATTERNS, fock.PHI_MINUS_PATTERNS))
 
 
 @dataclass(frozen=True)
@@ -53,10 +57,15 @@ class McConfig:
     seed: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.samples, int) or self.samples < 1:
+        # a bool is an int to isinstance, and would run a 0/1 stream under its name
+        if not _is_int(self.samples) or self.samples < 1:
             raise ValueError(f"samples must be an int >= 1, got {self.samples!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
+        if not _is_int(self.seed) or not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -67,62 +76,90 @@ class McEstimate:
     samples: int
 
 
-def _chunk_counts(w: np.ndarray, p_d: float, slice_k, seed: int, index: int, n: int):
-    """(phi+, phi-) counts of chunk `index`, n samples, amplitude matrix w."""
+def _chunk_counts(ws, p_d: float, slice_k, seed: int, index: int, n: int) -> np.ndarray:
+    """(phi+, phi-) counts of chunk `index`, n samples, one row per amplitude
+    matrix of ws; every matrix is evaluated on the same draws."""
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
     phases = rng.random((n, 3))
     if slice_k:
         # matched-region phases: first region, both half-circle copies
-        phases = phases * (np.pi / slice_k) + np.pi * rng.integers(0, 2, (n, 3))
+        phases *= np.pi / slice_k
+        np.add(phases, np.pi, out=phases, where=rng.integers(0, 2, (n, 3)) == 1)
     else:
         phases *= 2.0 * np.pi
-    # per output a constant mean photon number, or one contiguous row of n
-    means = list((w * w).sum(axis=1))
-    for p, q in itertools.combinations(range(3), 2):
-        weight = 2.0 * w[:, p] * w[:, q]
-        if weight.any():
-            cos = np.cos(phases[:, p] - phases[:, q])
-            for i in np.flatnonzero(weight):
-                means[i] = means[i] + weight[i] * cos
+    # per matrix and party pair, the interference weight of each output; one
+    # cosine per pair that some matrix weights
+    weights = [[2.0 * w[:, p] * w[:, q] for p, q in _PAIRS] for w in ws]
+    cosines = [np.cos(phases[:, p] - phases[:, q])
+               if any(pairs[k].any() for pairs in weights) else None
+               for k, (p, q) in enumerate(_PAIRS)]
+    del phases
     uniforms = rng.random((n, 6))
-    codes = np.zeros(n, dtype=np.uint8)
-    for i, mean in enumerate(means):
-        codes |= (uniforms[:, i] < 1.0 - (1.0 - p_d) * np.exp(-mean)).view(np.uint8) << i
-    return np.bincount(_CODE_CLASS[codes], minlength=3)[:2]
+    column, mean = np.empty(n), np.empty(n)
+    clicked = np.empty(n, dtype=bool)
+    codes = np.zeros((len(ws), n), dtype=np.uint8)
+    bases = [(w * w).sum(axis=1) for w in ws]
+    for i in range(6):
+        np.copyto(column, uniforms[:, i])  # one strided read serves every matrix
+        for code, base, pairs in zip(codes, bases, weights):
+            # a constant mean photon number, or the row `mean` of n
+            terms = [(weight[i], cos) for weight, cos in zip(pairs, cosines) if weight[i]]
+            if terms:
+                (weight, cos), *rest = terms
+                np.multiply(cos, weight, out=mean)
+                mean += base[i]
+                for weight, cos in rest:
+                    mean += weight * cos
+                np.negative(mean, out=mean)
+                np.exp(mean, out=mean)
+                mean *= 1.0 - p_d
+                threshold = np.subtract(1.0, mean, out=mean)
+            else:  # a numpy scalar, so exp takes its scalar path
+                threshold = 1.0 - (1.0 - p_d) * np.exp(-base[i])
+            np.less(column, threshold, out=clicked)
+            code |= clicked.view(np.uint8) << i
+    return np.array([[hist[c].sum() for c in _CLASS_CODES]
+                     for hist in (np.bincount(code, minlength=64) for code in codes)])
 
 
-def mc_coherent_gains(pols: str, intensities, eta: float, p_d: float,
+def mc_coherent_gains(preparations, intensities, eta: float, p_d: float,
                       cfg: McConfig, slice_k: int | None = None
-                      ) -> tuple[McEstimate, McEstimate]:
-    """Sample the two announced-outcome probabilities for one preparation.
+                      ) -> tuple[McEstimate, ...]:
+    """Sample the two announced-outcome probabilities of each preparation.
 
-    pols: three tokens from H/V/+/- (the sign triple for diagonal-basis runs);
+    preparations: a sequence of three-token strings from H/V/+/- (the sign
+    triple for diagonal-basis runs), all sampled on the same draws;
     intensities: the three users' source intensities (any subset may be zero);
     slice_k: restrict all three phases to the first of K matched regions.
 
-    Returns the (phi+, phi-) event counts.  A count over the samples is a
-    conditional probability (no preparation-probability factor): a
-    rectilinear class gain Q corresponds to it over 8, a K-sliced gain to it
-    over 8 K^2 after the same-class summation.
+    Returns the (phi+, phi-) event counts of each preparation in turn, flat.
+    A count over the samples is a conditional probability (no
+    preparation-probability factor): a rectilinear class gain Q corresponds
+    to it over 8, a K-sliced gain to it over 8 K^2 after the same-class
+    summation.
     """
-    if len(pols) != 3 or any(p not in _POL_VECTORS for p in pols):
-        raise ValueError(f"bad polarization triple {pols!r}")
+    if isinstance(preparations, str) or not len(preparations) or any(
+            not isinstance(pols, str) or len(pols) != 3
+            or any(p not in _POL_VECTORS for p in pols) for pols in preparations):
+        raise ValueError(f"need a nonempty sequence of polarization triples, "
+                         f"got {preparations!r}")
     if len(intensities) != 3 or not all(0.0 <= x < np.inf for x in intensities):
         raise ValueError(f"need 3 finite intensities >= 0, got {intensities!r}")
     for name, value in (("eta", eta), ("p_d", p_d)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    if slice_k is not None and (not isinstance(slice_k, int) or slice_k < 1):
+    if slice_k is not None and (not _is_int(slice_k) or slice_k < 1):
         raise ValueError(f"slice_k must be None or an int >= 1, got {slice_k!r}")
-    unitary = fock.analyzer_unitary()
-    vectors = np.array([_POL_VECTORS[pol] for pol in pols])  # (party, H/V)
-    assert np.isrealobj(unitary) and np.isrealobj(vectors)
-    w = np.einsum("ipk,pk->ip", unitary.reshape(6, 3, 2), vectors) \
-        * np.sqrt(np.multiply(intensities, eta))
-    total = sum(_chunk_counts(w, p_d, slice_k, cfg.seed, index,
+    unitary = fock.analyzer_unitary().reshape(6, 3, 2)
+    assert np.isrealobj(unitary)
+    amplitudes = np.sqrt(np.multiply(intensities, eta))
+    # per preparation the (output, party) amplitudes; vectors are (party, H/V)
+    ws = [np.einsum("ipk,pk->ip", unitary, np.array([_POL_VECTORS[pol] for pol in pols]))
+          * amplitudes for pols in preparations]
+    total = sum(_chunk_counts(ws, p_d, slice_k, cfg.seed, index,
                               min(CHUNK_SAMPLES, cfg.samples - start))
                 for index, start in enumerate(range(0, cfg.samples, CHUNK_SAMPLES)))
-    return tuple(McEstimate(int(count), cfg.samples) for count in total)
+    return tuple(McEstimate(int(count), cfg.samples) for count in total.ravel())
 
 
 # ---------------------------------------------------------------------------

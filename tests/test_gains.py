@@ -23,7 +23,7 @@ def mc_check(pols, intensities, eta, p_d, analytic_pair, samples=400_000,
              seed=11, slice_k=None, scale=8.0):
     """Assert both announced-class gains sit within 3 MC standard errors."""
     est_p, est_m = montecarlo.mc_coherent_gains(
-        pols, intensities, eta, p_d, montecarlo.McConfig(samples=samples, seed=seed),
+        (pols,), intensities, eta, p_d, montecarlo.McConfig(samples=samples, seed=seed),
         slice_k=slice_k)
     for est, q in ((est_p, analytic_pair[0]), (est_m, analytic_pair[1])):
         assert abs(checks._mc_row("", scale * q, est).deviation) < 3.0, (est, scale * q)

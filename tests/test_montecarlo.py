@@ -10,16 +10,16 @@ from mdighz.montecarlo import McConfig, McEstimate, fock_closed_form_check, mc_c
 
 class TestDeterminism:
     def test_fixed_seed_reproduces(self):
-        a = mc_coherent_gains("HHH", (0.5, 0.5, 0.5), 0.3, 1e-3,
+        a = mc_coherent_gains(("HHH",), (0.5, 0.5, 0.5), 0.3, 1e-3,
                               McConfig(samples=50_000, seed=9))
-        b = mc_coherent_gains("HHH", (0.5, 0.5, 0.5), 0.3, 1e-3,
+        b = mc_coherent_gains(("HHH",), (0.5, 0.5, 0.5), 0.3, 1e-3,
                               McConfig(samples=50_000, seed=9))
         assert a == b
 
     def test_chunk_boundary_stitching(self):
         # crossing the fixed chunk size must not disturb the substream layout
         n = montecarlo.CHUNK_SAMPLES + 17
-        est, _ = mc_coherent_gains("HHH", (0.6, 0.6, 0.6), 0.5, 1e-2,
+        est, _ = mc_coherent_gains(("HHH",), (0.6, 0.6, 0.6), 0.5, 1e-2,
                                    McConfig(samples=n, seed=5))
         assert est.samples == n
 
@@ -38,31 +38,44 @@ class TestDeterminism:
         ("+++", 8, 1, [8119, 437]), ("+++", 8, 7, [8105, 422]),
     ])
     def test_bright_counts_pinned(self, pols, slice_k, seed, counts):
-        ests = mc_coherent_gains(pols, (0.8, 0.8, 0.8), self.BRIGHT_ETA, 0.01,
+        ests = mc_coherent_gains((pols,), (0.8, 0.8, 0.8), self.BRIGHT_ETA, 0.01,
                                  McConfig(samples=100_000, seed=seed), slice_k=slice_k)
         assert [e.count for e in ests] == counts
 
     def test_chunk_stitching_counts_pinned(self):
-        ests = mc_coherent_gains("+++", (0.8, 0.8, 0.8), self.BRIGHT_ETA, 0.01,
+        ests = mc_coherent_gains(("+++",), (0.8, 0.8, 0.8), self.BRIGHT_ETA, 0.01,
                                  McConfig(samples=montecarlo.CHUNK_SAMPLES + 17, seed=5))
         assert [e.count for e in ests] == [23621, 12789]
 
+    @pytest.mark.parametrize("slice_k", [None, 8])
+    def test_one_call_equals_one_call_per_preparation(self, slice_k):
+        # a chunk's draws depend only on seed, chunk index, size and slicing,
+        # so every preparation of a call sees the same random numbers
+        preparations = ("HHH", "HHV", "VHH", "HVH", "+++", "+-+")
+        cfg = McConfig(samples=montecarlo.CHUNK_SAMPLES + 17, seed=5)
+        shared = mc_coherent_gains(preparations, (0.8, 0.8, 0.8), self.BRIGHT_ETA, 0.01,
+                                   cfg, slice_k=slice_k)
+        alone = [est for pols in preparations
+                 for est in mc_coherent_gains((pols,), (0.8, 0.8, 0.8), self.BRIGHT_ETA,
+                                              0.01, cfg, slice_k=slice_k)]
+        assert list(shared) == alone and len(shared) == 2 * len(preparations)
+
     def test_seed_changes_estimates(self):
-        a, _ = mc_coherent_gains("HHH", (0.6, 0.6, 0.6), 0.5, 1e-2,
+        a, _ = mc_coherent_gains(("HHH",), (0.6, 0.6, 0.6), 0.5, 1e-2,
                                  McConfig(samples=50_000, seed=1))
-        b, _ = mc_coherent_gains("HHH", (0.6, 0.6, 0.6), 0.5, 1e-2,
+        b, _ = mc_coherent_gains(("HHH",), (0.6, 0.6, 0.6), 0.5, 1e-2,
                                  McConfig(samples=50_000, seed=2))
         assert a.count != b.count
 
 
 class TestStatistics:
     def test_zero_intensity_zero_tallies(self):
-        p, m = mc_coherent_gains("HHH", (0.0, 0.0, 0.0), 0.5, 0.0,
+        p, m = mc_coherent_gains(("HHH",), (0.0, 0.0, 0.0), 0.5, 0.0,
                                  McConfig(samples=10_000, seed=1))
         assert p.count == 0 and m.count == 0
 
     def test_stderr_floor_is_one_event(self):
-        p, _ = mc_coherent_gains("HHH", (0.0, 0.0, 0.0), 0.5, 0.0,
+        p, _ = mc_coherent_gains(("HHH",), (0.0, 0.0, 0.0), 0.5, 0.0,
                                  McConfig(samples=10_000, seed=1))
         row = checks._mc_row("A", 5e-9, p)
         assert row.stderr == pytest.approx(1.0 / 10_000)
@@ -70,7 +83,7 @@ class TestStatistics:
 
     def test_root_n_convergence(self):
         base, quad = (checks._mc_row("A", 0.0, mc_coherent_gains(
-            "HHH", (0.6, 0.6, 0.6), 0.5, 1e-2, McConfig(samples=n, seed=7))[0])
+            ("HHH",), (0.6, 0.6, 0.6), 0.5, 1e-2, McConfig(samples=n, seed=7))[0])
             for n in (100_000, 400_000))
         assert quad.stderr == pytest.approx(base.stderr / 2, rel=0.2)
 
@@ -84,7 +97,14 @@ class TestStatistics:
 
     def test_bad_polarization_rejected(self):
         with pytest.raises(ValueError):
-            mc_coherent_gains("HHQ", (0.1, 0.1, 0.1), 0.5, 0.0,
+            mc_coherent_gains(("HHQ",), (0.1, 0.1, 0.1), 0.5, 0.0,
+                              McConfig(samples=10, seed=1))
+
+    @pytest.mark.parametrize("preparations", [(), [], "HHH", ("HHH", "HH"), ("HHH", None)])
+    def test_bad_preparations_rejected(self, preparations):
+        # a bare string is not a sequence of triples, though it iterates as one
+        with pytest.raises(ValueError, match="polarization triples"):
+            mc_coherent_gains(preparations, (0.1, 0.1, 0.1), 0.5, 0.0,
                               McConfig(samples=10, seed=1))
 
     @pytest.mark.parametrize("intensities, eta, p_d, slice_k", [
@@ -101,20 +121,22 @@ class TestStatistics:
         ((0.1, 0.1, 0.1), 0.5, 0.0, 0),
         ((0.1, 0.1, 0.1), 0.5, 0.0, -2),
         ((0.1, 0.1, 0.1), 0.5, 0.0, 2.5),
+        ((0.1, 0.1, 0.1), 0.5, 0.0, True),  # would run as K = 1
     ])
     def test_bad_inputs_rejected(self, intensities, eta, p_d, slice_k):
         with pytest.raises(ValueError):
-            mc_coherent_gains("HHH", intensities, eta, p_d,
+            mc_coherent_gains(("HHH",), intensities, eta, p_d,
                               McConfig(samples=10, seed=1), slice_k=slice_k)
 
-    @pytest.mark.parametrize("samples", [0, -5, 2.5, 1e5])
+    @pytest.mark.parametrize("samples", [0, -5, 2.5, 1e5, True, False])
     def test_bad_sample_count_rejected(self, samples):
         with pytest.raises(ValueError):
             McConfig(samples=samples)
 
-    @pytest.mark.parametrize("seed", [1.5, -1, 2 ** 64])
+    @pytest.mark.parametrize("seed", [1.5, -1, 2 ** 64, False, True])
     def test_bad_seed_rejected(self, seed):
-        # numpy would truncate 1.5 and run the seed-1 stream under the name 1.5
+        # numpy would truncate 1.5 and run the seed-1 stream under the name
+        # 1.5, and run False as the seed-0 stream
         with pytest.raises(ValueError, match="seed"):
             McConfig(samples=10, seed=seed)
 
