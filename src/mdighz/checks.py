@@ -13,8 +13,8 @@ import itertools
 import math
 from typing import NamedTuple
 
-from . import decoy, fock, gains, montecarlo
-from .params import DecoyPlan, SystemParams
+from . import decoy, gains, keyrates, montecarlo
+from .params import ExperimentConfig
 
 __all__ = ["Row", "monte_carlo", "symmetries", "brackets", "fock_closed_form"]
 
@@ -125,18 +125,16 @@ def symmetries(points) -> list[Row]:
     return rows
 
 
-def brackets(system: SystemParams, plan: DecoyPlan, distances) -> list[Row]:
-    """Weak-coherent two-decoy bounds against the exact engine at each
-    distance: Y111_zl must not exceed Y111_z, and where e111_bx is defined
-    e111_bxu must be too and not fall below it.  The deviation is
-    Y111_zl - Y111_z."""
+def brackets(cfg: ExperimentConfig, distances) -> list[Row]:
+    """Two-decoy bounds of the config's weak-coherent source model against the
+    exact engine at each distance: Y111_zl must not exceed Y111_z, and where
+    e111_bx is defined e111_bxu must be too and not fall below it.  The
+    deviation is Y111_zl - Y111_z."""
+    model = keyrates.source_model(cfg)
     rows = []
     for length in distances:
-        params = system.at_distance(length)
-        grid = decoy.build_gain_grid(lambda triples: gains.wcs_gain_sets(triples, params), plan)
-        bounds = decoy.single_photon_bounds(grid, decoy.poisson_level(plan.mu2),
-                                            decoy.poisson_level(plan.mu1))
-        exact = fock.exact_single_photon_stats_for(params)
+        grid, signal, decoy_level, exact, _, _ = model(cfg.system.at_distance(length))
+        bounds = decoy.single_photon_bounds(grid, signal, decoy_level)
         good = bounds.y111_zl <= exact.y111_z + BRACKET_SLACK
         if exact.e111_bx is not None:
             good = good and (bounds.e111_bxu is not None

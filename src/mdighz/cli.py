@@ -212,7 +212,7 @@ def cmd_validate(args) -> int:
               + checks.symmetries([(plan.mu2, eta, p_d), (plan.mu1, eta, p_d),
                                    (plan.mu2, system.detector.eta_d, p_d),
                                    (0.8, 0.25, p_d), (0.05, 0.9, p_d)])
-              + checks.brackets(system, plan, (0.0, 50.0, 100.0, 150.0))
+              + checks.brackets(cfg, (0.0, 50.0, 100.0, 150.0))
               + checks.fock_closed_form(4 if args.quick else 6))
     ok = all(row.passed for row in report)
     rows = [[r.check, r.analytic, r.estimate, "" if r.stderr is None else r.stderr,

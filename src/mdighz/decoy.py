@@ -21,7 +21,7 @@ from math import exp
 import numpy as np
 
 from .fock import N_MAX
-from .params import DecoyPlan, DetectorModel
+from .params import DecoyPlan, DetectorModel, NumericsError
 
 __all__ = [
     "LEVEL_PATTERNS",
@@ -29,6 +29,7 @@ __all__ = [
     "DecoyLevel",
     "SinglePhotonBounds",
     "MerminYieldBounds",
+    "grid_triples",
     "build_gain_grid",
     "poisson_level",
     "distribution_level",
@@ -69,14 +70,22 @@ class GainGrid:
         return self.entries[(level, pattern)]
 
 
-def build_gain_grid(gains_fn, plan: DecoyPlan) -> GainGrid:
-    """Evaluate `gains_fn(triples)` once: it maps the 15 intensity triples
-    (mu_a, mu_b, mu_c) of the patterns, shared vacuum first, to their gains."""
-    keys = [(level, pat) for level in ("signal", "decoy") for pat in LEVEL_PATTERNS]
+_GRID_KEYS = tuple((level, pat) for level in ("signal", "decoy") for pat in LEVEL_PATTERNS)
+
+
+def grid_triples(plan: DecoyPlan) -> tuple[tuple[float, float, float], ...]:
+    """The 15 intensity triples (mu_a, mu_b, mu_c) of a decoy grid: the shared
+    vacuum first, then the signal and the decoy patterns."""
     mus = {"signal": plan.mu2, "decoy": plan.mu1}
-    vacuum, *values = gains_fn(((0.0, 0.0, 0.0),) + tuple(
-        tuple(mus[level] * p for p in pat) for level, pat in keys))
-    entries = dict(zip(keys, values, strict=True))
+    return ((0.0, 0.0, 0.0),) + tuple(tuple(mus[level] * p for p in pat)
+                                      for level, pat in _GRID_KEYS)
+
+
+def build_gain_grid(gains_fn, plan: DecoyPlan) -> GainGrid:
+    """Evaluate `gains_fn(triples)` once: it maps the `grid_triples` of the
+    plan to their gains."""
+    vacuum, *values = gains_fn(grid_triples(plan))
+    entries = dict(zip(_GRID_KEYS, values, strict=True))
     entries[("signal", VACUUM)] = entries[("decoy", VACUUM)] = vacuum
     return GainGrid(entries)
 
@@ -95,8 +104,13 @@ class DecoyLevel:
 
 def poisson_level(mu: float) -> DecoyLevel:
     """Level of a Poisson (phase-randomized coherent) source, scaled by
-    e^(3 mu) so that c1 = mu and c2 = mu^2/2 carry no rounded exponential."""
-    return DecoyLevel(tuple(exp(k * mu) for k in range(4)), mu, mu * mu / 2.0)
+    e^(3 mu) so that c1 = mu and c2 = mu^2/2 carry no rounded exponential.
+    An intensity whose scale overflows is refused (NumericsError)."""
+    try:
+        return DecoyLevel(tuple(exp(k * mu) for k in range(4)), mu, mu * mu / 2.0)
+    except OverflowError:
+        raise NumericsError(f"decoy level at intensity {mu!r}: its scale e^(3 mu) "
+                            f"overflows a float") from None
 
 
 def distribution_level(p_n) -> DecoyLevel:

@@ -19,11 +19,11 @@ Heralded and photon-number-filtered variants take their gains from the exact
 Fock engine by binomial thinning: each user's photon-number distribution is
 thinned by the detector efficiency, and the joint thinned weights are
 contracted against the ideal-detector class components of a fixed set of
-photon-number triples, built once and free of any distance.  Like the
-weak-coherent path they take one call per decoy grid, which thins each
-distinct distribution once.  The truncation certificate of a distribution
-triple holds no distance either, so it is checked once per process and
-cached on the distributions' bytes.
+photon-number triples, free of any distance.  A source model builds these
+components once per curve and certifies the truncation of every combination
+of its decoy levels then, since neither holds a distance; like the
+weak-coherent path it then takes one call per decoy grid, which thins each
+level once.
 
 Conventions: a "gain" Q is the per-pulse-triple probability of one announced
 outcome class and includes the 1/8 preparation probability of the specific
@@ -42,7 +42,7 @@ from math import exp, expm1, prod, sqrt
 import numpy as np
 
 from . import fock
-from .params import DetectorModel, NumericsError, SystemParams, overall_efficiency
+from .params import NumericsError, SystemParams, overall_efficiency
 
 __all__ = [
     "ZGainComponents",
@@ -56,9 +56,9 @@ __all__ = [
     "phase_sliced_gains",
     "assemble_gain_set",
     "wcs_gain_sets",
-    "FockYields",
-    "fock_yields",
-    "gains_qnd",
+    "class_yields",
+    "thinned_gain_sets",
+    "fock_components",
 ]
 
 # Quadrature nodes per axis (read at call time); one refinement doubling
@@ -525,7 +525,6 @@ def wcs_gain_sets(triples, params: SystemParams) -> list[GainSet]:
 
 # Preparations of the gain classes a, b, c, d (rectilinear) and x (all "+").
 _CLASS_POLS = ("HHH", "HHV", "VHH", "HVH", "+++")
-_QND_TRIPLES = np.ones((2, 2, 2), dtype=bool)  # at most one photon per arm
 _WITHIN_CUTOFF = np.indices((fock.N_MAX + 1,) * 3).sum(axis=0) <= fock.N_MAX
 
 
@@ -541,13 +540,10 @@ def _class_table(shape, triples: bytes) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=8)
-def _class_yields(shape, triples: bytes, p_d: float) -> np.ndarray:
-    """(6, *shape): the class components of each triple at ideal detectors
-    with dark-count probability p_d."""
-    y = fock.ideal_yields(_class_table(shape, triples), p_d)
-    y.setflags(write=False)
-    return y
+def class_yields(mask: np.ndarray, p_d: float) -> np.ndarray:
+    """(6, *mask.shape): the class components of each triple of the boolean
+    `mask` at ideal detectors with dark-count probability p_d, 0 elsewhere."""
+    return fock.ideal_yields(_class_table(mask.shape, mask.tobytes()), p_d)
 
 
 def _thin(dist: np.ndarray, thinning: np.ndarray, k: int) -> np.ndarray:
@@ -556,26 +552,18 @@ def _thin(dist: np.ndarray, thinning: np.ndarray, k: int) -> np.ndarray:
     return dist @ thinning[:len(dist), :k]
 
 
-def _thinned_gain_sets(comps, dist_triples, thinning, e_d) -> list[GainSet]:
-    """GainSets of independent users, one per triple of photon-number
-    distributions: each distinct distribution is thinned by the detector
+def thinned_gain_sets(comps, levels, index_triples, thinning, e_d) -> list[GainSet]:
+    """GainSets of independent users, one per triple of indices into `levels`
+    (photon-number distributions): each level is thinned by the detector
     efficiency once, and each triple's joint thinned weights are contracted
     against the ideal-detector class components (6, k, k, k).  Every term is
     nonnegative, so the sums keep full relative precision."""
     k = comps.shape[-1]
     flat = comps.reshape(len(comps), -1)
-    thinned = {}
-
-    def thin(dist):
-        x = np.asarray(dist, dtype=float)[:len(thinning)]
-        key = x.tobytes()
-        if key not in thinned:
-            thinned[key] = _thin(x, thinning, k)
-        return thinned[key]
-
+    thinned = [_thin(np.asarray(x, dtype=float)[:len(thinning)], thinning, k) for x in levels]
     sets = []
-    for dists in dist_triples:
-        a, b, c = map(thin, dists)
+    for triple in index_triples:
+        a, b, c = (thinned[i] for i in triple)
         w = (a[:, None] * b[None, :])[:, :, None] * c[None, None, :]
         q = (flat @ w.ravel()).tolist()
         sets.append(assemble_gain_set(ZGainComponents(*q[:4]), XGainComponents(*q[4:]), e_d))
@@ -591,108 +579,32 @@ def _triple_weights(dists, floor):
     return w, (w >= floor) & (w > 0.0) & within
 
 
-def _dist_bytes(dist) -> bytes:
-    """The key of a photon-number distribution in the certificate caches."""
-    return np.asarray(dist, dtype=float)[:fock.N_MAX + 1].tobytes()
-
-
-@lru_cache(maxsize=128)
-def _certificate(dists: tuple[bytes, bytes, bytes], tail_budget: float, shape,
-                 triples: bytes) -> None:
-    """Certifies the truncation for users with the distributions whose bytes
-    are `dists`: the triples whose joint weight clears the floor
-    tail_budget / 4096 must be among `triples` (a boolean mask's bytes), and
-    the neglected probability mass (bounded by yields <= 1) must stay inside
-    the budget.  Neither depends on the distance.  A refusal raises, and
-    lru_cache keeps no raised call, so a refused triple is refused every time.
-    """
-    w, keep = _triple_weights([np.frombuffer(d) for d in dists], tail_budget / 4096.0)
-    tail = 1.0 - sum(w[keep].tolist())
-    if tail > tail_budget:
-        raise NumericsError(
-            f"photon-number truncation tail {tail:.3e} exceeds budget "
-            f"{tail_budget:.1e}; raise the cutoff or lower the source intensity"
-        )
-    mask = np.frombuffer(triples, dtype=bool).reshape(shape)
-    if np.any(keep & ~mask[:keep.shape[0], :keep.shape[1], :keep.shape[2]]):
-        raise ValueError("distributions need photon-number triples outside the "
-                         "levels these yields were built for")
-
-
-@lru_cache(maxsize=8)
-def _level_triples(levels: tuple[bytes, ...], tail_budget: float) -> np.ndarray:
-    """The downward-closed mask of the triples kept for users whose
-    distributions are among `levels` (their bytes)."""
-    size = fock.N_MAX + 1
-    top = np.zeros(size)
-    for level in map(np.frombuffer, levels):
-        top[:len(level)] = np.maximum(top[:len(level)], level)
-    top = np.maximum.accumulate(top[::-1])[::-1]
-    _, triples = _triple_weights((top, top, top), tail_budget / 4096.0)
-    triples.setflags(write=False)
-    return triples
-
-
-@dataclass(frozen=True)
-class FockYields:
-    """Ideal-detector class components of every photon-number triple that
-    users drawing their distributions from a fixed set of levels can need, at
-    one dark-count probability, and the thinning matrix of one efficiency.
-
-    `fock_yields` builds one per distance from distance-free parts cached
-    across distances; `gain_sets` then gives a decoy grid's gains in one call.
-    """
-
-    triples: np.ndarray  # (N_MAX + 1,)*3 bool, downward closed
-    comps: np.ndarray  # (6, N_MAX + 1, N_MAX + 1, N_MAX + 1), zero outside triples
-    thinning: np.ndarray  # (N_MAX + 1, N_MAX + 1)
-    tail_budget: float
-
-    def gain_sets(self, dist_triples, e_d: float) -> list[GainSet]:
-        """GainSets for a sequence of triples of independent per-user
-        photon-number distributions, one per triple.
-
-        Every triple's truncation is certified (`_certificate`, once per
-        distinct triple in a process) before any gain is formed.
-        """
-        mask = self.triples.tobytes()
-        for dists in dist_triples:
-            _certificate(tuple(map(_dist_bytes, dists)), self.tail_budget,
-                         self.triples.shape, mask)
-        return _thinned_gain_sets(self.comps, dist_triples, self.thinning, e_d)
-
-
-def fock_yields(levels, eta: float, p_d: float,
-                tail_budget: float = 1e-12) -> FockYields:
-    """FockYields for users whose photon-number distributions are among
-    `levels`.  A triple kept for any combination of levels is kept for their
-    elementwise maximum, made nonincreasing in the photon number so that the
-    triples it keeps are downward closed: each holds every triple its photons
-    thin into.
-
-    A level whose all-users combination breaks the truncation budget is
-    refused before any table is built.
-    """
-    levels = tuple(map(_dist_bytes, levels))
-    triples = _level_triples(levels, tail_budget)
-    mask = triples.tobytes()
+def _envelope(levels, floor: float) -> np.ndarray:
+    """The triples kept for the levels' elementwise maximum made nonincreasing
+    in the photon number: downward closed, so each holds every triple its
+    photons thin into, and holding those kept for any combination of levels."""
+    top = np.zeros(fock.N_MAX + 1)
     for level in levels:
-        _certificate((level,) * 3, tail_budget, triples.shape, mask)
-    return FockYields(triples, _class_yields(triples.shape, mask, p_d),
-                      fock.thinning_matrix(eta), tail_budget)
+        top[:len(level)] = np.maximum(top[:len(level)], level)
+    return _triple_weights((np.maximum.accumulate(top[::-1])[::-1],) * 3, floor)[1]
 
 
-def gains_qnd(triples, eta_t: float, detector: DetectorModel, e_d: float) -> list[GainSet]:
-    """GainSets for weak coherent pulses behind a nondestructive <=1-photon
-    filter per arm, one per intensity triple (mu, nu, omega).
-
-    Transmission eta_t thins the Poisson inputs before the filter; only the
-    detector efficiency thins the filtered photon numbers, so the yields do
-    not depend on the distance.  Events with two or more photons in any arm are discarded (the
-    Poisson weights are deliberately not renormalized).
-    """
-    dist_triples = [[(exp(-lam), lam * exp(-lam))
-                     for lam in (mu * eta_t, nu * eta_t, omega * eta_t)]
-                    for mu, nu, omega in triples]
-    comps = _class_yields(_QND_TRIPLES.shape, _QND_TRIPLES.tobytes(), detector.p_d)
-    return _thinned_gain_sets(comps, dist_triples, fock.thinning_matrix(detector.eta_d), e_d)
+def fock_components(levels, index_triples, p_d: float,
+                    tail_budget: float = 1e-12) -> np.ndarray:
+    """`class_yields` at p_d on the envelope of the photon-number distributions
+    `levels`.  Before any table is built, the truncation is certified once for
+    each distinct combination of levels, each level for all users and then
+    `index_triples`: the triples below the floor tail_budget / 4096 are
+    dropped, and their probability mass (bounded by yields <= 1) must stay
+    inside the budget.  Every kept triple lies in the envelope."""
+    levels = [np.asarray(x, dtype=float)[:fock.N_MAX + 1] for x in levels]
+    floor = tail_budget / 4096.0
+    for triple in dict.fromkeys([*((k, k, k) for k in range(len(levels))), *index_triples]):
+        w, keep = _triple_weights([levels[i] for i in triple], floor)
+        tail = 1.0 - sum(w[keep].tolist())
+        if tail > tail_budget:
+            raise NumericsError(
+                f"photon-number truncation tail {tail:.3e} exceeds budget "
+                f"{tail_budget:.1e}; raise the cutoff or lower the source intensity"
+            )
+    return class_yields(_envelope(levels, floor), p_d)

@@ -13,16 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import exp
+from typing import NamedTuple
 
 import numpy as np
 
 from . import decoy, fock, gains
-from .params import (ConfigError, DecoyPlan, ExperimentConfig, binary_entropy,
+from .params import (ConfigError, DecoyPlan, ExperimentConfig, SystemParams, binary_entropy,
                      overall_efficiency, transmission_efficiency)
 
 __all__ = [
     "VARIANTS",
     "RatePoint",
+    "SourcePoint",
+    "source_model",
     "qcc_rate",
     "qss_rate",
     "qss_pps_rate",
@@ -72,9 +75,9 @@ def _rate_core(f: float, q_vacuum: float, q111: float, e_phase: float | None,
 
 def qcc_rate(f: float, signal: gains.GainSet, alice_vacuum: gains.GainSet,
              p111: float, y111_zl: float, e111_bxu: float | None,
-             mu_alice: float) -> tuple[float, float, tuple[str, ...]]:
+             p_alice_vacuum: float) -> tuple[float, float, tuple[str, ...]]:
     """Conferencing rate: R = Qv + Q111 [1 - H(e111)] - H(max pairwise QBER) f Qz."""
-    q_v = exp(-mu_alice) * alice_vacuum.q_z
+    q_v = p_alice_vacuum * alice_vacuum.q_z
     q111 = p111 * y111_zl
     if signal.q_z == 0.0:
         e_star = None
@@ -108,104 +111,121 @@ def qss_pps_rate(f: float, k: int, sliced: gains.SlicedGains, e_d: float,
 
 
 # ---------------------------------------------------------------------------
-# Per-distance pipelines
+# Source models: the distance-free work once per curve
 # ---------------------------------------------------------------------------
 
-def _poisson_p111(mu, nu, omega) -> float:
-    return mu * nu * omega * exp(-mu - nu - omega)
+class SourcePoint(NamedTuple):
+    """A source at one distance, as the decoy estimator and the rates see it."""
+
+    grid: decoy.GainGrid
+    signal_level: decoy.DecoyLevel
+    decoy_level: decoy.DecoyLevel
+    exact: fock.SinglePhotonStats  # the infinite-decoy reference
+    p_vacuum: float  # probability that the reference user sends vacuum
+    p111: float  # probability that every user sends one photon
 
 
-def _wcs_point(cfg: ExperimentConfig, length_km: float, protocol: str) -> RatePoint:
-    params = cfg.system.at_distance(length_km)
+def _poisson_p111(mu) -> float:
+    return mu * mu * mu * exp(-mu - mu - mu)
+
+
+def _level_indices(plan: DecoyPlan) -> list[tuple[int, int, int]]:
+    """The grid's intensity triples by level index: 0 vacuum, 1 decoy, 2 signal."""
+    index = {0.0: 0, plan.mu1: 1, plan.mu2: 2}
+    return [tuple(index[mu] for mu in t) for t in decoy.grid_triples(plan)]
+
+
+def _wcs_model(cfg: ExperimentConfig):
     plan = cfg.decoy
-    grid = decoy.build_gain_grid(lambda triples: gains.wcs_gain_sets(triples, params), plan)
-    bounds = decoy.single_photon_bounds(grid, decoy.poisson_level(plan.mu2),
-                                        decoy.poisson_level(plan.mu1))
-    exact = fock.exact_single_photon_stats_for(params)
-    signal = grid.gain("signal", (1, 1, 1))
-    p111 = _poisson_p111(plan.mu2, plan.mu2, plan.mu2)
+    levels = decoy.poisson_level(plan.mu2), decoy.poisson_level(plan.mu1)
+    p_vacuum, p111 = exp(-plan.mu2), _poisson_p111(plan.mu2)
 
-    if protocol == "qcc":
-        vac = grid.gain("signal", (0, 1, 1))
-        rate, raw, d1 = qcc_rate(params.f, signal, vac, p111,
-                                 bounds.y111_zl, bounds.e111_bxu, plan.mu2)
-        rate_inf, _, _ = qcc_rate(params.f, signal, vac, p111,
-                                  exact.y111_z, exact.e111_bx, plan.mu2)
+    def at(params: SystemParams) -> SourcePoint:
+        grid = decoy.build_gain_grid(lambda triples: gains.wcs_gain_sets(triples, params), plan)
+        return SourcePoint(grid, *levels, fock.exact_single_photon_stats_for(params),
+                           p_vacuum, p111)
+    return at
+
+
+def _heralded_model(cfg: ExperimentConfig):
+    """Triggered pair sources: the level distributions, their truncation
+    certificate and their class components hold no distance."""
+    plan = cfg.decoy
+    levels = [decoy.vacuum_stats()] + [decoy.heralded_stats(mu, cfg.source.trigger)
+                                       for mu in (plan.mu1, plan.mu2)]
+    triples = _level_indices(plan)
+    comps = gains.fock_components(levels, triples, cfg.system.detector.p_d)
+    signal, decoy_level = decoy.distribution_level(levels[2]), decoy.distribution_level(levels[1])
+    p_vacuum, p111 = float(levels[2][0]), float(levels[2][1]) ** 3
+
+    def at(params: SystemParams) -> SourcePoint:
+        thinning = fock.thinning_matrix(overall_efficiency(params.channel, params.detector))
+        grid = decoy.build_gain_grid(  # the triples are the grid's, by level index
+            lambda _: gains.thinned_gain_sets(comps, levels, triples, thinning, params.e_d), plan)
+        return SourcePoint(grid, signal, decoy_level, fock.exact_single_photon_stats_for(params),
+                           p_vacuum, p111)
+    return at
+
+
+def _qnd_model(cfg: ExperimentConfig):
+    """Weak coherent pulses behind the <=1-photon filter.  The channel is a
+    Poisson photon-number channel with arrival intensities lambda = mu eta_t,
+    so the estimator runs on Poisson levels at the arrival intensities and
+    recovers the filtered single-photon yield at the bare detector efficiency.
+    Events with two or more photons in an arm are discarded, not renormalized.
+    Only the detector thins the filtered photons, so the class components, the
+    thinning and the exact reference hold no distance."""
+    plan, det = cfg.decoy, cfg.system.detector
+    triples = _level_indices(plan)
+    comps = gains.class_yields(np.ones((2, 2, 2), dtype=bool), det.p_d)
+    thinning = fock.thinning_matrix(det.eta_d)
+    exact = fock.exact_single_photon_stats(det.eta_d, det.p_d, cfg.system.e_d)
+    p_vacuum = exp(-plan.mu2)
+
+    def at(params: SystemParams) -> SourcePoint:
+        eta_t = transmission_efficiency(params.channel)
+        lam = [mu * eta_t for mu in (0.0, plan.mu1, plan.mu2)]
+        levels = [(exp(-x), x * exp(-x)) for x in lam]
+        grid = decoy.build_gain_grid(  # the triples are the grid's, by level index
+            lambda _: gains.thinned_gain_sets(comps, levels, triples, thinning, params.e_d), plan)
+        return SourcePoint(grid, decoy.poisson_level(lam[2]), decoy.poisson_level(lam[1]),
+                           exact, p_vacuum, _poisson_p111(lam[2]))
+    return at
+
+
+_MODELS = {"wcs": _wcs_model, "heralded": _heralded_model, "wcs_qnd": _qnd_model}
+
+
+def source_model(cfg: ExperimentConfig):
+    """The config's source as one function of SystemParams -> SourcePoint; all
+    of its distance-free work is done here, once."""
+    return _MODELS[cfg.source.kind](cfg)
+
+
+def _point(variant: str, cfg: ExperimentConfig, model, length_km: float) -> RatePoint:
+    """Two-decoy bounds and the variant's rates at one distance."""
+    params = cfg.system.at_distance(length_km)
+    grid, signal_level, decoy_level, exact, p_vacuum, p111 = model(params)
+    bounds = decoy.single_photon_bounds(grid, signal_level, decoy_level)
+    signal, vacuum = grid.gain("signal", (1, 1, 1)), grid.gain("signal", (0, 1, 1))
+    f = params.f
+    if variant == "qcc":  # (yield, error) pairs: two-decoy bounds, then the exact values
+        pairs = (bounds.y111_zl, bounds.e111_bxu), (exact.y111_z, exact.e111_bx)
+        rates = [qcc_rate(f, signal, vacuum, p111, y, e, p_vacuum) for y, e in pairs]
         cols = {"e111_bxu": bounds.e111_bxu, "Y111_zl": bounds.y111_zl}
-    else:  # qss_pps
-        k = cfg.phase.k
-        eta = overall_efficiency(params.channel, params.detector)
-        sliced = gains.phase_sliced_gains(plan.mu2, plan.mu2, plan.mu2, eta,
-                                          params.detector.p_d, k)
-        rate, raw, d1 = qss_pps_rate(params.f, k, sliced, params.e_d, p111,
-                                     bounds.y111_xl, bounds.e111_bzu)
-        rate_inf, _, _ = qss_pps_rate(params.f, k, sliced, params.e_d, p111,
-                                      exact.y111_x, exact.e111_bz)
-        cols = {"e111_bzu": bounds.e111_bzu, "Y111_xl": bounds.y111_xl,
-                "Q_x_sliced": sliced.q_total, "E_x_sliced": sliced.error_rate(params.e_d)}
-    return RatePoint(length_km, rate, rate_inf, raw, cols,
-                     tuple(bounds.diagnostics) + d1)
-
-
-def _qss_point(length_km, f, grid, bounds, exact, p_alice_vacuum, p111) -> RatePoint:
-    """Secret-sharing point on diagonal-basis data (heralded / filtered sources)."""
-    signal = grid.gain("signal", (1, 1, 1))
-    q_vac = grid.gain("signal", (0, 1, 1)).q_x
-    rate, raw, d1 = qss_rate(f, signal, q_vac, p_alice_vacuum, p111,
-                             bounds.y111_xl, bounds.e111_bzu)
-    rate_inf, _, _ = qss_rate(f, signal, q_vac, p_alice_vacuum, p111,
-                              exact.y111_x, exact.e111_bz)
-    cols = {"e111_bzu": bounds.e111_bzu, "Y111_xl": bounds.y111_xl,
-            "Q_x": signal.q_x, "E_x": signal.e_x}
-    return RatePoint(length_km, rate, rate_inf, raw, cols,
-                     tuple(bounds.diagnostics) + d1)
-
-
-def _heralded_point(cfg: ExperimentConfig, length_km: float) -> RatePoint:
-    params = cfg.system.at_distance(length_km)
-    plan = cfg.decoy
-    eta = overall_efficiency(params.channel, params.detector)
-    p_d = params.detector.p_d
-    p_n = {0.0: decoy.vacuum_stats(),
-           plan.mu1: decoy.heralded_stats(plan.mu1, cfg.source.trigger),
-           plan.mu2: decoy.heralded_stats(plan.mu2, cfg.source.trigger)}
-    yields = gains.fock_yields(list(p_n.values()), eta, p_d)
-    grid = decoy.build_gain_grid(
-        lambda triples: yields.gain_sets([(p_n[a], p_n[b], p_n[c]) for a, b, c in triples],
-                                         params.e_d), plan)
-    signal = p_n[plan.mu2]
-    bounds = decoy.single_photon_bounds(grid, decoy.distribution_level(signal),
-                                        decoy.distribution_level(p_n[plan.mu1]))
-    return _qss_point(length_km, params.f, grid, bounds,
-                      fock.exact_single_photon_stats_for(params),
-                      float(signal[0]), float(signal[1]) ** 3)
-
-
-# Behind the filter only the detector thins the photons, so the exact
-# single-photon reference of a filtered curve is the same at every distance.
-_filtered_single_photon_stats = lru_cache(maxsize=8)(fock.exact_single_photon_stats)
-
-
-def _qnd_point(cfg: ExperimentConfig, length_km: float) -> RatePoint:
-    """Photon-number-filtered variant.
-
-    The channel is a Poisson photon-number channel with arrival intensities
-    lambda = mu * eta_t, so the two-decoy estimator runs on Poisson levels at
-    the arrival intensities and recovers the filtered single-photon yield at
-    the bare detector efficiency.
-    """
-    params = cfg.system.at_distance(length_km)
-    plan = cfg.decoy
-    eta_t = transmission_efficiency(params.channel)
-    det = params.detector
-    grid = decoy.build_gain_grid(
-        lambda triples: gains.gains_qnd(triples, eta_t, det, params.e_d), plan)
-    lam = plan.mu2 * eta_t
-    bounds = decoy.single_photon_bounds(grid, decoy.poisson_level(lam),
-                                        decoy.poisson_level(plan.mu1 * eta_t))
-    return _qss_point(length_km, params.f, grid, bounds,
-                      _filtered_single_photon_stats(det.eta_d, det.p_d, params.e_d),
-                      exp(-plan.mu2), _poisson_p111(lam, lam, lam))
+    else:
+        pairs = (bounds.y111_xl, bounds.e111_bzu), (exact.y111_x, exact.e111_bz)
+        cols = {"e111_bzu": bounds.e111_bzu, "Y111_xl": bounds.y111_xl}
+        if variant == "qss_pps":
+            k, eta = cfg.phase.k, overall_efficiency(params.channel, params.detector)
+            sliced = gains.phase_sliced_gains(*(cfg.decoy.mu2,) * 3, eta, params.detector.p_d, k)
+            rates = [qss_pps_rate(f, k, sliced, params.e_d, p111, y, e) for y, e in pairs]
+            cols.update(Q_x_sliced=sliced.q_total, E_x_sliced=sliced.error_rate(params.e_d))
+        else:
+            rates = [qss_rate(f, signal, vacuum.q_x, p_vacuum, p111, y, e) for y, e in pairs]
+            cols.update(Q_x=signal.q_x, E_x=signal.e_x)
+    (rate, raw, diags), (rate_inf, _, _) = rates
+    return RatePoint(length_km, rate, rate_inf, raw, cols, tuple(bounds.diagnostics) + diags)
 
 
 def _check_variant(variant: str, cfg: ExperimentConfig) -> None:
@@ -222,20 +242,19 @@ def _check_variant(variant: str, cfg: ExperimentConfig) -> None:
 
 
 def rate_point(variant: str, cfg: ExperimentConfig, length_km: float) -> RatePoint:
-    _check_variant(variant, cfg)
-    if variant == "qss_heralded":
-        return _heralded_point(cfg, length_km)
-    if variant == "qss_qnd":
-        return _qnd_point(cfg, length_km)
-    return _wcs_point(cfg, length_km, variant)
+    return sweep(variant, cfg, (length_km,))[0]
 
 
 def sweep(variant: str, cfg: ExperimentConfig, distances=None) -> tuple[RatePoint, ...]:
-    """Evaluate the full pipeline at each distance of the grid, in grid order."""
+    """Evaluate the full pipeline at each distance of the grid, in grid order,
+    on one source model (none for an empty grid)."""
     _check_variant(variant, cfg)
     if distances is None:
         distances = cfg.sweep.distances()
-    return tuple(rate_point(variant, cfg, d) for d in distances)
+    if len(distances) == 0:
+        return ()
+    model = source_model(cfg)
+    return tuple(_point(variant, cfg, model, d) for d in distances)
 
 
 def optimize_intensities(variant: str, cfg: ExperimentConfig, length_km: float,

@@ -3,7 +3,7 @@ from pathlib import Path
 import hypothesis
 import pytest
 
-from mdighz import gains
+from mdighz import fock, gains
 from mdighz.params import (ChannelModel, DetectorModel, SystemParams,
                            DecoyPlan, overall_efficiency, parse_config)
 
@@ -51,6 +51,14 @@ def naive_qss_error(params, mu, nu, omega):
     x = gains.x_gain_components(mu, nu, omega, eta, params.detector.p_d)
     z = gains.z_gain_components(mu, nu, omega, eta, params.detector.p_d)
     return gains.assemble_gain_set(z, x, params.e_d).e_x
+
+
+def fock_gain_set(dists, eta, p_d, e_d=0.0, tail_budget=1e-12):
+    """The GainSet of one triple of per-user photon-number distributions, on
+    class components built for those three distributions alone."""
+    triple = [(0, 1, 2)]
+    comps = gains.fock_components(dists, triple, p_d, tail_budget)
+    return gains.thinned_gain_sets(comps, dists, triple, fock.thinning_matrix(eta), e_d)[0]
 
 
 def cutoff_km(points):

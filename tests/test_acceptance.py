@@ -97,7 +97,7 @@ class TestCriterion5DecoySoundness:
         for eta_d in (0.40, 0.93):
             cfg = qcc_config(eta_d=eta_d)
             distances = np.arange(0.0, 151.0, 15.0)
-            ok &= all(row.passed for row in checks.brackets(cfg.system, cfg.decoy, distances))
+            ok &= all(row.passed for row in checks.brackets(cfg, distances))
             for length in distances:
                 pt = keyrates.rate_point("qcc", cfg, float(length))
                 ok &= pt.columns["e111_bxu"] is not None  # so its bracket was checked

@@ -13,8 +13,7 @@ MIXED = ("HHV", "VHH", "HVH")
 GRID = [(0.4, 0.04, 1e-7), (0.05, 0.9, 1e-4), (0.8, 0.25, 1e-2)]
 FAMILIES = {"mc": lambda: checks.monte_carlo(0.8, 0.7, 0.01, 100_000, 1, sliced=(0.8, 8)),
             "sym": lambda: checks.symmetries(GRID),
-            "bracket": lambda: checks.brackets(qcc_config().system, qcc_config().decoy,
-                                               (0.0, 50.0)),
+            "bracket": lambda: checks.brackets(qcc_config(), (0.0, 50.0)),
             "fock": lambda: checks.fock_closed_form(3)}
 
 

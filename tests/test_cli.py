@@ -103,9 +103,6 @@ class TestQccCommand:
             # cold caches, so that each run builds the yield tables afresh
             fock._single_photon_table.cache_clear()
             gains._class_table.cache_clear()
-            gains._class_yields.cache_clear()
-            gains._level_triples.cache_clear()
-            gains._certificate.cache_clear()
             out = tmp_path / f"{tag}.csv"
             assert cli.main(["qss", "--config", str(her), "--out", str(out),
                              "--seed", "7"]) == 0
@@ -116,8 +113,7 @@ class TestQccCommand:
 class TestQssCommand:
     def test_one_process_repeats_a_fresh_one(self, tmp_path):
         # the distance-free caches are shared by every curve of a process
-        for cache in (fock._party_terms, fock._single_photon_table, gains._class_table,
-                      gains._class_yields, gains._level_triples, gains._certificate):
+        for cache in (fock._party_terms, fock._single_photon_table, gains._class_table):
             cache.cache_clear()
         outs = []
         for tag, name in (("first", "qss_heralded_eta40"), ("qnd", "qss_qnd_eta40"),
@@ -356,3 +352,28 @@ class TestExitCodeContract:
         assert code == 4
         assert "photon-number truncation tail" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, name", [("qss", "qss_qnd_eta40"), ("qcc", "qcc_eta40")],
+                             ids=["qnd", "qcc"])
+    def test_overflowing_decoy_level_exits_4(self, command, name, tmp_path, capsys):
+        # the Poisson level's scale e^(3 mu) overflows a float: a numerics
+        # refusal that names the intensity, no traceback
+        cfg = config_copy(tmp_path, name, ("source.mu = 0.4", "source.mu = 1000"),
+                          ("sweep.L_max = 250", "sweep.L_max = 2"))
+        code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "intensity 1000.0" in err
+        assert "Traceback" not in err
+
+    def test_empty_grid_of_a_refused_source_exits_0(self, tmp_path):
+        # the too-bright heralded source above, on a grid with no distance: no
+        # source model is built, so nothing is refused
+        cfg = config_copy(tmp_path, "qss_heralded_eta40", ("source.mu = 5e-3", "source.mu = 0.5"),
+                          ("sweep.L_min = 0", "sweep.L_min = 10"),
+                          ("sweep.L_max = 200", "sweep.L_max = 5"))
+        out = tmp_path / "out.csv"
+        assert cli.main(["qss", "--config", str(cfg), "--out", str(out)]) == 0
+        assert [l for l in out.read_text().splitlines() if not l.startswith("#")] == [
+            "distance_km,rate_two_decoy,rate_infinite_decoy,raw_rate,e111_bzu,Y111_xl,Q_x,E_x,"
+            "diagnostics"]

@@ -11,6 +11,7 @@ from mdighz.decoy import (DEGENERATE, GainGrid, build_gain_grid,
                           poisson_level, single_photon_bounds, vacuum_stats)
 from mdighz.params import (ChannelModel, DecoyPlan, DetectorModel, SystemParams,
                            overall_efficiency)
+from conftest import fock_gain_set
 from yield_reference import single_photon_phi_plus
 
 
@@ -79,7 +80,8 @@ class TestGainGrid:
         assert len(calls) == 1  # one evaluation for the whole grid
         triples = calls[0]
         assert len(triples) == 15
-        assert triples.count((0.0, 0.0, 0.0)) == 1
+        assert triples == decoy.grid_triples(plan)
+        assert triples.count((0.0, 0.0, 0.0)) == 1 and triples[0] == (0.0, 0.0, 0.0)
         assert grid.gain("signal", (0, 0, 0)) is grid.gain("decoy", (0, 0, 0))
         assert grid.gain("signal", (1, 0, 1)).q_z == 0.8
         assert grid.gain("decoy", (0, 1, 1)).q_z == 0.01
@@ -231,8 +233,7 @@ class TestHeraldedBounds:
             eta = det.eta_d * 10 ** (-0.2 * length / 10)
 
             def gain_set(a, b, c):
-                dists = (stats[a], stats[b], stats[c])
-                return gains.fock_yields(dists, eta, det.p_d).gain_sets([dists], params.e_d)[0]
+                return fock_gain_set((stats[a], stats[b], stats[c]), eta, det.p_d, params.e_d)
 
             grid = build_gain_grid(lambda triples: [gain_set(*t) for t in triples], plan)
             bounds = single_photon_bounds(grid, distribution_level(stats[plan.mu2]),

@@ -422,7 +422,7 @@ def heralded_mask(name):
     cfg = parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
     levels = [decoy.vacuum_stats()] + [decoy.heralded_stats(mu, cfg.source.trigger)
                                        for mu in (cfg.decoy.mu1, cfg.decoy.mu2)]
-    return gains.fock_yields(levels, 0.5, 1e-7).triples
+    return gains._envelope(levels, 1e-12 / 4096.0)
 
 
 def cyclic_orbits(preps, mask):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, fock_gain_set
 from mdighz import checks, decoy, fock, gains, keyrates, montecarlo
 from mdighz.params import (ChannelModel, DecoyPlan, DetectorModel, NumericsError,
                            SystemParams, overall_efficiency, parse_config,
@@ -77,18 +77,6 @@ def plain_full_circle(signs, mu, nu, omega, eta, p_d, nodes):
     sums = plain_outcome_sums(ia, ib, ic, signs, (np.cos(pab), np.cos(pac - pab), np.cos(pac)),
                               p_d)
     return tuple((s.reshape(len(ia), -1).mean(axis=-1) / 8.0).tolist() for s in sums)
-
-
-def plan_triples(plan):
-    """The intensity triples, vacuum first, that a decoy grid evaluates."""
-    seen = []
-
-    def gains_fn(triples):
-        seen.extend(triples)
-        return triples
-
-    decoy.build_gain_grid(gains_fn, plan)
-    return seen
 
 
 def gauss_legendre(n, length):
@@ -261,7 +249,7 @@ class TestDiagonalQuadrature:
     def test_stacked_equals_per_triple_calls(self, signs, eta, p_d):
         # every triple of a decoy plan: the stacked gains are bit-identical to
         # the scalar calls, because each triple keeps its own pairwise sum
-        triples = plan_triples(DecoyPlan(0.4, 0.005))
+        triples = decoy.grid_triples(DecoyPlan(0.4, 0.005))
         assert len(triples) == 15
         q_c, q_e = gains.mermin_outcome_gains(signs, *zip(*triples), eta, p_d)
         for t, c, e in zip(triples, q_c, q_e, strict=True):
@@ -273,7 +261,7 @@ class TestDiagonalQuadrature:
     def test_negated_pair_equals_two_calls(self, signs, eta, p_d):
         # one evaluation for s and -s, the path of every Mermin point, gives
         # exactly the gains of the two separate calls
-        triples = plan_triples(DecoyPlan(0.4, 0.005))
+        triples = decoy.grid_triples(DecoyPlan(0.4, 0.005))
         both = gains.mermin_outcome_gains(signs, *zip(*triples), eta, p_d, negated=True)
         negated = tuple(-s for s in signs)
         assert both == (gains.mermin_outcome_gains(signs, *zip(*triples), eta, p_d)
@@ -360,7 +348,7 @@ class TestOutcomeKernel:
     def test_workspace_is_per_thread(self):
         # two threads at once, each alternating a 15-row and a 1-row stacked
         # call; a shared workspace would mix their grids
-        triples = plan_triples(DecoyPlan(0.4, 0.005))
+        triples = decoy.grid_triples(DecoyPlan(0.4, 0.005))
         calls = [((1, 1, 1), *zip(*triples), 0.04, 1e-7),
                  ((1, -1, 1), *triples[7], 0.5, 1e-3)]
         want = [gains.mermin_outcome_gains(*c, negated=True) for c in calls]
@@ -499,7 +487,7 @@ class TestAssembly:
         params = SystemParams(ChannelModel(0.2, 120.0), DetectorModel(0.4, 1e-7),
                               0.015, 1.16)
         eta = overall_efficiency(params.channel, params.detector)
-        triples = plan_triples(DecoyPlan(0.4, 0.005))
+        triples = decoy.grid_triples(DecoyPlan(0.4, 0.005))
         for t, gs in zip(triples, gains.wcs_gain_sets(triples, params), strict=True):
             want = gains.assemble_gain_set(gains.z_gain_components(*t, eta, 1e-7),
                                            gains.x_gain_components(*t, eta, 1e-7), 0.015)
@@ -509,7 +497,7 @@ class TestAssembly:
 class TestHeraldedGains:
     def test_vacuum_levels_give_dark_gains(self):
         dists = (decoy.vacuum_stats(),) * 3
-        gs = gains.fock_yields(dists, 0.4, 1e-3).gain_sets([dists], 0.0)[0]
+        gs = fock_gain_set(dists, 0.4, 1e-3)
         z = gains.z_gain_components(0, 0, 0, 0.4, 1e-3)
         assert gs.q_cz == pytest.approx(4 * z.a, rel=1e-12, abs=0.0)
         assert gs.q_ez == pytest.approx(4 * (z.b + z.c + z.d), rel=1e-12, abs=0.0)
@@ -520,10 +508,9 @@ class TestHeraldedGains:
         p_n = decoy.heralded_stats(1e-3, trig)
         eta, p_d = 0.04, 0.0
         dists = (p_n,) * 3
-        full = gains.fock_yields(dists, eta, p_d).gain_sets([dists], 0.0)[0]
+        full = fock_gain_set(dists, eta, p_d)
         def high_order_fraction(st):
-            dists = (st,) * 3
-            total = gains.fock_yields(dists, eta, p_d).gain_sets([dists], 0.0)[0].q_x
+            total = fock_gain_set((st,) * 3, eta, p_d).q_x
             low_orders = 0.0
             for n, m, l in itertools.product(range(4), repeat=3):
                 if n + m + l > 3:
@@ -548,7 +535,7 @@ class TestHeraldedGains:
         ns = np.arange(13)
         pois = np.exp(-mu) * mu ** ns / np.vectorize(math.factorial)(ns)
         dists = (pois, pois, pois)
-        gs = gains.fock_yields(dists, eta, p_d, tail_budget=1e-9).gain_sets([dists], 0.0)[0]
+        gs = fock_gain_set(dists, eta, p_d, tail_budget=1e-9)
         z = gains.z_gain_components(mu, mu, mu, eta, p_d)
         x = gains.x_gain_components(mu, mu, mu, eta, p_d)
         assert gs.q_cz == pytest.approx(4 * z.a, rel=1e-8, abs=0.0)
@@ -578,7 +565,7 @@ class TestHeraldedGains:
                                       + [ys[4][0] / 8.0, ys[4][1] / 8.0])
             want = gains.assemble_gain_set(gains.ZGainComponents(*comps[:4]),
                                            gains.XGainComponents(*comps[4:]), 0.0)
-            got = gains.fock_yields(dists, eta, p_d).gain_sets([dists], 0.0)[0]
+            got = fock_gain_set(dists, eta, p_d)
             for field in ("q_cz", "q_ez", "q_czab", "q_czac", "q_cx", "q_ex"):
                 assert getattr(got, field) == pytest.approx(
                     getattr(want, field), rel=1e-13, abs=0.0), field
@@ -587,18 +574,12 @@ class TestHeraldedGains:
         trig = DetectorModel(0.4, 1e-7)
         levels = [decoy.vacuum_stats(), decoy.heralded_stats(5e-4, trig),
                   decoy.heralded_stats(5e-3, trig)]
-        yields = gains.fock_yields(levels, 0.004, 1e-7)
-        for combo in itertools.product(range(3), repeat=3):
+        combos = list(itertools.product(range(3), repeat=3))
+        shared = gains.thinned_gain_sets(gains.fock_components(levels, combos, 1e-7), levels,
+                                         combos, fock.thinning_matrix(0.004), 0.015)
+        for combo, gs in zip(combos, shared, strict=True):
             dists = tuple(levels[k] for k in combo)
-            assert yields.gain_sets([dists], 0.015)[0] == gains.fock_yields(
-                dists, 0.004, 1e-7).gain_sets([dists], 0.015)[0]
-
-    def test_distributions_outside_the_levels_rejected(self):
-        trig = DetectorModel(0.4, 1e-7)
-        vac = decoy.vacuum_stats()
-        p_n = decoy.heralded_stats(5e-3, trig)
-        with pytest.raises(ValueError, match="levels"):
-            gains.fock_yields([vac], 0.04, 1e-7).gain_sets([(p_n, p_n, p_n)], 0.0)
+            assert gs == fock_gain_set(dists, 0.004, 1e-7, 0.015)
 
     def test_truncation_budget_enforced(self, monkeypatch):
         ns = np.arange(13)
@@ -611,20 +592,29 @@ class TestHeraldedGains:
         # the budget is checked before any table is built or looked up
         monkeypatch.setattr(gains, "_class_table", no_table)
         monkeypatch.setattr(fock, "ideal_detector_table", no_table)
-        dists = (pois, pois, pois)
         with pytest.raises(NumericsError, match="truncation"):
-            gains.fock_yields(dists, 0.5, 0.0).gain_sets([dists], 0.0)
+            gains.fock_components((pois, pois, pois), [(0, 1, 2)], 0.0)
+
+
+def qnd_gain_set(mu, eta_t, detector, e_d):
+    """The GainSet of (mu, mu, mu) behind the <=1-photon filter: the Poisson
+    level at mu * eta_t cut to at most one photon, thinned by the detector
+    efficiency against the one-photon class components."""
+    lam = mu * eta_t
+    comps = gains.class_yields(np.ones((2, 2, 2), dtype=bool), detector.p_d)
+    return gains.thinned_gain_sets(comps, [(math.exp(-lam), lam * math.exp(-lam))],
+                                   [(0, 0, 0)], fock.thinning_matrix(detector.eta_d), e_d)[0]
 
 
 class TestQndGains:
     def test_no_light(self):
-        [gs] = gains.gains_qnd([(0, 0, 0)], 0.5, DetectorModel(0.4, 0.0), 0.0)
+        gs = qnd_gain_set(0.0, 0.5, DetectorModel(0.4, 0.0), 0.0)
         assert gs.q_z == 0.0 and gs.q_x == 0.0
 
     def test_equals_restricted_fock_sum(self):
         mu, eta_t = 0.4, 0.1
         det = DetectorModel(0.4, 1e-7)
-        [gs] = gains.gains_qnd([(mu, mu, mu)], eta_t, det, 0.0)
+        gs = qnd_gain_set(mu, eta_t, det, 0.0)
         lam = mu * eta_t
         total = 0.0
         for n, m, l in itertools.product((0, 1), repeat=3):
@@ -639,7 +629,7 @@ class TestQndGains:
         # classes need a dark count, so they see any loss of precision there
         mu, eta_t = 0.4, 1e-4
         det = DetectorModel(1.0, 1e-7)
-        [gs] = gains.gains_qnd([(mu, mu, mu)], eta_t, det, 0.0)
+        gs = qnd_gain_set(mu, eta_t, det, 0.0)
         lam = mu * eta_t
         comps = np.zeros(6)
         for n, m, l in itertools.product((0, 1), repeat=3):
@@ -655,18 +645,10 @@ class TestQndGains:
                 getattr(want, field), rel=1e-13, abs=0.0), field
 
     def test_regression_paper_point_100km(self):
-        [gs] = gains.gains_qnd([(0.4, 0.4, 0.4)], 10 ** (-0.2 * 100 / 10),
-                               DetectorModel(0.4, 1e-7), 0.015)
+        gs = qnd_gain_set(0.4, 10 ** (-0.2 * 100 / 10), DetectorModel(0.4, 1e-7), 0.015)
         assert gs.q_z == pytest.approx(1.0129269183031263e-09, rel=1e-9, abs=0.0)
         assert gs.q_x == pytest.approx(1.012926918303126e-09, rel=1e-9, abs=0.0)
         assert gs.e_x == pytest.approx(0.015546699970181883, rel=1e-9, abs=0.0)
-
-
-def plan_triples(plan):
-    """The 15 intensity triples a decoy grid of `plan` asks its gains for."""
-    seen = []
-    decoy.build_gain_grid(lambda triples: seen.extend(triples) or [None] * len(triples), plan)
-    return seen
 
 
 def fock_config(name):
@@ -679,16 +661,6 @@ def heralded_levels(cfg):
             cfg.decoy.mu2: decoy.heralded_stats(cfg.decoy.mu2, cfg.source.trigger)}
 
 
-@pytest.fixture
-def cold_certificates():
-    """Empty the distance-free truncation caches before and after the test."""
-    gains._certificate.cache_clear()
-    gains._level_triples.cache_clear()
-    yield
-    gains._certificate.cache_clear()
-    gains._level_triples.cache_clear()
-
-
 def count_calls(monkeypatch, module, name):
     """The arguments of every call of module.name while the test runs."""
     calls = []
@@ -698,9 +670,9 @@ def count_calls(monkeypatch, module, name):
 
 
 class TestFockGridCalls:
-    """One call per decoy grid gives the gains of one call per triple, bit
-    for bit: the two-decoy estimator amplifies last-ulp changes of the gains
-    about 1e6 times at long distance."""
+    """A source model's decoy grid equals one call per triple, bit for bit:
+    the two-decoy estimator amplifies last-ulp changes of the gains about 1e6
+    times at long distance."""
 
     @pytest.mark.parametrize("name", ["qss_heralded_eta40", "qss_heralded_eta93"])
     @pytest.mark.parametrize("length", [0.0, 50.0, 100.0, 200.0, 250.0])
@@ -708,13 +680,12 @@ class TestFockGridCalls:
         cfg = fock_config(name)
         params = cfg.system.at_distance(length)
         p_n = heralded_levels(cfg)
-        yields = gains.fock_yields(list(p_n.values()),
-                                   overall_efficiency(params.channel, params.detector),
-                                   params.detector.p_d)
-        dist_triples = [tuple(p_n[mu] for mu in t) for t in plan_triples(cfg.decoy)]
-        assert len(dist_triples) == 15
-        assert yields.gain_sets(dist_triples, params.e_d) == [
-            gain_set_reference(yields, dists, params.e_d) for dists in dist_triples]
+        comps = gains.fock_components(list(p_n.values()), [], params.detector.p_d)
+        thinning = fock.thinning_matrix(overall_efficiency(params.channel, params.detector))
+        want = decoy.build_gain_grid(lambda triples: [
+            gain_set_reference(comps, [p_n[mu] for mu in t], thinning, params.e_d)
+            for t in triples], cfg.decoy)
+        assert keyrates.source_model(cfg)(params).grid == want
 
     @pytest.mark.parametrize("name", ["qss_qnd_eta40", "qss_qnd_eta93"])
     @pytest.mark.parametrize("length", [0.0, 50.0, 100.0, 200.0, 250.0])
@@ -722,10 +693,10 @@ class TestFockGridCalls:
         cfg = fock_config(name)
         params = cfg.system.at_distance(length)
         eta_t = transmission_efficiency(params.channel)
-        triples = plan_triples(cfg.decoy)
-        assert len(triples) == 15
-        assert gains.gains_qnd(triples, eta_t, params.detector, params.e_d) == [
-            gains_qnd_reference(*t, eta_t, params.detector, params.e_d) for t in triples]
+        want = decoy.build_gain_grid(lambda triples: [
+            gains_qnd_reference(*t, eta_t, params.detector, params.e_d) for t in triples],
+            cfg.decoy)
+        assert keyrates.source_model(cfg)(params).grid == want
 
     @pytest.mark.parametrize("variant, name", [("qss_heralded", "qss_heralded_eta40"),
                                                ("qss_qnd", "qss_qnd_eta40")])
@@ -738,45 +709,49 @@ class TestFockGridCalls:
 
 
 class TestTruncationCertificate:
-    """The truncation certificate is distance-free, so it is cached on the
-    distributions' bytes; the cache must never hide a refusal."""
+    """A source model certifies the truncation of its decoy levels once, when
+    it is built, and refuses before any table is built."""
 
-    def test_refusal_repeats(self, cold_certificates):
+    def test_refusal_repeats(self, monkeypatch):
         ns = np.arange(13)
         pois = np.exp(-3.0) * 3.0 ** ns / np.vectorize(math.factorial)(ns)
-        dists = (pois, pois, pois)
+        bright = parse_config((CONFIG_DIR / "qss_heralded_eta40.cfg").read_text()
+                              .replace("source.mu = 5e-3", "source.mu = 0.5")
+                              .replace("decoy.mu1 = 5e-4", "decoy.mu1 = 0.05"))
+
+        def no_table(*args):
+            pytest.fail("a yield table was built for a refused source")
+
+        monkeypatch.setattr(gains, "_class_table", no_table)
+        monkeypatch.setattr(fock, "ideal_detector_table", no_table)
         for _ in range(2):
             with pytest.raises(NumericsError, match="truncation"):
-                gains.fock_yields(dists, 0.5, 0.0)
-        vac = decoy.vacuum_stats()
-        p_n = decoy.heralded_stats(5e-3, DetectorModel(0.4, 1e-7))
-        yields = gains.fock_yields([vac], 0.04, 1e-7)
-        for _ in range(2):
-            with pytest.raises(ValueError, match="levels"):
-                yields.gain_sets([(p_n, p_n, p_n)], 0.0)
+                gains.fock_components((pois, pois, pois), [(0, 1, 2)], 0.0)
+            with pytest.raises(NumericsError, match="truncation"):
+                keyrates.source_model(bright)
 
-    def test_next_float_certified_afresh(self, monkeypatch, cold_certificates):
-        trig = DetectorModel(0.4, 1e-7)
-        p_n = decoy.heralded_stats(5e-3, trig)
-        yields = gains.fock_yields([decoy.vacuum_stats(), p_n], 0.04, 1e-7)
-        weights = count_calls(monkeypatch, gains, "_triple_weights")
-        yields.gain_sets([(p_n, p_n, p_n)], 0.0)
-        assert weights == []  # certified by fock_yields as its level
-        near = p_n.copy()
-        near[2] = np.nextafter(near[2], 1.0)
-        yields.gain_sets([(p_n, near, p_n), (p_n, near, p_n)], 0.0)
-        assert len(weights) == 1
-        yields.gain_sets([(p_n, p_n, near)], 0.0)
-        assert len(weights) == 2
-
-    def test_once_per_distinct_triple_in_a_sweep(self, monkeypatch, cold_certificates):
+    def test_once_per_distinct_triple_in_a_sweep(self, monkeypatch):
         cfg = fock_config("qss_heralded_eta40")
         weights = count_calls(monkeypatch, gains, "_triple_weights")
         points = keyrates.sweep("qss_heralded", cfg, cfg.sweep.distances()[::5])
         assert len(points) == 41
         p_n = heralded_levels(cfg)
-        want = {tuple(gains._dist_bytes(p_n[mu]) for mu in t) for t in plan_triples(cfg.decoy)}
-        got = [tuple(gains._dist_bytes(d) for d in dists) for dists, _ in weights]
+        want = {tuple(p_n[mu].tobytes() for mu in t) for t in decoy.grid_triples(cfg.decoy)}
+        got = [tuple(np.asarray(d).tobytes() for d in dists) for dists, _ in weights]
         # the 15 grid triples and the levels' downward-closed envelope
         assert len(got) == len(set(got)) == len(want) + 1 == 16
         assert want < set(got)
+
+
+class TestSourceModelBuildsOnce:
+    def test_one_heralded_sweep(self, monkeypatch):
+        # the levels and the class table of a heralded curve hold no distance
+        cfg = fock_config("qss_heralded_eta40")
+        gains._class_table.cache_clear()
+        fock._single_photon_table()  # the exact reference's table, built apart
+        stats = count_calls(monkeypatch, decoy, "heralded_stats")
+        tables = count_calls(monkeypatch, fock, "ideal_detector_table")
+        points = keyrates.sweep("qss_heralded", cfg, cfg.sweep.distances()[::5])
+        assert len(points) == 41
+        assert len(stats) == 2  # the decoy and the signal level
+        assert len(tables) == 1

@@ -65,7 +65,7 @@ class TestRateFormulas:
             gains.ZGainComponents(1e-6, 1e-9, 1e-9, 1e-9),
             gains.XGainComponents(1e-6, 1e-7), 0.0)
         rate, raw, diags = keyrates.qcc_rate(1.16, signal, signal, 1e-2, 1e-4,
-                                             None, 0.4)
+                                             None, math.exp(-0.4))
         assert rate == 0.0
         assert any("unbounded" in d for d in diags)
 
@@ -81,7 +81,7 @@ class TestRateFormulas:
         signal = gains.assemble_gain_set(z, x, 0.0)
         vac_z = gains.z_gain_components(0.0, 0.4, 0.4, 0.04, 1e-7)
         vac = gains.assemble_gain_set(vac_z, x, 0.0)
-        rates = [keyrates.qcc_rate(1.16, signal, vac, 1e-2, 1e-5, e, 0.4)[0]
+        rates = [keyrates.qcc_rate(1.16, signal, vac, 1e-2, 1e-5, e, math.exp(-0.4))[0]
                  for e in (0.01, 0.05, 0.2, 0.5)]
         assert all(a >= b - 1e-18 for a, b in zip(rates, rates[1:]))
 
@@ -90,7 +90,7 @@ class TestRateFormulas:
             gains.ZGainComponents(1e-9, 1e-7, 1e-7, 1e-7),
             gains.XGainComponents(1e-9, 1e-9), 0.0)
         rate, raw, _ = keyrates.qcc_rate(1.16, signal, signal, 1e-9, 1e-9,
-                                         0.25, 0.4)
+                                         0.25, math.exp(-0.4))
         assert rate == 0.0 and raw < 0.0
 
 

@@ -12,7 +12,7 @@ is what that kernel must equal bit for bit.  `party_terms_reference` expands a
 party's photons by filtering every digit tuple; the package enumerates the
 compositions directly.  `gain_set_reference` and `gains_qnd_reference` form
 one GainSet per call, certifying and thinning each triple on its own; the
-package's one call per decoy grid must equal them bit for bit.
+decoy grid of a source model must equal them bit for bit.
 """
 
 import itertools
@@ -162,22 +162,18 @@ def _budgeted_weights(dists, tail_budget):
             f"photon-number truncation tail {tail:.3e} exceeds budget "
             f"{tail_budget:.1e}; raise the cutoff or lower the source intensity"
         )
-    return keep
 
 
-def gain_set_reference(yields, dists, e_d):
-    """The GainSet of one distribution triple from `yields` (a
-    `gains.FockYields`), certified and thinned on its own."""
-    keep = _budgeted_weights(dists, yields.tail_budget)
-    if np.any(keep & ~yields.triples[:keep.shape[0], :keep.shape[1], :keep.shape[2]]):
-        raise ValueError("distributions need photon-number triples outside the "
-                         "levels these yields were built for")
-    return _thinned_gain_set(yields.comps, dists, yields.thinning, e_d)
+def gain_set_reference(comps, dists, thinning, e_d, tail_budget=1e-12):
+    """The GainSet of one distribution triple on the class components `comps`
+    (as `gains.fock_components` builds them), certified and thinned on its
+    own."""
+    _budgeted_weights(dists, tail_budget)
+    return _thinned_gain_set(comps, dists, thinning, e_d)
 
 
 def gains_qnd_reference(mu, nu, omega, eta_t, detector, e_d):
     """The GainSet of one intensity triple behind the <=1-photon filter."""
     dists = [(exp(-lam), lam * exp(-lam)) for lam in (mu * eta_t, nu * eta_t, omega * eta_t)]
-    comps = gains._class_yields(gains._QND_TRIPLES.shape, gains._QND_TRIPLES.tobytes(),
-                                detector.p_d)
+    comps = gains.class_yields(np.ones((2, 2, 2), dtype=bool), detector.p_d)
     return _thinned_gain_set(comps, dists, fock.thinning_matrix(detector.eta_d), e_d)
