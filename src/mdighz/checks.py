@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
+from math import comb, factorial
 from typing import NamedTuple
 
-from . import decoy, gains, keyrates, montecarlo
+from . import decoy, fock, gains, keyrates, montecarlo
 from .params import ExperimentConfig
 
 __all__ = ["Row", "monte_carlo", "symmetries", "brackets", "fock_closed_form"]
@@ -144,7 +146,40 @@ def brackets(cfg: ExperimentConfig, distances) -> list[Row]:
     return rows
 
 
+def _closed_form_hhv(n: int, m: int, l: int) -> dict:
+    """Printed closed form for the H,H,V input class: probability of the
+    output configuration (s, m-s, 0, 0, p, n+l-p) as an exact rational."""
+    out = {}
+    denom = 2 ** (n + m + l) * factorial(n) * factorial(m) * factorial(l)
+    for p in range(n + l + 1):
+        for s in range(m + 1):
+            amp = 0
+            for t in range(l + 1):
+                if 0 <= p - t <= n:
+                    amp += (-1) ** (l - t) * comb(n, p - t) * comb(m, s) * comb(l, t)
+            if amp == 0:
+                continue
+            num = amp * amp * (factorial(p) * factorial(s)
+                               * factorial(n + l - p) * factorial(m - s))
+            out[(s, m - s, 0, 0, p, n + l - p)] = Fraction(num, denom)
+    return out
+
+
 def fock_closed_form(max_total_photons: int) -> list[Row]:
-    """The exact propagator against the printed H,H,V output probabilities."""
-    worst = montecarlo.fock_closed_form_check(max_total_photons)
+    """The exact propagator against the printed H,H,V output probabilities:
+    the largest absolute difference over every (n, m, l) up to the total,
+    NaN if any probability is NaN."""
+    if max_total_photons > fock.N_MAX:
+        raise ValueError(f"total photon number exceeds cutoff {fock.N_MAX}")
+    triples = [t for t in itertools.product(range(max_total_photons + 1), repeat=3)
+               if sum(t) <= max_total_photons]
+    deviations = [0.0]
+    for n, m, l in triples:
+        keys, num, denom = fock._exact_distribution("HHV", (n, m, l))
+        reference = {sum(k * place for k, place in zip(occ, fock._PLACES)): p
+                     for occ, p in _closed_form_hhv(n, m, l).items()}
+        general = dict(zip(keys.tolist(), (num / denom).tolist()))
+        deviations += [abs(general.get(key, 0.0) - float(reference.get(key, 0)))
+                       for key in set(reference) | set(general)]
+    worst = _worst(deviations)
     return [_row("fock:closed-form", 0.0, worst, None, worst, worst < CLOSED_FORM_TOL)]

@@ -244,14 +244,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p, needs_out=True, quick=True):
         p.add_argument("--config", required=True, help="config document path")
         if needs_out:
             p.add_argument("--out", required=True, help="output CSV path")
         else:
             p.add_argument("--out", default=None, help="optional report CSV path")
-        p.add_argument("--quick", action="store_true",
-                       help="coarser grid / fewer samples")
+        if quick:  # optimize has no grid or samples to thin
+            p.add_argument("--quick", action="store_true",
+                           help="coarser grid / fewer samples")
         p.add_argument("--seed", type=_seed, default=1, help="RNG seed (u64)")
 
     p = sub.add_parser("qcc", help="conferencing key-rate curve")
@@ -272,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("optimize", help="grid-search the signal intensity")
-    common(p)
+    common(p, quick=False)
     p.add_argument("--variant", choices=("qcc", "qss"), default="qcc")
     p.add_argument("--at", type=float, default=100.0, help="distance (km)")
     p.add_argument("--box", type=_search_box, default="0.05:1.0",

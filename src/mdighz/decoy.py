@@ -25,12 +25,11 @@ from .params import DecoyPlan, DetectorModel, NumericsError
 
 __all__ = [
     "LEVEL_PATTERNS",
-    "GainGrid",
+    "GRID",
     "DecoyLevel",
     "SinglePhotonBounds",
     "MerminYieldBounds",
     "grid_triples",
-    "build_gain_grid",
     "poisson_level",
     "distribution_level",
     "single_photon_bounds",
@@ -42,52 +41,25 @@ __all__ = [
 # minus the all-vacuum pattern which is shared between levels.
 LEVEL_PATTERNS = ((1, 1, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1),
                   (1, 0, 0), (0, 1, 0), (0, 0, 1))
-VACUUM = (0, 0, 0)
 
-
-@dataclass(frozen=True)
-class GainGrid:
-    """Gains for the 15 intensity patterns of a two-decoy plan.
-
-    Keys are (level, pattern) with level "signal" | "decoy" and pattern a
-    0/1-triple saying which users are at the level (0 = vacuum); the shared
-    all-vacuum entry appears under both levels.  Entries are GainSets, or
-    (all-"+", all-"-") gain pairs for the Mermin estimate.
-    """
-
-    entries: dict[tuple[str, tuple[int, int, int]], object]
-
-    def __post_init__(self):
-        want = {(lev, pat) for lev in ("signal", "decoy")
-                for pat in LEVEL_PATTERNS + (VACUUM,)}
-        have = set(self.entries)
-        if have != want:
-            missing = sorted(want - have)
-            extra = sorted(have - want)
-            raise ValueError(f"incomplete gain grid: missing {missing}, extra {extra}")
-
-    def gain(self, level, pattern):
-        return self.entries[(level, pattern)]
-
-
-_GRID_KEYS = tuple((level, pat) for level in ("signal", "decoy") for pat in LEVEL_PATTERNS)
+# The decoy grid by level index per user (0 vacuum, 1 decoy, 2 signal): the
+# shared vacuum, then the signal and the decoy patterns.  A grid of gains is a
+# sequence of 15 gains in this order: GainSets, or (all-"+", all-"-") gain
+# pairs for the Mermin estimate.
+GRID = ((0, 0, 0),) + tuple(tuple(2 * p for p in pat) for pat in LEVEL_PATTERNS) + LEVEL_PATTERNS
+_SIGNAL_START, _DECOY_START = 1, 1 + len(LEVEL_PATTERNS)
 
 
 def grid_triples(plan: DecoyPlan) -> tuple[tuple[float, float, float], ...]:
-    """The 15 intensity triples (mu_a, mu_b, mu_c) of a decoy grid: the shared
-    vacuum first, then the signal and the decoy patterns."""
-    mus = {"signal": plan.mu2, "decoy": plan.mu1}
-    return ((0.0, 0.0, 0.0),) + tuple(tuple(mus[level] * p for p in pat)
-                                      for level, pat in _GRID_KEYS)
+    """The intensity triples (mu_a, mu_b, mu_c) of GRID under the plan."""
+    mus = (0.0, plan.mu1, plan.mu2)
+    return tuple(tuple(mus[i] for i in triple) for triple in GRID)
 
 
-def build_gain_grid(gains_fn, plan: DecoyPlan) -> GainGrid:
-    """Evaluate `gains_fn(triples)` once: it maps the `grid_triples` of the
-    plan to their gains."""
-    vacuum, *values = gains_fn(grid_triples(plan))
-    entries = dict(zip(_GRID_KEYS, values, strict=True))
-    entries[("signal", VACUUM)] = entries[("decoy", VACUUM)] = vacuum
-    return GainGrid(entries)
+def _check_grid(grid) -> None:
+    if len(grid) != len(GRID):
+        raise ValueError(f"a gain grid holds {len(GRID)} gains in GRID order, "
+                         f"got {len(grid)}")
 
 
 @dataclass(frozen=True)
@@ -122,18 +94,19 @@ def distribution_level(p_n) -> DecoyLevel:
 DEGENERATE = "degenerate decoy levels (estimator denominator is 0)"
 
 
-def _gadget(grid: GainGrid, name: str, level: DecoyLevel, extract) -> float:
-    """Inclusion-exclusion over vacuum substitutions.
+def _gadget(grid, start: int, level: DecoyLevel, extract) -> float:
+    """Inclusion-exclusion over vacuum substitutions of the level whose
+    LEVEL_PATTERNS begin at grid[start]; the vacuum is grid[0].
 
     Sign (-1)^(3-k) on the patterns with k users at the level removes every
     contribution with at least one vacuum user.
     """
-    v = {pat: extract(grid.gain(name, pat)) for pat in LEVEL_PATTERNS + (VACUUM,)}
+    v = [extract(g) for g in grid[start:start + len(LEVEL_PATTERNS)]]
     w = level.weights
-    total = w[3] * v[(1, 1, 1)]
-    total -= w[2] * (v[(1, 1, 0)] + v[(1, 0, 1)] + v[(0, 1, 1)])
-    total += w[1] * (v[(1, 0, 0)] + v[(0, 1, 0)] + v[(0, 0, 1)])
-    total -= w[0] * v[VACUUM]
+    total = w[3] * v[0]
+    total -= w[2] * (v[1] + v[2] + v[3])
+    total += w[1] * (v[4] + v[5] + v[6])
+    total -= w[0] * extract(grid[0])
     return total
 
 
@@ -152,8 +125,8 @@ def _lower_yield(grid, signal, decoy, extract, label, diags) -> float:
     """One-photon-per-user yield from below: the two gadgets are weighted so
     their two-photon terms cancel and every higher term enters with a
     nonpositive coefficient."""
-    raw = (signal.c1 ** 2 * signal.c2 * _gadget(grid, "decoy", decoy, extract)
-           - decoy.c1 ** 2 * decoy.c2 * _gadget(grid, "signal", signal, extract)
+    raw = (signal.c1 ** 2 * signal.c2 * _gadget(grid, _DECOY_START, decoy, extract)
+           - decoy.c1 ** 2 * decoy.c2 * _gadget(grid, _SIGNAL_START, signal, extract)
            ) / _denominator(signal, decoy)
     return _floored(raw, label, diags)
 
@@ -161,7 +134,7 @@ def _lower_yield(grid, signal, decoy, extract, label, diags) -> float:
 def _upper_yield(grid, decoy, extract) -> float:
     """One-photon-per-user quantity from above: every term of the decoy-level
     gadget is nonnegative."""
-    return _gadget(grid, "decoy", decoy, extract) / decoy.c1 ** 3
+    return _gadget(grid, _DECOY_START, decoy, extract) / decoy.c1 ** 3
 
 
 @dataclass(frozen=True)
@@ -180,11 +153,11 @@ class SinglePhotonBounds:
     diagnostics: tuple[str, ...] = ()
 
 
-def single_photon_bounds(grid: GainGrid, signal: DecoyLevel,
-                         decoy: DecoyLevel) -> SinglePhotonBounds:
+def single_photon_bounds(grid, signal: DecoyLevel, decoy: DecoyLevel) -> SinglePhotonBounds:
     """Two-decoy bounds on the single-photon yields and error rates of both
-    bases.  Each error bound divides its basis' error gadget by the same
-    basis' yield bound."""
+    bases, from the GainSets of a grid in GRID order.  Each error bound
+    divides its basis' error gadget by the same basis' yield bound."""
+    _check_grid(grid)
     if _denominator(signal, decoy) == 0.0:
         return SinglePhotonBounds(0.0, 0.0, None, None, (DEGENERATE,))
     diags: list[str] = []
@@ -251,10 +224,10 @@ class MerminYieldBounds:
     diagnostics: tuple[str, ...] = ()
 
 
-def mermin_yield_bounds(grid: GainGrid, signal: DecoyLevel,
-                        decoy: DecoyLevel) -> MerminYieldBounds:
-    """Bounds from a grid whose entries are (all-"+", all-"-") announced
-    correct-outcome gain pairs."""
+def mermin_yield_bounds(grid, signal: DecoyLevel, decoy: DecoyLevel) -> MerminYieldBounds:
+    """Bounds from a grid in GRID order whose entries are (all-"+", all-"-")
+    announced correct-outcome gain pairs."""
+    _check_grid(grid)
     if _denominator(signal, decoy) == 0.0:
         return MerminYieldBounds(0.0, 0.0, 0.0, (DEGENERATE,))
     diags: list[str] = []

@@ -38,8 +38,6 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from .params import SystemParams, overall_efficiency
-
 __all__ = [
     "N_MAX",
     "PHI_PLUS_PATTERNS",
@@ -350,8 +348,3 @@ def exact_single_photon_stats(eta: float, p_d: float, e_d: float) -> SinglePhoto
     e111_bx = None if y111_x == 0 else (e_d * y_cx + (1 - e_d) * y_ex) / y111_x
 
     return SinglePhotonStats(y111_z, y111_x, e111_bz, e111_bx)
-
-
-def exact_single_photon_stats_for(params: SystemParams) -> SinglePhotonStats:
-    eta = overall_efficiency(params.channel, params.detector)
-    return exact_single_photon_stats(eta, params.detector.p_d, params.e_d)

@@ -117,7 +117,7 @@ def qss_pps_rate(f: float, k: int, sliced: gains.SlicedGains, e_d: float,
 class SourcePoint(NamedTuple):
     """A source at one distance, as the decoy estimator and the rates see it."""
 
-    grid: decoy.GainGrid
+    grid: list[gains.GainSet]  # in decoy.GRID order
     signal_level: decoy.DecoyLevel
     decoy_level: decoy.DecoyLevel
     exact: fock.SinglePhotonStats  # the infinite-decoy reference
@@ -129,20 +129,16 @@ def _poisson_p111(mu) -> float:
     return mu * mu * mu * exp(-mu - mu - mu)
 
 
-def _level_indices(plan: DecoyPlan) -> list[tuple[int, int, int]]:
-    """The grid's intensity triples by level index: 0 vacuum, 1 decoy, 2 signal."""
-    index = {0.0: 0, plan.mu1: 1, plan.mu2: 2}
-    return [tuple(index[mu] for mu in t) for t in decoy.grid_triples(plan)]
-
-
 def _wcs_model(cfg: ExperimentConfig):
     plan = cfg.decoy
     levels = decoy.poisson_level(plan.mu2), decoy.poisson_level(plan.mu1)
+    triples = decoy.grid_triples(plan)
     p_vacuum, p111 = exp(-plan.mu2), _poisson_p111(plan.mu2)
 
     def at(params: SystemParams) -> SourcePoint:
-        grid = decoy.build_gain_grid(lambda triples: gains.wcs_gain_sets(triples, params), plan)
-        return SourcePoint(grid, *levels, fock.exact_single_photon_stats_for(params),
+        eta = overall_efficiency(params.channel, params.detector)
+        return SourcePoint(gains.wcs_gain_sets(triples, params), *levels,
+                           fock.exact_single_photon_stats(eta, params.detector.p_d, params.e_d),
                            p_vacuum, p111)
     return at
 
@@ -153,16 +149,16 @@ def _heralded_model(cfg: ExperimentConfig):
     plan = cfg.decoy
     levels = [decoy.vacuum_stats()] + [decoy.heralded_stats(mu, cfg.source.trigger)
                                        for mu in (plan.mu1, plan.mu2)]
-    triples = _level_indices(plan)
-    comps = gains.fock_components(levels, triples, cfg.system.detector.p_d)
+    comps = gains.fock_components(levels, decoy.GRID, cfg.system.detector.p_d)
     signal, decoy_level = decoy.distribution_level(levels[2]), decoy.distribution_level(levels[1])
     p_vacuum, p111 = float(levels[2][0]), float(levels[2][1]) ** 3
 
     def at(params: SystemParams) -> SourcePoint:
-        thinning = fock.thinning_matrix(overall_efficiency(params.channel, params.detector))
-        grid = decoy.build_gain_grid(  # the triples are the grid's, by level index
-            lambda _: gains.thinned_gain_sets(comps, levels, triples, thinning, params.e_d), plan)
-        return SourcePoint(grid, signal, decoy_level, fock.exact_single_photon_stats_for(params),
+        eta = overall_efficiency(params.channel, params.detector)
+        grid = gains.thinned_gain_sets(comps, levels, decoy.GRID, fock.thinning_matrix(eta),
+                                       params.e_d)
+        return SourcePoint(grid, signal, decoy_level,
+                           fock.exact_single_photon_stats(eta, params.detector.p_d, params.e_d),
                            p_vacuum, p111)
     return at
 
@@ -176,7 +172,6 @@ def _qnd_model(cfg: ExperimentConfig):
     Only the detector thins the filtered photons, so the class components, the
     thinning and the exact reference hold no distance."""
     plan, det = cfg.decoy, cfg.system.detector
-    triples = _level_indices(plan)
     comps = gains.class_yields(np.ones((2, 2, 2), dtype=bool), det.p_d)
     thinning = fock.thinning_matrix(det.eta_d)
     exact = fock.exact_single_photon_stats(det.eta_d, det.p_d, cfg.system.e_d)
@@ -186,8 +181,7 @@ def _qnd_model(cfg: ExperimentConfig):
         eta_t = transmission_efficiency(params.channel)
         lam = [mu * eta_t for mu in (0.0, plan.mu1, plan.mu2)]
         levels = [(exp(-x), x * exp(-x)) for x in lam]
-        grid = decoy.build_gain_grid(  # the triples are the grid's, by level index
-            lambda _: gains.thinned_gain_sets(comps, levels, triples, thinning, params.e_d), plan)
+        grid = gains.thinned_gain_sets(comps, levels, decoy.GRID, thinning, params.e_d)
         return SourcePoint(grid, decoy.poisson_level(lam[2]), decoy.poisson_level(lam[1]),
                            exact, p_vacuum, _poisson_p111(lam[2]))
     return at
@@ -207,7 +201,7 @@ def _point(variant: str, cfg: ExperimentConfig, model, length_km: float) -> Rate
     params = cfg.system.at_distance(length_km)
     grid, signal_level, decoy_level, exact, p_vacuum, p111 = model(params)
     bounds = decoy.single_photon_bounds(grid, signal_level, decoy_level)
-    signal, vacuum = grid.gain("signal", (1, 1, 1)), grid.gain("signal", (0, 1, 1))
+    signal, vacuum = grid[decoy.GRID.index((2, 2, 2))], grid[decoy.GRID.index((0, 2, 2))]
     f = params.f
     if variant == "qcc":  # (yield, error) pairs: two-decoy bounds, then the exact values
         pairs = (bounds.y111_zl, bounds.e111_bxu), (exact.y111_z, exact.e111_bx)

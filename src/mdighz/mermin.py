@@ -30,17 +30,12 @@ class MerminEstimate:
     diagnostics: tuple[str, ...] = ()
 
 
-def _outcome_grid(params: SystemParams, plan: DecoyPlan) -> decoy.GainGrid:
-    """(all-"+", all-"-") announced-correct-outcome gains over the 15 decoy
-    intensity patterns."""
+def _outcome_grid(params: SystemParams, plan: DecoyPlan) -> list[tuple[float, float]]:
+    """(all-"+", all-"-") announced-correct-outcome gains in decoy.GRID order."""
     eta, p_d = overall_efficiency(params.channel, params.detector), params.detector.p_d
-
-    def gains_fn(triples):
-        ppp, _, mmm, _ = gains.mermin_outcome_gains((1, 1, 1), *zip(*triples), eta, p_d,
-                                                    negated=True)
-        return list(zip(ppp, mmm))
-
-    return decoy.build_gain_grid(gains_fn, plan)
+    ppp, _, mmm, _ = gains.mermin_outcome_gains((1, 1, 1), *zip(*decoy.grid_triples(plan)),
+                                                eta, p_d, negated=True)
+    return list(zip(ppp, mmm))
 
 
 def mermin_lower_bound(params: SystemParams, plan: DecoyPlan) -> MerminEstimate:

@@ -26,14 +26,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, factorial
 
 import numpy as np
 
 from . import fock
 
-__all__ = ["McConfig", "McEstimate", "mc_coherent_gains", "fock_closed_form_check"]
+__all__ = ["McConfig", "McEstimate", "mc_coherent_gains"]
 
 RNG_ALGORITHM = "philox4x64"
 CHUNK_SAMPLES = 1 << 19  # fixed substream granularity
@@ -160,45 +158,3 @@ def mc_coherent_gains(preparations, intensities, eta: float, p_d: float,
                               min(CHUNK_SAMPLES, cfg.samples - start))
                 for index, start in enumerate(range(0, cfg.samples, CHUNK_SAMPLES)))
     return tuple(McEstimate(int(count), cfg.samples) for count in total.ravel())
-
-
-# ---------------------------------------------------------------------------
-# Closed-form fidelity of the exact propagator
-# ---------------------------------------------------------------------------
-
-def _closed_form_hhv(n: int, m: int, l: int) -> dict:
-    """Printed closed form for the H,H,V input class: probability of the
-    output configuration (s, m-s, 0, 0, p, n+l-p) as an exact rational."""
-    out = {}
-    denom = 2 ** (n + m + l) * factorial(n) * factorial(m) * factorial(l)
-    for p in range(n + l + 1):
-        for s in range(m + 1):
-            amp = 0
-            for t in range(l + 1):
-                if 0 <= p - t <= n:
-                    amp += (-1) ** (l - t) * comb(n, p - t) * comb(m, s) * comb(l, t)
-            if amp == 0:
-                continue
-            num = amp * amp * (factorial(p) * factorial(s)
-                               * factorial(n + l - p) * factorial(m - s))
-            out[(s, m - s, 0, 0, p, n + l - p)] = Fraction(num, denom)
-    return out
-
-
-def fock_closed_form_check(max_total_photons: int) -> float:
-    """Largest absolute difference between the general propagator and the
-    closed-form output probabilities of the H,H,V class, over every (n, m, l)
-    up to the total; NaN if any probability is NaN."""
-    if max_total_photons > fock.N_MAX:
-        raise ValueError(f"total photon number exceeds cutoff {fock.N_MAX}")
-    triples = [t for t in itertools.product(range(max_total_photons + 1), repeat=3)
-               if sum(t) <= max_total_photons]
-    deviations = [0.0]
-    for n, m, l in triples:
-        keys, num, denom = fock._exact_distribution("HHV", (n, m, l))
-        reference = {sum(k * place for k, place in zip(occ, fock._PLACES)): p
-                     for occ, p in _closed_form_hhv(n, m, l).items()}
-        general = dict(zip(keys.tolist(), (num / denom).tolist()))
-        deviations += [abs(general.get(key, 0.0) - float(reference.get(key, 0)))
-                       for key in set(reference) | set(general)]
-    return float(np.max(deviations))  # np.max, unlike max, propagates a NaN

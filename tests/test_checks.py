@@ -1,6 +1,7 @@
 """A perturbed input turns the rows of its check family, and only those, to FAIL."""
 
 import math
+import time
 from dataclasses import replace
 
 import pytest
@@ -50,9 +51,9 @@ def test_nan_mixed_class_fails_validate(monkeypatch, tmp_path):
      lambda pols, *a: pols == "VHH", "sym", ["sym:mixedclass"] * len(GRID)),
     (gains, "mermin_outcome_gains", lambda q: (q[0] * (1 + 1e-6), q[1]),
      lambda signs, *a: signs == (1, 1, 1), "sym", ["sym:signclasses"] * len(GRID)),
-    (fock, "exact_single_photon_stats_for", lambda s: replace(s, y111_z=0.5 * s.y111_z),
+    (fock, "exact_single_photon_stats", lambda s: replace(s, y111_z=0.5 * s.y111_z),
      None, "bracket", ["bracket:L=0.0", "bracket:L=50.0"]),
-    (fock, "exact_single_photon_stats_for", lambda s: replace(s, y111_z=math.inf),
+    (fock, "exact_single_photon_stats", lambda s: replace(s, y111_z=math.inf),
      None, "bracket", ["bracket:L=0.0", "bracket:L=50.0"]),  # deviation -inf
     (decoy, "single_photon_bounds", lambda b: replace(b, e111_bxu=None),  # no bound
      None, "bracket", ["bracket:L=0.0", "bracket:L=50.0"]),
@@ -69,3 +70,25 @@ def test_perturbed_input_fails_its_rows(monkeypatch, module, name, change, when,
     perturb(monkeypatch, module, name, change, when)
     rows = FAMILIES[family]()
     assert [row.check.partition("(")[0] for row in rows if not row.passed] == failing
+
+
+class TestClosedFormCheck:
+    @staticmethod
+    def worst(max_total_photons):
+        (row,) = checks.fock_closed_form(max_total_photons)
+        return row.deviation
+
+    def test_empty_input_vacuous_pass(self):
+        assert self.worst(0) == 0.0
+
+    def test_three_photons_exact(self):
+        assert self.worst(3) < 1e-12
+
+    def test_six_photons_exact_and_fast(self):
+        start = time.monotonic()
+        assert self.worst(6) < 1e-12
+        assert time.monotonic() - start < 30.0
+
+    def test_cutoff_guard(self):
+        with pytest.raises(ValueError):
+            checks.fock_closed_form(99)

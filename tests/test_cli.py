@@ -295,6 +295,7 @@ class TestExitCodeContract:
         ("qcc", ["--config", "INF_DARK"]),
         ("qcc", ["--config", "NU"]),
         ("qcc", ["--config", "OMEGA"]),
+        ("optimize", ["--quick"]),  # no grid or samples to thin: not an optimize flag
     ]
 
     @pytest.mark.parametrize("command, extra", CASES)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdighz import decoy, fock, gains
-from mdighz.decoy import (DEGENERATE, GainGrid, build_gain_grid,
-                          distribution_level, heralded_stats, mermin_yield_bounds,
-                          poisson_level, single_photon_bounds, vacuum_stats)
+from mdighz import fock, gains
+from mdighz.decoy import (DEGENERATE, GRID, LEVEL_PATTERNS, distribution_level, grid_triples,
+                          heralded_stats, mermin_yield_bounds, poisson_level,
+                          single_photon_bounds, vacuum_stats)
 from mdighz.params import (ChannelModel, DecoyPlan, DetectorModel, SystemParams,
                            overall_efficiency)
 from conftest import fock_gain_set
@@ -28,6 +28,11 @@ LEVELS = {"poisson": poisson_level,
 
 def level_bounds(grid, plan, level=poisson_level):
     return single_photon_bounds(grid, level(plan.mu2), level(plan.mu1))
+
+
+def exact_stats(params):
+    eta = overall_efficiency(params.channel, params.detector)
+    return fock.exact_single_photon_stats(eta, params.detector.p_d, params.e_d)
 
 
 def stub_gain_set(q_z=0.0, eq_z=0.0, q_x=0.0, eq_x=0.0):
@@ -56,35 +61,48 @@ def synthetic_grid(yields, errors, plan, n_cut=3):
             q_x += w * y
             eq_x += w * e * y
         return stub_gain_set(q_z, eq_z, q_x, eq_x)
-    return build_gain_grid(lambda triples: [gain_fn(*t) for t in triples], plan)
+    return [gain_fn(*t) for t in grid_triples(plan)]
 
 
 class TestGainGrid:
     def test_requires_all_fifteen_patterns(self):
         plan = DecoyPlan(0.4, 0.005)
-        grid = build_gain_grid(
-            lambda triples: [stub_gain_set(a + b + c) for a, b, c in triples], plan)
-        assert len(grid.entries) == 16  # 2 x 7 + shared vacuum under both levels
-        with pytest.raises(ValueError, match="incomplete"):
-            entries = dict(grid.entries)
-            del entries[("decoy", (1, 0, 0))]
-            GainGrid(entries)
+        grid = [stub_gain_set(a + b + c) for a, b, c in grid_triples(plan)]
+        pairs = [(1e-3, 1e-5)] * len(GRID)
+        levels = poisson_level(plan.mu2), poisson_level(plan.mu1)
+        for estimator, full in ((single_photon_bounds, grid), (mermin_yield_bounds, pairs)):
+            estimator(full, *levels)
+            for wrong in (full[:14], full + full[:1]):
+                with pytest.raises(ValueError, match="15 gains"):
+                    estimator(wrong, *levels)
 
     def test_vacuum_shared(self):
         plan = DecoyPlan(0.4, 0.005)
-        calls = []
-        def gains_fn(triples):
-            calls.append(triples)
-            return [stub_gain_set(a + b + c) for a, b, c in triples]
-        grid = build_gain_grid(gains_fn, plan)
-        assert len(calls) == 1  # one evaluation for the whole grid
-        triples = calls[0]
+        triples = grid_triples(plan)
         assert len(triples) == 15
-        assert triples == decoy.grid_triples(plan)
         assert triples.count((0.0, 0.0, 0.0)) == 1 and triples[0] == (0.0, 0.0, 0.0)
-        assert grid.gain("signal", (0, 0, 0)) is grid.gain("decoy", (0, 0, 0))
-        assert grid.gain("signal", (1, 0, 1)).q_z == 0.8
-        assert grid.gain("decoy", (0, 1, 1)).q_z == 0.01
+        grid = [stub_gain_set(a + b + c) for a, b, c in triples]
+        assert grid[GRID.index((2, 0, 2))].q_z == 0.8
+        assert grid[GRID.index((0, 1, 1))].q_z == 0.01
+
+    def test_layout(self):
+        # the shared vacuum, then each level's patterns contiguous in
+        # LEVEL_PATTERNS order: signal (index 2) before decoy (index 1)
+        assert len(GRID) == len(set(GRID)) == 15
+        assert GRID[0] == (0, 0, 0)
+        for start, level in ((1, 2), (8, 1)):
+            assert GRID[start:start + 7] == tuple(tuple(level * p for p in pat)
+                                                  for pat in LEVEL_PATTERNS)
+
+    @given(st.floats(5e-324, 1e3), st.floats(5e-324, 1e3))
+    def test_triples_bitwise(self, a, b):
+        # reference: the vacuum, then each level's intensity times its 0/1 patterns
+        plan = DecoyPlan(mu2=max(a, b), mu1=min(a, b)) if a != b else DecoyPlan(2 * a, a)
+        want = ((0.0, 0.0, 0.0),) + tuple(tuple(mu * p for p in pat)
+                                          for mu in (plan.mu2, plan.mu1)
+                                          for pat in LEVEL_PATTERNS)
+        got = grid_triples(plan)
+        assert [[x.hex() for x in t] for t in got] == [[x.hex() for x in t] for t in want]
 
 
 class TestWcsBounds:
@@ -113,7 +131,7 @@ class TestWcsBounds:
 
     def test_all_zero_grid_reports_unbounded(self):
         plan = DecoyPlan(0.4, 0.005)
-        grid = build_gain_grid(lambda triples: [stub_gain_set() for _ in triples], plan)
+        grid = [stub_gain_set()] * len(GRID)
         bounds = level_bounds(grid, plan)
         assert bounds.y111_zl == 0.0
         assert bounds.y111_xl == 0.0
@@ -126,10 +144,9 @@ class TestWcsBounds:
         det = DetectorModel(0.93, 1e-7)
         for length in (0.0, 40.0, 90.0, 150.0):
             params = SystemParams(ChannelModel(0.2, length), det, 0.0, 1.16)
-            grid = build_gain_grid(
-                lambda triples: gains.wcs_gain_sets(triples, params), plan)
+            grid = gains.wcs_gain_sets(grid_triples(plan), params)
             bounds = level_bounds(grid, plan)
-            exact = fock.exact_single_photon_stats_for(params)
+            exact = exact_stats(params)
             assert bounds.y111_zl <= exact.y111_z + 1e-12
             assert bounds.y111_xl <= exact.y111_x + 1e-12
             assert bounds.e111_bxu >= exact.e111_bx - 1e-12
@@ -140,8 +157,7 @@ class TestWcsBounds:
         def at_darks(p_d):
             det = DetectorModel(0.4, p_d)
             params = SystemParams(ChannelModel(0.2, 80.0), det, 0.0, 1.16)
-            grid = build_gain_grid(
-                lambda triples: gains.wcs_gain_sets(triples, params), plan)
+            grid = gains.wcs_gain_sets(grid_triples(plan), params)
             return level_bounds(grid, plan).e111_bxu
         assert at_darks(5e-7) >= at_darks(1e-7) - 1e-12
 
@@ -152,8 +168,7 @@ class TestLevelConstructors:
         plan = DecoyPlan(0.4, 0.005)
         params = SystemParams(ChannelModel(0.2, length), DetectorModel(0.4, 1e-7),
                               0.015, 1.16)
-        grid = build_gain_grid(
-            lambda triples: gains.wcs_gain_sets(triples, params), plan)
+        grid = gains.wcs_gain_sets(grid_triples(plan), params)
         poisson = level_bounds(grid, plan, LEVELS["poisson"])
         dist = level_bounds(grid, plan, LEVELS["distribution"])
         for name in ("y111_zl", "y111_xl", "e111_bxu", "e111_bzu"):
@@ -171,13 +186,11 @@ class TestLevelConstructors:
         (distribution_level([1.0, 0.0, 0.0]), distribution_level(poisson_pmf(0.1))),
     ])
     def test_degenerate_levels_give_zero_bounds(self, signal, decoy_):
-        plan = DecoyPlan(0.4, 0.005)
-        grid = build_gain_grid(
-            lambda triples: [stub_gain_set(1e-3, 1e-5, 1e-3, 1e-5) for _ in triples], plan)
+        grid = [stub_gain_set(1e-3, 1e-5, 1e-3, 1e-5)] * len(GRID)
         b = single_photon_bounds(grid, signal, decoy_)
         assert (b.y111_zl, b.y111_xl, b.e111_bxu, b.e111_bzu) == (0.0, 0.0, None, None)
         assert b.diagnostics == (DEGENERATE,)
-        pairs = build_gain_grid(lambda triples: [(1e-3, 1e-5) for _ in triples], plan)
+        pairs = [(1e-3, 1e-5)] * len(GRID)
         m = mermin_yield_bounds(pairs, signal, decoy_)
         assert (m.y_ppp_lower, m.y_ppp_upper, m.y_mmm_upper) == (0.0, 0.0, 0.0)
         assert m.diagnostics == (DEGENERATE,)
@@ -214,8 +227,7 @@ class TestHeraldedStats:
 
 class TestHeraldedBounds:
     def test_degenerate_grid(self):
-        plan = DecoyPlan(5e-3, 5e-4)
-        grid = build_gain_grid(lambda triples: [stub_gain_set() for _ in triples], plan)
+        grid = [stub_gain_set()] * len(GRID)
         trig = DetectorModel(0.4, 1e-7)
         b = single_photon_bounds(grid, distribution_level(heralded_stats(5e-3, trig)),
                                  distribution_level(heralded_stats(5e-4, trig)))
@@ -226,19 +238,15 @@ class TestHeraldedBounds:
         trig = DetectorModel(0.4, 1e-7)
         det = DetectorModel(0.4, 1e-7)
         plan = DecoyPlan(5e-3, 5e-4)
-        stats = {0.0: vacuum_stats(), plan.mu1: heralded_stats(plan.mu1, trig),
-                 plan.mu2: heralded_stats(plan.mu2, trig)}
+        stats = [vacuum_stats(), heralded_stats(plan.mu1, trig), heralded_stats(plan.mu2, trig)]
         for length in (0.0, 50.0):
             params = SystemParams(ChannelModel(0.2, length), det, 0.015, 1.16)
             eta = det.eta_d * 10 ** (-0.2 * length / 10)
-
-            def gain_set(a, b, c):
-                return fock_gain_set((stats[a], stats[b], stats[c]), eta, det.p_d, params.e_d)
-
-            grid = build_gain_grid(lambda triples: [gain_set(*t) for t in triples], plan)
-            bounds = single_photon_bounds(grid, distribution_level(stats[plan.mu2]),
-                                          distribution_level(stats[plan.mu1]))
-            exact = fock.exact_single_photon_stats_for(params)
+            grid = [fock_gain_set([stats[i] for i in t], eta, det.p_d, params.e_d)
+                    for t in GRID]
+            bounds = single_photon_bounds(grid, distribution_level(stats[2]),
+                                          distribution_level(stats[1]))
+            exact = exact_stats(params)
             assert bounds.y111_xl <= exact.y111_x + 1e-12
             assert bounds.y111_zl <= exact.y111_z + 1e-12
             assert bounds.e111_bxu >= exact.e111_bx - 1e-12
@@ -248,16 +256,14 @@ class TestHeraldedBounds:
 class TestMerminYieldBounds:
     def bounds_at(self, params, plan):
         eta = overall_efficiency(params.channel, params.detector)
-        grid = build_gain_grid(
-            lambda triples: [tuple(gains.mermin_outcome_gains(
-                signs, *mus, eta, params.detector.p_d)[0]
-                for signs in ((1, 1, 1), (-1, -1, -1))) for mus in triples], plan)
+        grid = [tuple(gains.mermin_outcome_gains(signs, *mus, eta, params.detector.p_d)[0]
+                      for signs in ((1, 1, 1), (-1, -1, -1))) for mus in grid_triples(plan)]
         return mermin_yield_bounds(grid, poisson_level(plan.mu2),
                                    poisson_level(plan.mu1))
 
     def test_all_zero_grid(self):
         plan = DecoyPlan(0.4, 0.005)
-        zeros = build_gain_grid(lambda triples: [(0.0, 0.0) for _ in triples], plan)
+        zeros = [(0.0, 0.0)] * len(GRID)
         b = mermin_yield_bounds(zeros, poisson_level(plan.mu2), poisson_level(plan.mu1))
         assert (b.y_ppp_lower, b.y_ppp_upper, b.y_mmm_upper) == (0.0, 0.0, 0.0)
 

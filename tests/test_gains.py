@@ -682,9 +682,8 @@ class TestFockGridCalls:
         p_n = heralded_levels(cfg)
         comps = gains.fock_components(list(p_n.values()), [], params.detector.p_d)
         thinning = fock.thinning_matrix(overall_efficiency(params.channel, params.detector))
-        want = decoy.build_gain_grid(lambda triples: [
-            gain_set_reference(comps, [p_n[mu] for mu in t], thinning, params.e_d)
-            for t in triples], cfg.decoy)
+        want = [gain_set_reference(comps, [p_n[mu] for mu in t], thinning, params.e_d)
+                for t in decoy.grid_triples(cfg.decoy)]
         assert keyrates.source_model(cfg)(params).grid == want
 
     @pytest.mark.parametrize("name", ["qss_qnd_eta40", "qss_qnd_eta93"])
@@ -693,9 +692,8 @@ class TestFockGridCalls:
         cfg = fock_config(name)
         params = cfg.system.at_distance(length)
         eta_t = transmission_efficiency(params.channel)
-        want = decoy.build_gain_grid(lambda triples: [
-            gains_qnd_reference(*t, eta_t, params.detector, params.e_d) for t in triples],
-            cfg.decoy)
+        want = [gains_qnd_reference(*t, eta_t, params.detector, params.e_d)
+                for t in decoy.grid_triples(cfg.decoy)]
         assert keyrates.source_model(cfg)(params).grid == want
 
     @pytest.mark.parametrize("variant, name", [("qss_heralded", "qss_heralded_eta40"),

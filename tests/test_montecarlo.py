@@ -1,11 +1,10 @@
 import math
-import time
 
 import numpy as np
 import pytest
 
 from mdighz import checks, montecarlo
-from mdighz.montecarlo import McConfig, McEstimate, fock_closed_form_check, mc_coherent_gains
+from mdighz.montecarlo import McConfig, McEstimate, mc_coherent_gains
 
 
 class TestDeterminism:
@@ -139,20 +138,3 @@ class TestStatistics:
         # 1.5, and run False as the seed-0 stream
         with pytest.raises(ValueError, match="seed"):
             McConfig(samples=10, seed=seed)
-
-
-class TestClosedFormCheck:
-    def test_empty_input_vacuous_pass(self):
-        assert fock_closed_form_check(0) == 0.0
-
-    def test_three_photons_exact(self):
-        assert fock_closed_form_check(3) < 1e-12
-
-    def test_six_photons_exact_and_fast(self):
-        start = time.monotonic()
-        assert fock_closed_form_check(6) < 1e-12
-        assert time.monotonic() - start < 30.0
-
-    def test_cutoff_guard(self):
-        with pytest.raises(ValueError):
-            fock_closed_form_check(99)
