@@ -5,12 +5,14 @@ The analyzer is one fixed 6x6 mode unitary feeding six threshold detectors
 one per spatial group, with the other three detectors silent; the click
 pattern decides which of the two identified GHZ outcomes was projected.
 
-Propagation works on creation-operator polynomials with exact Gaussian-integer
-amplitudes (every unitary entry and polarization amplitude is an integer
-multiple of a power of 1/sqrt(2)) held in int64 numpy arrays.  Up to the
-photon-number cutoff every numerator and denominator of an output probability
-stays below 2^53, so the one float division at the end is correctly rounded:
-signed interference sums are exact and free of cancellation error.
+The full output distribution (`_exact_distribution`, the independent oracle
+of the closed-form check and of the table) propagates creation-operator
+polynomials with exact Gaussian-integer amplitudes (every unitary entry and
+polarization amplitude is an integer multiple of a power of 1/sqrt(2)) held in
+int64 numpy arrays.  Up to the photon-number cutoff every numerator and
+denominator of an output probability stays below 2^53, so the one float
+division at the end is correctly rounded: signed interference sums are exact
+and free of cancellation error.
 
 Yields at detection efficiency eta come by binomial thinning: uniform loss
 commutes with the passive analyzer, so (n, m, l) photons seen with efficiency
@@ -21,12 +23,26 @@ patterns fit with d pairs lit only by a dark count, so that Y(.; 1, p_d) =
 (1-p_d)^3 sum_d C_d p_d^d (`ideal_yields`); `thinning_matrix` holds the
 binomial weights.  Every term is nonnegative, so nothing cancels.
 
-The analyzer is invariant under the party cycle A -> B -> C -> A with detector
-j -> j+2 mod 6, which maps each announced pattern set onto itself, so an
-input's table entry is that of its least cyclic rotation (taken after an
-empty user is written as H).  Each orbit is built once; its entries are
-bitwise equal, since a mass is an exact integer sum below 2^53, in any order,
-divided once by the same denominator.
+The table enumerates no output configuration.  Party p sends k_p of its n_p
+photons into its H input and the rest into its V input, with Gaussian-integer
+amplitude P(k) = prod_p C(n_p, k_p) c_H^k_p c_V^(n_p - k_p), c in {0, +-1,
++-i} (the 1/sqrt(2) factors go into the denominator).  Detector group g sees
+party g's V and party g+1's H light as (a_f - a_s)^x (a_f + a_s)^y, with
+x = n_g - k_g, y = k_{g+1} and G_g = x + y photons in all.  A pattern fits
+only the configurations in which each lit group holds all its photons in one
+detector, where the coefficient is 1 (first detector) or (-1)^x (second).
+Two splits give the same group totals only if they differ by one shift delta
+of all three k_p, and then a second-detector choice carries the sign
+(-1)^delta in every group.  So with m = 3 - d lit groups
+
+    mass[d, parity] = sum_{k, delta} Re(P(k) conj P(k + delta))
+                      * prod_g G_g! * 2^(m-1) * (-1)^(delta * parity)
+
+over the same denominators; the vacuum alone has m = 0, half its mass 1 in each
+parity, which the table adds at d = 3.  Over every input up to the cutoff (all 216
+preparations, checked) the absolute terms sum to at most the denominator,
+itself below 2^53, so the int64 sums are exact and the one division correctly
+rounded.
 """
 
 from __future__ import annotations
@@ -92,35 +108,10 @@ _PLACES = tuple(_BASE ** (5 - j) for j in range(6))
 _FACTORIALS = np.array([factorial(k) for k in range(_BASE)], dtype=np.int64)
 _EXACT_LIMIT = 2 ** 53  # integers below this convert to float exactly
 _BINOMIALS = np.array([[comb(n, k) for k in range(_BASE)] for n in range(_BASE)],
-                      dtype=float)
+                      dtype=np.int64)
 _LOST = np.subtract.outer(np.arange(_BASE), np.arange(_BASE)).clip(0)  # n - k
-# Three detector group states packed base 4 -> 2 d + parity for a
-# configuration that announced patterns fit (d empty pairs, parity of the lit
-# second detectors), 8 for one they cannot fit (a pair with both detectors
-# lit).  A group's state is 0 both empty, 1 first lit, 2 second lit, 3 both.
-_STATES = np.array(list(itertools.product(range(4), repeat=3)))
-_FIT_CATEGORY = np.where((_STATES == 3).any(axis=1), 8,
-                         2 * (_STATES == 0).sum(axis=1) + (_STATES == 2).sum(axis=1) % 2)
-# A key splits as hi * _HALF + lo into detectors 0-2 and 3-5.  Over the
-# half-keys, _HALF_FACTORIALS holds the product of their three digit factorials,
-# and _HIGH_FIT[hi] + _LOW_FIT[lo] = 16 g0 + 4 g1 + g2 indexes _FIT_CATEGORY,
-# with g0 = lit(0) + 2 lit(1), g1 = lit(2) + 2 lit(3), g2 = lit(4) + 2 lit(5).
-_HALF = _BASE ** 3
-
-
-def _half_key_tables():
-    # int64 broadcasts over the digits d0, d1, d2: the int8 and masked-ufunc
-    # forms measured about 200 KB more resident memory from import onwards
-    d0, d1, d2 = (np.arange(_BASE).reshape(shape) for shape in ((-1, 1, 1), (-1, 1), -1))
-    within = d0 + d1 + d2 <= N_MAX
-    # 1 beyond the cutoff, where no key's half lies and int64 would overflow
-    factorials = np.where(within, _FACTORIALS[d0] * _FACTORIALS[d1]
-                          * _FACTORIALS[np.where(within, d2, 0)], 1)
-    return (factorials.ravel(), (16 * (d0 > 0) + 32 * (d1 > 0) + 4 * (d2 > 0)).ravel(),
-            (8 * (d0 > 0) + (d1 > 0) + 2 * (d2 > 0)).ravel())
-
-
-_HALF_FACTORIALS, _HIGH_FIT, _LOW_FIT = _half_key_tables()
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^r, r = 0..3
+_BLOCK = 48  # triples per block of the table build: bounds its temporaries
 
 
 def _gmul(a, b):
@@ -228,8 +219,8 @@ def _exact_distribution(pols: str, numbers) -> tuple[np.ndarray, np.ndarray, int
     of their probabilities and the common denominator; the numerators sum to
     the denominator."""
     keys, norm2, denom = _exact_norms(pols, numbers)
-    hi, lo = divmod(keys, _HALF)
-    return keys, norm2 * _HALF_FACTORIALS[hi] * _HALF_FACTORIALS[lo], denom
+    occupations = keys[:, None] // np.array(_PLACES) % _BASE
+    return keys, norm2 * _FACTORIALS[occupations].prod(axis=1), denom
 
 
 def _check_input(pols: str, numbers) -> None:
@@ -239,9 +230,59 @@ def _check_input(pols: str, numbers) -> None:
         raise ValueError(f"total photon number {sum(numbers)} exceeds cutoff {N_MAX}")
 
 
-def _least_rotation(pols: str, numbers: tuple) -> tuple[str, tuple]:
-    """The least of the three cyclic rotations of an input (pols, numbers)."""
-    return min((pols[r:] + pols[:r], numbers[r:] + numbers[:r]) for r in range(3))
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each index i repeated counts[i] times, and 0 .. counts[i] - 1 beside it."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+
+
+def _fit_masses(preps: tuple[str, ...], triples: np.ndarray) -> np.ndarray:
+    """C[prep, outcome, d, triple] of `ideal_detector_table` for the rows of
+    `triples` (t, 3), by the closed form of the module docstring.
+
+    Each split k pairs with every shift delta >= 0 that keeps k + delta a
+    split; one with delta > 0 stands for its mirror too.  Where both
+    amplitudes are nonzero, Re(P(k) conj P(k + delta)) = C(n, k) C(n, k +
+    delta) Re(rho^delta), with rho = prod_p c_V conj(c_H) a power of i."""
+    row, j = _ragged((triples + 1).prod(axis=1))
+    n = triples[row]
+    k = np.empty_like(n)
+    for p in (2, 1, 0):
+        j, k[:, p] = np.divmod(j, n[:, p] + 1)
+    pair, delta = _ragged((n - k).min(axis=1) + 1)
+    row, n, k = row[pair], n[pair], k[pair]
+    shifted = k + delta[:, None]
+    totals = n - k + np.roll(k, -1, axis=1)  # group g: party g's V, party g+1's H
+    weight = (_BINOMIALS[n, k].prod(axis=1) * _BINOMIALS[n, shifted].prod(axis=1)
+              * _FACTORIALS[totals].prod(axis=1)) << (delta > 0)
+    # sums by triple, empty groups d and delta's parity.  A mass counts 2^(m-1)
+    # second-detector choices per parity; the table adds both parities times
+    # 2^(d-1) patterns for d >= 1 (even deltas only survive) and takes the
+    # outcome's parity for d = 0: a factor 4 either way
+    bins = 8 * row + 2 * (totals == 0).sum(axis=1) + delta % 2
+    out = np.empty((len(preps), 2, 4, len(triples)))
+    for i, pols in enumerate(preps):
+        keep = np.ones(len(row), dtype=bool)
+        rho = (1, 0)
+        for p, pol in enumerate(pols):
+            c = dict(_POLS[pol][0])
+            if 0 not in c:  # no H amplitude: every photon in V, no shift
+                keep &= shifted[:, p] == 0
+            elif 1 not in c:  # no V amplitude: every photon in H, no shift
+                keep &= k[:, p] == n[:, p]
+            else:
+                rho = _gmul(rho, _gmul(c[1], (c[0][0], -c[0][1])))  # c_V conj(c_H)
+        sign = np.array((1, 0, -1, 0))[_I_POWERS.index(rho) * delta % 4]
+        sums = np.zeros(8 * len(triples), dtype=np.int64)
+        np.add.at(sums, bins[keep], weight[keep] * sign[keep])
+        even, odd = sums.reshape(-1, 4, 2).transpose(2, 1, 0)
+        halves = np.array([_POLS[pol][1] + 1 for pol in pols])
+        denom = _FACTORIALS[triples].prod(axis=1) << (triples @ halves)
+        if denom.max() >= _EXACT_LIMIT:
+            raise ValueError(f"{pols} is beyond exact float conversion")
+        out[i] = 4.0 * even / denom
+        out[i, :, 0] = 4.0 * np.stack((even[0] + odd[0], even[0] - odd[0])) / denom
+    return out
 
 
 def ideal_detector_table(preps: tuple[str, ...], mask: np.ndarray) -> np.ndarray:
@@ -255,31 +296,14 @@ def ideal_detector_table(preps: tuple[str, ...], mask: np.ndarray) -> np.ndarray
     outcome fit; with none, the one of the lit second detectors' parity.  The
     masses are exact integer sums below 2^53, divided once: correctly rounded.
     """
-    triples = [tuple(t) for t in np.argwhere(mask).tolist()]
+    triples = np.argwhere(mask)
+    largest = max(triples.tolist(), key=sum)
     for pols in preps:
-        _check_input(pols, max(triples, key=sum))
-    # a user sending no photons leaves no trace of its polarization, and the
-    # party cycle leaves every entry as it is: one build per cyclic orbit
-    inputs = [_least_rotation("".join(p if k else "H" for p, k in zip(pols, numbers)), numbers)
-              for pols in preps for numbers in triples]
-    row = {x: i for i, x in enumerate(dict.fromkeys(inputs))}
-    masses, denoms = [], []
-    for x in row:  # one input at a time, so no table of all configurations forms
-        keys, num, denom = _exact_norms(*x)
-        hi, lo = divmod(keys, _HALF)
-        # in place: two fewer temporaries of the largest builds' size
-        num *= _HALF_FACTORIALS[hi]
-        num *= _HALF_FACTORIALS[lo]
-        category = _FIT_CATEGORY[_HIGH_FIT[hi] + _LOW_FIT[lo]]
-        masses.append(np.bincount(category, num.astype(float), minlength=9)[:8])
-        denoms.append(denom)
-    mass = np.array(masses).reshape(len(row), 4, 2)
-    table = (mass.sum(axis=2) * (0.0, 1.0, 2.0, 4.0))[:, None, :] \
-        + mass[:, 0, :, None] * (1.0, 0.0, 0.0, 0.0)
-    table /= np.array(denoms, dtype=float)[:, None, None]
+        _check_input(pols, largest)
     out = np.zeros((len(preps), 2, 4) + mask.shape)
-    out[..., mask] = table[[row[x] for x in inputs]].reshape(
-        len(preps), len(triples), 2, 4).transpose(0, 2, 3, 1)
+    # a block at a time, so the pairs of all triples never form at once
+    out[..., mask] = np.concatenate([_fit_masses(preps, triples[b:b + _BLOCK])
+                                     for b in range(0, len(triples), _BLOCK)], axis=-1)
     return out
 
 

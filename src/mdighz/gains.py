@@ -201,8 +201,8 @@ def z_pattern_outcome_gain(pols: str, mu: float, nu: float, omega: float,
         ints = group_to[grp]
         if len(ints) <= 1:
             total = ints[0] if ints else 0.0
-            d = _group_click(total, p_d)
-            clicked_silent[grp] = d * (1.0 - d)
+            # the silence formed directly: 1 - click cancels once the click is near 1
+            clicked_silent[grp] = _group_click(total, p_d) * (1.0 - p_d) * exp(-total / 2.0)
         else:
             w_tot = sum(ints)
             z = sqrt(ints[0] * ints[1])

@@ -425,33 +425,12 @@ def heralded_mask(name):
     return gains._envelope(levels, 1e-12 / 4096.0)
 
 
-def cyclic_orbits(preps, mask):
-    """Distinct inputs of a table up to the party cycle, after the rewrite of
-    an empty user's polarization to H."""
-    orbits = set()
-    for pols in preps:
-        for numbers in map(tuple, np.argwhere(mask).tolist()):
-            seen = "".join(p if k else "H" for p, k in zip(pols, numbers))
-            orbits.add(frozenset((seen[r:] + seen[:r], numbers[r:] + numbers[:r])
-                                 for r in range(3)))
-    return len(orbits)
-
-
 class TestCyclicSymmetry:
-    """The analyzer is invariant under the party cycle A -> B -> C -> A with
-    detector j -> j + 2 mod 6, so one build per cyclic orbit fills the table
-    bit for bit as one build per (preparation, triple) does."""
+    """The closed-form table equals the one built by enumerating every output
+    configuration and sorting it into its category, bit for bit."""
 
     ALL_PREPS = tuple(map("".join, itertools.product(TOKENS, repeat=3)))
     SINGLE_PHOTON = (fock._Z_TRIPLES + fock._X_TRIPLES, np.ones((2, 2, 2), dtype=bool))
-
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        """The inputs of every exact build while the test runs."""
-        calls = []
-        build = fock._exact_norms
-        monkeypatch.setattr(fock, "_exact_norms", lambda *x: calls.append(x) or build(*x))
-        return calls
 
     @pytest.mark.parametrize("preps, mask", [
         (gains._CLASS_POLS, gains._WITHIN_CUTOFF),
@@ -471,13 +450,22 @@ class TestCyclicSymmetry:
         assert np.array_equal(fock._single_photon_table(),
                               ideal_detector_table_reference(*self.SINGLE_PHOTON))
 
-    def test_single_photon_table_builds_each_orbit_once(self, builds):
-        fock._single_photon_table.__wrapped__()
-        assert len(builds) == cyclic_orbits(*self.SINGLE_PHOTON) == 21
+    @pytest.mark.parametrize("numbers", [(12, 0, 0), (0, 0, 12), (4, 4, 4), (3, 4, 5)],
+                             ids=["12_0_0", "0_0_12", "4_4_4", "3_4_5"])
+    def test_cutoff_corners_equal_reference_build(self, numbers):
+        # one photon number at the cutoff, and the largest three-party splits
+        mask = np.zeros((fock.N_MAX + 1,) * 3, dtype=bool)
+        mask[numbers] = True
+        preps = TestExactBuild.PREPARATIONS[:6]  # every token at every party
+        assert np.array_equal(fock.ideal_detector_table(preps, mask),
+                              ideal_detector_table_reference(preps, mask))
 
-    @pytest.mark.parametrize("name", ["box", "qss_heralded_eta40"])
-    def test_one_exact_build_per_orbit(self, builds, name):
-        mask = np.ones((6, 4, 5), dtype=bool) if name == "box" else heralded_mask(name)
-        builds.clear()
-        fock.ideal_detector_table(gains._CLASS_POLS, mask)
-        assert len(builds) == len(set(builds)) == cyclic_orbits(gains._CLASS_POLS, mask)
+    def test_builds_expand_no_output_configuration(self, monkeypatch):
+        def expansion(*args):
+            raise AssertionError("the table build expanded output configurations")
+
+        monkeypatch.setattr(fock, "_exact_norms", expansion)
+        monkeypatch.setattr(fock, "_party_terms", expansion)
+        fock._single_photon_table.__wrapped__()
+        fock.ideal_detector_table(gains._CLASS_POLS, gains._WITHIN_CUTOFF)
+        fock.ideal_detector_table(gains._CLASS_POLS, heralded_mask("qss_heralded_eta40"))

@@ -141,6 +141,12 @@ class TestRectilinearClosedForms:
                              (1e-4, 1e-4, 1e-9), (0.7, 0.3, 0.04)]:
             gains.z_gain_components(mu, mu / 2, mu / 3, eta, p_d)
 
+    @pytest.mark.parametrize("eta", [0.4, 0.93])
+    def test_same_pol_forms_agree_where_every_group_clicks(self, eta):
+        # mu eta >> 1: a one-party group's silence is ~e^{-mu eta / 2}, which
+        # 1 - click would lose to cancellation
+        gains.z_gain_components(50, 50, 50, eta, 1e-7)
+
     def test_paper_point_against_monte_carlo(self):
         eta, p_d = 0.04, 1e-7
         z = gains.z_gain_components(0.4, 0.4, 0.4, eta, p_d)

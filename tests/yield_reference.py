@@ -3,13 +3,14 @@ output configuration, evaluated directly at the detection efficiency.
 
 The package computes yields by thinning ideal-detector tables; this direct
 sum over the exact output distribution is what those yields must equal.  The
-package builds each table entry once per cyclic orbit of inputs;
-`ideal_detector_table_reference` builds every (preparation, triple) entry from
-its own input, and the two must agree bit for bit.  The diagonal-basis
-quadrature forms its outcome probabilities in one workspace kernel with shared
-pair products; `outcome_pattern_sums`, the plain sum over the click patterns,
-is what that kernel must equal bit for bit.  `party_terms_reference` expands a
-party's photons by filtering every digit tuple; the package enumerates the
+package forms each table entry in closed form from the three detector-group
+photon totals; `ideal_detector_table_reference` sorts every output
+configuration of every (preparation, triple) input into its category, and the
+two must agree bit for bit.  The diagonal-basis quadrature forms its outcome
+probabilities in one workspace kernel with shared pair products;
+`outcome_pattern_sums`, the plain sum over the click patterns, is what that
+kernel must equal bit for bit.  `party_terms_reference` expands a party's
+photons by filtering every digit tuple; the package enumerates the
 compositions directly.  `gain_set_reference` and `gains_qnd_reference` form
 one GainSet per call, certifying and thinning each triple on its own; the
 decoy grid of a source model must equal them bit for bit.
@@ -91,11 +92,17 @@ def single_photon_phi_plus(pols, eta, p_d):
 # 1 first lit, 2 second lit, 3 both lit.
 GROUP_STATE = ((np.arange(fock._BASE ** 2) >= fock._BASE)
                + 2 * (np.arange(fock._BASE ** 2) % fock._BASE > 0))
+# Three group states packed base 4 -> 2 d + parity for a configuration that
+# announced patterns fit (d empty pairs, parity of the lit second detectors),
+# 8 for one they cannot fit (a pair with both detectors lit).
+_STATES = np.array(list(itertools.product(range(4), repeat=3)))
+FIT_CATEGORY = np.where((_STATES == 3).any(axis=1), 8,
+                        2 * (_STATES == 0).sum(axis=1) + (_STATES == 2).sum(axis=1) % 2)
 
 
 def ideal_detector_table_reference(preps, mask):
-    """`fock.ideal_detector_table` with one exact build per distinct
-    (preparation, triple) input, no inputs shared across the party cycle."""
+    """`fock.ideal_detector_table` from one exact build per distinct
+    (preparation, triple) input, each output configuration categorized."""
     triples = [tuple(t) for t in np.argwhere(mask).tolist()]
     for pols in preps:
         fock._check_input(pols, max(triples, key=sum))
@@ -108,7 +115,7 @@ def ideal_detector_table_reference(preps, mask):
         keys, num, denom = fock._exact_distribution(*x)
         groups = GROUP_STATE[keys // np.array([[fock._BASE ** 4], [fock._BASE ** 2], [1]])
                              % fock._BASE ** 2]
-        category = fock._FIT_CATEGORY[groups[0] * 16 + groups[1] * 4 + groups[2]]
+        category = FIT_CATEGORY[groups[0] * 16 + groups[1] * 4 + groups[2]]
         masses.append(np.bincount(category, num.astype(float), minlength=9)[:8])
         denoms.append(denom)
     mass = np.array(masses).reshape(len(row), 4, 2)
