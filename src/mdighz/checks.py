@@ -2,18 +2,21 @@
 
 Each family compares the closed forms and quadratures with an independent
 path: the Monte Carlo oracle, the symmetry identities of the analyzer, the
-exact Fock engine, the printed amplitudes.  `mdighz validate` composes them at
-a config's parameters and the acceptance tests at their own.  A row passes
-only if its deviation is finite and within the family's bound.
+exact Fock engine.  The last family holds that engine's own ideal-detector
+table, the one the heralded and QND curves use, against the printed H,H,V
+amplitudes.  `mdighz validate` composes them at a config's parameters and the
+acceptance tests at their own.  A row passes only if its deviation is finite
+and within the family's bound.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from math import comb, factorial
 from typing import NamedTuple
+
+import numpy as np
 
 from . import decoy, fock, gains, keyrates, montecarlo
 from .params import ExperimentConfig
@@ -146,11 +149,11 @@ def brackets(cfg: ExperimentConfig, distances) -> list[Row]:
     return rows
 
 
-def _closed_form_hhv(n: int, m: int, l: int) -> dict:
-    """Printed closed form for the H,H,V input class: probability of the
-    output configuration (s, m-s, 0, 0, p, n+l-p) as an exact rational."""
+def _closed_form_hhv(n: int, m: int, l: int) -> tuple[dict, int]:
+    """Printed closed form for the H,H,V input class: the integer numerators of
+    the probabilities of the output configurations (s, m-s, 0, 0, p, n+l-p),
+    and their common denominator."""
     out = {}
-    denom = 2 ** (n + m + l) * factorial(n) * factorial(m) * factorial(l)
     for p in range(n + l + 1):
         for s in range(m + 1):
             amp = 0
@@ -159,27 +162,40 @@ def _closed_form_hhv(n: int, m: int, l: int) -> dict:
                     amp += (-1) ** (l - t) * comb(n, p - t) * comb(m, s) * comb(l, t)
             if amp == 0:
                 continue
-            num = amp * amp * (factorial(p) * factorial(s)
-                               * factorial(n + l - p) * factorial(m - s))
-            out[(s, m - s, 0, 0, p, n + l - p)] = Fraction(num, denom)
-    return out
+            out[(s, m - s, 0, 0, p, n + l - p)] = amp * amp * (
+                factorial(p) * factorial(s) * factorial(n + l - p) * factorial(m - s))
+    return out, 2 ** (n + m + l) * factorial(n) * factorial(m) * factorial(l)
+
+
+def _fit_masses_hhv(n: int, m: int, l: int) -> list[list[float]]:
+    """The printed probabilities summed into the ideal-detector table's masses
+    [outcome][d]: a configuration fits no pattern if some group has both
+    detectors lit; otherwise d groups are empty, and it counts for the outcome
+    of its lit second detectors' parity (d = 0) or for both outcomes, 2^(d-1)
+    times (d >= 1)."""
+    numerators, denom = _closed_form_hhv(n, m, l)
+    mass = [[0, 0] for _ in range(4)]  # [d][parity]
+    for occ, num in numerators.items():
+        groups = [occ[j:j + 2] for j in (0, 2, 4)]
+        if any(first and second for first, second in groups):
+            continue
+        empty = sum(not any(group) for group in groups)
+        mass[empty][sum(second > 0 for _, second in groups) % 2] += num
+    # Python's integer division rounds correctly, as the table's does
+    return [[(mass[0][outcome] if d == 0 else sum(mass[d]) << (d - 1)) / denom
+             for d in range(4)] for outcome in (0, 1)]
 
 
 def fock_closed_form(max_total_photons: int) -> list[Row]:
-    """The exact propagator against the printed H,H,V output probabilities:
-    the largest absolute difference over every (n, m, l) up to the total,
-    NaN if any probability is NaN."""
+    """The ideal-detector table of the exact engine against the printed H,H,V
+    output probabilities: the largest absolute difference of their fit masses
+    over every (n, m, l) up to the total, NaN if any mass is NaN."""
     if max_total_photons > fock.N_MAX:
         raise ValueError(f"total photon number exceeds cutoff {fock.N_MAX}")
-    triples = [t for t in itertools.product(range(max_total_photons + 1), repeat=3)
-               if sum(t) <= max_total_photons]
+    mask = np.indices((max_total_photons + 1,) * 3).sum(axis=0) <= max_total_photons
+    table = fock.ideal_detector_table(("HHV",), mask)[0]
     deviations = [0.0]
-    for n, m, l in triples:
-        keys, num, denom = fock._exact_distribution("HHV", (n, m, l))
-        reference = {sum(k * place for k, place in zip(occ, fock._PLACES)): p
-                     for occ, p in _closed_form_hhv(n, m, l).items()}
-        general = dict(zip(keys.tolist(), (num / denom).tolist()))
-        deviations += [abs(general.get(key, 0.0) - float(reference.get(key, 0)))
-                       for key in set(reference) | set(general)]
+    for n, m, l in np.argwhere(mask).tolist():
+        deviations += np.abs(table[:, :, n, m, l] - _fit_masses_hhv(n, m, l)).ravel().tolist()
     worst = _worst(deviations)
     return [_row("fock:closed-form", 0.0, worst, None, worst, worst < CLOSED_FORM_TOL)]

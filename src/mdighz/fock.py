@@ -1,18 +1,17 @@
-"""Exact photon-number propagation through the GHZ analyzer, and its yields.
+"""Exact photon-number yields of the GHZ analyzer.
 
 The analyzer is one fixed 6x6 mode unitary feeding six threshold detectors
 (1H, 1V, 2H, 2V, 3H, 3V).  A successful event is three simultaneous clicks,
 one per spatial group, with the other three detectors silent; the click
 pattern decides which of the two identified GHZ outcomes was projected.
 
-The full output distribution (`_exact_distribution`, the independent oracle
-of the closed-form check and of the table) propagates creation-operator
-polynomials with exact Gaussian-integer amplitudes (every unitary entry and
-polarization amplitude is an integer multiple of a power of 1/sqrt(2)) held in
-int64 numpy arrays.  Up to the photon-number cutoff every numerator and
-denominator of an output probability stays below 2^53, so the one float
-division at the end is correctly rounded: signed interference sums are exact
-and free of cancellation error.
+Every unitary entry and polarization amplitude is an integer multiple of a
+power of 1/sqrt(2), so the table below is formed from exact integer sums:
+signed interference sums carry no cancellation error.  It is the package's
+one photon-number engine.  The propagator of the full output distribution,
+which every table entry must equal bit for bit, is kept with the tests
+(`tests/yield_reference.py`); `checks.fock_closed_form` holds the table
+against the printed H,H,V output probabilities.
 
 Yields at detection efficiency eta come by binomial thinning: uniform loss
 commutes with the passive analyzer, so (n, m, l) photons seen with efficiency
@@ -50,7 +49,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial
 
 import numpy as np
 
@@ -100,11 +99,7 @@ _POLS = {
     "L": (((0, (1, 0)), (1, (0, -1))), 1),
 }
 
-# An output configuration packs into one integer key, one base-_BASE digit per
-# detector with detector 0 most significant, so sorted keys are sorted
-# occupation tuples.
-_BASE = N_MAX + 1
-_PLACES = tuple(_BASE ** (5 - j) for j in range(6))
+_BASE = N_MAX + 1  # photon numbers 0 .. N_MAX
 _FACTORIALS = np.array([factorial(k) for k in range(_BASE)], dtype=np.int64)
 _EXACT_LIMIT = 2 ** 53  # integers below this convert to float exactly
 _BINOMIALS = np.array([[comb(n, k) for k in range(_BASE)] for n in range(_BASE)],
@@ -118,10 +113,6 @@ def _gmul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def _gadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def analyzer_unitary() -> np.ndarray:
     """The fixed 6x6 network unitary U (a_in[j] -> sum_i U[i,j] a_out[i])."""
     s = 1.0 / np.sqrt(2.0)
@@ -130,97 +121,6 @@ def analyzer_unitary() -> np.ndarray:
         for i, sign in routes:
             u[i, j] = sign * s
     return u
-
-
-def _party_output_vector(party: int, pol: str):
-    """Post-analyzer amplitude vector for one photon from `party` in `pol`.
-
-    Returns ({output mode: gaussian integer}, half_power): the true amplitude
-    is g * (1/sqrt(2))**half_power, identical half_power for all entries.
-    """
-    comps, extra = _POLS[pol]
-    vec: dict[int, tuple[int, int]] = {}
-    for offset, g in comps:
-        for out, sign in _ROUTES[2 * party + offset]:
-            vec[out] = _gadd(vec.get(out, (0, 0)), _gmul(g, (sign, 0)))
-    return vec, extra + 1
-
-
-def _compositions(n: int, parts: int):
-    """Every tuple of `parts` nonnegative integers summing to n, in
-    lexicographic order."""
-    if parts == 1:
-        yield (n,)
-        return
-    for k in range(n + 1):
-        for rest in _compositions(n - k, parts - 1):
-            yield (k,) + rest
-
-
-@lru_cache(maxsize=None)
-def _party_terms(party: int, pol: str, n: int):
-    """Expansion of (sum_j v_j a_j)^n for one party's `n` photons: distinct
-    packed output keys, increasing, and their Gaussian-integer amplitudes
-    (multinomial times the product of the v_j), as read-only int64 arrays."""
-    vec, _ = _party_output_vector(party, pol)
-    modes = sorted(vec)
-    keys, re, im = [], [], []
-    for ks in _compositions(n, len(modes)):
-        coeff = factorial(n)
-        g = (1, 0)
-        key = 0
-        for mode, k in zip(modes, ks):
-            coeff //= factorial(k)
-            for _ in range(k):
-                g = _gmul(g, vec[mode])
-            key += k * _PLACES[mode]
-        keys.append(key)
-        re.append(coeff * g[0])
-        im.append(coeff * g[1])
-    arrays = tuple(np.array(x, dtype=np.int64) for x in (keys, re, im))
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
-def _exact_norms(pols: str, numbers) -> tuple[np.ndarray, np.ndarray, int]:
-    """Sorted packed keys of the output configurations, their integer
-    |amplitude|^2 and the common denominator of their probabilities.
-
-    The first lit party's expansion is taken as it is (its keys are already
-    distinct and sorted); each further one multiplies in by outer sums of the
-    keys, and equal keys are merged with exact integer amplitude sums.  A
-    configuration's probability is |amplitude|^2 prod(k!) over
-    2^half_power prod(n!).
-    """
-    # with no photons at all, the expansion of none: key 0 with amplitude 1
-    lit = [(p, pol, n) for p, (pol, n) in enumerate(zip(pols, numbers)) if n] or [(0, "H", 0)]
-    half = sum((_POLS[pol][1] + 1) * n for _, pol, n in lit)
-    denom = prod(factorial(n) for _, _, n in lit)
-    keys, re, im = _party_terms(*lit[0])
-    for party, pol, n in lit[1:]:
-        k2, r2, i2 = _party_terms(party, pol, n)
-        keys, inverse = np.unique((keys[:, None] + k2).ravel(), return_inverse=True)
-        parts = ((re[:, None] * r2 - im[:, None] * i2).ravel(),
-                 (re[:, None] * i2 + im[:, None] * r2).ravel())
-        re, im = (np.zeros(len(keys), dtype=np.int64) for _ in range(2))
-        np.add.at(re, inverse, parts[0])
-        np.add.at(im, inverse, parts[1])
-    denom <<= half
-    if denom >= _EXACT_LIMIT:
-        raise ValueError(f"{pols}{tuple(numbers)} is beyond exact float conversion")
-    norm2 = re * re + im * im
-    keep = norm2 != 0
-    return keys[keep], norm2[keep], denom
-
-
-def _exact_distribution(pols: str, numbers) -> tuple[np.ndarray, np.ndarray, int]:
-    """Sorted packed keys of the output configurations, the integer numerators
-    of their probabilities and the common denominator; the numerators sum to
-    the denominator."""
-    keys, norm2, denom = _exact_norms(pols, numbers)
-    occupations = keys[:, None] // np.array(_PLACES) % _BASE
-    return keys, norm2 * _FACTORIALS[occupations].prod(axis=1), denom
 
 
 def _check_input(pols: str, numbers) -> None:

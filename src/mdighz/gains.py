@@ -7,23 +7,23 @@ detector-level interference: the periodic trapezoid rule over the full phase
 circle, and Gauss-Legendre over the hexagon of phase differences for the
 phase-sliced gains.  The full-circle rule stacks all intensity triples of a
 decoy grid into one evaluation, each triple summed and certified on its own.
-Negating every sign of a diagonal-basis triple swaps the two detectors of
-each pair exactly, so one evaluation also gives the negated triple's gains
-(the Mermin witness needs (+,+,+) and (-,-,-)): its outcome sums are the
-other outcome's pattern products added in reverse order.  Both rules write
-every step into one float64 workspace per thread, grown to the largest grid
-seen and then reused.  Grid-sized temporaries freed after every call let
-the C allocator hand their memory back to the system, and the next call
-faulted it in again: about 330 page faults per stacked decoy-grid call.
+Flipping every sign of a diagonal-basis triple only swaps its two outcome
+gains, so the Mermin witness takes its (-,-,-) gains from the (+,+,+) call.
+Both rules write every step into one float64 workspace per thread, grown to
+the largest grid seen and then reused.  Grid-sized temporaries freed after
+every call let the C allocator hand their memory back to the system, and the
+next call faulted it in again: about 330 page faults per stacked decoy-grid
+call.
 Heralded and photon-number-filtered variants take their gains from the exact
 Fock engine by binomial thinning: each user's photon-number distribution is
 thinned by the detector efficiency, and the joint thinned weights are
 contracted against the ideal-detector class components of a fixed set of
 photon-number triples, free of any distance.  A source model builds these
-components once per curve and certifies the truncation of every combination
-of its decoy levels then, since neither holds a distance; like the
-weak-coherent path it then takes one call per decoy grid, which thins each
-level once.
+components once, with no cache shared across models (one per curve, one per
+trial of an intensity search), and certifies the truncation of every
+combination of its decoy levels then, since neither holds a distance; like
+the weak-coherent path it then takes one call per decoy grid, which thins
+each level once.
 
 Conventions: a "gain" Q is the per-pulse-triple probability of one announced
 outcome class and includes the 1/8 preparation probability of the specific
@@ -249,9 +249,13 @@ def z_gain_components(mu: float, nu: float, omega: float, eta: float,
             raise NumericsError("mixed-class gain went negative")
         return val
 
-    b = _mixed(ib, ia, ic)  # Bob solo, Alice-Charlie interfere
-    c = _mixed(ic, ia, ib)  # Charlie solo, Alice-Bob interfere
-    d = _mixed(ia, ib, ic)  # Alice solo, Bob-Charlie interfere
+    try:
+        b = _mixed(ib, ia, ic)  # Bob solo, Alice-Charlie interfere
+        c = _mixed(ic, ia, ib)  # Charlie solo, Alice-Bob interfere
+        d = _mixed(ia, ib, ic)  # Alice solo, Bob-Charlie interfere
+    except OverflowError:
+        raise NumericsError(f"mixed-class gain at intensity {max(mu, nu, omega)!r}: its "
+                            f"factors e^(intensity * eta / 2) overflow a float") from None
     return ZGainComponents(a=a_closed, b=b, c=c, d=d)
 
 
@@ -299,19 +303,13 @@ def _pair_factors(amplitude, base, cosine, p_d, work):
     return np.multiply(n0, s1, out=t), np.multiply(n1, s0, out=n1)
 
 
-def _outcome_sums(ia, ib, ic, signs, cosines, p_d, negated=False):
+def _outcome_sums(ia, ib, ic, signs, cosines, p_d):
     """Yields the probabilities of the two announced outcomes (phi_plus,
     phi_minus) for diagonal-basis coherent inputs of arriving intensities
     ia, ib, ic and sign triple `signs` (+1 -> "+", -1 -> "-"), at the phase
-    points whose A-B, B-C and A-C phase-difference cosines are `cosines`;
-    with `negated`, then the two of the negated sign triple.  Each comes
-    with a free view of its shape; both are views of the workspace that the
-    next step overwrites.
-
-    Negating every sign swaps the mean photon numbers of each detector pair
-    (j <-> j ^ 1) exactly, so phi_plus(-s) is the sum of the phi_minus(s)
-    pattern products in reverse order, and phi_minus(-s) that of the
-    phi_plus(s) ones.
+    points whose A-B, B-C and A-C phase-difference cosines are `cosines`.
+    Each comes with a free view of its shape; both are views of the
+    workspace that the next step overwrites.
     """
     pairs = ((ia, ib), (ib, ic), (ia, ic))
     amplitudes = [s * (0.5 * np.sqrt(x * y)) for s, (x, y) in zip(signs, pairs)]
@@ -333,10 +331,7 @@ def _outcome_sums(ia, ib, ic, signs, cosines, p_d, negated=False):
                (1, 2): np.multiply(f[1], f[2], out=spent[3]),
                (1, 3): np.multiply(f[1], f[3], out=f[3])}
     term = f[2]
-    orders = [fock.PHI_PLUS_PATTERNS, fock.PHI_MINUS_PATTERNS]
-    if negated:
-        orders += [fock.PHI_MINUS_PATTERNS[::-1], fock.PHI_PLUS_PATTERNS[::-1]]
-    for patterns in orders:
+    for patterns in (fock.PHI_PLUS_PATTERNS, fock.PHI_MINUS_PATTERNS):
         # ((t0 + t1) + t2) + t3: the order of sum(), less its 0 + t0, which
         # could only turn a -0.0 into 0.0
         for i, (a, b, c) in enumerate(patterns):
@@ -372,10 +367,10 @@ def _circle_cosines(nodes):
     return cosines
 
 
-def _x_outcome_quad(signs, ia, ib, ic, p_d, negated):
+def _x_outcome_quad(signs, ia, ib, ic, p_d):
     """The outcome gains by the trapezoid rule on QUAD_NODES^2 and on
     (2 QUAD_NODES)^2 phase points, as (2, P) arrays for P arriving-intensity
-    triples (arrays of length P); (4, P) with the negated sign triple's.
+    triples (arrays of length P).
 
     The integrand is periodic and analytic in both phases, so the equispaced
     trapezoid rule converges geometrically on it; the coarse rule is the
@@ -387,7 +382,7 @@ def _x_outcome_quad(signs, ia, ib, ic, p_d, negated):
     # differences that amplify it at long distance
     rows = len(ia)
     coarse, fine = [], []
-    for s, free in _outcome_sums(ia, ib, ic, signs, _circle_cosines(QUAD_NODES), p_d, negated):
+    for s, free in _outcome_sums(ia, ib, ic, signs, _circle_cosines(QUAD_NODES), p_d):
         subgrid = free.reshape(-1)[:free.size // 4].reshape(rows, QUAD_NODES, QUAD_NODES)
         np.copyto(subgrid, s[:, ::2, ::2])
         coarse.append(subgrid.reshape(rows, -1).mean(axis=-1) / 8.0)
@@ -396,7 +391,7 @@ def _x_outcome_quad(signs, ia, ib, ic, p_d, negated):
 
 
 def mermin_outcome_gains(signs: tuple[int, int, int], mu, nu, omega, eta: float,
-                         p_d: float, negated: bool = False):
+                         p_d: float):
     """Gains of the two announced outcomes for one diagonal-basis sign triple,
     phase-averaged over the full circle (two-angle periodic trapezoid rule).
 
@@ -404,15 +399,14 @@ def mermin_outcome_gains(signs: tuple[int, int, int], mu, nu, omega, eta: float,
     those cases exact.  Returns (correct-class gain, other-class gain) with
     the correct class being the one a (+,+,+) triple feeds.  Given sequences
     of intensities, one evaluation returns a list of each gain, one entry per
-    triple, and every triple is certified on its own.  With `negated`, the
-    same evaluation also returns the two gains of the negated sign triple,
-    after those of `signs`, equal to its own call's.
+    triple, and every triple is certified on its own.
+
+    Flipping every sign swaps the two detectors of each pair exactly, so the
+    flipped triple's gains are these two, swapped: (+,+,+) gives both the
+    all-"+" and the all-"-" correct-outcome gains of the Mermin witness.
     """
     ia, ib, ic = (np.multiply(m, eta) for m in (mu, nu, omega))
-    coarse, fine = _x_outcome_quad(signs, ia, ib, ic, p_d, negated)
-    # each sign triple's outcome pair is certified as its own call would be
-    q = [g for k in range(0, len(fine), 2)
-         for g in _certified(coarse[k:k + 2], fine[k:k + 2], "diagonal-basis gain").tolist()]
+    q = _certified(*_x_outcome_quad(signs, ia, ib, ic, p_d), "diagonal-basis gain").tolist()
     return tuple(g[0] for g in q) if np.ndim(mu) == 0 else tuple(q)
 
 
@@ -528,22 +522,13 @@ _CLASS_POLS = ("HHH", "HHV", "VHH", "HVH", "+++")
 _WITHIN_CUTOFF = np.indices((fock.N_MAX + 1,) * 3).sum(axis=0) <= fock.N_MAX
 
 
-@lru_cache(maxsize=8)
-def _class_table(shape, triples: bytes) -> np.ndarray:
-    """Ideal-detector tables (dark-pair axis, then n, m, l) of the gain-class
-    components a, b, c, d, e, f, incl. the 1/8 preparation probability and
-    the outcome averaging, over the triples of a boolean mask (its bytes)."""
-    mask = np.frombuffer(triples, dtype=bool).reshape(shape)
-    c = fock.ideal_detector_table(_CLASS_POLS, mask)
-    rows = np.concatenate([(c[:4, 0] + c[:4, 1]) / 16.0, c[4] / 8.0])
-    rows.setflags(write=False)
-    return rows
-
-
 def class_yields(mask: np.ndarray, p_d: float) -> np.ndarray:
-    """(6, *mask.shape): the class components of each triple of the boolean
-    `mask` at ideal detectors with dark-count probability p_d, 0 elsewhere."""
-    return fock.ideal_yields(_class_table(mask.shape, mask.tobytes()), p_d)
+    """(6, *mask.shape): the gain-class components a, b, c, d, e, f of each
+    triple of the boolean `mask` at ideal detectors with dark-count
+    probability p_d, 0 elsewhere; incl. the 1/8 preparation probability and
+    the outcome averaging."""
+    c = fock.ideal_detector_table(_CLASS_POLS, mask)
+    return fock.ideal_yields(np.concatenate([(c[:4, 0] + c[:4, 1]) / 16.0, c[4] / 8.0]), p_d)
 
 
 def _thin(dist: np.ndarray, thinning: np.ndarray, k: int) -> np.ndarray:

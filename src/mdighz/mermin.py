@@ -33,9 +33,9 @@ class MerminEstimate:
 def _outcome_grid(params: SystemParams, plan: DecoyPlan) -> list[tuple[float, float]]:
     """(all-"+", all-"-") announced-correct-outcome gains in decoy.GRID order."""
     eta, p_d = overall_efficiency(params.channel, params.detector), params.detector.p_d
-    ppp, _, mmm, _ = gains.mermin_outcome_gains((1, 1, 1), *zip(*decoy.grid_triples(plan)),
-                                                eta, p_d, negated=True)
-    return list(zip(ppp, mmm))
+    # phi_plus(-,-,-) is phi_minus(+,+,+): flipping every sign swaps each detector pair
+    return list(zip(*gains.mermin_outcome_gains((1, 1, 1), *zip(*decoy.grid_triples(plan)),
+                                                eta, p_d)))
 
 
 def mermin_lower_bound(params: SystemParams, plan: DecoyPlan) -> MerminEstimate:

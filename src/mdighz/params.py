@@ -151,6 +151,11 @@ class PhasePlan:
     def __post_init__(self):
         if not isinstance(self.k, int) or self.k < 1:
             raise ConfigError("phase region count K must be an integer >= 1", key="phase.K")
+        try:  # the sliced gains carry the factor 1/K^2
+            float(self.k * self.k)
+        except OverflowError:
+            raise ConfigError("phase region count K is too large: K^2 overflows a float",
+                              key="phase.K") from None
 
 
 @dataclass(frozen=True)

@@ -57,11 +57,8 @@ def test_nan_mixed_class_fails_validate(monkeypatch, tmp_path):
      None, "bracket", ["bracket:L=0.0", "bracket:L=50.0"]),  # deviation -inf
     (decoy, "single_photon_bounds", lambda b: replace(b, e111_bxu=None),  # no bound
      None, "bracket", ["bracket:L=0.0", "bracket:L=50.0"]),
-    # (keys, integer numerators, denominator) of the exact output distribution
-    (fock, "_exact_distribution", lambda d: (d[0], d[1] * 1.001, d[2]),
-     None, "fock", ["fock:closed-form"]),
-    (fock, "_exact_distribution", lambda d: (d[0], d[1] * math.nan, d[2]),
-     None, "fock", ["fock:closed-form"]),
+    (fock, "ideal_detector_table", lambda t: t * 1.001, None, "fock", ["fock:closed-form"]),
+    (fock, "ideal_detector_table", lambda t: t * math.nan, None, "fock", ["fock:closed-form"]),
 ], ids=["mc", "samepol", "mixedclass", "mixedclass-nan", "signclasses", "bracket",
         "bracket-inf", "bracket-missing-bound", "closed-form", "closed-form-nan"])
 def test_perturbed_input_fails_its_rows(monkeypatch, module, name, change, when, family,

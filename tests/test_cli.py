@@ -102,7 +102,6 @@ class TestQccCommand:
         for tag in ("h1", "h2"):
             # cold caches, so that each run builds the yield tables afresh
             fock._single_photon_table.cache_clear()
-            gains._class_table.cache_clear()
             out = tmp_path / f"{tag}.csv"
             assert cli.main(["qss", "--config", str(her), "--out", str(out),
                              "--seed", "7"]) == 0
@@ -113,8 +112,7 @@ class TestQccCommand:
 class TestQssCommand:
     def test_one_process_repeats_a_fresh_one(self, tmp_path):
         # the distance-free caches are shared by every curve of a process
-        for cache in (fock._party_terms, fock._single_photon_table, gains._class_table):
-            cache.cache_clear()
+        fock._single_photon_table.cache_clear()
         outs = []
         for tag, name in (("first", "qss_heralded_eta40"), ("qnd", "qss_qnd_eta40"),
                           ("eta93", "qss_heralded_eta93"), ("again", "qss_heralded_eta40")):
@@ -365,6 +363,27 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert code == 4
         assert "intensity 1000.0" in err
+        assert "Traceback" not in err
+
+    def test_overflowing_mixed_class_gain_exits_4(self, tmp_path, capsys):
+        # validate's Monte Carlo rows form the rectilinear gains before any
+        # Poisson level: their factor e^(mu eta / 2) overflows past mu ~ 3,550
+        cfg = config_copy(tmp_path, "qss_pps_eta40", ("source.mu = 0.11", "source.mu = 1e5"))
+        code = cli.main(["validate", "--config", str(cfg), "--quick",
+                         "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "intensity 100000.0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["qss", "validate", "optimize"])
+    def test_phase_count_whose_square_overflows_exits_2(self, command, tmp_path, capsys):
+        # the sliced gains divide by K^2, which must be a finite float
+        cfg = config_copy(tmp_path, "qss_pps_eta40", ("phase.K = 8", f"phase.K = {10 ** 200}"))
+        code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'phase.K', line 10" in err
         assert "Traceback" not in err
 
     def test_empty_grid_of_a_refused_source_exits_0(self, tmp_path):

@@ -264,24 +264,16 @@ class TestDiagonalQuadrature:
     @pytest.mark.parametrize("eta, p_d", [(0.04, 1e-7), (4e-5, 1e-7), (0.9, 0.0),
                                           (0.5, 1e-3)])
     @pytest.mark.parametrize("signs", [(1, 1, 1), (1, -1, 1)])
-    def test_negated_pair_equals_two_calls(self, signs, eta, p_d):
-        # one evaluation for s and -s, the path of every Mermin point, gives
-        # exactly the gains of the two separate calls
+    def test_flipped_triple_swaps_the_outcomes(self, signs, eta, p_d):
+        # flipping every sign swaps the detectors of each pair: phi_plus(-s) is
+        # phi_minus(s), which the Mermin witness takes as the all-"-" gain
         triples = decoy.grid_triples(DecoyPlan(0.4, 0.005))
-        both = gains.mermin_outcome_gains(signs, *zip(*triples), eta, p_d, negated=True)
-        negated = tuple(-s for s in signs)
-        assert both == (gains.mermin_outcome_gains(signs, *zip(*triples), eta, p_d)
-                        + gains.mermin_outcome_gains(negated, *zip(*triples), eta, p_d))
-        scalar = gains.mermin_outcome_gains(signs, *triples[5], eta, p_d, negated=True)
-        assert scalar == tuple(g[5] for g in both)
-
-    def test_negated_pair_refuses_one_unstable_triple(self, monkeypatch):
-        monkeypatch.setattr(gains, "QUAD_NODES", 2)
-        dim = ([0.0, 1e-3], [1e-3, 0.0], [0.0, 0.0])
-        gains.mermin_outcome_gains((1, 1, 1), *dim, 0.9, 0.0, negated=True)
-        with pytest.raises(NumericsError, match="diagonal-basis"):
-            gains.mermin_outcome_gains((1, 1, 1), *([3.0] + d for d in dim), 0.9, 0.0,
-                                       negated=True)
+        plus, minus = gains.mermin_outcome_gains(signs, *zip(*triples), eta, p_d)
+        flipped = gains.mermin_outcome_gains(tuple(-s for s in signs), *zip(*triples),
+                                             eta, p_d)
+        for got, want in zip(flipped, (minus, plus), strict=True):
+            got, want = np.array(got), np.array(want)
+            assert (np.abs(got - want) <= 4 * np.spacing(np.maximum(got, want))).all()
 
     @given(st.floats(0, 0.8), st.floats(1e-3, 1.0), st.floats(0, 0.02))
     def test_in_range_and_monotone_in_darks(self, mu, eta, p_d):
@@ -322,31 +314,26 @@ class TestOutcomeKernel:
         for (ia, ib, ic), cosines in cases:
             signs = tuple(int(x) for x in rng.choice((-1, 1), 3))
             p_d = float(rng.choice((0.0, 1e-7, rng.uniform(0.0, 0.05))))
-            want = (plain_outcome_sums(ia, ib, ic, signs, cosines, p_d)
-                    + plain_outcome_sums(ia, ib, ic, tuple(-x for x in signs), cosines, p_d))
-            for negated in (False, True):
-                sums = [s.copy() for s, _ in gains._outcome_sums(ia, ib, ic, signs, cosines,
-                                                                  p_d, negated)]
-                assert len(sums) == (4 if negated else 2)
-                for got, expect in zip(sums, want[:len(sums)], strict=True):
-                    assert got.shape == expect.shape
-                    assert np.array_equal(got, expect)
+            want = plain_outcome_sums(ia, ib, ic, signs, cosines, p_d)
+            sums = [s.copy() for s, _ in gains._outcome_sums(ia, ib, ic, signs, cosines, p_d)]
+            assert len(sums) == 2
+            for got, expect in zip(sums, want, strict=True):
+                assert got.shape == expect.shape
+                assert np.array_equal(got, expect)
 
     def test_gains_equal_plain_path_across_node_changes(self, monkeypatch):
         rng = np.random.default_rng(7)
         mu, nu, omega = (rng.uniform(0.0, 1.0, 15) for _ in range(3))
         for nodes in (16, 8, 32, 16):
             monkeypatch.setattr(gains, "QUAD_NODES", nodes)
-            got = gains.mermin_outcome_gains((1, -1, 1), mu, nu, omega, 0.04, 1e-6,
-                                             negated=True)
-            want = (plain_full_circle((1, -1, 1), mu, nu, omega, 0.04, 1e-6, nodes)
-                    + plain_full_circle((-1, 1, -1), mu, nu, omega, 0.04, 1e-6, nodes))
+            got = gains.mermin_outcome_gains((1, -1, 1), mu, nu, omega, 0.04, 1e-6)
+            want = plain_full_circle((1, -1, 1), mu, nu, omega, 0.04, 1e-6, nodes)
             assert got == want, nodes
             one = gains.mermin_outcome_gains((1, -1, 1), mu[3], nu[3], omega[3], 0.04, 1e-6)
             assert one == (want[0][3], want[1][3])
 
     def test_pattern_order_of_the_negated_triple(self):
-        # the identity the negated pair relies on: swapping the detectors of
+        # the identity the Mermin witness relies on: swapping the detectors of
         # every pair maps the phi_plus patterns onto the phi_minus ones reversed
         swapped = [tuple(j ^ 1 for j in p) for p in fock.PHI_PLUS_PATTERNS]
         assert swapped == list(fock.PHI_MINUS_PATTERNS[::-1])
@@ -357,14 +344,14 @@ class TestOutcomeKernel:
         triples = decoy.grid_triples(DecoyPlan(0.4, 0.005))
         calls = [((1, 1, 1), *zip(*triples), 0.04, 1e-7),
                  ((1, -1, 1), *triples[7], 0.5, 1e-3)]
-        want = [gains.mermin_outcome_gains(*c, negated=True) for c in calls]
+        want = [gains.mermin_outcome_gains(*c) for c in calls]
         results, errors = [[], []], []
 
         def run(k):
             try:
                 for i in range(20):
                     c = calls[(i + k) % 2]
-                    results[k].append((c, gains.mermin_outcome_gains(*c, negated=True)))
+                    results[k].append((c, gains.mermin_outcome_gains(*c)))
             except Exception as exc:  # reported below, the thread must not hide it
                 errors.append(exc)
 
@@ -596,7 +583,6 @@ class TestHeraldedGains:
             pytest.fail("the yield table was built for a refused source")
 
         # the budget is checked before any table is built or looked up
-        monkeypatch.setattr(gains, "_class_table", no_table)
         monkeypatch.setattr(fock, "ideal_detector_table", no_table)
         with pytest.raises(NumericsError, match="truncation"):
             gains.fock_components((pois, pois, pois), [(0, 1, 2)], 0.0)
@@ -726,7 +712,6 @@ class TestTruncationCertificate:
         def no_table(*args):
             pytest.fail("a yield table was built for a refused source")
 
-        monkeypatch.setattr(gains, "_class_table", no_table)
         monkeypatch.setattr(fock, "ideal_detector_table", no_table)
         for _ in range(2):
             with pytest.raises(NumericsError, match="truncation"):
@@ -751,7 +736,6 @@ class TestSourceModelBuildsOnce:
     def test_one_heralded_sweep(self, monkeypatch):
         # the levels and the class table of a heralded curve hold no distance
         cfg = fock_config("qss_heralded_eta40")
-        gains._class_table.cache_clear()
         fock._single_photon_table()  # the exact reference's table, built apart
         stats = count_calls(monkeypatch, decoy, "heralded_stats")
         tables = count_calls(monkeypatch, fock, "ideal_detector_table")

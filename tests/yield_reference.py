@@ -1,6 +1,14 @@
 """Independent reference for the analyzer yields: the detector product of every
 output configuration, evaluated directly at the detection efficiency.
 
+`_exact_distribution` propagates creation-operator polynomials with exact
+Gaussian-integer amplitudes (every unitary entry and polarization amplitude is
+an integer multiple of a power of 1/sqrt(2)) held in int64 numpy arrays.  Up
+to the photon-number cutoff every numerator and denominator of an output
+probability stays below 2^53, so the one float division at the end is
+correctly rounded.  `_party_terms` enumerates a party's compositions directly;
+`party_terms_reference` filters every digit tuple, and the two must agree.
+
 The package computes yields by thinning ideal-detector tables; this direct
 sum over the exact output distribution is what those yields must equal.  The
 package forms each table entry in closed form from the three detector-group
@@ -9,22 +17,121 @@ configuration of every (preparation, triple) input into its category, and the
 two must agree bit for bit.  The diagonal-basis quadrature forms its outcome
 probabilities in one workspace kernel with shared pair products;
 `outcome_pattern_sums`, the plain sum over the click patterns, is what that
-kernel must equal bit for bit.  `party_terms_reference` expands a party's
-photons by filtering every digit tuple; the package enumerates the
-compositions directly.  `gain_set_reference` and `gains_qnd_reference` form
-one GainSet per call, certifying and thinning each triple on its own; the
+kernel must equal bit for bit.  `gain_set_reference` and `gains_qnd_reference`
+form one GainSet per call, certifying and thinning each triple on its own; the
 decoy grid of a source model must equal them bit for bit.
 """
 
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, factorial
+from math import exp, factorial, prod
 
 import numpy as np
 
 from mdighz import fock, gains
+from mdighz.fock import _BASE, _EXACT_LIMIT, _FACTORIALS, _POLS, _ROUTES, _gmul
 from mdighz.params import NumericsError
+
+# An output configuration packs into one integer key, one base-_BASE digit per
+# detector with detector 0 most significant, so sorted keys are sorted
+# occupation tuples.
+_PLACES = tuple(_BASE ** (5 - j) for j in range(6))
+
+
+def _gadd(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _party_output_vector(party: int, pol: str):
+    """Post-analyzer amplitude vector for one photon from `party` in `pol`.
+
+    Returns ({output mode: gaussian integer}, half_power): the true amplitude
+    is g * (1/sqrt(2))**half_power, identical half_power for all entries.
+    """
+    comps, extra = _POLS[pol]
+    vec: dict[int, tuple[int, int]] = {}
+    for offset, g in comps:
+        for out, sign in _ROUTES[2 * party + offset]:
+            vec[out] = _gadd(vec.get(out, (0, 0)), _gmul(g, (sign, 0)))
+    return vec, extra + 1
+
+
+def _compositions(n: int, parts: int):
+    """Every tuple of `parts` nonnegative integers summing to n, in
+    lexicographic order."""
+    if parts == 1:
+        yield (n,)
+        return
+    for k in range(n + 1):
+        for rest in _compositions(n - k, parts - 1):
+            yield (k,) + rest
+
+
+@lru_cache(maxsize=None)
+def _party_terms(party: int, pol: str, n: int):
+    """Expansion of (sum_j v_j a_j)^n for one party's `n` photons: distinct
+    packed output keys, increasing, and their Gaussian-integer amplitudes
+    (multinomial times the product of the v_j), as read-only int64 arrays."""
+    vec, _ = _party_output_vector(party, pol)
+    modes = sorted(vec)
+    keys, re, im = [], [], []
+    for ks in _compositions(n, len(modes)):
+        coeff = factorial(n)
+        g = (1, 0)
+        key = 0
+        for mode, k in zip(modes, ks):
+            coeff //= factorial(k)
+            for _ in range(k):
+                g = _gmul(g, vec[mode])
+            key += k * _PLACES[mode]
+        keys.append(key)
+        re.append(coeff * g[0])
+        im.append(coeff * g[1])
+    arrays = tuple(np.array(x, dtype=np.int64) for x in (keys, re, im))
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _exact_norms(pols: str, numbers) -> tuple[np.ndarray, np.ndarray, int]:
+    """Sorted packed keys of the output configurations, their integer
+    |amplitude|^2 and the common denominator of their probabilities.
+
+    The first lit party's expansion is taken as it is (its keys are already
+    distinct and sorted); each further one multiplies in by outer sums of the
+    keys, and equal keys are merged with exact integer amplitude sums.  A
+    configuration's probability is |amplitude|^2 prod(k!) over
+    2^half_power prod(n!).
+    """
+    # with no photons at all, the expansion of none: key 0 with amplitude 1
+    lit = [(p, pol, n) for p, (pol, n) in enumerate(zip(pols, numbers)) if n] or [(0, "H", 0)]
+    half = sum((_POLS[pol][1] + 1) * n for _, pol, n in lit)
+    denom = prod(factorial(n) for _, _, n in lit)
+    keys, re, im = _party_terms(*lit[0])
+    for party, pol, n in lit[1:]:
+        k2, r2, i2 = _party_terms(party, pol, n)
+        keys, inverse = np.unique((keys[:, None] + k2).ravel(), return_inverse=True)
+        parts = ((re[:, None] * r2 - im[:, None] * i2).ravel(),
+                 (re[:, None] * i2 + im[:, None] * r2).ravel())
+        re, im = (np.zeros(len(keys), dtype=np.int64) for _ in range(2))
+        np.add.at(re, inverse, parts[0])
+        np.add.at(im, inverse, parts[1])
+    denom <<= half
+    if denom >= _EXACT_LIMIT:
+        raise ValueError(f"{pols}{tuple(numbers)} is beyond exact float conversion")
+    norm2 = re * re + im * im
+    keep = norm2 != 0
+    return keys[keep], norm2[keep], denom
+
+
+def _exact_distribution(pols: str, numbers) -> tuple[np.ndarray, np.ndarray, int]:
+    """Sorted packed keys of the output configurations, the integer numerators
+    of their probabilities and the common denominator; the numerators sum to
+    the denominator."""
+    keys, norm2, denom = _exact_norms(pols, numbers)
+    occupations = keys[:, None] // np.array(_PLACES) % _BASE
+    return keys, norm2 * _FACTORIALS[occupations].prod(axis=1), denom
 
 
 @dataclass(frozen=True)
@@ -39,10 +146,10 @@ class FockOutcomeDistribution:
 def propagate_parties(pols, numbers):
     """Exact output distribution for Alice/Bob/Charlie sending `numbers`
     photons in polarizations `pols` (e.g. pols="HHV", numbers=(1, 1, 2)):
-    the package's integer build, unpacked into occupation rows."""
+    the integer build, unpacked into occupation rows."""
     fock._check_input(pols, numbers)
-    keys, num, denom = fock._exact_distribution(pols, numbers)
-    occupations = keys[:, None] // np.array(fock._PLACES) % fock._BASE
+    keys, num, denom = _exact_distribution(pols, numbers)
+    occupations = keys[:, None] // np.array(_PLACES) % fock._BASE
     return FockOutcomeDistribution(occupations, num / denom)
 
 
@@ -112,7 +219,7 @@ def ideal_detector_table_reference(preps, mask):
     row = {x: i for i, x in enumerate(dict.fromkeys(inputs))}
     masses, denoms = [], []
     for x in row:
-        keys, num, denom = fock._exact_distribution(*x)
+        keys, num, denom = _exact_distribution(*x)
         groups = GROUP_STATE[keys // np.array([[fock._BASE ** 4], [fock._BASE ** 2], [1]])
                              % fock._BASE ** 2]
         category = FIT_CATEGORY[groups[0] * 16 + groups[1] * 4 + groups[2]]
@@ -129,9 +236,9 @@ def ideal_detector_table_reference(preps, mask):
 
 
 def party_terms_reference(party, pol, n):
-    """`fock._party_terms` by filtering the (n+1)^k digit tuples of the
+    """`_party_terms` by filtering the (n+1)^k digit tuples of the
     party's k output modes down to those summing to n."""
-    vec, _ = fock._party_output_vector(party, pol)
+    vec, _ = _party_output_vector(party, pol)
     modes = sorted(vec)
     keys, re, im = [], [], []
     for ks in itertools.product(range(n + 1), repeat=len(modes)):
@@ -144,7 +251,7 @@ def party_terms_reference(party, pol, n):
             coeff //= factorial(k)
             for _ in range(k):
                 g = fock._gmul(g, vec[mode])
-            key += k * fock._PLACES[mode]
+            key += k * _PLACES[mode]
         keys.append(key)
         re.append(coeff * g[0])
         im.append(coeff * g[1])
