@@ -275,6 +275,15 @@ class TestDiagonalQuadrature:
             got, want = np.array(got), np.array(want)
             assert (np.abs(got - want) <= 4 * np.spacing(np.maximum(got, want))).all()
 
+    def test_negated_pair_refuses_one_unstable_triple(self, monkeypatch):
+        # the all-"-" triple, whose gains equal the swapped (+,+,+) outcomes,
+        # is certified triple by triple as well: one bright triple is refused
+        monkeypatch.setattr(gains, "QUAD_NODES", 2)
+        dim = ([0.0, 1e-3], [1e-3, 0.0], [0.0, 0.0])
+        gains.mermin_outcome_gains((-1, -1, -1), *dim, 0.9, 0.0)
+        with pytest.raises(NumericsError, match="diagonal-basis"):
+            gains.mermin_outcome_gains((-1, -1, -1), *([3.0] + d for d in dim), 0.9, 0.0)
+
     @given(st.floats(0, 0.8), st.floats(1e-3, 1.0), st.floats(0, 0.02))
     def test_in_range_and_monotone_in_darks(self, mu, eta, p_d):
         lo = gains.x_gain_components(mu, mu, mu, eta, p_d)
