@@ -60,13 +60,13 @@ def monte_carlo(mu: float, eta: float, p_d: float, samples: int, seed: int,
     outcomes, every user at intensity mu; with sliced = (mu_s, K) also against
     the two K-sliced gains at mu_s.  The deviation is the z-score."""
     z = gains.z_gain_components(mu, mu, mu, eta, p_d)
-    x = gains.x_gain_components(mu, mu, mu, eta, p_d)
+    e, f = gains.mermin_outcome_gains((1, 1, 1), mu, mu, mu, eta, p_d)
     cfg = montecarlo.McConfig(samples, seed)
     # every preparation of a call shares its draws; both announced outcomes
     # come out of each preparation
     rows = _mc_rows((("HHH", (("A", 8.0 * z.a),)), ("HHV", (("B", 8.0 * z.b),)),
                      ("VHH", (("C", 8.0 * z.c),)), ("HVH", (("D", 8.0 * z.d),)),
-                     ("+++", (("E", 8.0 * x.e), ("F", 8.0 * x.f)))), mu, eta, p_d, cfg)
+                     ("+++", (("E", 8.0 * e), ("F", 8.0 * f)))), mu, eta, p_d, cfg)
     if sliced is not None:
         mu_s, k = sliced
         q = gains.phase_sliced_gains(mu_s, mu_s, mu_s, eta, p_d, k)
@@ -132,18 +132,24 @@ def symmetries(points) -> list[Row]:
 
 def brackets(cfg: ExperimentConfig, distances) -> list[Row]:
     """Two-decoy bounds of the config's weak-coherent source model against the
-    exact engine at each distance: Y111_zl must not exceed Y111_z, and where
-    e111_bx is defined e111_bxu must be too and not fall below it.  The
+    exact engine at each distance: Y111_zl and Y111_xl must not exceed Y111_z
+    and Y111_x; where e111_bx is defined e111_bxu must be too and not fall
+    below it, and where e111_bz is defined e111_bzu must be too and not fall
+    below the lesser of it and 1/2, where the estimator caps the bound.  The
     deviation is Y111_zl - Y111_z."""
     model = keyrates.source_model(cfg)
     rows = []
     for length in distances:
         grid, signal, decoy_level, exact, _, _ = model(cfg.system.at_distance(length))
         bounds = decoy.single_photon_bounds(grid, signal, decoy_level)
-        good = bounds.y111_zl <= exact.y111_z + BRACKET_SLACK
+        good = (bounds.y111_zl <= exact.y111_z + BRACKET_SLACK
+                and bounds.y111_xl <= exact.y111_x + BRACKET_SLACK)
         if exact.e111_bx is not None:
             good = good and (bounds.e111_bxu is not None
                              and bounds.e111_bxu >= exact.e111_bx - BRACKET_SLACK)
+        if exact.e111_bz is not None:
+            good = good and (bounds.e111_bzu is not None
+                             and bounds.e111_bzu >= min(exact.e111_bz, 0.5) - BRACKET_SLACK)
         rows.append(_row(f"bracket:L={length}", bounds.y111_zl, exact.y111_z, None,
                          bounds.y111_zl - exact.y111_z, good))
     return rows
@@ -189,12 +195,18 @@ def _fit_masses_hhv(n: int, m: int, l: int) -> list[list[float]]:
 def fock_closed_form(max_total_photons: int) -> list[Row]:
     """The ideal-detector table of the exact engine against the printed H,H,V
     output probabilities: the largest absolute difference of their fit masses
-    over every (n, m, l) up to the total, NaN if any mass is NaN."""
+    over every (n, m, l) up to the total, NaN if any mass is NaN.
+
+    H,H,V never reaches detector group 2, so its masses cannot tell the two
+    outcomes apart; the row also holds one photon per user of +,+,+, which
+    fits phi_plus with probability 1/4 and never phi_minus, and of -,-,-,
+    which does the reverse."""
     if max_total_photons > fock.N_MAX:
         raise ValueError(f"total photon number exceeds cutoff {fock.N_MAX}")
     mask = np.indices((max_total_photons + 1,) * 3).sum(axis=0) <= max_total_photons
     table = fock.ideal_detector_table(("HHV",), mask)[0]
-    deviations = [0.0]
+    signs = fock.ideal_detector_table(("+++", "---"), np.ones((2, 2, 2), bool))[:, :, 0, 1, 1, 1]
+    deviations = np.abs(signs - [[0.25, 0.0], [0.0, 0.25]]).ravel().tolist()
     for n, m, l in np.argwhere(mask).tolist():
         deviations += np.abs(table[:, :, n, m, l] - _fit_masses_hhv(n, m, l)).ravel().tolist()
     worst = _worst(deviations)

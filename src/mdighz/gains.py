@@ -38,6 +38,7 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import exp, expm1, prod, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,12 +47,10 @@ from .params import NumericsError, SystemParams, overall_efficiency
 
 __all__ = [
     "ZGainComponents",
-    "XGainComponents",
     "SlicedGains",
     "GainSet",
     "z_gain_components",
     "z_pattern_outcome_gain",
-    "x_gain_components",
     "mermin_outcome_gains",
     "phase_sliced_gains",
     "assemble_gain_set",
@@ -86,15 +85,6 @@ class ZGainComponents:
 
 
 @dataclass(frozen=True)
-class XGainComponents:
-    """Diagonal-basis gains: e for the correct outcome class of a sign triple,
-    f for the false one."""
-
-    e: float
-    f: float
-
-
-@dataclass(frozen=True)
 class SlicedGains:
     """Phase-post-selected diagonal-basis gains, per emitted pulse triple.
 
@@ -117,40 +107,18 @@ class SlicedGains:
         return (e_d * self.q_c + (1.0 - e_d) * self.q_e) / q
 
 
-@dataclass(frozen=True)
-class GainSet:
-    """All per-basis gains and error rates for one intensity triple."""
+class GainSet(NamedTuple):
+    """What the decoy estimator and the rates read of one intensity triple:
+    the gain Q and the error gain EQ = E Q of each basis, the Alice-Bob and
+    Alice-Charlie rectilinear error gains, and E^X (None with no signal)."""
 
     q_z: float
-    q_cz: float
-    q_ez: float
-    q_czab: float
-    q_ezab: float
-    q_czac: float
-    q_ezac: float
     q_x: float
-    q_cx: float
-    q_ex: float
+    eq_z: float
+    eq_x: float
+    eq_zab: float
+    eq_zac: float
     e_x: float | None
-    # misalignment used for the error compositions (kept for the EQ products)
-    e_d: float = 0.0
-
-    @property
-    def eq_z(self) -> float:
-        """E^Z * Q^Z without the division (always defined)."""
-        return self.e_d * self.q_cz + (1.0 - self.e_d) * self.q_ez
-
-    @property
-    def eq_zab(self) -> float:
-        return self.e_d * self.q_czab + (1.0 - self.e_d) * self.q_ezab
-
-    @property
-    def eq_zac(self) -> float:
-        return self.e_d * self.q_czac + (1.0 - self.e_d) * self.q_ezac
-
-    @property
-    def eq_x(self) -> float:
-        return self.e_d * self.q_cx + (1.0 - self.e_d) * self.q_ex
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +378,6 @@ def mermin_outcome_gains(signs: tuple[int, int, int], mu, nu, omega, eta: float,
     return tuple(g[0] for g in q) if np.ndim(mu) == 0 else tuple(q)
 
 
-def x_gain_components(mu: float, nu: float, omega: float, eta: float,
-                      p_d: float) -> XGainComponents:
-    """Diagonal-basis gains for the reference (+,+,+) preparation."""
-    e, f = mermin_outcome_gains((1, 1, 1), mu, nu, omega, eta, p_d)
-    return XGainComponents(e=e, f=f)
-
-
 # The phase-difference domain is the hexagon with vertices h * (1, 0), (1, 1),
 # (0, 1), (-1, 0), (-1, -1), (0, -1).  Outer corners of its first three
 # triangles at the origin; the other three are their negatives.
@@ -475,32 +436,24 @@ def phase_sliced_gains(mu: float, nu: float, omega: float, eta: float,
 # Gain-set assembly (shared by every source model)
 # ---------------------------------------------------------------------------
 
-def assemble_gain_set(z: ZGainComponents, x: XGainComponents, e_d: float) -> GainSet:
-    """Combine class gains into totals, pairwise splits, and error rates.
+def assemble_gain_set(a: float, b: float, c: float, d: float, e: float, f: float,
+                      e_d: float) -> GainSet:
+    """The GainSet of the class gains a, b, c, d (rectilinear) and e, f
+    (diagonal, correct and false outcome) at misalignment e_d.
 
     Correct/false bookkeeping per class: the same-polarization class is the
     only correct one for the three-way key; the pairwise (Alice-Bob /
-    Alice-Charlie) splits reshuffle the mixed classes.
+    Alice-Charlie) splits reshuffle the mixed classes.  Each error gain is
+    e_d * correct + (1 - e_d) * false.
     """
-    a, b, c, d = z.a, z.b, z.c, z.d
-    q_cz = 4.0 * a
-    q_ez = 4.0 * (b + c + d)
-    q_z = q_cz + q_ez
-    q_czab = 4.0 * a + 2.0 * b + 2.0 * d
-    q_ezab = 2.0 * b + 4.0 * c + 2.0 * d
-    q_czac = 4.0 * a + 2.0 * c + 2.0 * d
-    q_ezac = 4.0 * b + 2.0 * c + 2.0 * d
-    q_cx = 8.0 * x.e
-    q_ex = 8.0 * x.f
-    q_x = q_cx + q_ex
-
-    return GainSet(
-        q_z=q_z, q_cz=q_cz, q_ez=q_ez,
-        q_czab=q_czab, q_ezab=q_ezab, q_czac=q_czac, q_ezac=q_ezac,
-        q_x=q_x, q_cx=q_cx, q_ex=q_ex,
-        e_x=None if q_x == 0.0 else (e_d * q_cx + (1.0 - e_d) * q_ex) / q_x,
-        e_d=e_d,
-    )
+    g = 1.0 - e_d
+    cz, ez = 4.0 * a, 4.0 * (b + c + d)
+    cx, ex = 8.0 * e, 8.0 * f
+    q_x, eq_x = cx + ex, e_d * cx + g * ex
+    return GainSet(q_z=cz + ez, q_x=q_x, eq_z=e_d * cz + g * ez, eq_x=eq_x,
+                   eq_zab=e_d * (4.0 * a + 2.0 * b + 2.0 * d) + g * (2.0 * b + 4.0 * c + 2.0 * d),
+                   eq_zac=e_d * (4.0 * a + 2.0 * c + 2.0 * d) + g * (4.0 * b + 2.0 * c + 2.0 * d),
+                   e_x=None if q_x == 0.0 else eq_x / q_x)
 
 
 def wcs_gain_sets(triples, params: SystemParams) -> list[GainSet]:
@@ -509,8 +462,8 @@ def wcs_gain_sets(triples, params: SystemParams) -> list[GainSet]:
     eta = overall_efficiency(params.channel, params.detector)
     p_d = params.detector.p_d
     x = zip(*mermin_outcome_gains((1, 1, 1), *zip(*triples), eta, p_d))
-    return [assemble_gain_set(z_gain_components(*t, eta, p_d), XGainComponents(*xt),
-                              params.e_d) for t, xt in zip(triples, x)]
+    z = (z_gain_components(*t, eta, p_d) for t in triples)
+    return [assemble_gain_set(zt.a, zt.b, zt.c, zt.d, *xt, params.e_d) for zt, xt in zip(z, x)]
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +504,7 @@ def thinned_gain_sets(comps, levels, index_triples, thinning, e_d) -> list[GainS
         a, b, c = (thinned[i] for i in triple)
         w = (a[:, None] * b[None, :])[:, :, None] * c[None, None, :]
         q = (flat @ w.ravel()).tolist()
-        sets.append(assemble_gain_set(ZGainComponents(*q[:4]), XGainComponents(*q[4:]), e_d))
+        sets.append(assemble_gain_set(*q, e_d))
     return sets
 
 

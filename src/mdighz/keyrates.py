@@ -92,8 +92,7 @@ def qss_rate(f: float, signal: gains.GainSet, alice_vacuum_qx: float,
     """Secret-sharing rate on diagonal-basis data (heralded / filtered sources)."""
     q_v = p_alice_vacuum * alice_vacuum_qx
     q111 = p111 * y111_xl
-    e_x = None if signal.q_x == 0.0 else signal.eq_x / signal.q_x
-    return _rate_core(f, q_v, q111, e111_bzu, e_x, signal.q_x)
+    return _rate_core(f, q_v, q111, e111_bzu, signal.e_x, signal.q_x)
 
 
 def qss_pps_rate(f: float, k: int, sliced: gains.SlicedGains, e_d: float,

@@ -158,6 +158,11 @@ class PhasePlan:
                               key="phase.K") from None
 
 
+# A grid of more distances is a typo, not a curve: the bundled curves have
+# 251, and at about 2 ms a point 10^6 of them already take over half an hour.
+MAX_SWEEP_POINTS = 10**6
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     """Distance grid (km) for rate/Mermin curves; empty grids are allowed."""
@@ -176,6 +181,10 @@ class SweepGrid:
             raise ConfigError("sweep step must be > 0", key="sweep.L_step")
         if self.l_min < 0:
             raise ConfigError("sweep start must be >= 0", key="sweep.L_min")
+        # compared, never divided: the quotient overflows at the smallest steps
+        if self.l_max - self.l_min >= MAX_SWEEP_POINTS * self.l_step:
+            raise ConfigError(f"sweep grid exceeds {MAX_SWEEP_POINTS} distances; "
+                              "raise the step or narrow the range", key="sweep.L_step")
 
     def distances(self) -> list[float]:
         out = []

@@ -48,9 +48,9 @@ def naive_qss_error(params, mu, nu, omega):
     """Full-phase-average diagonal-basis error rate of plain weak coherent
     pulses (the plateau that kills unsliced secret sharing)."""
     eta = overall_efficiency(params.channel, params.detector)
-    x = gains.x_gain_components(mu, nu, omega, eta, params.detector.p_d)
+    e, f = gains.mermin_outcome_gains((1, 1, 1), mu, nu, omega, eta, params.detector.p_d)
     z = gains.z_gain_components(mu, nu, omega, eta, params.detector.p_d)
-    return gains.assemble_gain_set(z, x, params.e_d).e_x
+    return gains.assemble_gain_set(z.a, z.b, z.c, z.d, e, f, params.e_d).e_x
 
 
 def fock_gain_set(dists, eta, p_d, e_d=0.0, tail_budget=1e-12):

@@ -41,6 +41,19 @@ def test_nan_mixed_class_fails_validate(monkeypatch, tmp_path):
     assert code == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("config", [CONFIG_DIR / "validate.cfg",
+                                    CONFIG_DIR.parent / "perfbench" / "validate_bright.cfg"],
+                         ids=["validate", "validate_bright"])
+def test_wrong_diagonal_basis_bounds_fail_validate(monkeypatch, tmp_path, config):
+    # the secret-sharing curves read Y111_xl and e111_bzu; too high a yield
+    # bound and too low an error bound must not pass
+    perturb(monkeypatch, decoy, "single_photon_bounds",
+            lambda b: replace(b, y111_xl=3.0 * b.y111_xl, e111_bzu=b.e111_bzu / 3.0))
+    code = cli.main(["validate", "--config", str(config), "--quick",
+                     "--out", str(tmp_path / "validate.csv")])
+    assert code == cli.EXIT_VALIDATION
+
+
 @pytest.mark.parametrize("module, name, change, when, family, failing", [
     (gains, "z_gain_components", lambda z: replace(z, b=2.0 * z.b), None, "mc", ["mc:B"]),
     (gains, "z_pattern_outcome_gain", lambda q: q * (1 + 1e-6),
@@ -57,10 +70,19 @@ def test_nan_mixed_class_fails_validate(monkeypatch, tmp_path):
      None, "bracket", ["bracket:L=0.0", "bracket:L=50.0"]),  # deviation -inf
     (decoy, "single_photon_bounds", lambda b: replace(b, e111_bxu=None),  # no bound
      None, "bracket", ["bracket:L=0.0", "bracket:L=50.0"]),
+    (decoy, "single_photon_bounds", lambda b: replace(b, y111_xl=3.0 * b.y111_xl),
+     None, "bracket", ["bracket:L=0.0", "bracket:L=50.0"]),
+    (decoy, "single_photon_bounds", lambda b: replace(b, e111_bzu=b.e111_bzu / 3.0),
+     None, "bracket", ["bracket:L=0.0", "bracket:L=50.0"]),
+    (decoy, "single_photon_bounds", lambda b: replace(b, e111_bzu=None),
+     None, "bracket", ["bracket:L=0.0", "bracket:L=50.0"]),
     (fock, "ideal_detector_table", lambda t: t * 1.001, None, "fock", ["fock:closed-form"]),
     (fock, "ideal_detector_table", lambda t: t * math.nan, None, "fock", ["fock:closed-form"]),
+    (fock, "ideal_detector_table", lambda t: t[:, ::-1], None, "fock", ["fock:closed-form"]),
 ], ids=["mc", "samepol", "mixedclass", "mixedclass-nan", "signclasses", "bracket",
-        "bracket-inf", "bracket-missing-bound", "closed-form", "closed-form-nan"])
+        "bracket-inf", "bracket-missing-bound", "bracket-diagonal-yield",
+        "bracket-rectilinear-error", "bracket-missing-rectilinear-error", "closed-form",
+        "closed-form-nan", "closed-form-outcomes-swapped"])
 def test_perturbed_input_fails_its_rows(monkeypatch, module, name, change, when, family,
                                         failing):
     assert all(row.passed for row in FAMILIES[family]())

@@ -36,13 +36,9 @@ def exact_stats(params):
 
 
 def stub_gain_set(q_z=0.0, eq_z=0.0, q_x=0.0, eq_x=0.0):
-    """GainSet whose estimator-visible fields are set directly (e_d = 0, so the
-    error-class gains carry the EQ products verbatim)."""
-    return gains.GainSet(
-        q_z=q_z, q_cz=q_z - eq_z, q_ez=eq_z,
-        q_czab=0, q_ezab=0, q_czac=0, q_ezac=0,
-        q_x=q_x, q_cx=q_x - eq_x, q_ex=eq_x,
-        e_x=None, e_d=0.0)
+    """GainSet whose estimator-visible fields are set directly."""
+    return gains.GainSet(q_z=q_z, q_x=q_x, eq_z=eq_z, eq_x=eq_x, eq_zab=0.0, eq_zac=0.0,
+                         e_x=None)
 
 
 def synthetic_grid(yields, errors, plan, n_cut=3):

@@ -182,30 +182,28 @@ class TestRectilinearClosedForms:
 
 class TestDiagonalQuadrature:
     def test_no_light_dark_free(self):
-        x = gains.x_gain_components(0, 0, 0, 0.4, 0.0)
-        assert (x.e, x.f) == (0.0, 0.0)
+        assert gains.mermin_outcome_gains((1, 1, 1), 0, 0, 0, 0.4, 0.0) == (0.0, 0.0)
 
     def test_no_light_dark_pattern_counting(self):
         p_d = 1e-3
-        x = gains.x_gain_components(0, 0, 0, 0.4, p_d)
+        e, f = gains.mermin_outcome_gains((1, 1, 1), 0, 0, 0, 0.4, p_d)
         expect = p_d ** 3 * (1 - p_d) ** 3 / 2.0
-        assert x.e == pytest.approx(expect, rel=1e-10, abs=0.0)
-        assert x.f == pytest.approx(expect, rel=1e-10, abs=0.0)
+        assert e == pytest.approx(expect, rel=1e-10, abs=0.0)
+        assert f == pytest.approx(expect, rel=1e-10, abs=0.0)
 
     def test_paper_point_against_monte_carlo(self):
         eta, p_d = 0.04, 1e-7
-        x = gains.x_gain_components(0.4, 0.4, 0.4, eta, p_d)
-        assert x.e > x.f
-        mc_check("+++", (0.4, 0.4, 0.4), eta, p_d, (x.e, x.f), seed=7,
+        e, f = gains.mermin_outcome_gains((1, 1, 1), 0.4, 0.4, 0.4, eta, p_d)
+        assert e > f
+        mc_check("+++", (0.4, 0.4, 0.4), eta, p_d, (e, f), seed=7,
                  samples=2_000_000)
 
     def test_quadrature_stable_under_doubling(self, monkeypatch):
         monkeypatch.setattr(gains, "QUAD_NODES", 64)
-        coarse = gains.x_gain_components(0.5, 0.5, 0.5, 0.3, 1e-5)
+        coarse = gains.mermin_outcome_gains((1, 1, 1), 0.5, 0.5, 0.5, 0.3, 1e-5)
         monkeypatch.setattr(gains, "QUAD_NODES", 128)
-        fine = gains.x_gain_components(0.5, 0.5, 0.5, 0.3, 1e-5)
-        assert coarse.e == pytest.approx(fine.e, rel=1e-8, abs=0.0)
-        assert coarse.f == pytest.approx(fine.f, rel=1e-8, abs=0.0)
+        fine = gains.mermin_outcome_gains((1, 1, 1), 0.5, 0.5, 0.5, 0.3, 1e-5)
+        assert coarse == pytest.approx(fine, rel=1e-8, abs=0.0)
 
     @pytest.mark.parametrize("signs, intensities, eta, p_d", [
         ((1, 1, 1), (0.4, 0.4, 0.4), 0.04, 1e-7),
@@ -286,10 +284,10 @@ class TestDiagonalQuadrature:
 
     @given(st.floats(0, 0.8), st.floats(1e-3, 1.0), st.floats(0, 0.02))
     def test_in_range_and_monotone_in_darks(self, mu, eta, p_d):
-        lo = gains.x_gain_components(mu, mu, mu, eta, p_d)
-        hi = gains.x_gain_components(mu, mu, mu, eta, min(2 * p_d, 0.05))
-        assert 0.0 <= lo.e <= 1.0 and 0.0 <= lo.f <= 1.0
-        assert hi.e >= lo.e - 1e-14 and hi.f >= lo.f - 1e-14
+        lo = gains.mermin_outcome_gains((1, 1, 1), mu, mu, mu, eta, p_d)
+        hi = gains.mermin_outcome_gains((1, 1, 1), mu, mu, mu, eta, min(2 * p_d, 0.05))
+        assert all(0.0 <= q <= 1.0 for q in lo)
+        assert all(q_hi >= q_lo - 1e-14 for q_lo, q_hi in zip(lo, hi))
 
 
 def kernel_layouts(rng, rows, nodes):
@@ -414,9 +412,9 @@ class TestSlicedGains:
     def test_k_equal_one_reduces_to_full_average(self):
         eta, p_d = 0.1, 1e-5
         sliced = gains.phase_sliced_gains(0.3, 0.3, 0.3, eta, p_d, 1)
-        x = gains.x_gain_components(0.3, 0.3, 0.3, eta, p_d)
-        assert sliced.q_c == pytest.approx(8 * x.e, rel=1e-8, abs=0.0)
-        assert sliced.q_e == pytest.approx(8 * x.f, rel=1e-8, abs=0.0)
+        e, f = gains.mermin_outcome_gains((1, 1, 1), 0.3, 0.3, 0.3, eta, p_d)
+        assert sliced.q_c == pytest.approx(8 * e, rel=1e-8, abs=0.0)
+        assert sliced.q_e == pytest.approx(8 * f, rel=1e-8, abs=0.0)
 
     def test_paper_point_error_well_below_plateau(self):
         eta = 0.04
@@ -451,39 +449,53 @@ class TestSlicedGains:
                  seed=17, samples=1_000_000, slice_k=k, scale=k * k)
 
 
+def class_split(*classes):
+    """The GainSets of the class gains (a, b, c, d, e, f) at e_d = 1 and at
+    e_d = 0: their error gains are the correct- and the false-class sums,
+    exactly."""
+    return gains.assemble_gain_set(*classes, 1.0), gains.assemble_gain_set(*classes, 0.0)
+
+
 class TestAssembly:
     def test_misalignment_free_reduction(self):
-        z = gains.ZGainComponents(1e-4, 2e-5, 3e-5, 4e-5)
-        x = gains.XGainComponents(1e-4, 5e-5)
-        gs = gains.assemble_gain_set(z, x, 0.0)
-        assert gs.eq_z / gs.q_z == pytest.approx(gs.q_ez / gs.q_z, rel=1e-15)
-        assert gs.e_x == pytest.approx(gs.q_ex / gs.q_x, rel=1e-15)
+        a, b, c, d, e, f = classes = (1e-4, 2e-5, 3e-5, 4e-5, 1e-4, 5e-5)
+        correct, false = class_split(*classes)
+        assert correct[:2] == false[:2] == (4 * a + 4 * (b + c + d), 8 * e + 8 * f)
+        # same polarization, Alice-Bob, Alice-Charlie, diagonal basis
+        assert (correct.eq_z, false.eq_z) == (4 * a, 4 * (b + c + d))
+        assert (correct.eq_zab, false.eq_zab) == (4 * a + 2 * b + 2 * d, 2 * b + 4 * c + 2 * d)
+        assert (correct.eq_zac, false.eq_zac) == (4 * a + 2 * c + 2 * d, 4 * b + 2 * c + 2 * d)
+        assert (correct.eq_x, false.eq_x) == (8 * e, 8 * f)
+        assert false.e_x == pytest.approx(8 * f / false.q_x, rel=1e-15)
 
     def test_only_correct_class_gives_e_d(self):
-        z = gains.ZGainComponents(1e-3, 0.0, 0.0, 0.0)
-        gs = gains.assemble_gain_set(z, gains.XGainComponents(0, 0), 0.037)
+        gs = gains.assemble_gain_set(1e-3, 0.0, 0.0, 0.0, 0, 0, 0.037)
         assert gs.eq_z / gs.q_z == pytest.approx(0.037)
         assert gs.eq_zab / gs.q_z == pytest.approx(0.037)
 
     def test_pairwise_split_identity(self):
         z = gains.z_gain_components(0.4, 0.4, 0.4, 0.04, 1e-7)
-        gs = gains.assemble_gain_set(z, gains.XGainComponents(0, 0), 0.0)
-        assert gs.q_czab + gs.q_ezab == pytest.approx(gs.q_z, rel=1e-12)
-        assert gs.q_czac + gs.q_ezac == pytest.approx(gs.q_z, rel=1e-12)
+        correct, false = class_split(z.a, z.b, z.c, z.d, 0, 0)
+        assert correct.eq_zab + false.eq_zab == pytest.approx(correct.q_z, rel=1e-12)
+        assert correct.eq_zac + false.eq_zac == pytest.approx(correct.q_z, rel=1e-12)
+        assert correct.eq_z + false.eq_z == correct.q_z
 
     def test_no_signal_is_none_not_nan(self):
-        gs = gains.assemble_gain_set(gains.ZGainComponents(0, 0, 0, 0),
-                                     gains.XGainComponents(0, 0), 0.1)
+        gs = gains.assemble_gain_set(0, 0, 0, 0, 0, 0, 0.1)
         assert gs.e_x is None
         assert (gs.eq_z, gs.eq_zab, gs.eq_zac, gs.eq_x) == (0.0, 0.0, 0.0, 0.0)
 
     def test_error_composition_identity(self):
         z = gains.z_gain_components(0.5, 0.4, 0.3, 0.2, 1e-4)
-        x = gains.x_gain_components(0.5, 0.4, 0.3, 0.2, 1e-4)
-        gs = gains.assemble_gain_set(z, x, 0.015)
-        assert gs.eq_z == pytest.approx(0.015 * gs.q_cz + 0.985 * gs.q_ez, rel=1e-12)
+        classes = (z.a, z.b, z.c, z.d,
+                   *gains.mermin_outcome_gains((1, 1, 1), 0.5, 0.4, 0.3, 0.2, 1e-4))
+        gs = gains.assemble_gain_set(*classes, 0.015)
+        correct, false = class_split(*classes)
+        for field in ("eq_z", "eq_zab", "eq_zac", "eq_x"):
+            assert getattr(gs, field) == pytest.approx(
+                0.015 * getattr(correct, field) + 0.985 * getattr(false, field), rel=1e-12)
         assert gs.e_x * gs.q_x == pytest.approx(
-            0.015 * gs.q_cx + 0.985 * gs.q_ex, rel=1e-12)
+            0.015 * correct.eq_x + 0.985 * false.eq_x, rel=1e-12)
 
     def test_wcs_gain_sets_equal_per_triple_assembly(self):
         params = SystemParams(ChannelModel(0.2, 120.0), DetectorModel(0.4, 1e-7),
@@ -491,18 +503,19 @@ class TestAssembly:
         eta = overall_efficiency(params.channel, params.detector)
         triples = decoy.grid_triples(DecoyPlan(0.4, 0.005))
         for t, gs in zip(triples, gains.wcs_gain_sets(triples, params), strict=True):
-            want = gains.assemble_gain_set(gains.z_gain_components(*t, eta, 1e-7),
-                                           gains.x_gain_components(*t, eta, 1e-7), 0.015)
+            z = gains.z_gain_components(*t, eta, 1e-7)
+            want = gains.assemble_gain_set(
+                z.a, z.b, z.c, z.d, *gains.mermin_outcome_gains((1, 1, 1), *t, eta, 1e-7), 0.015)
             assert gs == want, t
 
 
 class TestHeraldedGains:
     def test_vacuum_levels_give_dark_gains(self):
         dists = (decoy.vacuum_stats(),) * 3
-        gs = fock_gain_set(dists, 0.4, 1e-3)
+        correct, false = (fock_gain_set(dists, 0.4, 1e-3, e_d) for e_d in (1.0, 0.0))
         z = gains.z_gain_components(0, 0, 0, 0.4, 1e-3)
-        assert gs.q_cz == pytest.approx(4 * z.a, rel=1e-12, abs=0.0)
-        assert gs.q_ez == pytest.approx(4 * (z.b + z.c + z.d), rel=1e-12, abs=0.0)
+        assert correct.eq_z == pytest.approx(4 * z.a, rel=1e-12, abs=0.0)
+        assert false.eq_z == pytest.approx(4 * (z.b + z.c + z.d), rel=1e-12, abs=0.0)
 
     def test_high_photon_terms_negligible_at_small_mu(self):
         # term-by-term audit: everything above three total photons is < 1%
@@ -537,13 +550,14 @@ class TestHeraldedGains:
         ns = np.arange(13)
         pois = np.exp(-mu) * mu ** ns / np.vectorize(math.factorial)(ns)
         dists = (pois, pois, pois)
-        gs = fock_gain_set(dists, eta, p_d, tail_budget=1e-9)
+        correct, false = (fock_gain_set(dists, eta, p_d, e_d, tail_budget=1e-9)
+                          for e_d in (1.0, 0.0))
         z = gains.z_gain_components(mu, mu, mu, eta, p_d)
-        x = gains.x_gain_components(mu, mu, mu, eta, p_d)
-        assert gs.q_cz == pytest.approx(4 * z.a, rel=1e-8, abs=0.0)
-        assert gs.q_ez == pytest.approx(4 * (z.b + z.c + z.d), rel=1e-7, abs=0.0)
-        assert gs.q_cx == pytest.approx(8 * x.e, rel=1e-8, abs=0.0)
-        assert gs.q_ex == pytest.approx(8 * x.f, rel=1e-7, abs=0.0)
+        e, f = gains.mermin_outcome_gains((1, 1, 1), mu, mu, mu, eta, p_d)
+        assert correct.eq_z == pytest.approx(4 * z.a, rel=1e-8, abs=0.0)
+        assert false.eq_z == pytest.approx(4 * (z.b + z.c + z.d), rel=1e-7, abs=0.0)
+        assert correct.eq_x == pytest.approx(8 * e, rel=1e-8, abs=0.0)
+        assert false.eq_x == pytest.approx(8 * f, rel=1e-7, abs=0.0)
 
     @pytest.mark.parametrize("eta, p_d", [(0.04, 1e-7), (4e-5, 1e-7), (1.0, 0.0)])
     def test_matches_per_triple_sum(self, eta, p_d):
@@ -565,12 +579,9 @@ class TestHeraldedGains:
                       for pols in ("HHH", "HHV", "VHH", "HVH", "+++")]
                 comps += w * np.array([(y[0] + y[1]) / 16.0 for y in ys[:4]]
                                       + [ys[4][0] / 8.0, ys[4][1] / 8.0])
-            want = gains.assemble_gain_set(gains.ZGainComponents(*comps[:4]),
-                                           gains.XGainComponents(*comps[4:]), 0.0)
-            got = fock_gain_set(dists, eta, p_d)
-            for field in ("q_cz", "q_ez", "q_czab", "q_czac", "q_cx", "q_ex"):
-                assert getattr(got, field) == pytest.approx(
-                    getattr(want, field), rel=1e-13, abs=0.0), field
+            for want, got in zip(class_split(*comps.tolist()),
+                                 (fock_gain_set(dists, eta, p_d, e_d) for e_d in (1.0, 0.0))):
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_shared_yields_give_identical_gain_sets(self):
         trig = DetectorModel(0.4, 1e-7)
@@ -615,7 +626,7 @@ class TestQndGains:
     def test_equals_restricted_fock_sum(self):
         mu, eta_t = 0.4, 0.1
         det = DetectorModel(0.4, 1e-7)
-        gs = qnd_gain_set(mu, eta_t, det, 0.0)
+        gs = qnd_gain_set(mu, eta_t, det, 1.0)  # eq_z is then the same-polarization sum
         lam = mu * eta_t
         total = 0.0
         for n, m, l in itertools.product((0, 1), repeat=3):
@@ -623,14 +634,13 @@ class TestQndGains:
             y = ghz_outcome_yields(
                 propagate_parties("HHH", (n, m, l)), det.eta_d, det.p_d)
             total += w * (y[0] + y[1]) / 4.0  # both outcomes, two same-pol triples / 8
-        assert gs.q_cz == pytest.approx(total, rel=1e-12, abs=0.0)
+        assert gs.eq_z == pytest.approx(total, rel=1e-12, abs=0.0)
 
     def test_unit_detector_efficiency_equals_restricted_fock_sum(self):
         # at eta_d = 1 an empty detector clicks with exactly p_d; the mixed
         # classes need a dark count, so they see any loss of precision there
         mu, eta_t = 0.4, 1e-4
         det = DetectorModel(1.0, 1e-7)
-        gs = qnd_gain_set(mu, eta_t, det, 0.0)
         lam = mu * eta_t
         comps = np.zeros(6)
         for n, m, l in itertools.product((0, 1), repeat=3):
@@ -639,11 +649,8 @@ class TestQndGains:
                   for pols in ("HHH", "HHV", "VHH", "HVH", "+++")]
             comps += w * np.array([(y[0] + y[1]) / 16.0 for y in ys[:4]]
                                   + [ys[4][0] / 8.0, ys[4][1] / 8.0])
-        want = gains.assemble_gain_set(gains.ZGainComponents(*comps[:4]),
-                                       gains.XGainComponents(*comps[4:]), 0.0)
-        for field in ("q_cz", "q_ez", "q_czab", "q_ezab", "q_czac", "q_ezac", "q_cx", "q_ex"):
-            assert getattr(gs, field) == pytest.approx(
-                getattr(want, field), rel=1e-13, abs=0.0), field
+        for want, e_d in zip(class_split(*comps.tolist()), (1.0, 0.0)):
+            assert qnd_gain_set(mu, eta_t, det, e_d) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_regression_paper_point_100km(self):
         gs = qnd_gain_set(0.4, 10 ** (-0.2 * 100 / 10), DetectorModel(0.4, 1e-7), 0.015)

@@ -61,34 +61,29 @@ def pps_config(eta_d=0.40, k=8, l_min=0, l_max=200, l_step=1):
 
 class TestRateFormulas:
     def test_unbounded_error_forces_zero(self):
-        signal = gains.assemble_gain_set(
-            gains.ZGainComponents(1e-6, 1e-9, 1e-9, 1e-9),
-            gains.XGainComponents(1e-6, 1e-7), 0.0)
+        signal = gains.assemble_gain_set(1e-6, 1e-9, 1e-9, 1e-9, 1e-6, 1e-7, 0.0)
         rate, raw, diags = keyrates.qcc_rate(1.16, signal, signal, 1e-2, 1e-4,
                                              None, math.exp(-0.4))
         assert rate == 0.0
         assert any("unbounded" in d for d in diags)
 
     def test_no_signal_x_gain_is_zero_rate(self):
-        empty = gains.assemble_gain_set(gains.ZGainComponents(0, 0, 0, 0),
-                                        gains.XGainComponents(0, 0), 0.0)
+        empty = gains.assemble_gain_set(0, 0, 0, 0, 0, 0, 0.0)
         rate, raw, _ = keyrates.qss_rate(1.16, empty, 0.0, 0.0, 0.0, 0.0, 0.01)
         assert rate == 0.0
 
     def test_qcc_monotone_in_phase_error_and_pairwise_qber(self):
         z = gains.z_gain_components(0.4, 0.4, 0.4, 0.04, 1e-7)
-        x = gains.x_gain_components(0.4, 0.4, 0.4, 0.04, 1e-7)
-        signal = gains.assemble_gain_set(z, x, 0.0)
+        x = gains.mermin_outcome_gains((1, 1, 1), 0.4, 0.4, 0.4, 0.04, 1e-7)
+        signal = gains.assemble_gain_set(z.a, z.b, z.c, z.d, *x, 0.0)
         vac_z = gains.z_gain_components(0.0, 0.4, 0.4, 0.04, 1e-7)
-        vac = gains.assemble_gain_set(vac_z, x, 0.0)
+        vac = gains.assemble_gain_set(vac_z.a, vac_z.b, vac_z.c, vac_z.d, *x, 0.0)
         rates = [keyrates.qcc_rate(1.16, signal, vac, 1e-2, 1e-5, e, math.exp(-0.4))[0]
                  for e in (0.01, 0.05, 0.2, 0.5)]
         assert all(a >= b - 1e-18 for a, b in zip(rates, rates[1:]))
 
     def test_raw_rate_sign_tracks_clamp(self):
-        signal = gains.assemble_gain_set(
-            gains.ZGainComponents(1e-9, 1e-7, 1e-7, 1e-7),
-            gains.XGainComponents(1e-9, 1e-9), 0.0)
+        signal = gains.assemble_gain_set(1e-9, 1e-7, 1e-7, 1e-7, 1e-9, 1e-9, 0.0)
         rate, raw, _ = keyrates.qcc_rate(1.16, signal, signal, 1e-9, 1e-9,
                                          0.25, math.exp(-0.4))
         assert rate == 0.0 and raw < 0.0

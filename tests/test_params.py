@@ -96,6 +96,7 @@ class TestInvariants:
         assert SweepGrid(10, 5, 1).distances() == []
         # step accumulates without drift
         assert len(SweepGrid(0, 250, 1).distances()) == 251
+        assert SweepGrid(1, 1e6, 1).l_max == 1e6  # 10^6 distances, the most accepted
 
     @pytest.mark.parametrize("bounds", [(0, float("nan"), 1), (0, float("inf"), 1),
                                         (0, 10, float("nan")), (float("nan"), 10, 1)])
@@ -158,6 +159,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="finite") as err:
             parse_config("\n".join(lines + [f"{key} = {value}"]))
         assert err.value.key == key
+
+    @pytest.mark.parametrize("l_max, l_step", [(250, 1e-300), (250, 5e-324), (1e300, 1),
+                                               (1e6, 1)])
+    def test_endless_sweep_grid_rejected(self, l_max, l_step):
+        # a million and one distances or more; parsing must not build the grid
+        text = QCC_CONFIG.format(eta_d=0.4, e_d=0.0, l_min=0, l_max=l_max, l_step=l_step)
+        with pytest.raises(ConfigError, match="sweep grid") as err:
+            parse_config(text)
+        assert err.value.key == "sweep.L_step"
 
     def test_roundtrip_identity(self):
         for kind, extra in (("wcs", "phase.K = 8\n"), ("heralded", ""), ("wcs_qnd", "")):

@@ -264,8 +264,7 @@ def _thinned_gain_set(comps, dists, thinning, e_d):
     a, b, c = (x @ thinning[:len(x), :k] for x in (a, b, c))
     w = (a[:, None] * b[None, :])[:, :, None] * c[None, None, :]
     q = (comps.reshape(len(comps), -1) @ w.ravel()).tolist()
-    return gains.assemble_gain_set(gains.ZGainComponents(*q[:4]),
-                                   gains.XGainComponents(*q[4:]), e_d)
+    return gains.assemble_gain_set(*q, e_d)
 
 
 def _budgeted_weights(dists, tail_budget):
