@@ -5,8 +5,16 @@ suppressed classes carry modified-Bessel factors from the phase average) and
 quadrature in the diagonal basis, where the overall phases survive into
 detector-level interference: the periodic trapezoid rule over the full phase
 circle, and Gauss-Legendre over the hexagon of phase differences for the
-phase-sliced gains.  The full-circle rule stacks all intensity triples of a
-decoy grid into one evaluation, each triple summed and certified on its own.
+phase-sliced gains.  Each detector group's click and silent factors are entire
+in its phase difference, with a closed-form modulus bound off the real line.
+That bounds the error of the trapezoid rule through a strip (Trefethen &
+Weideman, SIAM Rev. 56, 385 (2014), Thm 3.2) and of the Gauss rule through a
+Bernstein ellipse (Trefethen, Approximation Theory and Approximation Practice,
+Thm 19.3) a priori.  So each call evaluates once, at the smallest rung of
+QUAD_LADDER whose bound is below float64 rounding of the gains, or else at its
+top rung, where the bound must certify QUAD_RTOL.  The full-circle rule stacks
+all intensity triples of a decoy grid into one evaluation at the rung its
+most demanding triple needs, each triple summed and certified on its own.
 Flipping every sign of a diagonal-basis triple only swaps its two outcome
 gains, so the Mermin witness takes its (-,-,-) gains from the (+,+,+) call.
 Both rules write every step into one float64 workspace per thread, grown to
@@ -60,10 +68,19 @@ __all__ = [
     "fock_components",
 ]
 
-# Quadrature nodes per axis (read at call time); one refinement doubling
-# certifies this relative stability for every returned integral.
-QUAD_NODES = 16
+# Points per phase axis (full circle) or per triangle axis (hexagon) that the
+# quadratures may take, read at call time.  A call evaluates at the smallest
+# whose a priori error bound is below 2^-52 of a lower bound on each triple's
+# summed gains, or else at the largest, whose bound must be within QUAD_RTOL
+# of every gain (floored per triple at 1e-6 of its larger gain).
+QUAD_LADDER = (8, 12, 16, 24, 32)
 QUAD_RTOL = 1e-8
+_ROUNDING = 2.0 ** -52
+# The strip half-widths a (full circle) and Bernstein-ellipse parameters rho
+# (hexagon) over which the bounds take their least value.
+_STRIPS = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0])[:, None]
+_RHOS = np.array([1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 32.0, 64.0, 128.0])[:, None]
+_COSH_STRIPS = np.cosh(np.vstack([[0.0], _STRIPS]))  # the real line first
 
 A_CONSISTENCY_RTOL = 1e-12
 
@@ -212,10 +229,7 @@ def z_gain_components(mu: float, nu: float, omega: float, eta: float,
         f_pair = (expm1(pair_sum / 2.0)
                   + exp(pair_sum / 2.0) * _i0_minus_1(sqrt(pair1 * pair2))
                   + p_d)
-        val = (p_d / 2.0) * w ** 3 * exp(-x) * f_solo * f_pair
-        if val < 0.0:
-            raise NumericsError("mixed-class gain went negative")
-        return val
+        return (p_d / 2.0) * w ** 3 * exp(-x) * f_solo * f_pair
 
     try:
         b = _mixed(ib, ia, ic)  # Bob solo, Alice-Charlie interfere
@@ -309,25 +323,77 @@ def _outcome_sums(ia, ib, ic, signs, cosines, p_d):
         yield total, term
 
 
-def _certified(coarse, fine, what):
-    coarse = np.asarray(coarse, dtype=float)
-    fine = np.asarray(fine, dtype=float)
-    if not (np.isfinite(coarse).all() and np.isfinite(fine).all()):
+def _group_bounds(ia, ib, ic, p_d, cosh_a):
+    """Moduli of the detector groups (A-B, B-C, A-C) with the phase difference
+    theta off the real line by at most a, given as cosh a, shape (A, 1).
+
+    With n0 + n1 = 2 base, group g's click-silent sum f[2g] + f[2g+1] is
+    (1-p_d) e^{-2 base} (expm1(n0) + expm1(n1) + 2 p_d), and an outcome
+    takes one of its two terms per group, so the product of the groups' sums
+    of moduli bounds either outcome's integrand.  |expm1(n)| <= expm1(|n|) and
+    |n| <= base + |amp| cosh a bound each term on the strip; convexity bounds
+    the sum below on the real line by the value at cos theta = 0.  Returns the
+    product of the lower bounds over the groups, (P,), and each group's strip
+    bound over its lower bound, (3, A, P), 0 for a dark-free unlit group,
+    whose sum vanishes identically.
+    """
+    x, y = np.array([ia, ib, ia]), np.array([ib, ic, ic])
+    base = (x + y) / 4.0
+    low = np.expm1(base) + p_d
+    with np.errstate(over="ignore"):
+        high = np.expm1(base[:, None] + 0.5 * np.sqrt(x * y)[:, None] * cosh_a) + p_d
+        ratio = high / np.where(low > 0.0, low, np.inf)[:, None]
+    return (2.0 * (1.0 - p_d) * np.exp(-2.0 * base) * low).prod(axis=0), ratio
+
+
+def _circle_bound(ia, ib, ic, p_d, points):
+    """A priori bounds on the error of the trapezoid rule with each number of
+    points per axis in `points`, for each of the P triples (arrays (P,)),
+    relative to the second result: a lower bound of the triple's two outcome
+    gains together.
+
+    One axis at a time, Q1 Q2 - I1 I2 = Q1 (Q2 - I2) + (Q1 - I1) I2: the rule
+    in phi_AC sees the A-C and B-C groups off the real line, the one in phi_AB
+    the A-B and B-C groups.  Each is the N-point rule on a periodic function
+    analytic in the strip |Im theta| <= a, bounded there by M, whose mean it
+    gets within 2 M / (e^{aN} - 1) (Trefethen & Weideman, SIAM Rev. 56, 385
+    (2014), Thm 3.2); both terms take the best common strip.
+    """
+    scale, ratio = _group_bounds(ia, ib, ic, p_d, _COSH_STRIPS)
+    real, strip = ratio[:, 0], ratio[:, 1:]
+    # aN capped below overflow, which only loosens the bound
+    weight = 2.0 / np.expm1(np.minimum(_STRIPS * np.reshape(points, (-1, 1, 1)), 700.0))
+    with np.errstate(over="ignore"):
+        bound = (strip[1] * (strip[2] * real[0] + strip[0] * real[2]) * weight).min(axis=1)
+    return bound, scale / 8.0
+
+
+def _rung(bound):
+    """The index of the smallest rung whose bounds (rungs, P) are all below
+    float64 rounding, else the top one."""
+    at_rounding = (bound <= _ROUNDING).all(axis=1)
+    return int(at_rounding.argmax()) if at_rounding.any() else len(at_rounding) - 1
+
+
+def _certified(q, bound, what):
+    """The gains q (2, P) of the two outcomes, if their error bound (P,) is
+    within QUAD_RTOL of each, floored per triple at 1e-6 of its larger one."""
+    q = np.asarray(q, dtype=float)
+    if not np.isfinite(q).all():
         raise NumericsError(f"{what}: quadrature gave a non-finite value")
-    # axis 0 is the outcome: each intensity triple floors its own scale
-    scale = np.maximum(np.abs(fine), 1e-300)
-    if np.any(np.abs(fine - coarse) > QUAD_RTOL * np.maximum(scale, scale.max(axis=0) * 1e-6)):
-        raise NumericsError(f"{what}: quadrature did not stabilize to {QUAD_RTOL} "
-                            f"relative after one node doubling")
-    return fine
+    scale = np.maximum(np.abs(q), 1e-300)
+    if not np.all(bound <= QUAD_RTOL * np.maximum(scale, scale.max(axis=0) * 1e-6)):
+        raise NumericsError(f"{what}: the quadrature error bound exceeds {QUAD_RTOL} "
+                            f"relative at {QUAD_LADDER[-1]} points per axis")
+    return q
 
 
 @lru_cache(maxsize=8)
-def _circle_cosines(nodes):
-    """Cosines of the A-B, B-C and A-C phase differences on the (2 nodes)^2
-    grid of (phi_AB, phi_AC), shaped (2 nodes, 1), (2 nodes, 2 nodes) and
-    (1, 2 nodes)."""
-    phi = np.arange(2 * nodes) * (np.pi / nodes)
+def _circle_cosines(points):
+    """Cosines of the A-B, B-C and A-C phase differences on the points^2 grid
+    of (phi_AB, phi_AC), shaped (points, 1), (points, points) and
+    (1, points)."""
+    phi = np.arange(points) * (2.0 * np.pi / points)
     pab, pac = phi[:, None], phi[None, :]
     cosines = (np.cos(pab), np.cos(pac - pab), np.cos(pac))
     for c in cosines:
@@ -335,27 +401,18 @@ def _circle_cosines(nodes):
     return cosines
 
 
-def _x_outcome_quad(signs, ia, ib, ic, p_d):
-    """The outcome gains by the trapezoid rule on QUAD_NODES^2 and on
-    (2 QUAD_NODES)^2 phase points, as (2, P) arrays for P arriving-intensity
-    triples (arrays of length P).
+def _circle_quad(signs, ia, ib, ic, p_d, points):
+    """The outcome gains by the trapezoid rule on points^2 phase points, as a
+    (2, P) array for the P arriving-intensity triples (arrays (P,)).
 
-    The integrand is periodic and analytic in both phases, so the equispaced
-    trapezoid rule converges geometrically on it; the coarse rule is the
-    even-indexed subgrid of the fine one, so one evaluation serves both.
+    mean() sums each triple's contiguous row pairwise, which keeps the
+    rounding small enough for the decoy differences that amplify it at long
+    distance.
     """
-    ia, ib, ic = (np.reshape(v, (-1, 1, 1)) for v in (ia, ib, ic))
-    # mean() sums each triple's contiguous row (the subgrid is copied into
-    # one) pairwise, which keeps the rounding small enough for the decoy
-    # differences that amplify it at long distance
     rows = len(ia)
-    coarse, fine = [], []
-    for s, free in _outcome_sums(ia, ib, ic, signs, _circle_cosines(QUAD_NODES), p_d):
-        subgrid = free.reshape(-1)[:free.size // 4].reshape(rows, QUAD_NODES, QUAD_NODES)
-        np.copyto(subgrid, s[:, ::2, ::2])
-        coarse.append(subgrid.reshape(rows, -1).mean(axis=-1) / 8.0)
-        fine.append(s.reshape(rows, -1).mean(axis=-1) / 8.0)
-    return np.array(coarse), np.array(fine)
+    ia, ib, ic = (np.reshape(v, (-1, 1, 1)) for v in (ia, ib, ic))
+    return np.array([s.reshape(rows, -1).mean(axis=-1) / 8.0 for s, _ in
+                     _outcome_sums(ia, ib, ic, signs, _circle_cosines(points), p_d)])
 
 
 def mermin_outcome_gains(signs: tuple[int, int, int], mu, nu, omega, eta: float,
@@ -373,8 +430,11 @@ def mermin_outcome_gains(signs: tuple[int, int, int], mu, nu, omega, eta: float,
     flipped triple's gains are these two, swapped: (+,+,+) gives both the
     all-"+" and the all-"-" correct-outcome gains of the Mermin witness.
     """
-    ia, ib, ic = (np.multiply(m, eta) for m in (mu, nu, omega))
-    q = _certified(*_x_outcome_quad(signs, ia, ib, ic, p_d), "diagonal-basis gain").tolist()
+    ia, ib, ic = (np.reshape(np.multiply(m, eta), -1) for m in (mu, nu, omega))
+    bound, scale = _circle_bound(ia, ib, ic, p_d, QUAD_LADDER)
+    rung = _rung(bound)
+    q = _certified(_circle_quad(signs, ia, ib, ic, p_d, QUAD_LADDER[rung]),
+                   bound[rung] * scale, "diagonal-basis gain").tolist()
     return tuple(g[0] for g in q) if np.ndim(mu) == 0 else tuple(q)
 
 
@@ -417,6 +477,33 @@ def _sliced_quad(ia, ib, ic, p_d, k, nodes):
             for s, _ in _outcome_sums(ia, ib, ic, (1, 1, 1), cosines, p_d)]
 
 
+def _hexagon_bound(ia, ib, ic, p_d, k, nodes):
+    """A priori bounds on the error of the hexagon rule with each number of
+    nodes per triangle axis in `nodes`, relative to the second result: a lower
+    bound of the two outcome gains together.
+
+    On each triangle every phase difference is h s c(t) with |c| <= 1 and
+    |dc/dt| <= 1, so with s or t on the Bernstein ellipse E_rho of [0, 1] each
+    lies within h (rho - 1/rho) / 4 of the real line, and the weight
+    2 s (1 - s) within (1 + ((rho + 1/rho) / 2)^2) / 2 of 0.  One axis at a
+    time, as for the full circle, the n-point Gauss rule on [0, 1] errs by at
+    most (32/15) M rho^{2-2n} / (rho^2 - 1) (Trefethen, Approximation Theory
+    and Approximation Practice, Thm 19.3, whose rule has n + 1 points; half
+    its bound on [-1, 1]): the s rule with M the weighted integrand's bound,
+    the t rule with M its bound times the weight's integral 1/3; three
+    triangles each.
+    """
+    rho = _RHOS
+    scale, ratio = _group_bounds(ia, ib, ic, p_d, np.cosh(np.pi / k * (rho - 1.0 / rho) / 4.0))
+    q = (rho + 1.0 / rho) / 2.0
+    # rho^{2-2n} floored above underflow, which only loosens the bound
+    decay = np.maximum(rho ** (2.0 - 2.0 * np.reshape(nodes, (-1, 1, 1))), 1e-300)
+    weight = 32.0 / 5.0 * ((1.0 + q * q) / 2.0 + 1.0 / 3.0) / (rho * rho - 1.0) * decay
+    with np.errstate(over="ignore"):
+        bound = (ratio.prod(axis=0) * weight).min(axis=1)
+    return bound, scale / (k * k)
+
+
 def phase_sliced_gains(mu: float, nu: float, omega: float, eta: float,
                        p_d: float, k: int) -> SlicedGains:
     """Diagonal-basis gains of matched-phase-region events, K regions.
@@ -427,9 +514,11 @@ def phase_sliced_gains(mu: float, nu: float, omega: float, eta: float,
     integrated).  At K = 1 this reduces exactly to the full phase average.
     """
     ia, ib, ic = mu * eta, nu * eta, omega * eta
-    pair = _certified(_sliced_quad(ia, ib, ic, p_d, k, QUAD_NODES),
-                      _sliced_quad(ia, ib, ic, p_d, k, 2 * QUAD_NODES), "phase-sliced gain")
-    return SlicedGains(q_c=float(pair[0]), q_e=float(pair[1]))
+    bound, scale = _hexagon_bound(*(np.reshape(x, 1) for x in (ia, ib, ic)), p_d, k, QUAD_LADDER)
+    rung = _rung(bound)
+    pair = _certified(np.reshape(_sliced_quad(ia, ib, ic, p_d, k, QUAD_LADDER[rung]), (2, 1)),
+                      bound[rung] * scale, "phase-sliced gain")
+    return SlicedGains(q_c=float(pair[0, 0]), q_e=float(pair[1, 0]))
 
 
 # ---------------------------------------------------------------------------

@@ -352,6 +352,17 @@ class TestExitCodeContract:
         assert "photon-number truncation tail" in err
         assert "Traceback" not in err
 
+    def test_too_bright_weak_coherent_source_exits_4(self, tmp_path, capsys):
+        # at the production node counts no rung certifies the diagonal-basis
+        # gains of mu = 50 at 0 km: exit 4 with the quadrature's message
+        cfg = config_copy(tmp_path, "qcc_eta40", ("source.mu = 0.4", "source.mu = 50"),
+                          ("sweep.L_max = 250", "sweep.L_max = 0"))
+        code = cli.main(["qcc", "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "diagonal-basis gain" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command, name", [("qss", "qss_qnd_eta40"), ("qcc", "qcc_eta40")],
                              ids=["qnd", "qcc"])
     def test_overflowing_decoy_level_exits_4(self, command, name, tmp_path, capsys):

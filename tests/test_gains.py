@@ -68,10 +68,10 @@ def plain_outcome_sums(ia, ib, ic, signs, cosines, p_d):
     return outcome_pattern_sums(click, silent)
 
 
-def plain_full_circle(signs, mu, nu, omega, eta, p_d, nodes):
-    """Both outcome gains of each triple on the (2 nodes)^2 trapezoid grid,
+def plain_full_circle(signs, mu, nu, omega, eta, p_d, points):
+    """Both outcome gains of each triple on the points^2 trapezoid grid,
     from `plain_outcome_sums`, as `mermin_outcome_gains` returns them."""
-    phi = np.arange(2 * nodes) * (np.pi / nodes)
+    phi = np.arange(points) * (2.0 * np.pi / points)
     pab, pac = phi[:, None], phi[None, :]
     ia, ib, ic = (np.reshape(np.multiply(m, eta), (-1, 1, 1)) for m in (mu, nu, omega))
     sums = plain_outcome_sums(ia, ib, ic, signs, (np.cos(pab), np.cos(pac - pab), np.cos(pac)),
@@ -199,9 +199,9 @@ class TestDiagonalQuadrature:
                  samples=2_000_000)
 
     def test_quadrature_stable_under_doubling(self, monkeypatch):
-        monkeypatch.setattr(gains, "QUAD_NODES", 64)
+        monkeypatch.setattr(gains, "QUAD_LADDER", (128,))
         coarse = gains.mermin_outcome_gains((1, 1, 1), 0.5, 0.5, 0.5, 0.3, 1e-5)
-        monkeypatch.setattr(gains, "QUAD_NODES", 128)
+        monkeypatch.setattr(gains, "QUAD_LADDER", (256,))
         fine = gains.mermin_outcome_gains((1, 1, 1), 0.5, 0.5, 0.5, 0.3, 1e-5)
         assert coarse == pytest.approx(fine, rel=1e-8, abs=0.0)
 
@@ -219,29 +219,30 @@ class TestDiagonalQuadrature:
 
     def test_certification_refuses_non_finite(self):
         nan = float("nan")
-        for coarse, fine in (([nan, 0.1], [nan, 0.1]), ([0.2, 0.1], [0.2, nan]),
-                             ([0.2, 0.1], [float("inf"), 0.1])):
+        for q in ([nan, 0.1], [0.2, nan], [float("inf"), 0.1]):
             with pytest.raises(NumericsError, match="non-finite"):
-                gains._certified(coarse, fine, "diagonal-basis gain")
+                gains._certified(q, 0.0, "diagonal-basis gain")
 
     def test_certification_refuses_too_few_nodes(self, monkeypatch):
-        monkeypatch.setattr(gains, "QUAD_NODES", 2)
+        monkeypatch.setattr(gains, "QUAD_LADDER", (4,))
         with pytest.raises(NumericsError, match="diagonal-basis"):
             gains.mermin_outcome_gains((1, 1, 1), 3.0, 3.0, 3.0, 0.9, 0.0)
 
     def test_certification_floor_is_per_triple(self):
-        # triple 0 bright and stable; triple 1 near 1e-9 with a 1e-6 relative
-        # coarse/fine gap, which only a floor set by triple 0 would forgive
-        fine = np.array([[1.0, 1e-9], [0.5, 2e-9]])
-        coarse = fine * np.array([[1.0, 1.0 + 1e-6], [1.0, 1.0]])
-        with pytest.raises(NumericsError, match="did not stabilize"):
-            gains._certified(coarse, fine, "diagonal-basis gain")
-        gains._certified(fine, fine, "diagonal-basis gain")
+        # triple 0 bright; triple 1 near 1e-9 with an error bound of 1e-6
+        # relative, which only a floor set by triple 0 would forgive
+        q = np.array([[1.0, 1e-9], [0.5, 2e-9]])
+        with pytest.raises(NumericsError, match="error bound"):
+            gains._certified(q, np.array([0.0, 1e-15]), "diagonal-basis gain")
+        gains._certified(q, np.array([0.0, 0.0]), "diagonal-basis gain")
+        # a bound that is no number certifies nothing
+        with pytest.raises(NumericsError, match="error bound"):
+            gains._certified(q, np.array([0.0, float("nan")]), "diagonal-basis gain")
 
     def test_stacked_certification_refuses_one_unstable_triple(self, monkeypatch):
-        # the dim triples alone pass at two nodes; beside them the bright one,
-        # which two nodes cannot resolve, must still be refused
-        monkeypatch.setattr(gains, "QUAD_NODES", 2)
+        # the dim triples alone pass at four points; beside them the bright
+        # one, which four points cannot resolve, must still be refused
+        monkeypatch.setattr(gains, "QUAD_LADDER", (4,))
         dim = ([0.0, 1e-3], [1e-3, 0.0], [0.0, 0.0])
         gains.mermin_outcome_gains((1, 1, 1), *dim, 0.9, 0.0)
         with pytest.raises(NumericsError, match="diagonal-basis"):
@@ -250,9 +251,11 @@ class TestDiagonalQuadrature:
     @pytest.mark.parametrize("eta, p_d", [(0.04, 1e-7), (4e-5, 1e-7), (0.9, 0.0),
                                           (0.5, 1e-3)])
     @pytest.mark.parametrize("signs", [(1, 1, 1), (-1, -1, -1)])
-    def test_stacked_equals_per_triple_calls(self, signs, eta, p_d):
+    def test_stacked_equals_per_triple_calls(self, signs, eta, p_d, monkeypatch):
         # every triple of a decoy plan: the stacked gains are bit-identical to
-        # the scalar calls, because each triple keeps its own pairwise sum
+        # the scalar calls, because each triple keeps its own pairwise sum; one
+        # rung, since a stacked call takes the rung its brightest triple needs
+        monkeypatch.setattr(gains, "QUAD_LADDER", gains.QUAD_LADDER[-1:])
         triples = decoy.grid_triples(DecoyPlan(0.4, 0.005))
         assert len(triples) == 15
         q_c, q_e = gains.mermin_outcome_gains(signs, *zip(*triples), eta, p_d)
@@ -276,7 +279,7 @@ class TestDiagonalQuadrature:
     def test_negated_pair_refuses_one_unstable_triple(self, monkeypatch):
         # the all-"-" triple, whose gains equal the swapped (+,+,+) outcomes,
         # is certified triple by triple as well: one bright triple is refused
-        monkeypatch.setattr(gains, "QUAD_NODES", 2)
+        monkeypatch.setattr(gains, "QUAD_LADDER", (4,))
         dim = ([0.0, 1e-3], [1e-3, 0.0], [0.0, 0.0])
         gains.mermin_outcome_gains((-1, -1, -1), *dim, 0.9, 0.0)
         with pytest.raises(NumericsError, match="diagonal-basis"):
@@ -331,11 +334,11 @@ class TestOutcomeKernel:
     def test_gains_equal_plain_path_across_node_changes(self, monkeypatch):
         rng = np.random.default_rng(7)
         mu, nu, omega = (rng.uniform(0.0, 1.0, 15) for _ in range(3))
-        for nodes in (16, 8, 32, 16):
-            monkeypatch.setattr(gains, "QUAD_NODES", nodes)
+        for points in (32, 16, 64, 32):
+            monkeypatch.setattr(gains, "QUAD_LADDER", (points,))
             got = gains.mermin_outcome_gains((1, -1, 1), mu, nu, omega, 0.04, 1e-6)
-            want = plain_full_circle((1, -1, 1), mu, nu, omega, 0.04, 1e-6, nodes)
-            assert got == want, nodes
+            want = plain_full_circle((1, -1, 1), mu, nu, omega, 0.04, 1e-6, points)
+            assert got == want, points
             one = gains.mermin_outcome_gains((1, -1, 1), mu[3], nu[3], omega[3], 0.04, 1e-6)
             assert one == (want[0][3], want[1][3])
 
@@ -438,7 +441,7 @@ class TestSlicedGains:
         assert sliced.q_e == pytest.approx(want[1], rel=1e-12, abs=0.0)
 
     def test_certification_refuses_too_few_nodes(self, monkeypatch):
-        monkeypatch.setattr(gains, "QUAD_NODES", 2)
+        monkeypatch.setattr(gains, "QUAD_LADDER", (4,))
         with pytest.raises(NumericsError, match="phase-sliced"):
             gains.phase_sliced_gains(3.0, 3.0, 3.0, 0.9, 0.0, 1)
 
@@ -447,6 +450,59 @@ class TestSlicedGains:
         sliced = gains.phase_sliced_gains(0.5, 0.5, 0.5, eta, p_d, k)
         mc_check("+++", (0.5, 0.5, 0.5), eta, p_d, (sliced.q_c, sliced.q_e),
                  seed=17, samples=1_000_000, slice_k=k, scale=k * k)
+
+
+SIGN_TRIPLES = tuple(itertools.product((1, -1), repeat=3))
+INTENSITIES = st.tuples(*[st.floats(0, 3)] * 3)
+# the ladder, and below it rules coarse enough that their truncation error
+# shows above rounding
+RUNGS = (2, 3, 4, 6, *gains.QUAD_LADDER)
+
+
+def rounding_allowance(intensities, p_d, norm):
+    """16 ulps of the real-line modulus bound of the integrand: both the rule
+    and the reference round each node to a few ulps of it, and sum
+    nonnegative weighted terms."""
+    scale, ratio = gains._group_bounds(*(np.array([x]) for x in intensities), p_d,
+                                       np.ones((1, 1)))
+    return 16 * 2.0 ** -52 * float(scale[0] * ratio.prod()) / norm
+
+
+class TestQuadratureBounds:
+    """The a priori bounds cover the measured error at every rung, and their
+    scale is below the gains it stands for."""
+
+    @given(INTENSITIES, st.floats(0, 0.05), st.sampled_from(SIGN_TRIPLES))
+    def test_circle_bound_covers_the_error(self, intensities, p_d, signs):
+        ia, ib, ic = (np.array([x]) for x in intensities)
+        bound, scale = gains._circle_bound(ia, ib, ic, p_d, RUNGS)
+        want = np.array(reference_full_circle(signs, *intensities, p_d))
+        slack = rounding_allowance(intensities, p_d, 8.0)
+        assert scale[0] <= want.sum() + slack
+        for points, b in zip(RUNGS, bound[:, 0] * scale[0], strict=True):
+            got = gains._circle_quad(signs, ia, ib, ic, p_d, points)[:, 0]
+            assert (np.abs(got - want) <= b + slack).all(), points
+
+    @given(INTENSITIES, st.floats(0, 0.05), st.sampled_from((1, 8, 64)))
+    def test_hexagon_bound_covers_the_error(self, intensities, p_d, k):
+        bound, scale = gains._hexagon_bound(*(np.array([x]) for x in intensities), p_d, k,
+                                            RUNGS)
+        want = np.array(reference_sliced(*intensities, p_d, k))
+        slack = rounding_allowance(intensities, p_d, k * k)
+        assert scale[0] <= want.sum() + slack
+        for nodes, b in zip(RUNGS, bound[:, 0] * scale[0], strict=True):
+            got = np.array(gains._sliced_quad(*intensities, p_d, k, nodes))
+            assert (np.abs(got - want) <= b + slack).all(), nodes
+
+    def test_dim_grid_takes_the_smallest_rung(self):
+        # a decoy grid at 100 km needs no more than the smallest rung, and gets
+        # exactly its gains; the same grid at 0 km needs more
+        triples = decoy.grid_triples(DecoyPlan(0.4, 0.005))
+        got = gains.mermin_outcome_gains((1, 1, 1), *zip(*triples), 0.004, 1e-7)
+        assert got == plain_full_circle((1, 1, 1), *zip(*triples), 0.004, 1e-7,
+                                        gains.QUAD_LADDER[0])
+        bright = np.multiply(triples, 0.93).T
+        assert gains._rung(gains._circle_bound(*bright, 1e-7, gains.QUAD_LADDER)[0]) > 0
 
 
 def class_split(*classes):
