@@ -17,8 +17,13 @@ from pathlib import Path
 
 
 def rows(path: Path) -> list[list[str]]:
-    return [line.split(",") for line in path.read_text().splitlines()
-            if not line.startswith("#")]
+    """Data rows by the header's columns.  A validate check name may hold
+    unquoted commas, so the surplus leading cells of a row are joined back."""
+    lines = [line.split(",") for line in path.read_text().splitlines()
+             if not line.startswith("#")]
+    width = len(lines[0]) if lines else 0
+    return [[",".join(r[:name])] + r[name:]
+            for r, name in ((r, max(1, len(r) - width + 1)) for r in lines)]
 
 
 def largest_change(old: list[list[str]], new: list[list[str]]) -> str:

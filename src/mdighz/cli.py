@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from . import __version__, checks, keyrates, mermin, montecarlo
+from . import __version__, keyrates, mermin, montecarlo
 from .params import (ConfigError, ExperimentConfig, NumericsError, parse_config,
                      serialize_config, overall_efficiency)
 
@@ -199,6 +199,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import checks  # only validate needs the cross-checks
     cfg = _load_config(args.config)
     if cfg.source.kind != "wcs":
         raise ConfigError(f"validate checks cover only the weak-coherent gain paths, "

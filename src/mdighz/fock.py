@@ -62,6 +62,7 @@ __all__ = [
     "ideal_detector_table",
     "ideal_yields",
     "thinning_matrix",
+    "single_photon_yields",
     "exact_single_photon_stats",
 ]
 
@@ -249,14 +250,20 @@ def _single_photon_table() -> np.ndarray:
     return table
 
 
-def exact_single_photon_stats(eta: float, p_d: float, e_d: float) -> SinglePhotonStats:
+def single_photon_yields(p_d: float) -> np.ndarray:
+    """The distance-free part of `exact_single_photon_stats`: the ideal-detector
+    yields at p_d of the 16 single-photon preparations up to (1, 1, 1)."""
+    return ideal_yields(_single_photon_table(), p_d)
+
+
+def exact_single_photon_stats(eta: float, yields: np.ndarray, e_d: float) -> SinglePhotonStats:
     """Averages the analyzer yields over the uniform single-photon ensembles in
     both bases and composes error rates with the misalignment probability.
 
     Each user's photon is lost or survives ([1-eta, eta]), thinned against the
-    ideal-detector yields of the triples up to (1, 1, 1)."""
+    `single_photon_yields` of the triples up to (1, 1, 1)."""
     one = thinning_matrix(eta)[1, :2]
-    y = (ideal_yields(_single_photon_table(), p_d) @ one @ one @ one).tolist()
+    y = (yields @ one @ one @ one).tolist()
     y_z = dict(zip(_Z_TRIPLES, y[:8]))
     y_x = dict(zip(_X_TRIPLES, y[8:]))
 

@@ -10,28 +10,22 @@ in its phase difference, with a closed-form modulus bound off the real line.
 That bounds the error of the trapezoid rule through a strip (Trefethen &
 Weideman, SIAM Rev. 56, 385 (2014), Thm 3.2) and of the Gauss rule through a
 Bernstein ellipse (Trefethen, Approximation Theory and Approximation Practice,
-Thm 19.3) a priori.  So each call evaluates once, at the smallest rung of
-QUAD_LADDER whose bound is below float64 rounding of the gains, or else at its
-top rung, where the bound must certify QUAD_RTOL.  The full-circle rule stacks
-all intensity triples of a decoy grid into one evaluation at the rung its
-most demanding triple needs, each triple summed and certified on its own.
-Flipping every sign of a diagonal-basis triple only swaps its two outcome
-gains, so the Mermin witness takes its (-,-,-) gains from the (+,+,+) call.
-Both rules write every step into one float64 workspace per thread, grown to
-the largest grid seen and then reused.  Grid-sized temporaries freed after
-every call let the C allocator hand their memory back to the system, and the
-next call faulted it in again: about 330 page faults per stacked decoy-grid
-call.
+Thm 19.3) a priori.  Both rules stack the intensity triples of many distances,
+a row per distance, and evaluate each row once, at the smallest rung of
+QUAD_LADDER whose bound is below float64 rounding of its gains, or else at the
+top rung, where the bound must certify QUAD_RTOL; rows of one rung go together
+and every triple is summed and certified on its own.  Flipping every sign of a
+diagonal-basis triple only swaps its two outcome gains, so the Mermin witness
+takes its (-,-,-) gains from the (+,+,+) call.  Every step writes into one
+float64 workspace per thread, bounded by _STACK_FLOATS and reused, since freed
+temporaries were faulted in again on the next call.
 Heralded and photon-number-filtered variants take their gains from the exact
 Fock engine by binomial thinning: each user's photon-number distribution is
 thinned by the detector efficiency, and the joint thinned weights are
 contracted against the ideal-detector class components of a fixed set of
 photon-number triples, free of any distance.  A source model builds these
-components once, with no cache shared across models (one per curve, one per
-trial of an intensity search), and certifies the truncation of every
-combination of its decoy levels then, since neither holds a distance; like
-the weak-coherent path it then takes one call per decoy grid, which thins
-each level once.
+components once and certifies the truncation of every combination of its
+decoy levels then; each decoy grid then thins each level once.
 
 Conventions: a "gain" Q is the per-pulse-triple probability of one announced
 outcome class and includes the 1/8 preparation probability of the specific
@@ -42,6 +36,7 @@ as NaN.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -51,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fock
-from .params import NumericsError, SystemParams, overall_efficiency
+from .params import NumericsError
 
 __all__ = [
     "ZGainComponents",
@@ -81,6 +76,9 @@ _ROUNDING = 2.0 ** -52
 _STRIPS = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0])[:, None]
 _RHOS = np.array([1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 32.0, 64.0, 128.0])[:, None]
 _COSH_STRIPS = np.cosh(np.vstack([[0.0], _STRIPS]))  # the real line first
+# Workspace floats of one stacked evaluation: those of a decoy grid at 16
+# points per axis, the most any row of a bundled curve needs.
+_STACK_FLOATS = 15 * (6 * 16 * 16 + 10 * 16)
 
 A_CONSISTENCY_RTOL = 1e-12
 
@@ -285,26 +283,25 @@ def _pair_factors(amplitude, base, cosine, p_d, work):
     return np.multiply(n0, s1, out=t), np.multiply(n1, s0, out=n1)
 
 
-def _outcome_sums(ia, ib, ic, signs, cosines, p_d):
+def _outcome_sums(x, signs, cosines, p_d):
     """Yields the probabilities of the two announced outcomes (phi_plus,
     phi_minus) for diagonal-basis coherent inputs of arriving intensities
-    ia, ib, ic and sign triple `signs` (+1 -> "+", -1 -> "-"), at the phase
-    points whose A-B, B-C and A-C phase-difference cosines are `cosines`.
-    Each comes with a free view of its shape; both are views of the
-    workspace that the next step overwrites.
+    x = (ia, ib, ic), stacked on the first axis, and sign triple `signs`
+    (+1 -> "+", -1 -> "-"), at the phase points whose A-B, B-C and A-C
+    phase-difference cosines are `cosines`.  Each comes with a free view of
+    its shape; both are views of the workspace that the next step overwrites.
     """
-    pairs = ((ia, ib), (ib, ic), (ia, ic))
-    amplitudes = [s * (0.5 * np.sqrt(x * y)) for s, (x, y) in zip(signs, pairs)]
-    shapes = [np.broadcast_shapes(np.shape(a), np.shape(c))
-              for a, c in zip(amplitudes, cosines)]
+    first, second = x[[0, 1, 0]], x[[1, 2, 2]]  # the users of each pair
+    amplitudes = np.reshape(signs, (3,) + (1,) * (x.ndim - 1)) * (0.5 * np.sqrt(first * second))
+    shapes = [np.broadcast(a, c).shape for a, c in zip(amplitudes, cosines)]
     # the Bob-Charlie group spans the whole grid: once its factors are
     # formed, its spent views hold the pair products and each term
-    grid = np.broadcast_shapes(*shapes)
+    grid = np.broadcast(amplitudes[1], *cosines).shape
     work = _workspace_views([shapes[0]] * 5 + [grid] * 6 + [shapes[2]] * 5)
     groups, total = (work[:5], work[5:10], work[11:]), work[10]
     f = []
-    for (x, y), amplitude, cosine, views in zip(pairs, amplitudes, cosines, groups):
-        f += _pair_factors(amplitude, (x + y) / 4.0, cosine, p_d, views)
+    for amplitude, base, cosine, views in zip(amplitudes, (first + second) / 4.0, cosines, groups):
+        f += _pair_factors(amplitude, base, cosine, p_d, views)
     # f[a] * f[b] * f[c] multiplies left to right, so each pair product
     # f[a] * f[b] is formed once for one term of either outcome
     spent = groups[1]
@@ -323,8 +320,9 @@ def _outcome_sums(ia, ib, ic, signs, cosines, p_d):
         yield total, term
 
 
-def _group_bounds(ia, ib, ic, p_d, cosh_a):
-    """Moduli of the detector groups (A-B, B-C, A-C) with the phase difference
+def _group_bounds(x, p_d, cosh_a):
+    """Moduli of the detector groups (A-B, B-C, A-C) of the arriving
+    intensities x = (ia, ib, ic), (3, P), with the phase difference
     theta off the real line by at most a, given as cosh a, shape (A, 1).
 
     With n0 + n1 = 2 base, group g's click-silent sum f[2g] + f[2g+1] is
@@ -337,7 +335,7 @@ def _group_bounds(ia, ib, ic, p_d, cosh_a):
     bound over its lower bound, (3, A, P), 0 for a dark-free unlit group,
     whose sum vanishes identically.
     """
-    x, y = np.array([ia, ib, ia]), np.array([ib, ic, ic])
+    x, y = x[[0, 1, 0]], x[[1, 2, 2]]
     base = (x + y) / 4.0
     low = np.expm1(base) + p_d
     with np.errstate(over="ignore"):
@@ -346,9 +344,9 @@ def _group_bounds(ia, ib, ic, p_d, cosh_a):
     return (2.0 * (1.0 - p_d) * np.exp(-2.0 * base) * low).prod(axis=0), ratio
 
 
-def _circle_bound(ia, ib, ic, p_d, points):
+def _circle_bound(x, p_d, points):
     """A priori bounds on the error of the trapezoid rule with each number of
-    points per axis in `points`, for each of the P triples (arrays (P,)),
+    points per axis in `points`, for each of the P triples x (3, P),
     relative to the second result: a lower bound of the triple's two outcome
     gains together.
 
@@ -359,7 +357,7 @@ def _circle_bound(ia, ib, ic, p_d, points):
     gets within 2 M / (e^{aN} - 1) (Trefethen & Weideman, SIAM Rev. 56, 385
     (2014), Thm 3.2); both terms take the best common strip.
     """
-    scale, ratio = _group_bounds(ia, ib, ic, p_d, _COSH_STRIPS)
+    scale, ratio = _group_bounds(x, p_d, _COSH_STRIPS)
     real, strip = ratio[:, 0], ratio[:, 1:]
     # aN capped below overflow, which only loosens the bound
     weight = 2.0 / np.expm1(np.minimum(_STRIPS * np.reshape(points, (-1, 1, 1)), 700.0))
@@ -368,11 +366,12 @@ def _circle_bound(ia, ib, ic, p_d, points):
     return bound, scale / 8.0
 
 
-def _rung(bound):
-    """The index of the smallest rung whose bounds (rungs, P) are all below
-    float64 rounding, else the top one."""
-    at_rounding = (bound <= _ROUNDING).all(axis=1)
-    return int(at_rounding.argmax()) if at_rounding.any() else len(at_rounding) - 1
+def _rungs(bound, t):
+    """Per row of t triples, the index of the smallest rung whose bounds
+    (rungs, rows * t) are all below float64 rounding, else the top one."""
+    ok = (bound <= _ROUNDING).reshape(len(bound), -1, t).all(axis=2)
+    ok[-1] = True
+    return ok.argmax(axis=0).tolist()
 
 
 def _certified(q, bound, what):
@@ -388,6 +387,31 @@ def _certified(q, bound, what):
     return q
 
 
+def _stacked(quad, bounds, intensities, etas, width, what):
+    """The certified gains (2, D, T) of the T intensity triples (3, T) at each
+    of the D efficiencies `etas`, a row per distance.  The bounds of a chunk
+    of rows are formed at once; consecutive rows of one rung are evaluated
+    together while the workspace `_outcome_sums` lays out for them, width(n)
+    floats per triple at rung n, stays within _STACK_FLOATS (a row alone if it
+    needs more)."""
+    t = intensities.shape[1]
+    q = np.empty((2, len(etas) * t))
+    step = max(1, _STACK_FLOATS // (t * width(QUAD_LADDER[0])))
+    for start in range(0, len(etas), step):
+        x = (intensities[:, None, :] * etas[start:start + step, None]).reshape(3, -1)
+        bound, scale = bounds(x)
+        out, lo = q[:, start * t:], 0  # lo, hi: the triples of a run of rows
+        for r, run in itertools.groupby(_rungs(bound, t)):
+            hi = lo + len(list(run)) * t
+            per = max(1, _STACK_FLOATS // (t * width(QUAD_LADDER[r]))) * t
+            for i in range(lo, hi, per):
+                j = min(i + per, hi)
+                out[:, i:j] = _certified(quad(x[:, i:j], QUAD_LADDER[r]),
+                                         bound[r, i:j] * scale[i:j], what)
+            lo = hi
+    return q.reshape(2, -1, t)
+
+
 @lru_cache(maxsize=8)
 def _circle_cosines(points):
     """Cosines of the A-B, B-C and A-C phase differences on the points^2 grid
@@ -401,41 +425,42 @@ def _circle_cosines(points):
     return cosines
 
 
-def _circle_quad(signs, ia, ib, ic, p_d, points):
+def _circle_quad(signs, x, p_d, points):
     """The outcome gains by the trapezoid rule on points^2 phase points, as a
-    (2, P) array for the P arriving-intensity triples (arrays (P,)).
+    (2, P) array for the P arriving-intensity triples x (3, P).
 
-    mean() sums each triple's contiguous row pairwise, which keeps the
-    rounding small enough for the decoy differences that amplify it at long
-    distance.
+    Each triple's contiguous row is summed pairwise and divided by its size,
+    as mean() does, which keeps the rounding small enough for the decoy
+    differences that amplify it at long distance.
     """
-    rows = len(ia)
-    ia, ib, ic = (np.reshape(v, (-1, 1, 1)) for v in (ia, ib, ic))
-    return np.array([s.reshape(rows, -1).mean(axis=-1) / 8.0 for s, _ in
-                     _outcome_sums(ia, ib, ic, signs, _circle_cosines(points), p_d)])
+    rows = x.shape[1]
+    return np.array([s.reshape(rows, -1).sum(axis=-1) / (points * points) / 8.0 for s, _ in
+                     _outcome_sums(x.reshape(3, rows, 1, 1), signs, _circle_cosines(points), p_d)])
 
 
-def mermin_outcome_gains(signs: tuple[int, int, int], mu, nu, omega, eta: float,
-                         p_d: float):
+def mermin_outcome_gains(signs: tuple[int, int, int], mu, nu, omega, eta, p_d: float):
     """Gains of the two announced outcomes for one diagonal-basis sign triple,
     phase-averaged over the full circle (two-angle periodic trapezoid rule).
 
     Any subset of the intensities may be zero; the vanishing cross terms make
     those cases exact.  Returns (correct-class gain, other-class gain) with
     the correct class being the one a (+,+,+) triple feeds.  Given sequences
-    of intensities, one evaluation returns a list of each gain, one entry per
-    triple, and every triple is certified on its own.
+    of intensities, each gain is a list, one entry per triple; given a
+    sequence of efficiencies (one per distance), a list of such results,
+    evaluated in stacks of distances.  Every triple is certified on its own.
 
     Flipping every sign swaps the two detectors of each pair exactly, so the
     flipped triple's gains are these two, swapped: (+,+,+) gives both the
     all-"+" and the all-"-" correct-outcome gains of the Mermin witness.
     """
-    ia, ib, ic = (np.reshape(np.multiply(m, eta), -1) for m in (mu, nu, omega))
-    bound, scale = _circle_bound(ia, ib, ic, p_d, QUAD_LADDER)
-    rung = _rung(bound)
-    q = _certified(_circle_quad(signs, ia, ib, ic, p_d, QUAD_LADDER[rung]),
-                   bound[rung] * scale, "diagonal-basis gain").tolist()
-    return tuple(g[0] for g in q) if np.ndim(mu) == 0 else tuple(q)
+    q = _stacked(lambda x, n: _circle_quad(signs, x, p_d, n),
+                 lambda x: _circle_bound(x, p_d, QUAD_LADDER),
+                 np.array((mu, nu, omega), dtype=float).reshape(3, -1),
+                 np.array(eta, dtype=float, ndmin=1),
+                 lambda n: 6 * n * n + 10 * n, "diagonal-basis gain")
+    rows = [tuple(g[0] for g in row) if np.ndim(mu) == 0 else tuple(row)
+            for row in q.transpose(1, 0, 2).tolist()]
+    return rows if np.ndim(eta) else rows[0]
 
 
 # The phase-difference domain is the hexagon with vertices h * (1, 0), (1, 1),
@@ -468,16 +493,17 @@ def _hexagon_rule(n, k):
     return cosines, weight
 
 
-def _sliced_quad(ia, ib, ic, p_d, k, nodes):
+def _sliced_quad(x, p_d, k, nodes):
     # Over [0, h]^3, h = pi/K, the integrand depends on the phases only
     # through a = phi_A - phi_B and b = phi_C - phi_B; the third phase
-    # integrates out exactly into the hexagon weight.
+    # integrates out exactly into the hexagon weight.  (2, P) for the P
+    # arriving-intensity triples x (3, P), each row summed on its own.
     cosines, weight = _hexagon_rule(nodes, k)
-    return [np.multiply(s, weight, out=s).sum() / (k * k)
-            for s, _ in _outcome_sums(ia, ib, ic, (1, 1, 1), cosines, p_d)]
+    return np.array([np.multiply(s, weight, out=s).sum(axis=-1) / (k * k) for s, _ in
+                     _outcome_sums(x.reshape(3, -1, 1), (1, 1, 1), cosines, p_d)])
 
 
-def _hexagon_bound(ia, ib, ic, p_d, k, nodes):
+def _hexagon_bound(x, p_d, k, nodes):
     """A priori bounds on the error of the hexagon rule with each number of
     nodes per triangle axis in `nodes`, relative to the second result: a lower
     bound of the two outcome gains together.
@@ -494,7 +520,7 @@ def _hexagon_bound(ia, ib, ic, p_d, k, nodes):
     triangles each.
     """
     rho = _RHOS
-    scale, ratio = _group_bounds(ia, ib, ic, p_d, np.cosh(np.pi / k * (rho - 1.0 / rho) / 4.0))
+    scale, ratio = _group_bounds(x, p_d, np.cosh(np.pi / k * (rho - 1.0 / rho) / 4.0))
     q = (rho + 1.0 / rho) / 2.0
     # rho^{2-2n} floored above underflow, which only loosens the bound
     decay = np.maximum(rho ** (2.0 - 2.0 * np.reshape(nodes, (-1, 1, 1))), 1e-300)
@@ -504,21 +530,21 @@ def _hexagon_bound(ia, ib, ic, p_d, k, nodes):
     return bound, scale / (k * k)
 
 
-def phase_sliced_gains(mu: float, nu: float, omega: float, eta: float,
-                       p_d: float, k: int) -> SlicedGains:
-    """Diagonal-basis gains of matched-phase-region events, K regions.
+def phase_sliced_gains(mu: float, nu: float, omega: float, eta, p_d: float, k: int):
+    """Diagonal-basis gains of matched-phase-region events, K regions; given a
+    sequence of efficiencies, a list of them, evaluated in stacks.
 
     The returned gains are per emitted pulse triple: they contain the 1/K^2
     probability that the three announced regions coincide (all matched-region
     pairs share the same conditional statistics, so only the first region is
     integrated).  At K = 1 this reduces exactly to the full phase average.
     """
-    ia, ib, ic = mu * eta, nu * eta, omega * eta
-    bound, scale = _hexagon_bound(*(np.reshape(x, 1) for x in (ia, ib, ic)), p_d, k, QUAD_LADDER)
-    rung = _rung(bound)
-    pair = _certified(np.reshape(_sliced_quad(ia, ib, ic, p_d, k, QUAD_LADDER[rung]), (2, 1)),
-                      bound[rung] * scale, "phase-sliced gain")
-    return SlicedGains(q_c=float(pair[0, 0]), q_e=float(pair[1, 0]))
+    q = _stacked(lambda x, n: _sliced_quad(x, p_d, k, n),
+                 lambda x: _hexagon_bound(x, p_d, k, QUAD_LADDER),
+                 np.array([[mu], [nu], [omega]], dtype=float), np.array(eta, dtype=float, ndmin=1),
+                 lambda n: 48 * n * n, "phase-sliced gain")
+    sliced = [SlicedGains(q_c=c, q_e=e) for c, e in zip(*q[:, :, 0].tolist())]
+    return sliced if np.ndim(eta) else sliced[0]
 
 
 # ---------------------------------------------------------------------------
@@ -545,14 +571,13 @@ def assemble_gain_set(a: float, b: float, c: float, d: float, e: float, f: float
                    e_x=None if q_x == 0.0 else eq_x / q_x)
 
 
-def wcs_gain_sets(triples, params: SystemParams) -> list[GainSet]:
-    """Full weak-coherent GainSets at the params' distance, one per intensity
-    triple (mu, nu, omega), with one stacked quadrature for every triple."""
-    eta = overall_efficiency(params.channel, params.detector)
-    p_d = params.detector.p_d
-    x = zip(*mermin_outcome_gains((1, 1, 1), *zip(*triples), eta, p_d))
-    z = (z_gain_components(*t, eta, p_d) for t in triples)
-    return [assemble_gain_set(zt.a, zt.b, zt.c, zt.d, *xt, params.e_d) for zt, xt in zip(z, x)]
+def wcs_gain_sets(triples, etas, p_d: float, e_d: float) -> list[list[GainSet]]:
+    """Full weak-coherent GainSets at each efficiency of `etas`, one per
+    intensity triple (mu, nu, omega), with stacked quadratures."""
+    x = mermin_outcome_gains((1, 1, 1), *zip(*triples), etas, p_d)
+    return [[assemble_gain_set(zt.a, zt.b, zt.c, zt.d, *xt, e_d)
+             for zt, xt in zip((z_gain_components(*t, eta, p_d) for t in triples), zip(*xd))]
+            for eta, xd in zip(etas, x)]
 
 
 # ---------------------------------------------------------------------------

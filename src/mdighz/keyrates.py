@@ -5,7 +5,8 @@ the diagonal basis; in both cases the single-photon sector earns key, the
 vacuum sector of the reference user is credited in full, and error correction
 is charged on the measured totals.  Asymptotic limit throughout: the
 single-photon phase error rate of one basis equals the bit error rate of the
-other, so only bit-error bounds appear below.
+other, so only bit-error bounds appear below.  A sweep calls its source model
+once for the whole distance grid, so the quadratures stack many distances.
 """
 
 from __future__ import annotations
@@ -129,37 +130,37 @@ def _poisson_p111(mu) -> float:
 
 
 def _wcs_model(cfg: ExperimentConfig):
-    plan = cfg.decoy
+    plan, p_d, e_d = cfg.decoy, cfg.system.detector.p_d, cfg.system.e_d
     levels = decoy.poisson_level(plan.mu2), decoy.poisson_level(plan.mu1)
     triples = decoy.grid_triples(plan)
     p_vacuum, p111 = exp(-plan.mu2), _poisson_p111(plan.mu2)
+    yields = fock.single_photon_yields(p_d)
 
-    def at(params: SystemParams) -> SourcePoint:
-        eta = overall_efficiency(params.channel, params.detector)
-        return SourcePoint(gains.wcs_gain_sets(triples, params), *levels,
-                           fock.exact_single_photon_stats(eta, params.detector.p_d, params.e_d),
-                           p_vacuum, p111)
+    def at(params_seq) -> list[SourcePoint]:
+        etas = [overall_efficiency(p.channel, p.detector) for p in params_seq]
+        return [SourcePoint(grid, *levels, fock.exact_single_photon_stats(eta, yields, e_d),
+                            p_vacuum, p111)
+                for eta, grid in zip(etas, gains.wcs_gain_sets(triples, etas, p_d, e_d))]
     return at
 
 
 def _heralded_model(cfg: ExperimentConfig):
     """Triggered pair sources: the level distributions, their truncation
     certificate and their class components hold no distance."""
-    plan = cfg.decoy
+    plan, p_d, e_d = cfg.decoy, cfg.system.detector.p_d, cfg.system.e_d
     levels = [decoy.vacuum_stats()] + [decoy.heralded_stats(mu, cfg.source.trigger)
                                        for mu in (plan.mu1, plan.mu2)]
-    comps = gains.fock_components(levels, decoy.GRID, cfg.system.detector.p_d)
+    comps = gains.fock_components(levels, decoy.GRID, p_d)
     signal, decoy_level = decoy.distribution_level(levels[2]), decoy.distribution_level(levels[1])
     p_vacuum, p111 = float(levels[2][0]), float(levels[2][1]) ** 3
+    yields = fock.single_photon_yields(p_d)
 
     def at(params: SystemParams) -> SourcePoint:
         eta = overall_efficiency(params.channel, params.detector)
-        grid = gains.thinned_gain_sets(comps, levels, decoy.GRID, fock.thinning_matrix(eta),
-                                       params.e_d)
+        grid = gains.thinned_gain_sets(comps, levels, decoy.GRID, fock.thinning_matrix(eta), e_d)
         return SourcePoint(grid, signal, decoy_level,
-                           fock.exact_single_photon_stats(eta, params.detector.p_d, params.e_d),
-                           p_vacuum, p111)
-    return at
+                           fock.exact_single_photon_stats(eta, yields, e_d), p_vacuum, p111)
+    return lambda params_seq: [at(p) for p in params_seq]
 
 
 def _qnd_model(cfg: ExperimentConfig):
@@ -170,35 +171,35 @@ def _qnd_model(cfg: ExperimentConfig):
     Events with two or more photons in an arm are discarded, not renormalized.
     Only the detector thins the filtered photons, so the class components, the
     thinning and the exact reference hold no distance."""
-    plan, det = cfg.decoy, cfg.system.detector
+    plan, det, e_d = cfg.decoy, cfg.system.detector, cfg.system.e_d
     comps = gains.class_yields(np.ones((2, 2, 2), dtype=bool), det.p_d)
     thinning = fock.thinning_matrix(det.eta_d)
-    exact = fock.exact_single_photon_stats(det.eta_d, det.p_d, cfg.system.e_d)
+    exact = fock.exact_single_photon_stats(det.eta_d, fock.single_photon_yields(det.p_d), e_d)
     p_vacuum = exp(-plan.mu2)
 
     def at(params: SystemParams) -> SourcePoint:
         eta_t = transmission_efficiency(params.channel)
         lam = [mu * eta_t for mu in (0.0, plan.mu1, plan.mu2)]
         levels = [(exp(-x), x * exp(-x)) for x in lam]
-        grid = gains.thinned_gain_sets(comps, levels, decoy.GRID, thinning, params.e_d)
+        grid = gains.thinned_gain_sets(comps, levels, decoy.GRID, thinning, e_d)
         return SourcePoint(grid, decoy.poisson_level(lam[2]), decoy.poisson_level(lam[1]),
                            exact, p_vacuum, _poisson_p111(lam[2]))
-    return at
+    return lambda params_seq: [at(p) for p in params_seq]
 
 
 _MODELS = {"wcs": _wcs_model, "heralded": _heralded_model, "wcs_qnd": _qnd_model}
 
 
 def source_model(cfg: ExperimentConfig):
-    """The config's source as one function of SystemParams -> SourcePoint; all
-    of its distance-free work is done here, once."""
+    """The config's source as one function of the config's system at many
+    distances -> one SourcePoint each; its distance-free work is done here."""
     return _MODELS[cfg.source.kind](cfg)
 
 
-def _point(variant: str, cfg: ExperimentConfig, model, length_km: float) -> RatePoint:
-    """Two-decoy bounds and the variant's rates at one distance."""
-    params = cfg.system.at_distance(length_km)
-    grid, signal_level, decoy_level, exact, p_vacuum, p111 = model(params)
+def _point(variant: str, cfg: ExperimentConfig, params: SystemParams, source: SourcePoint,
+           sliced: gains.SlicedGains | None) -> RatePoint:
+    """Two-decoy bounds and the variant's rates at one distance (`sliced`: qss_pps)."""
+    grid, signal_level, decoy_level, exact, p_vacuum, p111 = source
     bounds = decoy.single_photon_bounds(grid, signal_level, decoy_level)
     signal, vacuum = grid[decoy.GRID.index((2, 2, 2))], grid[decoy.GRID.index((0, 2, 2))]
     f = params.f
@@ -210,15 +211,15 @@ def _point(variant: str, cfg: ExperimentConfig, model, length_km: float) -> Rate
         pairs = (bounds.y111_xl, bounds.e111_bzu), (exact.y111_x, exact.e111_bz)
         cols = {"e111_bzu": bounds.e111_bzu, "Y111_xl": bounds.y111_xl}
         if variant == "qss_pps":
-            k, eta = cfg.phase.k, overall_efficiency(params.channel, params.detector)
-            sliced = gains.phase_sliced_gains(*(cfg.decoy.mu2,) * 3, eta, params.detector.p_d, k)
+            k = cfg.phase.k
             rates = [qss_pps_rate(f, k, sliced, params.e_d, p111, y, e) for y, e in pairs]
             cols.update(Q_x_sliced=sliced.q_total, E_x_sliced=sliced.error_rate(params.e_d))
         else:
             rates = [qss_rate(f, signal, vacuum.q_x, p_vacuum, p111, y, e) for y, e in pairs]
             cols.update(Q_x=signal.q_x, E_x=signal.e_x)
     (rate, raw, diags), (rate_inf, _, _) = rates
-    return RatePoint(length_km, rate, rate_inf, raw, cols, tuple(bounds.diagnostics) + diags)
+    return RatePoint(params.channel.length_km, rate, rate_inf, raw, cols,
+                     tuple(bounds.diagnostics) + diags)
 
 
 def _check_variant(variant: str, cfg: ExperimentConfig) -> None:
@@ -240,14 +241,21 @@ def rate_point(variant: str, cfg: ExperimentConfig, length_km: float) -> RatePoi
 
 def sweep(variant: str, cfg: ExperimentConfig, distances=None) -> tuple[RatePoint, ...]:
     """Evaluate the full pipeline at each distance of the grid, in grid order,
-    on one source model (none for an empty grid)."""
+    on one source model called once for the grid (none for an empty grid)."""
     _check_variant(variant, cfg)
     if distances is None:
         distances = cfg.sweep.distances()
     if len(distances) == 0:
         return ()
     model = source_model(cfg)
-    return tuple(_point(variant, cfg, model, d) for d in distances)
+    params = [cfg.system.at_distance(d) for d in distances]
+    sources = model(params)
+    sliced = [None] * len(params)
+    if variant == "qss_pps":
+        etas = [overall_efficiency(p.channel, p.detector) for p in params]
+        sliced = gains.phase_sliced_gains(*(cfg.decoy.mu2,) * 3, etas,
+                                          cfg.system.detector.p_d, cfg.phase.k)
+    return tuple(_point(variant, cfg, *args) for args in zip(params, sources, sliced))
 
 
 def optimize_intensities(variant: str, cfg: ExperimentConfig, length_km: float,

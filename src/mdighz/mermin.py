@@ -30,23 +30,26 @@ class MerminEstimate:
     diagnostics: tuple[str, ...] = ()
 
 
-def _outcome_grid(params: SystemParams, plan: DecoyPlan) -> list[tuple[float, float]]:
-    """(all-"+", all-"-") announced-correct-outcome gains in decoy.GRID order."""
-    eta, p_d = overall_efficiency(params.channel, params.detector), params.detector.p_d
+def _outcome_grids(etas, p_d: float, plan: DecoyPlan) -> list[list[tuple[float, float]]]:
+    """(all-"+", all-"-") announced-correct-outcome gains in decoy.GRID order,
+    one grid per efficiency, from stacked quadratures."""
     # phi_plus(-,-,-) is phi_minus(+,+,+): flipping every sign swaps each detector pair
-    return list(zip(*gains.mermin_outcome_gains((1, 1, 1), *zip(*decoy.grid_triples(plan)),
-                                                eta, p_d)))
+    return [list(zip(*q)) for q in gains.mermin_outcome_gains(
+        (1, 1, 1), *zip(*decoy.grid_triples(plan)), etas, p_d)]
 
 
-def mermin_lower_bound(params: SystemParams, plan: DecoyPlan) -> MerminEstimate:
-    """Two-decoy lower bound on the Mermin value at the params' distance.
+def mermin_lower_bound(params: SystemParams, plan: DecoyPlan, grid=None) -> MerminEstimate:
+    """Two-decoy lower bound on the Mermin value at the params' distance, from
+    its outcome grid if given (`mermin_curve` evaluates them in stacks).
 
     M = 4 (1 - 2 e_d) (Y+_low - Y-_up) / (Y+_up + Y-_up) over the
     single-photon correct-outcome yields; a vanishing denominator is a
     no-signal condition reported with M = 0.
     """
-    yb = decoy.mermin_yield_bounds(_outcome_grid(params, plan),
-                                   decoy.poisson_level(plan.mu2),
+    if grid is None:
+        (grid,) = _outcome_grids([overall_efficiency(params.channel, params.detector)],
+                                 params.detector.p_d, plan)
+    yb = decoy.mermin_yield_bounds(grid, decoy.poisson_level(plan.mu2),
                                    decoy.poisson_level(plan.mu1))
     diags = list(yb.diagnostics)
     den = yb.y_ppp_upper + yb.y_mmm_upper
@@ -60,8 +63,8 @@ def mermin_lower_bound(params: SystemParams, plan: DecoyPlan) -> MerminEstimate:
 def mermin_curve(cfg: ExperimentConfig, distances=None) -> list[tuple[float, MerminEstimate]]:
     if distances is None:
         distances = cfg.sweep.distances()
-    out = []
-    for length in distances:
-        est = mermin_lower_bound(cfg.system.at_distance(length), cfg.decoy)
-        out.append((length, est))
-    return out
+    params = [cfg.system.at_distance(length) for length in distances]
+    grids = _outcome_grids([overall_efficiency(p.channel, p.detector) for p in params],
+                           cfg.system.detector.p_d, cfg.decoy)
+    return [(length, mermin_lower_bound(p, cfg.decoy, grid))
+            for length, p, grid in zip(distances, params, grids)]

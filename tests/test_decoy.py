@@ -32,7 +32,15 @@ def level_bounds(grid, plan, level=poisson_level):
 
 def exact_stats(params):
     eta = overall_efficiency(params.channel, params.detector)
-    return fock.exact_single_photon_stats(eta, params.detector.p_d, params.e_d)
+    return fock.exact_single_photon_stats(eta, fock.single_photon_yields(params.detector.p_d),
+                                          params.e_d)
+
+
+def wcs_grid(plan, params):
+    """The weak-coherent decoy grid of the plan at the params' distance."""
+    eta = overall_efficiency(params.channel, params.detector)
+    (grid,) = gains.wcs_gain_sets(grid_triples(plan), [eta], params.detector.p_d, params.e_d)
+    return grid
 
 
 def stub_gain_set(q_z=0.0, eq_z=0.0, q_x=0.0, eq_x=0.0):
@@ -140,7 +148,7 @@ class TestWcsBounds:
         det = DetectorModel(0.93, 1e-7)
         for length in (0.0, 40.0, 90.0, 150.0):
             params = SystemParams(ChannelModel(0.2, length), det, 0.0, 1.16)
-            grid = gains.wcs_gain_sets(grid_triples(plan), params)
+            grid = wcs_grid(plan, params)
             bounds = level_bounds(grid, plan)
             exact = exact_stats(params)
             assert bounds.y111_zl <= exact.y111_z + 1e-12
@@ -153,7 +161,7 @@ class TestWcsBounds:
         def at_darks(p_d):
             det = DetectorModel(0.4, p_d)
             params = SystemParams(ChannelModel(0.2, 80.0), det, 0.0, 1.16)
-            grid = gains.wcs_gain_sets(grid_triples(plan), params)
+            grid = wcs_grid(plan, params)
             return level_bounds(grid, plan).e111_bxu
         assert at_darks(5e-7) >= at_darks(1e-7) - 1e-12
 
@@ -164,7 +172,7 @@ class TestLevelConstructors:
         plan = DecoyPlan(0.4, 0.005)
         params = SystemParams(ChannelModel(0.2, length), DetectorModel(0.4, 1e-7),
                               0.015, 1.16)
-        grid = gains.wcs_gain_sets(grid_triples(plan), params)
+        grid = wcs_grid(plan, params)
         poisson = level_bounds(grid, plan, LEVELS["poisson"])
         dist = level_bounds(grid, plan, LEVELS["distribution"])
         for name in ("y111_zl", "y111_xl", "e111_bxu", "e111_bzu"):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import CONFIG_DIR, fock_gain_set
-from mdighz import checks, decoy, fock, gains, keyrates, montecarlo
+from mdighz import checks, decoy, fock, gains, keyrates, mermin, montecarlo
 from mdighz.params import (ChannelModel, DecoyPlan, DetectorModel, NumericsError,
                            SystemParams, overall_efficiency, parse_config,
                            transmission_efficiency)
@@ -325,7 +325,8 @@ class TestOutcomeKernel:
             signs = tuple(int(x) for x in rng.choice((-1, 1), 3))
             p_d = float(rng.choice((0.0, 1e-7, rng.uniform(0.0, 0.05))))
             want = plain_outcome_sums(ia, ib, ic, signs, cosines, p_d)
-            sums = [s.copy() for s, _ in gains._outcome_sums(ia, ib, ic, signs, cosines, p_d)]
+            sums = [s.copy() for s, _ in gains._outcome_sums(np.array((ia, ib, ic)), signs,
+                                                             cosines, p_d)]
             assert len(sums) == 2
             for got, expect in zip(sums, want, strict=True):
                 assert got.shape == expect.shape
@@ -463,8 +464,7 @@ def rounding_allowance(intensities, p_d, norm):
     """16 ulps of the real-line modulus bound of the integrand: both the rule
     and the reference round each node to a few ulps of it, and sum
     nonnegative weighted terms."""
-    scale, ratio = gains._group_bounds(*(np.array([x]) for x in intensities), p_d,
-                                       np.ones((1, 1)))
+    scale, ratio = gains._group_bounds(np.reshape(intensities, (3, 1)), p_d, np.ones((1, 1)))
     return 16 * 2.0 ** -52 * float(scale[0] * ratio.prod()) / norm
 
 
@@ -474,24 +474,24 @@ class TestQuadratureBounds:
 
     @given(INTENSITIES, st.floats(0, 0.05), st.sampled_from(SIGN_TRIPLES))
     def test_circle_bound_covers_the_error(self, intensities, p_d, signs):
-        ia, ib, ic = (np.array([x]) for x in intensities)
-        bound, scale = gains._circle_bound(ia, ib, ic, p_d, RUNGS)
+        x = np.reshape(intensities, (3, 1))
+        bound, scale = gains._circle_bound(x, p_d, RUNGS)
         want = np.array(reference_full_circle(signs, *intensities, p_d))
         slack = rounding_allowance(intensities, p_d, 8.0)
         assert scale[0] <= want.sum() + slack
         for points, b in zip(RUNGS, bound[:, 0] * scale[0], strict=True):
-            got = gains._circle_quad(signs, ia, ib, ic, p_d, points)[:, 0]
+            got = gains._circle_quad(signs, x, p_d, points)[:, 0]
             assert (np.abs(got - want) <= b + slack).all(), points
 
     @given(INTENSITIES, st.floats(0, 0.05), st.sampled_from((1, 8, 64)))
     def test_hexagon_bound_covers_the_error(self, intensities, p_d, k):
-        bound, scale = gains._hexagon_bound(*(np.array([x]) for x in intensities), p_d, k,
-                                            RUNGS)
+        x = np.reshape(intensities, (3, 1))
+        bound, scale = gains._hexagon_bound(x, p_d, k, RUNGS)
         want = np.array(reference_sliced(*intensities, p_d, k))
         slack = rounding_allowance(intensities, p_d, k * k)
         assert scale[0] <= want.sum() + slack
         for nodes, b in zip(RUNGS, bound[:, 0] * scale[0], strict=True):
-            got = np.array(gains._sliced_quad(*intensities, p_d, k, nodes))
+            got = gains._sliced_quad(x, p_d, k, nodes)[:, 0]
             assert (np.abs(got - want) <= b + slack).all(), nodes
 
     def test_dim_grid_takes_the_smallest_rung(self):
@@ -502,7 +502,82 @@ class TestQuadratureBounds:
         assert got == plain_full_circle((1, 1, 1), *zip(*triples), 0.004, 1e-7,
                                         gains.QUAD_LADDER[0])
         bright = np.multiply(triples, 0.93).T
-        assert gains._rung(gains._circle_bound(*bright, 1e-7, gains.QUAD_LADDER)[0]) > 0
+        assert gains._rungs(gains._circle_bound(bright, 1e-7, gains.QUAD_LADDER)[0], 15)[0] > 0
+
+
+WCS_CONFIGS = ("qcc_eta40", "qcc_eta93", "qss_pps_eta40", "qss_pps_eta93", "mermin_eta40",
+               "mermin_eta93", "validate")
+REFUSED = ("diagonal-basis gain: the quadrature error bound exceeds 1e-08 relative at 32 "
+           "points per axis")
+
+
+def grid_efficiencies(cfg):
+    return [overall_efficiency(p.channel, p.detector)
+            for p in map(cfg.system.at_distance, cfg.sweep.distances())]
+
+
+class TestStackedDistances:
+    """Many distances per evaluation, each row at the rung its own triples
+    need, give the gains of one call per distance, bit for bit."""
+
+    @pytest.mark.parametrize("name", WCS_CONFIGS)
+    def test_full_grid_equals_per_distance_calls(self, name):
+        cfg = parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
+        etas, p_d = grid_efficiencies(cfg), cfg.system.detector.p_d
+        mus = list(zip(*decoy.grid_triples(cfg.decoy)))
+        assert gains.mermin_outcome_gains((1, 1, 1), *mus, etas, p_d) == [
+            gains.mermin_outcome_gains((1, 1, 1), *mus, eta, p_d) for eta in etas]
+        if cfg.phase is not None:
+            args = (cfg.decoy.mu2,) * 3
+            assert gains.phase_sliced_gains(*args, etas, p_d, cfg.phase.k) == [
+                gains.phase_sliced_gains(*args, eta, p_d, cfg.phase.k) for eta in etas]
+
+    def test_rows_of_one_chunk_take_their_own_rungs(self):
+        # 0 km at eta_d 0.93 needs 16 points per axis, 100 km 8, eta 0.4 12
+        triples = decoy.grid_triples(DecoyPlan(0.4, 0.005))
+        etas = [0.93, 0.93e-2, 0.4, 0.93]
+        x = (np.transpose(triples)[:, None, :] * np.array(etas)[:, None]).reshape(3, -1)
+        bound = gains._circle_bound(x, 1e-7, gains.QUAD_LADDER)[0]
+        assert gains._rungs(bound, 15) == [2, 0, 1, 2]
+        mus = list(zip(*triples))
+        assert gains.mermin_outcome_gains((1, -1, 1), *mus, etas, 1e-7) == [
+            gains.mermin_outcome_gains((1, -1, 1), *mus, eta, 1e-7) for eta in etas]
+
+    def test_one_uncertifiable_row_refuses_the_chunk(self):
+        # the message of a lone bright row, as source.mu = 50 at 0 km gives
+        mus = list(zip(*decoy.grid_triples(DecoyPlan(50.0, 0.005))))
+        gains.mermin_outcome_gains((1, 1, 1), *mus, [1e-4, 1e-4], 1e-7)
+        gains.phase_sliced_gains(50.0, 50.0, 50.0, [1e-4, 1e-4], 1e-7, 1)
+        for etas in ([0.93], [1e-4, 0.93, 1e-4]):
+            with pytest.raises(NumericsError) as refused:
+                gains.mermin_outcome_gains((1, 1, 1), *mus, etas, 1e-7)
+            assert str(refused.value) == REFUSED
+            with pytest.raises(NumericsError) as refused:
+                gains.phase_sliced_gains(50.0, 50.0, 50.0, etas, 1e-7, 1)
+            assert str(refused.value) == REFUSED.replace("diagonal-basis", "phase-sliced")
+
+    def test_full_grid_sweeps_keep_the_workspace_within_budget(self):
+        # in a thread of its own, whose workspace starts empty
+        sizes, errors = [], []
+
+        def run():
+            try:
+                for name in WCS_CONFIGS[:-1]:
+                    cfg = parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
+                    if name.startswith("mermin"):
+                        assert len(mermin.mermin_curve(cfg)) == 181
+                    else:
+                        keyrates.sweep(name.rpartition("_")[0], cfg)
+                sizes.append(len(gains._workspace.buf))
+            except Exception as exc:  # reported below, the thread must not hide it
+                errors.append(exc)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=120)
+        assert errors == [] and len(sizes) == 1
+        # more than one decoy grid at 8 points per axis: rows were stacked
+        assert 15 * (6 * 8 * 8 + 10 * 8) < sizes[0] <= gains._STACK_FLOATS
 
 
 def class_split(*classes):
@@ -558,7 +633,8 @@ class TestAssembly:
                               0.015, 1.16)
         eta = overall_efficiency(params.channel, params.detector)
         triples = decoy.grid_triples(DecoyPlan(0.4, 0.005))
-        for t, gs in zip(triples, gains.wcs_gain_sets(triples, params), strict=True):
+        (grid,) = gains.wcs_gain_sets(triples, [eta], 1e-7, 0.015)
+        for t, gs in zip(triples, grid, strict=True):
             z = gains.z_gain_components(*t, eta, 1e-7)
             want = gains.assemble_gain_set(
                 z.a, z.b, z.c, z.d, *gains.mermin_outcome_gains((1, 1, 1), *t, eta, 1e-7), 0.015)
@@ -748,7 +824,7 @@ class TestFockGridCalls:
         thinning = fock.thinning_matrix(overall_efficiency(params.channel, params.detector))
         want = [gain_set_reference(comps, [p_n[mu] for mu in t], thinning, params.e_d)
                 for t in decoy.grid_triples(cfg.decoy)]
-        assert keyrates.source_model(cfg)(params).grid == want
+        assert keyrates.source_model(cfg)([params])[0].grid == want
 
     @pytest.mark.parametrize("name", ["qss_qnd_eta40", "qss_qnd_eta93"])
     @pytest.mark.parametrize("length", [0.0, 50.0, 100.0, 200.0, 250.0])
@@ -758,7 +834,7 @@ class TestFockGridCalls:
         eta_t = transmission_efficiency(params.channel)
         want = [gains_qnd_reference(*t, eta_t, params.detector, params.e_d)
                 for t in decoy.grid_triples(cfg.decoy)]
-        assert keyrates.source_model(cfg)(params).grid == want
+        assert keyrates.source_model(cfg)([params])[0].grid == want
 
     @pytest.mark.parametrize("variant, name", [("qss_heralded", "qss_heralded_eta40"),
                                                ("qss_qnd", "qss_qnd_eta40")])
