@@ -139,7 +139,7 @@ def brackets(cfg: ExperimentConfig, distances) -> list[Row]:
     deviation is Y111_zl - Y111_z."""
     model = keyrates.source_model(cfg)
     rows = []
-    points = model([cfg.system.at_distance(length) for length in distances])
+    points = model([(cfg.decoy, cfg.system.at_distance(length)) for length in distances])
     for length, (grid, signal, decoy_level, exact, _, _) in zip(distances, points):
         bounds = decoy.single_photon_bounds(grid, signal, decoy_level)
         good = (bounds.y111_zl <= exact.y111_z + BRACKET_SLACK

@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -231,6 +232,7 @@ def cmd_validate(args) -> int:
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
+@lru_cache(maxsize=None)  # once per process: a caller may run several commands
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mdighz",

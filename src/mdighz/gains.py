@@ -1,8 +1,9 @@
 """Per-pulse gains and error rates of the GHZ analyzer for the supported sources.
 
 Weak coherent pulses get closed forms in the rectilinear basis (dark-count
-suppressed classes carry modified-Bessel factors from the phase average) and
-quadrature in the diagonal basis, where the overall phases survive into
+suppressed classes carry modified-Bessel factors from the phase average),
+whose factors a decoy grid forms once per intensity and per interfering pair,
+and quadrature in the diagonal basis, where the overall phases survive into
 detector-level interference: the periodic trapezoid rule over the full phase
 circle, and Gauss-Legendre over the hexagon of phase differences for the
 phase-sliced gains.  Each detector group's click and silent factors are entire
@@ -10,8 +11,9 @@ in its phase difference, with a closed-form modulus bound off the real line.
 That bounds the error of the trapezoid rule through a strip (Trefethen &
 Weideman, SIAM Rev. 56, 385 (2014), Thm 3.2) and of the Gauss rule through a
 Bernstein ellipse (Trefethen, Approximation Theory and Approximation Practice,
-Thm 19.3) a priori.  Both rules stack the intensity triples of many distances,
-a row per distance, and evaluate each row once, at the smallest rung of
+Thm 19.3) a priori.  Both rules stack the intensity triples of many rows, a
+row per distance of a sweep or per trial intensity of a search round, and
+evaluate each row once, at the smallest rung of
 QUAD_LADDER whose bound is below float64 rounding of its gains, or else at the
 top rung, where the bound must certify QUAD_RTOL; rows of one rung go together
 and every triple is summed and certified on its own.  Flipping every sign of a
@@ -24,8 +26,9 @@ Fock engine by binomial thinning: each user's photon-number distribution is
 thinned by the detector efficiency, and the joint thinned weights are
 contracted against the ideal-detector class components of a fixed set of
 photon-number triples, free of any distance.  A source model builds these
-components once and certifies the truncation of every combination of its
-decoy levels then; each decoy grid then thins each level once.
+components once per decoy plan and certifies the truncation of every
+combination of its decoy levels then; each decoy grid then thins each level
+once.
 
 Conventions: a "gain" Q is the per-pulse-triple probability of one announced
 outcome class and includes the 1/8 preparation probability of the specific
@@ -160,6 +163,15 @@ def _i0_minus_1(z: float) -> float:
     return total
 
 
+# The analyzer wiring: the detector group (1, 2, 3) that each user's light
+# reaches, by polarization; and for each rectilinear triple, the users whose
+# light reaches groups 1, 2 and 3, in user order.
+_GROUP_OF = ({"H": 3, "V": 1}, {"H": 1, "V": 2}, {"H": 2, "V": 3})  # Alice, Bob, Charlie
+_GROUP_USERS = {"".join(pols): tuple(tuple(u for u in range(3) if _GROUP_OF[u][pols[u]] == g)
+                                     for g in (1, 2, 3))
+                for pols in itertools.product("HV", repeat=3)}
+
+
 def z_pattern_outcome_gain(pols: str, mu: float, nu: float, omega: float,
                            eta: float, p_d: float) -> float:
     """Gain of one polarization triple and either announced outcome, from the
@@ -169,74 +181,84 @@ def z_pattern_outcome_gain(pols: str, mu: float, nu: float, omega: float,
     and as the building block the closed forms are asserted against.
     """
     arriving = (mu * eta, nu * eta, omega * eta)
-    # group -> arriving intensities it sees (routing per the analyzer wiring)
-    group_to = {1: [], 2: [], 3: []}
-    groups = {("A", "H"): 3, ("A", "V"): 1, ("B", "H"): 1, ("B", "V"): 2,
-              ("C", "H"): 2, ("C", "V"): 3}
-    for party, (who, inten) in enumerate(zip("ABC", arriving)):
-        group_to[groups[(who, pols[party])]].append(inten)
     # Every valid pattern clicks exactly one detector per group, so each group
     # contributes the phase-averaged <D_clicked (1 - D_other)>; for one-party
     # and empty groups the two detectors are independent with equal means, for
     # two-party groups the interference correlates them (Bessel factor).
-    clicked_silent = {}
-    for grp in (1, 2, 3):
-        ints = group_to[grp]
+    clicked_silent = []
+    for users in _GROUP_USERS[pols]:
+        ints = [arriving[u] for u in users]
         if len(ints) <= 1:
             total = ints[0] if ints else 0.0
             # the silence formed directly: 1 - click cancels once the click is near 1
-            clicked_silent[grp] = _group_click(total, p_d) * (1.0 - p_d) * exp(-total / 2.0)
+            clicked_silent.append(_group_click(total, p_d) * (1.0 - p_d) * exp(-total / 2.0))
         else:
             w_tot = sum(ints)
             z = sqrt(ints[0] * ints[1])
             # (1-p_d) e^{-w/2} [ (I0(z)-1) + (1-e^{-w/2}) + p_d e^{-w/2} ]
-            clicked_silent[grp] = (1.0 - p_d) * exp(-w_tot / 2.0) * (
-                _i0_minus_1(z) - expm1(-w_tot / 2.0) + p_d * exp(-w_tot / 2.0))
+            clicked_silent.append((1.0 - p_d) * exp(-w_tot / 2.0) * (
+                _i0_minus_1(z) - expm1(-w_tot / 2.0) + p_d * exp(-w_tot / 2.0)))
     # each outcome has four patterns, all with the same group product: the
     # 1/8 preparation probability times 4
-    return clicked_silent[1] * clicked_silent[2] * clicked_silent[3] / 2.0
+    return clicked_silent[0] * clicked_silent[1] * clicked_silent[2] / 2.0
 
 
-def z_gain_components(mu: float, nu: float, omega: float, eta: float,
-                      p_d: float) -> ZGainComponents:
+def z_gain_components(mu, nu, omega, eta: float, p_d: float):
     """Closed-form rectilinear gains for arriving intensities mu/nu/omega * eta.
 
-    The same-polarization class is evaluated both from the four-pattern
-    product and from its factored closed form; disagreement beyond 1e-12
-    relative is a hard numerics error.
+    Given sequences of intensities, a list, one ZGainComponents per triple:
+    every factor of one user's light (the group click, the one-party group's
+    click-silent product, the solo factor of a mixed class) is formed once
+    per distinct intensity, and the Bessel factor of two interfering users
+    once per pair of intensities, so a decoy grid's 15 triples cost 3
+    intensities and 6 pairs; each triple's gains take the same float
+    operations as on its own.  The same-polarization class is evaluated both
+    from the four-pattern product and from its factored closed form;
+    disagreement beyond 1e-12 relative is a hard numerics error.
     """
-    ia, ib, ic = mu * eta, nu * eta, omega * eta
-    x = ia + ib + ic
+    triples = list(zip(mu, nu, omega)) if np.ndim(mu) else [(mu, nu, omega)]
     w = 1.0 - p_d
-
-    a_closed = 0.5 * w ** 3 * exp(-x / 2.0) * (
-        _group_click(ia, p_d) * _group_click(ib, p_d) * _group_click(ic, p_d))
-    a_product = z_pattern_outcome_gain("HHH", mu, nu, omega, eta, p_d)
-    scale = max(abs(a_closed), abs(a_product), 1e-300)
-    if abs(a_closed - a_product) > A_CONSISTENCY_RTOL * scale:
-        raise NumericsError(
-            f"same-polarization gain forms disagree: {a_closed!r} vs {a_product!r}"
-        )
-
-    def _mixed(solo: float, pair1: float, pair2: float) -> float:
-        # the printed factors (1 - p_d - e^{s/2}) and (1 - p_d - e^{w/2} I0)
-        # are each negative; multiply their magnitudes, which are plain sums
-        # of positive terms and safe at tiny intensities
-        pair_sum = pair1 + pair2
-        f_solo = expm1(solo / 2.0) + p_d
-        f_pair = (expm1(pair_sum / 2.0)
-                  + exp(pair_sum / 2.0) * _i0_minus_1(sqrt(pair1 * pair2))
-                  + p_d)
-        return (p_d / 2.0) * w ** 3 * exp(-x) * f_solo * f_pair
-
-    try:
-        b = _mixed(ib, ia, ic)  # Bob solo, Alice-Charlie interfere
-        c = _mixed(ic, ia, ib)  # Charlie solo, Alice-Bob interfere
-        d = _mixed(ia, ib, ic)  # Alice solo, Bob-Charlie interfere
-    except OverflowError:
-        raise NumericsError(f"mixed-class gain at intensity {max(mu, nu, omega)!r}: its "
-                            f"factors e^(intensity * eta / 2) overflow a float") from None
-    return ZGainComponents(a=a_closed, b=b, c=c, d=d)
+    level = {}  # emitted intensity -> arriving, group click, one-party group, solo factor
+    for m in dict.fromkeys(itertools.chain(*triples)):
+        i = m * eta
+        click = _group_click(i, p_d)
+        try:
+            solo = expm1(i / 2.0) + p_d  # the printed (1 - p_d - e^{s/2}), negated
+        except OverflowError:
+            solo = None
+        level[m] = i, click, click * w * exp(-i / 2.0), solo
+    pair = {}  # both orders of two emitted intensities -> their Bessel factor
+    for u, v in itertools.combinations_with_replacement(level, 2):
+        # the printed (1 - p_d - e^{s/2} I0) of a group where both interfere,
+        # negated: a plain sum of positive terms, safe at tiny intensities
+        i, j = level[u][0], level[v][0]
+        try:
+            pair[u, v] = pair[v, u] = (expm1((i + j) / 2.0) + exp((i + j) / 2.0)
+                                       * _i0_minus_1(sqrt(i * j)) + p_d)
+        except OverflowError:
+            pair[u, v] = pair[v, u] = None
+    half_w3, dark_w3 = 0.5 * w ** 3, (p_d / 2.0) * w ** 3
+    out = []
+    for ma, mb, mc in triples:
+        (ia, ca, sa, fa), (ib, cb, sb, fb), (ic, cc, sc, fc) = level[ma], level[mb], level[mc]
+        x = ia + ib + ic
+        a_closed = half_w3 * exp(-x / 2.0) * (ca * cb * cc)
+        a_product = sb * sc * sa / 2.0  # groups 1, 2, 3 see Bob, Charlie, Alice
+        scale = max(abs(a_closed), abs(a_product), 1e-300)
+        if abs(a_closed - a_product) > A_CONSISTENCY_RTOL * scale:
+            raise NumericsError(
+                f"same-polarization gain forms disagree: {a_closed!r} vs {a_product!r}"
+            )
+        fac, fab, fbc = pair[ma, mc], pair[ma, mb], pair[mb, mc]
+        if None in (fa, fb, fc, fac, fab, fbc):
+            raise NumericsError(f"mixed-class gain at intensity {max(ma, mb, mc)!r}: its "
+                                f"factors e^(intensity * eta / 2) overflow a float")
+        # each printed factor is negative; their magnitudes multiply.  b: Bob
+        # solo, Alice-Charlie interfere; c: Charlie solo, Alice-Bob; d: Alice
+        # solo, Bob-Charlie
+        e = dark_w3 * exp(-x)
+        out.append(ZGainComponents(a=a_closed, b=e * fb * fac, c=e * fc * fab, d=e * fa * fbc))
+    return out if np.ndim(mu) else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +272,17 @@ def _workspace_views(shapes):
     """Consecutive views of this thread's float64 workspace, one per shape.
 
     The workspace grows to the largest request seen and is then reused, so
-    the quadrature's steps create no temporary arrays.
+    the quadrature's steps create no temporary arrays.  It grows in place
+    (realloc), which is safe since no view outlives the call that took it:
+    freeing the old block, once above glibc's mmap threshold, raised that
+    threshold and kept later temporaries resident on the heap.
     """
     sizes = [prod(shape) for shape in shapes]
     buf = getattr(_workspace, "buf", None)
-    if buf is None or len(buf) < sum(sizes):
+    if buf is None:
         buf = _workspace.buf = np.empty(sum(sizes))
+    elif len(buf) < sum(sizes):
+        buf.resize(sum(sizes), refcheck=False)
     views, start = [], 0
     for shape, size in zip(shapes, sizes):
         views.append(buf[start:start + size].reshape(shape))
@@ -387,29 +414,37 @@ def _certified(q, bound, what):
     return q
 
 
-def _stacked(quad, bounds, intensities, etas, width, what):
-    """The certified gains (2, D, T) of the T intensity triples (3, T) at each
-    of the D efficiencies `etas`, a row per distance.  The bounds of a chunk
-    of rows are formed at once; consecutive rows of one rung are evaluated
-    together while the workspace `_outcome_sums` lays out for them, width(n)
-    floats per triple at rung n, stays within _STACK_FLOATS (a row alone if it
-    needs more)."""
-    t = intensities.shape[1]
-    q = np.empty((2, len(etas) * t))
+def _stacked(quad, bounds, x, width, what):
+    """The certified gains (2, R, T) of the arriving-intensity triples x
+    (3, R, T), in rows: a sweep's rows are its distances, a search round's
+    its trial intensities.  The bounds of a chunk of rows are formed at once;
+    consecutive rows of one rung are evaluated together while the workspace
+    `_outcome_sums` lays out for them, width(n) floats per triple at rung n,
+    stays within _STACK_FLOATS (a row alone if it needs more)."""
+    rows, t = x.shape[1:]
+    q = np.empty((2, rows * t))
     step = max(1, _STACK_FLOATS // (t * width(QUAD_LADDER[0])))
-    for start in range(0, len(etas), step):
-        x = (intensities[:, None, :] * etas[start:start + step, None]).reshape(3, -1)
-        bound, scale = bounds(x)
+    for start in range(0, rows, step):
+        chunk = x[:, start:start + step].reshape(3, -1)
+        bound, scale = bounds(chunk)
         out, lo = q[:, start * t:], 0  # lo, hi: the triples of a run of rows
         for r, run in itertools.groupby(_rungs(bound, t)):
             hi = lo + len(list(run)) * t
             per = max(1, _STACK_FLOATS // (t * width(QUAD_LADDER[r]))) * t
             for i in range(lo, hi, per):
                 j = min(i + per, hi)
-                out[:, i:j] = _certified(quad(x[:, i:j], QUAD_LADDER[r]),
+                out[:, i:j] = _certified(quad(chunk[:, i:j], QUAD_LADDER[r]),
                                          bound[r, i:j] * scale[i:j], what)
             lo = hi
-    return q.reshape(2, -1, t)
+    return q.reshape(2, rows, t)
+
+
+def _arriving(intensities, eta):
+    """The arriving intensities (3, R, T) of emitted intensity triples
+    (3,), (3, T) or per row (3, R, T) at one efficiency or one per row."""
+    intensities = np.array(intensities, dtype=float)
+    shape = (3,) + (1,) * (3 - intensities.ndim) + intensities.shape[1:]
+    return intensities.reshape(shape) * np.array(eta, dtype=float, ndmin=1)[:, None]
 
 
 @lru_cache(maxsize=8)
@@ -446,17 +481,17 @@ def mermin_outcome_gains(signs: tuple[int, int, int], mu, nu, omega, eta, p_d: f
     those cases exact.  Returns (correct-class gain, other-class gain) with
     the correct class being the one a (+,+,+) triple feeds.  Given sequences
     of intensities, each gain is a list, one entry per triple; given a
-    sequence of efficiencies (one per distance), a list of such results,
-    evaluated in stacks of distances.  Every triple is certified on its own.
+    sequence of efficiencies, a list of such results, one per row, evaluated
+    in stacks of rows: each efficiency is a distance of a sweep, or a trial
+    of a search round, whose intensities are then given per row (R, T).
+    Every triple is certified on its own.
 
     Flipping every sign swaps the two detectors of each pair exactly, so the
     flipped triple's gains are these two, swapped: (+,+,+) gives both the
     all-"+" and the all-"-" correct-outcome gains of the Mermin witness.
     """
     q = _stacked(lambda x, n: _circle_quad(signs, x, p_d, n),
-                 lambda x: _circle_bound(x, p_d, QUAD_LADDER),
-                 np.array((mu, nu, omega), dtype=float).reshape(3, -1),
-                 np.array(eta, dtype=float, ndmin=1),
+                 lambda x: _circle_bound(x, p_d, QUAD_LADDER), _arriving((mu, nu, omega), eta),
                  lambda n: 6 * n * n + 10 * n, "diagonal-basis gain")
     rows = [tuple(g[0] for g in row) if np.ndim(mu) == 0 else tuple(row)
             for row in q.transpose(1, 0, 2).tolist()]
@@ -530,9 +565,10 @@ def _hexagon_bound(x, p_d, k, nodes):
     return bound, scale / (k * k)
 
 
-def phase_sliced_gains(mu: float, nu: float, omega: float, eta, p_d: float, k: int):
+def phase_sliced_gains(mu, nu, omega, eta, p_d: float, k: int):
     """Diagonal-basis gains of matched-phase-region events, K regions; given a
-    sequence of efficiencies, a list of them, evaluated in stacks.
+    sequence of efficiencies, a list of them, one per row, evaluated in
+    stacks, with the intensities one triple for every row or one per row.
 
     The returned gains are per emitted pulse triple: they contain the 1/K^2
     probability that the three announced regions coincide (all matched-region
@@ -541,7 +577,7 @@ def phase_sliced_gains(mu: float, nu: float, omega: float, eta, p_d: float, k: i
     """
     q = _stacked(lambda x, n: _sliced_quad(x, p_d, k, n),
                  lambda x: _hexagon_bound(x, p_d, k, QUAD_LADDER),
-                 np.array([[mu], [nu], [omega]], dtype=float), np.array(eta, dtype=float, ndmin=1),
+                 _arriving(np.reshape((mu, nu, omega), (3, -1, 1)), eta),
                  lambda n: 48 * n * n, "phase-sliced gain")
     sliced = [SlicedGains(q_c=c, q_e=e) for c, e in zip(*q[:, :, 0].tolist())]
     return sliced if np.ndim(eta) else sliced[0]
@@ -571,13 +607,15 @@ def assemble_gain_set(a: float, b: float, c: float, d: float, e: float, f: float
                    e_x=None if q_x == 0.0 else eq_x / q_x)
 
 
-def wcs_gain_sets(triples, etas, p_d: float, e_d: float) -> list[list[GainSet]]:
-    """Full weak-coherent GainSets at each efficiency of `etas`, one per
-    intensity triple (mu, nu, omega), with stacked quadratures."""
-    x = mermin_outcome_gains((1, 1, 1), *zip(*triples), etas, p_d)
+def wcs_gain_sets(grids, etas, p_d: float, e_d: float) -> list[list[GainSet]]:
+    """Full weak-coherent GainSets of each row: its intensity triples
+    (mu, nu, omega) at its efficiency.  A sweep's rows are its distances, a
+    search round's its trial intensities; the quadratures stack the rows, and
+    each row's closed forms share their per-intensity factors."""
+    x = mermin_outcome_gains((1, 1, 1), *np.transpose(grids, (2, 0, 1)), etas, p_d)
     return [[assemble_gain_set(zt.a, zt.b, zt.c, zt.d, *xt, e_d)
-             for zt, xt in zip((z_gain_components(*t, eta, p_d) for t in triples), zip(*xd))]
-            for eta, xd in zip(etas, x)]
+             for zt, xt in zip(z_gain_components(*zip(*triples), eta, p_d), zip(*xd))]
+            for triples, eta, xd in zip(grids, etas, x)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,13 @@ vacuum sector of the reference user is credited in full, and error correction
 is charged on the measured totals.  Asymptotic limit throughout: the
 single-photon phase error rate of one basis equals the bit error rate of the
 other, so only bit-error bounds appear below.  A sweep calls its source model
-once for the whole distance grid, so the quadratures stack many distances.
+once for the whole distance grid, and an intensity search once per round for
+all its trial intensities, so the quadratures stack many rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import exp
 from typing import NamedTuple
@@ -19,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import decoy, fock, gains
-from .params import (ConfigError, DecoyPlan, ExperimentConfig, SystemParams, binary_entropy,
-                     overall_efficiency, transmission_efficiency)
+from .params import (ConfigError, DecoyPlan, ExperimentConfig, NumericsError, SystemParams,
+                     binary_entropy, overall_efficiency, transmission_efficiency)
 
 __all__ = [
     "VARIANTS",
@@ -111,7 +112,7 @@ def qss_pps_rate(f: float, k: int, sliced: gains.SlicedGains, e_d: float,
 
 
 # ---------------------------------------------------------------------------
-# Source models: the distance-free work once per curve
+# Source models: the distance-free work once per curve or search
 # ---------------------------------------------------------------------------
 
 class SourcePoint(NamedTuple):
@@ -130,37 +131,51 @@ def _poisson_p111(mu) -> float:
 
 
 def _wcs_model(cfg: ExperimentConfig):
-    plan, p_d, e_d = cfg.decoy, cfg.system.detector.p_d, cfg.system.e_d
-    levels = decoy.poisson_level(plan.mu2), decoy.poisson_level(plan.mu1)
-    triples = decoy.grid_triples(plan)
-    p_vacuum, p111 = exp(-plan.mu2), _poisson_p111(plan.mu2)
+    """Weak coherent pulses: the decoy grids of all rows of a call go into
+    one stacked evaluation, and the exact reference is formed once per
+    efficiency, so once per search."""
+    p_d, e_d = cfg.system.detector.p_d, cfg.system.e_d
     yields = fock.single_photon_yields(p_d)
+    exact = {}  # efficiency -> the exact reference, once per model
 
-    def at(params_seq) -> list[SourcePoint]:
-        etas = [overall_efficiency(p.channel, p.detector) for p in params_seq]
-        return [SourcePoint(grid, *levels, fock.exact_single_photon_stats(eta, yields, e_d),
-                            p_vacuum, p111)
-                for eta, grid in zip(etas, gains.wcs_gain_sets(triples, etas, p_d, e_d))]
+    def at(rows) -> list[SourcePoint]:
+        plans = dict.fromkeys(plan for plan, _ in rows)
+        levels = {plan: (decoy.poisson_level(plan.mu2), decoy.poisson_level(plan.mu1))
+                  for plan in plans}
+        triples = {plan: decoy.grid_triples(plan) for plan in plans}
+        etas = [overall_efficiency(p.channel, p.detector) for _, p in rows]
+        grids = gains.wcs_gain_sets([triples[plan] for plan, _ in rows], etas, p_d, e_d)
+        for eta in etas:
+            if eta not in exact:
+                exact[eta] = fock.exact_single_photon_stats(eta, yields, e_d)
+        return [SourcePoint(grid, *levels[plan], exact[eta], exp(-plan.mu2),
+                            _poisson_p111(plan.mu2))
+                for (plan, _), eta, grid in zip(rows, etas, grids)]
     return at
 
 
 def _heralded_model(cfg: ExperimentConfig):
     """Triggered pair sources: the level distributions, their truncation
-    certificate and their class components hold no distance."""
-    plan, p_d, e_d = cfg.decoy, cfg.system.detector.p_d, cfg.system.e_d
-    levels = [decoy.vacuum_stats()] + [decoy.heralded_stats(mu, cfg.source.trigger)
-                                       for mu in (plan.mu1, plan.mu2)]
-    comps = gains.fock_components(levels, decoy.GRID, p_d)
-    signal, decoy_level = decoy.distribution_level(levels[2]), decoy.distribution_level(levels[1])
-    p_vacuum, p111 = float(levels[2][0]), float(levels[2][1]) ** 3
+    certificate and their class components hold no distance; they are built
+    once per decoy plan, the plan of a sweep's every row or of one trial."""
+    p_d, e_d, trigger = cfg.system.detector.p_d, cfg.system.e_d, cfg.source.trigger
     yields = fock.single_photon_yields(p_d)
 
-    def at(params: SystemParams) -> SourcePoint:
+    @lru_cache(maxsize=1)  # rows of one plan come together
+    def plan_part(plan: DecoyPlan):
+        levels = [decoy.vacuum_stats()] + [decoy.heralded_stats(mu, trigger)
+                                           for mu in (plan.mu1, plan.mu2)]
+        comps = gains.fock_components(levels, decoy.GRID, p_d)
+        return (levels, comps, decoy.distribution_level(levels[2]),
+                decoy.distribution_level(levels[1]), float(levels[2][0]), float(levels[2][1]) ** 3)
+
+    def at(plan: DecoyPlan, params: SystemParams) -> SourcePoint:
+        levels, comps, signal, decoy_level, p_vacuum, p111 = plan_part(plan)
         eta = overall_efficiency(params.channel, params.detector)
         grid = gains.thinned_gain_sets(comps, levels, decoy.GRID, fock.thinning_matrix(eta), e_d)
         return SourcePoint(grid, signal, decoy_level,
                            fock.exact_single_photon_stats(eta, yields, e_d), p_vacuum, p111)
-    return lambda params_seq: [at(p) for p in params_seq]
+    return lambda rows: [at(*row) for row in rows]
 
 
 def _qnd_model(cfg: ExperimentConfig):
@@ -170,29 +185,30 @@ def _qnd_model(cfg: ExperimentConfig):
     recovers the filtered single-photon yield at the bare detector efficiency.
     Events with two or more photons in an arm are discarded, not renormalized.
     Only the detector thins the filtered photons, so the class components, the
-    thinning and the exact reference hold no distance."""
-    plan, det, e_d = cfg.decoy, cfg.system.detector, cfg.system.e_d
+    thinning and the exact reference hold neither distance nor plan."""
+    det, e_d = cfg.system.detector, cfg.system.e_d
     comps = gains.class_yields(np.ones((2, 2, 2), dtype=bool), det.p_d)
     thinning = fock.thinning_matrix(det.eta_d)
     exact = fock.exact_single_photon_stats(det.eta_d, fock.single_photon_yields(det.p_d), e_d)
-    p_vacuum = exp(-plan.mu2)
 
-    def at(params: SystemParams) -> SourcePoint:
+    def at(plan: DecoyPlan, params: SystemParams) -> SourcePoint:
         eta_t = transmission_efficiency(params.channel)
         lam = [mu * eta_t for mu in (0.0, plan.mu1, plan.mu2)]
         levels = [(exp(-x), x * exp(-x)) for x in lam]
         grid = gains.thinned_gain_sets(comps, levels, decoy.GRID, thinning, e_d)
         return SourcePoint(grid, decoy.poisson_level(lam[2]), decoy.poisson_level(lam[1]),
-                           exact, p_vacuum, _poisson_p111(lam[2]))
-    return lambda params_seq: [at(p) for p in params_seq]
+                           exact, exp(-plan.mu2), _poisson_p111(lam[2]))
+    return lambda rows: [at(*row) for row in rows]
 
 
 _MODELS = {"wcs": _wcs_model, "heralded": _heralded_model, "wcs_qnd": _qnd_model}
 
 
 def source_model(cfg: ExperimentConfig):
-    """The config's source as one function of the config's system at many
-    distances -> one SourcePoint each; its distance-free work is done here."""
+    """The config's source as one function of rows (decoy plan, the config's
+    system at a distance) -> one SourcePoint each: a sweep's rows share the
+    config's plan, a search round's share one distance.  The work that holds
+    no distance and no plan is done here, that of a plan once per plan."""
     return _MODELS[cfg.source.kind](cfg)
 
 
@@ -222,6 +238,23 @@ def _point(variant: str, cfg: ExperimentConfig, params: SystemParams, source: So
                      tuple(bounds.diagnostics) + diags)
 
 
+def _points(variant: str, cfg: ExperimentConfig, model, rows) -> list[RatePoint]:
+    """The rate point of each row (decoy plan, system at a distance), with
+    one call of the source model and, for qss_pps, one stacked phase-sliced
+    evaluation, each for all rows."""
+    if not rows:
+        return []
+    sources = model(rows)
+    sliced = [None] * len(rows)
+    if variant == "qss_pps":
+        mus = [plan.mu2 for plan, _ in rows]
+        etas = [overall_efficiency(p.channel, p.detector) for _, p in rows]
+        sliced = gains.phase_sliced_gains(mus, mus, mus, etas, cfg.system.detector.p_d,
+                                          cfg.phase.k)
+    return [_point(variant, cfg, params, source, s)
+            for (_, params), source, s in zip(rows, sources, sliced)]
+
+
 def _check_variant(variant: str, cfg: ExperimentConfig) -> None:
     """Raise ConfigError unless the config's source can run the variant."""
     if variant not in VARIANTS:
@@ -248,14 +281,8 @@ def sweep(variant: str, cfg: ExperimentConfig, distances=None) -> tuple[RatePoin
     if len(distances) == 0:
         return ()
     model = source_model(cfg)
-    params = [cfg.system.at_distance(d) for d in distances]
-    sources = model(params)
-    sliced = [None] * len(params)
-    if variant == "qss_pps":
-        etas = [overall_efficiency(p.channel, p.detector) for p in params]
-        sliced = gains.phase_sliced_gains(*(cfg.decoy.mu2,) * 3, etas,
-                                          cfg.system.detector.p_d, cfg.phase.k)
-    return tuple(_point(variant, cfg, *args) for args in zip(params, sources, sliced))
+    rows = [(cfg.decoy, cfg.system.at_distance(d)) for d in distances]
+    return tuple(_points(variant, cfg, model, rows))
 
 
 def optimize_intensities(variant: str, cfg: ExperimentConfig, length_km: float,
@@ -265,28 +292,40 @@ def optimize_intensities(variant: str, cfg: ExperimentConfig, length_km: float,
     maximizing the rate at one distance.  Ties break toward smaller intensity.
     Returns (best_mu, best_rate); a box with no positive rate reports the
     best-effort argmax with rate 0.
+
+    The search is the box's lower end, then `rounds` grids of `points`
+    intensities.  Each round evaluates its new trial intensities together,
+    one row each in one call of the source model that serves the whole
+    search; a trial at or below the decoy intensity has rate 0.  A round that is refused is
+    evaluated again one trial at a time, so the error raised is that of the
+    first trial refused on its own.
     """
     _check_variant(variant, cfg)
-    cfg.system.at_distance(length_km)  # ConfigError for a negative or non-finite distance
+    params = cfg.system.at_distance(length_km)  # ConfigError for a negative or non-finite distance
     lo, hi = box
     if not 0.0 < lo <= hi < float("inf"):
         raise ValueError(f"search box must satisfy 0 < lo <= hi < inf, got {box!r}")
     if rounds < 1:
         raise ValueError(f"need rounds >= 1, got {rounds}")
+    model, mu1, rates = source_model(cfg), cfg.decoy.mu1, {}
 
-    @lru_cache(maxsize=None)  # keyed by the exact mu: refined grids repeat earlier ones
-    def rate_at(mu: float) -> float:
-        if mu <= cfg.decoy.mu1:
-            return 0.0
-        trial = replace(cfg, source=replace(cfg.source, mu=mu),
-                        decoy=DecoyPlan(mu2=mu, mu1=cfg.decoy.mu1))
-        return rate_point(variant, trial, length_km).rate
+    def evaluate(mus) -> None:
+        new = [mu for mu in dict.fromkeys(mus) if mu not in rates]
+        rows = [(DecoyPlan(mu2=mu, mu1=mu1), params) for mu in new if mu > mu1]
+        try:
+            trials = _points(variant, cfg, model, rows)
+        except NumericsError:
+            trials = [_points(variant, cfg, model, [row])[0] for row in rows]
+        rates.update(dict.fromkeys(new, 0.0))
+        rates.update((plan.mu2, trial.rate) for (plan, _), trial in zip(rows, trials))
 
-    best_mu, best_rate = lo, rate_at(lo)
+    evaluate([lo])
+    best_mu, best_rate = lo, rates[lo]
     for _ in range(rounds):
         grid = np.linspace(lo, hi, points) if hi > lo else np.array([lo])
+        evaluate(grid.tolist())
         for mu in grid:
-            r = rate_at(float(mu))
+            r = rates[float(mu)]
             if r > best_rate or (r == best_rate and mu < best_mu):
                 best_mu, best_rate = float(mu), r
         span = (hi - lo) / max(points - 1, 1)

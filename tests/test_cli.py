@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mdighz import cli, fock, gains
+from mdighz import __version__, cli, fock, gains
 
 from conftest import CONFIG_DIR, config_copy
 
@@ -45,6 +45,39 @@ class TestImports:
         assert done.returncode == 0, done.stderr
         z = gains.z_gain_components(2.0, 2.0, 2.0, 0.9, 1e-7)
         assert done.stdout.strip() == repr((z.a, z.b, z.c, z.d))
+
+
+class TestParser:
+    """The parser is built once per process; a command reads nothing of the
+    commands run before it."""
+
+    def test_one_process_writes_what_fresh_processes_write(self, tmp_path):
+        cfg = small_qcc(tmp_path)
+        commands = (["qcc", "--config", str(cfg), "--seed", "5"],
+                    ["optimize", "--config", str(cfg), "--at", "10", "--points", "3",
+                     "--rounds", "1", "--box", "0.3:0.5"])
+        env = dict(os.environ, PYTHONPATH=str(Path(gains.__file__).resolve().parents[1]))
+        for k, argv in enumerate(commands):
+            assert cli.main(argv + ["--out", str(tmp_path / f"in_{k}.csv")]) == 0
+            done = subprocess.run([sys.executable, "-m", "mdighz.cli", *argv,
+                                   "--out", str(tmp_path / f"fresh_{k}.csv")],
+                                  env=env, capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+        for k in range(len(commands)):
+            assert (tmp_path / f"in_{k}.csv").read_bytes() == (
+                tmp_path / f"fresh_{k}.csv").read_bytes()
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_usage_errors_and_version_keep_their_exits(self, tmp_path, capsys):
+        for _ in range(2):
+            for argv, code in ((["--version"], 0), (["qcc"], 2), (["nonsense"], 2),
+                               (["qcc", "--config", str(small_qcc(tmp_path))], 2)):
+                with pytest.raises(SystemExit) as err:
+                    cli.main(argv)
+                assert err.value.code == code, argv
+            out, err = capsys.readouterr()
+            assert out.splitlines() == [__version__]
+            assert err.count("usage: mdighz") == 3
 
 
 class TestQccCommand:
@@ -203,6 +236,8 @@ class TestValidateCommand:
 
         def flipped(*args):
             z = exact(*args)
+            if isinstance(z, list):  # the triples of a decoy grid
+                return [dataclasses.replace(t, b=-t.b) for t in z]
             return dataclasses.replace(z, b=-z.b)
 
         monkeypatch.setattr(gains, "z_gain_components", flipped)
@@ -375,6 +410,23 @@ class TestExitCodeContract:
         assert code == 4
         assert "intensity 1000.0" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("box, message", [
+        ("1:2000", "decoy level at intensity 250.875: its scale e^(3 mu) overflows a float"),
+        ("0.5:400", "diagonal-basis gain: the quadrature error bound exceeds 1e-08 relative "
+                    "at 32 points per axis"),
+    ], ids=["level", "quadrature"])
+    def test_refused_search_exits_4_with_its_first_trial_refusal(self, box, message,
+                                                                tmp_path, capsys):
+        # a round evaluates its trials together and, refused, one at a time,
+        # so the message is that of the first trial refused on its own: at
+        # 0.5:400 the level of a later trial (250.1875) overflows as well, but
+        # the quadrature refuses 50.4375 first
+        code = cli.main(["optimize", "--config", str(CONFIG_DIR / "qcc_eta93.cfg"),
+                         "--variant", "qcc", "--at", "0", "--box", box,
+                         "--out", str(tmp_path / "out.csv")])
+        assert code == 4
+        assert capsys.readouterr().err == f"numerical-tolerance failure: {message}\n"
 
     def test_overflowing_mixed_class_gain_exits_4(self, tmp_path, capsys):
         # validate's Monte Carlo rows form the rectilinear gains before any

@@ -39,7 +39,7 @@ def exact_stats(params):
 def wcs_grid(plan, params):
     """The weak-coherent decoy grid of the plan at the params' distance."""
     eta = overall_efficiency(params.channel, params.detector)
-    (grid,) = gains.wcs_gain_sets(grid_triples(plan), [eta], params.detector.p_d, params.e_d)
+    (grid,) = gains.wcs_gain_sets([grid_triples(plan)], [eta], params.detector.p_d, params.e_d)
     return grid
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -14,9 +15,15 @@ from mdighz.params import (ChannelModel, DecoyPlan, DetectorModel, NumericsError
                            SystemParams, overall_efficiency, parse_config,
                            transmission_efficiency)
 from yield_reference import (gain_set_reference, gains_qnd_reference, ghz_outcome_yields,
-                             outcome_pattern_sums, propagate_parties)
+                             outcome_pattern_sums, propagate_parties,
+                             z_gain_components_reference)
 
 LN2 = math.log(2.0)
+
+
+def z_bits(z):
+    """The four class gains of a ZGainComponents, bit for bit."""
+    return tuple(float.hex(v) for v in (z.a, z.b, z.c, z.d))
 
 
 def mc_check(pols, intensities, eta, p_d, analytic_pair, samples=400_000,
@@ -146,6 +153,31 @@ class TestRectilinearClosedForms:
         # mu eta >> 1: a one-party group's silence is ~e^{-mu eta / 2}, which
         # 1 - click would lose to cancellation
         gains.z_gain_components(50, 50, 50, eta, 1e-7)
+
+    @pytest.mark.parametrize("mu1", [0.005, 1e-12])
+    @pytest.mark.parametrize("eta, p_d", [(0.93, 1e-7), (0.4, 0.0), (4e-5, 1e-7), (0.5, 1e-3)])
+    def test_grid_equals_per_triple_reference(self, eta, p_d, mu1):
+        # one call for a decoy grid shares each intensity's and each pair's
+        # factors; every triple keeps the float operations it has on its own
+        triples = decoy.grid_triples(DecoyPlan(0.4, mu1))
+        want = [z_bits(z_gain_components_reference(*t, eta, p_d)) for t in triples]
+        assert [z_bits(z) for z in gains.z_gain_components(*zip(*triples), eta, p_d)] == want
+        assert [z_bits(gains.z_gain_components(*t, eta, p_d)) for t in triples] == want
+
+    def test_extremes_as_the_per_triple_reference(self):
+        # every group clicks at mu = 50, and the same-polarization forms agree
+        assert z_bits(gains.z_gain_components(50.0, 50.0, 50.0, 0.93, 1e-7)) == z_bits(
+            z_gain_components_reference(50.0, 50.0, 50.0, 0.93, 1e-7))
+        for t in [(2000.0, 2000.0, 2000.0), (1600.0, 0.0, 0.0)]:
+            message = re.escape(f"mixed-class gain at intensity {max(t)!r}: its factors "
+                                f"e^(intensity * eta / 2) overflow a float")
+            with pytest.raises(NumericsError, match=message):
+                z_gain_components_reference(*t, 0.93, 1e-7)
+            with pytest.raises(NumericsError, match=message):
+                gains.z_gain_components(*t, 0.93, 1e-7)
+            # in a grid, the first triple refused names its own intensity
+            with pytest.raises(NumericsError, match=message):
+                gains.z_gain_components(*zip((0.4, 0.4, 0.4), t, (2000.0, 0.0, 0.0)), 0.93, 1e-7)
 
     def test_paper_point_against_monte_carlo(self):
         eta, p_d = 0.04, 1e-7
@@ -633,7 +665,7 @@ class TestAssembly:
                               0.015, 1.16)
         eta = overall_efficiency(params.channel, params.detector)
         triples = decoy.grid_triples(DecoyPlan(0.4, 0.005))
-        (grid,) = gains.wcs_gain_sets(triples, [eta], 1e-7, 0.015)
+        (grid,) = gains.wcs_gain_sets([triples], [eta], 1e-7, 0.015)
         for t, gs in zip(triples, grid, strict=True):
             z = gains.z_gain_components(*t, eta, 1e-7)
             want = gains.assemble_gain_set(
@@ -824,7 +856,7 @@ class TestFockGridCalls:
         thinning = fock.thinning_matrix(overall_efficiency(params.channel, params.detector))
         want = [gain_set_reference(comps, [p_n[mu] for mu in t], thinning, params.e_d)
                 for t in decoy.grid_triples(cfg.decoy)]
-        assert keyrates.source_model(cfg)([params])[0].grid == want
+        assert keyrates.source_model(cfg)([(cfg.decoy, params)])[0].grid == want
 
     @pytest.mark.parametrize("name", ["qss_qnd_eta40", "qss_qnd_eta93"])
     @pytest.mark.parametrize("length", [0.0, 50.0, 100.0, 200.0, 250.0])
@@ -834,7 +866,7 @@ class TestFockGridCalls:
         eta_t = transmission_efficiency(params.channel)
         want = [gains_qnd_reference(*t, eta_t, params.detector, params.e_d)
                 for t in decoy.grid_triples(cfg.decoy)]
-        assert keyrates.source_model(cfg)([params])[0].grid == want
+        assert keyrates.source_model(cfg)([(cfg.decoy, params)])[0].grid == want
 
     @pytest.mark.parametrize("variant, name", [("qss_heralded", "qss_heralded_eta40"),
                                                ("qss_qnd", "qss_qnd_eta40")])
@@ -847,8 +879,8 @@ class TestFockGridCalls:
 
 
 class TestTruncationCertificate:
-    """A source model certifies the truncation of its decoy levels once, when
-    it is built, and refuses before any table is built."""
+    """A source model certifies the truncation of a decoy plan's levels once,
+    when a row first names the plan, and refuses before any table is built."""
 
     def test_refusal_repeats(self, monkeypatch):
         ns = np.arange(13)
@@ -865,7 +897,7 @@ class TestTruncationCertificate:
             with pytest.raises(NumericsError, match="truncation"):
                 gains.fock_components((pois, pois, pois), [(0, 1, 2)], 0.0)
             with pytest.raises(NumericsError, match="truncation"):
-                keyrates.source_model(bright)
+                keyrates.source_model(bright)([(bright.decoy, bright.system.at_distance(0.0))])
 
     def test_once_per_distinct_triple_in_a_sweep(self, monkeypatch):
         cfg = fock_config("qss_heralded_eta40")

@@ -238,22 +238,73 @@ def unmemoized_optimize(variant, cfg, length_km, box, points=9, rounds=3):
     return best_mu, best_rate
 
 
+def record_rounds(monkeypatch):
+    """Per call of the search's round entry: its trial intensities, one per
+    row, and an empty list for the test to fill."""
+    rounds = []
+    points = keyrates._points
+
+    def recording(variant, cfg, model, rows):
+        rounds.append(([plan.mu2 for plan, _ in rows], []))
+        return points(variant, cfg, model, rows)
+
+    monkeypatch.setattr(keyrates, "_points", recording)
+    return rounds
+
+
 class TestOptimize:
     def test_each_trial_intensity_evaluated_once(self, monkeypatch):
         cfg = parse_config((CONFIG_DIR / "qcc_eta40.cfg").read_text())
         expected = unmemoized_optimize("qcc", cfg, 100.0, (0.2, 0.8))
-        trials = []
-        rate_point = keyrates.rate_point
-
-        def counting(variant, trial, length_km):
-            trials.append(trial.source.mu)
-            return rate_point(variant, trial, length_km)
-
-        monkeypatch.setattr(keyrates, "rate_point", counting)
+        rounds = record_rounds(monkeypatch)
+        models = []
+        source_model = keyrates.source_model
+        monkeypatch.setattr(keyrates, "source_model", lambda c: models.append(c) or source_model(c))
         assert keyrates.optimize_intensities("qcc", cfg, 100.0, (0.2, 0.8)) == expected
-        # 1 + 3 rounds x 9 points = 28 trials without the memo, 5 of them repeats
+        # one row per trial: 1 + 3 rounds x 9 points = 28 trials without the
+        # memo, 5 of them repeats; the box's lower end, then one call per
+        # round, all of one source model
+        trials = [mu for mus, _ in rounds for mu in mus]
         assert len(trials) == 23
         assert len(set(trials)) == 23
+        assert [len(mus) for mus, _ in rounds] == [1, 8, 7, 7]
+        assert len(models) == 1
+
+    @pytest.mark.parametrize("variant, name, length, box", [
+        ("qcc", "qcc_eta40", 100.0, (0.2, 0.8)),
+        ("qss_pps", "qss_pps_eta40", 100.0, (0.05, 0.3)),
+        ("qcc", "qcc_eta93", 0.0, (0.05, 1.0)),
+        ("qss_pps", "qss_pps_eta93", 0.0, (0.05, 1.0)),
+        ("qss_heralded", "qss_heralded_eta40", 100.0, (0.001, 0.01)),
+        ("qss_qnd", "qss_qnd_eta40", 100.0, (0.001, 0.01)),
+    ])
+    def test_stacked_rounds_equal_per_trial_search(self, variant, name, length, box):
+        # every trial a row of its round's stacked evaluation, bit for bit
+        # what one source model and one rate point per trial give
+        cfg = parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
+        assert (keyrates.optimize_intensities(variant, cfg, length, box)
+                == unmemoized_optimize(variant, cfg, length, box))
+
+    @pytest.mark.parametrize("variant, name", [("qcc", "qcc_eta93"),
+                                               ("qss_pps", "qss_pps_eta93")])
+    def test_one_round_mixes_rungs(self, variant, name, monkeypatch):
+        # at 0 km the bright trials of one round need more points per axis
+        # than the dim ones: each row takes its own rung
+        rounds = record_rounds(monkeypatch)
+        rungs = gains._rungs
+
+        def recording(bound, t):
+            taken = rungs(bound, t)
+            if t > 1:  # the decoy grid's diagonal-basis gains, not the sliced ones
+                rounds[-1][1].extend(taken)
+            return taken
+
+        monkeypatch.setattr(gains, "_rungs", recording)
+        cfg = parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
+        keyrates.optimize_intensities(variant, cfg, 0.0, (0.05, 1.0))
+        mus, first = rounds[1]
+        assert len(first) == len(mus) == 8
+        assert [gains.QUAD_LADDER[r] for r in first] == [12, 16, 16, 16, 16, 16, 16, 24]
 
     def test_degenerate_box_returns_point(self):
         cfg = qcc_config()

@@ -19,13 +19,16 @@ probabilities in one workspace kernel with shared pair products;
 `outcome_pattern_sums`, the plain sum over the click patterns, is what that
 kernel must equal bit for bit.  `gain_set_reference` and `gains_qnd_reference`
 form one GainSet per call, certifying and thinning each triple on its own; the
-decoy grid of a source model must equal them bit for bit.
+decoy grid of a source model must equal them bit for bit.  The rectilinear
+closed forms of a decoy grid share each intensity's and each interfering
+pair's factors; `z_gain_components_reference` forms all of them for one
+triple alone.
 """
 
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, factorial, prod
+from math import exp, expm1, factorial, prod, sqrt
 
 import numpy as np
 
@@ -290,3 +293,39 @@ def gains_qnd_reference(mu, nu, omega, eta_t, detector, e_d):
     dists = [(exp(-lam), lam * exp(-lam)) for lam in (mu * eta_t, nu * eta_t, omega * eta_t)]
     comps = gains.class_yields(np.ones((2, 2, 2), dtype=bool), detector.p_d)
     return _thinned_gain_set(comps, dists, fock.thinning_matrix(detector.eta_d), e_d)
+
+
+def z_gain_components_reference(mu, nu, omega, eta, p_d):
+    """The rectilinear closed forms of one intensity triple, every factor
+    formed for this triple alone; the same-polarization class also from the
+    generic four-pattern product.  A decoy grid's gains, which share each
+    intensity's and each pair's factors, must equal it bit for bit."""
+    ia, ib, ic = mu * eta, nu * eta, omega * eta
+    x = ia + ib + ic
+    w = 1.0 - p_d
+
+    a_closed = 0.5 * w ** 3 * exp(-x / 2.0) * (
+        gains._group_click(ia, p_d) * gains._group_click(ib, p_d) * gains._group_click(ic, p_d))
+    a_product = gains.z_pattern_outcome_gain("HHH", mu, nu, omega, eta, p_d)
+    scale = max(abs(a_closed), abs(a_product), 1e-300)
+    if abs(a_closed - a_product) > gains.A_CONSISTENCY_RTOL * scale:
+        raise NumericsError(
+            f"same-polarization gain forms disagree: {a_closed!r} vs {a_product!r}"
+        )
+
+    def _mixed(solo, pair1, pair2):
+        pair_sum = pair1 + pair2
+        f_solo = expm1(solo / 2.0) + p_d
+        f_pair = (expm1(pair_sum / 2.0)
+                  + exp(pair_sum / 2.0) * gains._i0_minus_1(sqrt(pair1 * pair2))
+                  + p_d)
+        return (p_d / 2.0) * w ** 3 * exp(-x) * f_solo * f_pair
+
+    try:
+        b = _mixed(ib, ia, ic)  # Bob solo, Alice-Charlie interfere
+        c = _mixed(ic, ia, ib)  # Charlie solo, Alice-Bob interfere
+        d = _mixed(ia, ib, ic)  # Alice solo, Bob-Charlie interfere
+    except OverflowError:
+        raise NumericsError(f"mixed-class gain at intensity {max(mu, nu, omega)!r}: its "
+                            f"factors e^(intensity * eta / 2) overflow a float") from None
+    return gains.ZGainComponents(a=a_closed, b=b, c=c, d=d)
