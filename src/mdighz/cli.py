@@ -227,8 +227,10 @@ def cmd_validate(args) -> int:
         print("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
     if args.out:
         _write_csv(Path(args.out), "validate", cfg, args.seed, header, rows)
-    print(f"validation {'passed' if ok else 'FAILED'} "
-          f"({samples} samples, seed {args.seed})")
+    chunks, threads = montecarlo.chunk_plan(samples)
+    print(f"validation {'passed' if ok else 'FAILED'} ({samples} samples in "
+          f"{chunks} chunk{'s' * (chunks > 1)} on {threads} thread{'s' * (threads > 1)}, "
+          f"seed {args.seed})")
     return EXIT_OK if ok else EXIT_VALIDATION
 
 

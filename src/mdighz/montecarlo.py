@@ -20,21 +20,37 @@ draws depend only on the seed, chunk index, chunk size and slicing, never on
 the preparation, so one call draws each chunk once and evaluates every
 preparation on it: its preparations see common random numbers, and their
 counts are correlated, not independent samples.
+
+Streaming: only the phases are drawn whole.  The integers, then the
+uniforms, are drawn BLOCK_SAMPLES rows at a time, and each block of clicks is
+evaluated in reused block buffers before the next block of uniforms is drawn.
+Successive draws from one generator continue its stream, and every element
+sees the float operations of a whole-chunk evaluation in the same order, so
+the counts do not depend on BLOCK_SAMPLES.
+
+Threads: the chunks of a call run on a thread pool, one thread per chunk up
+to the CPUs this process may run on (`chunk_plan`); a single chunk runs on
+the calling thread.  The counts are integer sums over substreams, so they do
+not depend on the thread count or on which chunk finishes first.  Workers
+share only read-only inputs: each holds its chunk's phases, 24 bytes per
+sample (12.6 MB at CHUNK_SAMPLES), plus about 1 MB of block buffers.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fock
 
-__all__ = ["McConfig", "McEstimate", "mc_coherent_gains"]
+__all__ = ["McConfig", "McEstimate", "chunk_plan", "mc_coherent_gains"]
 
 RNG_ALGORITHM = "philox4x64"
 CHUNK_SAMPLES = 1 << 19  # fixed substream granularity
+BLOCK_SAMPLES = 8192  # samples per evaluated block: its buffers stay in cache
 
 _POL_VECTORS = {
     "H": (1.0, 0.0),
@@ -74,50 +90,77 @@ class McEstimate:
     samples: int
 
 
+def chunk_plan(samples: int) -> tuple[int, int]:
+    """(chunks, threads) of a call drawing `samples`: one substream per
+    CHUNK_SAMPLES, and at most one thread per chunk and per CPU this process
+    may run on, never more for a larger sample count."""
+    chunks = -(-samples // CHUNK_SAMPLES)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return chunks, min(chunks, cpus)
+
+
 def _chunk_counts(ws, p_d: float, slice_k, seed: int, index: int, n: int) -> np.ndarray:
     """(phi+, phi-) counts of chunk `index`, n samples, one row per amplitude
-    matrix of ws; every matrix is evaluated on the same draws."""
+    matrix of ws; every matrix is evaluated on the same draws.  Only the
+    phases are held for the whole chunk: the clicks are drawn and evaluated
+    one block of BLOCK_SAMPLES samples at a time."""
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
     phases = rng.random((n, 3))
+    blocks = [slice(start, min(start + BLOCK_SAMPLES, n))
+              for start in range(0, n, BLOCK_SAMPLES)]
     if slice_k:
-        # matched-region phases: first region, both half-circle copies
+        # matched-region phases: first region, both half-circle copies; the
+        # stream holds every integer before the first click uniform
         phases *= np.pi / slice_k
-        np.add(phases, np.pi, out=phases, where=rng.integers(0, 2, (n, 3)) == 1)
+        for rows in blocks:
+            block = phases[rows]
+            np.add(block, np.pi, out=block, where=rng.integers(0, 2, block.shape) == 1)
     else:
         phases *= 2.0 * np.pi
     # per matrix and party pair, the interference weight of each output; one
     # cosine per pair that some matrix weights
     weights = [[2.0 * w[:, p] * w[:, q] for p, q in _PAIRS] for w in ws]
-    cosines = [np.cos(phases[:, p] - phases[:, q])
-               if any(pairs[k].any() for pairs in weights) else None
-               for k, (p, q) in enumerate(_PAIRS)]
-    del phases
-    uniforms = rng.random((n, 6))
-    column, mean = np.empty(n), np.empty(n)
-    clicked = np.empty(n, dtype=bool)
-    codes = np.zeros((len(ws), n), dtype=np.uint8)
+    cosine_needed = [any(pairs[k].any() for pairs in weights) for k in range(len(_PAIRS))]
     bases = [(w * w).sum(axis=1) for w in ws]
-    for i in range(6):
-        np.copyto(column, uniforms[:, i])  # one strided read serves every matrix
-        for code, base, pairs in zip(codes, bases, weights):
-            # a constant mean photon number, or the row `mean` of n
-            terms = [(weight[i], cos) for weight, cos in zip(pairs, cosines) if weight[i]]
-            if terms:
-                (weight, cos), *rest = terms
-                np.multiply(cos, weight, out=mean)
-                mean += base[i]
-                for weight, cos in rest:
-                    mean += weight * cos
-                np.negative(mean, out=mean)
-                np.exp(mean, out=mean)
-                mean *= 1.0 - p_d
-                threshold = np.subtract(1.0, mean, out=mean)
-            else:  # a numpy scalar, so exp takes its scalar path
-                threshold = 1.0 - (1.0 - p_d) * np.exp(-base[i])
-            np.less(column, threshold, out=clicked)
-            code |= clicked.view(np.uint8) << i
-    return np.array([[hist[c].sum() for c in _CLASS_CODES]
-                     for hist in (np.bincount(code, minlength=64) for code in codes)])
+    # one block's buffers, overwritten by every block
+    size = min(n, BLOCK_SAMPLES)
+    cosine_rows, uniform_rows = np.empty((len(_PAIRS), size)), np.empty((size, 6))
+    float_rows = np.empty((3, size))
+    clicked_row, shifted_row = np.empty(size, dtype=bool), np.empty(size, dtype=np.uint8)
+    code_rows = np.empty((len(ws), size), dtype=np.uint8)
+    hists = np.zeros((len(ws), 64), dtype=np.int64)
+    for rows in blocks:
+        m = rows.stop - rows.start
+        column, mean, term = float_rows[:, :m]
+        clicked, shifted, codes = clicked_row[:m], shifted_row[:m], code_rows[:, :m]
+        cosines = [np.cos(np.subtract(phases[rows, p], phases[rows, q], out=row[:m]),
+                          out=row[:m]) if needed else None
+                   for (p, q), needed, row in zip(_PAIRS, cosine_needed, cosine_rows)]
+        uniforms = rng.random(out=uniform_rows[:m])
+        codes[:] = 0
+        for i in range(6):
+            np.copyto(column, uniforms[:, i])  # one strided read serves every matrix
+            for code, base, pairs in zip(codes, bases, weights):
+                # a constant mean photon number, or the row `mean` of m
+                terms = [(weight[i], cos) for weight, cos in zip(pairs, cosines) if weight[i]]
+                if terms:
+                    (weight, cos), *rest = terms
+                    np.multiply(cos, weight, out=mean)
+                    mean += base[i]
+                    for weight, cos in rest:
+                        mean += np.multiply(weight, cos, out=term)
+                    np.negative(mean, out=mean)
+                    np.exp(mean, out=mean)
+                    mean *= 1.0 - p_d
+                    threshold = np.subtract(1.0, mean, out=mean)
+                else:  # a numpy scalar, so exp takes its scalar path
+                    threshold = 1.0 - (1.0 - p_d) * np.exp(-base[i])
+                np.less(column, threshold, out=clicked)
+                code |= np.left_shift(clicked.view(np.uint8), i, out=shifted)
+        for hist, code in zip(hists, codes):
+            hist += np.bincount(code, minlength=64)
+    return np.array([[hist[c].sum() for c in _CLASS_CODES] for hist in hists])
 
 
 def mc_coherent_gains(preparations, intensities, eta: float, p_d: float,
@@ -154,7 +197,16 @@ def mc_coherent_gains(preparations, intensities, eta: float, p_d: float,
     # per preparation the (output, party) amplitudes; vectors are (party, H/V)
     ws = [np.einsum("ipk,pk->ip", unitary, np.array([_POL_VECTORS[pol] for pol in pols]))
           * amplitudes for pols in preparations]
-    total = sum(_chunk_counts(ws, p_d, slice_k, cfg.seed, index,
-                              min(CHUNK_SAMPLES, cfg.samples - start))
-                for index, start in enumerate(range(0, cfg.samples, CHUNK_SAMPLES)))
+    chunks, threads = chunk_plan(cfg.samples)
+
+    def counts(index):
+        return _chunk_counts(ws, p_d, slice_k, cfg.seed, index,
+                             min(CHUNK_SAMPLES, cfg.samples - index * CHUNK_SAMPLES))
+
+    if threads == 1:
+        total = sum(map(counts, range(chunks)))
+    else:  # counts are integers: their sum does not depend on the finishing order
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(threads) as pool:
+            total = sum(pool.map(counts, range(chunks)))
     return tuple(McEstimate(int(count), cfg.samples) for count in total.ravel())

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mdighz import __version__, cli, fock, gains
+from mdighz import __version__, cli, fock, gains, montecarlo
 
 from conftest import CONFIG_DIR, config_copy
 
@@ -228,8 +228,15 @@ class TestValidateCommand:
         elapsed = time.monotonic() - start
         out = capsys.readouterr().out
         assert code == 0
-        assert "validation passed" in out
+        assert "validation passed (100000 samples in 1 chunk on 1 thread, seed 12)" in out
         assert elapsed < 10.0
+
+    def test_closing_line_names_chunks_and_threads(self, monkeypatch, capsys):
+        # the numbers come from the helper that sizes the oracle's pool
+        monkeypatch.setattr(montecarlo, "CHUNK_SAMPLES", 40_000)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cli.main(["validate", "--config", str(CONFIG_DIR / "validate.cfg"), "--quick"])
+        assert "(100000 samples in 3 chunks on 2 threads, seed 1)" in capsys.readouterr().out
 
     def test_fault_injection_fails_validation(self, monkeypatch, capsys):
         exact = gains.z_gain_components

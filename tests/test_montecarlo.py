@@ -1,8 +1,13 @@
+import concurrent.futures
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from mc_reference import amplitude_matrices, chunk_counts_reference
 from mdighz import checks, montecarlo
 from mdighz.montecarlo import McConfig, McEstimate, mc_coherent_gains
 
@@ -65,6 +70,97 @@ class TestDeterminism:
         b, _ = mc_coherent_gains(("HHH",), (0.6, 0.6, 0.6), 0.5, 1e-2,
                                  McConfig(samples=50_000, seed=2))
         assert a.count != b.count
+
+
+BLOCK = montecarlo.BLOCK_SAMPLES
+BRIGHT = ((0.8, 0.8, 0.8), TestDeterminism.BRIGHT_ETA, 0.01)
+
+
+class TestStreamedChunk:
+    """The block-streamed chunk against the whole-chunk reference."""
+
+    @given(preparations=st.lists(st.text("HV+-", min_size=3, max_size=3),
+                                 min_size=1, max_size=6),
+           intensities=st.tuples(*[st.sampled_from([0.0, 0.05, 0.4, 0.8, 2.5])] * 3),
+           eta=st.sampled_from([0.0, 0.1, 0.72, 1.0]),
+           p_d=st.sampled_from([0.0, 1e-7, 0.01, 1.0]),
+           slice_k=st.sampled_from([None, 1, 3, 8]),
+           seed=st.sampled_from([0, 1, 7, 2 ** 64 - 1]),
+           index=st.integers(0, 3),
+           n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17]))
+    def test_counts_equal_the_whole_chunk_reference(self, preparations, intensities, eta,
+                                                    p_d, slice_k, seed, index, n):
+        ws = amplitude_matrices(preparations, intensities, eta)
+        streamed = montecarlo._chunk_counts(ws, p_d, slice_k, seed, index, n)
+        assert np.array_equal(streamed, chunk_counts_reference(ws, p_d, slice_k, seed,
+                                                               index, n))
+        assert streamed.shape == (len(preparations), 2)
+
+
+def _with_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+class TestPool:
+    """Chunks on a thread pool: the counts of the calling thread, bit for bit."""
+
+    PREPARATIONS = ("HHH", "HHV", "VHH", "HVH", "+++")
+
+    @pytest.mark.parametrize("slice_k", [None, 8])
+    @pytest.mark.parametrize("chunks", [1, 2, 20])
+    def test_counts_independent_of_the_thread_count(self, monkeypatch, slice_k, chunks):
+        # small chunks of several blocks, so that 20 of them are cheap
+        monkeypatch.setattr(montecarlo, "CHUNK_SAMPLES", 2500)
+        monkeypatch.setattr(montecarlo, "BLOCK_SAMPLES", 1000)
+        cfg = McConfig(samples=2500 * (chunks - 1) + 17, seed=3)
+        runs = {}
+        for cpus in (1, 2):
+            _with_cpus(monkeypatch, cpus)
+            assert montecarlo.chunk_plan(cfg.samples) == (chunks, min(chunks, cpus))
+            runs[cpus] = mc_coherent_gains(self.PREPARATIONS, *BRIGHT, cfg, slice_k)
+        # the sum of the reference's chunks, each on its own substream
+        ws = amplitude_matrices(self.PREPARATIONS, *BRIGHT[:2])
+        reference = sum(chunk_counts_reference(ws, BRIGHT[2], slice_k, cfg.seed, index,
+                                               min(2500, cfg.samples - 2500 * index))
+                        for index in range(chunks))
+        assert runs[1] == runs[2]
+        assert [e.count for e in runs[2]] == reference.ravel().tolist()
+
+    def test_several_chunks_run_on_the_pool(self, monkeypatch):
+        built = []
+
+        class Recorded(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, workers):
+                built.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+        monkeypatch.setattr(montecarlo, "CHUNK_SAMPLES", 2500)
+        _with_cpus(monkeypatch, 2)
+        mc_coherent_gains(("HHH",), *BRIGHT, McConfig(samples=3 * 2500, seed=3))
+        assert built == [2]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_one_chunk_starts_no_thread(self, monkeypatch, cpus):
+        def refused(*args, **kwargs):
+            raise AssertionError("a one-chunk call built a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refused)
+        _with_cpus(monkeypatch, cpus)
+        threads = threading.active_count()
+        ests = mc_coherent_gains(("HHH", "+++"), *BRIGHT,
+                                 McConfig(samples=montecarlo.CHUNK_SAMPLES, seed=1))
+        assert threading.active_count() == threads and len(ests) == 4
+
+    def test_threads_bounded_by_cpus_never_by_samples(self, monkeypatch):
+        _with_cpus(monkeypatch, 2)
+        chunk = montecarlo.CHUNK_SAMPLES
+        assert montecarlo.chunk_plan(1) == (1, 1)
+        assert montecarlo.chunk_plan(chunk) == (1, 1)
+        assert montecarlo.chunk_plan(chunk + 1) == (2, 2)
+        assert montecarlo.chunk_plan(10_000_000) == (20, 2)
+        assert montecarlo.chunk_plan(10 ** 15)[1] == 2
 
 
 class TestStatistics:
