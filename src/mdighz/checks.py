@@ -27,6 +27,7 @@ MC_SIGMAS = 3.0  # |z| bound of a Monte Carlo estimate
 SYMMETRY_RTOL = 1e-10  # relative spread of values that should be equal
 BRACKET_SLACK = 1e-12  # roundoff allowed to a decoy bound against the exact value
 CLOSED_FORM_TOL = 1e-12  # absolute, on the output probabilities
+_SIGN_TRIPLES = tuple(itertools.product((1, -1), repeat=3))
 
 
 class Row(NamedTuple):
@@ -100,9 +101,16 @@ def _mc_row(label: str, analytic: float, est: montecarlo.McEstimate) -> Row:
 def symmetries(points) -> list[Row]:
     """At each (mu, eta, p_d): the HHH and VVV pattern-product gains agree,
     the mixed-class closed forms match the pattern-product path, and the
-    Mermin sign triples fall into one correct and one false class."""
+    Mermin sign triples fall into one correct and one false class, each
+    triple evaluated on its own for every run of points of one p_d."""
+    signed = []  # per point and sign triple: ([phi_plus], [phi_minus])
+    for p_d, run in itertools.groupby(points, lambda point: point[2]):
+        mus, etas, _ = zip(*run)
+        mus = [[mu] for mu in mus]
+        signed += zip(*[gains.mermin_outcome_gains(signs, mus, mus, mus, etas, p_d)
+                        for signs in _SIGN_TRIPLES])
     rows = []
-    for mu, eta, p_d in points:
+    for (mu, eta, p_d), sign_gains in zip(points, signed):
         tag = f"(mu={mu},eta={eta:.3g})"
         same = [gains.z_pattern_outcome_gain(pols, mu, mu, mu, eta, p_d)
                 for pols in ("HHH", "VVV")]
@@ -119,8 +127,7 @@ def symmetries(points) -> list[Row]:
                          worst < SYMMETRY_RTOL))
 
         correct, false = [], []
-        for signs in itertools.product((1, -1), repeat=3):
-            q_plus, q_minus = gains.mermin_outcome_gains(signs, mu, mu, mu, eta, p_d)
+        for signs, ((q_plus,), (q_minus,)) in zip(_SIGN_TRIPLES, sign_gains):
             parity = signs[0] * signs[1] * signs[2]
             (correct if parity == 1 else false).append(q_plus)
             (false if parity == 1 else correct).append(q_minus)

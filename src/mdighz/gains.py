@@ -18,9 +18,9 @@ QUAD_LADDER whose bound is below float64 rounding of its gains, or else at the
 top rung, where the bound must certify QUAD_RTOL; rows of one rung go together
 and every triple is summed and certified on its own.  Flipping every sign of a
 diagonal-basis triple only swaps its two outcome gains, so the Mermin witness
-takes its (-,-,-) gains from the (+,+,+) call.  Every step writes into one
-float64 workspace per thread, bounded by _STACK_FLOATS and reused, since freed
-temporaries were faulted in again on the next call.
+takes its (-,-,-) gains from the (+,+,+) call.  Rows of one rung go in pieces
+of at most _STACK_FLOATS transient floats (1 MiB; the --quick weak-coherent
+curves took 25% less time than in 3-row pieces on 2 vCPUs), none kept.
 Heralded and photon-number-filtered variants take their gains from the exact
 Fock engine by binomial thinning: each user's photon-number distribution is
 thinned by the detector efficiency, and the joint thinned weights are
@@ -40,10 +40,9 @@ as NaN.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, expm1, prod, sqrt
+from math import exp, expm1, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -79,9 +78,9 @@ _ROUNDING = 2.0 ** -52
 _STRIPS = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0])[:, None]
 _RHOS = np.array([1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 32.0, 64.0, 128.0])[:, None]
 _COSH_STRIPS = np.cosh(np.vstack([[0.0], _STRIPS]))  # the real line first
-# Workspace floats of one stacked evaluation: those of a decoy grid at 16
-# points per axis, the most any row of a bundled curve needs.
-_STACK_FLOATS = 15 * (6 * 16 * 16 + 10 * 16)
+# The transient floats of one evaluation (1 MiB): 18 decoy grids at 8 points
+# per axis, 5 at 16.  Uncapped, the ten full curves took 7.9 MB more memory.
+_STACK_FLOATS = 2 ** 17
 
 A_CONSISTENCY_RTOL = 1e-12
 
@@ -265,36 +264,11 @@ def z_gain_components(mu, nu, omega, eta: float, p_d: float):
 # Weak coherent pulses, diagonal basis (quadrature)
 # ---------------------------------------------------------------------------
 
-_workspace = threading.local()
-
-
-def _workspace_views(shapes):
-    """Consecutive views of this thread's float64 workspace, one per shape.
-
-    The workspace grows to the largest request seen and is then reused, so
-    the quadrature's steps create no temporary arrays.  It grows in place
-    (realloc), which is safe since no view outlives the call that took it:
-    freeing the old block, once above glibc's mmap threshold, raised that
-    threshold and kept later temporaries resident on the heap.
-    """
-    sizes = [prod(shape) for shape in shapes]
-    buf = getattr(_workspace, "buf", None)
-    if buf is None:
-        buf = _workspace.buf = np.empty(sum(sizes))
-    elif len(buf) < sum(sizes):
-        buf.resize(sum(sizes), refcheck=False)
-    views, start = [], 0
-    for shape, size in zip(shapes, sizes):
-        views.append(buf[start:start + size].reshape(shape))
-        start += size
-    return views
-
-
-def _pair_factors(amplitude, base, cosine, p_d, work):
+def _pair_factors(amplitude, base, cosine, p_d):
     """click[j] * silent[j ^ 1] of the two detectors of one group, whose mean
-    photon numbers are base +/- amplitude * cosine.  All five views of `work`
-    are overwritten; the factors are left in work[4] and work[1]."""
-    n0, n1, s0, s1, t = work
+    photon numbers are base +/- amplitude * cosine, formed in place in five
+    arrays of the group's shape, two of which it returns."""
+    n0, n1, s0, s1, t = (np.empty(np.broadcast(amplitude, cosine).shape) for _ in range(5))
     np.multiply(amplitude, cosine, out=n1)
     np.add(base, n1, out=n0)
     np.subtract(base, n1, out=n1)
@@ -315,28 +289,21 @@ def _outcome_sums(x, signs, cosines, p_d):
     phi_minus) for diagonal-basis coherent inputs of arriving intensities
     x = (ia, ib, ic), stacked on the first axis, and sign triple `signs`
     (+1 -> "+", -1 -> "-"), at the phase points whose A-B, B-C and A-C
-    phase-difference cosines are `cosines`.  Each comes with a free view of
-    its shape; both are views of the workspace that the next step overwrites.
+    phase-difference cosines are `cosines`.  Each comes with a free array of
+    its shape; the next step overwrites both.  At most 6 grid arrays and 10 of
+    the outer groups are live, the floats width(n) of `_stacked` counts.
     """
     first, second = x[[0, 1, 0]], x[[1, 2, 2]]  # the users of each pair
     amplitudes = np.reshape(signs, (3,) + (1,) * (x.ndim - 1)) * (0.5 * np.sqrt(first * second))
-    shapes = [np.broadcast(a, c).shape for a, c in zip(amplitudes, cosines)]
-    # the Bob-Charlie group spans the whole grid: once its factors are
-    # formed, its spent views hold the pair products and each term
-    grid = np.broadcast(amplitudes[1], *cosines).shape
-    work = _workspace_views([shapes[0]] * 5 + [grid] * 6 + [shapes[2]] * 5)
-    groups, total = (work[:5], work[5:10], work[11:]), work[10]
     f = []
-    for amplitude, base, cosine, views in zip(amplitudes, (first + second) / 4.0, cosines, groups):
-        f += _pair_factors(amplitude, base, cosine, p_d, views)
+    for amplitude, base, cosine in zip(amplitudes, (first + second) / 4.0, cosines):
+        f += _pair_factors(amplitude, base, cosine, p_d)
     # f[a] * f[b] * f[c] multiplies left to right, so each pair product
-    # f[a] * f[b] is formed once for one term of either outcome
-    spent = groups[1]
-    product = {(0, 2): np.multiply(f[0], f[2], out=spent[0]),
-               (0, 3): np.multiply(f[0], f[3], out=spent[2]),
-               (1, 2): np.multiply(f[1], f[2], out=spent[3]),
+    # f[a] * f[b] is formed once for one term of either outcome; the
+    # Bob-Charlie factors f[2], f[3] span the whole grid
+    product = {(0, 2): f[0] * f[2], (0, 3): f[0] * f[3], (1, 2): f[1] * f[2],
                (1, 3): np.multiply(f[1], f[3], out=f[3])}
-    term = f[2]
+    total, term = np.empty_like(f[2]), f[2]
     for patterns in (fock.PHI_PLUS_PATTERNS, fock.PHI_MINUS_PATTERNS):
         # ((t0 + t1) + t2) + t3: the order of sum(), less its 0 + t0, which
         # could only turn a -0.0 into 0.0
@@ -418,9 +385,9 @@ def _stacked(quad, bounds, x, width, what):
     """The certified gains (2, R, T) of the arriving-intensity triples x
     (3, R, T), in rows: a sweep's rows are its distances, a search round's
     its trial intensities.  The bounds of a chunk of rows are formed at once;
-    consecutive rows of one rung are evaluated together while the workspace
-    `_outcome_sums` lays out for them, width(n) floats per triple at rung n,
-    stays within _STACK_FLOATS (a row alone if it needs more)."""
+    consecutive rows of one rung are evaluated in pieces whose transient
+    arrays, width(n) floats per triple at rung n, stay within _STACK_FLOATS
+    (a row alone if it needs more)."""
     rows, t = x.shape[1:]
     q = np.empty((2, rows * t))
     step = max(1, _STACK_FLOATS // (t * width(QUAD_LADDER[0])))
@@ -504,6 +471,32 @@ def mermin_outcome_gains(signs: tuple[int, int, int], mu, nu, omega, eta, p_d: f
 _TRIANGLES = (((1, 0), (1, 1)), ((1, 1), (0, 1)), ((0, 1), (-1, 0)))
 
 
+def _legval(x, c):
+    """The Legendre series c (at least two terms) at x by the Clenshaw
+    recurrence, in the float operations of numpy's legval."""
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _gauss_legendre(n):
+    """numpy's leggauss(n), n >= 2, by its own steps without numpy.polynomial:
+    the eigenvalues of P_n's symmetric companion matrix, one Newton step, and
+    weights from P_n' and P_{n-1}, symmetrized and scaled to sum to 2."""
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    c = np.eye(1, n + 1, n)[0]  # P_n
+    # P_n' = sum of (2j + 1) P_j over j = n - 1, n - 3, ...
+    df = _legval(x, np.where(np.arange(n) % 2 == (n - 1) % 2, 2.0 * np.arange(n) + 1.0, 0.0))
+    x -= _legval(x, c) / df
+    fm = _legval(x, c[1:])
+    w = 1 / (fm / np.abs(fm).max() * (df / np.abs(df).max()))
+    w, x = (w + w[::-1]) / 2, (x - x[::-1]) / 2
+    return x, w * (2.0 / w.sum())
+
+
 @lru_cache(maxsize=8)
 def _hexagon_rule(n, k):
     """An n x n Gauss-Legendre product rule on each triangle of the hexagon,
@@ -515,7 +508,7 @@ def _hexagon_rule(n, k):
     and the Jacobian is h^2 s.  The integrand is even in (a, b), so the three
     triangles opposite these are folded onto them (factor 2).
     """
-    x, wx = np.polynomial.legendre.leggauss(n)
+    x, wx = _gauss_legendre(n)
     u, wu = (x + 1.0) / 2.0, wx / 2.0  # map to [0, 1]
     s, t = (g.ravel() for g in np.meshgrid(u, u, indexing="ij"))
     a = np.concatenate([s * (x1 + t * (x2 - x1)) for (x1, _), (x2, _) in _TRIANGLES])

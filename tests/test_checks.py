@@ -62,7 +62,8 @@ def test_wrong_diagonal_basis_bounds_fail_validate(monkeypatch, tmp_path, config
      lambda pols, *a: pols in MIXED, "sym", ["sym:mixedclass"] * len(GRID)),
     (gains, "z_pattern_outcome_gain", lambda q: math.nan,  # a NaN that max() would skip
      lambda pols, *a: pols == "VHH", "sym", ["sym:mixedclass"] * len(GRID)),
-    (gains, "mermin_outcome_gains", lambda q: (q[0] * (1 + 1e-6), q[1]),
+    (gains, "mermin_outcome_gains",  # each row's correct gains, as the points are stacked
+     lambda rows: [([c * (1 + 1e-6) for c in q_c], q_e) for q_c, q_e in rows],
      lambda signs, *a: signs == (1, 1, 1), "sym", ["sym:signclasses"] * len(GRID)),
     (fock, "exact_single_photon_stats", lambda s: replace(s, y111_z=0.5 * s.y111_z),
      None, "bracket", ["bracket:L=0.0", "bracket:L=50.0"]),

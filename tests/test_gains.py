@@ -1,9 +1,13 @@
 import itertools
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,7 +67,7 @@ def reference_outcome_sums(signs, ia, ib, ic, p_d, phi_ab, phi_bc, phi_ac):
 def plain_outcome_sums(ia, ib, ic, signs, cosines, p_d):
     """The diagonal-basis outcome sums in the float operations of the plain
     path: the six mean photon numbers, whole click and silent arrays, then the
-    generator sum over the patterns.  The workspace kernel must equal it bit
+    generator sum over the patterns.  The in-place kernel must equal it bit
     for bit."""
     mean_n = []
     for s, (x, y), c in zip(signs, ((ia, ib), (ib, ic), (ia, ic)), cosines):
@@ -343,12 +347,12 @@ def hexagon_layout(rng, points):
 
 
 class TestOutcomeKernel:
-    """The workspace kernel against the plain generator sum, bit for bit."""
+    """The in-place kernel against the plain generator sum, bit for bit."""
 
     def test_equals_plain_sum_in_every_layout(self):
         rng = np.random.default_rng(20261018)
-        # interleaved so that a reused view cannot carry one call's state
-        # into the next one of another shape
+        # interleaved so that no state can carry from one call into the
+        # next one of another shape
         cases = [kernel_layouts(rng, 15, 16), hexagon_layout(rng, 3072),
                  kernel_layouts(rng, 1, 16), hexagon_layout(rng, 768),
                  kernel_layouts(rng, 15, 4), kernel_layouts(rng, 15, 16),
@@ -381,9 +385,9 @@ class TestOutcomeKernel:
         swapped = [tuple(j ^ 1 for j in p) for p in fock.PHI_PLUS_PATTERNS]
         assert swapped == list(fock.PHI_MINUS_PATTERNS[::-1])
 
-    def test_workspace_is_per_thread(self):
+    def test_threads_at_once_get_their_own_gains(self):
         # two threads at once, each alternating a 15-row and a 1-row stacked
-        # call; a shared workspace would mix their grids
+        # call; any state shared between calls would mix their grids
         triples = decoy.grid_triples(DecoyPlan(0.4, 0.005))
         calls = [((1, 1, 1), *zip(*triples), 0.04, 1e-7),
                  ((1, -1, 1), *triples[7], 0.5, 1e-3)]
@@ -483,6 +487,24 @@ class TestSlicedGains:
         sliced = gains.phase_sliced_gains(0.5, 0.5, 0.5, eta, p_d, k)
         mc_check("+++", (0.5, 0.5, 0.5), eta, p_d, (sliced.q_c, sliced.q_e),
                  seed=17, samples=1_000_000, slice_k=k, scale=k * k)
+
+    def test_gauss_legendre_is_leggauss_bit_for_bit(self):
+        for n in sorted({*gains.QUAD_LADDER, *range(2, 41)}):
+            got, want = gains._gauss_legendre(n), np.polynomial.legendre.leggauss(n)
+            for g, w in zip(got, want, strict=True):
+                assert g.tobytes() == w.tobytes(), n
+
+    def test_sliced_gains_leave_numpy_polynomial_unimported(self):
+        code = ("import sys, mdighz.cli\n"
+                "from mdighz import gains\n"
+                "gains.phase_sliced_gains(0.11, 0.11, 0.11, 0.04, 1e-7, 8)\n"
+                "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+        src = str(Path(gains.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60)
+        assert (run.returncode, run.stdout.strip()) == (0, "[]"), run.stderr
 
 
 SIGN_TRIPLES = tuple(itertools.product((1, -1), repeat=3))
@@ -588,28 +610,39 @@ class TestStackedDistances:
                 gains.phase_sliced_gains(50.0, 50.0, 50.0, etas, 1e-7, 1)
             assert str(refused.value) == REFUSED.replace("diagonal-basis", "phase-sliced")
 
-    def test_full_grid_sweeps_keep_the_workspace_within_budget(self):
-        # in a thread of its own, whose workspace starts empty
-        sizes, errors = [], []
+    def test_full_grid_sweeps_evaluate_pieces_within_budget(self, monkeypatch):
+        # every evaluated piece: its rule, rung, rows and the peak of the
+        # memory it allocates, as tracemalloc sees numpy's arrays
+        pieces = []
 
-        def run():
-            try:
-                for name in WCS_CONFIGS[:-1]:
-                    cfg = parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
-                    if name.startswith("mermin"):
-                        assert len(mermin.mermin_curve(cfg)) == 181
-                    else:
-                        keyrates.sweep(name.rpartition("_")[0], cfg)
-                sizes.append(len(gains._workspace.buf))
-            except Exception as exc:  # reported below, the thread must not hide it
-                errors.append(exc)
+        def traced(quad, rows):
+            def run(*args):
+                tracemalloc.start()
+                try:
+                    return quad(*args)
+                finally:
+                    peak = tracemalloc.get_traced_memory()[1]
+                    tracemalloc.stop()
+                    pieces.append((quad.__name__, args[-1], rows(args), peak))
+            return run
 
-        thread = threading.Thread(target=run)
-        thread.start()
-        thread.join(timeout=120)
-        assert errors == [] and len(sizes) == 1
-        # more than one decoy grid at 8 points per axis: rows were stacked
-        assert 15 * (6 * 8 * 8 + 10 * 8) < sizes[0] <= gains._STACK_FLOATS
+        monkeypatch.setattr(gains, "_circle_quad",
+                            traced(gains._circle_quad, lambda a: a[1].shape[1] // 15))
+        monkeypatch.setattr(gains, "_sliced_quad",
+                            traced(gains._sliced_quad, lambda a: a[0].shape[1]))
+        for name in WCS_CONFIGS[:-1]:
+            cfg = parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
+            if name.startswith("mermin"):
+                assert len(mermin.mermin_curve(cfg)) == 181
+            else:
+                keyrates.sweep(name.rpartition("_")[0], cfg)
+        # the cap bounds the arrays a piece makes; numpy's broadcasting ufuncs
+        # add iteration buffers of up to np.getbufsize() elements per operand
+        allowed = 8 * (gains._STACK_FLOATS + 3 * np.getbufsize())
+        assert all(peak <= allowed for *_, peak in pieces)
+        # rows at 8 points per axis were stacked, by both rules
+        for rule in ("_circle_quad", "_sliced_quad"):
+            assert max(rows for name, n, rows, _ in pieces if (name, n) == (rule, 8)) > 1
 
 
 def class_split(*classes):

@@ -15,7 +15,7 @@ package forms each table entry in closed form from the three detector-group
 photon totals; `ideal_detector_table_reference` sorts every output
 configuration of every (preparation, triple) input into its category, and the
 two must agree bit for bit.  The diagonal-basis quadrature forms its outcome
-probabilities in one workspace kernel with shared pair products;
+probabilities in one in-place kernel with shared pair products;
 `outcome_pattern_sums`, the plain sum over the click patterns, is what that
 kernel must equal bit for bit.  `gain_set_reference` and `gains_qnd_reference`
 form one GainSet per call, certifying and thinning each triple on its own; the
