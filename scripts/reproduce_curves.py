@@ -12,18 +12,11 @@ from pathlib import Path
 
 from mdighz.cli import main as mdighz_main
 
-RUNS = [
-    ("qcc", "qcc_eta40"),
-    ("qcc", "qcc_eta93"),
-    ("qss", "qss_pps_eta40"),
-    ("qss", "qss_pps_eta93"),
-    ("qss", "qss_heralded_eta40"),
-    ("qss", "qss_heralded_eta93"),
-    ("qss", "qss_qnd_eta40"),
-    ("qss", "qss_qnd_eta93"),
-    ("mermin", "mermin_eta40"),
-    ("mermin", "mermin_eta93"),
-]
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# every bundled config but validate's draws one curve, with the command its
+# name starts with (qcc, qss or mermin)
+RUNS = [(path.stem.split("_")[0], path.stem) for path in sorted(CONFIG_DIR.glob("*.cfg"))
+        if path.stem != "validate"]
 
 
 def main() -> int:
@@ -32,11 +25,10 @@ def main() -> int:
     parser.add_argument("--quick", action="store_true")
     args = parser.parse_args()
 
-    root = Path(__file__).resolve().parent.parent
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for command, name in RUNS:
-        cfg = root / "configs" / f"{name}.cfg"
+        cfg = CONFIG_DIR / f"{name}.cfg"
         out = outdir / f"{name}.csv"
         argv = [command, "--config", str(cfg), "--out", str(out)]
         if args.quick:

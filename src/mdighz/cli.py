@@ -23,8 +23,8 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__, keyrates, mermin, montecarlo
-from .params import (ConfigError, ExperimentConfig, NumericsError, parse_config,
-                     serialize_config, overall_efficiency)
+from .params import (CONFIG_KEYS, REQUIRED_KEYS, ConfigError, ExperimentConfig,
+                     NumericsError, parse_config, serialize_config, overall_efficiency)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -241,9 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rate curves, Mermin bounds and validation for MDI "
                     "multiparty quantum communication.",
         epilog="Config format: lines of 'section.key = value' with sections "
-               "channel, detector, system, source, decoy, phase, sweep. "
-               "Required keys: channel.beta, detector.eta_d, detector.p_d, "
-               "system.e_d, system.f, source.kind, source.mu, decoy.mu1. "
+               f"{', '.join(dict.fromkeys(k.split('.')[0] for k in CONFIG_KEYS))}. "
+               f"Required keys: {', '.join(REQUIRED_KEYS)}. "
                "qss with source.kind=wcs additionally needs phase.K; "
                "source.kind=heralded accepts source.trigger_eta_d/_p_d.")
     parser.add_argument("--version", action="version", version=__version__)

@@ -3,12 +3,19 @@
 All parameter containers are frozen dataclasses; invariants are checked at
 construction time so downstream code never needs to re-validate.  Units:
 distances in km, fiber loss in dB/km, everything else dimensionless.
+
+`CONFIG_KEYS` is the config document's schema: one row per key with its
+type, whether it is required and the ExperimentConfig field it fills.
+Parsing, serializing and the `--help` text all read it.  Plain defaults
+are the dataclass field defaults; only `decoy.mu2` (<- `source.mu`) and the
+heralded trigger (<- the main detector) default to another key's value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 __all__ = [
     "ConfigError",
@@ -21,6 +28,8 @@ __all__ = [
     "PhasePlan",
     "SweepGrid",
     "ExperimentConfig",
+    "CONFIG_KEYS",
+    "REQUIRED_KEYS",
     "overall_efficiency",
     "transmission_efficiency",
     "binary_entropy",
@@ -58,7 +67,7 @@ class ChannelModel:
     """Symmetric fiber channel: each user sits `length_km` from the middle node."""
 
     beta: float  # fiber loss coefficient, dB/km
-    length_km: float
+    length_km: float = 0.0
 
     def __post_init__(self):
         if self.beta < 0:
@@ -243,40 +252,32 @@ def binary_entropy(x: float) -> float:
 # Config document:  lines of "section.key = value", "#" comments.
 # ---------------------------------------------------------------------------
 
-# key -> (type tag, required-ness handled separately)
-_KNOWN_KEYS = {
-    "channel.beta": float,
-    "channel.L": float,
-    "detector.eta_d": float,
-    "detector.p_d": float,
-    "system.e_d": float,
-    "system.f": float,
-    "source.kind": str,
-    "source.mu": float,
-    "source.trigger_eta_d": float,
-    "source.trigger_p_d": float,
-    "decoy.mu2": float,
-    "decoy.mu1": float,
-    "phase.K": int,
-    "sweep.L_min": float,
-    "sweep.L_max": float,
-    "sweep.L_step": float,
+# One row per key, in document order: key -> (type, required, field), the
+# field a dotted path into ExperimentConfig.
+CONFIG_KEYS = {
+    "channel.beta": (float, True, "system.channel.beta"),
+    "channel.L": (float, False, "system.channel.length_km"),
+    "detector.eta_d": (float, True, "system.detector.eta_d"),
+    "detector.p_d": (float, True, "system.detector.p_d"),
+    "system.e_d": (float, True, "system.e_d"),
+    "system.f": (float, True, "system.f"),
+    "source.kind": (str, True, "source.kind"),
+    "source.mu": (float, True, "source.mu"),
+    "source.trigger_eta_d": (float, False, "source.trigger.eta_d"),
+    "source.trigger_p_d": (float, False, "source.trigger.p_d"),
+    "decoy.mu2": (float, False, "decoy.mu2"),
+    "decoy.mu1": (float, True, "decoy.mu1"),
+    "phase.K": (int, False, "phase.k"),
+    "sweep.L_min": (float, False, "sweep.l_min"),
+    "sweep.L_max": (float, False, "sweep.l_max"),
+    "sweep.L_step": (float, False, "sweep.l_step"),
 }
 
-_REQUIRED_KEYS = (
-    "channel.beta",
-    "detector.eta_d",
-    "detector.p_d",
-    "system.e_d",
-    "system.f",
-    "source.kind",
-    "source.mu",
-    "decoy.mu1",
-)
+REQUIRED_KEYS = tuple(key for key, (_, required, _) in CONFIG_KEYS.items() if required)
 
 
 def _parse_value(key: str, raw: str, line_no: int):
-    kind = _KNOWN_KEYS[key]
+    kind = CONFIG_KEYS[key][0]
     raw = raw.strip()
     try:
         if kind is int:
@@ -309,95 +310,60 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"expected 'section.key = value', got {raw_line!r}", line=line_no)
         key, _, raw_value = line.partition("=")
         key = key.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError("unknown key", key=key, line=line_no)
         if key in values:
             raise ConfigError("duplicate key", key=key, line=line_no)
         values[key] = _parse_value(key, raw_value, line_no)
         lines[key] = line_no
 
-    for key in _REQUIRED_KEYS:
+    for key in REQUIRED_KEYS:
         if key not in values:
             raise ConfigError("missing required key", key=key)
 
-    def get(key, default=None):
-        return values.get(key, default)
-
-    def wrap(builder):
-        # Re-raise invariant violations with the line the offending key sits on.
+    def build(cls, owner, **defaults):
+        # The keys whose field belongs to `owner`, over `defaults`; an invariant
+        # violation is re-raised with the line its key sits on.
+        for key, (_, _, field) in CONFIG_KEYS.items():
+            parent, _, name = field.rpartition(".")
+            if parent == owner and key in values:
+                defaults[name] = values[key]
         try:
-            return builder()
+            return cls(**defaults)
         except ConfigError as exc:
-            if exc.key is not None and exc.line is None and exc.key in lines:
+            if exc.line is None and exc.key in lines:
                 raise ConfigError(exc.message, key=exc.key, line=lines[exc.key]) from None
             raise
 
-    channel = wrap(lambda: ChannelModel(
-        beta=get("channel.beta"), length_km=get("channel.L", 0.0)
-    ))
-    detector = wrap(lambda: DetectorModel(
-        eta_d=get("detector.eta_d"), p_d=get("detector.p_d")
-    ))
-    system = wrap(lambda: SystemParams(
-        channel=channel, detector=detector, e_d=get("system.e_d"), f=get("system.f")
-    ))
-
-    kind = get("source.kind")
+    channel = build(ChannelModel, "system.channel")
+    detector = build(DetectorModel, "system.detector")
+    system = build(SystemParams, "system", channel=channel, detector=detector)
     trigger = None
-    if kind == "heralded":
+    if values["source.kind"] == "heralded":
         # The trigger detector defaults to the main detector model (assumption,
         # flagged in the docs); override via source.trigger_*.
-        trigger = wrap(lambda: DetectorModel(
-            eta_d=get("source.trigger_eta_d", detector.eta_d),
-            p_d=get("source.trigger_p_d", detector.p_d),
-        ))
-    elif "source.trigger_eta_d" in values or "source.trigger_p_d" in values:
-        raise ConfigError("trigger keys only apply to heralded sources",
-                          key="source.trigger_eta_d")
-    source = wrap(lambda: SourceSpec(kind=kind, mu=get("source.mu"), trigger=trigger))
-
-    decoy = wrap(lambda: DecoyPlan(
-        mu2=get("decoy.mu2", source.mu), mu1=get("decoy.mu1")
-    ))
-
+        trigger = build(DetectorModel, "source.trigger", eta_d=detector.eta_d,
+                        p_d=detector.p_d)
+    else:
+        for key in values:
+            if key.startswith("source.trigger_"):
+                raise ConfigError("trigger keys only apply to heralded sources",
+                                  key=key, line=lines[key])
+    source = build(SourceSpec, "source", trigger=trigger)
+    decoy = build(DecoyPlan, "decoy", mu2=source.mu)
     # phase.K is only required once a phase-post-selection QSS run is asked for;
     # plain QCC configs omit the section.
-    phase = None
-    if "phase.K" in values:
-        phase = wrap(lambda: PhasePlan(k=get("phase.K")))
-
-    sweep = wrap(lambda: SweepGrid(
-        l_min=get("sweep.L_min", 0.0),
-        l_max=get("sweep.L_max", 250.0),
-        l_step=get("sweep.L_step", 1.0),
-    ))
-
+    phase = build(PhasePlan, "phase") if "phase.K" in values else None
     return ExperimentConfig(system=system, source=source, decoy=decoy,
-                            sweep=sweep, phase=phase)
+                            sweep=build(SweepGrid, "sweep"), phase=phase)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Emit the canonical config document; parse(serialize(cfg)) == cfg."""
-    sysp = cfg.system
-    src = cfg.source
-    out = [
-        f"channel.beta = {sysp.channel.beta!r}",
-        f"channel.L = {sysp.channel.length_km!r}",
-        f"detector.eta_d = {sysp.detector.eta_d!r}",
-        f"detector.p_d = {sysp.detector.p_d!r}",
-        f"system.e_d = {sysp.e_d!r}",
-        f"system.f = {sysp.f!r}",
-        f"source.kind = {src.kind}",
-        f"source.mu = {src.mu!r}",
-    ]
-    if src.trigger is not None:
-        out.append(f"source.trigger_eta_d = {src.trigger.eta_d!r}")
-        out.append(f"source.trigger_p_d = {src.trigger.p_d!r}")
-    out.append(f"decoy.mu2 = {cfg.decoy.mu2!r}")
-    out.append(f"decoy.mu1 = {cfg.decoy.mu1!r}")
-    if cfg.phase is not None:
-        out.append(f"phase.K = {cfg.phase.k}")
-    out.append(f"sweep.L_min = {cfg.sweep.l_min!r}")
-    out.append(f"sweep.L_max = {cfg.sweep.l_max!r}")
-    out.append(f"sweep.L_step = {cfg.sweep.l_step!r}")
+    out = []
+    for key, (_, _, field) in CONFIG_KEYS.items():
+        if attrgetter(field.rpartition(".")[0])(cfg) is None:  # no trigger, no phase plan
+            continue
+        value = attrgetter(field)(cfg)
+        out.append(f"{key} = {value if isinstance(value, str) else repr(value)}")
     return "\n".join(out) + "\n"

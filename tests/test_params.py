@@ -1,14 +1,16 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from mdighz import params
-from mdighz.params import (ChannelModel, ConfigError, DetectorModel, PhasePlan,
-                           SweepGrid, binary_entropy, overall_efficiency,
+from mdighz.cli import build_parser
+from mdighz.params import (SOURCE_KINDS, ChannelModel, ConfigError, DetectorModel,
+                           PhasePlan, SweepGrid, binary_entropy, overall_efficiency,
                            parse_config, serialize_config, transmission_efficiency)
 
-from conftest import QCC_CONFIG
+from conftest import CONFIG_DIR, QCC_CONFIG
 
 TEXT = QCC_CONFIG.format(eta_d=0.4, e_d=0.0, l_min=0, l_max=1, l_step=1)
 
@@ -150,7 +152,16 @@ class TestParseConfig:
         cfg2 = parse_config(text + "source.trigger_eta_d = 0.8\n")
         assert cfg2.source.trigger.eta_d == 0.8
 
-    @pytest.mark.parametrize("key", sorted(k for k, kind in params._KNOWN_KEYS.items()
+    @pytest.mark.parametrize("key, other", [("source.trigger_eta_d", "source.trigger_p_d"),
+                                            ("source.trigger_p_d", "source.trigger_eta_d")])
+    def test_trigger_key_on_other_source_names_itself(self, key, other):
+        # the first trigger key of the document is named, with its line
+        text = TEXT + f"{key} = 1e-7\n{other} = 0.5\n"
+        with pytest.raises(ConfigError, match="only apply to heralded") as err:
+            parse_config(text)
+        assert (err.value.key, err.value.line) == (key, len(TEXT.splitlines()) + 1)
+
+    @pytest.mark.parametrize("key", sorted(k for k, (kind, _, _) in params.CONFIG_KEYS.items()
                                            if kind is float))
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_float_rejected(self, key, value):
@@ -176,11 +187,75 @@ class TestParseConfig:
             cfg = parse_config(text)
             assert parse_config(serialize_config(cfg)) == cfg
 
-    @given(st.floats(0.01, 1.0), st.floats(0.0, 0.01), st.floats(0.0, 0.5),
-           st.floats(1.0, 2.0), st.floats(1e-4, 2.0))
-    def test_roundtrip_property(self, eta_d, p_d, e_d, f, mu):
-        text = (f"channel.beta = 0.19\ndetector.eta_d = {eta_d!r}\n"
-                f"detector.p_d = {p_d!r}\nsystem.e_d = {e_d!r}\nsystem.f = {f!r}\n"
-                f"source.kind = wcs\nsource.mu = {mu!r}\ndecoy.mu1 = {mu / 10!r}\n")
-        cfg = parse_config(text)
-        assert parse_config(serialize_config(cfg)) == cfg
+    @given(st.data())
+    def test_roundtrip_property(self, data):
+        # every required key, each optional key present or absent, in any order
+        kind = data.draw(st.sampled_from(SOURCE_KINDS))
+        mu = data.draw(st.floats(1e-4, 2.0))
+        draws = {
+            "channel.beta": st.floats(0.0, 1.0), "channel.L": st.floats(0.0, 500.0),
+            "detector.eta_d": st.floats(0.01, 1.0), "detector.p_d": st.floats(0.0, 0.01),
+            "system.e_d": st.floats(0.0, 0.5), "system.f": st.floats(1.0, 2.0),
+            "source.kind": st.just(kind), "source.mu": st.just(mu),
+            "source.trigger_eta_d": st.floats(0.0, 1.0),
+            "source.trigger_p_d": st.floats(0.0, 0.01),
+            "decoy.mu2": st.floats(mu / 9, 4.0), "decoy.mu1": st.just(mu / 10),
+            "phase.K": st.integers(1, 10**6), "sweep.L_min": st.floats(0.0, 100.0),
+            "sweep.L_max": st.floats(0.0, 300.0), "sweep.L_step": st.floats(0.5, 10.0),
+        }
+        assert list(draws) == list(params.CONFIG_KEYS)
+
+        def applies(key):  # trigger keys only on a heralded source
+            return not key.startswith("source.trigger_") or kind == "heralded"
+
+        chosen = [key for key in draws if key in params.REQUIRED_KEYS
+                  or applies(key) and data.draw(st.booleans(), label=key)]
+        lines = [f"{key} = {data.draw(draws[key], label=key)}" for key in chosen]
+        cfg = parse_config("\n".join(data.draw(st.permutations(lines))))
+        text = serialize_config(cfg)
+        assert parse_config(text) == cfg
+        keys = [line.split(" = ")[0] for line in text.splitlines()]
+        assert keys == [key for key in params.CONFIG_KEYS
+                        if applies(key) and (key != "phase.K" or key in chosen)]
+
+    # the manifest digest hashes these bytes: a heralded config with the trigger
+    # defaults, and a weak-coherent one with phase.K
+    SERIALIZED = {
+        "qss_heralded_eta40": (
+            "channel.beta = 0.2\nchannel.L = 0.0\ndetector.eta_d = 0.4\n"
+            "detector.p_d = 1e-07\nsystem.e_d = 0.015\nsystem.f = 1.16\n"
+            "source.kind = heralded\nsource.mu = 0.005\nsource.trigger_eta_d = 0.4\n"
+            "source.trigger_p_d = 1e-07\ndecoy.mu2 = 0.005\ndecoy.mu1 = 0.0005\n"
+            "sweep.L_min = 0.0\nsweep.L_max = 200.0\nsweep.L_step = 1.0\n"),
+        "qss_pps_eta40": (
+            "channel.beta = 0.2\nchannel.L = 0.0\ndetector.eta_d = 0.4\n"
+            "detector.p_d = 1e-07\nsystem.e_d = 0.0\nsystem.f = 1.16\n"
+            "source.kind = wcs\nsource.mu = 0.11\ndecoy.mu2 = 0.11\ndecoy.mu1 = 0.005\n"
+            "phase.K = 8\nsweep.L_min = 0.0\nsweep.L_max = 200.0\nsweep.L_step = 1.0\n"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SERIALIZED))
+    def test_serialized_bundled_config(self, name):
+        text = (CONFIG_DIR / f"{name}.cfg").read_text()
+        assert serialize_config(parse_config(text)) == self.SERIALIZED[name]
+
+
+class TestConfigSchema:
+    """The README and `--help` list the keys of `CONFIG_KEYS`."""
+
+    README = (CONFIG_DIR.parent / "README.md").read_text()
+
+    def test_readme_table_lists_every_key(self):
+        table = self.README.split("| key | meaning |", 1)[1].split("\n\n", 1)[0]
+        cells = [row.split("|")[1] for row in table.splitlines()[2:]]
+        keys = [key for cell in cells for key in re.findall(r"`([^`]+)`", cell)]
+        assert keys == list(params.CONFIG_KEYS)
+
+    def test_readme_required_keys(self):
+        sentence = re.search(r"Required keys: ((?:`[^`]+`,?\s*)+)\.", self.README)[1]
+        assert tuple(re.findall(r"`([^`]+)`", sentence)) == params.REQUIRED_KEYS
+
+    def test_help_required_keys(self):
+        epilog = build_parser().epilog
+        listed = epilog.split("Required keys: ", 1)[1].split(". ", 1)[0]
+        assert tuple(listed.split(", ")) == params.REQUIRED_KEYS
