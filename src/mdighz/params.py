@@ -190,8 +190,8 @@ class SweepGrid:
             raise ConfigError("sweep step must be > 0", key="sweep.L_step")
         if self.l_min < 0:
             raise ConfigError("sweep start must be >= 0", key="sweep.L_min")
-        # compared, never divided: the quotient overflows at the smallest steps
-        if self.l_max - self.l_min >= MAX_SWEEP_POINTS * self.l_step:
+        # distances()' own end test at n = MAX_SWEEP_POINTS: a step lost in rounding never ends it
+        if self.l_min + MAX_SWEEP_POINTS * self.l_step <= self.l_max + 1e-9:
             raise ConfigError(f"sweep grid exceeds {MAX_SWEEP_POINTS} distances; "
                               "raise the step or narrow the range", key="sweep.L_step")
 
@@ -331,8 +331,10 @@ def parse_config(text: str) -> ExperimentConfig:
         try:
             return cls(**defaults)
         except ConfigError as exc:
-            if exc.line is None and exc.key in lines:
-                raise ConfigError(exc.message, key=exc.key, line=lines[exc.key]) from None
+            of_trigger = owner == "source.trigger"  # DetectorModel errors name detector.* keys
+            key = exc.key.replace("detector.", "source.trigger_") if of_trigger else exc.key
+            if exc.line is None and key in lines:
+                raise ConfigError(exc.message, key=key, line=lines[key]) from None
             raise
 
     channel = build(ChannelModel, "system.channel")

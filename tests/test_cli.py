@@ -1,14 +1,20 @@
+import contextlib
 import dataclasses
+import hashlib
+import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from mdighz import __version__, cli, fock, gains, montecarlo
+from mdighz import __version__, cli, fock, gains, montecarlo, params
 
 from conftest import CONFIG_DIR, config_copy
 
@@ -37,6 +43,15 @@ print(repr((z.a, z.b, z.c, z.d)))
 """
 
 
+LEAN = """
+import sys
+from mdighz import cli
+
+code = cli.main(sys.argv[1:])
+print(code, sorted(m for m in ("hashlib", "_hashlib") if m in sys.modules))
+"""
+
+
 class TestImports:
     def test_runs_without_scipy(self):
         env = dict(os.environ, PYTHONPATH=str(Path(gains.__file__).resolve().parents[1]))
@@ -45,6 +60,28 @@ class TestImports:
         assert done.returncode == 0, done.stderr
         z = gains.z_gain_components(2.0, 2.0, 2.0, 0.9, 1e-7)
         assert done.stdout.strip() == repr((z.a, z.b, z.c, z.d))
+
+    def test_curve_process_maps_no_openssl(self, tmp_path):
+        # the manifest digest takes the builtin SHA-256 module; hashlib would
+        # load _hashlib and with it OpenSSL
+        if not any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2")):
+            pytest.skip("this interpreter has no builtin SHA-256 module")
+        env = dict(os.environ, PYTHONPATH=str(Path(gains.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", LEAN, "qcc", "--config",
+                               str(CONFIG_DIR / "qcc_eta40.cfg"), "--quick",
+                               "--out", str(tmp_path / "qcc.csv")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 []"
+
+
+class TestDigest:
+    @given(st.text(), st.sampled_from(["qcc", "qss", "mermin", "validate", "optimize"]),
+           st.integers(0, 2 ** 64 - 1))
+    def test_equals_hashlib_sha256_of_the_payload(self, text, command, seed):
+        payload = json.dumps({"tool": "mdighz", "version": __version__, "command": command,
+                              "seed": seed, "config": text}, sort_keys=True)
+        assert cli._digest(text, command, seed) == hashlib.sha256(payload.encode()).hexdigest()
 
 
 class TestParser:
@@ -467,3 +504,41 @@ class TestExitCodeContract:
         assert [l for l in out.read_text().splitlines() if not l.startswith("#")] == [
             "distance_km,rate_two_decoy,rate_infinite_decoy,raw_rate,e111_bzu,Y111_xl,Q_x,E_x,"
             "diagnostics"]
+
+    EDGES = ("0", "-0.0", "5e-324", "1e-300", "1", "1e300", "nan", "inf")
+    HUGE_K = (str(10 ** 150), str(10 ** 200))  # K^2 still a float, and overflowing
+    COMMANDS = (["qcc"], ["qss"], ["mermin"], ["validate", "--quick"],
+                ["optimize", "--variant", "qcc", "--points", "3", "--rounds", "1"],
+                ["optimize", "--variant", "qss", "--points", "3", "--rounds", "1"])
+
+    @given(st.data())
+    def test_edited_bundled_config_keeps_the_contract(self, data):
+        # a bundled config cut to the three distances 0, 1 and 2 km (every
+        # bundled grid starts at 0), with one to three keys of the schema each
+        # set to an edge value, dropped or duplicated
+        name = data.draw(st.sampled_from(sorted(p.stem for p in CONFIG_DIR.glob("*.cfg"))))
+        lines = [line for line in (CONFIG_DIR / f"{name}.cfg").read_text().splitlines()
+                 if not line.startswith(("#", "sweep.L_max", "sweep.L_step"))]
+        lines += ["sweep.L_max = 2", "sweep.L_step = 1"]
+        keys = data.draw(st.lists(st.sampled_from(list(params.CONFIG_KEYS)), min_size=1,
+                                  max_size=3, unique=True))
+        for key in keys:
+            values = self.EDGES + (self.HUGE_K if key == "phase.K" else ())
+            edit = data.draw(st.sampled_from(values + ("missing", "duplicated")), label=key)
+            present = [line for line in lines if line.partition("=")[0].strip() == key]
+            if edit == "duplicated":
+                lines += present if present else [f"{key} = 1"] * 2
+            else:
+                lines = [line for line in lines if line not in present]
+                lines += [] if edit == "missing" else [f"{key} = {edit}"]
+        command = data.draw(st.sampled_from(self.COMMANDS))
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "edited.cfg"
+            cfg.write_text("\n".join(lines) + "\n")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(command + ["--config", str(cfg), "--out", f"{tmp}/out.csv"])
+        assert code in (0, 2, 3, 4), err.getvalue()
+        if code in (2, 4):
+            assert err.getvalue().strip()
+        assert "Traceback" not in err.getvalue()

@@ -161,6 +161,19 @@ class TestParseConfig:
             parse_config(text)
         assert (err.value.key, err.value.line) == (key, len(TEXT.splitlines()) + 1)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("source.trigger_eta_d", "1.5", "detector efficiency must be in [0, 1]"),
+        ("source.trigger_p_d", "1", "dark-count probability must be in [0, 1)"),
+    ])
+    def test_out_of_range_trigger_names_its_own_key(self, key, value, message):
+        # the trigger is a DetectorModel, whose invariants name the main
+        # detector's keys; the error names the trigger key and its line
+        text = (CONFIG_DIR / "qss_heralded_eta40.cfg").read_text() + f"{key} = {value}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert (err.value.message, err.value.key, err.value.line) == (
+            message, key, len(text.splitlines()))
+
     @pytest.mark.parametrize("key", sorted(k for k, (kind, _, _) in params.CONFIG_KEYS.items()
                                            if kind is float))
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -178,6 +191,15 @@ class TestParseConfig:
         text = QCC_CONFIG.format(eta_d=0.4, e_d=0.0, l_min=0, l_max=l_max, l_step=l_step)
         with pytest.raises(ConfigError, match="sweep grid") as err:
             parse_config(text)
+        assert err.value.key == "sweep.L_step"
+
+    @pytest.mark.parametrize("l_min, l_max, l_step", [(0, 0, 5e-324), (0, 0, 1e-300),
+                                                      (1e300, 1e300, 1)])
+    def test_step_lost_in_rounding_rejected(self, l_min, l_max, l_step):
+        # a step below the 1e-9 end slack, or lost when added to l_min, never
+        # ended the distance loop although the range is empty
+        with pytest.raises(ConfigError, match="sweep grid") as err:
+            SweepGrid(l_min, l_max, l_step)
         assert err.value.key == "sweep.L_step"
 
     def test_roundtrip_identity(self):
