@@ -21,19 +21,24 @@ the preparation, so one call draws each chunk once and evaluates every
 preparation on it: its preparations see common random numbers, and their
 counts are correlated, not independent samples.
 
-Streaming: only the phases are drawn whole.  The integers, then the
-uniforms, are drawn BLOCK_SAMPLES rows at a time, and each block of clicks is
-evaluated in reused block buffers before the next block of uniforms is drawn.
-Successive draws from one generator continue its stream, and every element
-sees the float operations of a whole-chunk evaluation in the same order, so
-the counts do not depend on BLOCK_SAMPLES.
+Streaming: no array spans the chunk.  Philox is counter-based (Salmon et
+al., SC'11): one counter step yields four 64-bit outputs, so `_stream`
+reaches any position of a substream in O(1).  A chunk reads its substream
+through three cursors, at the offsets of the layout above in 64-bit outputs
+(a double takes one, a 0/1 integer half of one): the phases at 0, the
+half-circle integers at 3n, the click uniforms at 3n + ceil(3n/2) when the
+phases are sliced and at 3n otherwise.  Each block of BLOCK_SAMPLES rows
+draws its phases, integers and uniforms from the cursors and is evaluated
+in reused block buffers before the next block is drawn.  Every element sees
+the draws and the float operations of a whole-chunk evaluation in the same
+order, so the counts do not depend on BLOCK_SAMPLES.
 
 Threads: the chunks of a call run on a thread pool, one thread per chunk up
 to the CPUs this process may run on (`chunk_plan`); a single chunk runs on
 the calling thread.  The counts are integer sums over substreams, so they do
 not depend on the thread count or on which chunk finishes first.  Workers
-share only read-only inputs: each holds its chunk's phases, 24 bytes per
-sample (12.6 MB at CHUNK_SAMPLES), plus about 1 MB of block buffers.
+share only read-only inputs: each holds about 1-2 MB of block buffers,
+whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -100,62 +105,81 @@ def chunk_plan(samples: int) -> tuple[int, int]:
     return chunks, min(chunks, cpus)
 
 
+def _stream(seed: int, index: int, offset: int) -> np.random.Generator:
+    """A generator on substream `index` of `seed`, positioned after the
+    substream's first `offset` 64-bit outputs: one Philox counter step yields
+    four outputs, so the position is reached in O(1)."""
+    bits = np.random.Philox(key=seed).jumped(index)
+    bits.advance(offset // 4)
+    bits.random_raw(offset % 4)
+    return np.random.Generator(bits)
+
+
 def _chunk_counts(ws, p_d: float, slice_k, seed: int, index: int, n: int) -> np.ndarray:
     """(phi+, phi-) counts of chunk `index`, n samples, one row per amplitude
-    matrix of ws; every matrix is evaluated on the same draws.  Only the
-    phases are held for the whole chunk: the clicks are drawn and evaluated
-    one block of BLOCK_SAMPLES samples at a time."""
-    rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
-    phases = rng.random((n, 3))
-    blocks = [slice(start, min(start + BLOCK_SAMPLES, n))
-              for start in range(0, n, BLOCK_SAMPLES)]
+    matrix of ws; every matrix is evaluated on the same draws.  The phases,
+    half-circle integers and click uniforms are read block by block, each
+    from its own place in the chunk's substream."""
+    # a double takes one 64-bit output, a 0/1 integer half of one
+    phase_rng = _stream(seed, index, 0)
+    offset = 3 * n
     if slice_k:
-        # matched-region phases: first region, both half-circle copies; the
-        # stream holds every integer before the first click uniform
-        phases *= np.pi / slice_k
-        for rows in blocks:
-            block = phases[rows]
-            np.add(block, np.pi, out=block, where=rng.integers(0, 2, block.shape) == 1)
-    else:
-        phases *= 2.0 * np.pi
+        half_rng = _stream(seed, index, offset)
+        offset += -(-offset // 2)
+    uniform_rng = _stream(seed, index, offset)
     # per matrix and party pair, the interference weight of each output; one
     # cosine per pair that some matrix weights
     weights = [[2.0 * w[:, p] * w[:, q] for p, q in _PAIRS] for w in ws]
     cosine_needed = [any(pairs[k].any() for pairs in weights) for k in range(len(_PAIRS))]
     bases = [(w * w).sum(axis=1) for w in ws]
+
+    def detector(i, base, pairs):
+        """The (weight, pair) terms of output i's mean photon number and its
+        base, or no terms and the constant threshold (a numpy scalar, so exp
+        takes its scalar path)."""
+        terms = [(weight[i], k) for k, weight in enumerate(pairs) if weight[i]]
+        return (terms, base[i]) if terms else ((), 1.0 - (1.0 - p_d) * np.exp(-base[i]))
+
+    detectors = [[detector(i, base, pairs) for base, pairs in zip(bases, weights)]
+                 for i in range(6)]
     # one block's buffers, overwritten by every block
     size = min(n, BLOCK_SAMPLES)
-    cosine_rows, uniform_rows = np.empty((len(_PAIRS), size)), np.empty((size, 6))
-    float_rows = np.empty((3, size))
+    phase_rows, uniform_rows = np.empty((size, 3)), np.empty((size, 6))
+    cosine_rows, float_rows = np.empty((len(_PAIRS), size)), np.empty((3, size))
     clicked_row, shifted_row = np.empty(size, dtype=bool), np.empty(size, dtype=np.uint8)
     code_rows = np.empty((len(ws), size), dtype=np.uint8)
     hists = np.zeros((len(ws), 64), dtype=np.int64)
-    for rows in blocks:
-        m = rows.stop - rows.start
+    for start in range(0, n, BLOCK_SAMPLES):
+        m = min(BLOCK_SAMPLES, n - start)
         column, mean, term = float_rows[:, :m]
         clicked, shifted, codes = clicked_row[:m], shifted_row[:m], code_rows[:, :m]
-        cosines = [np.cos(np.subtract(phases[rows, p], phases[rows, q], out=row[:m]),
+        phases = phase_rng.random(out=phase_rows[:m])
+        if slice_k:
+            # matched-region phases: first region, both half-circle copies
+            phases *= np.pi / slice_k
+            phases += np.pi * (half_rng.integers(0, 2, phases.shape) == 1)
+        else:
+            phases *= 2.0 * np.pi
+        cosines = [np.cos(np.subtract(phases[:, p], phases[:, q], out=row[:m]),
                           out=row[:m]) if needed else None
                    for (p, q), needed, row in zip(_PAIRS, cosine_needed, cosine_rows)]
-        uniforms = rng.random(out=uniform_rows[:m])
+        uniforms = uniform_rng.random(out=uniform_rows[:m])
         codes[:] = 0
-        for i in range(6):
+        for i, matrices in enumerate(detectors):
             np.copyto(column, uniforms[:, i])  # one strided read serves every matrix
-            for code, base, pairs in zip(codes, bases, weights):
-                # a constant mean photon number, or the row `mean` of m
-                terms = [(weight[i], cos) for weight, cos in zip(pairs, cosines) if weight[i]]
-                if terms:
-                    (weight, cos), *rest = terms
-                    np.multiply(cos, weight, out=mean)
-                    mean += base[i]
-                    for weight, cos in rest:
-                        mean += np.multiply(weight, cos, out=term)
+            for code, (terms, constant) in zip(codes, matrices):
+                if terms:  # the row `mean` of m
+                    (weight, k), *rest = terms
+                    np.multiply(cosines[k], weight, out=mean)
+                    mean += constant
+                    for weight, k in rest:
+                        mean += np.multiply(weight, cosines[k], out=term)
                     np.negative(mean, out=mean)
                     np.exp(mean, out=mean)
                     mean *= 1.0 - p_d
                     threshold = np.subtract(1.0, mean, out=mean)
-                else:  # a numpy scalar, so exp takes its scalar path
-                    threshold = 1.0 - (1.0 - p_d) * np.exp(-base[i])
+                else:
+                    threshold = constant
                 np.less(column, threshold, out=clicked)
                 code |= np.left_shift(clicked.view(np.uint8), i, out=shifted)
         for hist, code in zip(hists, codes):

@@ -194,6 +194,13 @@ class SweepGrid:
         if self.l_min + MAX_SWEEP_POINTS * self.l_step <= self.l_max + 1e-9:
             raise ConfigError(f"sweep grid exceeds {MAX_SWEEP_POINTS} distances; "
                               "raise the step or narrow the range", key="sweep.L_step")
+        # a step lost in rounding repeats a distance; a distance is off by at
+        # most 1.5 ulps and 0.5e-9 (its 9 digits), so a longer step cannot be
+        if self.l_step <= 4 * math.ulp(self.l_max + self.l_step) + 2e-9:
+            distances = self.distances()
+            if any(a == b for a, b in zip(distances, distances[1:])):
+                raise ConfigError("sweep step is lost in rounding: two distances are "
+                                  "equal; raise the step", key="sweep.L_step")
 
     def distances(self) -> list[float]:
         out = []

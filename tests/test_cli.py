@@ -505,6 +505,17 @@ class TestExitCodeContract:
             "distance_km,rate_two_decoy,rate_infinite_decoy,raw_rate,e111_bzu,Y111_xl,Q_x,E_x,"
             "diagnostics"]
 
+    def test_repeated_distance_exits_2(self, tmp_path, capsys):
+        # a step below the float spacing at 1e16 km would write 1,001 equal rows
+        cfg = config_copy(tmp_path, "qcc_eta40", ("sweep.L_min = 0", "sweep.L_min = 1e16"),
+                          ("sweep.L_max = 250", "sweep.L_max = 1e16"),
+                          ("sweep.L_step = 1", "sweep.L_step = 1e-3"))
+        out = tmp_path / "out.csv"
+        assert cli.main(["qcc", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "sweep.L_step" in err and "two distances are equal" in err
+        assert "Traceback" not in err and not out.exists()
+
     EDGES = ("0", "-0.0", "5e-324", "1e-300", "1", "1e300", "nan", "inf")
     HUGE_K = (str(10 ** 150), str(10 ** 200))  # K^2 still a float, and overflowing
     COMMANDS = (["qcc"], ["qss"], ["mermin"], ["validate", "--quick"],

@@ -2,6 +2,7 @@ import concurrent.futures
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,26 @@ class TestDeterminism:
 
 BLOCK = montecarlo.BLOCK_SAMPLES
 BRIGHT = ((0.8, 0.8, 0.8), TestDeterminism.BRIGHT_ETA, 0.01)
+PREPARATIONS = ("HHH", "HHV", "VHH", "HVH", "+++")  # validate's unsliced call
+# chunk sizes whose integer (3n) and sliced uniform (3n + ceil(3n/2)) offsets
+# each take every position within a four-output Philox counter step
+CHUNK_SIZES = (1, 2, 3, 5, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 3 * BLOCK + 17)
+
+
+class TestStream:
+    """The cursors a chunk reads its substream through."""
+
+    @given(seed=st.sampled_from([0, 1, 2 ** 64 - 1]), index=st.integers(0, 3),
+           offset=st.integers(0, 40) | st.integers(3 * montecarlo.CHUNK_SAMPLES - 9,
+                                                   3 * montecarlo.CHUNK_SAMPLES + 9))
+    def test_positioned_at_the_offset_of_the_substream(self, seed, index, offset):
+        whole = np.random.Philox(key=seed).jumped(index).random_raw(offset + 8)
+        cursor = montecarlo._stream(seed, index, offset)
+        assert np.array_equal(cursor.bit_generator.random_raw(8), whole[offset:])
+
+    def test_chunk_sizes_cover_every_position_in_a_counter_step(self):
+        assert {3 * n % 4 for n in CHUNK_SIZES} == set(range(4))
+        assert {(3 * n + -(-3 * n // 2)) % 4 for n in CHUNK_SIZES} == set(range(4))
 
 
 class TestStreamedChunk:
@@ -87,7 +108,7 @@ class TestStreamedChunk:
            slice_k=st.sampled_from([None, 1, 3, 8]),
            seed=st.sampled_from([0, 1, 7, 2 ** 64 - 1]),
            index=st.integers(0, 3),
-           n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17]))
+           n=st.sampled_from(CHUNK_SIZES))
     def test_counts_equal_the_whole_chunk_reference(self, preparations, intensities, eta,
                                                     p_d, slice_k, seed, index, n):
         ws = amplitude_matrices(preparations, intensities, eta)
@@ -95,6 +116,25 @@ class TestStreamedChunk:
         assert np.array_equal(streamed, chunk_counts_reference(ws, p_d, slice_k, seed,
                                                                index, n))
         assert streamed.shape == (len(preparations), 2)
+
+    @pytest.mark.parametrize("slice_k", [None, 8])
+    def test_chunk_memory_does_not_grow_with_the_chunk(self, slice_k):
+        # the peak of the memory a chunk allocates, as tracemalloc sees
+        # numpy's arrays, for validate's five preparations on one chunk
+        ws = amplitude_matrices(PREPARATIONS, *BRIGHT[:2])
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                montecarlo._chunk_counts(ws, BRIGHT[2], slice_k, 1, 0, n)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # the first call imports numpy.random
+        mib = 1 << 20
+        whole, blocks = peak(montecarlo.CHUNK_SAMPLES), peak(4 * BLOCK)
+        assert whole < 2.5 * mib and whole - blocks < 0.5 * mib
 
 
 def _with_cpus(monkeypatch, cpus):
@@ -104,8 +144,6 @@ def _with_cpus(monkeypatch, cpus):
 
 class TestPool:
     """Chunks on a thread pool: the counts of the calling thread, bit for bit."""
-
-    PREPARATIONS = ("HHH", "HHV", "VHH", "HVH", "+++")
 
     @pytest.mark.parametrize("slice_k", [None, 8])
     @pytest.mark.parametrize("chunks", [1, 2, 20])
@@ -118,9 +156,9 @@ class TestPool:
         for cpus in (1, 2):
             _with_cpus(monkeypatch, cpus)
             assert montecarlo.chunk_plan(cfg.samples) == (chunks, min(chunks, cpus))
-            runs[cpus] = mc_coherent_gains(self.PREPARATIONS, *BRIGHT, cfg, slice_k)
+            runs[cpus] = mc_coherent_gains(PREPARATIONS, *BRIGHT, cfg, slice_k)
         # the sum of the reference's chunks, each on its own substream
-        ws = amplitude_matrices(self.PREPARATIONS, *BRIGHT[:2])
+        ws = amplitude_matrices(PREPARATIONS, *BRIGHT[:2])
         reference = sum(chunk_counts_reference(ws, BRIGHT[2], slice_k, cfg.seed, index,
                                                min(2500, cfg.samples - 2500 * index))
                         for index in range(chunks))

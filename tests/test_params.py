@@ -202,6 +202,27 @@ class TestParseConfig:
             SweepGrid(l_min, l_max, l_step)
         assert err.value.key == "sweep.L_step"
 
+    @pytest.mark.parametrize("l_min, l_max, l_step", [(1e16, 1e16, 1e-3),
+                                                      (1e16, 1e16 + 4, 1.0)])
+    def test_repeated_distance_rejected(self, l_min, l_max, l_step):
+        # 1,001 copies of 1e16; six distances holding three values
+        with pytest.raises(ConfigError, match="two distances are equal") as err:
+            SweepGrid(l_min, l_max, l_step)
+        assert err.value.key == "sweep.L_step"
+
+    @given(l_min=st.sampled_from([0.0, 1.0, 250.0, 1e6, 1e12, 1e16, 3e16, 1e17]),
+           ulps=st.floats(1 / 64, 64), points=st.integers(0, 40),
+           reach=st.floats(0.5, 1.5))
+    def test_accepted_grid_never_repeats_a_distance(self, l_min, ulps, points, reach):
+        # steps around the float spacing at l_min and around the 1e-9 rounding
+        l_step = max(ulps * math.ulp(l_min), ulps * 1e-9)
+        try:
+            distances = SweepGrid(l_min, l_min + points * l_step * reach, l_step).distances()
+        except ConfigError as err:
+            assert err.key == "sweep.L_step"
+        else:
+            assert all(a < b for a, b in zip(distances, distances[1:]))
+
     def test_roundtrip_identity(self):
         for kind, extra in (("wcs", "phase.K = 8\n"), ("heralded", ""), ("wcs_qnd", "")):
             text = QCC_CONFIG.format(eta_d=0.93, e_d=0.015, l_min=0, l_max=37,
