@@ -27,8 +27,10 @@ thinned by the detector efficiency, and the joint thinned weights are
 contracted against the ideal-detector class components of a fixed set of
 photon-number triples, free of any distance.  A source model builds these
 components once per decoy plan and certifies the truncation of every
-combination of its decoy levels then; each decoy grid then thins each level
-once.
+combination of its decoy levels then; each row (a distance or a trial) then
+thins each of its levels once, and the joint weights of the decoy grids of
+all rows of a call go through one contraction, in pieces of at most
+_WEIGHT_FLOATS weights (128 KiB).
 
 Conventions: a "gain" Q is the per-pulse-triple probability of one announced
 outcome class and includes the 1/8 preparation probability of the specific
@@ -81,6 +83,10 @@ _COSH_STRIPS = np.cosh(np.vstack([[0.0], _STRIPS]))  # the real line first
 # The transient floats of one evaluation (1 MiB): 18 decoy grids at 8 points
 # per axis, 5 at 16.  Uncapped, the ten full curves took 7.9 MB more memory.
 _STACK_FLOATS = 2 ** 17
+# The joint thinned weights of one Fock contraction piece (128 KiB): 7 triples
+# at the 12-photon cutoff, 2,048 behind the <=1-photon filter.  1 MiB pieces
+# raised the fock_sweep workload's peak RSS by 0.9 MB.
+_WEIGHT_FLOATS = 2 ** 14
 
 A_CONSISTENCY_RTOL = 1e-12
 
@@ -635,22 +641,31 @@ def _thin(dist: np.ndarray, thinning: np.ndarray, k: int) -> np.ndarray:
     return dist @ thinning[:len(dist), :k]
 
 
-def thinned_gain_sets(comps, levels, index_triples, thinning, e_d) -> list[GainSet]:
-    """GainSets of independent users, one per triple of indices into `levels`
-    (photon-number distributions): each level is thinned by the detector
-    efficiency once, and each triple's joint thinned weights are contracted
-    against the ideal-detector class components (6, k, k, k).  Every term is
+def thinned_gain_sets(comps, rows, index_triples, e_d) -> list[list[GainSet]]:
+    """GainSets of independent users, for each row (its photon-number
+    distributions `levels`, its thinning matrix) one per triple of indices
+    into its levels: each level is thinned by the detector efficiency once,
+    and the joint thinned weights of every row and triple are contracted
+    against the ideal-detector class components (6, k, k, k), in pieces of at
+    most _WEIGHT_FLOATS weights, with one gemv per triple.  Every term is
     nonnegative, so the sums keep full relative precision."""
     k = comps.shape[-1]
     flat = comps.reshape(len(comps), -1)
-    thinned = [_thin(np.asarray(x, dtype=float)[:len(thinning)], thinning, k) for x in levels]
+    sizes = [len(levels) for levels, _ in rows]
+    thinned = np.empty((sum(sizes), k))
+    for i, (x, thinning) in enumerate((x, t) for levels, t in rows for x in levels):
+        thinned[i] = _thin(np.asarray(x, dtype=float)[:len(thinning)], thinning, k)
+    starts = np.cumsum([0, *sizes[:-1]])
+    triples = np.reshape(index_triples, (-1, 3))
+    n, step = len(rows) * len(triples), max(1, _WEIGHT_FLOATS // k ** 3)
     sets = []
-    for triple in index_triples:
-        a, b, c = (thinned[i] for i in triple)
-        w = (a[:, None] * b[None, :])[:, :, None] * c[None, None, :]
-        q = (flat @ w.ravel()).tolist()
-        sets.append(assemble_gain_set(*q, e_d))
-    return sets
+    for s in range(0, n, step):
+        row, j = np.divmod(np.arange(s, min(s + step, n)), len(triples))
+        a, b, c = thinned[(starts[row, None] + triples[j]).T]
+        w = (a[:, :, None] * b[:, None, :])[:, :, :, None] * c[:, None, None, :]
+        q = np.matmul(flat, w.reshape(len(w), -1, 1))[:, :, 0].tolist()
+        sets += [assemble_gain_set(*x, e_d) for x in q]
+    return [sets[i:i + len(triples)] for i in range(0, n, len(triples))]
 
 
 def _triple_weights(dists, floor):

@@ -157,7 +157,9 @@ def _wcs_model(cfg: ExperimentConfig):
 def _heralded_model(cfg: ExperimentConfig):
     """Triggered pair sources: the level distributions, their truncation
     certificate and their class components hold no distance; they are built
-    once per decoy plan, the plan of a sweep's every row or of one trial."""
+    once per decoy plan, the plan of a sweep's every row or of one trial.
+    The rows of a call go into one Fock contraction per plan among them, in
+    row order."""
     p_d, e_d, trigger = cfg.system.detector.p_d, cfg.system.e_d, cfg.source.trigger
     yields = fock.single_photon_yields(p_d)
 
@@ -169,13 +171,20 @@ def _heralded_model(cfg: ExperimentConfig):
         return (levels, comps, decoy.distribution_level(levels[2]),
                 decoy.distribution_level(levels[1]), float(levels[2][0]), float(levels[2][1]) ** 3)
 
-    def at(plan: DecoyPlan, params: SystemParams) -> SourcePoint:
-        levels, comps, signal, decoy_level, p_vacuum, p111 = plan_part(plan)
-        eta = overall_efficiency(params.channel, params.detector)
-        grid = gains.thinned_gain_sets(comps, levels, decoy.GRID, fock.thinning_matrix(eta), e_d)
-        return SourcePoint(grid, signal, decoy_level,
-                           fock.exact_single_photon_stats(eta, yields, e_d), p_vacuum, p111)
-    return lambda rows: [at(*row) for row in rows]
+    def at(rows) -> list[SourcePoint]:
+        etas = [overall_efficiency(p.channel, p.detector) for _, p in rows]
+        points = [None] * len(rows)
+        for plan in dict.fromkeys(plan for plan, _ in rows):
+            levels, comps, signal, decoy_level, p_vacuum, p111 = plan_part(plan)
+            mine = [i for i, (other, _) in enumerate(rows) if other == plan]
+            grids = gains.thinned_gain_sets(
+                comps, [(levels, fock.thinning_matrix(etas[i])) for i in mine], decoy.GRID, e_d)
+            for i, grid in zip(mine, grids):
+                points[i] = SourcePoint(grid, signal, decoy_level,
+                                        fock.exact_single_photon_stats(etas[i], yields, e_d),
+                                        p_vacuum, p111)
+        return points
+    return at
 
 
 def _qnd_model(cfg: ExperimentConfig):
@@ -185,20 +194,24 @@ def _qnd_model(cfg: ExperimentConfig):
     recovers the filtered single-photon yield at the bare detector efficiency.
     Events with two or more photons in an arm are discarded, not renormalized.
     Only the detector thins the filtered photons, so the class components, the
-    thinning and the exact reference hold neither distance nor plan."""
+    thinning and the exact reference hold neither distance nor plan, and the
+    rows of a call go into one Fock contraction, whatever their plans."""
     det, e_d = cfg.system.detector, cfg.system.e_d
     comps = gains.class_yields(np.ones((2, 2, 2), dtype=bool), det.p_d)
     thinning = fock.thinning_matrix(det.eta_d)
     exact = fock.exact_single_photon_stats(det.eta_d, fock.single_photon_yields(det.p_d), e_d)
 
-    def at(plan: DecoyPlan, params: SystemParams) -> SourcePoint:
-        eta_t = transmission_efficiency(params.channel)
-        lam = [mu * eta_t for mu in (0.0, plan.mu1, plan.mu2)]
-        levels = [(exp(-x), x * exp(-x)) for x in lam]
-        grid = gains.thinned_gain_sets(comps, levels, decoy.GRID, thinning, e_d)
-        return SourcePoint(grid, decoy.poisson_level(lam[2]), decoy.poisson_level(lam[1]),
-                           exact, exp(-plan.mu2), _poisson_p111(lam[2]))
-    return lambda rows: [at(*row) for row in rows]
+    def at(rows) -> list[SourcePoint]:
+        eta_ts = [transmission_efficiency(p.channel) for _, p in rows]
+        lams = [[mu * eta_t for mu in (0.0, plan.mu1, plan.mu2)]
+                for (plan, _), eta_t in zip(rows, eta_ts)]
+        grids = gains.thinned_gain_sets(
+            comps, [([(exp(-x), x * exp(-x)) for x in lam], thinning) for lam in lams],
+            decoy.GRID, e_d)
+        return [SourcePoint(grid, decoy.poisson_level(lam[2]), decoy.poisson_level(lam[1]),
+                            exact, exp(-plan.mu2), _poisson_p111(lam[2]))
+                for (plan, _), lam, grid in zip(rows, lams, grids)]
+    return at
 
 
 _MODELS = {"wcs": _wcs_model, "heralded": _heralded_model, "wcs_qnd": _qnd_model}
@@ -206,9 +219,12 @@ _MODELS = {"wcs": _wcs_model, "heralded": _heralded_model, "wcs_qnd": _qnd_model
 
 def source_model(cfg: ExperimentConfig):
     """The config's source as one function of rows (decoy plan, the config's
-    system at a distance) -> one SourcePoint each: a sweep's rows share the
-    config's plan, a search round's share one distance.  The work that holds
-    no distance and no plan is done here, that of a plan once per plan."""
+    system at a distance) -> one SourcePoint each, in row order: a sweep's
+    rows share the config's plan, a search round's share one distance.  All
+    three models take the rows of a call together, the weak-coherent one in
+    stacked quadratures, the heralded and QND ones in stacked Fock
+    contractions.  The work that holds no distance and no plan is done here,
+    that of a plan once per plan."""
     return _MODELS[cfg.source.kind](cfg)
 
 

@@ -58,7 +58,8 @@ def fock_gain_set(dists, eta, p_d, e_d=0.0, tail_budget=1e-12):
     class components built for those three distributions alone."""
     triple = [(0, 1, 2)]
     comps = gains.fock_components(dists, triple, p_d, tail_budget)
-    return gains.thinned_gain_sets(comps, dists, triple, fock.thinning_matrix(eta), e_d)[0]
+    return gains.thinned_gain_sets(comps, [(dists, fock.thinning_matrix(eta))], triple,
+                                   e_d)[0][0]
 
 
 def cutoff_km(points):

@@ -4,6 +4,7 @@ import math
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from mdighz import checks, cli, decoy, fock, gains
@@ -27,6 +28,13 @@ def perturb(monkeypatch, module, name, change, when=None):
         return change(value) if when is None or when(*args) else value
 
     monkeypatch.setattr(module, name, patched)
+
+
+def one_entry_off(table, by):
+    """The table with its first nonzero entry moved by `by`."""
+    table = table.copy()
+    table.flat[np.flatnonzero(table)[0]] += by
+    return table
 
 
 def test_nan_mixed_class_fails_validate(monkeypatch, tmp_path):
@@ -80,10 +88,12 @@ def test_wrong_diagonal_basis_bounds_fail_validate(monkeypatch, tmp_path, config
     (fock, "ideal_detector_table", lambda t: t * 1.001, None, "fock", ["fock:closed-form"]),
     (fock, "ideal_detector_table", lambda t: t * math.nan, None, "fock", ["fock:closed-form"]),
     (fock, "ideal_detector_table", lambda t: t[:, ::-1], None, "fock", ["fock:closed-form"]),
+    (fock, "ideal_detector_table", lambda t: one_entry_off(t, 1e-9), None, "fock",
+     ["fock:closed-form"]),
 ], ids=["mc", "samepol", "mixedclass", "mixedclass-nan", "signclasses", "bracket",
         "bracket-inf", "bracket-missing-bound", "bracket-diagonal-yield",
         "bracket-rectilinear-error", "bracket-missing-rectilinear-error", "closed-form",
-        "closed-form-nan", "closed-form-outcomes-swapped"])
+        "closed-form-nan", "closed-form-outcomes-swapped", "closed-form-one-entry"])
 def test_perturbed_input_fails_its_rows(monkeypatch, module, name, change, when, family,
                                         failing):
     assert all(row.passed for row in FAMILIES[family]())

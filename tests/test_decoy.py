@@ -166,6 +166,42 @@ class TestWcsBounds:
         assert at_darks(5e-7) >= at_darks(1e-7) - 1e-12
 
 
+class TestClamps:
+    """Each clamp acts at its documented threshold and leaves its diagnostic:
+    yield bounds are floored at 0, error bounds capped at 1/2."""
+
+    SIGNAL, DECOY = poisson_level(0.5), poisson_level(0.1)
+    DENOMINATOR = SIGNAL.c1 ** 2 * DECOY.c1 ** 2 * (SIGNAL.c2 * DECOY.c1 - DECOY.c2 * SIGNAL.c1)
+
+    def bounds(self, **entries):
+        """The bounds of a grid that is 0 except for the given GRID triples."""
+        grid = [stub_gain_set()] * len(GRID)
+        for name, gain_set in entries.items():
+            grid[GRID.index(tuple(int(c) for c in name[1:]))] = gain_set
+        return single_photon_bounds(grid, self.SIGNAL, self.DECOY)
+
+    def test_negative_yield_bound_floored_at_0(self):
+        # all signal users' gain alone enters the yield bound with a negative
+        # weight: raw Y111_zl = -1e-9
+        s, d = self.SIGNAL, self.DECOY
+        q = 1e-9 * self.DENOMINATOR / (d.c1 ** 2 * d.c2 * s.weights[3])
+        bounds = self.bounds(g222=stub_gain_set(q_z=q))
+        assert bounds.y111_zl == 0.0
+        assert "Y111_zl floored at 0 (raw -1.000e-09)" in bounds.diagnostics
+
+    def test_error_bound_above_one_half_capped(self):
+        # all decoy users' gain alone: a positive yield bound, and an error
+        # gain that makes the raw e111_bzu 0.55
+        s, d = self.SIGNAL, self.DECOY
+        q = 1e-3
+        y = s.c1 ** 2 * s.c2 * (d.weights[3] * q) / self.DENOMINATOR
+        eq = 0.55 * y * d.c1 ** 3 / d.weights[3]
+        bounds = self.bounds(g111=stub_gain_set(q_z=q, eq_z=eq))
+        assert bounds.y111_zl == pytest.approx(y, rel=1e-15)
+        assert bounds.e111_bzu == 0.5
+        assert "e111_bzu capped at 1/2 (raw 5.500e-01)" in bounds.diagnostics
+
+
 class TestLevelConstructors:
     @pytest.mark.parametrize("length", (0.0, 50.0, 150.0))
     def test_distribution_levels_match_poisson_levels(self, length):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from mdighz.params import (ChannelModel, DecoyPlan, DetectorModel, NumericsError
                            transmission_efficiency)
 from yield_reference import (gain_set_reference, gains_qnd_reference, ghz_outcome_yields,
                              outcome_pattern_sums, propagate_parties,
-                             z_gain_components_reference)
+                             thinned_gain_sets_reference, z_gain_components_reference)
 
 LN2 = math.log(2.0)
 
@@ -151,6 +152,15 @@ class TestRectilinearClosedForms:
         for mu, eta, p_d in [(0.4, 0.04, 1e-7), (1.2, 0.9, 1e-3),
                              (1e-4, 1e-4, 1e-9), (0.7, 0.3, 0.04)]:
             gains.z_gain_components(mu, mu / 2, mu / 3, eta, p_d)
+
+    def test_same_pol_forms_disagreeing_by_1e_10_refused(self, monkeypatch):
+        args = (0.4, 0.4, 0.4, 0.04, 1e-7)
+        gains.z_gain_components(*args)
+        # every exponential 5e-11 relative too large: the product form has
+        # three of them and the closed form one, so they part by 1e-10
+        monkeypatch.setattr(gains, "exp", lambda x: math.exp(x) * (1.0 + 5e-11))
+        with pytest.raises(NumericsError, match="same-polarization gain forms disagree"):
+            gains.z_gain_components(*args)
 
     @pytest.mark.parametrize("eta", [0.4, 0.93])
     def test_same_pol_forms_agree_where_every_group_clicks(self, eta):
@@ -785,8 +795,8 @@ class TestHeraldedGains:
         levels = [decoy.vacuum_stats(), decoy.heralded_stats(5e-4, trig),
                   decoy.heralded_stats(5e-3, trig)]
         combos = list(itertools.product(range(3), repeat=3))
-        shared = gains.thinned_gain_sets(gains.fock_components(levels, combos, 1e-7), levels,
-                                         combos, fock.thinning_matrix(0.004), 0.015)
+        (shared,) = gains.thinned_gain_sets(gains.fock_components(levels, combos, 1e-7),
+                                            [(levels, fock.thinning_matrix(0.004))], combos, 0.015)
         for combo, gs in zip(combos, shared, strict=True):
             dists = tuple(levels[k] for k in combo)
             assert gs == fock_gain_set(dists, 0.004, 1e-7, 0.015)
@@ -811,8 +821,9 @@ def qnd_gain_set(mu, eta_t, detector, e_d):
     efficiency against the one-photon class components."""
     lam = mu * eta_t
     comps = gains.class_yields(np.ones((2, 2, 2), dtype=bool), detector.p_d)
-    return gains.thinned_gain_sets(comps, [(math.exp(-lam), lam * math.exp(-lam))],
-                                   [(0, 0, 0)], fock.thinning_matrix(detector.eta_d), e_d)[0]
+    level = [(math.exp(-lam), lam * math.exp(-lam))]
+    return gains.thinned_gain_sets(comps, [(level, fock.thinning_matrix(detector.eta_d))],
+                                   [(0, 0, 0)], e_d)[0][0]
 
 
 class TestQndGains:
@@ -854,6 +865,109 @@ class TestQndGains:
         assert gs.q_z == pytest.approx(1.0129269183031263e-09, rel=1e-9, abs=0.0)
         assert gs.q_x == pytest.approx(1.012926918303126e-09, rel=1e-9, abs=0.0)
         assert gs.e_x == pytest.approx(0.015546699970181883, rel=1e-9, abs=0.0)
+
+
+TRIGGER = DetectorModel(0.4, 1e-7)
+OPTIMIZE_PLANS = [DecoyPlan(mu, 5e-4) for mu in (2e-3, 5e-3, 8e-3)]  # one round's trials
+
+
+def heralded_rows(plans, etas):
+    """Class components covering the heralded levels (vacuum, decoy, signal)
+    of every plan, and a row of each plan's levels at each efficiency."""
+    levels = {plan: [decoy.vacuum_stats(), decoy.heralded_stats(plan.mu1, TRIGGER),
+                     decoy.heralded_stats(plan.mu2, TRIGGER)] for plan in dict.fromkeys(plans)}
+    comps = gains.fock_components([x for row in levels.values() for x in row], [], 1e-7)
+    return comps, [(levels[plan], fock.thinning_matrix(eta)) for plan, eta in zip(plans, etas)]
+
+
+def qnd_rows(plans, eta_ts):
+    """The one-photon class components and a row of each plan's filtered
+    Poisson levels at each transmission, thinned by one detector efficiency."""
+    comps = gains.class_yields(np.ones((2, 2, 2), dtype=bool), 1e-7)
+    thinning = fock.thinning_matrix(0.4)
+    return comps, [([(math.exp(-x), x * math.exp(-x)) for x in (0.0, plan.mu1 * t, plan.mu2 * t)],
+                     thinning) for plan, t in zip(plans, eta_ts)]
+
+
+ROW_KINDS = {"qnd": qnd_rows, "heralded": heralded_rows}
+
+
+class TestStackedContraction:
+    """The Fock contraction of many rows in pieces equals one outer product
+    and one matrix-vector product per row and triple, bit for bit: its
+    GainSets and the six class components they are assembled from."""
+
+    @staticmethod
+    def exact(monkeypatch, comps, rows, triples=decoy.GRID):
+        got = gains.thinned_gain_sets(comps, rows, triples, 0.015)
+        assert got == thinned_gain_sets_reference(comps, rows, triples, 0.015)
+        assert [len(sets) for sets in got] == [len(triples)] * len(rows)
+        with monkeypatch.context() as m:
+            m.setattr(gains, "assemble_gain_set", lambda *q: q[:6])
+            classes = gains.thinned_gain_sets(comps, rows, triples, 0.015)
+            want = thinned_gain_sets_reference(comps, rows, triples, 0.015)
+        assert np.array_equal(classes, want)
+        return got
+
+    @pytest.mark.parametrize("kind", ROW_KINDS)
+    def test_one_row(self, monkeypatch, kind):
+        (sets,) = self.exact(monkeypatch, *ROW_KINDS[kind]([DecoyPlan(5e-3, 5e-4)], [0.01]))
+        assert all(gs.q_z > 0.0 for gs in sets[1:])
+
+    @pytest.mark.parametrize("kind, k", [("qnd", 2), ("heralded", 13)])
+    def test_rows_straddle_a_piece(self, monkeypatch, kind, k):
+        step = max(1, gains._WEIGHT_FLOATS // k ** 3)  # triples per piece
+        count = step // len(decoy.GRID) + 2
+        assert count * len(decoy.GRID) > step and step % len(decoy.GRID)
+        comps, rows = ROW_KINDS[kind]([DecoyPlan(5e-3, 5e-4)] * count,
+                                      np.geomspace(0.9, 1e-5, count))
+        assert comps.shape[-1] == k
+        self.exact(monkeypatch, comps, rows)
+
+    @pytest.mark.parametrize("kind", ROW_KINDS)
+    def test_levels_of_unequal_lengths(self, monkeypatch, kind):
+        # the 13-entry vacuum, a one-entry vacuum, a filtered Poisson pair,
+        # a Poisson distribution to 5 photons and a heralded one, every
+        # triple of them, in two rows
+        lam = 1e-7  # the pair and the six entries keep within the truncation budget
+        levels = [decoy.vacuum_stats(), (1.0,), (math.exp(-lam), lam * math.exp(-lam)),
+                  [math.exp(-0.02) * 0.02 ** n / math.factorial(n) for n in range(6)],
+                  decoy.heralded_stats(5e-3, TRIGGER)]
+        triples = list(itertools.product(range(len(levels)), repeat=3))
+        comps = (gains.fock_components(levels, triples, 1e-7) if kind == "heralded"
+                 else qnd_rows([], [])[0])
+        rows = [(levels, fock.thinning_matrix(eta)) for eta in (0.4, 0.003)]
+        self.exact(monkeypatch, comps, rows, triples)
+
+    @pytest.mark.parametrize("kind", ROW_KINDS)
+    def test_rows_of_distinct_plans_keep_their_order(self, monkeypatch, kind):
+        # an optimize round: its trials at one distance, interleaved
+        plans = OPTIMIZE_PLANS + OPTIMIZE_PLANS[::-1]
+        comps, rows = ROW_KINDS[kind](plans, [0.004] * len(plans))
+        got = self.exact(monkeypatch, comps, rows)
+        assert got[0] != got[1] != got[2]
+        for row, sets in zip(rows, got, strict=True):
+            assert gains.thinned_gain_sets(comps, [row], decoy.GRID, 0.015) == [sets]
+        assert got[:3] == got[:2:-1]
+
+    def test_heralded_rows_within_memory_budget(self, monkeypatch):
+        # the transient memory of a full-grid sweep's 201 rows: their thinned
+        # levels and one piece of joint weights.  The GainSets are the call's
+        # result, about 280 bytes each, so they are left out.
+        monkeypatch.setattr(gains, "assemble_gain_set", lambda *q: None)
+        comps, rows = heralded_rows([DecoyPlan(5e-3, 5e-4)] * 201, np.geomspace(0.4, 4e-6, 201))
+
+        def peak(rows):
+            tracemalloc.start()
+            try:
+                gains.thinned_gain_sets(comps, rows, decoy.GRID, 0.015)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, many = peak(rows[:1]), peak(rows)
+        assert many < 0.5 * 2 ** 20
+        assert many - one < 0.2 * 2 ** 20
 
 
 def fock_config(name):
@@ -909,6 +1023,36 @@ class TestFockGridCalls:
         keyrates.sweep(variant, fock_config(name), distances)
         # vacuum, decoy and signal: three distinct distributions per grid
         assert len(thinned) == 3 * len(distances)
+
+
+    @pytest.mark.parametrize("variant, name", [("qss_heralded", "qss_heralded_eta40"),
+                                               ("qss_qnd", "qss_qnd_eta40")])
+    def test_rows_of_distinct_plans_in_row_order(self, variant, name):
+        # an optimize round's rows: its trials at one distance, interleaved
+        cfg = fock_config(name)
+        params = cfg.system.at_distance(100.0)
+        rows = [(replace(cfg.decoy, mu2=cfg.decoy.mu2 * f), params) for f in (0.5, 1.0, 1.5)]
+        rows += rows[::-1]
+        model = keyrates.source_model(cfg)
+        points = model(rows)
+        assert points[0].grid != points[1].grid != points[2].grid
+        assert points == [model([row])[0] for row in rows]
+
+    @pytest.mark.parametrize("variant, name, contractions",
+                             [("qss_heralded", "qss_heralded_eta40", 3),
+                              ("qss_qnd", "qss_qnd_eta40", 1)])
+    def test_one_contraction_per_call_and_plan(self, monkeypatch, variant, name, contractions):
+        # a sweep: one call, one plan; an optimize round of three trials: one
+        # plan per trial, and the QND components hold no plan
+        cfg = fock_config(name)
+        calls = count_calls(monkeypatch, gains, "thinned_gain_sets")
+        keyrates.sweep(variant, cfg, (0.0, 50.0, 100.0))
+        assert [len(rows) for _, rows, *_ in calls] == [3]
+        calls.clear()
+        params = cfg.system.at_distance(100.0)
+        keyrates.source_model(cfg)([(replace(cfg.decoy, mu2=cfg.decoy.mu2 * f), params)
+                                    for f in (0.5, 1.0, 1.5)])
+        assert len(calls) == contractions
 
 
 class TestTruncationCertificate:

@@ -19,7 +19,10 @@ probabilities in one in-place kernel with shared pair products;
 `outcome_pattern_sums`, the plain sum over the click patterns, is what that
 kernel must equal bit for bit.  `gain_set_reference` and `gains_qnd_reference`
 form one GainSet per call, certifying and thinning each triple on its own; the
-decoy grid of a source model must equal them bit for bit.  The rectilinear
+decoy grid of a source model must equal them bit for bit.  The Fock
+contraction stacks the triples of many rows in pieces;
+`thinned_gain_sets_reference`, one outer product and one matrix-vector
+product per row and triple, is what it must equal bit for bit.  The rectilinear
 closed forms of a decoy grid share each intensity's and each interfering
 pair's factors; `z_gain_components_reference` forms all of them for one
 triple alone.
@@ -261,13 +264,28 @@ def party_terms_reference(party, pol, n):
     return tuple(np.array(x, dtype=np.int64) for x in (keys, re, im))
 
 
-def _thinned_gain_set(comps, dists, thinning, e_d):
-    a, b, c = (np.asarray(d, dtype=float)[:len(thinning)] for d in dists)
+def thinned_gain_sets_reference(comps, rows, index_triples, e_d):
+    """`gains.thinned_gain_sets` one row and one triple at a time: each level
+    of a row thinned once, each triple's joint weights an outer product of
+    its own, contracted by one matrix-vector product."""
     k = comps.shape[-1]
-    a, b, c = (x @ thinning[:len(x), :k] for x in (a, b, c))
-    w = (a[:, None] * b[None, :])[:, :, None] * c[None, None, :]
-    q = (comps.reshape(len(comps), -1) @ w.ravel()).tolist()
-    return gains.assemble_gain_set(*q, e_d)
+    flat = comps.reshape(len(comps), -1)
+    out = []
+    for levels, thinning in rows:
+        thinned = [np.asarray(x, dtype=float)[:len(thinning)] for x in levels]
+        thinned = [x @ thinning[:len(x), :k] for x in thinned]
+        sets = []
+        for triple in index_triples:
+            a, b, c = (thinned[i] for i in triple)
+            w = (a[:, None] * b[None, :])[:, :, None] * c[None, None, :]
+            q = (flat @ w.ravel()).tolist()
+            sets.append(gains.assemble_gain_set(*q, e_d))
+        out.append(sets)
+    return out
+
+
+def _thinned_gain_set(comps, dists, thinning, e_d):
+    return thinned_gain_sets_reference(comps, [(dists, thinning)], [(0, 1, 2)], e_d)[0][0]
 
 
 def _budgeted_weights(dists, tail_budget):
