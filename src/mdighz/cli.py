@@ -5,6 +5,9 @@ of the resolved config, command, seed, and tool version), so identical runs
 are byte-identical and every output references the manifest that produced it.
 A JSON manifest with timestamps is written next to each CSV.  The digest takes
 the builtin SHA-256 module over hashlib, which maps OpenSSL (~3.7 MB resident).
+The manifest also names the numpy version and the SIMD target of numpy's
+float64 exp and expm1, on which the quadrature's last bits depend: reruns are
+byte-identical on one machine and dispatch.  Neither enters the digest.
 
 Exit codes: 0 success, 2 config/usage error, 3 validation failure,
 4 internal numerical-tolerance failure.
@@ -21,6 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 try:  # the same SHA-256 without loading OpenSSL; hashlib is the last resort
     from _sha256 import sha256  # CPython <= 3.11
@@ -58,6 +63,19 @@ def _digest(config_text: str, command: str, seed: int) -> str:
     return sha256(payload.encode()).hexdigest()
 
 
+@lru_cache(maxsize=1)
+def _dispatch() -> dict | None:
+    """The SIMD target of numpy's float64 exp and expm1 here, e.g. {"exp":
+    "X86_V4", "expm1": "X86_V4"}; None before numpy 2.0, which cannot say.
+    Looked up once per process (about 0.3 ms)."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    info = opt_func_info(func_name="^(exp|expm1)$", signature="float64")
+    return {name: target["current"] for name, loops in info.items() for target in loops.values()}
+
+
 def _write_csv(path: Path, command: str, cfg: ExperimentConfig, seed: int,
                header: list[str], rows: list[list]) -> None:
     config_text = serialize_config(cfg)
@@ -82,6 +100,8 @@ def _write_csv(path: Path, command: str, cfg: ExperimentConfig, seed: int,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "output": str(path),
         "config": config_text,
+        "numpy": np.__version__,
+        "dispatch": _dispatch(),
     }
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -256,26 +256,34 @@ def single_photon_yields(p_d: float) -> np.ndarray:
     return ideal_yields(_single_photon_table(), p_d)
 
 
-def exact_single_photon_stats(eta: float, yields: np.ndarray, e_d: float) -> SinglePhotonStats:
+def exact_single_photon_stats(etas, yields: np.ndarray, e_d: float) -> list[SinglePhotonStats]:
     """Averages the analyzer yields over the uniform single-photon ensembles in
-    both bases and composes error rates with the misalignment probability.
+    both bases and composes error rates with the misalignment probability,
+    one SinglePhotonStats per efficiency of `etas`.
 
-    Each user's photon is lost or survives ([1-eta, eta]), thinned against the
-    `single_photon_yields` of the triples up to (1, 1, 1)."""
-    one = thinning_matrix(eta)[1, :2]
-    y = (yields @ one @ one @ one).tolist()
-    y_z = dict(zip(_Z_TRIPLES, y[:8]))
-    y_x = dict(zip(_X_TRIPLES, y[8:]))
+    Each user's photon is lost or survives ([1-eta, eta], the row of one
+    photon of `thinning_matrix`), thinned against the `single_photon_yields`
+    of the triples up to (1, 1, 1): one batched matrix-vector product per
+    user for all efficiencies, and the ensemble sums elementwise in the order
+    of sum() over the triples."""
+    etas = np.array(etas, dtype=float, ndmin=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lost = np.where(etas < 1.0, np.exp(np.log1p(-etas)), 0.0)
+    one = np.stack((lost, etas), axis=-1)
+    y = yields
+    for axes in range(3, 0, -1):  # users Charlie, Bob, Alice
+        y = np.matmul(y, one.reshape((-1,) + (1,) * axes + (2, 1)))[..., 0]
+    y_z, y_x = y[:, :8], y[:, 8:]  # (efficiency, triple, outcome)
 
-    y111_z = sum(a + b for a, b in y_z.values()) / 8.0
-    y_cz = sum(sum(y_z[t]) for t in ("HHH", "VVV")) / 8.0
+    y111_z = sum(y_z[:, t, 0] + y_z[:, t, 1] for t in range(8)) / 8.0
+    y_cz = sum(sum(y_z[:, _Z_TRIPLES.index(t), o] for o in (0, 1)) for t in ("HHH", "VVV")) / 8.0
     y_ez = y111_z - y_cz
-    e111_bz = None if y111_z == 0 else (e_d * y_cz + (1 - e_d) * y_ez) / y111_z
 
-    y111_x = sum(a + b for a, b in y_x.values()) / 8.0
-    y_cx = sum(y_x[t][0] if t.count("-") % 2 == 0 else y_x[t][1]
-               for t in _X_TRIPLES) / 8.0
+    y111_x = sum(y_x[:, t, 0] + y_x[:, t, 1] for t in range(8)) / 8.0
+    y_cx = sum(y_x[:, i, t.count("-") % 2] for i, t in enumerate(_X_TRIPLES)) / 8.0
     y_ex = y111_x - y_cx
-    e111_bx = None if y111_x == 0 else (e_d * y_cx + (1 - e_d) * y_ex) / y111_x
-
-    return SinglePhotonStats(y111_z, y111_x, e111_bz, e111_bx)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e111_bz = (e_d * y_cz + (1 - e_d) * y_ez) / y111_z
+        e111_bx = (e_d * y_cx + (1 - e_d) * y_ex) / y111_x
+    return [SinglePhotonStats(yz, yx, None if yz == 0 else ez, None if yx == 0 else ex)
+            for yz, yx, ez, ex in zip(*(v.tolist() for v in (y111_z, y111_x, e111_bz, e111_bx)))]

@@ -2,8 +2,8 @@
 
 Weak coherent pulses get closed forms in the rectilinear basis (dark-count
 suppressed classes carry modified-Bessel factors from the phase average),
-whose factors a decoy grid forms once per intensity and per interfering pair,
-and quadrature in the diagonal basis, where the overall phases survive into
+which the rows of a call take in one array pass, each factor once per
+distinct intensity and per interfering pair, and quadrature in the diagonal basis, where the overall phases survive into
 detector-level interference: the periodic trapezoid rule over the full phase
 circle, and Gauss-Legendre over the hexagon of phase differences for the
 phase-sliced gains.  Each detector group's click and silent factors are entire
@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, expm1, sqrt
+from math import exp, expm1, inf, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -155,17 +155,44 @@ def _group_click(intensity: float, p_d: float) -> float:
     return -expm1(-intensity / 2.0) + p_d * exp(-intensity / 2.0)
 
 
-def _i0_minus_1(z: float) -> float:
-    """I0(z) - 1 by its power series, whose positive terms never cancel; inf past z ~ 713."""
-    q = z * z / 4.0
-    term = q
-    total = q
-    k = 2
-    while term > 1e-20 * max(total, 1e-300):
-        term *= q / (k * k)
-        total += term
-        k += 1
-    return total
+def _i0_minus_1(z):
+    """I0(z) - 1 by its power series, whose positive terms never cancel; inf past z ~ 713.
+
+    Elementwise for an array, each element in the float operations of a lone
+    one: its terms stop at its own last one."""
+    q = np.array(z, dtype=float, ndmin=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = q * q / 4.0
+        term, total = q.copy(), q.copy()
+        live = np.flatnonzero(term > 1e-20 * np.maximum(total, 1e-300))
+        k = 2
+        while live.size:
+            t = term[live] * (q[live] / (k * k))
+            term[live] = t
+            total[live] += t
+            live = live[t > 1e-20 * np.maximum(total[live], 1e-300)]
+            k += 1
+    return total if np.ndim(z) else float(total[0])
+
+
+def _math_at(f, values):
+    """The math-module function f at each float of the array `values`, and a
+    mask of those at which it overflows a float (inf there).  The
+    exponentials stay in libm: numpy's vectorized ones may round otherwise."""
+    values = values.tolist()
+    try:
+        return np.array(list(map(f, values)), dtype=float), np.zeros(len(values), dtype=bool)
+    except OverflowError:
+        pass
+    out, over = [], []
+    for v in values:
+        try:
+            out.append(f(v))
+            over.append(False)
+        except OverflowError:
+            out.append(inf)
+            over.append(True)
+    return np.array(out, dtype=float), np.array(over)
 
 
 # The analyzer wiring: the detector group (1, 2, 3) that each user's light
@@ -208,61 +235,75 @@ def z_pattern_outcome_gain(pols: str, mu: float, nu: float, omega: float,
     return clicked_silent[0] * clicked_silent[1] * clicked_silent[2] / 2.0
 
 
-def z_gain_components(mu, nu, omega, eta: float, p_d: float):
+def _distinct(values):
+    """The distinct floats of the array `values`, and the index of each value
+    among them, in the shape of `values`."""
+    distinct, at = np.unique(values, return_inverse=True)
+    return distinct, at.reshape(values.shape)
+
+
+def z_gain_components(mu, nu, omega, eta, p_d: float):
     """Closed-form rectilinear gains for arriving intensities mu/nu/omega * eta.
 
-    Given sequences of intensities, a list, one ZGainComponents per triple:
-    every factor of one user's light (the group click, the one-party group's
-    click-silent product, the solo factor of a mixed class) is formed once
-    per distinct intensity, and the Bessel factor of two interfering users
-    once per pair of intensities, so a decoy grid's 15 triples cost 3
-    intensities and 6 pairs; each triple's gains take the same float
+    Given sequences of intensities, a list, one ZGainComponents per triple;
+    given a sequence of efficiencies, one per row, an array (4, R, T) of the
+    a, b, c, d gains of the intensity triples, one sequence (T,) for every
+    row or one per row (R, T).  A sweep's rows are its distances, a search
+    round's its trial intensities.  Every row goes through one pass of array
+    arithmetic, and each exponential of the math module is taken once per
+    distinct value: of one user's light (its group click, the one-party
+    group's click-silent product, the solo factor of a mixed class) per
+    arriving intensity, of the Bessel factor of two interfering users per
+    pair sum, of a triple per total.  So a decoy grid's 15 triples cost 3
+    intensities and 6 pairs, and each triple's gains take the same float
     operations as on its own.  The same-polarization class is evaluated both
     from the four-pattern product and from its factored closed form;
-    disagreement beyond 1e-12 relative is a hard numerics error.
+    disagreement beyond 1e-12 relative is a hard numerics error, as is a
+    mixed-class factor that overflows; the first triple of the first row
+    that meets either is the one refused.
     """
-    triples = list(zip(mu, nu, omega)) if np.ndim(mu) else [(mu, nu, omega)]
+    x = _arriving((mu, nu, omega), eta)
     w = 1.0 - p_d
-    level = {}  # emitted intensity -> arriving, group click, one-party group, solo factor
-    for m in dict.fromkeys(itertools.chain(*triples)):
-        i = m * eta
-        click = _group_click(i, p_d)
-        try:
-            solo = expm1(i / 2.0) + p_d  # the printed (1 - p_d - e^{s/2}), negated
-        except OverflowError:
-            solo = None
-        level[m] = i, click, click * w * exp(-i / 2.0), solo
-    pair = {}  # both orders of two emitted intensities -> their Bessel factor
-    for u, v in itertools.combinations_with_replacement(level, 2):
-        # the printed (1 - p_d - e^{s/2} I0) of a group where both interfere,
-        # negated: a plain sum of positive terms, safe at tiny intensities
-        i, j = level[u][0], level[v][0]
-        try:
-            pair[u, v] = pair[v, u] = (expm1((i + j) / 2.0) + exp((i + j) / 2.0)
-                                       * _i0_minus_1(sqrt(i * j)) + p_d)
-        except OverflowError:
-            pair[u, v] = pair[v, u] = None
+    levels, at = _distinct(x)
+    half = levels / 2.0
+    surv = _math_at(exp, -half)[0]
+    click = -_math_at(expm1, -half)[0] + p_d * surv  # per detector of a group; see _group_click
+    solo, solo_over = _math_at(expm1, half)  # the printed (1 - p_d - e^{s/2}), negated
+    c, s, f = click[at], (click * w * surv)[at], (solo + p_d)[at]
+    sums, at_sum = _distinct(x[0] + x[1] + x[2])
     half_w3, dark_w3 = 0.5 * w ** 3, (p_d / 2.0) * w ** 3
-    out = []
-    for ma, mb, mc in triples:
-        (ia, ca, sa, fa), (ib, cb, sb, fb), (ic, cc, sc, fc) = level[ma], level[mb], level[mc]
-        x = ia + ib + ic
-        a_closed = half_w3 * exp(-x / 2.0) * (ca * cb * cc)
-        a_product = sb * sc * sa / 2.0  # groups 1, 2, 3 see Bob, Charlie, Alice
-        scale = max(abs(a_closed), abs(a_product), 1e-300)
-        if abs(a_closed - a_product) > A_CONSISTENCY_RTOL * scale:
-            raise NumericsError(
-                f"same-polarization gain forms disagree: {a_closed!r} vs {a_product!r}"
-            )
-        fac, fab, fbc = pair[ma, mc], pair[ma, mb], pair[mb, mc]
-        if None in (fa, fb, fc, fac, fab, fbc):
-            raise NumericsError(f"mixed-class gain at intensity {max(ma, mb, mc)!r}: its "
-                                f"factors e^(intensity * eta / 2) overflow a float")
-        # each printed factor is negative; their magnitudes multiply.  b: Bob
-        # solo, Alice-Charlie interfere; c: Charlie solo, Alice-Bob; d: Alice
-        # solo, Bob-Charlie
-        e = dark_w3 * exp(-x)
-        out.append(ZGainComponents(a=a_closed, b=e * fb * fac, c=e * fc * fab, d=e * fa * fbc))
+    a_closed = half_w3 * _math_at(exp, -sums / 2.0)[0][at_sum] * (c[0] * c[1] * c[2])
+    a_product = s[1] * s[2] * s[0] / 2.0  # groups 1, 2, 3 see Bob, Charlie, Alice
+    scale = np.maximum(np.maximum(np.abs(a_closed), np.abs(a_product)), 1e-300)
+    disagree = np.abs(a_closed - a_product) > A_CONSISTENCY_RTOL * scale
+    # the users interfering in the mixed classes b (Alice-Charlie), c
+    # (Alice-Bob) and d (Bob-Charlie): the printed (1 - p_d - e^{s/2} I0) of
+    # their group, negated, a plain sum of positive terms safe at tiny
+    # intensities
+    first, second = x[[0, 0, 1]], x[[2, 1, 2]]
+    pair_sums, at_pair = _distinct((first + second) / 2.0)
+    grow, grow_over = _math_at(exp, pair_sums)
+    grow_m1, grow_m1_over = _math_at(expm1, pair_sums)
+    overflow = solo_over[at].any(axis=0) | (grow_over | grow_m1_over)[at_pair].any(axis=0)
+    refused = disagree | overflow
+    if refused.any():
+        k = int(np.argmax(refused))
+        if disagree.flat[k]:
+            raise NumericsError(f"same-polarization gain forms disagree: "
+                                f"{float(a_closed.flat[k])!r} vs {float(a_product.flat[k])!r}")
+        em = np.broadcast_to(_per_row((mu, nu, omega)), x.shape).reshape(3, -1)
+        raise NumericsError(f"mixed-class gain at intensity {max(em[:, k].tolist())!r}: its "
+                            f"factors e^(intensity * eta / 2) overflow a float")
+    products, at_product = _distinct(np.sqrt(first * second))
+    pair = grow_m1[at_pair] + grow[at_pair] * _i0_minus_1(products)[at_product] + p_d
+    # each printed factor is negative; their magnitudes multiply.  b: Bob
+    # solo, Alice-Charlie interfere; c: Charlie solo, Alice-Bob; d: Alice
+    # solo, Bob-Charlie
+    e = dark_w3 * _math_at(exp, -sums)[0][at_sum]
+    q = np.stack((a_closed, e * f[1] * pair[0], e * f[2] * pair[1], e * f[0] * pair[2]))
+    if np.ndim(eta):
+        return q
+    out = [ZGainComponents(*z) for z in q[:, 0].T.tolist()]
     return out if np.ndim(mu) else out[0]
 
 
@@ -412,12 +453,17 @@ def _stacked(quad, bounds, x, width, what):
     return q.reshape(2, rows, t)
 
 
+def _per_row(intensities):
+    """Emitted intensity triples (3,), (3, T) or per row (3, R, T), shaped
+    (3, 1, 1), (3, 1, T) or (3, R, T)."""
+    intensities = np.array(intensities, dtype=float)
+    return intensities.reshape((3,) + (1,) * (3 - intensities.ndim) + intensities.shape[1:])
+
+
 def _arriving(intensities, eta):
     """The arriving intensities (3, R, T) of emitted intensity triples
     (3,), (3, T) or per row (3, R, T) at one efficiency or one per row."""
-    intensities = np.array(intensities, dtype=float)
-    shape = (3,) + (1,) * (3 - intensities.ndim) + intensities.shape[1:]
-    return intensities.reshape(shape) * np.array(eta, dtype=float, ndmin=1)[:, None]
+    return _per_row(intensities) * np.array(eta, dtype=float, ndmin=1)[:, None]
 
 
 @lru_cache(maxsize=8)
@@ -586,10 +632,11 @@ def phase_sliced_gains(mu, nu, omega, eta, p_d: float, k: int):
 # Gain-set assembly (shared by every source model)
 # ---------------------------------------------------------------------------
 
-def assemble_gain_set(a: float, b: float, c: float, d: float, e: float, f: float,
-                      e_d: float) -> GainSet:
+def assemble_gain_set(a, b, c, d, e, f, e_d: float):
     """The GainSet of the class gains a, b, c, d (rectilinear) and e, f
-    (diagonal, correct and false outcome) at misalignment e_d.
+    (diagonal, correct and false outcome) at misalignment e_d; given arrays
+    of class gains, a list of GainSets, one per entry in C order, formed in
+    one pass of array arithmetic with the float operations of a lone one.
 
     Correct/false bookkeeping per class: the same-polarization class is the
     only correct one for the three-way key; the pairwise (Alice-Bob /
@@ -597,24 +644,33 @@ def assemble_gain_set(a: float, b: float, c: float, d: float, e: float, f: float
     e_d * correct + (1 - e_d) * false.
     """
     g = 1.0 - e_d
+    a, b, c, d, e, f = (np.asarray(v, dtype=float) for v in (a, b, c, d, e, f))
     cz, ez = 4.0 * a, 4.0 * (b + c + d)
     cx, ex = 8.0 * e, 8.0 * f
     q_x, eq_x = cx + ex, e_d * cx + g * ex
-    return GainSet(q_z=cz + ez, q_x=q_x, eq_z=e_d * cz + g * ez, eq_x=eq_x,
-                   eq_zab=e_d * (4.0 * a + 2.0 * b + 2.0 * d) + g * (2.0 * b + 4.0 * c + 2.0 * d),
-                   eq_zac=e_d * (4.0 * a + 2.0 * c + 2.0 * d) + g * (4.0 * b + 2.0 * c + 2.0 * d),
-                   e_x=None if q_x == 0.0 else eq_x / q_x)
+    b2, c2, d2 = 2.0 * b, 2.0 * c, 2.0 * d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fields = np.stack((cz + ez, q_x, e_d * cz + g * ez, eq_x,
+                           e_d * (cz + b2 + d2) + g * (b2 + 4.0 * c + d2),
+                           e_d * (cz + c2 + d2) + g * (4.0 * b + c2 + d2), eq_x / q_x))
+    sets = fields.reshape(7, -1).T.tolist()
+    for gs in sets:
+        if gs[1] == 0.0:
+            gs[6] = None
+    sets = list(map(GainSet._make, sets))
+    return sets if a.ndim else sets[0]
 
 
 def wcs_gain_sets(grids, etas, p_d: float, e_d: float) -> list[list[GainSet]]:
     """Full weak-coherent GainSets of each row: its intensity triples
     (mu, nu, omega) at its efficiency.  A sweep's rows are its distances, a
     search round's its trial intensities; the quadratures stack the rows, and
-    each row's closed forms share their per-intensity factors."""
-    x = mermin_outcome_gains((1, 1, 1), *np.transpose(grids, (2, 0, 1)), etas, p_d)
-    return [[assemble_gain_set(zt.a, zt.b, zt.c, zt.d, *xt, e_d)
-             for zt, xt in zip(z_gain_components(*zip(*triples), eta, p_d), zip(*xd))]
-            for triples, eta, xd in zip(grids, etas, x)]
+    the closed forms and the assembly take them in one pass."""
+    mus = np.transpose(grids, (2, 0, 1))
+    x = np.array(mermin_outcome_gains((1, 1, 1), *mus, etas, p_d)).transpose(1, 0, 2)
+    sets = assemble_gain_set(*z_gain_components(*mus, etas, p_d), *x, e_d)
+    t = mus.shape[2]
+    return [sets[i:i + t] for i in range(0, len(sets), t)]
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +703,9 @@ def thinned_gain_sets(comps, rows, index_triples, e_d) -> list[list[GainSet]]:
     into its levels: each level is thinned by the detector efficiency once,
     and the joint thinned weights of every row and triple are contracted
     against the ideal-detector class components (6, k, k, k), in pieces of at
-    most _WEIGHT_FLOATS weights, with one gemv per triple.  Every term is
-    nonnegative, so the sums keep full relative precision."""
+    most _WEIGHT_FLOATS weights, with one gemv per triple; the class gains of
+    every piece are assembled in one pass.  Every term is nonnegative, so the
+    sums keep full relative precision."""
     k = comps.shape[-1]
     flat = comps.reshape(len(comps), -1)
     sizes = [len(levels) for levels, _ in rows]
@@ -658,13 +715,13 @@ def thinned_gain_sets(comps, rows, index_triples, e_d) -> list[list[GainSet]]:
     starts = np.cumsum([0, *sizes[:-1]])
     triples = np.reshape(index_triples, (-1, 3))
     n, step = len(rows) * len(triples), max(1, _WEIGHT_FLOATS // k ** 3)
-    sets = []
+    q = np.empty((n, len(comps)))
     for s in range(0, n, step):
         row, j = np.divmod(np.arange(s, min(s + step, n)), len(triples))
         a, b, c = thinned[(starts[row, None] + triples[j]).T]
         w = (a[:, :, None] * b[:, None, :])[:, :, :, None] * c[:, None, None, :]
-        q = np.matmul(flat, w.reshape(len(w), -1, 1))[:, :, 0].tolist()
-        sets += [assemble_gain_set(*x, e_d) for x in q]
+        q[s:s + len(w)] = np.matmul(flat, w.reshape(len(w), -1, 1))[:, :, 0]
+    sets = assemble_gain_set(*q.T, e_d)
     return [sets[i:i + len(triples)] for i in range(0, n, len(triples))]
 
 

@@ -130,10 +130,18 @@ def _poisson_p111(mu) -> float:
     return mu * mu * mu * exp(-mu - mu - mu)
 
 
+def _add_exact(exact: dict, etas, yields: np.ndarray, e_d: float) -> None:
+    """The exact reference of each efficiency not yet in `exact`, in one call."""
+    new = [eta for eta in dict.fromkeys(etas) if eta not in exact]
+    if new:
+        exact.update(zip(new, fock.exact_single_photon_stats(new, yields, e_d)))
+
+
 def _wcs_model(cfg: ExperimentConfig):
     """Weak coherent pulses: the decoy grids of all rows of a call go into
     one stacked evaluation, and the exact reference is formed once per
-    efficiency, so once per search."""
+    efficiency, so once per search, in one call for the efficiencies a call
+    brings first."""
     p_d, e_d = cfg.system.detector.p_d, cfg.system.e_d
     yields = fock.single_photon_yields(p_d)
     exact = {}  # efficiency -> the exact reference, once per model
@@ -145,9 +153,7 @@ def _wcs_model(cfg: ExperimentConfig):
         triples = {plan: decoy.grid_triples(plan) for plan in plans}
         etas = [overall_efficiency(p.channel, p.detector) for _, p in rows]
         grids = gains.wcs_gain_sets([triples[plan] for plan, _ in rows], etas, p_d, e_d)
-        for eta in etas:
-            if eta not in exact:
-                exact[eta] = fock.exact_single_photon_stats(eta, yields, e_d)
+        _add_exact(exact, etas, yields, e_d)
         return [SourcePoint(grid, *levels[plan], exact[eta], exp(-plan.mu2),
                             _poisson_p111(plan.mu2))
                 for (plan, _), eta, grid in zip(rows, etas, grids)]
@@ -159,9 +165,10 @@ def _heralded_model(cfg: ExperimentConfig):
     certificate and their class components hold no distance; they are built
     once per decoy plan, the plan of a sweep's every row or of one trial.
     The rows of a call go into one Fock contraction per plan among them, in
-    row order."""
+    row order; the exact reference is formed as for weak coherent pulses."""
     p_d, e_d, trigger = cfg.system.detector.p_d, cfg.system.e_d, cfg.source.trigger
     yields = fock.single_photon_yields(p_d)
+    exact = {}  # efficiency -> the exact reference, once per model
 
     @lru_cache(maxsize=1)  # rows of one plan come together
     def plan_part(plan: DecoyPlan):
@@ -173,6 +180,7 @@ def _heralded_model(cfg: ExperimentConfig):
 
     def at(rows) -> list[SourcePoint]:
         etas = [overall_efficiency(p.channel, p.detector) for _, p in rows]
+        _add_exact(exact, etas, yields, e_d)
         points = [None] * len(rows)
         for plan in dict.fromkeys(plan for plan, _ in rows):
             levels, comps, signal, decoy_level, p_vacuum, p111 = plan_part(plan)
@@ -180,9 +188,7 @@ def _heralded_model(cfg: ExperimentConfig):
             grids = gains.thinned_gain_sets(
                 comps, [(levels, fock.thinning_matrix(etas[i])) for i in mine], decoy.GRID, e_d)
             for i, grid in zip(mine, grids):
-                points[i] = SourcePoint(grid, signal, decoy_level,
-                                        fock.exact_single_photon_stats(etas[i], yields, e_d),
-                                        p_vacuum, p111)
+                points[i] = SourcePoint(grid, signal, decoy_level, exact[etas[i]], p_vacuum, p111)
         return points
     return at
 
@@ -199,7 +205,7 @@ def _qnd_model(cfg: ExperimentConfig):
     det, e_d = cfg.system.detector, cfg.system.e_d
     comps = gains.class_yields(np.ones((2, 2, 2), dtype=bool), det.p_d)
     thinning = fock.thinning_matrix(det.eta_d)
-    exact = fock.exact_single_photon_stats(det.eta_d, fock.single_photon_yields(det.p_d), e_d)
+    (exact,) = fock.exact_single_photon_stats([det.eta_d], fock.single_photon_yields(det.p_d), e_d)
 
     def at(rows) -> list[SourcePoint]:
         eta_ts = [transmission_efficiency(p.channel) for _, p in rows]

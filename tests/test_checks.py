@@ -73,9 +73,10 @@ def test_wrong_diagonal_basis_bounds_fail_validate(monkeypatch, tmp_path, config
     (gains, "mermin_outcome_gains",  # each row's correct gains, as the points are stacked
      lambda rows: [([c * (1 + 1e-6) for c in q_c], q_e) for q_c, q_e in rows],
      lambda signs, *a: signs == (1, 1, 1), "sym", ["sym:signclasses"] * len(GRID)),
-    (fock, "exact_single_photon_stats", lambda s: replace(s, y111_z=0.5 * s.y111_z),
+    (fock, "exact_single_photon_stats",  # each efficiency's stats, as they are stacked
+     lambda stats: [replace(s, y111_z=0.5 * s.y111_z) for s in stats],
      None, "bracket", ["bracket:L=0.0", "bracket:L=50.0"]),
-    (fock, "exact_single_photon_stats", lambda s: replace(s, y111_z=math.inf),
+    (fock, "exact_single_photon_stats", lambda stats: [replace(s, y111_z=math.inf) for s in stats],
      None, "bracket", ["bracket:L=0.0", "bracket:L=50.0"]),  # deviation -inf
     (decoy, "single_photon_bounds", lambda b: replace(b, e111_bxu=None),  # no bound
      None, "bracket", ["bracket:L=0.0", "bracket:L=50.0"]),

@@ -11,6 +11,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -135,6 +136,20 @@ class TestQccCommand:
         assert manifest["manifest_digest"] in lines[1]
         assert (manifest["seed"], manifest["rng"]) == (42, "philox4x64")
         assert "created_utc" in manifest
+
+    def test_manifest_names_numpy_and_its_dispatch(self, tmp_path):
+        # the quadrature's last bits follow numpy's SIMD target; the digest does not
+        out = tmp_path / "curve.csv"
+        assert cli.main(["qcc", "--config", str(small_qcc(tmp_path)), "--out", str(out)]) == 0
+        manifest = json.loads(out.with_suffix(".csv.manifest.json").read_text())
+        assert manifest["numpy"] == np.__version__
+        info = np.lib.introspect.opt_func_info(func_name="^(exp|expm1)$", signature="float64")
+        assert manifest["dispatch"] == {name: info[name]["dd"]["current"]
+                                        for name in ("exp", "expm1")}
+        assert all(manifest["dispatch"][name] in info[name]["dd"]["available"]
+                   for name in ("exp", "expm1"))
+        assert manifest["manifest_digest"] == "sha256:" + cli._digest(
+            cli.serialize_config(cli._load_config(str(small_qcc(tmp_path)))), "qcc", 1)
 
     def test_empty_sweep_header_only(self, tmp_path, capsys):
         cfg = config_copy(tmp_path, "qcc_eta40", ("sweep.L_min = 0", "sweep.L_min = 30"),
@@ -280,6 +295,8 @@ class TestValidateCommand:
 
         def flipped(*args):
             z = exact(*args)
+            if isinstance(z, np.ndarray):  # the a, b, c, d gains of many rows
+                return z * np.array([1.0, -1.0, 1.0, 1.0])[:, None, None]
             if isinstance(z, list):  # the triples of a decoy grid
                 return [dataclasses.replace(t, b=-t.b) for t in z]
             return dataclasses.replace(z, b=-z.b)

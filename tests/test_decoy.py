@@ -32,8 +32,8 @@ def level_bounds(grid, plan, level=poisson_level):
 
 def exact_stats(params):
     eta = overall_efficiency(params.channel, params.detector)
-    return fock.exact_single_photon_stats(eta, fock.single_photon_yields(params.detector.p_d),
-                                          params.e_d)
+    return fock.exact_single_photon_stats([eta], fock.single_photon_yields(params.detector.p_d),
+                                          params.e_d)[0]
 
 
 def wcs_grid(plan, params):

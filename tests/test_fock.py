@@ -9,7 +9,8 @@ from conftest import CONFIG_DIR
 from mdighz import decoy, fock, gains
 from mdighz.fock import analyzer_unitary, exact_single_photon_stats, single_photon_yields
 from mdighz.params import parse_config
-from yield_reference import (_gadd, _party_output_vector, _party_terms, ghz_outcome_yields,
+from yield_reference import (_gadd, _party_output_vector, _party_terms,
+                             exact_single_photon_stats_reference, ghz_outcome_yields,
                              ideal_detector_table_reference, party_terms_reference,
                              propagate_parties)
 
@@ -310,7 +311,7 @@ class TestThinning:
 
 class TestSinglePhotonStats:
     def test_ideal_analyzer_is_error_free(self):
-        s = exact_single_photon_stats(1.0, single_photon_yields(0.0), 0.0)
+        (s,) = exact_single_photon_stats([1.0], single_photon_yields(0.0), 0.0)
         assert s.e111_bx == 0.0
         assert s.e111_bz == 0.0
         assert s.y111_z == pytest.approx(0.25, abs=1e-12)
@@ -319,13 +320,13 @@ class TestSinglePhotonStats:
         assert thinned_yields("---", (1, 1, 1), 1.0, 0.0)[0] == 0.0
 
     def test_full_misalignment_symmetrizes(self):
-        s = exact_single_photon_stats(0.3, single_photon_yields(1e-6), 0.5)
+        (s,) = exact_single_photon_stats([0.3], single_photon_yields(1e-6), 0.5)
         assert s.e111_bz == pytest.approx(0.5, abs=1e-12)
         assert s.e111_bx == pytest.approx(0.5, abs=1e-12)
 
     def test_regression_hundred_km_93(self):
         # frozen from the first verified run (eta = 0.93 * 1e-2, paper darks)
-        s = exact_single_photon_stats(0.0093, single_photon_yields(1e-7), 0.0)
+        (s,) = exact_single_photon_stats([0.0093], single_photon_yields(1e-7), 0.0)
         assert s.y111_z == pytest.approx(2.0112786995242447e-07, rel=1e-9, abs=0.0)
         assert s.y111_x == pytest.approx(2.0112786995242441e-07, rel=1e-9, abs=0.0)
         assert s.e111_bx == pytest.approx(9.61584269796235e-05, rel=1e-9, abs=0.0)
@@ -340,7 +341,7 @@ class TestSinglePhotonStats:
     @pytest.mark.parametrize("eta, p_d", [(0.0093, 1e-7), (1.0, 1e-7), (4e-6, 1e-2)])
     def test_matches_direct_product(self, eta, p_d):
         # the 16 single-photon preparations, thinned, against their direct yields
-        s = exact_single_photon_stats(eta, single_photon_yields(p_d), 0.015)
+        (s,) = exact_single_photon_stats([eta], single_photon_yields(p_d), 0.015)
         y = {pols: ghz_outcome_yields(propagate_parties(pols, (1, 1, 1)), eta, p_d)
              for pols in map("".join, itertools.chain(itertools.product("HV", repeat=3),
                                                        itertools.product("+-", repeat=3)))}
@@ -355,6 +356,27 @@ class TestSinglePhotonStats:
         assert s.y111_x == pytest.approx(y111_x, rel=1e-13, abs=0.0)
         assert s.e111_bx == pytest.approx(
             (0.015 * y_cx + 0.985 * (y111_x - y_cx)) / y111_x, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("p_d, e_d", [(1e-7, 0.015), (0.0, 0.0), (1e-2, 0.5)])
+    def test_many_efficiencies_equal_one_at_a_time(self, p_d, e_d):
+        # one batched contraction for all efficiencies, bit for bit the
+        # per-efficiency thinning row, matrix-vector products and sums
+        etas = [1.0, 1e-12, 0.0, 0.0093, *np.geomspace(0.93, 1e-7, 200).tolist(),
+                *np.random.default_rng(3).random(300).tolist()]
+        yields = single_photon_yields(p_d)
+
+        def bits(s):
+            return [None if v is None else float.hex(v)
+                    for v in (s.y111_z, s.y111_x, s.e111_bz, s.e111_bx)]
+
+        assert [bits(s) for s in exact_single_photon_stats(etas, yields, e_d)] == [
+            bits(exact_single_photon_stats_reference(eta, yields, e_d)) for eta in etas]
+        assert exact_single_photon_stats([], yields, e_d) == []
+
+    def test_no_light_has_no_error_rates(self):
+        # nothing survives and no detector fires in the dark: both yields 0
+        (s,) = exact_single_photon_stats([0.0], single_photon_yields(0.0), 0.015)
+        assert (s.y111_z, s.y111_x, s.e111_bz, s.e111_bx) == (0.0, 0.0, None, None)
 
 
 class TestExactBuild:

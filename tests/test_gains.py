@@ -14,14 +14,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import yield_reference
 from conftest import CONFIG_DIR, fock_gain_set
 from mdighz import checks, decoy, fock, gains, keyrates, mermin, montecarlo
 from mdighz.params import (ChannelModel, DecoyPlan, DetectorModel, NumericsError,
                            SystemParams, overall_efficiency, parse_config,
                            transmission_efficiency)
-from yield_reference import (gain_set_reference, gains_qnd_reference, ghz_outcome_yields,
-                             outcome_pattern_sums, propagate_parties,
-                             thinned_gain_sets_reference, z_gain_components_reference)
+from yield_reference import (assemble_gain_set_reference, gain_set_reference,
+                             gains_qnd_reference, ghz_outcome_yields, outcome_pattern_sums,
+                             propagate_parties, thinned_gain_sets_reference,
+                             z_gain_components_reference)
 
 LN2 = math.log(2.0)
 
@@ -716,6 +718,124 @@ class TestAssembly:
             assert gs == want, t
 
 
+def bits(values):
+    """Floats by their bits (None kept), so that 0.0 and -0.0 differ."""
+    return tuple(None if v is None else float.hex(v) for v in values)
+
+
+def row_reference(triples, eta, p_d, e_d):
+    """The GainSets of one row: its own quadrature call (a row takes the rung
+    its triples need together), then each triple on its own, by the
+    per-triple closed forms and the scalar assembly."""
+    x = gains.mermin_outcome_gains((1, 1, 1), *zip(*triples), eta, p_d)
+    sets = []
+    for t, e, f in zip(triples, *x):
+        z = z_gain_components_reference(*t, eta, p_d)
+        sets.append(assemble_gain_set_reference(z.a, z.b, z.c, z.d, e, f, e_d))
+    return sets
+
+
+# efficiencies of a sweep's rows: unit, vanishing and zero efficiency among them
+ROW_ETAS = [1.0, 0.93 * 10 ** (-0.02 * 50), 1e-12, 0.0, 4e-5]
+
+
+class TestRowClosedForms:
+    """The rectilinear closed forms and the assembly of all rows of a call in
+    one array pass equal each triple on its own in Python floats, bit for bit;
+    a refusal names the first triple of the first row refused."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 51])
+    @pytest.mark.parametrize("p_d", [1e-7, 0.0])
+    def test_sweep_layout(self, rows, p_d):
+        # one plan's triples for every row, one efficiency per row
+        triples = decoy.grid_triples(DecoyPlan(0.4, 0.005))
+        etas = (ROW_ETAS * 11)[:rows] if rows < 51 else np.geomspace(0.93, 1e-6, rows).tolist()
+        q = gains.z_gain_components(*zip(*triples), etas, p_d)
+        assert q.shape == (4, rows, len(triples))
+        for row, eta in zip(q.transpose(1, 2, 0), etas):
+            assert [bits(z) for z in row.tolist()] == [
+                z_bits(z_gain_components_reference(*t, eta, p_d)) for t in triples]
+        grids = gains.wcs_gain_sets([triples] * rows, etas, p_d, 0.015)
+        assert [[bits(gs) for gs in grid] for grid in grids] == [
+            [bits(gs) for gs in row_reference(triples, eta, p_d, 0.015)] for eta in etas]
+
+    def test_search_layout_with_repeated_and_zero_intensities(self):
+        # a plan per row, as an optimize round's trials; the last rows repeat
+        # an intensity across users and put zero beside it
+        plans = [DecoyPlan(mu, 0.005) for mu in (0.2, 0.35, 0.8)]
+        grids = [decoy.grid_triples(plan) for plan in plans]
+        grids += [[(0.3, 0.3, 0.0), (0.0, 0.0, 0.0), (0.3, 0.0, 0.3), (0.3, 0.3, 0.3)] * 4]
+        grids[-1] = grids[-1][:15]
+        etas = [0.01, 0.01, 1.0, 0.0]
+        q = gains.z_gain_components(*np.transpose(grids, (2, 0, 1)), etas, 1e-7)
+        for row, triples, eta in zip(q.transpose(1, 2, 0), grids, etas):
+            assert [bits(z) for z in row.tolist()] == [
+                z_bits(z_gain_components_reference(*t, eta, 1e-7)) for t in triples]
+        got = gains.wcs_gain_sets(grids, etas, 1e-7, 0.015)
+        assert [[bits(gs) for gs in grid] for grid in got] == [
+            [bits(gs) for gs in row_reference(t, eta, 1e-7, 0.015)]
+            for t, eta in zip(grids, etas)]
+
+    def test_a_row_without_signal_has_no_error_rate(self):
+        # no light reaches a dark-free detector: q_x == 0, so e_x is None
+        triples = decoy.grid_triples(DecoyPlan(0.4, 0.005))
+        dark, lit = gains.wcs_gain_sets([triples] * 2, [0.0, 0.04], 0.0, 0.015)
+        assert all(gs.q_x == 0.0 and gs.e_x is None for gs in dark)
+        assert all((gs.e_x is None) == (gs.q_x == 0.0) for gs in lit)
+        assert lit[decoy.GRID.index((2, 2, 2))].e_x is not None
+        assert [bits(gs) for gs in dark] == [bits(gs) for gs in
+                                             row_reference(triples, 0.0, 0.0, 0.015)]
+
+    def test_one_row_is_the_scalar_case(self):
+        triples = decoy.grid_triples(DecoyPlan(0.4, 0.005))
+        (row,) = gains.z_gain_components(*zip(*triples), [0.04], 1e-7).transpose(1, 2, 0)
+        assert [z_bits(z) for z in gains.z_gain_components(*zip(*triples), 0.04, 1e-7)] == [
+            bits(z) for z in row.tolist()]
+        assert z_bits(gains.z_gain_components(*triples[5], 0.04, 1e-7)) == bits(row[5].tolist())
+
+    @pytest.mark.parametrize("e_d", [0.0, 0.015, 1.0])
+    def test_assembly_equals_the_scalar_form(self, e_d):
+        rng = np.random.default_rng(7)
+        classes = rng.random((6, 40)) * 10.0 ** rng.integers(-30, 0, (6, 40))
+        classes[:, :3] = 0.0  # no signal at all
+        classes[4:, 3] = 0.0  # no diagonal-basis signal
+        got = gains.assemble_gain_set(*classes, e_d)
+        assert [bits(gs) for gs in got] == [bits(assemble_gain_set_reference(*c, e_d))
+                                            for c in classes.T.tolist()]
+        assert got[3].e_x is None and got[4].e_x is not None
+        assert bits(gains.assemble_gain_set(*classes[:, 5].tolist(), e_d)) == bits(got[5])
+
+    def test_refusals_in_row_order(self, monkeypatch):
+        # row 0 overflows at its last triple, row 1 fails the same-polarization
+        # check at its first: row 0's message, as the per-triple form gives it
+        rows = [[(0.4, 0.4, 0.4), (0.3, 0.2, 0.1), (1600.0, 0.0, 0.0)],
+                [(0.5, 0.5, 0.5), (0.4, 0.4, 0.4), (0.3, 0.2, 0.1)]]
+        etas = [0.93, 0.5]
+        total = 3 * (0.5 * 0.5)  # row 1's first triple total, arriving
+        monkeypatch.setattr(gains, "exp",
+                            lambda v: math.exp(v) * (1.0 + 1e-9 * (v == -total / 2.0)))
+        mus = np.transpose(rows, (2, 0, 1))
+        with pytest.raises(NumericsError) as first:
+            z_gain_components_reference(*rows[0][2], etas[0], 1e-7)
+        with pytest.raises(NumericsError) as refused:
+            gains.z_gain_components(*mus, etas, 1e-7)
+        assert str(refused.value) == str(first.value)
+        # without row 0's overflow, row 1's check; before a later overflow in its row
+        rows[0][2] = (0.2, 0.2, 0.2)
+        rows[1][2] = (1600.0, 0.0, 0.0)
+        with pytest.raises(NumericsError, match="same-polarization gain forms disagree"):
+            gains.z_gain_components(*np.transpose(rows, (2, 0, 1)), etas, 1e-7)
+
+    def test_the_check_comes_before_the_overflow_of_one_triple(self, monkeypatch):
+        # a triple that overflows and fails the check is refused by the check
+        gains.z_gain_components(0.4, 0.4, 0.4, [0.93], 1e-7)
+        monkeypatch.setattr(gains, "A_CONSISTENCY_RTOL", -1.0)  # every triple fails it
+        with pytest.raises(NumericsError, match="same-polarization gain forms disagree"):
+            gains.z_gain_components((1600.0, 0.4), (0.0, 0.4), (0.0, 0.4), [0.93], 1e-7)
+        with pytest.raises(NumericsError, match="same-polarization gain forms disagree"):
+            gains.z_gain_components(0.4, 0.4, 0.4, [0.93], 1e-7)
+
+
 class TestHeraldedGains:
     def test_vacuum_levels_give_dark_gains(self):
         dists = (decoy.vacuum_stats(),) * 3
@@ -902,8 +1022,10 @@ class TestStackedContraction:
         got = gains.thinned_gain_sets(comps, rows, triples, 0.015)
         assert got == thinned_gain_sets_reference(comps, rows, triples, 0.015)
         assert [len(sets) for sets in got] == [len(triples)] * len(rows)
-        with monkeypatch.context() as m:
-            m.setattr(gains, "assemble_gain_set", lambda *q: q[:6])
+        with monkeypatch.context() as m:  # the class gains of each set in place of it
+            m.setattr(gains, "assemble_gain_set",
+                      lambda *q: list(zip(*(np.ravel(v).tolist() for v in q[:6]))))
+            m.setattr(yield_reference, "assemble_gain_set_reference", lambda *q: q[:6])
             classes = gains.thinned_gain_sets(comps, rows, triples, 0.015)
             want = thinned_gain_sets_reference(comps, rows, triples, 0.015)
         assert np.array_equal(classes, want)
@@ -953,15 +1075,16 @@ class TestStackedContraction:
     def test_heralded_rows_within_memory_budget(self, monkeypatch):
         # the transient memory of a full-grid sweep's 201 rows: their thinned
         # levels and one piece of joint weights.  The GainSets are the call's
-        # result, about 280 bytes each, so they are left out.
-        monkeypatch.setattr(gains, "assemble_gain_set", lambda *q: None)
+        # result, about 280 bytes each, and so are the six class gains each is
+        # assembled from, 48 bytes, all assembled at once: both are left out.
+        monkeypatch.setattr(gains, "assemble_gain_set", lambda *q: [None] * len(q[0]))
         comps, rows = heralded_rows([DecoyPlan(5e-3, 5e-4)] * 201, np.geomspace(0.4, 4e-6, 201))
 
         def peak(rows):
             tracemalloc.start()
             try:
                 gains.thinned_gain_sets(comps, rows, decoy.GRID, 0.015)
-                return tracemalloc.get_traced_memory()[1]
+                return tracemalloc.get_traced_memory()[1] - len(rows) * len(decoy.GRID) * 6 * 8
             finally:
                 tracemalloc.stop()
 
@@ -1100,3 +1223,16 @@ class TestSourceModelBuildsOnce:
         assert len(points) == 41
         assert len(stats) == 2  # the decoy and the signal level
         assert len(tables) == 1
+
+    @pytest.mark.parametrize("variant, name, box", [("qcc", "qcc_eta40", (0.2, 0.8)),
+                                                    ("qss_heralded", "qss_heralded_eta40",
+                                                     (0.001, 0.01))])
+    def test_one_exact_reference_call_per_efficiency(self, monkeypatch, variant, name, box):
+        # a sweep asks once for all its efficiencies, a search once for its one
+        cfg = fock_config(name)
+        calls = count_calls(monkeypatch, fock, "exact_single_photon_stats")
+        keyrates.sweep(variant, cfg, (0.0, 50.0, 100.0))
+        keyrates.optimize_intensities(variant, cfg, 100.0, box, points=3, rounds=2)
+        etas = [overall_efficiency(cfg.system.at_distance(d).channel, cfg.system.detector)
+                for d in (0.0, 50.0, 100.0)]
+        assert [list(etas) for etas, *_ in calls] == [etas, etas[2:]]

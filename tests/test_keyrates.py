@@ -97,7 +97,7 @@ class TestNaiveQssError:
 
     def test_single_photon_synthetic_residual(self):
         # single-photon-only events classify almost perfectly; residual darks
-        stats = fock.exact_single_photon_stats(0.04, fock.single_photon_yields(1e-7), 0.0)
+        (stats,) = fock.exact_single_photon_stats([0.04], fock.single_photon_yields(1e-7), 0.0)
         assert stats.e111_bx < 1e-3
 
     def test_no_signal_marker(self):

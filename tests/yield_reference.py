@@ -23,9 +23,12 @@ decoy grid of a source model must equal them bit for bit.  The Fock
 contraction stacks the triples of many rows in pieces;
 `thinned_gain_sets_reference`, one outer product and one matrix-vector
 product per row and triple, is what it must equal bit for bit.  The rectilinear
-closed forms of a decoy grid share each intensity's and each interfering
-pair's factors; `z_gain_components_reference` forms all of them for one
-triple alone.
+closed forms of many rows share each intensity's and each interfering pair's
+factors and go through one pass of array arithmetic;
+`z_gain_components_reference` forms all of them for one triple alone.  The
+assembly of GainSets and the exact single-photon reference take every row in
+one pass too; `assemble_gain_set_reference` and
+`exact_single_photon_stats_reference` form one at a time, in Python floats.
 """
 
 import itertools
@@ -279,7 +282,7 @@ def thinned_gain_sets_reference(comps, rows, index_triples, e_d):
             a, b, c = (thinned[i] for i in triple)
             w = (a[:, None] * b[None, :])[:, :, None] * c[None, None, :]
             q = (flat @ w.ravel()).tolist()
-            sets.append(gains.assemble_gain_set(*q, e_d))
+            sets.append(assemble_gain_set_reference(*q, e_d))
         out.append(sets)
     return out
 
@@ -347,3 +350,38 @@ def z_gain_components_reference(mu, nu, omega, eta, p_d):
         raise NumericsError(f"mixed-class gain at intensity {max(mu, nu, omega)!r}: its "
                             f"factors e^(intensity * eta / 2) overflow a float") from None
     return gains.ZGainComponents(a=a_closed, b=b, c=c, d=d)
+
+
+def assemble_gain_set_reference(a, b, c, d, e, f, e_d):
+    """`gains.assemble_gain_set` of one set of class gains, in Python floats."""
+    g = 1.0 - e_d
+    cz, ez = 4.0 * a, 4.0 * (b + c + d)
+    cx, ex = 8.0 * e, 8.0 * f
+    q_x, eq_x = cx + ex, e_d * cx + g * ex
+    eq_zab = e_d * (4.0 * a + 2.0 * b + 2.0 * d) + g * (2.0 * b + 4.0 * c + 2.0 * d)
+    eq_zac = e_d * (4.0 * a + 2.0 * c + 2.0 * d) + g * (4.0 * b + 2.0 * c + 2.0 * d)
+    return gains.GainSet(q_z=cz + ez, q_x=q_x, eq_z=e_d * cz + g * ez, eq_x=eq_x,
+                         eq_zab=eq_zab, eq_zac=eq_zac, e_x=None if q_x == 0.0 else eq_x / q_x)
+
+
+def exact_single_photon_stats_reference(eta, yields, e_d):
+    """`fock.exact_single_photon_stats` at one efficiency: the one-photon row
+    of its thinning matrix, three matrix-vector products and the ensemble
+    sums in Python floats."""
+    one = fock.thinning_matrix(eta)[1, :2]
+    y = (yields @ one @ one @ one).tolist()
+    y_z = dict(zip(fock._Z_TRIPLES, y[:8]))
+    y_x = dict(zip(fock._X_TRIPLES, y[8:]))
+
+    y111_z = sum(a + b for a, b in y_z.values()) / 8.0
+    y_cz = sum(sum(y_z[t]) for t in ("HHH", "VVV")) / 8.0
+    y_ez = y111_z - y_cz
+    e111_bz = None if y111_z == 0 else (e_d * y_cz + (1 - e_d) * y_ez) / y111_z
+
+    y111_x = sum(a + b for a, b in y_x.values()) / 8.0
+    y_cx = sum(y_x[t][0] if t.count("-") % 2 == 0 else y_x[t][1]
+               for t in fock._X_TRIPLES) / 8.0
+    y_ex = y111_x - y_cx
+    e111_bx = None if y111_x == 0 else (e_d * y_cx + (1 - e_d) * y_ex) / y111_x
+
+    return fock.SinglePhotonStats(y111_z, y111_x, e111_bz, e111_bx)
