@@ -1,24 +1,22 @@
 #!/usr/bin/env python3
 """Run the mutation catalogue: each entry breaks one contract, and Tier-1 must fail.
 
-    python scripts/mutants.py                # every entry that is not equivalent
-    python scripts/mutants.py --only NAME    # some entries (repeatable)
-    python scripts/mutants.py --list         # the catalogue, run nothing
+    python scripts/mutants.py
 
 Run from the root of a checkout.  The tree is copied once to a temporary
-directory (no .git, caches or outputs).  Each entry replaces its old text,
-which must occur exactly once in its file, by its new text, runs Tier-1 with
-`-x` there and puts the file back; it is killed if Tier-1 fails or runs past
-TIMEOUT_S.  One line per entry gives the verdict and the time taken.  An
-equivalent mutant (one that cannot change any output) is listed with its
-reason and not run.  Exits 1 if a non-equivalent mutant survives or an
-entry's old text is not found exactly once.  Only the standard library and
-pytest are used.
+directory (no .git, caches or outputs), and Tier-1 runs there unmutated
+first: if it fails, no mutant can be judged, and the script exits 1.  Then
+each entry replaces its old text, which must occur exactly once in its file,
+by its new text, runs Tier-1 with `-x` there and puts the file back; it is
+killed if Tier-1 fails or runs past TIMEOUT_S.  One line per entry gives the
+verdict and the time taken.  An equivalent mutant (one that cannot change
+any output) is listed with its reason and not run.  Exits 1 if a
+non-equivalent mutant survives or an entry's old text is not found exactly
+once.  Only the standard library and pytest are used.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -102,15 +100,14 @@ CATALOGUE = (
            "a clicked detector's partner is the silent one"),
     Mutant("weight-pieces-1mib", GAINS, "_WEIGHT_FLOATS = 2 ** 14", "_WEIGHT_FLOATS = 2 ** 17",
            "a Fock contraction piece stays within 128 KiB"),
-    Mutant("weight-piece-overlap", GAINS, "np.arange(s, min(s + step, n))",
-           "np.arange(s, min(s + step + 1, n))", "the pieces tile the rows' triples",
-           equivalent="each piece stores its triples' gains at their own index, so a piece "
-                      "one triple longer rewrites the next piece's first gain with the same bits"),
-    Mutant("weight-piece-shift", GAINS, "np.arange(s, min(s + step, n))",
-           "np.arange(s + 1, min(s + step + 1, n))", "each piece's gains go to its own triples"),
+    Mutant("weight-piece-overlap", GAINS, "np.arange(s, min(s + step, stop))",
+           "np.arange(s, min(s + step + 1, stop))",
+           "the pieces tile the rows' triples, each within the one weight buffer"),
+    Mutant("weight-piece-shift", GAINS, "np.arange(s, min(s + step, stop))",
+           "np.arange(s + 1, min(s + step + 1, stop))", "each piece's gains go to its own triples"),
     Mutant("contraction-gemm", GAINS,
-           "q[s:s + len(w)] = np.matmul(flat, w.reshape(len(w), -1, 1))[:, :, 0]",
-           "q[s:s + len(w)] = w.reshape(len(w), -1) @ flat.T",
+           "np.matmul(flat, piece.reshape(len(row), -1, 1), out=q[s - start:s - start + len(row)])",
+           "q[s - start:s - start + len(row), :, 0] = piece.reshape(len(row), -1) @ flat.T",
            "one gemv per triple, bit-identical to one row at a time"),
     Mutant("grid-levels-swapped", DECOY, "mus = (0.0, plan.mu1, plan.mu2)",
            "mus = (0.0, plan.mu2, plan.mu1)", "GRID's level 1 is the decoy, 2 the signal"),
@@ -140,31 +137,35 @@ CATALOGUE = (
     Mutant("truncation-floor", GAINS, "floor = tail_budget / 4096.0", "floor = tail_budget",
            "the kept triples' floor leaves the tail within the budget"),
     Mutant("bessel-series-cutoff", GAINS,
-           "live = live[t > 1e-20 * np.maximum(total[live], 1e-300)]",
-           "live = live[t > 1e-8 * np.maximum(total[live], 1e-300)]",
+           "going = terms > 1e-20 * np.maximum(parts, 1e-300)",
+           "going = terms > 1e-8 * np.maximum(parts, 1e-300)",
            "the I0 series runs to 1e-20 relative"),
     Mutant("entropy-clamp", PARAMS, "x = min(1.0, max(0.0, x))", "x = min(1.0, x)",
            "an entropy argument within the slack below 0 is clamped"),
     Mutant("rate-clamp", KEYRATES, "return max(0.0, raw), raw, tuple(diags)",
            "return raw, raw, tuple(diags)", "a printed rate is clamped at 0"),
     # -- the row-stacked closed forms, assembly and exact reference
-    Mutant("row-consistency-dropped", GAINS, "refused = disagree | overflow",
-           "refused = overflow", "the row path refuses disagreeing same-polarization forms"),
+    Mutant("row-consistency-dropped", GAINS, "refused = disagree | np.isinf(f)",
+           "refused = np.isinf(f)", "the row path refuses disagreeing same-polarization forms"),
     Mutant("row-refusal-check-anywhere-first", GAINS, "k = int(np.argmax(refused))",
            "k = int(np.argmax(disagree if disagree.any() else refused))",
            "the first refused triple of the first refused row is the one named"),
     Mutant("row-refusal-overflow-first", GAINS, "        if disagree.flat[k]:",
-           "        if disagree.flat[k] and not overflow.flat[k]:",
+           "        if disagree.flat[k] and not np.isinf(f).any(axis=0).flat[k]:",
            "one triple's check comes before its overflow"),
     Mutant("row-click-dark-count", GAINS,
-           "click = -_math_at(expm1, -half)[0] + p_d * surv",
-           "click = -_math_at(expm1, -half)[0]", "the closed-form click includes the dark count"),
+           "click = -_math_at(expm1, -half) + p_d * surv",
+           "click = -_math_at(expm1, -half)", "the closed-form click includes the dark count"),
     Mutant("row-pair-factors-swapped", GAINS, "e * f[1] * pair[0], e * f[2] * pair[1]",
            "e * f[1] * pair[1], e * f[2] * pair[0]",
            "class b interferes Alice-Charlie, class c Alice-Bob"),
-    Mutant("row-exp-through-numpy", GAINS, "e = dark_w3 * _math_at(exp, -sums)[0][at_sum]",
-           "e = dark_w3 * np.exp(-sums)[at_sum]",
+    Mutant("row-exp-through-numpy", GAINS, "e = (p_d / 2.0) * w ** 3 * _math_at(exp, -total)",
+           "e = (p_d / 2.0) * w ** 3 * np.exp(-total)",
            "the closed forms' exponentials stay in libm, bit-identical to one triple"),
+    Mutant("assembly-block-replaces", GAINS,
+           "sets += assemble_gain_set(*q[:stop - start, :, 0].T, e_d)",
+           "sets = assemble_gain_set(*q[:stop - start, :, 0].T, e_d)",
+           "the sets of every assembly block are kept, in triple order"),
     Mutant("assembly-sum-order", GAINS, "cz, ez = 4.0 * a, 4.0 * (b + c + d)",
            "cz, ez = 4.0 * a, 4.0 * (b + (c + d))",
            "the assembly keeps the float operations of a lone set"),
@@ -190,11 +191,8 @@ def apply(text: str, mutant: Mutant) -> str:
     return text.replace(mutant.old, mutant.new)
 
 
-def run(tree: Path, mutant: Mutant) -> tuple[bool, float]:
-    """(killed, seconds) of Tier-1 on the tree with the mutant applied."""
-    path = tree / mutant.path
-    original = path.read_text()
-    path.write_text(apply(original, mutant))
+def tier1(tree: Path) -> tuple[bool, float]:
+    """(passed, seconds) of Tier-1 with -x on the tree; a run past TIMEOUT_S fails."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     start = time.monotonic()
     try:
@@ -202,24 +200,24 @@ def run(tree: Path, mutant: Mutant) -> tuple[bool, float]:
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
     except subprocess.TimeoutExpired:
         code = None
+    return code == 0, time.monotonic() - start
+
+
+def run(tree: Path, mutant: Mutant) -> tuple[bool, float]:
+    """(killed, seconds) of Tier-1 on the tree with the mutant applied."""
+    path = tree / mutant.path
+    original = path.read_text()
+    path.write_text(apply(original, mutant))
+    try:
+        passed, seconds = tier1(tree)
     finally:
         path.write_text(original)
-    return code != 0, time.monotonic() - start
+    return not passed, seconds
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", action="append", metavar="NAME",
-                        help="run only this entry (repeatable)")
-    parser.add_argument("--list", action="store_true", help="print the catalogue and exit")
-    args = parser.parse_args(argv)
-    names = {m.name for m in CATALOGUE}
-    unknown = sorted(set(args.only or ()) - names)
-    if unknown:
-        parser.error(f"no such entries: {', '.join(unknown)}")
-    chosen = [m for m in CATALOGUE if not args.only or m.name in args.only]
+def main() -> int:
     bad = []
-    for m in chosen:  # every entry must apply before anything runs
+    for m in CATALOGUE:  # every entry must apply before anything runs
         try:
             apply((ROOT / m.path).read_text(), m)
         except LookupError as exc:
@@ -227,17 +225,18 @@ def main(argv=None) -> int:
     if bad:
         print("\n".join(bad))
         return 1
-    if args.list:
-        for m in chosen:
-            print(f"{m.name:36} {m.path:24} {m.contract}"
-                  + (f" [equivalent: {m.equivalent}]" if m.equivalent else ""))
-        return 0
     survivors = []
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks", "out"))
-        for m in chosen:
+        passed, seconds = tier1(tree)
+        if not passed:
+            print(f"baseline fails: Tier-1 fails on the unmutated tree ({seconds:.1f}s), "
+                  f"so no mutant can be judged")
+            return 1
+        print(f"{'baseline':10} {seconds:6.1f}s  Tier-1 passes on the unmutated tree", flush=True)
+        for m in CATALOGUE:
             if m.equivalent:
                 print(f"{'equivalent':10} {'':>7}  {m.name}: {m.equivalent}", flush=True)
                 continue

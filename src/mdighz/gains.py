@@ -87,6 +87,9 @@ _STACK_FLOATS = 2 ** 17
 # at the 12-photon cutoff, 2,048 behind the <=1-photon filter.  1 MiB pieces
 # raised the fock_sweep workload's peak RSS by 0.9 MB.
 _WEIGHT_FLOATS = 2 ** 14
+# The triples whose class gains are assembled in one pass (48 KiB of gains):
+# the gains of all 201 rows of a full-grid heralded sweep at once held 145 KB.
+_GAIN_TRIPLES = 2 ** 10
 
 A_CONSISTENCY_RTOL = 1e-12
 
@@ -159,40 +162,39 @@ def _i0_minus_1(z):
     """I0(z) - 1 by its power series, whose positive terms never cancel; inf past z ~ 713.
 
     Elementwise for an array, each element in the float operations of a lone
-    one: its terms stop at its own last one."""
-    q = np.array(z, dtype=float, ndmin=1)
+    one: its terms and partial sums are running products and sums, 16 terms
+    at a time, and it stops at its own last term."""
     with np.errstate(over="ignore", invalid="ignore"):
+        q = np.array(z, dtype=float, ndmin=1)
         q = q * q / 4.0
-        term, total = q.copy(), q.copy()
-        live = np.flatnonzero(term > 1e-20 * np.maximum(total, 1e-300))
-        k = 2
-        while live.size:
-            t = term[live] * (q[live] / (k * k))
-            term[live] = t
-            total[live] += t
-            live = live[t > 1e-20 * np.maximum(total[live], 1e-300)]
-            k += 1
+        total = np.empty_like(q)
+        live, term, part, k = np.arange(q.size), q, q, 2
+        while live.size:  # term_k = term_(k-1) * (q / k^2), part_k = part_(k-1) + term_k
+            terms = np.multiply.accumulate(
+                np.column_stack((term, q[live, None] / np.arange(k, k + 16) ** 2)), axis=1)
+            parts = np.add.accumulate(np.column_stack((part, terms[:, 1:])), axis=1)
+            going = terms > 1e-20 * np.maximum(parts, 1e-300)
+            done = ~going.all(axis=1)
+            total[live[done]] = parts[done, going[done].argmin(axis=1)]
+            live, term, part, k = live[~done], terms[~done, -1], parts[~done, -1], k + 16
     return total if np.ndim(z) else float(total[0])
 
 
 def _math_at(f, values):
-    """The math-module function f at each float of the array `values`, and a
-    mask of those at which it overflows a float (inf there).  The
-    exponentials stay in libm: numpy's vectorized ones may round otherwise."""
-    values = values.tolist()
+    """The math-module function f at each float of the array `values`, inf
+    where it overflows a float.  The exponentials stay in libm: numpy's
+    vectorized ones may round otherwise."""
+    flat = values.ravel().tolist()
     try:
-        return np.array(list(map(f, values)), dtype=float), np.zeros(len(values), dtype=bool)
+        out = list(map(f, flat))
     except OverflowError:
-        pass
-    out, over = [], []
-    for v in values:
-        try:
-            out.append(f(v))
-            over.append(False)
-        except OverflowError:
-            out.append(inf)
-            over.append(True)
-    return np.array(out, dtype=float), np.array(over)
+        out = []
+        for v in flat:
+            try:
+                out.append(f(v))
+            except OverflowError:
+                out.append(inf)
+    return np.array(out).reshape(values.shape)
 
 
 # The analyzer wiring: the detector group (1, 2, 3) that each user's light
@@ -236,8 +238,8 @@ def z_pattern_outcome_gain(pols: str, mu: float, nu: float, omega: float,
 
 
 def _distinct(values):
-    """The distinct floats of the array `values`, and the index of each value
-    among them, in the shape of `values`."""
+    """The distinct values of the array `values`, ascending, and the index of
+    each value among them, in the shape of `values`."""
     distinct, at = np.unique(values, return_inverse=True)
     return distinct, at.reshape(values.shape)
 
@@ -254,38 +256,36 @@ def z_gain_components(mu, nu, omega, eta, p_d: float):
     distinct value: of one user's light (its group click, the one-party
     group's click-silent product, the solo factor of a mixed class) per
     arriving intensity, of the Bessel factor of two interfering users per
-    pair sum, of a triple per total.  So a decoy grid's 15 triples cost 3
-    intensities and 6 pairs, and each triple's gains take the same float
-    operations as on its own.  The same-polarization class is evaluated both
-    from the four-pattern product and from its factored closed form;
-    disagreement beyond 1e-12 relative is a hard numerics error, as is a
-    mixed-class factor that overflows; the first triple of the first row
-    that meets either is the one refused.
+    pair of arriving intensities, of a triple's total per triple.  So a
+    decoy grid's 15 triples cost 3 intensities and 6 pairs, and each
+    triple's gains take the same float operations as on its own.  The same-polarization class is
+    evaluated both from the four-pattern product and from its factored
+    closed form; disagreement beyond 1e-12 relative is a hard numerics
+    error, as is a mixed-class factor that overflows; the first triple of the
+    first row that meets either is the one refused.
     """
     x = _arriving((mu, nu, omega), eta)
     w = 1.0 - p_d
     levels, at = _distinct(x)
     half = levels / 2.0
-    surv = _math_at(exp, -half)[0]
-    click = -_math_at(expm1, -half)[0] + p_d * surv  # per detector of a group; see _group_click
-    solo, solo_over = _math_at(expm1, half)  # the printed (1 - p_d - e^{s/2}), negated
-    c, s, f = click[at], (click * w * surv)[at], (solo + p_d)[at]
-    sums, at_sum = _distinct(x[0] + x[1] + x[2])
-    half_w3, dark_w3 = 0.5 * w ** 3, (p_d / 2.0) * w ** 3
-    a_closed = half_w3 * _math_at(exp, -sums / 2.0)[0][at_sum] * (c[0] * c[1] * c[2])
+    surv = _math_at(exp, -half)
+    click = -_math_at(expm1, -half) + p_d * surv  # per detector of a group; see _group_click
+    solo = _math_at(expm1, half) + p_d  # the printed (1 - p_d - e^{s/2}), negated
+    c, s, f = click[at], (click * w * surv)[at], solo[at]
+    total = x[0] + x[1] + x[2]
+    a_closed = 0.5 * w ** 3 * _math_at(exp, -total / 2.0) * (c[0] * c[1] * c[2])
     a_product = s[1] * s[2] * s[0] / 2.0  # groups 1, 2, 3 see Bob, Charlie, Alice
     scale = np.maximum(np.maximum(np.abs(a_closed), np.abs(a_product)), 1e-300)
     disagree = np.abs(a_closed - a_product) > A_CONSISTENCY_RTOL * scale
     # the users interfering in the mixed classes b (Alice-Charlie), c
     # (Alice-Bob) and d (Bob-Charlie): the printed (1 - p_d - e^{s/2} I0) of
     # their group, negated, a plain sum of positive terms safe at tiny
-    # intensities
-    first, second = x[[0, 0, 1]], x[[2, 1, 2]]
-    pair_sums, at_pair = _distinct((first + second) / 2.0)
-    grow, grow_over = _math_at(exp, pair_sums)
-    grow_m1, grow_m1_over = _math_at(expm1, pair_sums)
-    overflow = solo_over[at].any(axis=0) | (grow_over | grow_m1_over)[at_pair].any(axis=0)
-    refused = disagree | overflow
+    # intensities; a pair's sum and product do not depend on its order
+    one, two = at[[0, 0, 1]], at[[2, 1, 2]]
+    pairs, at_pair = _distinct(np.minimum(one, two) * len(levels) + np.maximum(one, two))
+    i, j = levels[pairs // len(levels)], levels[pairs % len(levels)]
+    grow, grow_m1 = _math_at(exp, (i + j) / 2.0), _math_at(expm1, (i + j) / 2.0)
+    refused = disagree | np.isinf(f).any(axis=0) | np.isinf(grow_m1 + grow)[at_pair].any(axis=0)
     if refused.any():
         k = int(np.argmax(refused))
         if disagree.flat[k]:
@@ -294,12 +294,11 @@ def z_gain_components(mu, nu, omega, eta, p_d: float):
         em = np.broadcast_to(_per_row((mu, nu, omega)), x.shape).reshape(3, -1)
         raise NumericsError(f"mixed-class gain at intensity {max(em[:, k].tolist())!r}: its "
                             f"factors e^(intensity * eta / 2) overflow a float")
-    products, at_product = _distinct(np.sqrt(first * second))
-    pair = grow_m1[at_pair] + grow[at_pair] * _i0_minus_1(products)[at_product] + p_d
+    pair = (grow_m1 + grow * _i0_minus_1(np.sqrt(i * j)) + p_d)[at_pair]
     # each printed factor is negative; their magnitudes multiply.  b: Bob
     # solo, Alice-Charlie interfere; c: Charlie solo, Alice-Bob; d: Alice
     # solo, Bob-Charlie
-    e = dark_w3 * _math_at(exp, -sums)[0][at_sum]
+    e = (p_d / 2.0) * w ** 3 * _math_at(exp, -total)
     q = np.stack((a_closed, e * f[1] * pair[0], e * f[2] * pair[1], e * f[0] * pair[2]))
     if np.ndim(eta):
         return q
@@ -704,8 +703,8 @@ def thinned_gain_sets(comps, rows, index_triples, e_d) -> list[list[GainSet]]:
     and the joint thinned weights of every row and triple are contracted
     against the ideal-detector class components (6, k, k, k), in pieces of at
     most _WEIGHT_FLOATS weights, with one gemv per triple; the class gains of
-    every piece are assembled in one pass.  Every term is nonnegative, so the
-    sums keep full relative precision."""
+    up to _GAIN_TRIPLES triples are assembled in one pass.  Every term is
+    nonnegative, so the sums keep full relative precision."""
     k = comps.shape[-1]
     flat = comps.reshape(len(comps), -1)
     sizes = [len(levels) for levels, _ in rows]
@@ -715,13 +714,20 @@ def thinned_gain_sets(comps, rows, index_triples, e_d) -> list[list[GainSet]]:
     starts = np.cumsum([0, *sizes[:-1]])
     triples = np.reshape(index_triples, (-1, 3))
     n, step = len(rows) * len(triples), max(1, _WEIGHT_FLOATS // k ** 3)
-    q = np.empty((n, len(comps)))
-    for s in range(0, n, step):
-        row, j = np.divmod(np.arange(s, min(s + step, n)), len(triples))
-        a, b, c = thinned[(starts[row, None] + triples[j]).T]
-        w = (a[:, :, None] * b[:, None, :])[:, :, :, None] * c[:, None, None, :]
-        q[s:s + len(w)] = np.matmul(flat, w.reshape(len(w), -1, 1))[:, :, 0]
-    sets = assemble_gain_set(*q.T, e_d)
+    block = step * max(1, _GAIN_TRIPLES // step)  # whole pieces per assembly
+    w = np.empty((min(step, n), k, k, k))  # one piece's joint weights, in place
+    q = np.empty((min(block, n), len(comps), 1))  # one block's class gains
+    sets = []
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        for s in range(start, stop, step):
+            row, j = np.divmod(np.arange(s, min(s + step, stop)), len(triples))
+            a, b, c = thinned[(starts[row, None] + triples[j]).T]
+            piece = w[:len(row)]
+            np.multiply((a[:, :, None] * b[:, None, :])[:, :, :, None], c[:, None, None, :],
+                        out=piece)
+            np.matmul(flat, piece.reshape(len(row), -1, 1), out=q[s - start:s - start + len(row)])
+        sets += assemble_gain_set(*q[:stop - start, :, 0].T, e_d)
     return [sets[i:i + len(triples)] for i in range(0, n, len(triples))]
 
 

@@ -21,7 +21,8 @@ from mdighz.params import (ChannelModel, DecoyPlan, DetectorModel, NumericsError
                            SystemParams, overall_efficiency, parse_config,
                            transmission_efficiency)
 from yield_reference import (assemble_gain_set_reference, gain_set_reference,
-                             gains_qnd_reference, ghz_outcome_yields, outcome_pattern_sums,
+                             gains_qnd_reference, ghz_outcome_yields, i0_minus_1_reference,
+                             outcome_pattern_sums,
                              propagate_parties, thinned_gain_sets_reference,
                              z_gain_components_reference)
 
@@ -138,6 +139,16 @@ class TestBesselSeries:
     def test_overflow_returns_inf(self):
         assert math.isfinite(gains._i0_minus_1(713.0))
         assert gains._i0_minus_1(720.0) == math.inf
+
+    def test_arrays_bit_for_bit_as_one_term_at_a_time(self):
+        # 16 terms at a time, each element stopping at its own last term:
+        # arguments past one chunk, past a few hundred, overflowing and subnormal
+        rng = np.random.default_rng(5)
+        z = np.concatenate([[0.0, 5e-324, 1e-160, 0.5, 3.0, 713.0, 720.0, 1e200, math.inf],
+                            rng.random(200) * 800.0, 10.0 ** rng.uniform(-200.0, 3.0, 300)])
+        want = np.array([i0_minus_1_reference(v) for v in z.tolist()])
+        assert np.array_equal(gains._i0_minus_1(z).view(np.int64), want.view(np.int64))
+        assert gains._i0_minus_1(3.0) == i0_minus_1_reference(3.0)
 
 
 class TestRectilinearClosedForms:
@@ -1046,6 +1057,17 @@ class TestStackedContraction:
         assert comps.shape[-1] == k
         self.exact(monkeypatch, comps, rows)
 
+    @pytest.mark.parametrize("kind, k", [("qnd", 2), ("heralded", 13)])
+    def test_rows_straddle_an_assembly_block(self, monkeypatch, kind, k):
+        step = max(1, gains._WEIGHT_FLOATS // k ** 3)
+        block = step * max(1, gains._GAIN_TRIPLES // step)  # triples per assembly
+        count = block // len(decoy.GRID) + 2
+        assert count * len(decoy.GRID) > block and block % len(decoy.GRID)
+        comps, rows = ROW_KINDS[kind]([DecoyPlan(5e-3, 5e-4)] * count,
+                                      np.geomspace(0.9, 1e-5, count))
+        assert comps.shape[-1] == k
+        self.exact(monkeypatch, comps, rows)
+
     @pytest.mark.parametrize("kind", ROW_KINDS)
     def test_levels_of_unequal_lengths(self, monkeypatch, kind):
         # the 13-entry vacuum, a one-entry vacuum, a filtered Poisson pair,
@@ -1075,8 +1097,7 @@ class TestStackedContraction:
     def test_heralded_rows_within_memory_budget(self, monkeypatch):
         # the transient memory of a full-grid sweep's 201 rows: their thinned
         # levels and one piece of joint weights.  The GainSets are the call's
-        # result, about 280 bytes each, and so are the six class gains each is
-        # assembled from, 48 bytes, all assembled at once: both are left out.
+        # result, about 280 bytes each, so they are left out.
         monkeypatch.setattr(gains, "assemble_gain_set", lambda *q: [None] * len(q[0]))
         comps, rows = heralded_rows([DecoyPlan(5e-3, 5e-4)] * 201, np.geomspace(0.4, 4e-6, 201))
 
@@ -1084,7 +1105,7 @@ class TestStackedContraction:
             tracemalloc.start()
             try:
                 gains.thinned_gain_sets(comps, rows, decoy.GRID, 0.015)
-                return tracemalloc.get_traced_memory()[1] - len(rows) * len(decoy.GRID) * 6 * 8
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 

@@ -25,7 +25,8 @@ contraction stacks the triples of many rows in pieces;
 product per row and triple, is what it must equal bit for bit.  The rectilinear
 closed forms of many rows share each intensity's and each interfering pair's
 factors and go through one pass of array arithmetic;
-`z_gain_components_reference` forms all of them for one triple alone.  The
+`z_gain_components_reference` forms all of them for one triple alone, its
+Bessel factors by `i0_minus_1_reference`, one term at a time.  The
 assembly of GainSets and the exact single-photon reference take every row in
 one pass too; `assemble_gain_set_reference` and
 `exact_single_photon_stats_reference` form one at a time, in Python floats.
@@ -316,6 +317,18 @@ def gains_qnd_reference(mu, nu, omega, eta_t, detector, e_d):
     return _thinned_gain_set(comps, dists, fock.thinning_matrix(detector.eta_d), e_d)
 
 
+def i0_minus_1_reference(z):
+    """`gains._i0_minus_1` of one argument, one term at a time in Python floats."""
+    q = z * z / 4.0
+    term = total = q
+    k = 2
+    while term > 1e-20 * max(total, 1e-300):
+        term *= q / (k * k)
+        total += term
+        k += 1
+    return total
+
+
 def z_gain_components_reference(mu, nu, omega, eta, p_d):
     """The rectilinear closed forms of one intensity triple, every factor
     formed for this triple alone; the same-polarization class also from the
@@ -338,7 +351,7 @@ def z_gain_components_reference(mu, nu, omega, eta, p_d):
         pair_sum = pair1 + pair2
         f_solo = expm1(solo / 2.0) + p_d
         f_pair = (expm1(pair_sum / 2.0)
-                  + exp(pair_sum / 2.0) * gains._i0_minus_1(sqrt(pair1 * pair2))
+                  + exp(pair_sum / 2.0) * i0_minus_1_reference(sqrt(pair1 * pair2))
                   + p_d)
         return (p_d / 2.0) * w ** 3 * exp(-x) * f_solo * f_pair
 
