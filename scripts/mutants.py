@@ -113,12 +113,22 @@ CATALOGUE = (
            "mus = (0.0, plan.mu2, plan.mu1)", "GRID's level 1 is the decoy, 2 the signal"),
     Mutant("grid-length-unchecked", DECOY, "if len(grid) != len(GRID):", "if False:",
            "a gain grid holds the 15 gains of GRID"),
-    Mutant("table-interference-sign", FOCK, "sign = np.array((1, 0, -1, 0))",
-           "sign = np.array((1, 0, 1, 0))", "the ideal-detector table's interference signs"),
+    Mutant("table-interference-sign", FOCK, "_RE_I = np.array((1, 0, -1, 0))",
+           "_RE_I = np.array((1, 0, 1, 0))", "the ideal-detector table's interference signs"),
     Mutant("table-outcomes-swapped", FOCK,
-           "np.stack((even[0] + odd[0], even[0] - odd[0]))",
-           "np.stack((even[0] - odd[0], even[0] + odd[0]))",
+           "np.stack((even[:, 0] + odd[:, 0], even[:, 0] - odd[:, 0]), axis=1)",
+           "np.stack((even[:, 0] - odd[:, 0], even[:, 0] + odd[:, 0]), axis=1)",
            "the dark-free parity decides the announced outcome"),
+    Mutant("table-one-h-pin-as-v", FOCK,
+           "need = pins[0] | pins[1] << 2 | pins[2] << 4",
+           "need = pins[0] | pins[1] << 2 | pins[2] << 4\n    need[0] += need[0] & 1",
+           "each preparation's H-only party keeps only its all-H splits"),
+    Mutant("table-one-power-off-by-one", FOCK,
+           "turn = (turns[0] + turns[1] + turns[2]) % 4",
+           "turn = (turns[0] + turns[1] + turns[2]) % 4\n    turn[-1] = (turn[-1] + 1) % 4",
+           "each preparation interferes with its own power of i"),
+    Mutant("contraction-piece-transposed", GAINS, '"ij,ik->ijk"', '"ij,ik->ikj"',
+           "a piece's joint weights keep the photon-number axes of the class components"),
     Mutant("thinning-unit-efficiency", FOCK,
            "lost = np.exp(k * np.log1p(-eta)) if eta < 1.0 else (k == 0).astype(float)",
            "lost = np.exp(k * np.log1p(-eta))", "at eta = 1 every photon survives"),

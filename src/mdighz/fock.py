@@ -41,7 +41,10 @@ over the same denominators; the vacuum alone has m = 0, half its mass 1 in each
 parity, which the table adds at d = 3.  Over every input up to the cutoff (all 216
 preparations, checked) the absolute terms sum to at most the denominator,
 itself below 2^53, so the int64 sums are exact and the one division correctly
-rounded.
+rounded.  Every partial sum is then exact as well, whatever the order, so the
+build takes all preparations of a block of triples in one pass: their pins and
+interference signs form (preparations, pairs) arrays, which the block size
+bounds (at most _BLOCK preparations x triples).
 """
 
 from __future__ import annotations
@@ -107,7 +110,12 @@ _BINOMIALS = np.array([[comb(n, k) for k in range(_BASE)] for n in range(_BASE)]
                       dtype=np.int64)
 _LOST = np.subtract.outer(np.arange(_BASE), np.arange(_BASE)).clip(0)  # n - k
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^r, r = 0..3
-_BLOCK = 48  # triples per block of the table build: bounds its temporaries
+_RE_I = np.array((1, 0, -1, 0))  # Re(i^r), r = 0..3
+_PIN_SHIFTS = np.array([[0], [2], [4]])  # party p's pins in bits 2p, 2p + 1
+# preparations x triples per block of the table build: with at most 225 pairs
+# a triple at the cutoff, its (preparations, pairs) temporaries stay below
+# 54k entries; 48 triples a block for the five gain classes
+_BLOCK = 240
 
 
 def _gmul(a, b):
@@ -137,52 +145,83 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
 
 
+def _token(components, extra: int) -> tuple[int, int, int]:
+    """(pin, turn, halves) of a polarization token of _POLS: the pin it puts on
+    its party's splits (1: no V amplitude, every photon in H; 2: no H
+    amplitude, every photon in V; 0: none), the power r of c_V conj(c_H) = i^r
+    where it has both amplitudes (else 0), and its 1/sqrt(2) count per photon
+    with the analyzer's own."""
+    c = dict(components)
+    if 1 not in c:
+        return 1, 0, extra + 1
+    if 0 not in c:
+        return 2, 0, extra + 1
+    return 0, _I_POWERS.index(_gmul(c[1], (c[0][0], -c[0][1]))), extra + 1
+
+
+_TOKENS = {pol: _token(*spec) for pol, spec in _POLS.items()}
+
+
+def _product(columns: np.ndarray) -> np.ndarray:
+    """The product of the three party columns of a party-major array."""
+    return columns[0] * columns[1] * columns[2]
+
+
 def _fit_masses(preps: tuple[str, ...], triples: np.ndarray) -> np.ndarray:
     """C[prep, outcome, d, triple] of `ideal_detector_table` for the rows of
     `triples` (t, 3), by the closed form of the module docstring.
 
-    Each split k pairs with every shift delta >= 0 that keeps k + delta a
-    split; one with delta > 0 stands for its mirror too.  Where both
-    amplitudes are nonzero, Re(P(k) conj P(k + delta)) = C(n, k) C(n, k +
-    delta) Re(rho^delta), with rho = prod_p c_V conj(c_H) a power of i."""
-    row, j = _ragged((triples + 1).prod(axis=1))
-    n = triples[row]
-    k = np.empty_like(n)
-    for p in (2, 1, 0):
-        j, k[:, p] = np.divmod(j, n[:, p] + 1)
-    pair, delta = _ragged((n - k).min(axis=1) + 1)
-    row, n, k = row[pair], n[pair], k[pair]
-    shifted = k + delta[:, None]
-    totals = n - k + np.roll(k, -1, axis=1)  # group g: party g's V, party g+1's H
-    weight = (_BINOMIALS[n, k].prod(axis=1) * _BINOMIALS[n, shifted].prod(axis=1)
-              * _FACTORIALS[totals].prod(axis=1)) << (delta > 0)
-    # sums by triple, empty groups d and delta's parity.  A mass counts 2^(m-1)
-    # second-detector choices per parity; the table adds both parities times
-    # 2^(d-1) patterns for d >= 1 (even deltas only survive) and takes the
-    # outcome's parity for d = 0: a factor 4 either way
-    bins = 8 * row + 2 * (totals == 0).sum(axis=1) + delta % 2
+    The integers are held party-major, a column per party.  Each split k
+    pairs with every shift delta >= 0 that keeps k + delta a split; one with
+    delta > 0 stands for its mirror too.  Where both amplitudes are nonzero,
+    Re(P(k) conj P(k + delta)) = C(n, k) C(n, k + delta) Re(rho^delta), with
+    rho = prod_p c_V conj(c_H) = i^turn; a party with one amplitude keeps only
+    the pairs pinned to it, all its photons in H (k = n) or all in V
+    (k + delta = 0).  The pins and signs of every preparation are
+    (preparations, pairs) arrays, and the integers of all preparations
+    accumulate in one pass over the blocks of triples."""
+    pins, turns, halves = np.array([[_TOKENS[pol] for pol in pols] for pols in preps]).T
+    need = pins[0] | pins[1] << 2 | pins[2] << 4  # party p's pin in bits 2p, 2p + 1
+    turn = (turns[0] + turns[1] + turns[2]) % 4
+    t = triples.T
+    denom = _product(_FACTORIALS[t]) << (halves.T @ t)
+    beyond = (denom >= _EXACT_LIMIT).any(axis=1)
+    if beyond.any():
+        raise ValueError(f"{preps[int(np.argmax(beyond))]} is beyond exact float conversion")
+    # sums by preparation, delta's parity, empty groups d and triple, a block
+    # of triples at a time, so the pairs of all triples never form at once
+    sums = np.zeros((len(preps), 2, 4, len(triples)), dtype=np.int64)
+    offsets = np.arange(0, sums.size, sums[0].size)[:, None]
+    step = max(1, _BLOCK // len(preps))
+    for b in range(0, len(triples), step):
+        block = t[:, b:b + step]
+        row, j = _ragged(_product(block + 1))
+        n = block[:, row]
+        k = np.empty_like(n)
+        for p in (2, 1, 0):
+            j, k[p] = np.divmod(j, n[p] + 1)
+        free = n - k  # photons in V
+        pair, delta = _ragged(np.minimum(np.minimum(free[0], free[1]), free[2]) + 1)
+        row, n, k, free = row[pair] + b, n[:, pair], k[:, pair], free[:, pair]
+        shifted = k + delta
+        totals = free + k[[1, 2, 0]]  # group g: party g's V, party g+1's H
+        weight = _product(_BINOMIALS[n, k] * _BINOMIALS[n, shifted]
+                          * _FACTORIALS[totals]) << (delta > 0)
+        fits = ((free == 0) | (shifted == 0) << 1) << _PIN_SHIFTS  # the pins each pair meets
+        keep = (need[:, None] & ~(fits[0] | fits[1] | fits[2])) == 0
+        signed = _RE_I[np.outer(range(4), delta) % 4] * weight  # weight Re(i^(r delta)), r = 0..3
+        empty = totals == 0
+        bins = (4 * (delta % 2) + empty[0] + empty[1] + empty[2]) * len(triples) + row
+        terms = np.where(keep, signed[turn], 0)  # (preparations, pairs)
+        np.add.at(sums.reshape(-1), (offsets + bins).ravel(), terms.ravel())
+    # A mass counts 2^(m-1) second-detector choices per parity; the table adds
+    # both parities times 2^(d-1) patterns for d >= 1 (even deltas only
+    # survive) and takes the outcome's parity for d = 0: a factor 4 either way
+    even, odd = sums[:, 0], sums[:, 1]
+    denom = denom[:, None]
     out = np.empty((len(preps), 2, 4, len(triples)))
-    for i, pols in enumerate(preps):
-        keep = np.ones(len(row), dtype=bool)
-        rho = (1, 0)
-        for p, pol in enumerate(pols):
-            c = dict(_POLS[pol][0])
-            if 0 not in c:  # no H amplitude: every photon in V, no shift
-                keep &= shifted[:, p] == 0
-            elif 1 not in c:  # no V amplitude: every photon in H, no shift
-                keep &= k[:, p] == n[:, p]
-            else:
-                rho = _gmul(rho, _gmul(c[1], (c[0][0], -c[0][1])))  # c_V conj(c_H)
-        sign = np.array((1, 0, -1, 0))[_I_POWERS.index(rho) * delta % 4]
-        sums = np.zeros(8 * len(triples), dtype=np.int64)
-        np.add.at(sums, bins[keep], weight[keep] * sign[keep])
-        even, odd = sums.reshape(-1, 4, 2).transpose(2, 1, 0)
-        halves = np.array([_POLS[pol][1] + 1 for pol in pols])
-        denom = _FACTORIALS[triples].prod(axis=1) << (triples @ halves)
-        if denom.max() >= _EXACT_LIMIT:
-            raise ValueError(f"{pols} is beyond exact float conversion")
-        out[i] = 4.0 * even / denom
-        out[i, :, 0] = 4.0 * np.stack((even[0] + odd[0], even[0] - odd[0])) / denom
+    out[:] = (4.0 * even / denom)[:, None]
+    out[:, :, 0] = 4.0 * np.stack((even[:, 0] + odd[:, 0], even[:, 0] - odd[:, 0]), axis=1) / denom
     return out
 
 
@@ -202,9 +241,7 @@ def ideal_detector_table(preps: tuple[str, ...], mask: np.ndarray) -> np.ndarray
     for pols in preps:
         _check_input(pols, largest)
     out = np.zeros((len(preps), 2, 4) + mask.shape)
-    # a block at a time, so the pairs of all triples never form at once
-    out[..., mask] = np.concatenate([_fit_masses(preps, triples[b:b + _BLOCK])
-                                     for b in range(0, len(triples), _BLOCK)], axis=-1)
+    out[..., mask] = _fit_masses(preps, triples)
     return out
 
 

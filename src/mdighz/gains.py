@@ -702,9 +702,11 @@ def thinned_gain_sets(comps, rows, index_triples, e_d) -> list[list[GainSet]]:
     into its levels: each level is thinned by the detector efficiency once,
     and the joint thinned weights of every row and triple are contracted
     against the ideal-detector class components (6, k, k, k), in pieces of at
-    most _WEIGHT_FLOATS weights, with one gemv per triple; the class gains of
-    up to _GAIN_TRIPLES triples are assembled in one pass.  Every term is
-    nonnegative, so the sums keep full relative precision."""
+    most _WEIGHT_FLOATS weights, with one gemv per triple.  A piece's weights
+    (a b) c go straight into one reused buffer: an einsum with no summed index
+    forms each as that one product, with no broadcast temporary.  The class
+    gains of up to _GAIN_TRIPLES triples are assembled in one pass.  Every
+    term is nonnegative, so the sums keep full relative precision."""
     k = comps.shape[-1]
     flat = comps.reshape(len(comps), -1)
     sizes = [len(levels) for levels, _ in rows]
@@ -724,8 +726,8 @@ def thinned_gain_sets(comps, rows, index_triples, e_d) -> list[list[GainSet]]:
             row, j = np.divmod(np.arange(s, min(s + step, stop)), len(triples))
             a, b, c = thinned[(starts[row, None] + triples[j]).T]
             piece = w[:len(row)]
-            np.multiply((a[:, :, None] * b[:, None, :])[:, :, :, None], c[:, None, None, :],
-                        out=piece)
+            np.einsum("ij,ik->ijk", (a[:, :, None] * b[:, None, :]).reshape(len(row), -1), c,
+                      out=piece.reshape(len(row), -1, k))
             np.matmul(flat, piece.reshape(len(row), -1, 1), out=q[s - start:s - start + len(row)])
         sets += assemble_gain_set(*q[:stop - start, :, 0].T, e_d)
     return [sets[i:i + len(triples)] for i in range(0, n, len(triples))]

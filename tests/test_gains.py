@@ -1113,6 +1113,20 @@ class TestStackedContraction:
         assert many < 0.5 * 2 ** 20
         assert many - one < 0.2 * 2 ** 20
 
+    def test_one_heralded_row_transient(self, monkeypatch):
+        # one row's thinned levels and one 123 KiB piece of joint weights
+        # (k = 13), whose product leaves no broadcast temporary beside it
+        monkeypatch.setattr(gains, "assemble_gain_set", lambda *q: [None] * len(q[0]))
+        comps, rows = heralded_rows([DecoyPlan(5e-3, 5e-4)], [0.4])
+        assert comps.shape[-1] == 13
+        tracemalloc.start()
+        try:
+            gains.thinned_gain_sets(comps, rows, decoy.GRID, 0.015)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 192 * 2 ** 10
+
 
 def fock_config(name):
     return parse_config((CONFIG_DIR / f"{name}.cfg").read_text())
